@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the substrate: simulator cycles/second, emulator
-//! throughput, contract-trace extraction, taint-based boosting, and program
-//! generation — the per-component costs that the paper's Table 2 breaks
-//! down for gem5.
+//! throughput, contract-trace extraction, taint-based boosting, program
+//! generation, and seeded sandbox images — the per-component costs that the
+//! paper's Table 2 breaks down for gem5.
 //!
 //! Self-timed (median-of-batches) harness; the workspace carries no
 //! external benchmarking dependency.
@@ -11,10 +11,11 @@ use amulet_contracts::{ContractKind, LeakageModel};
 use amulet_core::{boosted_inputs, Generator, GeneratorConfig, InputGenConfig};
 use amulet_defenses::DefenseKind;
 use amulet_emu::{Emulator, NullObserver};
-use amulet_isa::TestInput;
+use amulet_isa::{SeededImage, TestInput, PAGE_SIZE};
 use amulet_sim::{SimConfig, Simulator};
 use amulet_util::Xoshiro256;
 use std::hint::black_box;
+use std::time::Instant;
 
 fn fixture() -> (amulet_isa::SharedProgram, TestInput) {
     let mut generator = Generator::new(GeneratorConfig::default(), 7);
@@ -83,8 +84,38 @@ fn bench_generation() {
     });
 }
 
+/// Seeded sandbox images: the jump ladder's one-off build, one generator
+/// jump, and drawing one page of a 128-page image against filling a page
+/// eagerly and copying it.
+fn bench_images() {
+    let t0 = Instant::now();
+    Xoshiro256::seed_from_u64(1).advance(512);
+    println!(
+        "{:<32} {:>10.2} µs once per process",
+        "jump_ladder_build",
+        t0.elapsed().as_secs_f64() * 1e6
+    );
+    let mut rng = Xoshiro256::seed_from_u64(3);
+    time_fn("rng_advance_one_table", || {
+        black_box(&mut rng).advance(black_box(1 << 16));
+    });
+    let image = SeededImage::draw(&mut rng, 128 * PAGE_SIZE);
+    let mut page = vec![0u8; PAGE_SIZE];
+    time_fn("seeded_page_draw_128p", || {
+        image.read(black_box(77 * PAGE_SIZE), &mut page);
+    });
+    time_fn("eager_page_fill", || {
+        rng.fill_bytes(black_box(&mut page));
+    });
+    let source = page.clone();
+    time_fn("page_copy", || {
+        page.copy_from_slice(black_box(&source));
+    });
+}
+
 fn main() {
     println!("micro: per-component costs (median of batches)");
+    bench_images();
     bench_simulator();
     bench_emulator();
     bench_contracts();

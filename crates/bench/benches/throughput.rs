@@ -3,18 +3,15 @@
 //!
 //! Two measurements, both fixed-seed:
 //!
-//! 1. **Hot-path speedup** — the same detector workload (quick-campaign
-//!    shape, single instance) run through the *legacy* per-case pipeline
-//!    (debug logging on, full `UTrace` materialisation per case) and through
-//!    the current hot path (logging off, streaming digest, shared program).
-//!    The ratio is the per-case win of the zero-allocation hot path.
+//! 1. **Hot-path throughput** — the detector's per-case pipeline
+//!    (quick-campaign shape, single instance: logging off, streaming
+//!    digest, shared program).
 //! 2. **Campaign cases/sec per defense** — a fixed-seed quick campaign per
 //!    defense, the end-to-end number future PRs must not regress.
 //!
 //! Results are printed and appended as one machine-readable JSON line each
 //! to `BENCH_throughput.json` at the workspace root (schema:
-//! `{"bench":"throughput","kind":...,"name":...,"cases_per_sec":...}` plus
-//! `"speedup"` for the hot-path comparison).
+//! `{"bench":"throughput","kind":...,"name":...,"cases_per_sec":...}`).
 
 use amulet_bench::{banner, env_usize};
 use amulet_cli::{
@@ -24,11 +21,10 @@ use amulet_contracts::{ContractKind, LeakageModel, ModelScratch};
 use amulet_core::{
     boosted_inputs, boosted_inputs_into, Campaign, CampaignConfig, Detector, ExecMode, Executor,
     ExecutorConfig, Generator, GeneratorConfig, InputGenConfig, ShardConfig, SpecSource,
-    TraceFormat, UTrace,
 };
 use amulet_defenses::DefenseKind;
-use amulet_isa::{SharedProgram, TestInput};
-use amulet_sim::{LogMode, SimConfig, Simulator};
+use amulet_isa::TestInput;
+use amulet_sim::SimConfig;
 use amulet_util::Xoshiro256;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -36,49 +32,11 @@ use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The pre-PR per-case pipeline, reconstructed line by line from the seed's
-/// `Executor::run_case` + `Simulator::load_test`: fill-by-fill conflict
-/// prefill, per-case program clone, per-case padded sandbox allocation,
-/// logging on, per-dispatch heap allocations, and a full snapshot + `UTrace`
-/// materialised for every case. Conservative: it still benefits from the
-/// current event-gated cycle loop, which the seed did not have.
-fn legacy_run_case(
-    sim: &mut Simulator,
-    flat: &SharedProgram,
-    input: &amulet_isa::TestInput,
-) -> UTrace {
-    sim.flush_caches();
-    sim.prefill_l1d_conflicting_fresh();
-    let _start_ctx = sim.context();
-    sim.set_log_mode(LogMode::Record);
-    // `load_test` cloned the program and rebuilt the sandbox from a padded
-    // copy of the input image on every case.
-    let per_case_program = Arc::new((**flat).clone());
-    let mut padded = input.mem.clone();
-    padded.resize(sim.config().sandbox_size, 0);
-    black_box(amulet_emu::Sandbox::from_bytes(
-        sim.config().sandbox_base,
-        &padded,
-    ));
-    sim.load_test_shared(&per_case_program, input);
-    let result = sim.run();
-    // The seed's dispatch allocated two heap vectors per fetched instruction
-    // (`Effects.reads` and the ROB entry's source list); both are inline
-    // arrays now, so the reconstruction pays them explicitly.
-    for _ in 0..result.fetched {
-        black_box(Vec::<amulet_isa::Gpr>::with_capacity(4));
-        black_box(Vec::<(usize, u64)>::with_capacity(4));
-    }
-    let snap = sim.snapshot();
-    UTrace::from_snapshot(&snap, TraceFormat::L1dTlb, false)
-}
-
-/// Measures per-case throughput of the current hot path vs. the pre-PR
-/// reconstruction over the same fixed-seed quick-campaign workload.
-/// Program/input generation is untimed — this isolates the per-test-case
-/// pipeline both PRs share. Returns (cases, median hot secs, median legacy
-/// secs) over five interleaved passes.
-fn per_case_comparison(programs: usize) -> (usize, f64, f64) {
+/// Measures per-case throughput of the hot path over a fixed-seed
+/// quick-campaign workload. Program/input generation is untimed — this
+/// isolates the per-test-case pipeline. Returns (cases, median secs) over
+/// five passes.
+fn per_case_throughput(programs: usize) -> (usize, f64) {
     let model = LeakageModel::new(ContractKind::CtSeq);
     let mut generator = Generator::new(GeneratorConfig::default(), 11);
     let mut rng = Xoshiro256::seed_from_u64(12);
@@ -96,13 +54,11 @@ fn per_case_comparison(programs: usize) -> (usize, f64, f64) {
         })
         .collect();
 
-    // Median of 5 interleaved passes per arm — single-shot timing is too
-    // noisy on shared machines for a ratio with an acceptance bar.
+    // Median of 5 passes — single-shot timing is too noisy on shared
+    // machines.
     let cases = workload.iter().map(|(_, inputs)| inputs.len()).sum();
     let mut executor = Executor::new(ExecutorConfig::new(DefenseKind::Baseline));
-    let mut legacy_sim = Simulator::new(SimConfig::default(), DefenseKind::Baseline.build());
-    let mut hot_samples = Vec::new();
-    let mut legacy_samples = Vec::new();
+    let mut samples = Vec::new();
     for _ in 0..5 {
         let t0 = Instant::now();
         for (flat, inputs) in &workload {
@@ -110,19 +66,10 @@ fn per_case_comparison(programs: usize) -> (usize, f64, f64) {
                 black_box(executor.run_case(flat, input));
             }
         }
-        hot_samples.push(t0.elapsed().as_secs_f64());
-
-        let t0 = Instant::now();
-        for (flat, inputs) in &workload {
-            for input in inputs {
-                black_box(legacy_run_case(&mut legacy_sim, flat, input));
-            }
-        }
-        legacy_samples.push(t0.elapsed().as_secs_f64());
+        samples.push(t0.elapsed().as_secs_f64());
     }
-    hot_samples.sort_by(f64::total_cmp);
-    legacy_samples.sort_by(f64::total_cmp);
-    (cases, hot_samples[2], legacy_samples[2])
+    samples.sort_by(f64::total_cmp);
+    (cases, samples[2])
 }
 
 /// The full detector workload (scan + validation) at the quick-campaign
@@ -443,17 +390,13 @@ fn main() {
     let mut json = String::new();
     let programs = env_usize("AMULET_PROGRAMS", 60);
 
-    // 1. Per-case hot-path comparison at fixed seed.
-    let (cases, hot_secs, legacy_secs) = per_case_comparison(programs);
-    let legacy_rate = cases as f64 / legacy_secs;
+    // 1. Per-case hot-path throughput at fixed seed.
+    let (cases, hot_secs) = per_case_throughput(programs);
     let hot_rate = cases as f64 / hot_secs;
-    let speedup = hot_rate / legacy_rate;
     println!("hot path:    {cases} cases in {hot_secs:.3}s = {hot_rate:.0} cases/s");
-    println!("legacy path: {cases} cases in {legacy_secs:.3}s = {legacy_rate:.0} cases/s");
-    println!("speedup:     {speedup:.2}x");
     let _ = writeln!(
         json,
-        "{{\"bench\":\"throughput\",\"kind\":\"hot_path\",\"name\":\"baseline_ctseq\",\"cases_per_sec\":{hot_rate:.1},\"legacy_cases_per_sec\":{legacy_rate:.1},\"speedup\":{speedup:.3}}}"
+        "{{\"bench\":\"throughput\",\"kind\":\"hot_path\",\"name\":\"baseline_ctseq\",\"cases_per_sec\":{hot_rate:.1}}}"
     );
 
     // 1a. Cycle-scheduler comparison (warped vs stepped loop), then the

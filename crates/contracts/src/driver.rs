@@ -166,7 +166,7 @@ impl LeakageModel {
         input: &TestInput,
         scratch: &'s mut ModelScratch,
     ) -> &'s BitSet {
-        let engine = scratch.engine_for(self.taint_config(), input.mem.len());
+        let engine = scratch.engine_for(self.taint_config(), input.mem_len());
         self.relevant_labels_drive(flat, input, engine, scratch)
     }
 
@@ -178,7 +178,7 @@ impl LeakageModel {
     ///
     /// Panics if the sparse engine and the dense oracle ever disagree.
     pub fn relevant_labels_verified(&self, flat: &FlatProgram, input: &TestInput) -> BitSet {
-        let engine = TaintEngine::new(self.taint_config(), input.mem.len()).with_dense_shadow();
+        let engine = TaintEngine::new(self.taint_config(), input.mem_len()).with_dense_shadow();
         let mut scratch = ModelScratch::new();
         self.relevant_labels_drive(flat, input, engine, &mut scratch)
             .clone()

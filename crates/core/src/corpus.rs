@@ -58,14 +58,12 @@ impl CorpusInput {
     /// Digests a violating [`TestInput`].
     pub fn of(input: &TestInput) -> Self {
         let mut fp = Fnv1a::new();
-        for &b in &input.mem {
-            fp.byte(b);
-        }
+        fp.bytes(&input.mem_bytes());
         CorpusInput {
             regs: input.regs,
             flags: input.flags_bits,
             mem_digest: fp.finish(),
-            mem_len: input.mem.len() as u64,
+            mem_len: input.mem_len() as u64,
         }
     }
 }

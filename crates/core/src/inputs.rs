@@ -69,17 +69,14 @@ pub fn boosted_inputs(
 /// [`boosted_inputs`] with caller-owned scratch — the campaign hot path.
 ///
 /// `scratch` carries the taint engine, sandbox image and relevant-label
-/// buffer across calls (see [`ModelScratch`]); `out`'s slots are recycled,
-/// so a campaign unit reuses the same `total × pages` of input storage for
-/// every program instead of reallocating it (≈14 MiB per program on the
-/// STT shape).
+/// buffer across calls (see [`ModelScratch`]); `out`'s slots are recycled
+/// across programs.
 ///
 /// Mutants are built word-at-a-time: every *free* (non-relevant,
 /// non-pinned) register and the whole sandbox image get fresh randomness,
-/// then the contract-observed words are restored from the base. One RNG
-/// draw per 8-byte word keeps the mutation cost at memory-bandwidth order
-/// — a per-label accept/reject walk costs a multiple of that in RNG alone
-/// on a 128-page sandbox.
+/// then the contract-observed words are restored from the base. A
+/// multi-page image is drawn seeded (see [`TestInput::randomize_mem`]), so
+/// a mutant costs O(relevant words), not a draw per 8-byte word.
 pub fn boosted_inputs_into(
     model: &LeakageModel,
     flat: &FlatProgram,
@@ -89,18 +86,26 @@ pub fn boosted_inputs_into(
     out: &mut Vec<TestInput>,
 ) {
     let group = 1 + cfg.mutations;
+    let mut restored = Vec::new();
     out.truncate(cfg.total());
     for b in 0..cfg.base_inputs {
         let base_idx = b * group;
         if out.len() <= base_idx {
-            out.push(TestInput::zeroed(cfg.pages));
+            out.push(TestInput::zeroed(0));
         }
         out[base_idx].randomize(rng, cfg.pages);
         let relevant = model.relevant_labels_with(flat, &out[base_idx], scratch);
+        restored.clear();
+        restored.extend(
+            relevant
+                .iter()
+                .filter_map(|label| label.checked_sub(16))
+                .map(|word| (word, out[base_idx].word(word))),
+        );
         for m in 1..group {
             let idx = base_idx + m;
             if out.len() <= idx {
-                out.push(TestInput::zeroed(cfg.pages));
+                out.push(TestInput::zeroed(0));
             }
             let (head, tail) = out.split_at_mut(idx);
             let base = &head[base_idx];
@@ -115,12 +120,9 @@ pub fn boosted_inputs_into(
                     mutant.regs[label] = rng.next_u64();
                 }
             }
-            mutant.mem.resize(base.mem.len(), 0);
-            rng.fill_bytes(&mut mutant.mem);
-            for label in relevant.iter() {
-                if let Some(word) = label.checked_sub(16) {
-                    mutant.set_word(word, base.word(word));
-                }
+            mutant.randomize_mem(rng, base.pages());
+            for &(word, value) in &restored {
+                mutant.set_word(word, value);
             }
         }
     }

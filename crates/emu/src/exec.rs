@@ -505,7 +505,7 @@ mod tests {
     fn loads_and_stores_roundtrip() {
         let mut input = TestInput::zeroed(1);
         input.set_word(2, 0xABCD);
-        let (m, obs) = run_src(
+        let (mut m, obs) = run_src(
             "MOV RAX, 16\nMOV RBX, qword ptr [R14 + RAX]\nMOV qword ptr [R14 + 24], RBX\nEXIT",
             &input,
         );
@@ -559,7 +559,7 @@ mod tests {
         let mut input = TestInput::zeroed(1);
         input.set_word(0, 0xF0);
         input.regs[5] = 0x0F; // RDI
-        let (m, obs) = run_src("XOR qword ptr [R14 + 0], RDI\nEXIT", &input);
+        let (mut m, obs) = run_src("XOR qword ptr [R14 + 0], RDI\nEXIT", &input);
         assert_eq!(m.read_mem(0x4000, Width::Q), 0xFF);
         assert_eq!(obs.mems[0].0, MemKind::Load);
         assert_eq!(obs.mems[1].0, MemKind::Store);
@@ -629,7 +629,7 @@ mod tests {
             EXIT";
         let flat = parse_program(src).unwrap().flatten();
         let input = TestInput::zeroed(1);
-        let engine = TaintEngine::new(TaintConfig::default(), input.mem.len());
+        let engine = TaintEngine::new(TaintConfig::default(), input.mem_len());
         let mut emu = Emulator::new(&flat, 0x4000, &input).with_taint(engine);
         emu.run(&mut NullObserver, 1000).unwrap();
         let rel = emu.taint.unwrap();
@@ -648,7 +648,7 @@ mod tests {
         let input = TestInput::zeroed(1);
         let word_label = 16 + 2; // offset 16 -> word 2
 
-        let engine = TaintEngine::new(TaintConfig::default(), input.mem.len());
+        let engine = TaintEngine::new(TaintConfig::default(), input.mem_len());
         let mut emu = Emulator::new(&flat, 0x4000, &input).with_taint(engine);
         emu.run(&mut NullObserver, 1000).unwrap();
         assert!(!emu.taint.unwrap().relevant().contains(word_label));
@@ -658,7 +658,7 @@ mod tests {
                 observe_values: true,
                 ..TaintConfig::default()
             },
-            input.mem.len(),
+            input.mem_len(),
         );
         let mut emu = Emulator::new(&flat, 0x4000, &input).with_taint(engine);
         emu.run(&mut NullObserver, 1000).unwrap();
@@ -674,7 +674,7 @@ mod tests {
             EXIT";
         let flat = parse_program(src).unwrap().flatten();
         let input = TestInput::zeroed(1);
-        let engine = TaintEngine::new(TaintConfig::default(), input.mem.len());
+        let engine = TaintEngine::new(TaintConfig::default(), input.mem_len());
         let mut emu = Emulator::new(&flat, 0x4000, &input).with_taint(engine);
         emu.run(&mut NullObserver, 1000).unwrap();
         let t = emu.taint.unwrap();
@@ -693,7 +693,7 @@ mod tests {
             EXIT";
         let flat = parse_program(src).unwrap().flatten();
         let input = TestInput::zeroed(1);
-        let engine = TaintEngine::new(TaintConfig::default(), input.mem.len());
+        let engine = TaintEngine::new(TaintConfig::default(), input.mem_len());
         let mut emu = Emulator::new(&flat, 0x4000, &input).with_taint(engine);
         emu.run(&mut NullObserver, 1000).unwrap();
         assert!(emu.taint.unwrap().relevant().contains(1));

@@ -42,11 +42,13 @@ impl Machine {
         let mut regs = input.regs;
         regs[Gpr::SANDBOX_BASE.index()] = sandbox_base;
         regs[Gpr::Rsp.index()] = 0;
+        let mut sandbox = Sandbox::new(sandbox_base, input.mem_len());
+        sandbox.load_image(input.mem_image());
         Machine {
             regs,
             flags: Flags::from_bits(input.flags_bits),
             pc: 0,
-            sandbox: Sandbox::from_bytes(sandbox_base, &input.mem),
+            sandbox,
             journal: Vec::new(),
         }
     }
@@ -54,7 +56,7 @@ impl Machine {
     /// Rewinds this machine to the initial state for a new test case,
     /// reusing the sandbox allocation when the geometry matches —
     /// behaviourally identical to [`Machine::from_input`] but allocation-free
-    /// on the fuzzing hot path.
+    /// on the fuzzing hot path (and copy-free for a seeded image).
     pub fn reset_from_input(&mut self, sandbox_base: u64, input: &TestInput) {
         self.regs = input.regs;
         self.regs[Gpr::SANDBOX_BASE.index()] = sandbox_base;
@@ -62,11 +64,10 @@ impl Machine {
         self.flags = Flags::from_bits(input.flags_bits);
         self.pc = 0;
         self.journal.clear();
-        if self.sandbox.size() == input.mem.len() && self.sandbox.base() == sandbox_base {
-            self.sandbox.overwrite(&input.mem);
-        } else {
-            self.sandbox = Sandbox::from_bytes(sandbox_base, &input.mem);
+        if self.sandbox.size() != input.mem_len() || self.sandbox.base() != sandbox_base {
+            self.sandbox = Sandbox::new(sandbox_base, input.mem_len());
         }
+        self.sandbox.load_image(input.mem_image());
     }
 
     /// Reads a register at a width (zero-extended to `u64`).
@@ -81,7 +82,7 @@ impl Machine {
     }
 
     /// Reads memory at a (wrapped) virtual address.
-    pub fn read_mem(&self, addr: u64, width: Width) -> u64 {
+    pub fn read_mem(&mut self, addr: u64, width: Width) -> u64 {
         self.sandbox.read(addr, width)
     }
 

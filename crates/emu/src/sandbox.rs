@@ -1,5 +1,5 @@
-//! The memory sandbox shared by the emulator and (conceptually) the
-//! simulator: a power-of-two region into which every access is wrapped.
+//! The memory sandbox shared by the emulator and the simulator: a
+//! power-of-two region into which every access is wrapped.
 //!
 //! Revizor instruments generated code so that every memory operand is masked
 //! into the sandbox; AMuLeT-rs generated programs carry the same explicit
@@ -8,15 +8,26 @@
 //! block past its masking instruction). Wrapping is deterministic and
 //! identical in the emulator and the simulator, so it can never create a
 //! spurious contract violation.
+//!
+//! The sandbox is demand-paged: loading a [`SeededImage`] stores its small
+//! descriptor, and each page is drawn from it on the page's first read or
+//! write after the load. Every byte read is the byte an eager copy would
+//! hold; a test case that touches four of 128 pages draws four.
 
-use amulet_isa::Width;
+use amulet_isa::{MemImage, SeededImage, Width, PAGE_SIZE};
 
 /// A power-of-two-sized memory region at a base virtual address.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Sandbox {
     base: u64,
     data: Vec<u8>,
     mask: u64,
+    /// The seeded image non-resident pages are drawn from.
+    image: Option<SeededImage>,
+    /// Per page: the load epoch whose contents `data` holds. A page is
+    /// resident when this equals `epoch`.
+    page_epoch: Vec<u32>,
+    epoch: u32,
 }
 
 impl Sandbox {
@@ -35,19 +46,10 @@ impl Sandbox {
             base,
             data: vec![0; size],
             mask: (size - 1) as u64,
+            image: None,
+            page_epoch: vec![0; size.div_ceil(PAGE_SIZE)],
+            epoch: 0,
         }
-    }
-
-    /// Creates a sandbox initialised from `contents` (length must be a power
-    /// of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `contents.len()` is zero or not a power of two.
-    pub fn from_bytes(base: u64, contents: &[u8]) -> Self {
-        let mut s = Sandbox::new(base, contents.len());
-        s.data.copy_from_slice(contents);
-        s
     }
 
     /// The base virtual address.
@@ -71,21 +73,46 @@ impl Sandbox {
         self.base + self.offset_of(addr)
     }
 
+    /// Makes the page holding offset `off` resident.
+    #[inline]
+    fn touch(&mut self, off: usize) {
+        let page = off / PAGE_SIZE;
+        if self.page_epoch[page] != self.epoch {
+            self.materialize(page);
+        }
+    }
+
+    /// Draws one page from the loaded seeded image.
+    #[cold]
+    fn materialize(&mut self, page: usize) {
+        self.page_epoch[page] = self.epoch;
+        let start = page * PAGE_SIZE;
+        let end = (start + PAGE_SIZE).min(self.data.len());
+        let image = self
+            .image
+            .as_ref()
+            .expect("non-resident page without image");
+        image.read(start, &mut self.data[start..end]);
+    }
+
     /// Reads a single byte at a (wrapped) virtual address.
-    pub fn read_u8(&self, addr: u64) -> u8 {
-        self.data[self.offset_of(addr) as usize]
+    pub fn read_u8(&mut self, addr: u64) -> u8 {
+        let off = self.offset_of(addr) as usize;
+        self.touch(off);
+        self.data[off]
     }
 
     /// Writes a single byte at a (wrapped) virtual address, returning the
     /// previous value.
     pub fn write_u8(&mut self, addr: u64, value: u8) -> u8 {
         let off = self.offset_of(addr) as usize;
+        self.touch(off);
         std::mem::replace(&mut self.data[off], value)
     }
 
     /// Reads a little-endian value of the given width; bytes wrap
     /// individually at the sandbox boundary.
-    pub fn read(&self, addr: u64, width: Width) -> u64 {
+    pub fn read(&mut self, addr: u64, width: Width) -> u64 {
         let mut v = 0u64;
         for i in 0..width.bytes() {
             v |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
@@ -101,28 +128,49 @@ impl Sandbox {
         }
     }
 
+    /// Starts a new load: every page becomes non-resident.
+    fn next_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: restamp every page with 0, which no later epoch
+            // reuses, so no stale stamp can alias a new epoch.
+            self.page_epoch.fill(0);
+            self.epoch = 1;
+        }
+    }
+
     /// Reloads the sandbox in place from `contents`, zero-filling the tail
     /// when `contents` is shorter than the region and truncating when it is
-    /// longer. Unlike [`Sandbox::from_bytes`] this never reallocates, so the
-    /// fuzzing hot path can reuse one sandbox image across test cases.
+    /// longer. This never reallocates, so the fuzzing hot path can reuse one
+    /// sandbox across test cases.
     pub fn load(&mut self, contents: &[u8]) {
         let n = contents.len().min(self.data.len());
         self.data[..n].copy_from_slice(&contents[..n]);
         self.data[n..].fill(0);
+        self.page_epoch.fill(self.epoch);
     }
 
-    /// Replaces the whole contents (length must match).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `contents.len() != self.size()`.
-    pub fn overwrite(&mut self, contents: &[u8]) {
-        assert_eq!(contents.len(), self.size(), "sandbox size mismatch");
-        self.data.copy_from_slice(contents);
+    /// Reloads the sandbox from an input's image with [`Sandbox::load`]'s
+    /// zero-fill/truncate rule. Bytes are copied now; a seeded image costs
+    /// only its descriptor here and a draw per page on first touch.
+    pub fn load_image(&mut self, image: &MemImage) {
+        match image {
+            MemImage::Bytes(bytes) => self.load(bytes),
+            MemImage::Seeded(seeded) => {
+                match &mut self.image {
+                    Some(own) => own.clone_from(seeded),
+                    None => self.image = Some(seeded.clone()),
+                }
+                self.next_epoch();
+            }
+        }
     }
 
-    /// Raw view of the contents.
-    pub fn bytes(&self) -> &[u8] {
+    /// The whole contents, drawing every non-resident page first.
+    pub fn bytes(&mut self) -> &[u8] {
+        for page in 0..self.page_epoch.len() {
+            self.touch(page * PAGE_SIZE);
+        }
         &self.data
     }
 }
@@ -130,6 +178,8 @@ impl Sandbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amulet_isa::TestInput;
+    use amulet_util::Xoshiro256;
 
     #[test]
     fn wraps_addresses_into_region() {
@@ -171,7 +221,7 @@ mod tests {
     #[test]
     fn load_zero_fills_tail_and_truncates() {
         let mut s = Sandbox::new(0, 16);
-        s.overwrite(&[0xFF; 16]);
+        s.load(&[0xFF; 16]);
         s.load(&[1, 2, 3]);
         assert_eq!(s.read_u8(0), 1);
         assert_eq!(s.read_u8(2), 3);
@@ -183,9 +233,42 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_replaces_contents() {
-        let mut s = Sandbox::new(0, 8);
-        s.overwrite(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(s.read(0, Width::Q), 0x0807_0605_0403_0201);
+    fn seeded_loads_read_like_eager_copies() {
+        let mut rng = Xoshiro256::seed_from_u64(21);
+        let mut seeded = Sandbox::new(0x4000, 8 * PAGE_SIZE);
+        let mut eager = Sandbox::new(0x4000, 8 * PAGE_SIZE);
+        for round in 0..3u64 {
+            let mut input = TestInput::random(&mut rng, 8);
+            input.set_word(700, round);
+            seeded.load_image(input.mem_image());
+            eager.load(&input.mem_bytes());
+            // A write before any read of its page, a page-crossing read, and
+            // a write whose page the next load must forget.
+            seeded.write(0x4000 + 3 * 4096 + 8, Width::Q, 0xFEED);
+            eager.write(0x4000 + 3 * 4096 + 8, Width::Q, 0xFEED);
+            for addr in [0x4000 + 700 * 8, 0x4000 + 4096 - 4, 0x4000 + 3 * 4096] {
+                assert_eq!(seeded.read(addr, Width::Q), eager.read(addr, Width::Q));
+            }
+            assert_eq!(seeded.bytes(), eager.bytes(), "round {round}");
+        }
+        // A byte image after a seeded one is fully resident again.
+        seeded.load(&[7; 64]);
+        assert_eq!(seeded.read_u8(0x4000 + 5 * 4096), 0);
+        assert_eq!(seeded.read_u8(0x4000 + 63), 7);
+    }
+
+    #[test]
+    fn epoch_wrap_keeps_pages_non_resident() {
+        let mut rng = Xoshiro256::seed_from_u64(22);
+        let input = TestInput::random(&mut rng, 2);
+        let mut s = Sandbox::new(0, 2 * PAGE_SIZE);
+        s.epoch = u32::MAX - 1;
+        s.page_epoch.fill(u32::MAX - 1);
+        for _ in 0..3 {
+            s.load_image(input.mem_image());
+            s.write_u8(0, !input.mem_bytes()[0]);
+            assert_eq!(s.read_u8(1), input.mem_bytes()[1]);
+        }
+        assert_eq!(s.bytes()[1..], input.mem_bytes()[1..]);
     }
 }

@@ -320,7 +320,7 @@ impl Simulator {
     /// `branch_order`, the sandbox image, the debug log) are reused in place
     /// — no per-case allocation.
     fn reset_for_input(&mut self, input: &TestInput) {
-        self.sandbox.load(&input.mem);
+        self.sandbox.load_image(input.mem_image());
         self.regs = input.regs;
         self.regs[Gpr::SANDBOX_BASE.index()] = self.cfg.sandbox_base;
         self.regs[Gpr::Rsp.index()] = 0;
@@ -587,8 +587,9 @@ impl Simulator {
         self.flags
     }
 
-    /// Committed sandbox contents.
-    pub fn sandbox_bytes(&self) -> &[u8] {
+    /// Committed sandbox contents (drawing any page the case left
+    /// untouched).
+    pub fn sandbox_bytes(&mut self) -> &[u8] {
         self.sandbox.bytes()
     }
 

@@ -18,14 +18,22 @@ fn seeds(n: usize) -> Vec<u64> {
     (0..n).map(|_| rng.next_u64() % 1_000_000).collect()
 }
 
-fn check_seed(seed: u64, kind: ContractKind) {
-    let mut generator = Generator::new(GeneratorConfig::default(), seed);
+/// Checks boosting at one sandbox size: 1 page (byte images) and 128 pages
+/// (seeded images, page-addressed word labels, the STT shape).
+fn check_seed(seed: u64, kind: ContractKind, pages: usize) {
+    let mut generator = Generator::new(
+        GeneratorConfig {
+            pages,
+            ..GeneratorConfig::default()
+        },
+        seed,
+    );
     let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xABCD);
     let model = LeakageModel::new(kind);
     let cfg = InputGenConfig {
         base_inputs: 2,
         mutations: 3,
-        pages: 1,
+        pages,
     };
     for _ in 0..3 {
         let program = generator.program();
@@ -37,7 +45,7 @@ fn check_seed(seed: u64, kind: ContractKind) {
                 assert_eq!(
                     model.ctrace(&flat, mutant).digest(),
                     reference.digest(),
-                    "boosting broke {kind} on seed {seed} mutant {mi}\n{program}"
+                    "boosting broke {kind} on seed {seed} ({pages} pages) mutant {mi}\n{program}"
                 );
             }
         }
@@ -47,28 +55,32 @@ fn check_seed(seed: u64, kind: ContractKind) {
 #[test]
 fn boosting_preserves_ct_seq() {
     for seed in seeds(12) {
-        check_seed(seed, ContractKind::CtSeq);
+        check_seed(seed, ContractKind::CtSeq, 1);
+        check_seed(seed, ContractKind::CtSeq, 128);
     }
 }
 
 #[test]
 fn boosting_preserves_ct_cond() {
     for seed in seeds(12) {
-        check_seed(seed, ContractKind::CtCond);
+        check_seed(seed, ContractKind::CtCond, 1);
+        check_seed(seed, ContractKind::CtCond, 128);
     }
 }
 
 #[test]
 fn boosting_preserves_arch_seq() {
     for seed in seeds(12) {
-        check_seed(seed, ContractKind::ArchSeq);
+        check_seed(seed, ContractKind::ArchSeq, 1);
+        check_seed(seed, ContractKind::ArchSeq, 128);
     }
 }
 
 #[test]
 fn boosting_preserves_ct_bpas() {
     for seed in seeds(12) {
-        check_seed(seed, ContractKind::CtBpas);
+        check_seed(seed, ContractKind::CtBpas, 1);
+        check_seed(seed, ContractKind::CtBpas, 128);
     }
 }
 
