@@ -3,555 +3,28 @@
 //! `drive --procs N` runs one campaign sharded over `N` spawned
 //! `amulet worker` processes instead of in-process threads, and
 //! `drive --connect host:port,...` runs the same campaign over TCP links to
-//! remote `amulet worker --listen` processes. The scheduling and reduction
-//! machinery is *the same* as the in-process pool's — [`CursorSource`]
-//! hands out batches, [`reduce_fragments`] merges them — only the transport
-//! differs: assignments and results travel as `amulet_core::proto` JSON
-//! lines over pipes or sockets. Consequently `drive --procs 1`,
+//! remote `amulet worker --listen` processes. Scheduling, the failure
+//! ladder and the reduction are the fleet's ([`crate::fleet`]): a
+//! single-campaign `amulet_core::Service` fed by one slot per worker, with
+//! assignments and results travelling as `amulet_core::proto` JSON lines
+//! over pipes or sockets. Consequently `drive --procs 1`,
 //! `drive --procs 4`, `drive --connect ...` and the in-process `campaign`
-//! run (same `--batch`) produce the same [`CampaignReport::fingerprint`] —
-//! asserted by `tests/multiproc_determinism.rs`, `tests/fleet_faults.rs`
+//! run (same `--batch`) produce the same
+//! [`CampaignReport::fingerprint`](amulet_core::CampaignReport::fingerprint)
+//! — asserted by `tests/multiproc_determinism.rs`, `tests/fleet_faults.rs`
 //! and CI.
 //!
-//! The driver loop ([`run_driver`]) is generic over a [`WorkerLink`]
-//! transport and a per-slot `connect` factory: OS-process links
-//! ([`ProcLink`]) and TCP links (`crate::net::TcpLink`) are two
-//! implementations, and tests drive the whole fabric through in-memory
-//! channels with fault injection (`crate::fault`).
-//!
-//! # Robustness model
-//!
-//! Cross-host links fail in ways pipes never did, so every slot runs a
-//! failure ladder that keeps the campaign's result bit-identical:
-//!
-//! - **Heartbeats** — before each batch the slot sends [`Msg::Ping`] and
-//!   waits [`DriveConfig::liveness`] for the matching pong, catching a
-//!   wedged-but-connected peer cheaply instead of committing a batch to it.
-//! - **Per-batch deadline** — a fragment must arrive within
-//!   [`DriveConfig::batch_timeout`]; a hung worker consumes the batch's
-//!   retry budget exactly like a crashed one.
-//! - **Teardown before retry** — any failure kills the link; a batch is
-//!   only ever re-sent on a *fresh* session, so a zombie's late fragment
-//!   can never be read (at most one accepted fragment per batch index).
-//! - **Seeded backoff** — reconnect attempts are spaced by exponential
-//!   backoff with deterministic jitter (seeded from
-//!   [`DriveConfig::seed`] and the slot id); wall-clock only, never part
-//!   of the fingerprint.
-//! - **Quarantine** — a slot whose batches keep exhausting their retry
-//!   budget ([`DriveConfig::quarantine_after`] consecutive times) retires
-//!   and stops being offered work.
-//! - **Graceful degradation** — a retiring slot returns its batch to a
-//!   shared orphan pool that surviving slots drain, so the campaign
-//!   completes (same fingerprint) as long as one worker survives. Only
-//!   when runnable work remains after *every* slot has exited does the
-//!   campaign fail.
-//!
-//! See `docs/DISTRIBUTED.md` for the operator-level picture.
+//! This module holds the OS-process transport ([`ProcLink`]) and the
+//! command itself. See `docs/DISTRIBUTED.md` for the operator-level
+//! picture.
 
+use crate::fleet::{run_driver, DriveConfig, WorkerLink};
 use crate::{print_report, report_json, Args, JsonSink, ShapeOptions};
-use amulet_core::proto::{FragmentReport, Msg, PROTO_VERSION};
-use amulet_core::{
-    reduce_fragments, verify_fragment_coverage, BatchSink, BatchSource, BatchSpec, CampaignConfig,
-    CampaignReport, CollectSink, CursorSource,
-};
-use amulet_util::{JsonObj, Xoshiro256};
+use amulet_core::proto::{Msg, PROTO_VERSION};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-/// A bidirectional, line-delimited message channel to one worker.
-///
-/// Implementations must deliver messages in order and flush eagerly; an
-/// `Err` from either direction marks the link dead (the driver tears it
-/// down, reconnects, and re-runs the in-flight batch on the fresh session).
-pub trait WorkerLink {
-    /// Sends one message.
-    fn send(&mut self, msg: &Msg) -> Result<(), String>;
-
-    /// Waits up to `timeout` for the next message. `Ok(None)` means the
-    /// deadline passed with the link still (apparently) alive; partial
-    /// data already received must be retained for the next call.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Msg>, String>;
-
-    /// Receives the next message, waiting effectively forever (one year —
-    /// large enough to mean "no deadline", small enough that deadline
-    /// arithmetic on `Instant` cannot overflow).
-    fn recv(&mut self) -> Result<Msg, String> {
-        match self.recv_timeout(Duration::from_secs(365 * 24 * 3600))? {
-            Some(msg) => Ok(msg),
-            None => Err("link timed out".into()),
-        }
-    }
-}
-
-/// Driver-side knobs of a multi-process run.
-#[derive(Debug, Clone, Copy)]
-pub struct DriveConfig {
-    /// Worker links (slots) to drive concurrently.
-    pub procs: usize,
-    /// Programs per batch — part of the deterministic stream identity,
-    /// exactly as for the in-process pool.
-    pub batch_programs: usize,
-    /// Reconnect-and-retry attempts per batch before the batch is
-    /// orphaned (returned to the pool for another slot).
-    pub retries: usize,
-    /// Deadline for the hello handshake and for each ping → pong
-    /// heartbeat; a peer that cannot answer within this window is treated
-    /// as dead.
-    pub liveness: Duration,
-    /// Deadline for a batch assignment to produce its fragment. Workers
-    /// are single-threaded and cannot answer pings mid-batch, so this is
-    /// deliberately much longer than `liveness`.
-    pub batch_timeout: Duration,
-    /// First reconnect delay; doubles per consecutive failed attempt.
-    pub backoff_base: Duration,
-    /// Upper bound on the reconnect delay.
-    pub backoff_max: Duration,
-    /// Consecutive retry-budget exhaustions before a slot is quarantined
-    /// (retired from the fleet).
-    pub quarantine_after: usize,
-    /// Seed for the backoff jitter (wall-clock only — never observable in
-    /// the campaign fingerprint).
-    pub seed: u64,
-}
-
-impl Default for DriveConfig {
-    fn default() -> Self {
-        DriveConfig {
-            procs: 2,
-            batch_programs: amulet_core::ShardConfig::default().batch_programs,
-            retries: 2,
-            liveness: Duration::from_secs(10),
-            batch_timeout: Duration::from_secs(120),
-            backoff_base: Duration::from_millis(50),
-            backoff_max: Duration::from_secs(2),
-            quarantine_after: 3,
-            seed: 2025,
-        }
-    }
-}
-
-/// Work-accounting shared by every slot: batches orphaned by dying slots,
-/// the number currently being executed somewhere, and the first
-/// campaign-fatal error (a configuration mismatch, not a transport
-/// failure).
-#[derive(Default)]
-struct FleetState {
-    orphans: Vec<BatchSpec>,
-    in_flight: usize,
-    fatal: Option<String>,
-}
-
-struct Fleet {
-    state: Mutex<FleetState>,
-    /// Signalled whenever `in_flight` drops, an orphan arrives, or a
-    /// fatal error lands — the conditions idle slots wait on.
-    wake: Condvar,
-}
-
-/// The driver's structured JSONL event log (connects, link failures,
-/// backoff, orphaned batches, quarantines) — the flight recorder CI
-/// uploads as an artifact. Timestamps are seconds since driver start;
-/// every row carries a dense monotonic `seq` so consumers can detect
-/// truncation and order rows even when `t_s` values collide.
-struct FleetEvents {
-    // The counter lives under the same lock as the writer so seq order
-    // and file order can never disagree across racing slot threads.
-    out: Option<Mutex<(u64, Box<dyn Write + Send>)>>,
-    start: Instant,
-}
-
-impl FleetEvents {
-    fn new(out: Option<Box<dyn Write + Send>>) -> Self {
-        FleetEvents {
-            out: out.map(|w| Mutex::new((0, w))),
-            start: Instant::now(),
-        }
-    }
-
-    fn emit(&self, slot: usize, event: &str, detail: impl FnOnce(JsonObj) -> JsonObj) {
-        let Some(out) = &self.out else { return };
-        let mut guard = out.lock().unwrap();
-        let (seq, w) = &mut *guard;
-        let line = detail(
-            JsonObj::new()
-                .str("event", event)
-                .int("seq", *seq)
-                .int("slot", slot as u64)
-                .num("t_s", self.start.elapsed().as_secs_f64()),
-        )
-        .finish();
-        *seq += 1;
-        let _ = writeln!(w, "{line}");
-        let _ = w.flush();
-    }
-}
-
-/// How a batch attempt (or handshake) failed.
-enum SlotError {
-    /// Version/config mismatch: a deployment bug no retry can fix — the
-    /// whole campaign aborts.
-    Fatal(String),
-    /// Transport-level failure (EOF, timeout, truncation, refused
-    /// connection): retry/backoff/quarantine territory.
-    Transient(String),
-}
-
-/// Drives one campaign over `drive.procs` worker links and reduces the
-/// streamed fragments deterministically.
-///
-/// `connect` is called with the slot index — once when the slot starts,
-/// plus once per reconnect after a link failure — so a TCP fleet can map
-/// slots to addresses and tests can inject per-connection faults. Each
-/// fresh link must open with a `hello` whose version and config echo match
-/// `cfg` ([`PROTO_VERSION`]) within [`DriveConfig::liveness`]; a hello
-/// *mismatch* is a configuration error and aborts the campaign, while
-/// every transport-shaped handshake failure is transient and consumes
-/// retry budget. `tee`, when given, receives every accepted fragment as
-/// one JSONL line; `events`, when given, receives the fleet event log
-/// (JSONL: `connect`, `link_failure`, `backoff`, `orphan`, `adopt`,
-/// `quarantine`, `drained` events with slot numbers and timestamps).
-///
-/// The reduced fragment set is checked by
-/// [`verify_fragment_coverage`] before reduction — exactly one fragment
-/// per planned batch (or per batch in the find-first prefix), however
-/// chaotic the failure schedule was.
-pub fn run_driver<L, C>(
-    cfg: &CampaignConfig,
-    drive: &DriveConfig,
-    connect: C,
-    tee: Option<Box<dyn Write + Send>>,
-    events: Option<Box<dyn Write + Send>>,
-) -> Result<CampaignReport, String>
-where
-    L: WorkerLink,
-    C: Fn(usize) -> Result<L, String> + Sync,
-{
-    let source = CursorSource::new(cfg, drive.batch_programs);
-    let total_batches = source.len();
-    let sink = CollectSink::new();
-    let tee = Mutex::new(tee);
-    let events = FleetEvents::new(events);
-    let fleet = Fleet {
-        state: Mutex::new(FleetState::default()),
-        wake: Condvar::new(),
-    };
-    let start = Instant::now();
-
-    std::thread::scope(|scope| {
-        for slot in 0..drive.procs.max(1) {
-            let (connect, source, sink, tee, fleet, events) =
-                (&connect, &source, &sink, &tee, &fleet, &events);
-            scope.spawn(move || {
-                run_slot(slot, cfg, drive, connect, source, sink, tee, fleet, events)
-            });
-        }
-    });
-
-    let st = fleet.state.into_inner().unwrap();
-    if let Some(e) = st.fatal {
-        return Err(e);
-    }
-    // Every slot has exited. Work can only be left when all of them
-    // quarantined/died with batches still pending — graceful degradation
-    // has a floor of one surviving worker.
-    let hit = source.earliest_hit();
-    let runnable = |b: &&BatchSpec| match (cfg.stop_on_first, hit) {
-        (true, Some(h)) => b.index <= h,
-        _ => true,
-    };
-    let stranded = st.orphans.iter().filter(runnable).count()
-        + if source.next_batch().is_some() { 1 } else { 0 };
-    if stranded > 0 {
-        return Err(format!(
-            "campaign incomplete: every worker slot failed with {stranded}+ batch(es) \
-             still runnable (see the fleet event log)"
-        ));
-    }
-    let wall = start.elapsed();
-    let fragments = sink.into_fragments();
-    verify_fragment_coverage(cfg, &fragments, hit, total_batches)?;
-    Ok(reduce_fragments(cfg.clone(), fragments, hit, wall))
-}
-
-/// Pops the lowest-index orphan that still needs to run. Orphans past the
-/// find-first hit are discarded — the reducer drops that suffix anyway.
-fn next_runnable_orphan(
-    orphans: &mut Vec<BatchSpec>,
-    cfg: &CampaignConfig,
-    source: &CursorSource,
-) -> Option<BatchSpec> {
-    loop {
-        let pos = orphans
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, b)| b.index)
-            .map(|(i, _)| i)?;
-        let spec = orphans.swap_remove(pos);
-        if cfg.stop_on_first && source.earliest_hit().is_some_and(|hit| spec.index > hit) {
-            continue;
-        }
-        return Some(spec);
-    }
-}
-
-/// One slot's scheduling loop: adopt an orphan or pull a fresh batch, run
-/// it through the retry/backoff ladder, and either submit its fragment or
-/// orphan it for the survivors. Exits when the source and orphan pool are
-/// both drained (and nothing is in flight that could still be orphaned),
-/// on a fatal error, or on quarantine.
-#[allow(clippy::too_many_arguments)] // one call site; a struct would just rename the lines
-fn run_slot<L, C>(
-    slot: usize,
-    cfg: &CampaignConfig,
-    drive: &DriveConfig,
-    connect: &C,
-    source: &CursorSource,
-    sink: &CollectSink,
-    tee: &Mutex<Option<Box<dyn Write + Send>>>,
-    fleet: &Fleet,
-    events: &FleetEvents,
-) where
-    L: WorkerLink,
-    C: Fn(usize) -> Result<L, String> + Sync,
-{
-    let mut rng =
-        Xoshiro256::seed_from_u64(drive.seed ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut link: Option<L> = None;
-    // The lowest cancel floor already sent on *this* link; a replacement
-    // worker starts with no floor, so the slot re-sends it.
-    let mut sent_floor = usize::MAX;
-    // Consecutive batches that exhausted their retry budget on this slot.
-    let mut strikes = 0usize;
-    // Heartbeat tokens, unique per slot so a cross-wired reply is caught.
-    let mut token = (slot as u64) << 32;
-
-    loop {
-        // ---- acquire work (orphans first — they are the oldest batches) --
-        let spec = {
-            let mut st = fleet.state.lock().unwrap();
-            loop {
-                if st.fatal.is_some() {
-                    return;
-                }
-                if let Some(orphan) = next_runnable_orphan(&mut st.orphans, cfg, source) {
-                    st.in_flight += 1;
-                    events.emit(slot, "adopt", |o| o.int("batch", orphan.index as u64));
-                    break Some(orphan);
-                }
-                if let Some(fresh) = source.next_batch() {
-                    st.in_flight += 1;
-                    break Some(fresh);
-                }
-                if st.in_flight == 0 {
-                    break None;
-                }
-                // A batch in flight elsewhere could still be orphaned —
-                // wait instead of exiting with work potentially pending.
-                st = fleet.wake.wait(st).unwrap();
-            }
-        };
-        let Some(spec) = spec else { break };
-
-        // ---- the retry/backoff ladder for this batch ---------------------
-        let mut attempts = 0usize;
-        let outcome = loop {
-            token += 1;
-            let attempt = match link.as_mut() {
-                Some(live) => call_worker(live, &spec, source, &mut sent_floor, drive, token)
-                    .map_err(SlotError::Transient),
-                None => connect_checked(cfg, slot, connect, drive.liveness).and_then(|fresh| {
-                    sent_floor = usize::MAX;
-                    events.emit(slot, "connect", |o| o);
-                    call_worker(
-                        link.insert(fresh),
-                        &spec,
-                        source,
-                        &mut sent_floor,
-                        drive,
-                        token,
-                    )
-                    .map_err(SlotError::Transient)
-                }),
-            };
-            match attempt {
-                Ok(reply) => {
-                    strikes = 0;
-                    break Ok(reply);
-                }
-                Err(SlotError::Fatal(e)) => break Err(SlotError::Fatal(e)),
-                Err(SlotError::Transient(e)) => {
-                    // Tear the link down before any retry: a batch is only
-                    // ever re-sent on a fresh session, so a zombie's late
-                    // fragment can never be read.
-                    link = None;
-                    events.emit(slot, "link_failure", |o| {
-                        o.int("batch", spec.index as u64)
-                            .int("attempt", attempts as u64)
-                            .str("error", &e)
-                    });
-                    if attempts >= drive.retries {
-                        break Err(SlotError::Transient(e));
-                    }
-                    attempts += 1;
-                    let delay = backoff_delay(&mut rng, drive, attempts);
-                    events.emit(slot, "backoff", |o| o.num("delay_s", delay.as_secs_f64()));
-                    std::thread::sleep(delay);
-                }
-            }
-        };
-
-        // ---- account for the outcome -------------------------------------
-        match outcome {
-            Ok(reply) => {
-                if !reply.violations.is_empty() {
-                    source.record_hit(reply.index);
-                }
-                let tee_err = tee.lock().unwrap().as_mut().and_then(|t| {
-                    writeln!(t, "{}", Msg::Fragment(reply.clone()).to_line())
-                        .err()
-                        .map(|e| format!("fragment tee write failed: {e}"))
-                });
-                let mut st = fleet.state.lock().unwrap();
-                st.in_flight -= 1;
-                if let Some(e) = tee_err {
-                    st.fatal.get_or_insert(e);
-                    fleet.wake.notify_all();
-                    return;
-                }
-                sink.submit(reply.into_fragment());
-                fleet.wake.notify_all();
-            }
-            Err(SlotError::Fatal(e)) => {
-                let mut st = fleet.state.lock().unwrap();
-                st.in_flight -= 1;
-                st.fatal.get_or_insert(e);
-                fleet.wake.notify_all();
-                return;
-            }
-            Err(SlotError::Transient(e)) => {
-                strikes += 1;
-                let quarantined = strikes >= drive.quarantine_after;
-                eprintln!(
-                    "drive[{slot}]: batch {} failed after {attempts} retries ({e}){}",
-                    spec.index,
-                    if quarantined {
-                        "; quarantining slot"
-                    } else {
-                        "; orphaning batch"
-                    }
-                );
-                events.emit(slot, "orphan", |o| {
-                    o.int("batch", spec.index as u64).str("error", &e)
-                });
-                let mut st = fleet.state.lock().unwrap();
-                st.orphans.push(spec);
-                st.in_flight -= 1;
-                fleet.wake.notify_all();
-                drop(st);
-                if quarantined {
-                    events.emit(slot, "quarantine", |o| o.int("strikes", strikes as u64));
-                    return;
-                }
-            }
-        }
-    }
-
-    if let Some(live) = link.as_mut() {
-        // Best-effort: a worker that misses the shutdown exits on EOF or
-        // its idle timeout.
-        let _ = live.send(&Msg::Shutdown);
-    }
-    events.emit(slot, "drained", |o| o);
-}
-
-/// Connects a link and consumes its `hello` handshake under a deadline.
-/// Only a hello that *arrives but mismatches* is fatal; everything else
-/// about a bad handshake looks like a transport failure and stays
-/// transient.
-fn connect_checked<L: WorkerLink>(
-    cfg: &CampaignConfig,
-    slot: usize,
-    connect: &impl Fn(usize) -> Result<L, String>,
-    liveness: Duration,
-) -> Result<L, SlotError> {
-    let mut link = connect(slot).map_err(SlotError::Transient)?;
-    match link.recv_timeout(liveness) {
-        Ok(Some(Msg::Hello(hello))) => hello.check(cfg).map_err(SlotError::Fatal)?,
-        Ok(Some(other)) => {
-            return Err(SlotError::Transient(format!(
-                "expected hello, got {:?}",
-                other.tag()
-            )))
-        }
-        Ok(None) => {
-            return Err(SlotError::Transient(format!(
-                "handshake timed out after {liveness:?}"
-            )))
-        }
-        Err(e) => return Err(SlotError::Transient(e)),
-    }
-    Ok(link)
-}
-
-/// One batch over a live link: heartbeat probe, forward a lowered cancel
-/// floor, assign the batch, await its fragment under the batch deadline.
-fn call_worker<L: WorkerLink>(
-    link: &mut L,
-    spec: &BatchSpec,
-    source: &CursorSource,
-    sent_floor: &mut usize,
-    drive: &DriveConfig,
-    token: u64,
-) -> Result<FragmentReport, String> {
-    // The probe catches a wedged-but-connected peer within `liveness`
-    // instead of committing a batch and waiting out the much longer batch
-    // deadline. Workers answer pings between batches only — they are
-    // single-threaded by design (one persistent runtime per session).
-    link.send(&Msg::Ping { token })?;
-    match link.recv_timeout(drive.liveness)? {
-        Some(Msg::Pong { token: t }) if t == token => {}
-        Some(Msg::Pong { token: t }) => {
-            return Err(format!("pong token mismatch: sent {token:#x}, got {t:#x}"))
-        }
-        Some(other) => return Err(format!("expected pong, got {:?}", other.tag())),
-        None => return Err(format!("heartbeat timed out after {:?}", drive.liveness)),
-    }
-    if let Some(hit) = source.earliest_hit() {
-        if hit < *sent_floor {
-            link.send(&Msg::Cancel { earliest: hit })?;
-            *sent_floor = hit;
-        }
-    }
-    link.send(&Msg::Batch(*spec))?;
-    match link.recv_timeout(drive.batch_timeout)? {
-        Some(Msg::Fragment(reply)) if reply.index == spec.index => Ok(reply),
-        Some(Msg::Fragment(reply)) => Err(format!(
-            "fragment answers batch {}, expected {}",
-            reply.index, spec.index
-        )),
-        Some(other) => Err(format!("expected fragment, got {:?}", other.tag())),
-        None => Err(format!(
-            "batch {} timed out after {:?}",
-            spec.index, drive.batch_timeout
-        )),
-    }
-}
-
-/// Exponential backoff with deterministic jitter: `base × 2^attempt`
-/// capped at `max`, then jittered uniformly into `[cap/2, cap]` so a
-/// fleet's reconnects decorrelate without losing reproducibility.
-fn backoff_delay(rng: &mut Xoshiro256, drive: &DriveConfig, attempt: usize) -> Duration {
-    let base = drive.backoff_base.as_nanos().min(u128::from(u64::MAX)) as u64;
-    let max = drive.backoff_max.as_nanos().min(u128::from(u64::MAX)) as u64;
-    let cap = base
-        .saturating_mul(1u64 << attempt.min(20))
-        .min(max.max(base))
-        .max(2);
-    Duration::from_nanos(cap / 2 + rng.range(0, cap / 2 + 1))
-}
+use std::time::Duration;
 
 /// A [`WorkerLink`] over a spawned `amulet worker` child process's
 /// stdin/stdout pipes (stderr is inherited, so worker logs interleave with
@@ -755,148 +228,5 @@ fn parse_seconds(flag: &str, s: f64) -> Result<Duration, String> {
         Ok(Duration::from_secs_f64(s))
     } else {
         Err(format!("{flag}: expected a positive number of seconds"))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use amulet_contracts::ContractKind;
-    use amulet_core::proto::Hello;
-    use amulet_defenses::DefenseKind;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    fn ms(n: u64) -> Duration {
-        Duration::from_millis(n)
-    }
-
-    /// Deadlines everywhere so failure paths resolve in milliseconds.
-    fn quick_drive() -> DriveConfig {
-        DriveConfig {
-            procs: 1,
-            batch_programs: 2,
-            retries: 1,
-            liveness: ms(25),
-            batch_timeout: ms(60),
-            backoff_base: ms(1),
-            backoff_max: ms(4),
-            quarantine_after: 2,
-            seed: 11,
-        }
-    }
-
-    /// A worker that completes the handshake and then wedges: sends
-    /// succeed, nothing ever comes back — the failure mode a blocking
-    /// `recv` would stall on forever.
-    struct HungLink {
-        cfg: CampaignConfig,
-        hello_sent: bool,
-    }
-
-    impl WorkerLink for HungLink {
-        fn send(&mut self, _msg: &Msg) -> Result<(), String> {
-            Ok(())
-        }
-        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Msg>, String> {
-            if !self.hello_sent {
-                self.hello_sent = true;
-                return Ok(Some(Msg::Hello(Hello::for_config(&self.cfg))));
-            }
-            std::thread::sleep(timeout);
-            Ok(None)
-        }
-    }
-
-    /// The hardening satellite: a hung (not crashed) worker consumes the
-    /// retry budget through its deadlines and the campaign fails cleanly
-    /// and promptly instead of stalling.
-    #[test]
-    fn a_hung_worker_exhausts_the_retry_budget_cleanly() {
-        let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-        cfg.instances = 1;
-        cfg.programs_per_instance = 2;
-        let drive = quick_drive();
-        let t0 = Instant::now();
-        let err = run_driver(
-            &cfg,
-            &drive,
-            |_slot| {
-                Ok(HungLink {
-                    cfg: cfg.clone(),
-                    hello_sent: false,
-                })
-            },
-            None,
-            None,
-        )
-        .unwrap_err();
-        assert!(
-            err.contains("campaign incomplete"),
-            "expected a clean budget-exhaustion error, got: {err}"
-        );
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "deadlines must bound the stall ({:?})",
-            t0.elapsed()
-        );
-    }
-
-    /// A hello that *arrives but mismatches* is a deployment bug: the
-    /// campaign aborts at once, with no reconnect burning the budget.
-    #[test]
-    fn a_mismatched_hello_aborts_without_retries() {
-        let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-        let mut wrong = cfg.clone();
-        wrong.seed ^= 0xdead;
-        let connects = AtomicUsize::new(0);
-        let err = run_driver(
-            &cfg,
-            &quick_drive(),
-            |_slot| {
-                connects.fetch_add(1, Ordering::SeqCst);
-                Ok(HungLink {
-                    cfg: wrong.clone(),
-                    hello_sent: false,
-                })
-            },
-            None,
-            None,
-        )
-        .unwrap_err();
-        assert_eq!(
-            connects.load(Ordering::SeqCst),
-            1,
-            "a config mismatch must not be retried: {err}"
-        );
-        assert!(
-            !err.contains("campaign incomplete"),
-            "the handshake mismatch itself must surface: {err}"
-        );
-    }
-
-    /// Backoff is deterministic in (seed, attempt), grows exponentially,
-    /// and respects the cap.
-    #[test]
-    fn backoff_is_seeded_capped_and_monotone_in_expectation() {
-        let drive = DriveConfig {
-            backoff_base: ms(2),
-            backoff_max: ms(100),
-            ..DriveConfig::default()
-        };
-        let delays = |seed: u64| -> Vec<Duration> {
-            let mut rng = Xoshiro256::seed_from_u64(seed);
-            (1..=10)
-                .map(|a| backoff_delay(&mut rng, &drive, a))
-                .collect()
-        };
-        assert_eq!(delays(1), delays(1), "same seed, same schedule");
-        for (attempt, d) in delays(2).iter().enumerate() {
-            // cap = min(base × 2^attempt, max); jitter keeps it in [cap/2, cap].
-            let cap = ms(2 * (1 << (attempt + 1))).min(ms(100));
-            assert!(
-                *d >= cap / 2 && *d <= cap,
-                "attempt {attempt}: {d:?} vs cap {cap:?}"
-            );
-        }
     }
 }

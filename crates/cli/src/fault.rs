@@ -14,7 +14,7 @@
 //! detection, which this module models as a lost message plus a dead link
 //! — the driver-observable outcomes are the same.
 
-use crate::drive::WorkerLink;
+use crate::fleet::WorkerLink;
 use amulet_core::proto::{CampaignSpec, Msg};
 use amulet_util::Xoshiro256;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -18,7 +18,7 @@
 //!   `amulet_core::proto` over pipes) or over `--connect host:port,...`
 //!   **TCP workers** on other hosts, fingerprint-identical to the
 //!   in-process run and robust to worker crashes, hangs and churn; see
-//!   [`drive`], [`net`] and `docs/DISTRIBUTED.md`.
+//!   [`drive`], [`fleet`], [`net`] and `docs/DISTRIBUTED.md`.
 //! - `amulet worker` — the serving end of `drive`: stdin/stdout when
 //!   spawned, `--listen ADDR` for TCP (also usable by external drivers
 //!   speaking the protocol); see [`worker`].
@@ -46,6 +46,7 @@
 
 pub mod drive;
 pub mod fault;
+pub mod fleet;
 pub mod net;
 pub mod serve;
 pub mod worker;
@@ -58,8 +59,9 @@ use amulet_defenses::DefenseKind;
 use std::time::Instant;
 
 pub use amulet_util::{json_string, JsonObj};
-pub use drive::{run_driver, DriveConfig, ProcLink, WorkerLink};
+pub use drive::ProcLink;
 pub use fault::{AdversarialPlan, FaultCounters, FaultPlan, FaultyLink};
+pub use fleet::{run_driver, DriveConfig, WorkerLink};
 pub use net::{parse_connect_list, serve_listener, ListenConfig, TcpLink};
 pub use serve::{serve_client, serve_client_with, ClientStats, ServiceHost, SessionLimits};
 pub use worker::{serve_session, serve_worker, SessionStats};

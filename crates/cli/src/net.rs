@@ -11,7 +11,7 @@
 //! Zero dependencies beyond `std::net`. No TLS, no auth — the fabric is
 //! meant for trusted lab networks (see `docs/DISTRIBUTED.md`).
 
-use crate::drive::WorkerLink;
+use crate::fleet::WorkerLink;
 use crate::worker::serve_session;
 use amulet_core::proto::Msg;
 use amulet_core::CampaignConfig;

@@ -10,8 +10,10 @@
 //! - **local workers** ([`ServiceHost`]): in-process threads executing
 //!   leased batches with per-campaign persistent runtimes;
 //! - **TCP slots**: one thread per `--connect` address, forwarding leases
-//!   to remote `amulet worker --listen` processes over the PR 6 link
-//!   layer, with the same strike/backoff/quarantine ladder as `drive`.
+//!   to remote `amulet worker --listen` processes through the fleet's slot
+//!   loop ([`crate::fleet`]) — the same heartbeat, per-batch deadline,
+//!   retry/backoff, quarantine and cancel-floor ladder as `drive`, with
+//!   its event rows on stderr.
 //!
 //! With `--state-dir DIR`, the daemon is crash-safe: a startup recovery
 //! pass (`StateDir::recover`) reloads the persisted result cache and
@@ -36,12 +38,13 @@
 //! can drive [`serve_client`] over in-memory pipes and prove the same
 //! properties the real-socket tests prove end-to-end.
 
+use crate::fleet::{backoff_delay, run_slot, DriveConfig, FleetEvents, LEASE_POLL};
 use crate::net::{parse_connect_list, TcpLink};
 use crate::{Args, JsonSink, ShapeOptions, WorkerLink};
 use amulet_core::proto::{CampaignSpec, Msg, ResultMsg};
 use amulet_core::{
-    run_batch, Admission, BatchSpec, Corpus, Fragment, LeaseWait, Service, ServiceEvent,
-    ShardConfig, StateDir, SubmitOutcome, UnitRuntime,
+    run_batch, Admission, Corpus, LeaseWait, Service, ServiceEvent, ShardConfig, StateDir,
+    SubmitOutcome, UnitRuntime,
 };
 use amulet_util::{JsonObj, Xoshiro256};
 use std::collections::{HashMap, HashSet};
@@ -53,19 +56,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a worker loop waits for a lease before housekeeping (runtime
-/// garbage collection, shutdown checks).
-const LEASE_POLL: Duration = Duration::from_millis(250);
-/// Handshake/heartbeat deadline for TCP slots (as `drive`'s default).
-const LIVENESS: Duration = Duration::from_secs(10);
-/// Per-batch fragment deadline for TCP slots (as `drive`'s default).
-const BATCH_TIMEOUT: Duration = Duration::from_secs(120);
-/// First reconnect delay for a failing TCP slot; doubles per strike.
-const BACKOFF_BASE: Duration = Duration::from_millis(50);
-/// Upper bound on the reconnect delay.
-const BACKOFF_MAX: Duration = Duration::from_secs(2);
-/// Consecutive failures before a TCP slot retires (quarantine).
-const QUARANTINE_AFTER: usize = 3;
 /// How often the drained accept loop polls for the SIGTERM flag and new
 /// connections.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
@@ -74,7 +64,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// against slowloris peers (bounded line assembly: a byte-at-a-time
 /// writer is accounted against `max_line_bytes` as the bytes arrive, not
 /// when a newline finally shows up), half-open peers (idle reaping), and
-/// garbage floods (the strike ladder, PR 6's `QUARANTINE_AFTER` shape).
+/// garbage floods (a strike ladder, shaped like the fleet's quarantine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionLimits {
     /// Longest accepted protocol line, in bytes. An oversized frame is
@@ -92,7 +82,7 @@ impl Default for SessionLimits {
         SessionLimits {
             max_line_bytes: 64 * 1024,
             idle_timeout: Duration::from_secs(300),
-            strike_limit: QUARANTINE_AFTER,
+            strike_limit: 3,
         }
     }
 }
@@ -192,18 +182,24 @@ pub struct ServiceHost {
 
 impl ServiceHost {
     /// Starts `local_workers` in-process workers and one TCP slot per
-    /// `connect` address, all leasing from `service`.
+    /// `connect` address, all leasing from `service`. TCP slots run the
+    /// fleet's slot loop under [`DriveConfig::default`] and log their
+    /// event rows to stderr, numbered by their position in `connect`.
     pub fn start(service: Arc<Service>, local_workers: usize, connect: &[String]) -> Self {
         let mut host = ServiceHost {
             service,
             threads: Vec::new(),
         };
         host.add_local_workers(local_workers);
-        for addr in connect {
-            let service = host.service.clone();
-            let addr = addr.clone();
-            host.threads
-                .push(std::thread::spawn(move || tcp_slot(&service, &addr)));
+        let events = Arc::new(FleetEvents::new(Some(Box::new(std::io::stderr()))));
+        for (slot, addr) in connect.iter().enumerate() {
+            let id = host.service.attach_slot();
+            let (service, events, addr) = (host.service.clone(), events.clone(), addr.clone());
+            host.threads.push(std::thread::spawn(move || {
+                let drive = DriveConfig::default();
+                let connect = || TcpLink::connect(&addr, drive.liveness);
+                run_slot(&service, id, slot, connect, &drive, &events)
+            }));
         }
         host
     }
@@ -212,9 +208,10 @@ impl ServiceHost {
     /// down scheduling orders: submit first, attach workers second).
     pub fn add_local_workers(&mut self, n: usize) {
         for _ in 0..n {
+            let slot = self.service.attach_slot();
             let service = self.service.clone();
             self.threads
-                .push(std::thread::spawn(move || local_worker(&service)));
+                .push(std::thread::spawn(move || local_worker(&service, slot)));
         }
     }
 
@@ -234,12 +231,13 @@ impl ServiceHost {
 
 /// An in-process worker loop: lease, execute, complete. Runtimes are
 /// per-campaign (a [`UnitRuntime`] must never serve two configs) and are
-/// garbage-collected when their campaign leaves the active set.
-fn local_worker(service: &Service) {
+/// garbage-collected when their campaign leaves the active set. The worker
+/// is attached slot `slot`, retired when the service shuts down.
+fn local_worker(service: &Service, slot: u64) {
     let mut runtimes: HashMap<u64, UnitRuntime> = HashMap::new();
     loop {
         match service.wait_lease(LEASE_POLL) {
-            LeaseWait::Shutdown => return,
+            LeaseWait::Shutdown => return service.retire_slot(slot),
             LeaseWait::Idle => runtimes.retain(|id, _| service.is_active(*id)),
             LeaseWait::Lease(lease) => {
                 let rt = runtimes.entry(lease.campaign).or_default();
@@ -248,157 +246,6 @@ fn local_worker(service: &Service) {
             }
         }
     }
-}
-
-/// Why a TCP connection attempt could not serve a lease.
-enum SlotError {
-    /// The worker answered the handshake but for a different campaign
-    /// (config mismatch) — it will never serve this campaign.
-    Incompatible(String),
-    /// Transport trouble — retry with backoff, quarantine eventually.
-    Transient(String),
-}
-
-/// Connects to `addr` and completes the hello handshake against the
-/// leased campaign's config.
-fn connect_for(addr: &str, cfg: &amulet_core::CampaignConfig) -> Result<TcpLink, SlotError> {
-    let mut link = TcpLink::connect(addr, LIVENESS).map_err(SlotError::Transient)?;
-    match link.recv_timeout(LIVENESS) {
-        Ok(Some(Msg::Hello(hello))) => hello.check(cfg).map_err(SlotError::Incompatible)?,
-        Ok(Some(other)) => {
-            return Err(SlotError::Transient(format!(
-                "expected hello, got {:?}",
-                other.tag()
-            )))
-        }
-        Ok(None) => {
-            return Err(SlotError::Transient(format!(
-                "handshake timed out after {LIVENESS:?}"
-            )))
-        }
-        Err(e) => return Err(SlotError::Transient(e)),
-    }
-    Ok(link)
-}
-
-/// One batch over a live worker session: heartbeat, assign, await the
-/// fragment. A skipped fragment is an error — the service never sends
-/// cancel floors to TCP workers, so a skip means a confused peer.
-fn tcp_call(link: &mut TcpLink, spec: &BatchSpec, token: u64) -> Result<Fragment, String> {
-    link.send(&Msg::Ping { token })?;
-    match link.recv_timeout(LIVENESS)? {
-        Some(Msg::Pong { token: t }) if t == token => {}
-        Some(other) => return Err(format!("expected pong, got {:?}", other.tag())),
-        None => return Err(format!("heartbeat timed out after {LIVENESS:?}")),
-    }
-    link.send(&Msg::Batch(*spec))?;
-    match link.recv_timeout(BATCH_TIMEOUT)? {
-        Some(Msg::Fragment(reply)) if reply.index == spec.index && !reply.skipped => {
-            Ok(reply.into_fragment())
-        }
-        Some(Msg::Fragment(reply)) => Err(format!(
-            "unusable fragment for batch {} (index {}, skipped {})",
-            spec.index, reply.index, reply.skipped
-        )),
-        Some(other) => Err(format!("expected fragment, got {:?}", other.tag())),
-        None => Err(format!(
-            "batch {} timed out after {BATCH_TIMEOUT:?}",
-            spec.index
-        )),
-    }
-}
-
-/// A TCP worker slot: forwards leases to one remote `amulet worker
-/// --listen` process. Sessions are per-campaign (a remote worker's
-/// persistent runtime must not mix campaigns); campaigns whose config the
-/// worker rejects are remembered and skipped; transport failures release
-/// the lease for other workers and climb a strike ladder to quarantine.
-fn tcp_slot(service: &Service, addr: &str) {
-    let mut incompatible: HashSet<u64> = HashSet::new();
-    let mut session: Option<(u64, TcpLink)> = None;
-    let mut strikes = 0usize;
-    let mut token = 0u64;
-    let teardown = |session: &mut Option<(u64, TcpLink)>| {
-        if let Some((_, mut link)) = session.take() {
-            let _ = link.send(&Msg::Shutdown);
-        }
-    };
-    loop {
-        let lease = match service.wait_lease_where(LEASE_POLL, |id| !incompatible.contains(&id)) {
-            LeaseWait::Shutdown => {
-                teardown(&mut session);
-                return;
-            }
-            LeaseWait::Idle => {
-                incompatible.retain(|id| service.is_active(*id));
-                if session
-                    .as_ref()
-                    .is_some_and(|(id, _)| !service.is_active(*id))
-                {
-                    teardown(&mut session);
-                }
-                continue;
-            }
-            LeaseWait::Lease(lease) => lease,
-        };
-        if session
-            .as_ref()
-            .is_some_and(|(id, _)| *id != lease.campaign)
-        {
-            teardown(&mut session);
-        }
-        if session.is_none() {
-            match connect_for(addr, &lease.cfg) {
-                Ok(link) => session = Some((lease.campaign, link)),
-                Err(SlotError::Incompatible(e)) => {
-                    eprintln!(
-                        "tcp worker {addr}: campaign {} incompatible: {e}",
-                        lease.campaign
-                    );
-                    incompatible.insert(lease.campaign);
-                    service.release(*lease);
-                    continue;
-                }
-                Err(SlotError::Transient(e)) => {
-                    service.release(*lease);
-                    strikes += 1;
-                    if strikes >= QUARANTINE_AFTER {
-                        eprintln!("tcp worker {addr}: quarantined after {strikes} failures ({e})");
-                        return;
-                    }
-                    std::thread::sleep(backoff(strikes));
-                    continue;
-                }
-            }
-        }
-        let (_, link) = session.as_mut().expect("session established above");
-        token = token.wrapping_add(1);
-        match tcp_call(link, &lease.spec, token) {
-            Ok(fragment) => {
-                strikes = 0;
-                service.complete(*lease, fragment);
-            }
-            Err(e) => {
-                // The batch was not completed — tear the session down (it
-                // may hold a half-finished exchange) and give the batch
-                // back for any worker to adopt.
-                session = None;
-                service.release(*lease);
-                strikes += 1;
-                if strikes >= QUARANTINE_AFTER {
-                    eprintln!("tcp worker {addr}: quarantined after {strikes} failures ({e})");
-                    return;
-                }
-                std::thread::sleep(backoff(strikes));
-            }
-        }
-    }
-}
-
-fn backoff(strikes: usize) -> Duration {
-    BACKOFF_BASE
-        .saturating_mul(1u32 << (strikes.min(16) as u32).saturating_sub(1))
-        .min(BACKOFF_MAX)
 }
 
 /// Counters from one client conversation.
@@ -993,30 +840,21 @@ fn submit_attempt(
     }
 }
 
-/// Seeded-jitter exponential backoff between submit attempts — the same
-/// shape as `drive`'s worker-restart delay: cap doubles per attempt up to
-/// [`BACKOFF_MAX`], the delay lands uniformly in `[cap/2, cap]`.
-fn submit_retry_delay(rng: &mut Xoshiro256, attempt: u64) -> Duration {
-    let base = BACKOFF_BASE.as_nanos() as u64;
-    let max = BACKOFF_MAX.as_nanos() as u64;
-    let cap = base
-        .saturating_mul(1u64 << attempt.min(20))
-        .min(max.max(base))
-        .max(2);
-    Duration::from_nanos(cap / 2 + rng.range(0, cap / 2 + 1))
-}
-
 /// Upper bound on honoring a server's `retry_after_ms` hint — a hostile
 /// or confused server must not park the client for minutes.
 const SHED_DELAY_CAP: Duration = Duration::from_secs(10);
 
 /// The wait after a shed submit: the server's hint, capped, under the
-/// same seeded half-jitter as [`submit_retry_delay`] — the delay lands
-/// uniformly in `[hint/2, hint]`.
+/// fleet's seeded half-jitter — the delay lands uniformly in
+/// `[hint/2, hint]`.
 fn shed_delay(rng: &mut Xoshiro256, retry_after_ms: u64) -> Duration {
     let hint = Duration::from_millis(retry_after_ms.max(1)).min(SHED_DELAY_CAP);
-    let nanos = (hint.as_nanos() as u64).max(2);
-    Duration::from_nanos(nanos / 2 + rng.range(0, nanos / 2 + 1))
+    let flat = DriveConfig {
+        backoff_base: hint,
+        backoff_max: hint,
+        ..DriveConfig::default()
+    };
+    backoff_delay(rng, &flat, 0)
 }
 
 /// `amulet submit`.
@@ -1071,7 +909,8 @@ pub(crate) fn cmd_submit(mut args: Args) -> Result<(), String> {
         }
         let delay = match hint {
             Some(retry_after_ms) => shed_delay(&mut rng, retry_after_ms),
-            None => submit_retry_delay(&mut rng, attempt),
+            // The fleet's reconnect ladder: cap doubles per attempt.
+            None => backoff_delay(&mut rng, &DriveConfig::default(), attempt as usize),
         };
         attempt += 1;
         eprintln!(

@@ -202,3 +202,101 @@ fn serve_caches_resubmits_and_survives_a_worker_killed_mid_run() {
     assert_eq!(listed.lines().count(), text.lines().count());
     let _ = std::fs::remove_file(&corpus);
 }
+
+/// A port nothing listens on: bound once to learn a free port, then closed.
+fn refused_addr() -> String {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind probe port");
+    listener.local_addr().unwrap().to_string()
+}
+
+/// The degradation floor over a real daemon: with no local workers and
+/// one `--connect` slot that can never connect, the slot quarantines and
+/// the submitted campaign fails with "campaign incomplete" — promptly,
+/// well inside the client's own deadline, instead of staying active
+/// until the client gives up.
+#[test]
+fn serve_fails_a_campaign_no_slot_can_serve() {
+    let dead = refused_addr();
+    let serve = Announced::spawn(&[
+        "serve",
+        "--listen",
+        "127.0.0.1:0",
+        "--workers",
+        "0",
+        "--connect",
+        &dead,
+        "--sessions",
+        "1",
+    ]);
+    let t0 = std::time::Instant::now();
+    let out = Command::new(BIN)
+        .args(
+            [
+                &["submit", "--connect", &serve.addr, "--timeout-s", "10"],
+                SHAPE,
+            ]
+            .concat(),
+        )
+        .output()
+        .expect("spawn amulet submit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "submit must fail:\n{stderr}");
+    assert!(
+        stderr.contains("campaign incomplete"),
+        "expected the degradation-floor error:\n{stderr}"
+    );
+    assert!(
+        t0.elapsed() < Duration::from_secs(10),
+        "the floor must fire before the client deadline ({:?})",
+        t0.elapsed()
+    );
+    // The slot's ladder is on the daemon's stderr as fleet event rows.
+    let log = String::from_utf8_lossy(&serve.stderr.lock().unwrap()).into_owned();
+    assert!(
+        log.contains("\"event\":\"quarantine\""),
+        "the dead slot's quarantine must be logged:\n{log}"
+    );
+}
+
+/// Find-first through a TCP slot alone: the slot forwards the campaign's
+/// cancel floor to a `--find-first` remote worker, and the served result
+/// carries the in-process `campaign --find-first` fingerprint.
+#[test]
+fn serve_tcp_slots_carry_find_first_campaigns() {
+    let reference = {
+        let line = json_line_of(
+            &[
+                &["campaign", "--workers", "2", "--json", "-", "--find-first"],
+                SHAPE,
+            ]
+            .concat(),
+        );
+        field(&line, "fingerprint").to_string()
+    };
+    let worker = Announced::spawn(
+        &[
+            &["worker", "--listen", "127.0.0.1:0"],
+            WORKER_SHAPE,
+            &["--find-first"],
+        ]
+        .concat(),
+    );
+    let serve = Announced::spawn(&[
+        "serve",
+        "--listen",
+        "127.0.0.1:0",
+        "--workers",
+        "0",
+        "--connect",
+        &worker.addr,
+        "--sessions",
+        "1",
+    ]);
+    let served =
+        json_line_of(&[&["submit", "--connect", &serve.addr, "--find-first"], SHAPE].concat());
+    assert_eq!(
+        field(&served, "fingerprint"),
+        reference,
+        "find-first over a TCP slot diverged from the in-process run: {served}"
+    );
+}

@@ -36,22 +36,32 @@
 //! (full disk, torn files) degrade to warnings, never to wrong results:
 //! an unusable journal means recomputing, not corrupting.
 //!
+//! # The degradation floor
+//!
+//! Worker loops register as slots ([`Service::attach_slot`]), which may
+//! retire or [refuse](Service::refuse) a campaign. A campaign with runnable
+//! work and no live slot willing to serve it fails instead of waiting
+//! forever — checked whenever a slot retires or refuses and at submit, but
+//! never before the first slot attaches.
+//!
 //! The service is transport-agnostic: `amulet serve` (the CLI) wires
 //! client sockets to [`Service::submit`]/[`Service::subscribe`] and worker
-//! loops to [`Service::wait_lease`]/[`Service::complete`]; the in-memory
-//! test suite drives the same methods directly.
+//! loops to [`Service::wait_lease`]/[`Service::complete`]; `amulet drive`
+//! runs one hand-shaped campaign through [`Service::submit_config`]; the
+//! in-memory test suite drives the same methods directly.
 
-use crate::campaign::CampaignConfig;
+use crate::campaign::{CampaignConfig, CampaignReport};
 use crate::corpus::{records_from_report, Corpus};
 use crate::journal::{
     load_journal, warn_note, CampaignJournal, CrashPlan, JournalHeader, Recovery, StateDir,
 };
-use crate::proto::{CampaignSpec, FragmentReport, ReportWire, ResultMsg};
+use crate::proto::{CampaignSpec, FragmentReport, Msg, ReportWire, ResultMsg};
 use crate::shard::{plan_batches, reduce_fragments, verify_fragment_coverage, BatchSpec, Fragment};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Condvar, Mutex};
+use std::io::Write;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A progress notification broadcast to every [`Service::subscribe`]r.
@@ -155,6 +165,25 @@ pub struct Lease {
     pub cfg: CampaignConfig,
     /// The campaign's detection-time anchor.
     pub anchor: Instant,
+    /// Whether this batch was returned by a failing slot and is being
+    /// re-issued (an adopted orphan).
+    pub adopted: bool,
+    /// The campaign's find-first floor, shared live with the campaign.
+    hit: Arc<AtomicUsize>,
+}
+
+impl Lease {
+    /// The campaign's current find-first floor: the earliest batch index
+    /// with a confirmed violation, if any. Batches past it are dropped by
+    /// the reducer, so a remote worker may skip them.
+    pub fn floor(&self) -> Option<usize> {
+        floor_of(&self.hit)
+    }
+}
+
+fn floor_of(hit: &AtomicUsize) -> Option<usize> {
+    let hit = hit.load(Ordering::SeqCst);
+    (hit != usize::MAX).then_some(hit)
 }
 
 /// The outcome of one [`Service::wait_lease`] call.
@@ -170,7 +199,6 @@ pub enum LeaseWait {
 }
 
 /// One in-flight campaign.
-#[derive(Debug)]
 struct ActiveCampaign {
     id: u64,
     /// The submitting client's identity (`u64::MAX` = anonymous) — what
@@ -190,8 +218,9 @@ struct ActiveCampaign {
     /// Batches returned unexecuted by a failing worker — re-leased before
     /// the cursor advances, lowest index first.
     orphans: Vec<BatchSpec>,
-    /// Earliest batch index with a confirmed violation (find-first).
-    earliest_hit: Option<usize>,
+    /// Earliest batch index with a confirmed violation (find-first;
+    /// `usize::MAX` = none yet), shared with every lease.
+    hit: Arc<AtomicUsize>,
     /// Leases handed out and not yet completed or released.
     outstanding: usize,
     executed: u64,
@@ -199,30 +228,67 @@ struct ActiveCampaign {
     cases_done: u64,
     done_batches: u64,
     cancelled: bool,
+    /// Slots that refused this campaign, with their handshake errors.
+    refused: HashMap<u64, String>,
+    /// A [`Service::submit_config`] campaign's report channel and
+    /// fragment tee.
+    reply: Option<Sender<Result<CampaignReport, String>>>,
+    tee: Option<Box<dyn Write + Send>>,
     start: Instant,
 }
 
 impl ActiveCampaign {
-    /// Whether `index` lies past the find-first cancellation floor.
-    fn past_hit(&self, index: usize) -> bool {
-        self.cfg.stop_on_first && self.earliest_hit.is_some_and(|hit| index > hit)
+    /// A campaign with nothing leased or executed yet.
+    fn new(id: u64, cfg: CampaignConfig, batches: Vec<BatchSpec>, total_batches: usize) -> Self {
+        ActiveCampaign {
+            id,
+            owner: u64::MAX,
+            key: String::new(),
+            cfg,
+            batches,
+            total_batches,
+            journaled: false,
+            cursor: 0,
+            orphans: Vec::new(),
+            hit: Arc::new(AtomicUsize::new(usize::MAX)),
+            outstanding: 0,
+            executed: 0,
+            fragments: Vec::new(),
+            cases_done: 0,
+            done_batches: 0,
+            cancelled: false,
+            refused: HashMap::new(),
+            reply: None,
+            tee: None,
+            start: Instant::now(),
+        }
     }
 
-    /// The next batch to lease, if any: orphans first (lowest index — they
-    /// block the coverage check), then the cursor, skipping past-hit work.
-    fn next_runnable(&mut self) -> Option<BatchSpec> {
+    fn earliest_hit(&self) -> Option<usize> {
+        floor_of(&self.hit)
+    }
+
+    /// Whether `index` lies past the find-first cancellation floor.
+    fn past_hit(&self, index: usize) -> bool {
+        self.cfg.stop_on_first && self.earliest_hit().is_some_and(|hit| index > hit)
+    }
+
+    /// The next batch to lease and whether it is an adopted orphan:
+    /// orphans first (lowest index — they block the coverage check), then
+    /// the cursor, skipping past-hit work.
+    fn next_runnable(&mut self) -> Option<(BatchSpec, bool)> {
         loop {
-            let spec =
+            let (spec, adopted) =
                 if let Some(pos) = (0..self.orphans.len()).min_by_key(|&i| self.orphans[i].index) {
-                    self.orphans.swap_remove(pos)
+                    (self.orphans.swap_remove(pos), true)
                 } else if self.cursor < self.batches.len() {
                     self.cursor += 1;
-                    self.batches[self.cursor - 1]
+                    (self.batches[self.cursor - 1], false)
                 } else {
                     return None;
                 };
             if !self.past_hit(spec.index) {
-                return Some(spec);
+                return Some((spec, adopted));
             }
             // Past-hit batches are dropped, not executed: the reducer
             // keeps only the prefix up to the hit anyway.
@@ -270,6 +336,10 @@ struct Inner {
     armed_crash: Option<CrashPlan>,
     subscribers: Vec<Sender<ServiceEvent>>,
     shutdown: bool,
+    /// Slot ids handed out so far (0 = no slot ever attached).
+    next_slot: u64,
+    /// Attached slots that have not retired.
+    live_slots: HashSet<u64>,
 }
 
 /// The long-lived campaign service: shared scheduler state plus the
@@ -495,52 +565,80 @@ impl Service {
                     .min()
             })
             .flatten();
-        let cases_done = recovered_frags.iter().map(|f| f.stats.cases as u64).sum();
-        let journaled = journal.is_some();
         let camp = ActiveCampaign {
-            id,
             owner: client,
             key: key.clone(),
-            cfg,
-            batches: missing,
-            total_batches: total,
-            journaled,
-            cursor: 0,
-            orphans: Vec::new(),
-            earliest_hit,
-            outstanding: 0,
-            executed: 0,
+            journaled: journal.is_some(),
+            hit: Arc::new(AtomicUsize::new(earliest_hit.unwrap_or(usize::MAX))),
+            cases_done: recovered_frags.iter().map(|f| f.stats.cases as u64).sum(),
             fragments: recovered_frags,
-            cases_done,
             done_batches: recovered,
-            cancelled: false,
-            start: Instant::now(),
+            ..ActiveCampaign::new(id, cfg, missing, total)
         };
         if let Some(j) = journal {
             inner.journals.insert(id, j);
             inner.journaled_keys.insert(key);
         }
-        if camp.drained() {
-            // The journal already covers the whole plan (modulo past-hit
-            // batches): no lease will ever issue, so finalize right here.
-            // It consumed no admission slot, so no capacity check applies.
-            drop(inner);
-            self.finalize(camp);
-        } else if active_full {
+        if active_full && !camp.drained() {
             // Checked above: the queue has room. Journal resume already
             // happened, so a queued campaign loses nothing by waiting.
             inner.queued.push_back(camp);
-            drop(inner);
+            self.enforce_floor(inner);
         } else {
-            inner.active.push(camp);
-            drop(inner);
+            // A campaign the journal already covers (modulo past-hit
+            // batches) finalizes right here, consuming no admission slot.
+            self.admit(inner, camp);
         }
-        self.wake.notify_all();
         Ok(SubmitOutcome::Accepted {
             campaign: id,
             total_batches,
             recovered,
         })
+    }
+
+    /// Submits a hand-shaped campaign config — the single-campaign path
+    /// `amulet drive` runs on. It bypasses the result cache, admission
+    /// control and the journal (a [`CampaignConfig`] has no
+    /// [`CampaignSpec`] identity), and it yields the reduced
+    /// [`CampaignReport`] itself on the returned channel — or the error
+    /// that ended the campaign. `tee`, when given, receives every executed
+    /// fragment as one protocol line; a failed tee write fails the
+    /// campaign.
+    pub fn submit_config(
+        &self,
+        cfg: CampaignConfig,
+        batch_programs: usize,
+        tee: Option<Box<dyn Write + Send>>,
+    ) -> Receiver<Result<CampaignReport, String>> {
+        let (reply, rx) = channel();
+        let mut inner = self.inner.lock().unwrap();
+        if inner.shutdown {
+            let _ = reply.send(Err("service is shutting down".into()));
+            return rx;
+        }
+        let id = inner.next_id;
+        inner.next_id += 1;
+        let batches = plan_batches(&cfg, batch_programs);
+        let total = batches.len();
+        let camp = ActiveCampaign {
+            reply: Some(reply),
+            tee,
+            ..ActiveCampaign::new(id, cfg, batches, total)
+        };
+        self.admit(inner, camp);
+        rx
+    }
+
+    /// Activates a campaign — or finalizes it at once when it has nothing
+    /// left to lease — then applies the degradation floor.
+    fn admit(&self, mut inner: MutexGuard<'_, Inner>, camp: ActiveCampaign) {
+        if camp.drained() {
+            drop(inner);
+            self.finalize(camp, None);
+        } else {
+            inner.active.push(camp);
+            self.enforce_floor(inner);
+        }
     }
 
     /// Moves queued campaigns into freed active slots, FIFO, until the
@@ -624,24 +722,19 @@ impl Service {
 
     /// Waits up to `timeout` for a batch lease from any active campaign.
     pub fn wait_lease(&self, timeout: Duration) -> LeaseWait {
-        self.wait_lease_where(timeout, |_| true)
+        self.wait_lease_for(None, timeout)
     }
 
-    /// Waits up to `timeout` for a lease from a campaign `eligible`
-    /// accepts — the hook TCP slots use to skip campaigns their remote
-    /// worker's config cannot serve.
-    pub fn wait_lease_where(&self, timeout: Duration, eligible: impl Fn(u64) -> bool) -> LeaseWait {
+    /// Waits up to `timeout` for a lease on behalf of `slot`, skipping the
+    /// campaigns that slot has [refused](Service::refuse).
+    pub fn wait_lease_for(&self, slot: Option<u64>, timeout: Duration) -> LeaseWait {
         let deadline = Instant::now() + timeout;
         let mut inner = self.inner.lock().unwrap();
         loop {
-            // Checkpoint-drain: with a journal under every campaign the
-            // cheapest correct hand-off is to stop leasing — the executed
-            // prefix is already on disk and a restart resumes it exactly.
-            // Without persistence the fleet keeps working (finish-drain).
-            if inner.shutdown || (inner.draining && self.state.is_some()) {
+            if self.stopping(&inner) {
                 return LeaseWait::Shutdown;
             }
-            if let Some(lease) = Self::try_lease(&mut inner, &eligible) {
+            if let Some(lease) = Self::try_lease(&mut inner, slot) {
                 return LeaseWait::Lease(Box::new(lease));
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -655,21 +748,23 @@ impl Service {
 
     /// Round-robin lease: resume one past the campaign that got the
     /// previous lease, so concurrent campaigns alternate A, B, A, B...
-    fn try_lease(inner: &mut Inner, eligible: &impl Fn(u64) -> bool) -> Option<Lease> {
+    fn try_lease(inner: &mut Inner, slot: Option<u64>) -> Option<Lease> {
         let n = inner.active.len();
         for step in 0..n {
             let pos = (inner.rr + step) % n;
             let camp = &mut inner.active[pos];
-            if camp.cancelled || !eligible(camp.id) {
+            if camp.cancelled || slot.is_some_and(|s| camp.refused.contains_key(&s)) {
                 continue;
             }
-            if let Some(spec) = camp.next_runnable() {
+            if let Some((spec, adopted)) = camp.next_runnable() {
                 camp.outstanding += 1;
                 let lease = Lease {
                     campaign: camp.id,
                     spec,
                     cfg: camp.cfg.clone(),
                     anchor: camp.start,
+                    adopted,
+                    hit: camp.hit.clone(),
                 };
                 inner.rr = (pos + 1) % n;
                 return Some(lease);
@@ -678,22 +773,114 @@ impl Service {
         None
     }
 
-    /// Returns a lease unexecuted (worker failure): the batch goes back
-    /// into the campaign's orphan pool for the next taker.
-    pub fn release(&self, lease: Lease) {
+    /// Whether lease waiters should exit: on shutdown, and on a
+    /// checkpoint-drain — with a journal under every campaign the cheapest
+    /// correct hand-off is to stop leasing (the executed prefix is already
+    /// on disk and a restart resumes it exactly). Without persistence the
+    /// fleet keeps working through a drain (finish-drain).
+    fn stopping(&self, inner: &Inner) -> bool {
+        inner.shutdown || (inner.draining && self.state.is_some())
+    }
+
+    /// Registers a worker slot as live; the id names it to
+    /// [`Service::wait_lease_for`], [`Service::refuse`] and
+    /// [`Service::retire_slot`].
+    pub fn attach_slot(&self) -> u64 {
         let mut inner = self.inner.lock().unwrap();
+        let slot = inner.next_slot;
+        inner.next_slot += 1;
+        inner.live_slots.insert(slot);
+        slot
+    }
+
+    /// Retires a slot (quarantine, or its loop exiting) and applies the
+    /// degradation floor to the campaigns it leaves behind.
+    pub fn retire_slot(&self, slot: u64) {
+        let mut inner = self.inner.lock().unwrap();
+        inner.live_slots.remove(&slot);
+        self.enforce_floor(inner);
+    }
+
+    /// Returns a lease unexecuted (worker failure, or a batch the worker
+    /// skipped past the find-first floor): the batch goes back into the
+    /// campaign's orphan pool for the next taker.
+    pub fn release(&self, lease: Lease) {
+        self.settle_unexecuted(lease, None);
+    }
+
+    /// Returns a lease because `slot`'s worker refused the campaign's
+    /// config (a hello mismatch): the slot is never offered this campaign
+    /// again, and when no live slot is left willing to serve it the
+    /// campaign fails with `error`.
+    pub fn refuse(&self, slot: u64, lease: Lease, error: String) {
+        self.settle_unexecuted(lease, Some((slot, error)));
+    }
+
+    fn settle_unexecuted(&self, lease: Lease, refusal: Option<(u64, String)>) {
+        let mut inner = self.inner.lock().unwrap();
+        let mut finished = None;
         if let Some(pos) = inner.active.iter().position(|c| c.id == lease.campaign) {
             let camp = &mut inner.active[pos];
             camp.outstanding -= 1;
             camp.orphans.push(lease.spec);
+            if let Some((slot, error)) = refusal {
+                camp.refused.insert(slot, error);
+            }
             if camp.cancelled && camp.outstanding == 0 {
                 let camp = inner.active.swap_remove(pos);
                 Self::finish_cancelled(&mut inner, camp);
                 Self::promote(&mut inner);
+            } else if camp.drained() {
+                // Only past-hit work was returned: nothing is left to run.
+                finished = Some(inner.active.swap_remove(pos));
+                Self::promote(&mut inner);
             }
+        }
+        self.enforce_floor(inner);
+        if let Some(camp) = finished {
+            self.finalize(camp, None);
+        }
+    }
+
+    /// The degradation floor: finalizes with an error every campaign that
+    /// has runnable work but no live slot willing to serve it — with a
+    /// refusing slot's handshake error when slots refused it, "campaign
+    /// incomplete" when they retired. Exempt are a service no slot has
+    /// attached to yet, and a stopping one (its slots leave on purpose and
+    /// its campaigns stop at their checkpoint).
+    fn enforce_floor(&self, mut inner: MutexGuard<'_, Inner>) {
+        let mut stranded = Vec::new();
+        if inner.next_slot > 0 && !self.stopping(&inner) {
+            let mut pos = 0;
+            while pos < inner.active.len() {
+                let camp = &inner.active[pos];
+                let willing = inner
+                    .live_slots
+                    .iter()
+                    .any(|s| !camp.refused.contains_key(s));
+                if willing || camp.cancelled || !camp.has_runnable() {
+                    pos += 1;
+                } else {
+                    stranded.push(inner.active.swap_remove(pos));
+                }
+            }
+            if inner.live_slots.is_empty() {
+                stranded.extend(inner.queued.drain(..));
+            }
+            Self::promote(&mut inner);
         }
         drop(inner);
         self.wake.notify_all();
+        for camp in stranded {
+            let error = camp.refused.values().min().cloned().unwrap_or_else(|| {
+                format!(
+                    "campaign incomplete: every worker slot failed with {}+ batch(es) \
+                     still runnable (see the fleet event log)",
+                    camp.orphans.len() + camp.batches.len() - camp.cursor
+                )
+            });
+            self.finalize(camp, Some(error));
+        }
     }
 
     /// Completes a lease with its executed fragment. Drives the campaign's
@@ -737,11 +924,14 @@ impl Service {
             self.wake.notify_all();
             return;
         }
+        let tee_error = camp.tee.as_mut().and_then(|tee| {
+            let line = Msg::Fragment(FragmentReport::from_fragment(&fragment)).to_line();
+            writeln!(tee, "{line}")
+                .err()
+                .map(|e| format!("fragment tee write failed: {e}"))
+        });
         if camp.cfg.stop_on_first && !fragment.digests.is_empty() {
-            camp.earliest_hit = Some(
-                camp.earliest_hit
-                    .map_or(fragment.index, |hit| hit.min(fragment.index)),
-            );
+            camp.hit.fetch_min(fragment.index, Ordering::SeqCst);
         }
         camp.done_batches += 1;
         camp.cases_done += fragment.stats.cases as u64;
@@ -752,7 +942,8 @@ impl Service {
             cases: camp.cases_done,
         };
         camp.fragments.push(fragment);
-        let finished = camp.drained().then(|| inner.active.swap_remove(pos));
+        let finished =
+            (tee_error.is_some() || camp.drained()).then(|| inner.active.swap_remove(pos));
         if finished.is_some() {
             Self::promote(&mut inner);
         }
@@ -760,47 +951,41 @@ impl Service {
         drop(inner);
         self.wake.notify_all();
         if let Some(camp) = finished {
-            self.finalize(camp);
+            self.finalize(camp, tee_error);
         }
     }
 
-    /// Reduces a drained campaign to its terminal result, fills the cache
-    /// (writing through to the state dir, then retiring the journal),
-    /// appends to the corpus, and announces [`ServiceEvent::Finished`].
-    fn finalize(&self, camp: ActiveCampaign) {
-        let hit = camp
-            .cfg
-            .stop_on_first
-            .then_some(camp.earliest_hit)
-            .flatten();
-        let total = camp.total_batches;
-        let result = match verify_fragment_coverage(&camp.cfg, &camp.fragments, hit, total) {
-            Ok(()) => {
-                let report = reduce_fragments(camp.cfg, camp.fragments, hit, camp.start.elapsed());
-                if let Some(corpus) = &self.corpus {
-                    // Best-effort: a full disk must not fail the campaign,
-                    // but the operator should hear about it.
-                    if let Err(e) = corpus.append(&records_from_report(&report)) {
-                        eprintln!("corpus append failed: {e}");
-                    }
-                }
-                ResultMsg {
-                    campaign: camp.id,
-                    cached: false,
-                    cancelled: false,
-                    executed_batches: camp.executed,
-                    report: Some(ReportWire::from_report(&report)),
-                    error: None,
-                }
+    /// Reduces a drained campaign to its terminal result — or fails it with
+    /// `failure` — fills the cache (writing through to the state dir, then
+    /// retiring the journal), appends to the corpus, and announces
+    /// [`ServiceEvent::Finished`]. A [`Service::submit_config`] campaign
+    /// instead receives its report (or error) on its own channel.
+    fn finalize(&self, camp: ActiveCampaign, failure: Option<String>) {
+        let hit = camp.earliest_hit();
+        let outcome = match failure {
+            Some(e) => Err(e),
+            None => verify_fragment_coverage(&camp.cfg, &camp.fragments, hit, camp.total_batches)
+                .map(|()| reduce_fragments(camp.cfg, camp.fragments, hit, camp.start.elapsed()))
+                .map_err(|e| format!("campaign incomplete: {e}")),
+        };
+        if let (Ok(report), Some(corpus)) = (&outcome, &self.corpus) {
+            // Best-effort: a full disk must not fail the campaign, but the
+            // operator should hear about it.
+            if let Err(e) = corpus.append(&records_from_report(report)) {
+                eprintln!("corpus append failed: {e}");
             }
-            Err(e) => ResultMsg {
-                campaign: camp.id,
-                cached: false,
-                cancelled: false,
-                executed_batches: camp.executed,
-                report: None,
-                error: Some(format!("campaign incomplete: {e}")),
-            },
+        }
+        if let Some(reply) = camp.reply {
+            let _ = reply.send(outcome);
+            return;
+        }
+        let result = ResultMsg {
+            campaign: camp.id,
+            cached: false,
+            cancelled: false,
+            executed_batches: camp.executed,
+            report: outcome.as_ref().ok().map(ReportWire::from_report),
+            error: outcome.err(),
         };
         let mut inner = self.inner.lock().unwrap();
         // Close the journal handle before any unlink.
@@ -1093,6 +1278,52 @@ mod tests {
         };
         assert_eq!(lease.campaign, campaign);
         assert!(!service.persistent());
+    }
+
+    /// The degradation floor: a campaign waits while no slot has attached;
+    /// it fails with the handshake error once every live slot refused it,
+    /// and with "campaign incomplete" once every slot retired — as does
+    /// any later submit.
+    #[test]
+    fn degradation_floor_fails_campaigns_no_live_slot_will_serve() {
+        let accept = |service: &Service, seed| match service.submit(&quick_spec(seed)).unwrap() {
+            SubmitOutcome::Accepted { campaign, .. } => campaign,
+            other => panic!("fresh submit must be accepted, got {other:?}"),
+        };
+        let service = Service::new();
+        let refused = accept(&service, 40);
+        assert!(
+            service.is_active(refused),
+            "no slot yet: the campaign waits"
+        );
+        let slot = service.attach_slot();
+        let LeaseWait::Lease(lease) = service.wait_lease_for(Some(slot), Duration::from_millis(10))
+        else {
+            panic!("expected a lease")
+        };
+        service.refuse(slot, *lease, "config mismatch".into());
+        let result = service
+            .take_result(refused)
+            .expect("every live slot refused");
+        assert_eq!(result.error.as_deref(), Some("config mismatch"));
+
+        let stranded = accept(&service, 41);
+        let LeaseWait::Lease(lease) = service.wait_lease_for(Some(slot), Duration::from_millis(10))
+        else {
+            panic!("a refusal covers one campaign, not the slot")
+        };
+        assert_eq!(lease.campaign, stranded);
+        service.release(*lease);
+        service.retire_slot(slot);
+        for campaign in [stranded, accept(&service, 42)] {
+            let error = service.take_result(campaign).and_then(|r| r.error);
+            assert!(
+                error
+                    .as_deref()
+                    .is_some_and(|e| e.contains("campaign incomplete")),
+                "campaign {campaign}: {error:?}"
+            );
+        }
     }
 
     /// A released lease goes back to the same campaign and is re-leased

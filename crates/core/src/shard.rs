@@ -13,15 +13,14 @@
 //!   on executor state reset to batch-fresh semantics, so its results are
 //!   identical no matter which worker runs it, in what order, how many
 //!   workers exist — or **which process** they live in.
-//! - A [`BatchSource`] hands out batches and carries the find-first
-//!   early-exit broadcast; a [`BatchSink`] collects the resulting
-//!   [`Fragment`]s. The canonical source is [`CursorSource`] (work stealing
-//!   without queues: an atomic cursor hands out batch indices in order, so
-//!   a slow batch never blocks the rest) and the canonical sink is
-//!   [`CollectSink`]. The in-process pool ([`ShardedCampaign`]) and the
-//!   multi-process driver (`amulet drive`, which serialises assignments
-//!   over `amulet_core::proto`) are two consumers of the *same* source and
-//!   reducer — which is why their fingerprints agree.
+//! - The in-process pool ([`ShardedCampaign`]) takes batches from a
+//!   [`CursorSource`] — work stealing without queues: an atomic cursor
+//!   hands out batch indices in order, so a slow batch never blocks the
+//!   rest — which also carries the find-first early-exit broadcast.
+//!   Multi-process fleets (`amulet drive`, `amulet serve`) lease the same
+//!   batch plan, in the same order, from [`Service`](crate::Service)
+//!   instead, and every path shares the reducer — which is why their
+//!   fingerprints agree.
 //! - In find-first mode ([`CampaignConfig::stop_on_first`]) a confirmed
 //!   violation broadcasts its batch index; the source stops handing out
 //!   batches beyond the earliest violating index, and the reducer discards
@@ -143,32 +142,14 @@ pub struct Fragment {
     pub first_detection: Option<Duration>,
 }
 
-/// Hands batches to workers and carries the find-first broadcast.
+/// The in-process pool's batch source: the whole batch plan behind an
+/// atomic cursor, plus the find-first early-exit broadcast (an atomic
+/// `fetch_min` of the earliest violating batch index).
 ///
-/// The contract every implementation must keep for determinism: batch
-/// indices are handed out **in order, each at most once**, and after
-/// [`BatchSource::record_hit`]`(i)` no index greater than the smallest
-/// recorded `i` need be handed out (handing it out anyway is allowed — the
-/// reducer discards fragments past the earliest hit).
-pub trait BatchSource: Sync {
-    /// The next batch to execute, or `None` when the plan is exhausted (or
-    /// everything left is past the earliest recorded hit).
-    fn next_batch(&self) -> Option<BatchSpec>;
-
-    /// Broadcasts a confirmed violation in batch `index` (no-op unless the
-    /// campaign runs find-first).
-    fn record_hit(&self, index: usize);
-}
-
-/// Collects executed fragments for reduction.
-pub trait BatchSink: Sync {
-    /// Accepts one executed fragment (any order; the reducer sorts).
-    fn submit(&self, fragment: Fragment);
-}
-
-/// The canonical [`BatchSource`]: the whole batch plan behind an atomic
-/// cursor, plus the find-first early-exit broadcast (an atomic `fetch_min`
-/// of the earliest violating batch index).
+/// The contract that keeps results deterministic: batch indices are handed
+/// out **in order, each at most once**, and after
+/// [`CursorSource::record_hit`]`(i)` no index greater than the smallest
+/// recorded `i` is handed out (the reducer would discard its fragment).
 #[derive(Debug)]
 pub struct CursorSource {
     batches: Vec<BatchSpec>,
@@ -203,10 +184,10 @@ impl CursorSource {
         let hit = self.earliest_hit.load(Ordering::SeqCst);
         (hit != usize::MAX).then_some(hit)
     }
-}
 
-impl BatchSource for CursorSource {
-    fn next_batch(&self) -> Option<BatchSpec> {
+    /// The next batch to execute, or `None` when the plan is exhausted (or
+    /// everything left is past the earliest recorded hit).
+    pub fn next_batch(&self) -> Option<BatchSpec> {
         let idx = self.cursor.fetch_add(1, Ordering::SeqCst);
         if idx >= self.batches.len() {
             return None;
@@ -220,34 +201,12 @@ impl BatchSource for CursorSource {
         Some(self.batches[idx])
     }
 
-    fn record_hit(&self, index: usize) {
+    /// Broadcasts a confirmed violation in batch `index` (no-op unless the
+    /// campaign runs find-first).
+    pub fn record_hit(&self, index: usize) {
         if self.stop_on_first {
             self.earliest_hit.fetch_min(index, Ordering::SeqCst);
         }
-    }
-}
-
-/// The canonical [`BatchSink`]: a mutex-guarded fragment vector.
-#[derive(Debug, Default)]
-pub struct CollectSink {
-    fragments: Mutex<Vec<Fragment>>,
-}
-
-impl CollectSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the sink, yielding the collected fragments (arrival order).
-    pub fn into_fragments(self) -> Vec<Fragment> {
-        self.fragments.into_inner().unwrap()
-    }
-}
-
-impl BatchSink for CollectSink {
-    fn submit(&self, fragment: Fragment) {
-        self.fragments.lock().unwrap().push(fragment);
     }
 }
 
@@ -444,7 +403,7 @@ impl ShardedCampaign {
         let cfg = self.cfg;
         let workers = self.shard.resolved_workers();
         let source = CursorSource::new(&cfg, self.shard.batch_programs);
-        let sink = CollectSink::new();
+        let fragments = Mutex::new(Vec::new());
         let start = Instant::now();
 
         std::thread::scope(|scope| {
@@ -458,14 +417,14 @@ impl ShardedCampaign {
                         if !frag.digests.is_empty() {
                             source.record_hit(spec.index);
                         }
-                        sink.submit(frag);
+                        fragments.lock().unwrap().push(frag);
                     }
                 });
             }
         });
         let wall = start.elapsed();
         let hit = source.earliest_hit();
-        reduce_fragments(cfg, sink.into_fragments(), hit, wall)
+        reduce_fragments(cfg, fragments.into_inner().unwrap(), hit, wall)
     }
 }
 
