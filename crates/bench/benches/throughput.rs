@@ -19,8 +19,8 @@ use amulet_cli::{
 };
 use amulet_contracts::{ContractKind, LeakageModel, ModelScratch};
 use amulet_core::{
-    boosted_inputs, boosted_inputs_into, Campaign, CampaignConfig, Detector, ExecMode, Executor,
-    ExecutorConfig, Generator, GeneratorConfig, InputGenConfig, ShardConfig, SpecSource,
+    boosted_inputs, boosted_inputs_and_classes_into, Campaign, CampaignConfig, Detector, ExecMode,
+    Executor, ExecutorConfig, Generator, GeneratorConfig, InputGenConfig, ShardConfig, SpecSource,
 };
 use amulet_defenses::DefenseKind;
 use amulet_isa::TestInput;
@@ -227,24 +227,26 @@ fn stt_hot_path(json: &mut String, programs: usize) {
         mutations: 6,
         pages,
     };
-    // The campaign worker loop's reuse: one boost scratch + recycled input
-    // slots across all programs.
+    // The campaign worker loop: one boost scratch + recycled input and
+    // class-digest slots across all programs, and contract-trace classes
+    // taken from boosting (no per-input contract-trace emulation).
     let mut scratch = ModelScratch::new();
-    let mut inputs = Vec::new();
+    let (mut inputs, mut classes) = (Vec::new(), Vec::new());
     let mut cases = 0usize;
     let t0 = Instant::now();
     for _ in 0..programs {
         let program = generator.program();
         let flat = program.flatten_shared();
-        boosted_inputs_into(
+        boosted_inputs_and_classes_into(
             &model,
             &flat,
             &input_cfg,
             &mut rng,
             &mut scratch,
             &mut inputs,
+            &mut classes,
         );
-        let (_, stats) = detector.scan(&program, &flat, &inputs, &mut executor);
+        let (_, stats) = detector.scan_classes(&program, &flat, &inputs, &classes, &mut executor);
         cases += stats.cases;
     }
     let secs = t0.elapsed().as_secs_f64();

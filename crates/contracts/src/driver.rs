@@ -5,23 +5,23 @@
 use crate::trace::{CTrace, CTraceBuilder, Observation};
 use crate::ContractKind;
 use amulet_emu::SANDBOX_BASE_VA;
-use amulet_emu::{
-    Emulator, Machine, NullObserver, Observer, StepError, StepEvent, TaintConfig, TaintEngine,
-};
+use amulet_emu::{Emulator, Machine, StepError, StepEvent, TaintConfig, TaintEngine};
 use amulet_isa::{FlatProgram, Instr, Operand, TestInput};
 use amulet_util::BitSet;
 
 /// Reusable per-worker state for driving a [`LeakageModel`]: the emulator
 /// machine (sandbox image), the taint engine (word map, journal, interned-set
-/// pool) and the relevant-label scratch. Holding one of these across the
-/// test cases of a campaign unit makes [`LeakageModel::ctrace_with`] and
-/// [`LeakageModel::relevant_labels_with`] allocation-free after warm-up —
-/// on a 128-page sandbox that removes ~1.5 MiB of per-call setup.
+/// pool), the relevant-label scratch and the tainted drive's trace buffer.
+/// Holding one of these across the test cases of a campaign unit makes
+/// [`LeakageModel::ctrace_with`] and
+/// [`LeakageModel::relevant_labels_and_ctrace_with`] allocation-free after
+/// warm-up — on a 128-page sandbox that removes ~1.5 MiB of per-call setup.
 #[derive(Debug, Default)]
 pub struct ModelScratch {
     machine: Option<Machine>,
     engine: Option<TaintEngine>,
     relevant: BitSet,
+    trace: CTraceBuilder,
 }
 
 impl ModelScratch {
@@ -54,19 +54,6 @@ impl ModelScratch {
         }
     }
 }
-
-/// Observer extension used by the driver to mark speculative segments.
-trait ContractObserver: Observer {
-    fn marker(&mut self, _obs: Observation) {}
-}
-
-impl ContractObserver for CTraceBuilder {
-    fn marker(&mut self, obs: Observation) {
-        self.push_marker(obs);
-    }
-}
-
-impl ContractObserver for NullObserver {}
 
 /// An executable leakage contract: pairs a [`ContractKind`] with execution
 /// parameters and produces contract traces / taint reports for test cases.
@@ -132,18 +119,24 @@ impl LeakageModel {
     ) -> CTrace {
         let machine = scratch.machine_for(self.sandbox_base, input);
         let mut emu = Emulator::from_parts(flat, machine, None);
-        let mut builder = CTraceBuilder::new(self.kind.observes_values());
-        if self.kind.observes_values() {
-            // ARCH-SEQ additionally exposes the initial (architectural)
-            // register state — see Observation::InitReg.
-            for (index, &value) in emu.machine.regs.iter().enumerate() {
-                builder.push_marker(Observation::InitReg { index, value });
-            }
-        }
+        let mut builder = CTraceBuilder::default();
+        self.start_trace(&mut builder, &emu.machine.regs);
         self.drive(&mut emu, &mut builder);
         let (machine, _) = emu.into_parts();
         scratch.machine = Some(machine);
         builder.finish()
+    }
+
+    /// Empties `builder` for one trace under this contract's observation
+    /// clause. ARCH-SEQ additionally exposes the initial (architectural)
+    /// register state — see [`Observation::InitReg`].
+    fn start_trace(&self, builder: &mut CTraceBuilder, regs: &[u64; 16]) {
+        builder.reset(self.kind.observes_values());
+        if self.kind.observes_values() {
+            for (index, &value) in regs.iter().enumerate() {
+                builder.push_marker(Observation::InitReg { index, value });
+            }
+        }
     }
 
     /// Computes the set of input labels that influence the contract trace.
@@ -166,6 +159,21 @@ impl LeakageModel {
         input: &TestInput,
         scratch: &'s mut ModelScratch,
     ) -> &'s BitSet {
+        self.relevant_labels_and_ctrace_with(flat, input, scratch).0
+    }
+
+    /// [`LeakageModel::relevant_labels_with`] plus the contract-trace digest
+    /// of the same drive: the tainted run executes this contract's
+    /// execution clause anyway, so it observes through a trace builder and
+    /// yields `ctrace_with(flat, input, ..).digest()` at no extra
+    /// emulation. Input boosting uses it to hand every input its
+    /// contract-trace class without re-emulating mutants.
+    pub fn relevant_labels_and_ctrace_with<'s>(
+        &self,
+        flat: &FlatProgram,
+        input: &TestInput,
+        scratch: &'s mut ModelScratch,
+    ) -> (&'s BitSet, u64) {
         let engine = scratch.engine_for(self.taint_config(), input.mem_len());
         self.relevant_labels_drive(flat, input, engine, scratch)
     }
@@ -181,6 +189,7 @@ impl LeakageModel {
         let engine = TaintEngine::new(self.taint_config(), input.mem_len()).with_dense_shadow();
         let mut scratch = ModelScratch::new();
         self.relevant_labels_drive(flat, input, engine, &mut scratch)
+            .0
             .clone()
     }
 
@@ -197,10 +206,14 @@ impl LeakageModel {
         input: &TestInput,
         engine: TaintEngine,
         scratch: &'s mut ModelScratch,
-    ) -> &'s BitSet {
+    ) -> (&'s BitSet, u64) {
         let machine = scratch.machine_for(self.sandbox_base, input);
         let mut emu = Emulator::from_parts(flat, machine, Some(engine));
-        self.drive(&mut emu, &mut NullObserver);
+        let mut builder = std::mem::take(&mut scratch.trace);
+        self.start_trace(&mut builder, &emu.machine.regs);
+        self.drive(&mut emu, &mut builder);
+        let digest = builder.digest();
+        scratch.trace = builder;
         let (machine, engine) = emu.into_parts();
         scratch.machine = Some(machine);
         let engine = engine.expect("taint engine attached above");
@@ -215,11 +228,11 @@ impl LeakageModel {
                 scratch.relevant.insert(label);
             }
         }
-        &scratch.relevant
+        (&scratch.relevant, digest)
     }
 
     /// Drives one full execution under this contract's execution clause.
-    fn drive<O: ContractObserver>(&self, emu: &mut Emulator<'_>, obs: &mut O) {
+    fn drive(&self, emu: &mut Emulator<'_>, obs: &mut CTraceBuilder) {
         for _ in 0..self.max_steps {
             if self.kind.explores_store_bypass() {
                 self.maybe_explore_bypass(emu, obs, self.spec_window, self.max_nesting);
@@ -245,10 +258,10 @@ impl LeakageModel {
     }
 
     /// Explores a speculative path starting at `start_pc`, then rolls back.
-    fn explore_from<O: ContractObserver>(
+    fn explore_from(
         &self,
         emu: &mut Emulator<'_>,
-        obs: &mut O,
+        obs: &mut CTraceBuilder,
         start_pc: usize,
         window: usize,
         nesting: usize,
@@ -257,18 +270,18 @@ impl LeakageModel {
             return;
         }
         let cp = emu.checkpoint();
-        obs.marker(Observation::SpecEnter);
+        obs.push_marker(Observation::SpecEnter);
         emu.machine.pc = start_pc;
         self.spec_path(emu, obs, window, nesting);
-        obs.marker(Observation::SpecExit);
+        obs.push_marker(Observation::SpecExit);
         emu.restore(&cp);
     }
 
     /// Runs up to `window` instructions of a speculative path.
-    fn spec_path<O: ContractObserver>(
+    fn spec_path(
         &self,
         emu: &mut Emulator<'_>,
-        obs: &mut O,
+        obs: &mut CTraceBuilder,
         window: usize,
         nesting: usize,
     ) {
@@ -300,10 +313,10 @@ impl LeakageModel {
 
     /// If the next instruction is a pure store, explores the path where the
     /// store is speculatively bypassed (skipped), then rolls back.
-    fn maybe_explore_bypass<O: ContractObserver>(
+    fn maybe_explore_bypass(
         &self,
         emu: &mut Emulator<'_>,
-        obs: &mut O,
+        obs: &mut CTraceBuilder,
         window: usize,
         nesting: usize,
     ) {
@@ -465,6 +478,25 @@ mod tests {
         // Under CT-COND, RBX feeds a (speculative) load address -> relevant.
         let cond = LeakageModel::new(ContractKind::CtCond).relevant_labels(&flat, &a);
         assert!(cond.contains(1));
+    }
+
+    /// The tainted drive's digest is the plain drive's, under every
+    /// contract (ARCH-SEQ's initial-register markers included).
+    #[test]
+    fn tainted_drive_digest_equals_ctrace_digest() {
+        let flat = parse_program(V1_SHAPE).unwrap().flatten();
+        let mut rng = Xoshiro256::seed_from_u64(5);
+        let mut scratch = ModelScratch::new();
+        for kind in ContractKind::ALL {
+            let model = LeakageModel::new(kind);
+            for _ in 0..4 {
+                let input = TestInput::random(&mut rng, 1);
+                let (relevant, digest) =
+                    model.relevant_labels_and_ctrace_with(&flat, &input, &mut scratch);
+                assert_eq!(relevant, &model.relevant_labels(&flat, &input));
+                assert_eq!(digest, model.ctrace(&flat, &input).digest(), "{kind}");
+            }
+        }
     }
 
     /// The taint soundness property behind input boosting: randomising

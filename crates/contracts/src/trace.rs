@@ -69,10 +69,8 @@ pub struct CTrace {
 impl CTrace {
     /// Builds a trace from observations (computing the digest).
     pub fn new(observations: Vec<Observation>) -> Self {
-        let mut h = DefaultHasher::new();
-        observations.hash(&mut h);
         CTrace {
-            digest: h.finish(),
+            digest: digest_of(&observations),
             observations,
         }
     }
@@ -116,6 +114,13 @@ impl fmt::Display for CTrace {
     }
 }
 
+/// The digest [`CTrace::new`] stores for `observations`.
+fn digest_of(observations: &[Observation]) -> u64 {
+    let mut h = DefaultHasher::new();
+    observations.hash(&mut h);
+    h.finish()
+}
+
 /// [`Observer`] that accumulates a contract trace during emulation.
 #[derive(Debug, Default)]
 pub struct CTraceBuilder {
@@ -130,6 +135,18 @@ impl CTraceBuilder {
             observations: Vec::new(),
             observe_values,
         }
+    }
+
+    /// Empties the builder for a new trace, keeping its allocation.
+    pub fn reset(&mut self, observe_values: bool) {
+        self.observations.clear();
+        self.observe_values = observe_values;
+    }
+
+    /// The digest of the trace built so far: equal to
+    /// `finish().digest()`, without giving up the buffer.
+    pub fn digest(&self) -> u64 {
+        digest_of(&self.observations)
     }
 
     /// Appends a speculation-segment marker.
@@ -186,6 +203,19 @@ mod tests {
         let mut b = CTraceBuilder::new(true);
         b.on_mem(MemKind::Store, 0x40, Width::Q, 9);
         assert_eq!(b.finish().len(), 1);
+    }
+
+    #[test]
+    fn builder_digest_matches_finished_trace() {
+        let mut b = CTraceBuilder::new(true);
+        b.push_marker(Observation::InitReg { index: 0, value: 7 });
+        b.on_mem(MemKind::Load, 0x40, Width::Q, 9);
+        let digest = b.digest();
+        assert_eq!(b.finish().digest(), digest);
+        let mut b = CTraceBuilder::new(true);
+        b.on_mem(MemKind::Load, 0x40, Width::Q, 9);
+        b.reset(false);
+        assert_eq!(b.digest(), CTrace::new(Vec::new()).digest());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::cost::CostModel;
 use crate::detect::{Detector, ScanStats, Violation};
 use crate::executor::{ExecMode, Executor, ExecutorConfig};
 use crate::generator::{Generator, GeneratorConfig};
-use crate::inputs::{boosted_inputs_into, InputGenConfig};
+use crate::inputs::{boosted_inputs_and_classes_into, InputGenConfig};
 use crate::trace::TraceFormat;
 use amulet_contracts::{ContractKind, LeakageModel, ModelScratch};
 use amulet_defenses::DefenseKind;
@@ -618,7 +618,8 @@ pub(crate) fn executor_for(cfg: &CampaignConfig) -> Executor {
 /// simulator instance — construction and the cached prefill image are paid
 /// once per worker, not per batch), the detector (with its contract-trace
 /// machine and per-case context slots), the input-boosting scratch (taint
-/// engine, sandbox images) and the recycled boosted-input slots.
+/// engine, sandbox images) and the recycled boosted-input and class-digest
+/// slots.
 ///
 /// Reusing this across shard batches is invisible to results:
 /// [`Executor::reset_unit`] returns the executor to power-on predictor
@@ -637,6 +638,7 @@ pub struct UnitRuntime {
     detector: Option<Detector>,
     boost: ModelScratch,
     inputs: Vec<TestInput>,
+    classes: Vec<u64>,
 }
 
 impl UnitRuntime {
@@ -681,15 +683,17 @@ pub(crate) fn run_programs(
     for _ in 0..programs {
         let program = generator.program();
         let flat = program.flatten_shared();
-        boosted_inputs_into(
+        boosted_inputs_and_classes_into(
             &model,
             &flat,
             &cfg.inputs,
             rng,
             &mut rt.boost,
             &mut rt.inputs,
+            &mut rt.classes,
         );
-        let (violations, stats) = detector.scan(&program, &flat, &rt.inputs, executor);
+        let (violations, stats) =
+            detector.scan_classes(&program, &flat, &rt.inputs, &rt.classes, executor);
         out.stats.merge(&stats);
         for v in violations {
             if !cfg.filter.keep(&v) {
@@ -880,6 +884,61 @@ mod tests {
         let mut g = synthetic_report(DefenseKind::Baseline, ContractKind::CtSeq);
         g.config.source = SpecSource::Pht; // explicit default: folds nothing
         assert_eq!(a.fingerprint(), g.fingerprint());
+    }
+
+    /// The campaign path (boosting's class digests + `scan_classes`) and
+    /// the reference path (`scan` re-emulating every contract trace) agree
+    /// on every counter and every violation, program by program, on the
+    /// quick shape for Baseline and STT under both speculation sources.
+    #[test]
+    fn scan_classes_matches_reference_scan() {
+        let shapes = [
+            (DefenseKind::Baseline, ContractKind::CtSeq),
+            (DefenseKind::Stt, ContractKind::ArchSeq),
+        ];
+        let mut confirmed = 0;
+        for (defense, contract) in shapes {
+            for source in SpecSource::ALL {
+                for seed in [2025, 2026] {
+                    let mut cfg = CampaignConfig::quick(defense, contract).with_source(source);
+                    cfg.seed = seed;
+                    let repro = format!("{defense} {contract} {source} seed {seed}");
+                    let model = LeakageModel::new(contract);
+                    let mut rng = Xoshiro256::seed_from_u64(seed);
+                    let mut generator = Generator::new(cfg.generator.clone(), rng.next_u64());
+                    let (mut fast, mut reference) =
+                        (Detector::new(model.clone()), Detector::new(model.clone()));
+                    let (mut fast_exec, mut ref_exec) = (executor_for(&cfg), executor_for(&cfg));
+                    let (mut inputs, mut classes) = (Vec::new(), Vec::new());
+                    let mut scratch = ModelScratch::new();
+                    for p in 0..cfg.programs_per_instance {
+                        let program = generator.program();
+                        let flat = program.flatten_shared();
+                        boosted_inputs_and_classes_into(
+                            &model,
+                            &flat,
+                            &cfg.inputs,
+                            &mut rng,
+                            &mut scratch,
+                            &mut inputs,
+                            &mut classes,
+                        );
+                        let (fv, fs) =
+                            fast.scan_classes(&program, &flat, &inputs, &classes, &mut fast_exec);
+                        let (rv, rs) = reference.scan(&program, &flat, &inputs, &mut ref_exec);
+                        assert_eq!(fs, rs, "{repro} program {p}: stats differ");
+                        confirmed += fs.confirmed;
+                        assert_eq!(fv.len(), rv.len(), "{repro} program {p}");
+                        for (f, r) in fv.iter().zip(&rv) {
+                            assert_eq!(f.ctrace_digest, r.ctrace_digest, "{repro} program {p}");
+                            assert_eq!(f.utrace_a, r.utrace_a, "{repro} program {p}");
+                            assert_eq!(f.utrace_b, r.utrace_b, "{repro} program {p}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(confirmed > 0, "the differential must cover violations");
     }
 
     #[test]

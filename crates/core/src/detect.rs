@@ -24,6 +24,17 @@
 //! Up to 64-bit hash collisions (~2⁻⁶⁴ per pair), the confirmed violations
 //! are bit-identical to comparing materialised traces.
 //!
+//! # Contract-trace classes
+//!
+//! [`Detector::scan`] is the reference path: it emulates every input's
+//! contract trace. The campaign instead calls [`Detector::scan_classes`]
+//! with the class digests input boosting already derived from its tainted
+//! runs (see [`boosted_inputs_and_classes_into`](crate::inputs::boosted_inputs_and_classes_into)),
+//! so no input is emulated on the hot path. Either way, [`Detector`]
+//! re-derives both contract traces of a candidate before confirming it: a
+//! class digest that lies (a taint-soundness bug) costs a missed pairing,
+//! never a false violation.
+//!
 //! With [`Detector::skip_singletons`], inputs whose contract-trace class has
 //! a single member skip µarch execution entirely — they can never pair into
 //! a candidate. This is off by default because skipped runs change how
@@ -158,6 +169,9 @@ impl Detector {
 
     /// Runs all inputs, groups by contract trace, validates candidate
     /// violations, and returns the confirmed ones plus counters.
+    ///
+    /// The reference path: every input's contract trace is emulated, then
+    /// [`Detector::scan_classes`] runs on the digests.
     pub fn scan(
         &mut self,
         program: &Program,
@@ -165,16 +179,45 @@ impl Detector {
         inputs: &[TestInput],
         executor: &mut Executor,
     ) -> (Vec<Violation>, ScanStats) {
+        let digests: Vec<u64> = inputs
+            .iter()
+            .map(|input| {
+                self.model
+                    .ctrace_with(flat, input, &mut self.emu_scratch)
+                    .digest()
+            })
+            .collect();
+        self.scan_classes(program, flat, inputs, &digests, executor)
+    }
+
+    /// [`Detector::scan`] with each input's contract-trace class given:
+    /// `class_digests[i]` is the contract-trace digest of `inputs[i]`, as
+    /// input boosting reports it. No contract trace is emulated except to
+    /// re-check candidates in validation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class_digests` and `inputs` differ in length.
+    pub fn scan_classes(
+        &mut self,
+        program: &Program,
+        flat: &SharedProgram,
+        inputs: &[TestInput],
+        class_digests: &[u64],
+        executor: &mut Executor,
+    ) -> (Vec<Violation>, ScanStats) {
+        assert_eq!(
+            class_digests.len(),
+            inputs.len(),
+            "one class digest per input"
+        );
         let mut stats = ScanStats::default();
         let mut violations = Vec::new();
 
         // Effective classes by contract trace.
         let mut classes: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut class_of = Vec::with_capacity(inputs.len());
-        for (i, input) in inputs.iter().enumerate() {
-            let ct = self.model.ctrace_with(flat, input, &mut self.emu_scratch);
-            classes.entry(ct.digest()).or_default().push(i);
-            class_of.push(ct.digest());
+        for (i, &digest) in class_digests.iter().enumerate() {
+            classes.entry(digest).or_default().push(i);
         }
         stats.classes = classes.len();
 
@@ -189,7 +232,7 @@ impl Detector {
             .iter()
             .enumerate()
             .map(|(i, input)| {
-                if self.skip_singletons && classes[&class_of[i]].len() < 2 {
+                if self.skip_singletons && classes[&class_digests[i]].len() < 2 {
                     None
                 } else {
                     Some(executor.run_case_ctx(flat, input, &mut self.ctxs[i]))
@@ -206,7 +249,7 @@ impl Detector {
         let mut ordered: Vec<(u64, Vec<usize>)> = classes.into_iter().collect();
         ordered.sort_by_key(|(_, members)| members[0]);
 
-        for (digest, members) in ordered {
+        for (_, members) in ordered {
             if members.len() < 2 || violations.len() >= self.max_per_program {
                 continue;
             }
@@ -224,9 +267,9 @@ impl Detector {
                     continue;
                 }
                 stats.candidates += 1;
-                if let Some(v) = self.validate(
-                    program, flat, inputs, rep, other, digest, executor, &mut stats,
-                ) {
+                if let Some(v) =
+                    self.validate(program, flat, inputs, rep, other, executor, &mut stats)
+                {
                     stats.confirmed += 1;
                     violations.push(v);
                 }
@@ -240,18 +283,32 @@ impl Detector {
     /// inputs started from the *same* context — checked under each of the
     /// two original contexts (either suffices). These re-runs log events and
     /// materialise full traces; only candidates pay this cost.
+    ///
+    /// First, both contract traces are re-derived: a candidate whose inputs
+    /// do not really share a contract trace (its class digest came from an
+    /// unsound boosting run) is dropped before any µarch re-run.
     #[allow(clippy::too_many_arguments)]
     fn validate(
-        &self,
+        &mut self,
         program: &Program,
         flat: &SharedProgram,
         inputs: &[TestInput],
         a: usize,
         b: usize,
-        digest: u64,
         executor: &mut Executor,
         stats: &mut ScanStats,
     ) -> Option<Violation> {
+        let digest = self
+            .model
+            .ctrace_with(flat, &inputs[a], &mut self.emu_scratch)
+            .digest();
+        let digest_b = self
+            .model
+            .ctrace_with(flat, &inputs[b], &mut self.emu_scratch)
+            .digest();
+        if digest != digest_b {
+            return None;
+        }
         // Candidates always executed, so their context slots are fresh.
         let ctx_a = &self.ctxs[a];
         let ctx_b = &self.ctxs[b];
@@ -483,6 +540,36 @@ mod tests {
                 y.utrace_a.l1d_diff(&y.utrace_b)
             );
         }
+    }
+
+    /// A lying class digest (two inputs claimed to share a contract trace
+    /// they do not share) yields a candidate that validation's contract
+    /// re-check drops before any µarch re-run.
+    #[test]
+    fn validation_rejects_inputs_outside_their_claimed_class() {
+        let src = gadgets::spectre_v1(payload::SINGLE_LOAD);
+        let program = parse_program(&src).unwrap();
+        let flat = program.flatten_shared();
+        let model = LeakageModel::new(ContractKind::CtCond);
+        let mut executor = Executor::new(ExecutorConfig::new(DefenseKind::Baseline));
+        for _ in 0..12 {
+            executor.run_case(&flat, &gadgets::train_input(1));
+        }
+        let mut a = gadgets::victim_input(1);
+        a.regs[1] = 0x740;
+        let mut b = gadgets::victim_input(1);
+        b.regs[1] = 0x100;
+        // Under CT-COND the wrong-path load address differs, so these are
+        // two classes (see `ct_cond_filters_v1_as_expected_leakage`).
+        assert_ne!(model.ctrace(&flat, &a), model.ctrace(&flat, &b));
+        let mut detector = Detector::new(model);
+        let (violations, stats) =
+            detector.scan_classes(&program, &flat, &[a, b], &[7, 7], &mut executor);
+        assert_eq!(stats.classes, 1);
+        assert_eq!(stats.candidates, 1, "the µarch traces differ: {stats:?}");
+        assert_eq!(stats.validation_runs, 0);
+        assert_eq!(stats.confirmed, 0);
+        assert!(violations.is_empty());
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! with **provably identical contract traces** but fresh values everywhere
 //! the contract does not look. Those are exactly the inputs that expose
 //! speculative leaks as Definition 2.1 violations.
+//!
+//! The tainted run also yields the base's contract-trace digest, which every
+//! mutant shares by construction, so boosting hands the detector each
+//! input's contract-trace class ([`boosted_inputs_and_classes_into`]) and
+//! the campaign never re-emulates a mutant.
 
 use amulet_contracts::{LeakageModel, ModelScratch};
 use amulet_isa::{FlatProgram, Gpr, TestInput};
@@ -66,7 +71,27 @@ pub fn boosted_inputs(
     out
 }
 
-/// [`boosted_inputs`] with caller-owned scratch — the campaign hot path.
+/// [`boosted_inputs`] with caller-owned scratch; the class digests of
+/// [`boosted_inputs_and_classes_into`] are dropped.
+pub fn boosted_inputs_into(
+    model: &LeakageModel,
+    flat: &FlatProgram,
+    cfg: &InputGenConfig,
+    rng: &mut Xoshiro256,
+    scratch: &mut ModelScratch,
+    out: &mut Vec<TestInput>,
+) {
+    boosted_inputs_and_classes_into(model, flat, cfg, rng, scratch, out, &mut Vec::new());
+}
+
+/// [`boosted_inputs`] with caller-owned scratch that also reports each
+/// input's contract-trace class — the campaign hot path.
+///
+/// `classes[i]` is the contract-trace digest of `out[i]`: the base's
+/// digest from its tainted run, repeated for its mutants (equal by taint
+/// soundness; `tests/boosting_soundness.rs` checks it against full
+/// re-emulation). It is the `class_digests` argument of
+/// [`Detector::scan_classes`](crate::Detector::scan_classes).
 ///
 /// `scratch` carries the taint engine, sandbox image and relevant-label
 /// buffer across calls (see [`ModelScratch`]); `out`'s slots are recycled
@@ -77,24 +102,28 @@ pub fn boosted_inputs(
 /// then the contract-observed words are restored from the base. A
 /// multi-page image is drawn seeded (see [`TestInput::randomize_mem`]), so
 /// a mutant costs O(relevant words), not a draw per 8-byte word.
-pub fn boosted_inputs_into(
+pub fn boosted_inputs_and_classes_into(
     model: &LeakageModel,
     flat: &FlatProgram,
     cfg: &InputGenConfig,
     rng: &mut Xoshiro256,
     scratch: &mut ModelScratch,
     out: &mut Vec<TestInput>,
+    classes: &mut Vec<u64>,
 ) {
     let group = 1 + cfg.mutations;
     let mut restored = Vec::new();
     out.truncate(cfg.total());
+    classes.clear();
     for b in 0..cfg.base_inputs {
         let base_idx = b * group;
         if out.len() <= base_idx {
             out.push(TestInput::zeroed(0));
         }
         out[base_idx].randomize(rng, cfg.pages);
-        let relevant = model.relevant_labels_with(flat, &out[base_idx], scratch);
+        let (relevant, digest) =
+            model.relevant_labels_and_ctrace_with(flat, &out[base_idx], scratch);
+        classes.extend(std::iter::repeat_n(digest, group));
         restored.clear();
         restored.extend(
             relevant
@@ -155,16 +184,31 @@ mod tests {
         for kind in ContractKind::ALL {
             let model = LeakageModel::new(kind);
             let mut rng = Xoshiro256::seed_from_u64(42);
-            let inputs = boosted_inputs(&model, &flat, &cfg, &mut rng);
+            let (mut inputs, mut classes) = (Vec::new(), Vec::new());
+            let mut scratch = ModelScratch::new();
+            boosted_inputs_and_classes_into(
+                &model,
+                &flat,
+                &cfg,
+                &mut rng,
+                &mut scratch,
+                &mut inputs,
+                &mut classes,
+            );
             assert_eq!(inputs.len(), cfg.total());
-            for group in inputs.chunks(1 + cfg.mutations) {
+            assert_eq!(classes.len(), cfg.total());
+            for (group, digests) in inputs
+                .chunks(1 + cfg.mutations)
+                .zip(classes.chunks(1 + cfg.mutations))
+            {
                 let reference = model.ctrace(&flat, &group[0]);
-                for m in &group[1..] {
+                for (m, &digest) in group.iter().zip(digests) {
                     assert_eq!(
                         model.ctrace(&flat, m),
                         reference,
                         "boosting broke contract equivalence under {kind}"
                     );
+                    assert_eq!(digest, reference.digest(), "class digest under {kind}");
                 }
             }
         }

@@ -82,7 +82,9 @@ pub use cost::{CostModel, TimeBreakdown};
 pub use detect::{Detector, ScanStats, Violation};
 pub use executor::{CaseDigest, CaseRun, ExecMode, Executor, ExecutorConfig};
 pub use generator::{Generator, GeneratorConfig};
-pub use inputs::{boosted_inputs, boosted_inputs_into, InputGenConfig};
+pub use inputs::{
+    boosted_inputs, boosted_inputs_and_classes_into, boosted_inputs_into, InputGenConfig,
+};
 pub use journal::{
     load_journal, CampaignJournal, CrashPlan, JournalHeader, JournalReplay, Recovery, StateDir,
 };

@@ -4,11 +4,13 @@
 //!
 //! This is the property the whole detection pipeline rests on — if it broke,
 //! "same contract trace" classes would be polluted and every violation
-//! suspect. (Seeded-loop property tests; the workspace carries no external
-//! dependencies.)
+//! suspect. The campaign trusts it twice over: each input's contract-trace
+//! class is the digest boosting reports, never re-emulated, so that digest
+//! is checked here against full re-emulation of every input. (Seeded-loop
+//! property tests; the workspace carries no external dependencies.)
 
-use amulet::contracts::{ContractKind, LeakageModel};
-use amulet::fuzz::{boosted_inputs, Generator, GeneratorConfig, InputGenConfig};
+use amulet::contracts::{ContractKind, LeakageModel, ModelScratch};
+use amulet::fuzz::{boosted_inputs_and_classes_into, Generator, GeneratorConfig, InputGenConfig};
 use amulet::isa::TestInput;
 use amulet::util::Xoshiro256;
 
@@ -35,10 +37,20 @@ fn check_seed(seed: u64, kind: ContractKind, pages: usize) {
         mutations: 3,
         pages,
     };
+    let mut scratch = ModelScratch::new();
+    let (mut inputs, mut classes) = (Vec::new(), Vec::new());
     for _ in 0..3 {
         let program = generator.program();
         let flat = program.flatten();
-        let inputs = boosted_inputs(&model, &flat, &cfg, &mut rng);
+        boosted_inputs_and_classes_into(
+            &model,
+            &flat,
+            &cfg,
+            &mut rng,
+            &mut scratch,
+            &mut inputs,
+            &mut classes,
+        );
         for group in inputs.chunks(1 + cfg.mutations) {
             let reference = model.ctrace(&flat, &group[0]);
             for (mi, mutant) in group[1..].iter().enumerate() {
@@ -48,6 +60,15 @@ fn check_seed(seed: u64, kind: ContractKind, pages: usize) {
                     "boosting broke {kind} on seed {seed} ({pages} pages) mutant {mi}\n{program}"
                 );
             }
+        }
+        assert_eq!(classes.len(), inputs.len(), "one class digest per input");
+        for (i, (input, &class)) in inputs.iter().zip(&classes).enumerate() {
+            assert_eq!(
+                class,
+                model.ctrace(&flat, input).digest(),
+                "boosting's class digest is wrong under {kind} on seed {seed} \
+                 ({pages} pages) input {i}\n{program}"
+            );
         }
     }
 }

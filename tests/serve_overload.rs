@@ -15,7 +15,10 @@ mod common;
 use amulet::contracts::ContractKind;
 use amulet::defenses::DefenseKind;
 use amulet::fuzz::proto::{CampaignSpec, Msg, ResultMsg};
-use amulet::fuzz::{Admission, CampaignConfig, Service, ShardConfig, ShardedCampaign, StateDir};
+use amulet::fuzz::{
+    run_batch, Admission, CampaignConfig, LeaseWait, Service, ShardConfig, ShardedCampaign,
+    StateDir, UnitRuntime,
+};
 use amulet_cli::{AdversarialPlan, ServiceHost, SessionLimits};
 use common::{spawn_hardened_client, spawn_serve_client, MemClient};
 use std::path::PathBuf;
@@ -368,6 +371,10 @@ fn finish_drain_delivers_owned_results_and_sheds_new_submits() {
 /// the lease flow, the session hands the journal back via cancellation,
 /// and a restarted service resumes the journaled prefix batch-granularly
 /// to the uninterrupted fingerprint.
+///
+/// The first run has no worker threads: the test leases and executes
+/// exactly two batches itself, so the drain lands mid-campaign however
+/// fast batches run.
 #[test]
 fn checkpoint_drain_journals_and_a_restart_resumes_fingerprint_identical() {
     let resume_spec = spec(81);
@@ -376,11 +383,19 @@ fn checkpoint_drain_journals_and_a_restart_resumes_fingerprint_identical() {
 
     let recovery = state.recover().expect("fresh dir recovers empty");
     let service = Arc::new(Service::with_persistence(None, state.clone(), recovery));
-    let host = ServiceHost::start(service.clone(), 1, &[]);
+    let host = ServiceHost::start(service.clone(), 0, &[]);
     let client = spawn_serve_client(&service);
 
     client.send(&Msg::Submit(resume_spec.clone()));
     expect_accepted(&client);
+    let mut rt = UnitRuntime::new();
+    for _ in 0..2 {
+        let LeaseWait::Lease(lease) = service.wait_lease(RESULT_TIMEOUT) else {
+            panic!("the submitted campaign must offer a batch");
+        };
+        let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, &mut rt);
+        service.complete(*lease, fragment);
+    }
     // Let at least two batches land in the journal before the "SIGTERM".
     let mut seen = 0;
     while seen < 2 {
