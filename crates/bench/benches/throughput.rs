@@ -19,8 +19,9 @@ use amulet_cli::{
 };
 use amulet_contracts::{ContractKind, LeakageModel, ModelScratch};
 use amulet_core::{
-    boosted_inputs, boosted_inputs_and_classes_into, Campaign, CampaignConfig, Detector, ExecMode,
-    Executor, ExecutorConfig, Generator, GeneratorConfig, InputGenConfig, ShardConfig, SpecSource,
+    boosted_inputs, boosted_inputs_and_classes_into, minimize, Campaign, CampaignConfig, Detector,
+    ExecMode, Executor, ExecutorConfig, Generator, GeneratorConfig, InputGenConfig, ShardConfig,
+    SpecSource,
 };
 use amulet_defenses::DefenseKind;
 use amulet_isa::TestInput;
@@ -258,6 +259,44 @@ fn stt_hot_path(json: &mut String, programs: usize) {
     );
 }
 
+/// The violation minimiser (`amulet serve`'s corpus pass): every
+/// confirmed violation of one fixed-seed quick Baseline × CT-SEQ campaign
+/// is minimised with the executor configuration that found it. Reports
+/// violations/sec and reduction attempts/sec, median of 5 passes.
+fn minimize_bench(json: &mut String) {
+    let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
+    let report = Campaign::new(cfg.clone()).run();
+    let detector = Detector::new(LeakageModel::new(cfg.contract));
+    let mut executor = Executor::new(ExecutorConfig {
+        mode: cfg.mode,
+        format: cfg.format,
+        include_l1i: cfg.include_l1i,
+        sim: cfg.sim.clone(),
+        ..ExecutorConfig::new(cfg.defense)
+    });
+    let violations = report.violations.len();
+    let mut attempts = 0usize;
+    let mut samples = Vec::new();
+    for _ in 0..5 {
+        attempts = 0;
+        let t0 = Instant::now();
+        for (violation, _) in &report.violations {
+            attempts += black_box(minimize(violation, &detector, &mut executor)).attempts;
+        }
+        samples.push(t0.elapsed().as_secs_f64());
+    }
+    samples.sort_by(f64::total_cmp);
+    let secs = samples[2];
+    let (vrate, arate) = (violations as f64 / secs, attempts as f64 / secs);
+    println!(
+        "minimize: {violations} violations, {attempts} attempts in {secs:.3}s = {vrate:.1} violations/s, {arate:.0} attempts/s"
+    );
+    let _ = writeln!(
+        json,
+        "{{\"bench\":\"throughput\",\"kind\":\"minimize\",\"name\":\"Baseline\",\"contract\":\"CT-SEQ\",\"violations\":{violations},\"attempts\":{attempts},\"violations_per_sec\":{vrate:.1},\"attempts_per_sec\":{arate:.1}}}"
+    );
+}
+
 /// The cross-host fleet overhead, measured: the full `amulet drive` driver
 /// loop (handshake, heartbeat, batch round trips, reduction) over loopback
 /// TCP workers, clean and under hostile seeded fault injection (drops,
@@ -406,6 +445,7 @@ fn main() {
     cycle_loop_bench(&mut json, programs);
     taint_microbench(&mut json);
     stt_hot_path(&mut json, env_usize("AMULET_STT_PROGRAMS", 6));
+    minimize_bench(&mut json);
 
     // 1b. Full detector workload (scan + ctraces + validation re-runs).
     let (dcases, dsecs, confirmed) = detector_workload(programs);

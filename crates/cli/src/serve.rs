@@ -230,9 +230,11 @@ impl ServiceHost {
 }
 
 /// An in-process worker loop: lease, execute, complete. Runtimes are
-/// per-campaign (a [`UnitRuntime`] must never serve two configs) and are
-/// garbage-collected when their campaign leaves the active set. The worker
-/// is attached slot `slot`, retired when the service shuts down.
+/// per-campaign (a [`UnitRuntime`] must never serve two configs). Those of
+/// campaigns that left the active set are dropped whenever a lease names a
+/// campaign the slot holds no runtime for, and whenever the slot goes idle,
+/// so a slot under continuous load keeps no finished campaign's runtime.
+/// The worker is attached slot `slot`, retired when the service shuts down.
 fn local_worker(service: &Service, slot: u64) {
     let mut runtimes: HashMap<u64, UnitRuntime> = HashMap::new();
     loop {
@@ -240,12 +242,25 @@ fn local_worker(service: &Service, slot: u64) {
             LeaseWait::Shutdown => return service.retire_slot(slot),
             LeaseWait::Idle => runtimes.retain(|id, _| service.is_active(*id)),
             LeaseWait::Lease(lease) => {
-                let rt = runtimes.entry(lease.campaign).or_default();
+                let rt = runtime_for(&mut runtimes, lease.campaign, |id| service.is_active(id));
                 let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, rt);
                 service.complete(*lease, fragment);
             }
         }
     }
+}
+
+/// `campaign`'s runtime in `runtimes`, created on first use. A campaign
+/// without one first drops every runtime whose campaign `is_active` denies.
+fn runtime_for(
+    runtimes: &mut HashMap<u64, UnitRuntime>,
+    campaign: u64,
+    is_active: impl Fn(u64) -> bool,
+) -> &mut UnitRuntime {
+    if !runtimes.contains_key(&campaign) {
+        runtimes.retain(|id, _| is_active(*id));
+    }
+    runtimes.entry(campaign).or_default()
 }
 
 /// Counters from one client conversation.
@@ -956,6 +971,56 @@ mod tests {
             report: None,
             error: error.map(str::to_owned),
         })
+    }
+
+    /// A slot that never goes idle drops a finished campaign's runtime when
+    /// the next campaign's first lease reaches it.
+    #[test]
+    fn a_busy_slot_drops_finished_runtimes_on_the_next_campaign() {
+        let service = Service::new();
+        let spec = |seed| CampaignSpec {
+            defense: "Baseline".into(),
+            contract: "CT-SEQ".into(),
+            source: "PHT".into(),
+            seed,
+            scale: None,
+            find_first: false,
+            batch_programs: 12,
+            cycle_skip: true,
+        };
+        let mut runtimes: HashMap<u64, UnitRuntime> = HashMap::new();
+        let run_next = |runtimes: &mut HashMap<u64, UnitRuntime>| {
+            let LeaseWait::Lease(lease) = service.wait_lease(Duration::ZERO) else {
+                panic!("a submitted campaign must have a batch to lease")
+            };
+            let rt = runtime_for(runtimes, lease.campaign, |id| service.is_active(id));
+            let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, rt);
+            let campaign = lease.campaign;
+            service.complete(*lease, fragment);
+            campaign
+        };
+        let SubmitOutcome::Accepted {
+            campaign: first, ..
+        } = service.submit(&spec(1)).unwrap()
+        else {
+            panic!("fresh submit must not hit the cache")
+        };
+        while service.is_active(first) {
+            assert_eq!(run_next(&mut runtimes), first);
+        }
+        assert!(runtimes.contains_key(&first), "no idle poll has run");
+        let SubmitOutcome::Accepted {
+            campaign: second, ..
+        } = service.submit(&spec(2)).unwrap()
+        else {
+            panic!("fresh submit must not hit the cache")
+        };
+        assert_eq!(run_next(&mut runtimes), second);
+        assert!(
+            !runtimes.contains_key(&first),
+            "the finished campaign's runtime must go"
+        );
+        assert!(runtimes.contains_key(&second));
     }
 
     /// The fatal-vs-transient-vs-shed split the retry loop rests on:

@@ -203,6 +203,10 @@ impl Executor {
         } else {
             LogMode::Off
         });
+        self.digest_run(flat, input)
+    }
+
+    fn digest_run(&mut self, flat: &SharedProgram, input: &TestInput) -> CaseDigest {
         self.sim.load_test_shared(flat, input);
         let result = self.sim.run();
         CaseDigest {
@@ -248,9 +252,29 @@ impl Executor {
         input: &TestInput,
         ctx: &UarchContext,
     ) -> CaseRun {
+        self.begin_with_ctx(ctx);
+        self.run_inner(flat, input, ctx.clone())
+    }
+
+    /// [`Executor::run_case_with_ctx`] on the hot path: the same starting
+    /// state, but logging off and a streaming digest instead of a
+    /// materialised trace (and no context copy). Minimisation attempts use
+    /// it; digest inequality implies [`UTrace`] inequality.
+    pub fn run_case_digest_with_ctx(
+        &mut self,
+        flat: &SharedProgram,
+        input: &TestInput,
+        ctx: &UarchContext,
+    ) -> CaseDigest {
+        self.begin_with_ctx(ctx);
+        self.sim.set_log_mode(LogMode::Off);
+        self.digest_run(flat, input)
+    }
+
+    /// State reset at the top of a run under an explicit context.
+    fn begin_with_ctx(&mut self, ctx: &UarchContext) {
         self.sim.set_context(ctx);
         self.reset_caches();
-        self.run_inner(flat, input, ctx.clone())
     }
 
     fn digest_kind(&self) -> amulet_sim::DigestKind {
@@ -463,5 +487,39 @@ mod tests {
         // Re-running under the captured context reproduces the run exactly.
         let replay = ex.run_case_with_ctx(&flat, &input, &first.start_ctx);
         assert_eq!(first.utrace, replay.utrace);
+    }
+
+    /// The digest replay under an explicit context agrees with the traced
+    /// one: same cycles, and digests split exactly where traces do.
+    #[test]
+    fn digest_replay_under_a_context_matches_the_traced_replay() {
+        let src = "
+            CMP RAX, 0
+            JZ .a
+            MOV RBX, qword ptr [R14 + 512]
+            .a:
+            MOV RCX, qword ptr [R14 + RAX]
+            EXIT";
+        let flat = parse_program(src).unwrap().flatten_shared();
+        let a = TestInput::zeroed(1);
+        let mut b = TestInput::zeroed(1);
+        b.regs[0] = 1024;
+        let mut ex = Executor::new(ExecutorConfig::new(DefenseKind::Baseline));
+        let ctx = ex.run_case_traced(&flat, &a).start_ctx;
+        let (ta, tb) = (
+            ex.run_case_with_ctx(&flat, &a, &ctx),
+            ex.run_case_with_ctx(&flat, &b, &ctx),
+        );
+        let (da, db) = (
+            ex.run_case_digest_with_ctx(&flat, &a, &ctx),
+            ex.run_case_digest_with_ctx(&flat, &b, &ctx),
+        );
+        assert!(ex.last_log().is_empty(), "digest replays do not log");
+        assert_eq!(da.result.cycles, ta.result.cycles);
+        assert_eq!(db.result.cycles, tb.result.cycles);
+        assert_ne!(ta.utrace, tb.utrace);
+        assert_ne!(da.digest, db.digest);
+        let again = ex.run_case_digest_with_ctx(&flat, &a, &ctx);
+        assert_eq!(again.digest, da.digest, "replays are deterministic");
     }
 }
