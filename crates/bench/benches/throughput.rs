@@ -259,9 +259,10 @@ fn stt_hot_path(json: &mut String, programs: usize) {
     );
 }
 
-/// The violation minimiser (`amulet serve`'s corpus pass): every
-/// confirmed violation of one fixed-seed quick Baseline × CT-SEQ campaign
-/// is minimised with the executor configuration that found it. Reports
+/// The violation minimiser (the per-batch corpus pass of a corpus-backed
+/// `amulet serve`): every confirmed violation of one fixed-seed quick
+/// Baseline × CT-SEQ campaign is minimised with the executor configuration
+/// that found it. Reports
 /// violations/sec and reduction attempts/sec, median of 5 passes.
 fn minimize_bench(json: &mut String) {
     let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);

@@ -404,7 +404,7 @@ fn connect_checked<L: WorkerLink>(
 /// One batch over a live session: heartbeat probe, forward a lowered
 /// cancel floor, assign the batch, await its fragment under the batch
 /// deadline. A skipped fragment is accepted only past a floor this link
-/// was sent.
+/// was sent, and a records batch only with one record per violation.
 fn call_worker<L: WorkerLink>(
     session: &mut Session<L>,
     lease: &Lease,
@@ -432,13 +432,19 @@ fn call_worker<L: WorkerLink>(
     link.send(&Msg::Batch(spec))?;
     match link.recv_timeout(drive.batch_timeout)? {
         Some(Msg::Fragment(reply))
-            if reply.index == spec.index && (!reply.skipped || spec.index > session.sent_floor) =>
+            if reply.index == spec.index
+                && (!reply.skipped || spec.index > session.sent_floor)
+                && (!spec.records || reply.records.len() == reply.violations.len()) =>
         {
             Ok(reply)
         }
         Some(Msg::Fragment(reply)) => Err(format!(
-            "unusable fragment for batch {} (index {}, skipped {})",
-            spec.index, reply.index, reply.skipped
+            "unusable fragment for batch {} (index {}, skipped {}, {} records for {} violations)",
+            spec.index,
+            reply.index,
+            reply.skipped,
+            reply.records.len(),
+            reply.violations.len()
         )),
         Some(other) => Err(format!("expected fragment, got {:?}", other.tag())),
         None => Err(format!(
@@ -466,7 +472,8 @@ pub(crate) fn backoff_delay(rng: &mut Xoshiro256, drive: &DriveConfig, attempt: 
 mod tests {
     use super::*;
     use amulet_contracts::ContractKind;
-    use amulet_core::proto::Hello;
+    use amulet_core::proto::{CampaignSpec, Hello};
+    use amulet_core::{Corpus, CorpusInput, Reduction, ViolationClass, ViolationDigest};
     use amulet_defenses::DefenseKind;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -576,6 +583,93 @@ mod tests {
             !err.contains("campaign incomplete"),
             "the handshake mismatch itself must surface: {err}"
         );
+    }
+
+    /// A worker that answers every batch with one violation digest and
+    /// `records` minimized records.
+    struct RecordsLink {
+        records: usize,
+        replies: Vec<Msg>,
+    }
+
+    impl WorkerLink for RecordsLink {
+        fn send(&mut self, msg: &Msg) -> Result<(), String> {
+            match msg {
+                Msg::Ping { token } => self.replies.push(Msg::Pong { token: *token }),
+                Msg::Batch(spec) => {
+                    let input = CorpusInput {
+                        regs: [0; 16],
+                        flags: 0,
+                        mem_digest: 0,
+                        mem_len: 0,
+                    };
+                    let record = Reduction {
+                        program: String::new(),
+                        removed: 0,
+                        input_a: input.clone(),
+                        input_b: input,
+                    };
+                    self.replies.push(Msg::Fragment(FragmentReport {
+                        skipped: false,
+                        violations: vec![ViolationDigest {
+                            class: ViolationClass::SpectreV1,
+                            ctrace_digest: 0,
+                            l1d_diff: Vec::new(),
+                            dtlb_diff: Vec::new(),
+                            l1i_diff: Vec::new(),
+                        }],
+                        records: vec![record; self.records],
+                        ..FragmentReport::skipped(spec.index)
+                    }));
+                }
+                _ => {}
+            }
+            Ok(())
+        }
+        fn recv_timeout(&mut self, _timeout: Duration) -> Result<Option<Msg>, String> {
+            Ok((!self.replies.is_empty()).then(|| self.replies.remove(0)))
+        }
+    }
+
+    /// A batch that asked for records must come back with one record per
+    /// violation; fewer is an unusable fragment, like a wrong index.
+    #[test]
+    fn a_records_batch_answered_without_its_records_is_rejected() {
+        let service = Service::with_corpus(Some(Corpus::open(
+            std::env::temp_dir().join(format!("amulet_fleet_records_{}", std::process::id())),
+        )));
+        let spec = CampaignSpec {
+            defense: "Baseline".into(),
+            contract: "CT-SEQ".into(),
+            source: "PHT".into(),
+            seed: 1,
+            scale: None,
+            find_first: false,
+            batch_programs: 4,
+            cycle_skip: true,
+        };
+        service.submit(&spec).unwrap();
+        let LeaseWait::Lease(lease) = service.wait_lease(ms(10)) else {
+            panic!("expected a lease")
+        };
+        assert!(
+            lease.spec.records,
+            "a service with a corpus asks for records"
+        );
+        let call = |records| {
+            let mut session = Session {
+                campaign: lease.campaign,
+                link: RecordsLink {
+                    records,
+                    replies: Vec::new(),
+                },
+                sent_floor: usize::MAX,
+            };
+            call_worker(&mut session, &lease, &quick_drive(), 1)
+        };
+        let err = call(0).unwrap_err();
+        assert!(err.contains("0 records for 1 violations"), "{err}");
+        assert_eq!(call(1).unwrap().records.len(), 1);
     }
 
     /// Backoff is deterministic in (seed, attempt), grows exponentially,

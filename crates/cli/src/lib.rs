@@ -839,6 +839,7 @@ mod tests {
             config: CampaignConfig::quick(DefenseKind::SpecLfb, ContractKind::CtSeq),
             violations: Vec::new(),
             digests: Vec::new(),
+            records: Vec::new(),
             stats: ScanStats {
                 cases: 672,
                 classes: 96,

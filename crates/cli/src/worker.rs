@@ -161,7 +161,7 @@ pub fn serve_session(
 ///
 /// let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
 /// cfg.programs_per_instance = 1;
-/// let spec = BatchSpec { index: 0, instance: 0, batch: 0, programs: 1 };
+/// let spec = BatchSpec { index: 0, instance: 0, batch: 0, programs: 1, records: false };
 /// let script = format!("{}\n{}\n", Msg::Batch(spec).to_line(), Msg::Shutdown.to_line());
 /// let mut out = Vec::new();
 /// serve_worker(&cfg, script.as_bytes(), &mut out).unwrap();
@@ -285,6 +285,7 @@ mod tests {
             instance: 0,
             batch: index,
             programs: 1,
+            records: false,
         };
         let replies = session(
             &cfg,
@@ -331,6 +332,7 @@ mod tests {
             instance: 0,
             batch: index,
             programs: 1,
+            records: false,
         };
         let replies = session(
             &cfg,
@@ -373,6 +375,7 @@ mod tests {
             instance: 0,
             batch: 0,
             programs: 1,
+            records: false,
         };
         let input = format!(
             "this is not json\n{}\n{}\n{}",

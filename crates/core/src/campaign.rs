@@ -2,11 +2,13 @@
 //! metrics (Table 3/4 columns).
 
 use crate::analyze::{classify, ViolationClass, ViolationFilter};
+use crate::corpus::{CorpusInput, Reduction};
 use crate::cost::CostModel;
 use crate::detect::{Detector, ScanStats, Violation};
 use crate::executor::{ExecMode, Executor, ExecutorConfig};
 use crate::generator::{Generator, GeneratorConfig};
 use crate::inputs::{boosted_inputs_and_classes_into, InputGenConfig};
+use crate::minimize::minimize;
 use crate::trace::TraceFormat;
 use amulet_contracts::{ContractKind, LeakageModel, ModelScratch};
 use amulet_defenses::DefenseKind;
@@ -281,14 +283,20 @@ pub struct CampaignReport {
     /// The configuration that produced this report.
     pub config: CampaignConfig,
     /// Confirmed violations with their classes (filtered). Reports reduced
-    /// from wire fragments (`amulet drive`) leave this empty — the full
-    /// artefacts stay in the worker process — and carry only
-    /// [`CampaignReport::digests`].
+    /// by a [`Service`](crate::Service) (`amulet drive`, `amulet serve`)
+    /// leave this empty — artefacts stay in the slot that ran the batch —
+    /// and carry only [`CampaignReport::digests`] and, with a corpus,
+    /// [`CampaignReport::records`].
     pub violations: Vec<(Violation, ViolationClass)>,
     /// Deterministic per-violation digests, in the same order as
     /// [`CampaignReport::violations`] for in-process runs; always populated,
     /// and the sole violation input to [`CampaignReport::fingerprint`].
     pub digests: Vec<ViolationDigest>,
+    /// The minimized corpus fields, one per digest and in digest order —
+    /// present only when the batches asked for records (a
+    /// [`Service`](crate::Service) with a corpus), otherwise empty. Not
+    /// part of the fingerprint.
+    pub records: Vec<Reduction>,
     /// Aggregate detector counters.
     pub stats: ScanStats,
     /// Wall-clock campaign duration (longest instance).
@@ -574,6 +582,7 @@ impl Campaign {
         let mut report = CampaignReport {
             violations: Vec::new(),
             digests: Vec::new(),
+            records: Vec::new(),
             stats: ScanStats::default(),
             wall,
             detection_times: Summary::new(),
@@ -645,6 +654,33 @@ impl UnitRuntime {
     /// An empty runtime; components are built lazily on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Minimizes `violations` on this runtime's executor and detector.
+    /// Each attempt runs under the violation's own starting context and
+    /// the next unit resets the executor, so the result depends on the
+    /// violation alone, never on what this runtime ran before.
+    pub(crate) fn reductions(
+        &mut self,
+        cfg: &CampaignConfig,
+        violations: &[(Violation, ViolationClass)],
+    ) -> Vec<Reduction> {
+        let executor = self.executor.get_or_insert_with(|| executor_for(cfg));
+        let detector = self
+            .detector
+            .get_or_insert_with(|| Detector::new(LeakageModel::new(cfg.contract)));
+        violations
+            .iter()
+            .map(|(v, _)| {
+                let min = minimize(v, detector, executor);
+                Reduction {
+                    program: min.program.to_string(),
+                    removed: min.removed as u64,
+                    input_a: CorpusInput::of(&v.input_a),
+                    input_b: CorpusInput::of(&v.input_b),
+                }
+            })
+            .collect()
     }
 }
 
@@ -806,6 +842,7 @@ mod tests {
             config: CampaignConfig::quick(defense, contract),
             violations: Vec::new(),
             digests: Vec::new(),
+            records: Vec::new(),
             stats: ScanStats::default(),
             wall: Duration::from_millis(1234),
             detection_times: Summary::new(),

@@ -3,10 +3,16 @@
 //!
 //! SpecFuzz-style accumulation: every violating campaign appends its
 //! findings to an append-only JSONL file, one [`CorpusRecord`] per line —
-//! the *minimized* program (delta-debugged via [`crate::minimize()`]), the
-//! violating input pair, the class and the deterministic digest. The file
-//! reopens to exactly the records written (`amulet corpus` queries it),
-//! and because it is append-only, a daemon restart loses nothing.
+//! the *minimized* program, the violating input pair, the class and the
+//! deterministic digest. The file reopens to exactly the records written
+//! (`amulet corpus` queries it), and because it is append-only, a daemon
+//! restart loses nothing.
+//!
+//! This module only stores records. Minimization happens inside the batch
+//! that found each violation ([`run_batch`](crate::shard::run_batch), when
+//! the batch asks for records), and each result travels with its digest
+//! as a [`Reduction`] — in memory, on the wire and in the journal — so a
+//! record is the same whichever slot ran the batch.
 //!
 //! # Encoding
 //!
@@ -28,11 +34,8 @@
 //! # let _ = std::fs::remove_file(dir);
 //! ```
 
-use crate::campaign::{executor_for, CampaignReport, Fnv1a, ViolationDigest};
-use crate::detect::Detector;
-use crate::minimize::minimize;
+use crate::campaign::{CampaignReport, Fnv1a, ViolationDigest};
 use crate::proto::{hex_arr_field, hex_u64, str_field, u64_field, violation_from_json};
-use amulet_contracts::LeakageModel;
 use amulet_isa::TestInput;
 use amulet_util::json::{parse_json, JsonObj, JsonValue};
 use std::io::Write;
@@ -85,8 +88,10 @@ pub struct CorpusRecord {
     pub program: String,
     /// Instructions removed by minimisation.
     pub removed: u64,
-    /// Input A of the violating pair (absent for digest-only records from
-    /// wire-reduced reports, where the artefacts stayed in the workers).
+    /// Input A of the violating pair. Every record written now carries
+    /// both inputs; they are absent only in corpus files written before
+    /// minimization moved into the batch, when wire-reduced campaigns left
+    /// digest-only records.
     pub input_a: Option<CorpusInput>,
     /// Input B of the violating pair.
     pub input_b: Option<CorpusInput>,
@@ -133,6 +138,43 @@ impl CorpusRecord {
             input_b: input_of("input_b")?,
         })
     }
+}
+
+/// A violation's minimized form: the corpus fields the batch that found it
+/// computes, beside its [`ViolationDigest`]. Fragments and reports carry
+/// one per digest, in digest order, when their batches asked for records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reduction {
+    /// The minimized program, in parseable assembly text.
+    pub program: String,
+    /// Instructions removed by minimisation.
+    pub removed: u64,
+    /// Input A of the violating pair.
+    pub input_a: CorpusInput,
+    /// Input B of the violating pair.
+    pub input_b: CorpusInput,
+}
+
+/// Serialises a [`Reduction`] as one entry of a fragment's `records`
+/// array, with the inputs in the corpus line encoding.
+pub(crate) fn reduction_to_json(r: &Reduction) -> String {
+    JsonObj::new()
+        .str("program", &r.program)
+        .int("removed", r.removed)
+        .raw("input_a", &input_to_json(&r.input_a))
+        .raw("input_b", &input_to_json(&r.input_b))
+        .finish()
+}
+
+pub(crate) fn reduction_from_json(v: &JsonValue) -> Result<Reduction, String> {
+    let input_of =
+        |key: &str| input_from_json(v.get(key).ok_or_else(|| format!("record: missing {key}"))?);
+    Ok(Reduction {
+        program: str_field(v, "program")?.to_string(),
+        removed: u64_field(v, "removed")?,
+        input_a: input_of("input_a")?,
+        input_b: input_of("input_b")?,
+    })
 }
 
 fn input_to_json(i: &CorpusInput) -> String {
@@ -256,48 +298,26 @@ impl Corpus {
     }
 }
 
-/// Builds the corpus records for one completed report.
-///
-/// In-process reports carry full [`Violation`](crate::Violation)
-/// artefacts: each is
-/// minimized (the corpus stores root-cause-ready programs, not raw fuzzer
-/// output) and digested with its input pair. Wire-reduced reports carry
-/// digests only — those become digest-only records (empty program, no
-/// inputs), so a violating campaign always leaves a trace in the corpus.
+/// The corpus records of one completed report: its digests zipped with
+/// the [`Reduction`]s its batches computed. A report whose batches did not
+/// ask for records (every orchestrator but a [`Service`](crate::Service)
+/// with a corpus) yields none.
 pub fn records_from_report(report: &CampaignReport) -> Vec<CorpusRecord> {
     let cfg = &report.config;
-    let context = |digest: ViolationDigest, program: String, removed: u64| CorpusRecord {
-        defense: cfg.defense.name().to_string(),
-        contract: cfg.contract.name().to_string(),
-        seed: cfg.seed,
-        digest,
-        program,
-        removed,
-        input_a: None,
-        input_b: None,
-    };
-    if report.violations.is_empty() {
-        return report
-            .digests
-            .iter()
-            .map(|d| context(d.clone(), String::new(), 0))
-            .collect();
-    }
-    let mut executor = executor_for(cfg);
-    let detector = Detector::new(LeakageModel::new(cfg.contract));
+    debug_assert!(report.records.is_empty() || report.records.len() == report.digests.len());
     report
-        .violations
+        .digests
         .iter()
-        .map(|(violation, class)| {
-            let min = minimize(violation, &detector, &mut executor);
-            let digest = ViolationDigest::of(violation, *class);
-            CorpusRecord {
-                program: min.program.to_string(),
-                removed: min.removed as u64,
-                input_a: Some(CorpusInput::of(&violation.input_a)),
-                input_b: Some(CorpusInput::of(&violation.input_b)),
-                ..context(digest, String::new(), 0)
-            }
+        .zip(&report.records)
+        .map(|(digest, r)| CorpusRecord {
+            defense: cfg.defense.name().to_string(),
+            contract: cfg.contract.name().to_string(),
+            seed: cfg.seed,
+            digest: digest.clone(),
+            program: r.program.clone(),
+            removed: r.removed,
+            input_a: Some(r.input_a.clone()),
+            input_b: Some(r.input_b.clone()),
         })
         .collect()
 }

@@ -261,8 +261,9 @@ impl CampaignJournal {
 pub struct JournalReplay {
     /// The identity header.
     pub header: JournalHeader,
-    /// Journaled fragments, deduplicated by batch index (first wins; the
-    /// service is deterministic, so duplicates are byte-identical anyway —
+    /// Journaled fragments, deduplicated by batch index (the last line
+    /// wins: the service is deterministic, so a duplicate differs at most
+    /// by the corpus records a corpus-backed resume re-ran the batch for —
     /// the dedup is the never-double-count backstop).
     pub fragments: Vec<FragmentReport>,
     /// Whether a torn trailing line was skipped.
@@ -356,6 +357,8 @@ pub fn load_journal(path: &Path, expect_key: &str) -> Result<Option<JournalRepla
                         "journal_duplicate_fragment",
                         &[("path", shown.as_str()), ("index", &frag.index.to_string())],
                     );
+                    let at = fragments.iter().position(|f| f.index == frag.index);
+                    fragments[at.expect("seen indices were pushed")] = frag;
                 }
             }
             Ok(other) => {
@@ -609,6 +612,7 @@ mod tests {
             } else {
                 Vec::new()
             },
+            records: Vec::new(),
         }
     }
 
@@ -684,6 +688,49 @@ mod tests {
         // And a header line that is not a journal header is an error too.
         std::fs::write(&path, "{\"type\":\"hello\"}\n").unwrap();
         assert!(load_journal(&path, &key).unwrap_err().contains("header"));
+        std::fs::remove_dir_all(state.path()).unwrap();
+    }
+
+    /// A batch journaled twice keeps its later line: the re-run a
+    /// corpus-backed resume made to add records replaces the record-less
+    /// fragment, in place.
+    #[test]
+    fn a_later_duplicate_fragment_supersedes_the_earlier_one() {
+        use crate::corpus::{CorpusInput, Reduction};
+        let state = StateDir::open(tmp_dir("duplicate")).unwrap();
+        let spec = sample_spec(13);
+        let path = state.journal_path(&spec.cache_key());
+        let mut journal =
+            CampaignJournal::create(&path, &JournalHeader::for_spec(&spec, 8)).unwrap();
+        let input = CorpusInput {
+            regs: [2; 16],
+            flags: 0,
+            mem_digest: 3,
+            mem_len: 4096,
+        };
+        let rerun = FragmentReport {
+            records: vec![Reduction {
+                program: ".bb_main.exit:\n    EXIT\n".into(),
+                removed: 4,
+                input_a: input.clone(),
+                input_b: input,
+            }],
+            ..sample_fragment(2)
+        };
+        for frag in [
+            sample_fragment(1),
+            sample_fragment(2),
+            sample_fragment(3),
+            rerun.clone(),
+        ] {
+            journal.append(&frag).unwrap();
+        }
+        drop(journal);
+        let replay = load_journal(&path, &spec.cache_key()).unwrap().unwrap();
+        assert_eq!(
+            replay.fragments,
+            vec![sample_fragment(1), rerun, sample_fragment(3)]
+        );
         std::fs::remove_dir_all(state.path()).unwrap();
     }
 

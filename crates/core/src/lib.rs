@@ -77,7 +77,7 @@ pub use boundary::{
 pub use campaign::{
     Campaign, CampaignConfig, CampaignReport, SpecSource, UnitRuntime, ViolationDigest, STL_WINDOW,
 };
-pub use corpus::{records_from_report, Corpus, CorpusInput, CorpusRecord};
+pub use corpus::{records_from_report, Corpus, CorpusInput, CorpusRecord, Reduction};
 pub use cost::{CostModel, TimeBreakdown};
 pub use detect::{Detector, ScanStats, Violation};
 pub use executor::{CaseDigest, CaseRun, ExecMode, Executor, ExecutorConfig};

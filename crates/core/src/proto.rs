@@ -48,7 +48,7 @@
 //! use amulet_core::proto::{FragmentReport, Msg};
 //! use amulet_core::shard::BatchSpec;
 //!
-//! let batch = Msg::Batch(BatchSpec { index: 7, instance: 1, batch: 3, programs: 4 });
+//! let batch = Msg::Batch(BatchSpec { index: 7, instance: 1, batch: 3, programs: 4, records: false });
 //! let line = batch.to_line();
 //! assert!(line.starts_with(r#"{"type":"batch""#));
 //! assert_eq!(Msg::parse_line(&line).unwrap(), batch);
@@ -59,6 +59,7 @@
 
 use crate::analyze::ViolationClass;
 use crate::campaign::{self, CampaignConfig, CampaignReport, SpecSource, ViolationDigest};
+use crate::corpus::{reduction_from_json, reduction_to_json, Reduction};
 use crate::detect::ScanStats;
 use crate::shard::{BatchSpec, Fragment};
 use amulet_contracts::ContractKind;
@@ -89,7 +90,14 @@ use std::time::Duration;
 /// gracefully: no new campaigns are admitted, in-flight work is finished
 /// or journal-checkpointed). Neither carries campaign state, so neither
 /// can perturb a fingerprint.
-pub const PROTO_VERSION: u64 = 5;
+///
+/// Version 6 added two optional fields for corpus records: `"records":true`
+/// on a `batch` asks the worker to minimize the batch's violations, and the
+/// answering `fragment` carries a `records` array parallel to
+/// `violations`. Both are omitted when absent, so older lines parse and
+/// re-encode byte-identically; the bump makes an older worker fail at
+/// `hello` instead of answering a records batch without records.
+pub const PROTO_VERSION: u64 = 6;
 
 /// The worker's startup announcement: protocol version plus an echo of the
 /// campaign identity it resolved from its command line, so a driver/worker
@@ -170,8 +178,10 @@ impl Hello {
 }
 
 /// One batch's results in wire form: the deterministic reduction inputs
-/// (counters + violation digests), never the full artefacts — programs,
-/// inputs, contexts and debug logs stay in the worker process.
+/// (counters + violation digests) plus, when the batch asked for records,
+/// each violation's minimized [`Reduction`]. The full artefacts — the
+/// original programs, starting contexts and debug logs — stay in the
+/// worker process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FragmentReport {
     /// Global batch index this fragment answers.
@@ -187,6 +197,9 @@ pub struct FragmentReport {
     pub first_detection_s: Option<f64>,
     /// Per-violation deterministic digests, in confirmation order.
     pub violations: Vec<ViolationDigest>,
+    /// Minimized corpus fields, parallel to `violations` (empty unless the
+    /// batch asked for records).
+    pub records: Vec<Reduction>,
 }
 
 impl FragmentReport {
@@ -198,6 +211,7 @@ impl FragmentReport {
             stats: frag.stats,
             first_detection_s: frag.first_detection.map(|d| d.as_secs_f64()),
             violations: frag.digests.clone(),
+            records: frag.records.clone(),
         }
     }
 
@@ -209,11 +223,12 @@ impl FragmentReport {
             stats: ScanStats::default(),
             first_detection_s: None,
             violations: Vec::new(),
+            records: Vec::new(),
         }
     }
 
-    /// Converts back into the reducer's [`Fragment`] (digest-only; the
-    /// `violations` artefact list stays empty). An out-of-range detection
+    /// Converts back into the reducer's [`Fragment`] (digests and records;
+    /// the `violations` artefact list stays empty). An out-of-range detection
     /// time degrades to `None` rather than panicking — [`Msg::parse_line`]
     /// already rejects such values, this is the backstop for hand-built
     /// reports.
@@ -222,6 +237,7 @@ impl FragmentReport {
             index: self.index,
             violations: Vec::new(),
             digests: self.violations,
+            records: self.records,
             stats: self.stats,
             first_detection: self
                 .first_detection_s
@@ -566,12 +582,19 @@ impl Msg {
                     .finish()
             }
             Msg::Ping { token } | Msg::Pong { token } => obj.int("token", *token).finish(),
-            Msg::Batch(b) => obj
-                .int("index", b.index as u64)
-                .int("instance", b.instance as u64)
-                .int("batch", b.batch as u64)
-                .int("programs", b.programs as u64)
-                .finish(),
+            Msg::Batch(b) => {
+                let out = obj
+                    .int("index", b.index as u64)
+                    .int("instance", b.instance as u64)
+                    .int("batch", b.batch as u64)
+                    .int("programs", b.programs as u64);
+                if b.records {
+                    out.bool("records", true)
+                } else {
+                    out
+                }
+                .finish()
+            }
             Msg::Cancel { earliest } => obj.int("earliest", *earliest as u64).finish(),
             Msg::Shutdown => obj.finish(),
             Msg::Fragment(f) => {
@@ -588,8 +611,12 @@ impl Msg {
                     out = out.num("first_detection_s", s);
                 }
                 let violations: Vec<String> = f.violations.iter().map(violation_to_json).collect();
-                out.raw("violations", &format!("[{}]", violations.join(",")))
-                    .finish()
+                out = out.raw("violations", &format!("[{}]", violations.join(",")));
+                if !f.records.is_empty() {
+                    let records: Vec<String> = f.records.iter().map(reduction_to_json).collect();
+                    out = out.raw("records", &format!("[{}]", records.join(",")));
+                }
+                out.finish()
             }
             Msg::Submit(s) => {
                 let mut out = obj.str("defense", &s.defense).str("contract", &s.contract);
@@ -698,6 +725,10 @@ impl Msg {
                 instance: usize_field(&v, "instance")?,
                 batch: usize_field(&v, "batch")?,
                 programs: usize_field(&v, "programs")?,
+                records: v
+                    .get("records")
+                    .and_then(JsonValue::as_bool)
+                    .unwrap_or(false),
             })),
             "cancel" => Ok(Msg::Cancel {
                 earliest: usize_field(&v, "earliest")?,
@@ -720,6 +751,15 @@ impl Msg {
                     .iter()
                     .map(violation_from_json)
                     .collect::<Result<Vec<_>, _>>()?;
+                let records = match v.get("records") {
+                    None | Some(JsonValue::Null) => Vec::new(),
+                    Some(arr) => arr
+                        .as_arr()
+                        .ok_or("fragment: records must be an array")?
+                        .iter()
+                        .map(reduction_from_json)
+                        .collect::<Result<Vec<_>, _>>()?,
+                };
                 // Validate here so a malformed worker yields a protocol
                 // error, not a Duration-conversion panic downstream. The
                 // parser can produce non-finite values (`1e999` → inf) and
@@ -741,6 +781,7 @@ impl Msg {
                     stats,
                     first_detection_s,
                     violations,
+                    records,
                 }))
             }
             "submit" => {
@@ -992,6 +1033,21 @@ mod tests {
         }
     }
 
+    fn sample_reduction() -> Reduction {
+        let input = |seed: u64| crate::corpus::CorpusInput {
+            regs: [seed; 16],
+            flags: 0x46,
+            mem_digest: u64::MAX - seed,
+            mem_len: 4096,
+        };
+        Reduction {
+            program: ".bb_main.0:\n    JL .bb_main.exit\n.bb_main.exit:\n".into(),
+            removed: 7,
+            input_a: input(1),
+            input_b: input(2),
+        }
+    }
+
     fn sample_spec() -> CampaignSpec {
         CampaignSpec {
             defense: "Baseline".into(),
@@ -1051,6 +1107,14 @@ mod tests {
                 instance: 1,
                 batch: 5,
                 programs: 4,
+                records: false,
+            }),
+            Msg::Batch(BatchSpec {
+                index: 12,
+                instance: 1,
+                batch: 6,
+                programs: 4,
+                records: true,
             }),
             Msg::Cancel { earliest: 3 },
             Msg::Shutdown,
@@ -1068,6 +1132,7 @@ mod tests {
                 },
                 first_detection_s: Some(0.015625),
                 violations: vec![sample_digest()],
+                records: vec![sample_reduction()],
             }),
             Msg::Fragment(FragmentReport::skipped(42)),
             Msg::Submit(sample_spec()),
@@ -1144,6 +1209,7 @@ mod tests {
                 instance: 0,
                 batch: 0,
                 programs: 1,
+                records: false,
             }),
             Msg::Cancel { earliest: 0 },
             Msg::Shutdown,
@@ -1331,6 +1397,7 @@ mod tests {
             index: 5,
             violations: Vec::new(),
             digests: vec![sample_digest()],
+            records: vec![sample_reduction()],
             stats: ScanStats {
                 cases: 7,
                 sim_cycles: 1234,
@@ -1346,6 +1413,7 @@ mod tests {
         let back = parsed.into_fragment();
         assert_eq!(back.index, frag.index);
         assert_eq!(back.digests, frag.digests);
+        assert_eq!(back.records, frag.records);
         assert_eq!(back.stats, frag.stats);
         assert_eq!(back.first_detection, frag.first_detection);
     }

@@ -430,7 +430,7 @@ impl Service {
     pub fn submit_for(&self, client: u64, spec: &CampaignSpec) -> Result<SubmitOutcome, String> {
         let cfg = spec.resolve()?;
         let key = spec.cache_key();
-        let batches = plan_batches(&cfg, spec.batch_programs);
+        let batches = self.plan(&cfg, spec.batch_programs);
         let mut inner = self.inner.lock().unwrap();
         if inner.shutdown {
             return Err("service is shutting down".into());
@@ -535,9 +535,13 @@ impl Service {
                     ),
                 }
                 if let Some(r) = replay {
+                    // A violating fragment journaled without records (by a
+                    // corpus-less daemon, or before batches carried them)
+                    // cannot feed the corpus: its batch re-runs instead.
                     recovered_frags = r
                         .fragments
                         .into_iter()
+                        .filter(|f| self.corpus.is_none() || f.records.len() == f.violations.len())
                         .map(FragmentReport::into_fragment)
                         .collect();
                 }
@@ -618,7 +622,7 @@ impl Service {
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        let batches = plan_batches(&cfg, batch_programs);
+        let batches = self.plan(&cfg, batch_programs);
         let total = batches.len();
         let camp = ActiveCampaign {
             reply: Some(reply),
@@ -627,6 +631,16 @@ impl Service {
         };
         self.admit(inner, camp);
         rx
+    }
+
+    /// The batch plan for `cfg`. With a corpus, every batch asks for
+    /// records — the only place that request is made.
+    fn plan(&self, cfg: &CampaignConfig, batch_programs: usize) -> Vec<BatchSpec> {
+        let mut batches = plan_batches(cfg, batch_programs);
+        for b in &mut batches {
+            b.records = self.corpus.is_some();
+        }
+        batches
     }
 
     /// Activates a campaign — or finalizes it at once when it has nothing
@@ -886,7 +900,10 @@ impl Service {
     /// Completes a lease with its executed fragment. Drives the campaign's
     /// progress stream and, on the final fragment, the reduction, the cache
     /// fill and the corpus append.
-    pub fn complete(&self, lease: Lease, fragment: Fragment) {
+    pub fn complete(&self, lease: Lease, mut fragment: Fragment) {
+        // A service reduces digests and records only, so a report cannot
+        // depend on whether an in-process slot also handed over artefacts.
+        fragment.violations = Vec::new();
         self.executed_total.fetch_add(1, Ordering::SeqCst);
         let mut inner = self.inner.lock().unwrap();
         let Some(pos) = inner.active.iter().position(|c| c.id == lease.campaign) else {
@@ -1324,6 +1341,67 @@ mod tests {
                 "campaign {campaign}: {error:?}"
             );
         }
+    }
+
+    /// With a corpus, a journaled violating fragment that carries no
+    /// records (written by a corpus-less daemon) is not replayed: its batch
+    /// is leased again, asking for records. A clean fragment still
+    /// replays, and a corpus-less service replays both.
+    #[test]
+    fn corpus_resume_reruns_violating_fragments_without_records() {
+        use crate::analyze::ViolationClass;
+        use crate::campaign::ViolationDigest;
+        use crate::detect::ScanStats;
+        use crate::journal::{CampaignJournal, JournalHeader};
+
+        let dir =
+            std::env::temp_dir().join(format!("amulet_service_records_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let state = StateDir::open(&dir).unwrap();
+        let spec = quick_spec(50);
+        let total = plan_batches(&spec.resolve().unwrap(), spec.batch_programs).len() as u64;
+        let fragment = |index, violations| FragmentReport {
+            index,
+            skipped: false,
+            stats: ScanStats::default(),
+            first_detection_s: None,
+            violations,
+            records: Vec::new(),
+        };
+        let digest = ViolationDigest {
+            class: ViolationClass::SpectreV1,
+            ctrace_digest: 1,
+            l1d_diff: vec![0x4740],
+            dtlb_diff: Vec::new(),
+            l1i_diff: Vec::new(),
+        };
+        let boot = |corpus: Option<Corpus>| {
+            let path = state.journal_path(&spec.cache_key());
+            let header = JournalHeader::for_spec(&spec, total);
+            let mut journal = CampaignJournal::create(&path, &header).unwrap();
+            journal.append(&fragment(0, vec![digest.clone()])).unwrap();
+            journal.append(&fragment(1, Vec::new())).unwrap();
+            Service::with_persistence(corpus, state.clone(), state.recover().unwrap())
+        };
+
+        let plain = boot(None);
+        let SubmitOutcome::Accepted { recovered, .. } = plain.submit(&spec).unwrap() else {
+            panic!("a journaled campaign resumes")
+        };
+        assert_eq!(recovered, 2, "without a corpus both fragments replay");
+
+        let corpus = Corpus::open(dir.join("corpus.jsonl"));
+        let with_corpus = boot(Some(corpus));
+        let SubmitOutcome::Accepted { recovered, .. } = with_corpus.submit(&spec).unwrap() else {
+            panic!("a journaled campaign resumes")
+        };
+        assert_eq!(recovered, 1, "only the clean fragment replays");
+        let LeaseWait::Lease(lease) = with_corpus.wait_lease(Duration::from_millis(10)) else {
+            panic!("expected a lease")
+        };
+        assert_eq!(lease.spec.index, 0, "the violating batch re-runs first");
+        assert!(lease.spec.records, "and asks for records");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A released lease goes back to the same campaign and is re-leased

@@ -53,6 +53,7 @@
 
 use crate::analyze::ViolationClass;
 use crate::campaign::{run_programs, CampaignConfig, CampaignReport, UnitRuntime, ViolationDigest};
+use crate::corpus::Reduction;
 use crate::cost::CostModel;
 use crate::detect::{ScanStats, Violation};
 use amulet_util::{SplitMix64, Summary, Xoshiro256};
@@ -118,6 +119,10 @@ pub struct BatchSpec {
     pub batch: usize,
     /// Programs in this batch (the final batch of an instance may be short).
     pub programs: usize,
+    /// Whether the batch minimizes its violations into corpus records. Set
+    /// only by a [`Service`](crate::Service) with a corpus; it never
+    /// changes the digests or the fingerprint.
+    pub records: bool,
 }
 
 /// Results of one executed batch, merged by [`reduce_fragments`] in `index`
@@ -127,7 +132,8 @@ pub struct BatchSpec {
 /// reconstructed from the wire protocol carry only the deterministic
 /// [`ViolationDigest`]s (the full artefacts stay in the worker process).
 /// `digests` is always authoritative — it is what the campaign fingerprint
-/// hashes.
+/// hashes. When the batch asked for records, `records` holds one
+/// minimized [`Reduction`] per digest, which does cross the wire.
 #[derive(Debug, Default)]
 pub struct Fragment {
     /// Global batch index this fragment answers.
@@ -136,6 +142,9 @@ pub struct Fragment {
     pub violations: Vec<(Violation, ViolationClass)>,
     /// Deterministic per-violation digests, same order as `violations`.
     pub digests: Vec<ViolationDigest>,
+    /// Minimized corpus fields, one per digest (empty unless
+    /// [`BatchSpec::records`] was set).
+    pub records: Vec<Reduction>,
     /// Detector counters for this batch.
     pub stats: ScanStats,
     /// Time from the campaign anchor to this batch's first confirmation.
@@ -226,6 +235,7 @@ pub fn plan_batches(cfg: &CampaignConfig, batch_programs: usize) -> Vec<BatchSpe
                 instance,
                 batch,
                 programs,
+                records: false,
             });
             remaining -= programs;
             batch += 1;
@@ -257,6 +267,10 @@ fn batch_seed(campaign_seed: u64, instance: usize, batch: usize) -> u64 {
 /// and scratch buffers are *reused* across every batch the worker runs, and
 /// reset to batch-fresh semantics inside the scan loop — so results stay
 /// independent of which worker (thread **or process**) ran the batch.
+///
+/// With [`BatchSpec::records`] set, the batch then minimizes each of its
+/// violations on the same runtime, so the corpus fields travel with the
+/// digests wherever the fragment goes.
 pub fn run_batch(
     cfg: &CampaignConfig,
     spec: &BatchSpec,
@@ -270,10 +284,16 @@ pub fn run_batch(
         .iter()
         .map(|(v, c)| ViolationDigest::of(v, *c))
         .collect();
+    let records = if spec.records {
+        rt.reductions(cfg, &scan.violations)
+    } else {
+        Vec::new()
+    };
     Fragment {
         index: spec.index,
         violations: scan.violations,
         digests,
+        records,
         stats: scan.stats,
         first_detection: scan.first_detection,
     }
@@ -329,7 +349,8 @@ pub fn verify_fragment_coverage(
 /// The deterministic reducer both the in-process pool and the
 /// multi-process driver share: sorts fragments by batch index, keeps the
 /// `index <= earliest_hit` prefix when find-first trimmed the plan, and
-/// folds stats / violations / detection time into one [`CampaignReport`].
+/// folds stats / violations / digests / records / detection time into one
+/// [`CampaignReport`].
 ///
 /// Find-first cancellation can never change the reduced prefix: sources
 /// hand out batch indices in order, so every batch at or before the
@@ -354,6 +375,7 @@ pub fn reduce_fragments(
     let mut report = CampaignReport {
         violations: Vec::new(),
         digests: Vec::new(),
+        records: Vec::new(),
         stats: ScanStats::default(),
         wall,
         detection_times: Summary::new(),
@@ -376,6 +398,7 @@ pub fn reduce_fragments(
         report.stats.merge(&r.stats);
         report.violations.extend(r.violations);
         report.digests.extend(r.digests);
+        report.records.extend(r.records);
     }
     report
 }

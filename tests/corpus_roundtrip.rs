@@ -3,28 +3,51 @@
 //! input digests and violation digests they were written with — the
 //! "daemon restart loses nothing" half of the `amulet serve` contract.
 
-use amulet::contracts::ContractKind;
-use amulet::defenses::DefenseKind;
-use amulet::fuzz::{records_from_report, CampaignConfig, Corpus, ShardConfig, ShardedCampaign};
+use amulet::fuzz::proto::CampaignSpec;
+use amulet::fuzz::{
+    run_batch, Corpus, CorpusRecord, LeaseWait, Service, SubmitOutcome, UnitRuntime,
+};
 use amulet::isa::parse_program;
 use std::path::PathBuf;
+use std::time::Duration;
 
-fn quick_records(seed: u64) -> Vec<amulet::fuzz::CorpusRecord> {
-    let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-    cfg.seed = seed;
-    let report = ShardedCampaign::new(
-        cfg,
-        ShardConfig {
-            workers: 2,
-            batch_programs: 3,
-        },
-    )
-    .run();
+/// The records a corpus-backed [`Service`] — the production path — writes
+/// for one quick Baseline × CT-SEQ campaign.
+fn quick_records(seed: u64) -> Vec<CorpusRecord> {
+    let path = temp_corpus(&format!("service{seed}"));
+    let service = Service::with_corpus(Some(Corpus::open(&path)));
+    let spec = CampaignSpec {
+        defense: "Baseline".into(),
+        contract: "CT-SEQ".into(),
+        source: "PHT".into(),
+        seed,
+        scale: None,
+        find_first: false,
+        batch_programs: 3,
+        cycle_skip: true,
+    };
+    let SubmitOutcome::Accepted { campaign, .. } = service.submit(&spec).unwrap() else {
+        panic!("a fresh service must accept the campaign")
+    };
+    let mut rt = UnitRuntime::new();
+    while let LeaseWait::Lease(lease) = service.wait_lease(Duration::from_millis(100)) {
+        let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, &mut rt);
+        service.complete(*lease, fragment);
+    }
+    let result = service.take_result(campaign).expect("campaign finished");
+    let report = result.report.expect("campaign succeeded");
     assert!(
-        report.violation_found(),
+        !report.digests.is_empty(),
         "the unprotected CPU leaks under CT-SEQ — seed {seed} found nothing"
     );
-    records_from_report(&report)
+    let records = Corpus::open(&path).load().unwrap();
+    assert_eq!(
+        records.len(),
+        report.digests.len(),
+        "one record per violation"
+    );
+    std::fs::remove_file(&path).unwrap();
+    records
 }
 
 fn temp_corpus(tag: &str) -> PathBuf {
@@ -77,8 +100,8 @@ fn two_campaigns_of_findings_survive_reopen_and_query() {
 fn in_process_findings_carry_parseable_minimized_programs_and_inputs() {
     let records = quick_records(2025);
     for rec in &records {
-        // In-process reports carry full artefacts: every record has a
-        // minimized program the assembler round-trips, plus both inputs.
+        // Every record has a minimized program the assembler round-trips,
+        // plus both inputs.
         let program = parse_program(&rec.program)
             .unwrap_or_else(|e| panic!("unparseable minimized program ({e:?}):\n{}", rec.program));
         assert!(!program.is_empty());

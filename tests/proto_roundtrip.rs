@@ -8,7 +8,8 @@ use amulet::fuzz::proto::{
     CampaignSpec, FragmentReport, Hello, Msg, ReportWire, ResultMsg, PROTO_VERSION,
 };
 use amulet::fuzz::{
-    BatchSpec, CampaignConfig, ScanStats, SpecSource, ViolationClass, ViolationDigest,
+    BatchSpec, CampaignConfig, CorpusInput, Reduction, ScanStats, SpecSource, ViolationClass,
+    ViolationDigest,
 };
 use amulet::{contracts::ContractKind, defenses::DefenseKind};
 use std::collections::BTreeSet;
@@ -52,6 +53,28 @@ fn loaded_fragment() -> FragmentReport {
                 l1i_diff: vec![0x40_1040],
             },
         ],
+        records: Vec::new(),
+    }
+}
+
+/// `loaded_fragment` as a records batch answers it: one minimized record
+/// per violation, with full-width register and digest values.
+fn recorded_fragment() -> FragmentReport {
+    let input = |seed: u64| CorpusInput {
+        regs: [u64::MAX - seed; 16],
+        flags: 0xd5,
+        mem_digest: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        mem_len: 8192,
+    };
+    let record = |seed: u64| Reduction {
+        program: ".bb_main.0:\n    CMP RAX, 7\n    JL .bb_main.exit\n.bb_main.exit:\n".into(),
+        removed: seed,
+        input_a: input(seed),
+        input_b: input(seed + 1),
+    };
+    FragmentReport {
+        records: vec![record(3), record(u64::MAX - 1)],
+        ..loaded_fragment()
     }
 }
 
@@ -73,12 +96,14 @@ fn all_message_shapes() -> Vec<Msg> {
             instance: 0,
             batch: 0,
             programs: 1,
+            records: false,
         }),
         Msg::Batch(BatchSpec {
             index: usize::MAX >> 1,
             instance: 99,
             batch: 1_000_000,
             programs: 4,
+            records: true,
         }),
         Msg::Ping { token: 0 },
         Msg::Ping { token: u64::MAX },
@@ -295,6 +320,7 @@ fn handbook_documents_exactly_the_emitted_tag_set() {
         "docs/DISTRIBUTED.md worked examples must cover exactly the protocol's tags"
     );
     // The version constant is part of the documented contract too.
+    assert_eq!(PROTO_VERSION, 6, "a version bump must update this pin");
     assert!(
         HANDBOOK.contains(&format!("\"proto\":{PROTO_VERSION}")),
         "handbook hello example must show the current protocol version"
@@ -359,4 +385,59 @@ fn default_source_is_invisible_on_the_wire() {
         "{}",
         stl.to_line()
     );
+}
+
+/// Version 6's optional corpus fields: a records batch and a fragment
+/// carrying minimized records survive serialise → parse exactly, and the
+/// handbook shows both.
+#[test]
+fn corpus_records_ride_batches_and_fragments_exactly() {
+    let batch = Msg::Batch(BatchSpec {
+        index: 3,
+        instance: 0,
+        batch: 3,
+        programs: 4,
+        records: true,
+    });
+    let line = batch.to_line();
+    assert!(line.ends_with(r#","records":true}"#), "{line}");
+    assert_eq!(Msg::parse_line(&line).unwrap(), batch);
+
+    let frag = Msg::Fragment(recorded_fragment());
+    let line = frag.to_line();
+    let parsed = Msg::parse_line(&line).unwrap();
+    assert_eq!(parsed, frag, "{line}");
+    assert_eq!(parsed.to_line(), line, "re-encoding is a fixed point");
+    assert!(
+        line.contains(r#""mem_digest":"0x"#),
+        "inputs use the corpus encoding: {line}"
+    );
+
+    assert!(
+        HANDBOOK.contains(r#""records":true"#),
+        "handbook must show a records batch"
+    );
+    assert!(
+        HANDBOOK.contains(r#""records":[{"program""#),
+        "handbook must show fragment records"
+    );
+}
+
+/// Lines written before version 6 have no `records` field: they parse to
+/// "no records" and re-encode byte-identically, so journals and fragment
+/// tees from older runs replay unchanged.
+#[test]
+fn pre_records_lines_parse_and_reencode_byte_identically() {
+    let batch = r#"{"type":"batch","index":7,"instance":1,"batch":2,"programs":3}"#;
+    let fragment = r#"{"type":"fragment","index":7,"skipped":false,"cases":84,"classes":12,"candidates":2,"validation_runs":4,"confirmed":1,"sim_cycles":16911,"warped_cycles":13065,"first_detection_s":0.042,"violations":[{"class":"Spectre-v1","ctrace":"0x1f83e1a2b45c9d07","l1d_diff":["0x4740","0x4100"],"dtlb_diff":[],"l1i_diff":[]}]}"#;
+    let Msg::Batch(spec) = Msg::parse_line(batch).unwrap() else {
+        panic!("tag changed");
+    };
+    assert!(!spec.records);
+    assert_eq!(Msg::Batch(spec).to_line(), batch);
+    let Msg::Fragment(report) = Msg::parse_line(fragment).unwrap() else {
+        panic!("tag changed");
+    };
+    assert!(report.records.is_empty());
+    assert_eq!(Msg::Fragment(report).to_line(), fragment);
 }
