@@ -25,7 +25,6 @@ use amulet_core::{
 };
 use amulet_defenses::DefenseKind;
 use amulet_isa::TestInput;
-use amulet_sim::SimConfig;
 use amulet_util::Xoshiro256;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -100,34 +99,60 @@ fn detector_workload(programs: usize) -> (usize, f64, usize) {
     (cases, t0.elapsed().as_secs_f64(), confirmed)
 }
 
-/// Event-driven cycle scheduler bench: the identical fixed-seed per-case
-/// workload (quick-campaign shape, Baseline × CT-SEQ) run through the
-/// warped cycle loop and the stepped one (`SimConfig::cycle_skip` off).
-/// Reports cases/sec, simulated cycles/sec, and the warp ratio per arm —
-/// simulated cycles are bit-identical across arms by construction (the
-/// differential tests enforce it), so the cases/sec gap is pure scheduler
-/// win. Median of 5 interleaved passes.
+/// Event-driven cycle scheduler bench: identical fixed-seed per-case
+/// workloads run through the warped cycle loop and the stepped one
+/// (`SimConfig::cycle_skip` off). Reports cases/sec, simulated cycles/sec,
+/// and the warp ratio per arm — simulated cycles are bit-identical across
+/// arms by construction (the differential tests enforce it), so the
+/// cases/sec gap is pure scheduler win. Median of 5 passes.
+///
+/// Two workloads: the quick-campaign shape under Baseline × CT-SEQ (rows
+/// `warped`/`stepped`), and DelayAll × CT-SEQ under the STL source with
+/// paper-scaled inputs (10 base inputs × 13 mutations; rows
+/// `stl_delayall_warped`/`stl_delayall_stepped`), where the simulator's
+/// store-disambiguation path dominates. A pre/post pair of a simulator
+/// change must report the same `sim_cycles`.
 fn cycle_loop_bench(json: &mut String, programs: usize) {
-    let model = LeakageModel::new(ContractKind::CtSeq);
-    let mut generator = Generator::new(GeneratorConfig::default(), 11);
-    let mut rng = Xoshiro256::seed_from_u64(12);
-    let input_cfg = InputGenConfig {
-        base_inputs: 4,
-        mutations: 6,
-        pages: 1,
+    let quick = CampaignConfig {
+        generator: GeneratorConfig::default(),
+        inputs: InputGenConfig {
+            base_inputs: 4,
+            mutations: 6,
+            pages: 1,
+        },
+        ..CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq)
     };
+    cycle_loop_arm(json, "", &quick, programs, 11);
+    let mut stl = CampaignConfig::quick(DefenseKind::DelayAll, ContractKind::CtSeq)
+        .with_source(SpecSource::Stl);
+    stl.inputs.base_inputs = 10;
+    stl.inputs.mutations = 13;
+    cycle_loop_arm(json, "stl_delayall_", &stl, (programs / 6).max(1), 31);
+}
+
+fn cycle_loop_arm(
+    json: &mut String,
+    prefix: &str,
+    cfg: &CampaignConfig,
+    programs: usize,
+    seed: u64,
+) {
+    let model = LeakageModel::new(cfg.contract);
+    let mut generator = Generator::new(cfg.generator.clone(), seed);
+    let mut rng = Xoshiro256::seed_from_u64(seed + 1);
     let workload: Vec<_> = (0..programs)
         .map(|_| {
             let flat = generator.program().flatten_shared();
-            let inputs = boosted_inputs(&model, &flat, &input_cfg, &mut rng);
+            let inputs = boosted_inputs(&model, &flat, &cfg.inputs, &mut rng);
             (flat, inputs)
         })
         .collect();
     let cases: usize = workload.iter().map(|(_, inputs)| inputs.len()).sum();
-    for (label, skip) in [("warped", true), ("stepped", false)] {
+    for (arm, skip) in [("warped", true), ("stepped", false)] {
+        let label = format!("{prefix}{arm}");
         let mut executor = Executor::new(ExecutorConfig {
-            sim: SimConfig::default().with_cycle_skip(skip),
-            ..ExecutorConfig::new(DefenseKind::Baseline)
+            sim: cfg.sim.clone().with_cycle_skip(skip),
+            ..ExecutorConfig::new(cfg.defense)
         });
         let mut samples = Vec::new();
         let mut sim_cycles = 0u64;
@@ -151,7 +176,7 @@ fn cycle_loop_bench(json: &mut String, programs: usize) {
         let cycle_rate = sim_cycles as f64 / secs;
         let warp_ratio = warped_cycles as f64 / sim_cycles.max(1) as f64;
         println!(
-            "cycle loop ({label:>7}): {case_rate:>9.0} cases/s  {cycle_rate:>11.0} sim-cycles/s  warp ratio {warp_ratio:.3}"
+            "cycle loop ({label:>20}): {case_rate:>9.0} cases/s  {cycle_rate:>11.0} sim-cycles/s  {sim_cycles} sim-cycles  warp ratio {warp_ratio:.3}"
         );
         let _ = writeln!(
             json,

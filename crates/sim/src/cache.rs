@@ -55,11 +55,23 @@ pub struct Cache {
     /// flushed, or never restored) and the next tracked restore must copy
     /// everything.
     baseline: Option<(u64, u64)>,
+    /// Every set outside `touched` is empty — true from creation or a
+    /// flush until the next restore — so a flush in between clears only
+    /// the touched sets instead of walking all of them.
+    empty_untouched: bool,
 }
 
 impl Cache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line size or the set count is not a power of two.
     pub fn new(cfg: CacheConfig) -> Self {
+        assert!(
+            cfg.line_bytes.is_power_of_two() && cfg.sets.is_power_of_two(),
+            "cache line size and set count must be powers of two"
+        );
         Cache {
             sets: vec![Vec::with_capacity(cfg.ways); cfg.sets],
             cfg,
@@ -69,6 +81,7 @@ impl Cache {
             touched: Vec::new(),
             touched_mark: vec![false; cfg.sets],
             baseline: None,
+            empty_untouched: true,
         }
     }
 
@@ -266,6 +279,7 @@ impl Cache {
         self.resident = other.resident;
         self.clear_touched();
         self.baseline = Some((other.zobrist, other.stamp));
+        self.empty_untouched = false;
     }
 
     /// [`Cache::restore_from`] that only copies the sets mutated since the
@@ -294,17 +308,25 @@ impl Cache {
         self.zobrist = other.zobrist;
         self.resident = other.resident;
         self.clear_touched();
+        self.empty_untouched = false;
     }
 
     /// Invalidates everything.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
+        if self.empty_untouched {
+            for &set in &self.touched {
+                self.sets[set as usize].clear();
+            }
+        } else {
+            for set in &mut self.sets {
+                set.clear();
+            }
         }
         self.zobrist = 0;
         self.resident = 0;
         self.clear_touched();
         self.baseline = None;
+        self.empty_untouched = true;
     }
 
     /// Sorted list of resident line addresses — the µarch-trace snapshot.
@@ -496,6 +518,33 @@ mod tests {
         c.fill(0x0040, false, true);
         assert_eq!(c.snapshot(), vec![0x0000, 0x0040, 0x0100]);
         c.flush();
+        assert!(c.is_empty());
+    }
+
+    /// A flush after a flush clears only the touched sets; after a restore
+    /// it must clear everything. Either way nothing stays resident.
+    #[test]
+    fn flush_leaves_no_line_behind() {
+        let mut image = small();
+        image.fill(0x0000, false, true);
+        image.fill(0x0040, false, true);
+        let mut c = small();
+        c.fill(0x0100, false, true);
+        c.flush();
+        c.fill(0x0040, true, true);
+        c.flush();
+        assert_eq!(c.iter_lines().count(), 0);
+        c.restore_from(&image);
+        c.fill(0x0180, false, true);
+        c.flush();
+        assert_eq!(
+            c.iter_lines().count(),
+            0,
+            "restored lines outside the touched sets"
+        );
+        c.restore_tracked_from(&image);
+        c.flush();
+        assert_eq!(c.iter_lines().count(), 0);
         assert!(c.is_empty());
     }
 

@@ -30,7 +30,8 @@ impl CacheConfig {
 
     /// The set index for `addr`.
     pub fn set_of(&self, addr: u64) -> usize {
-        ((addr / self.line_bytes) as usize) & (self.sets - 1)
+        // `line_bytes` and `sets` are powers of two (`Cache::new` checks).
+        ((addr >> self.line_bytes.trailing_zeros()) as usize) & (self.sets - 1)
     }
 }
 

@@ -188,6 +188,27 @@ impl MemSys {
         self.next_event
     }
 
+    /// Debug-build soundness check of the warp horizon at the top of cycle
+    /// `now`: [`MemSys::next_event`] is no later than the earliest pending
+    /// fill or the earliest MSHR free from `now` on — so warping to it can
+    /// never skip either.
+    #[cfg(debug_assertions)]
+    pub(crate) fn check_next_event(&self, now: u64) {
+        let fill = self.pending.iter().map(|p| p.apply_at).min();
+        let free = self.mshr_free_at[..self.mshr_first_zero]
+            .iter()
+            .copied()
+            .filter(|&f| f >= now)
+            .min();
+        if let Some(first) = fill.into_iter().chain(free).min() {
+            assert!(
+                self.next_event <= first,
+                "cycle {now}: memory horizon {} is later than the next event at {first}",
+                self.next_event
+            );
+        }
+    }
+
     #[inline]
     fn note_event(&mut self, at: u64) {
         self.next_event = self.next_event.min(at);

@@ -35,6 +35,9 @@ use std::sync::Arc;
 
 const FLAGS_IDX: usize = 16;
 
+/// End of a waiter chain.
+const NO_WAITER: usize = usize::MAX;
+
 /// A register (or FLAGS) source captured at dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SrcVal {
@@ -44,18 +47,54 @@ enum SrcVal {
     Producer(usize),
 }
 
-impl Default for SrcVal {
-    // Filler value for the inline source list; never observed at `len`.
-    fn default() -> Self {
-        SrcVal::Ready(0)
-    }
+/// Inline, allocation-free source list for one ROB entry: each source's
+/// register index and one word holding either its value (final at
+/// dispatch) or its producer's ROB index — bit `k` of `producers` says
+/// which. At most 6 sources exist (≤ 4 unique read registers, the
+/// partial-width destination, FLAGS); 8 slots give headroom. Dispatch runs
+/// once per fetched instruction — including wrong paths — so the list
+/// stays off the heap and packed (80 bytes).
+#[derive(Debug, Clone, Copy, Default)]
+struct SrcList {
+    regs: [u8; 8],
+    words: [u64; 8],
+    producers: u8,
+    len: u8,
 }
 
-/// Inline, allocation-free source list for one ROB entry. At most 6 sources
-/// exist (≤ 4 unique read registers, the partial-width destination, FLAGS);
-/// 8 slots give headroom. Dispatch runs once per fetched instruction —
-/// including wrong paths — so this list staying off the heap matters.
-type SrcList = ArrayVec<(usize, SrcVal), 8>;
+impl SrcList {
+    fn push(&mut self, reg: usize, src: SrcVal) {
+        let k = self.len as usize;
+        self.regs[k] = reg as u8;
+        self.words[k] = match src {
+            SrcVal::Ready(v) => v,
+            SrcVal::Producer(p) => {
+                self.producers |= 1 << k;
+                p as u64
+            }
+        };
+        self.len += 1;
+    }
+
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Source `k` as (register index, value or producer).
+    fn get(&self, k: usize) -> (usize, SrcVal) {
+        let word = self.words[k];
+        let src = if self.producers & (1 << k) != 0 {
+            SrcVal::Producer(word as usize)
+        } else {
+            SrcVal::Ready(word)
+        };
+        (self.regs[k] as usize, src)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (usize, SrcVal)> + '_ {
+        (0..self.len()).map(|k| self.get(k))
+    }
+}
 
 /// Memory state of a load/store/RMW entry.
 #[derive(Debug, Clone)]
@@ -63,6 +102,10 @@ struct MemState {
     effect: MemEffect,
     /// Wrapped virtual address, set at issue (address resolution).
     addr: Option<u64>,
+    /// Wrapped address and split flag, computed on the first issue attempt
+    /// (the sources are final by then) and reused by retries — a load a
+    /// defense delays retries on every dirty cycle.
+    computed: Option<(u64, bool)>,
     split: bool,
     /// Loaded value (loads / RMW).
     load_value: Option<u64>,
@@ -96,6 +139,10 @@ struct RobEntry {
     pc: usize,
     instr: Instr,
     srcs: SrcList,
+    /// Sources before this cursor are known ready: a `Done` producer never
+    /// leaves `Done`, and a squashed producer implies a squashed consumer,
+    /// so `srcs_ready` resumes at the first producer it found unready.
+    ready_from: u8,
     state: EState,
     /// Register result (merged to full 64-bit width), or store data.
     result: Option<u64>,
@@ -117,6 +164,18 @@ struct RobEntry {
     needs_expose: bool,
     exposed: bool,
     tainted: bool,
+}
+
+impl RobEntry {
+    /// Unresolved conditional branches block younger safety, as do stores
+    /// with unresolved addresses.
+    fn blocks_safety(&self) -> bool {
+        (self.is_cond_branch && !matches!(self.state, EState::Done { .. }))
+            || self
+                .mem
+                .as_ref()
+                .is_some_and(|m| m.effect.writes() && m.addr.is_none())
+    }
 }
 
 /// Outcome of one simulated test case.
@@ -202,9 +261,6 @@ pub struct Simulator {
     cycle: u64,
     fetch_stall_until: u64,
     commit_stall_until: u64,
-    /// Resume pointer for the issue scan: every entry before it is settled
-    /// (squashed, committed, or issued) — see `issue_stage`.
-    issue_from: usize,
     exit_cycle: Option<u64>,
     fetched: usize,
     committed_count: usize,
@@ -219,16 +275,43 @@ pub struct Simulator {
 
     // Event gating for the cycle loop. Most cycles of a test case are idle
     // memory-latency waits where the complete/safety/taint/issue stages
-    // would scan the window and find nothing; these fields prove a cycle
-    // idle so those scans are skipped — behaviour-identically, since every
-    // state change that could affect a stage outcome sets `stage_dirty`
-    // (dispatch, completion, issue, store resolution, squash, commit,
-    // applied fills) and completions are exactly the `Executing` entries
-    // reaching `next_complete`.
+    // would find nothing to do; these fields prove a cycle idle so those
+    // stages are skipped — behaviour-identically, since every state change
+    // that could affect a stage outcome sets `stage_dirty` (dispatch,
+    // completion, issue, store resolution, squash, commit, applied fills)
+    // and completions are exactly the `Executing` entries reaching
+    // `next_complete`.
     /// Earliest `done` cycle among `Executing` entries (`u64::MAX` if none).
     next_complete: u64,
     /// Set on any state change that can affect safety/taint/issue outcomes.
     stage_dirty: bool,
+
+    // Event lists: each stage visits only the entries that can act, instead
+    // of rescanning the window. `check_invariants` (debug builds) re-derives
+    // every list from a full scan on each stepped cycle.
+    /// `(done, idx)` for every entry that entered `Executing`, pushed at the
+    /// transition; `complete_stage` drains the due ones and drops squashed
+    /// ones, so it is a superset of the live `Executing` entries.
+    executing: Vec<(u64, usize)>,
+    /// Reusable buffer for the entries `complete_stage` finds due.
+    due: Vec<usize>,
+    /// Ascending indices of the entries that may issue: every live
+    /// `Waiting` entry whose sources are all ready is here (or was queued
+    /// here and since left `Waiting`; `issue_stage` prunes those lazily).
+    waiting: Vec<usize>,
+    /// Per entry: the first of the `Waiting` consumers parked on it, i.e.
+    /// whose first unready source it produces (`NO_WAITER` if none). When
+    /// it completes, `wake_waiters` moves them on.
+    waiters: Vec<usize>,
+    /// Per entry: the next consumer in the chain it is parked on.
+    next_waiter: Vec<usize>,
+    /// Safety frontier: every non-squashed entry in `commit_ptr..safe_from`
+    /// is safe and blocks nothing, so `update_safety` resumes here.
+    safe_from: usize,
+    /// Ascending indices of every entry that writes memory (stores, RMWs).
+    stores: Vec<usize>,
+    /// Ascending indices of every entry that reads memory (loads, RMWs).
+    loads: Vec<usize>,
 }
 
 impl Simulator {
@@ -262,7 +345,6 @@ impl Simulator {
             cycle: 0,
             fetch_stall_until: 0,
             commit_stall_until: 0,
-            issue_from: 0,
             exit_cycle: None,
             fetched: 0,
             committed_count: 0,
@@ -273,6 +355,14 @@ impl Simulator {
             prefill_image: None,
             next_complete: u64::MAX,
             stage_dirty: true,
+            executing: Vec::new(),
+            due: Vec::new(),
+            waiting: Vec::new(),
+            waiters: Vec::new(),
+            next_waiter: Vec::new(),
+            safe_from: 0,
+            stores: Vec::new(),
+            loads: Vec::new(),
             cfg,
             defense,
         }
@@ -334,7 +424,6 @@ impl Simulator {
         self.cycle = 0;
         self.fetch_stall_until = 0;
         self.commit_stall_until = 0;
-        self.issue_from = 0;
         self.exit_cycle = None;
         self.fetched = 0;
         self.committed_count = 0;
@@ -347,6 +436,13 @@ impl Simulator {
         self.defense.reset();
         self.next_complete = u64::MAX;
         self.stage_dirty = true;
+        self.executing.clear();
+        self.waiting.clear();
+        self.waiters.clear();
+        self.next_waiter.clear();
+        self.safe_from = 0;
+        self.stores.clear();
+        self.loads.clear();
     }
 
     /// Runs the loaded test case to completion (EXIT commit) or the cycle
@@ -367,6 +463,8 @@ impl Simulator {
     pub fn run(&mut self) -> SimResult {
         let warp = self.cfg.cycle_skip;
         while self.exit_cycle.is_none() && self.cycle < self.cfg.max_cycles {
+            #[cfg(debug_assertions)]
+            self.check_invariants();
             if self.mem.tick(self.cycle, &mut self.log) {
                 self.stage_dirty = true;
             }
@@ -402,6 +500,109 @@ impl Simulator {
             cycles: self.cycle,
             warped_cycles: self.warped_cycles,
         }
+    }
+
+    /// Debug-build check, run at the top of every stepped cycle, that each
+    /// event list agrees with a full window scan and that the memory
+    /// system's horizon is sound (the warp's obligation):
+    ///
+    /// - `executing` holds every live `Executing` entry, and
+    ///   `next_complete` is no later than any of them;
+    /// - `waiting` is strictly ascending; every live `Waiting` entry is on
+    ///   it with all sources ready, or parked on the waiter chain of the
+    ///   unfinished producer its `ready_from` cursor points at;
+    /// - every non-squashed entry in `commit_ptr..safe_from` is safe and
+    ///   blocks nothing;
+    /// - `stores` and `loads` are exactly the memory-writing and
+    ///   memory-reading entries;
+    /// - every source before an entry's `ready_from` cursor is ready.
+    #[cfg(debug_assertions)]
+    fn check_invariants(&self) {
+        let cycle = self.cycle;
+        for idx in self.commit_ptr..self.rob.len() {
+            let e = &self.rob[idx];
+            if e.squashed || e.committed {
+                continue;
+            }
+            match e.state {
+                EState::Executing { done } => {
+                    assert!(
+                        self.executing.contains(&(done, idx)),
+                        "cycle {cycle}: executing entry {idx} missing from the list"
+                    );
+                    assert!(
+                        self.next_complete <= done,
+                        "cycle {cycle}: next_complete {} is later than entry {idx} at {done}",
+                        self.next_complete
+                    );
+                }
+                // A fence has no sources, so it is always on the list and
+                // its barrier in `issue_stage` holds.
+                EState::Waiting if matches!(e.instr, Instr::Fence) => assert!(
+                    e.srcs.len() == 0 && self.waiting.binary_search(&idx).is_ok(),
+                    "cycle {cycle}: waiting fence {idx} missing from the list"
+                ),
+                EState::Waiting => match e.srcs.iter().nth(e.ready_from as usize) {
+                    None => assert!(
+                        self.waiting.binary_search(&idx).is_ok(),
+                        "cycle {cycle}: ready entry {idx} missing from the waiting list"
+                    ),
+                    Some((_, src)) => {
+                        let SrcVal::Producer(p) = src else {
+                            panic!("cycle {cycle}: entry {idx} stopped at a ready source");
+                        };
+                        let mut c = self.waiters[p];
+                        while c != NO_WAITER && c != idx {
+                            c = self.next_waiter[c];
+                        }
+                        assert!(
+                            c == idx && !matches!(self.rob[p].state, EState::Done { .. }),
+                            "cycle {cycle}: entry {idx} is not parked on its producer {p}"
+                        );
+                    }
+                },
+                EState::Done { .. } => {}
+            }
+            for (_, src) in e.srcs.iter().take(e.ready_from as usize) {
+                if let SrcVal::Producer(p) = src {
+                    assert!(
+                        matches!(self.rob[p].state, EState::Done { .. }),
+                        "cycle {cycle}: entry {idx} counts unfinished producer {p} as ready"
+                    );
+                }
+            }
+        }
+        assert!(
+            self.waiting.windows(2).all(|w| w[0] < w[1]),
+            "cycle {cycle}: waiting list out of order"
+        );
+        assert!(self.safe_from <= self.rob.len());
+        for idx in self.commit_ptr..self.safe_from {
+            let e = &self.rob[idx];
+            assert!(
+                e.squashed || (e.safe_at.is_some() && !e.blocks_safety()),
+                "cycle {cycle}: entry {idx} behind the safety frontier {} is unsafe or blocking",
+                self.safe_from
+            );
+        }
+        // The LSQ walks only look at the window, so exactness is checked
+        // there; the lists' older prefix is sorted history.
+        fn window(list: &[usize], from: usize) -> impl Iterator<Item = usize> + '_ {
+            list[list.partition_point(|&i| i < from)..].iter().copied()
+        }
+        let with_mem = |pred: fn(&MemEffect) -> bool| {
+            (self.commit_ptr..self.rob.len())
+                .filter(move |&i| self.rob[i].mem.as_ref().is_some_and(|m| pred(&m.effect)))
+        };
+        assert!(
+            with_mem(MemEffect::writes).eq(window(&self.stores, self.commit_ptr)),
+            "cycle {cycle}: store list diverged"
+        );
+        assert!(
+            with_mem(MemEffect::reads).eq(window(&self.loads, self.commit_ptr)),
+            "cycle {cycle}: load list diverged"
+        );
+        self.mem.check_next_event(cycle);
     }
 
     /// The time-warp scheduler: advances `self.cycle` to the next event
@@ -679,44 +880,63 @@ impl Simulator {
     // ----- pipeline stages -------------------------------------------------
 
     /// Moves finished executions to `Done`, resolving branches.
+    ///
+    /// Only the due entries of `executing` are visited, oldest first — the
+    /// order a window walk would take, so a branch resolved here squashes
+    /// the younger due entries before they complete.
     fn complete_stage(&mut self) {
-        let mut next = u64::MAX;
-        for idx in self.commit_ptr..self.rob.len() {
-            if self.rob[idx].squashed || self.rob[idx].committed {
+        let cycle = self.cycle;
+        let mut due = std::mem::take(&mut self.due);
+        self.executing.retain(|&(done, idx)| {
+            let is_due = done <= cycle;
+            if is_due {
+                due.push(idx);
+            }
+            !is_due
+        });
+        due.sort_unstable();
+        for &idx in &due {
+            if self.rob[idx].squashed {
                 continue;
             }
             let EState::Executing { done } = self.rob[idx].state else {
                 continue;
             };
-            if done > self.cycle {
-                next = next.min(done);
-                continue;
-            }
             // A pure store whose disambiguation window just elapsed goes back
             // to `Waiting` so `issue_mem` resolves its address this same
-            // cycle — the one sanctioned exception to the issue-scan resume
-            // invariant, compensated by pulling the resume pointer back.
+            // cycle.
             if self.rob[idx]
                 .mem
                 .as_ref()
                 .is_some_and(|m| m.disambiguate_at.is_some() && m.addr.is_none())
             {
                 self.rob[idx].state = EState::Waiting;
-                self.issue_from = self.issue_from.min(idx);
+                self.enqueue(idx);
                 self.stage_dirty = true;
                 continue;
             }
             self.rob[idx].state = EState::Done { at: done };
+            self.wake_waiters(idx);
             self.stage_dirty = true;
             if self.rob[idx].is_cond_branch {
+                // May squash everything younger, including due entries
+                // later in `due`, which the squashed check then skips.
                 self.resolve_branch(idx);
-                // resolve_branch may squash everything younger; restart scan.
-                if self.rob[idx].squashed {
-                    continue;
-                }
             }
         }
-        // `next` may keep since-squashed entries (harmless: one extra scan).
+        due.clear();
+        self.due = due;
+        // Entries squashed so far (including by this pass's branches) leave
+        // the list, so `next_complete` is the exact live minimum.
+        let rob = &self.rob;
+        let mut next = u64::MAX;
+        self.executing.retain(|&(done, idx)| {
+            let live = !rob[idx].squashed;
+            if live {
+                next = next.min(done);
+            }
+            live
+        });
         self.next_complete = next;
     }
 
@@ -810,28 +1030,26 @@ impl Simulator {
 
     /// Marks entries that reached the visibility point and triggers
     /// safe-point actions (exposes, LFB installs).
+    ///
+    /// The walk resumes at the `safe_from` frontier: a safe entry stays
+    /// safe, and a resolved branch or store never blocks again.
     fn update_safety(&mut self) {
-        for idx in self.commit_ptr..self.rob.len() {
-            if self.rob[idx].squashed {
-                continue;
-            }
-            if self.rob[idx].safe_at.is_none() {
-                self.rob[idx].safe_at = Some(self.cycle);
-                self.on_safe(idx);
-            }
-            let e = &self.rob[idx];
-            // Unresolved conditional branches block younger safety, as do
-            // stores with unresolved addresses. Nothing past the first
-            // blocker can change this cycle, so the scan stops there.
-            if e.is_cond_branch && !matches!(e.state, EState::Done { .. }) {
-                break;
-            }
-            if let Some(m) = &e.mem {
-                if m.effect.writes() && m.addr.is_none() {
+        let mut idx = self.safe_from.max(self.commit_ptr);
+        while idx < self.rob.len() {
+            if !self.rob[idx].squashed {
+                if self.rob[idx].safe_at.is_none() {
+                    self.rob[idx].safe_at = Some(self.cycle);
+                    self.on_safe(idx);
+                }
+                // Nothing past the first blocker can change this cycle, so
+                // the walk stops there.
+                if self.rob[idx].blocks_safety() {
                     break;
                 }
             }
+            idx += 1;
         }
+        self.safe_from = idx;
     }
 
     fn on_safe(&mut self, idx: usize) {
@@ -890,7 +1108,7 @@ impl Simulator {
             let is_access_load = self.rob[idx].mem.as_ref().is_some_and(|m| m.effect.reads());
             let mut tainted = is_access_load && self.rob[idx].safe_at.is_none();
             if !tainted {
-                for &(_, src) in &self.rob[idx].srcs {
+                for (_, src) in self.rob[idx].srcs.iter() {
                     if let SrcVal::Producer(p) = src {
                         if self.rob[p].tainted {
                             tainted = true;
@@ -914,86 +1132,116 @@ impl Simulator {
 
     fn src_tainted(&self, idx: usize, regs: impl Iterator<Item = Gpr>) -> bool {
         let wanted = Self::reg_indices(regs);
-        self.rob[idx].srcs.iter().any(|&(ri, src)| {
+        self.rob[idx].srcs.iter().any(|(ri, src)| {
             wanted.contains(&ri) && matches!(src, SrcVal::Producer(p) if self.rob[p].tainted)
         })
     }
 
     fn data_tainted(&self, idx: usize, addr_regs: impl Iterator<Item = Gpr>) -> bool {
         let addr = Self::reg_indices(addr_regs);
-        self.rob[idx].srcs.iter().any(|&(ri, src)| {
+        self.rob[idx].srcs.iter().any(|(ri, src)| {
             !addr.contains(&ri) && matches!(src, SrcVal::Producer(p) if self.rob[p].tainted)
         })
     }
 
     /// Attempts to issue every ready entry, oldest first.
+    ///
+    /// Walks the `waiting` list — entries whose sources are all ready —
+    /// dropping entries that left `Waiting` (or were squashed or committed)
+    /// as it goes. A fence has no sources and leaves `Waiting` only for
+    /// `Done`, so every unexecuted fence is on the list and its barrier
+    /// cannot be skipped.
     fn issue_stage(&mut self) {
-        // Advance the resume pointer over the settled prefix: squashed,
-        // committed, and issued (`Executing`/`Done`) entries never return to
-        // `Waiting` (the store-disambiguation revert in `complete_stage` is
-        // the one exception, and it pulls `issue_from` back itself), so they
-        // can never need issuing again — and a fence in the prefix is
-        // necessarily `Done` (fences go `Waiting` → `Done` directly), so the
-        // fence barrier below cannot be skipped over. The scan then starts at
-        // the first entry that could still act instead of re-walking the
-        // whole window every dirty cycle.
-        let mut from = self.issue_from.max(self.commit_ptr);
-        while from < self.rob.len() {
-            let e = &self.rob[from];
+        let mut keep = 0;
+        let mut i = 0;
+        while i < self.waiting.len() {
+            let idx = self.waiting[i];
+            let e = &self.rob[idx];
             if e.squashed || e.committed || !matches!(e.state, EState::Waiting) {
-                from += 1;
-            } else {
-                break;
-            }
-        }
-        self.issue_from = from;
-        for idx in from..self.rob.len() {
-            if self.rob[idx].squashed
-                || self.rob[idx].committed
-                || !matches!(self.rob[idx].state, EState::Waiting)
-            {
-                // An unexecuted fence blocks everything younger.
-                if !self.rob[idx].squashed
-                    && matches!(self.rob[idx].instr, Instr::Fence)
-                    && !matches!(self.rob[idx].state, EState::Done { .. })
-                {
-                    break;
-                }
+                i += 1;
                 continue;
             }
-            if matches!(self.rob[idx].instr, Instr::Fence) {
-                // LFENCE: waits for all older entries to finish.
+            if matches!(e.instr, Instr::Fence) {
+                // LFENCE: waits for all older entries to finish, and blocks
+                // everything younger until then.
                 let older_done = self.rob[self.commit_ptr..idx]
                     .iter()
                     .all(|e| e.squashed || e.committed || matches!(e.state, EState::Done { .. }));
-                if older_done {
-                    self.rob[idx].state = EState::Done { at: self.cycle };
-                    self.stage_dirty = true;
-                    continue;
+                if !older_done {
+                    break;
                 }
-                break;
-            }
-            if !self.srcs_ready(idx) {
+                self.rob[idx].state = EState::Done { at: self.cycle };
+                self.stage_dirty = true;
+                i += 1;
                 continue;
             }
-            let has_mem = self.rob[idx].mem.is_some();
-            if has_mem {
+            if self.rob[idx].mem.is_some() {
                 self.issue_mem(idx);
             } else {
                 self.issue_alu(idx);
             }
+            if matches!(self.rob[idx].state, EState::Waiting) {
+                self.waiting[keep] = idx;
+                keep += 1;
+            }
+            i += 1;
+        }
+        let len = self.waiting.len();
+        self.waiting.copy_within(i..len, keep);
+        self.waiting.truncate(keep + len - i);
+    }
+
+    /// Queues a `Waiting` entry on `waiting` if its sources are all ready,
+    /// or parks it on the producer of its first unready source.
+    fn enqueue(&mut self, idx: usize) {
+        if self.srcs_ready(idx) {
+            if let Err(pos) = self.waiting.binary_search(&idx) {
+                self.waiting.insert(pos, idx);
+            }
+            return;
+        }
+        let (_, SrcVal::Producer(p)) = self.rob[idx].srcs.get(self.rob[idx].ready_from as usize)
+        else {
+            unreachable!("an unready source has a producer");
+        };
+        self.next_waiter[idx] = self.waiters[p];
+        self.waiters[p] = idx;
+    }
+
+    /// Moves the consumers parked on `idx`, which just finished, to their
+    /// next unready producer or onto `waiting`. Squashed consumers drop
+    /// out.
+    fn wake_waiters(&mut self, idx: usize) {
+        let mut c = std::mem::replace(&mut self.waiters[idx], NO_WAITER);
+        while c != NO_WAITER {
+            let next = self.next_waiter[c];
+            if !self.rob[c].squashed {
+                self.enqueue(c);
+            }
+            c = next;
         }
     }
 
-    fn srcs_ready(&self, idx: usize) -> bool {
-        self.rob[idx].srcs.iter().all(|&(_, src)| match src {
-            SrcVal::Ready(_) => true,
-            SrcVal::Producer(p) => matches!(self.rob[p].state, EState::Done { .. }),
-        })
+    /// Whether every source of `idx` is available, advancing its
+    /// `ready_from` cursor past the ready prefix.
+    fn srcs_ready(&mut self, idx: usize) -> bool {
+        let e = &self.rob[idx];
+        let mut k = e.ready_from as usize;
+        while k < e.srcs.len() {
+            if let (_, SrcVal::Producer(p)) = e.srcs.get(k) {
+                if !matches!(self.rob[p].state, EState::Done { .. }) {
+                    break;
+                }
+            }
+            k += 1;
+        }
+        let ready = k == e.srcs.len();
+        self.rob[idx].ready_from = k as u8;
+        ready
     }
 
     fn src_value(&self, idx: usize, reg_idx: usize) -> u64 {
-        for &(ri, src) in &self.rob[idx].srcs {
+        for (ri, src) in self.rob[idx].srcs.iter() {
             if ri == reg_idx {
                 return match src {
                     SrcVal::Ready(v) => v,
@@ -1108,13 +1356,19 @@ impl Simulator {
             }
             Instr::Jmp { .. } | Instr::Exit | Instr::Fence => unreachable!("handled elsewhere"),
         }
+        self.start_executing(idx, done);
+    }
+
+    /// Puts `idx` in `Executing` until `done`.
+    fn start_executing(&mut self, idx: usize, done: u64) {
         self.rob[idx].state = EState::Executing { done };
+        self.executing.push((done, idx));
         self.next_complete = self.next_complete.min(done);
         self.stage_dirty = true;
     }
 
     fn src_value_or_zero(&self, idx: usize, reg_idx: usize) -> u64 {
-        if self.rob[idx].srcs.iter().any(|&(ri, _)| ri == reg_idx) {
+        if self.rob[idx].srcs.iter().any(|(ri, _)| ri == reg_idx) {
             self.src_value(idx, reg_idx)
         } else {
             0
@@ -1132,13 +1386,21 @@ impl Simulator {
     /// Issues a memory instruction: address resolution, LSQ protocol,
     /// defense hooks, cache/TLB requests.
     fn issue_mem(&mut self, idx: usize) {
-        let mref = *self.rob[idx].mem.as_ref().unwrap().effect.mem_ref();
+        let m = self.rob[idx].mem.as_ref().unwrap();
+        let (mref, reads, writes) = (*m.effect.mem_ref(), m.effect.reads(), m.effect.writes());
         let width = mref.width;
-        let vaddr = mref.effective_addr(|r| self.src_value(idx, r.index()));
-        let addr = self.sandbox.wrap(vaddr);
-        let split = self.cfg.l1d.line_of(addr) != self.cfg.l1d.line_of(addr + width.bytes() - 1);
-        let reads = self.rob[idx].mem.as_ref().unwrap().effect.reads();
-        let writes = self.rob[idx].mem.as_ref().unwrap().effect.writes();
+        let (addr, split) = match m.computed {
+            Some(computed) => computed,
+            None => {
+                let addr = self
+                    .sandbox
+                    .wrap(mref.effective_addr(|r| self.src_value(idx, r.index())));
+                let split =
+                    self.cfg.l1d.line_of(addr) != self.cfg.l1d.line_of(addr + width.bytes() - 1);
+                self.rob[idx].mem.as_mut().unwrap().computed = Some((addr, split));
+                (addr, split)
+            }
+        };
         let safe = self.rob[idx].safe_at.is_some();
         let tainted_addr = self.defense.needs_taint() && self.src_tainted(idx, mref.addr_regs());
 
@@ -1150,7 +1412,7 @@ impl Simulator {
                     let plan = self.plan_load(idx, addr, width, split, safe, tainted_addr);
                     let Some(plan) = plan else { return };
                     let value = width.trunc(self.rob[store_idx].result.expect("store data"));
-                    self.finish_load(idx, addr, width, split, value, None, plan.tlb, safe);
+                    self.finish_load(idx, addr, width, split, plan.tlb, safe);
                     let done = self.cycle + self.cfg.forward_latency;
                     self.set_load_result(idx, value, done);
                     if let Some(m) = self.rob[idx].mem.as_mut() {
@@ -1203,7 +1465,7 @@ impl Simulator {
                         l1_hit: out.l1_hit,
                     });
                     let value = self.sandbox.read(addr, width);
-                    self.finish_load(idx, addr, width, split, value, Some(mode), plan.tlb, safe);
+                    self.finish_load(idx, addr, width, split, plan.tlb, safe);
                     self.set_load_result(idx, value, completion);
                     if let Some(m) = self.rob[idx].mem.as_mut() {
                         m.bypassed = any_unresolved;
@@ -1247,9 +1509,7 @@ impl Simulator {
                 if m.disambiguate_at.is_none() {
                     let at = self.cycle + self.cfg.stl_window;
                     m.disambiguate_at = Some(at);
-                    self.rob[idx].state = EState::Executing { done: at };
-                    self.next_complete = self.next_complete.min(at);
-                    self.stage_dirty = true;
+                    self.start_executing(idx, at);
                     return;
                 }
             }
@@ -1314,10 +1574,8 @@ impl Simulator {
             self.touch_dtlb(idx, addr, width, true, !safe, tainted_addr);
         }
         if let Some(mode) = rfo {
-            let out = self
-                .mem
+            self.mem
                 .request(idx, addr, true, safe, self.cycle, mode, &mut self.log);
-            let _ = out;
             if split {
                 let second = addr + width.bytes() - 1;
                 self.mem
@@ -1346,11 +1604,7 @@ impl Simulator {
             m.addr = Some(addr);
             m.split = split;
         }
-        self.rob[idx].state = EState::Executing {
-            done: self.cycle + 1,
-        };
-        self.next_complete = self.next_complete.min(self.cycle + 1);
-        self.stage_dirty = true;
+        self.start_executing(idx, self.cycle + 1);
         self.check_memory_order_violation(idx, addr, width);
     }
 
@@ -1368,13 +1622,19 @@ impl Simulator {
     fn check_memory_order_violation(&mut self, store_idx: usize, addr: u64, width: Width) {
         let s_lo = addr;
         let s_hi = addr + width.bytes();
-        for lidx in store_idx + 1..self.rob.len() {
+        // Younger loads sit at the tail of the dispatch-ordered list.
+        let mut younger = self.loads.len();
+        while younger > 0 && self.loads[younger - 1] > store_idx {
+            younger -= 1;
+        }
+        for k in younger..self.loads.len() {
+            let lidx = self.loads[k];
             let e = &self.rob[lidx];
             if e.squashed || e.committed {
                 continue;
             }
             let Some(m) = &e.mem else { continue };
-            if !m.effect.reads() || !m.issued {
+            if !m.issued {
                 continue;
             }
             let Some(laddr) = m.addr else { continue };
@@ -1395,16 +1655,14 @@ impl Simulator {
         let l_lo = addr;
         let l_hi = addr + width.bytes();
         let mut any_unresolved = false;
-        // Youngest-first scan of older stores.
-        for sidx in (self.commit_ptr..load_idx).rev() {
+        // Youngest-first walk of the in-flight stores older than the load.
+        let older = self.stores.iter().rev().skip_while(|&&s| s >= load_idx);
+        for &sidx in older.take_while(|&&s| s >= self.commit_ptr) {
             let e = &self.rob[sidx];
             if e.squashed || e.committed {
                 continue;
             }
             let Some(m) = &e.mem else { continue };
-            if !m.effect.writes() {
-                continue;
-            }
             match m.addr {
                 None => {
                     any_unresolved = true;
@@ -1446,8 +1704,13 @@ impl Simulator {
         safe: bool,
         tainted_addr: bool,
     ) -> Option<crate::defense::LoadPlan> {
-        let first_unsafe_load = !self.rob[self.commit_ptr..idx]
+        let first_unsafe_load = !self
+            .loads
             .iter()
+            .rev()
+            .skip_while(|&&l| l >= idx)
+            .take_while(|&&l| l >= self.commit_ptr)
+            .map(|&l| &self.rob[l])
             .any(|e| !e.squashed && !e.committed && e.issued_unsafe_load && e.safe_at.is_none());
         let ctx = LoadCtx {
             seq: idx,
@@ -1472,15 +1735,12 @@ impl Simulator {
         Some(plan)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn finish_load(
         &mut self,
         idx: usize,
         addr: u64,
         width: Width,
         split: bool,
-        _value: u64,
-        mode: Option<FillMode>,
         tlb: bool,
         safe: bool,
     ) {
@@ -1493,7 +1753,6 @@ impl Simulator {
             m.addr = Some(addr);
             m.split = split;
         }
-        let _ = mode;
     }
 
     /// Computes the entry's register result from a loaded value and marks it
@@ -1565,9 +1824,7 @@ impl Simulator {
             }
             _ => unreachable!("load-form instruction"),
         }
-        self.rob[idx].state = EState::Executing { done };
-        self.next_complete = self.next_complete.min(done);
-        self.stage_dirty = true;
+        self.start_executing(idx, done);
     }
 
     fn reg_or_imm(&self, idx: usize, op: &Operand, width: Width) -> u64 {
@@ -1753,7 +2010,7 @@ impl Simulator {
                 None if ri == FLAGS_IDX => SrcVal::Ready(self.flags.bits() as u64),
                 None => SrcVal::Ready(self.regs[ri]),
             };
-            srcs.push((ri, v));
+            srcs.push(ri, v);
         }
 
         let ghr_at_fetch = self.bp.ghr();
@@ -1798,6 +2055,7 @@ impl Simulator {
             pc,
             instr,
             srcs,
+            ready_from: 0,
             state,
             result: None,
             out_flags: None,
@@ -1806,6 +2064,7 @@ impl Simulator {
             mem: decoded.mem.map(|effect| MemState {
                 effect,
                 addr: None,
+                computed: None,
                 split: false,
                 load_value: None,
                 issued: false,
@@ -1834,7 +2093,20 @@ impl Simulator {
         if decoded.writes_flags {
             self.rename[FLAGS_IDX] = Some(idx);
         }
+        if let Some(effect) = decoded.mem {
+            if effect.writes() {
+                self.stores.push(idx);
+            }
+            if effect.reads() {
+                self.loads.push(idx);
+            }
+        }
         self.rob.push(entry);
+        self.waiters.push(NO_WAITER);
+        self.next_waiter.push(NO_WAITER);
+        if state == EState::Waiting {
+            self.enqueue(idx);
+        }
         self.in_flight += 1;
         self.stage_dirty = true;
         stop_fetch

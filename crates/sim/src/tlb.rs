@@ -48,7 +48,7 @@ impl Tlb {
 
     /// The page number containing a virtual address.
     pub fn page_of(&self, addr: u64) -> u64 {
-        addr / self.page_bytes
+        addr >> self.page_bytes.trailing_zeros()
     }
 
     /// Translates `addr`, installing the page on a miss. Returns `true` on a

@@ -442,3 +442,36 @@ fn wrong_path_never_corrupts_architectural_state() {
         );
     }
 }
+
+/// Two mispredicted branches on the same flags resolve in the same cycle.
+/// Completion visits them oldest first, as a walk of the window would: the
+/// older one squashes the younger before it can resolve, so the case sees
+/// exactly one squash.
+#[test]
+fn same_cycle_mispredicts_resolve_oldest_first() {
+    // The load misses, so both branches wait on the CMP and issue together.
+    // An untrained predictor says not-taken; RAX = 0 makes both taken.
+    let src = "
+        MOV RAX, qword ptr [R14 + 256]
+        CMP RAX, 0
+        JZ .a
+        JZ .b
+        EXIT
+        .a:
+        EXIT
+        .b:
+        EXIT";
+    let flat = parse_program(src).unwrap().flatten();
+    let mut sim = fresh_sim();
+    sim.load_test(&flat, &TestInput::zeroed(1));
+    let res = sim.run();
+    assert!(res.exit_cycle.is_some());
+    assert_eq!(res.squashes, 1, "the younger branch must die unresolved");
+    let predicts = sim
+        .log()
+        .events()
+        .iter()
+        .filter(|e| matches!(e, DebugEvent::Predict { .. }))
+        .count();
+    assert_eq!(predicts, 2, "both branches were fetched before resolving");
+}
