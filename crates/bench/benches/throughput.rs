@@ -24,7 +24,8 @@ use amulet_core::{
     SpecSource,
 };
 use amulet_defenses::DefenseKind;
-use amulet_isa::TestInput;
+use amulet_emu::Sandbox;
+use amulet_isa::{TestInput, PAGE_SIZE};
 use amulet_util::Xoshiro256;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -284,6 +285,144 @@ fn stt_hot_path(json: &mut String, programs: usize) {
     );
 }
 
+/// Candidate validation: scans of one candidate pair each. The workload
+/// (untimed) collects pairs of inputs that share a contract-trace class of
+/// a fixed-seed program stream yet differ in their hot-path digests, with
+/// the predictor state the first one started from; each timed scan
+/// restores that state and runs the pair (two hot-path cases plus the
+/// pair's validation). Reports candidates/s, Baseline × CT-SEQ and STT ×
+/// ARCH-SEQ on the defenses' harness sandboxes, median of 5 passes.
+fn validate_bench(json: &mut String) {
+    for (defense, contract) in [
+        (DefenseKind::Baseline, ContractKind::CtSeq),
+        (DefenseKind::Stt, ContractKind::ArchSeq),
+    ] {
+        let model = LeakageModel::new(contract);
+        let pages = defense.harness_hints().sandbox_pages;
+        let mut generator = Generator::new(
+            GeneratorConfig {
+                pages,
+                ..GeneratorConfig::default()
+            },
+            51,
+        );
+        let mut rng = Xoshiro256::seed_from_u64(52);
+        let input_cfg = InputGenConfig {
+            base_inputs: 4,
+            mutations: 6,
+            pages,
+        };
+        let mut scratch = ModelScratch::new();
+        let mut detector = Detector::new(model.clone());
+        let mut executor = Executor::new(ExecutorConfig::new(defense));
+        let (mut inputs, mut classes) = (Vec::new(), Vec::new());
+        let mut ctxs = Vec::new();
+        let mut pairs = Vec::new();
+        for _ in 0..2_000 {
+            if pairs.len() >= 24 {
+                break;
+            }
+            let program = generator.program();
+            let flat = program.flatten_shared();
+            boosted_inputs_and_classes_into(
+                &model,
+                &flat,
+                &input_cfg,
+                &mut rng,
+                &mut scratch,
+                &mut inputs,
+                &mut classes,
+            );
+            ctxs.resize_with(inputs.len(), Default::default);
+            let digests: Vec<u64> = inputs
+                .iter()
+                .zip(&mut ctxs)
+                .map(|(input, ctx)| executor.run_case_ctx(&flat, input, ctx).digest)
+                .collect();
+            let Some((a, b)) = (0..inputs.len())
+                .flat_map(|a| (a + 1..inputs.len()).map(move |b| (a, b)))
+                .find(|&(a, b)| classes[a] == classes[b] && digests[a] != digests[b])
+            else {
+                continue;
+            };
+            let pair = [inputs[a].clone(), inputs[b].clone()];
+            executor.simulator_mut().set_context(&ctxs[a]);
+            let (_, stats) = detector.scan_classes(&program, &flat, &pair, &[0, 0], &mut executor);
+            if stats.candidates == 1 {
+                pairs.push((program, flat, pair, ctxs[a].clone()));
+            }
+        }
+        let (mut confirmed, mut runs) = (0, 0);
+        let mut samples = Vec::new();
+        for _ in 0..5 {
+            (confirmed, runs) = (0, 0);
+            let t0 = Instant::now();
+            for (program, flat, pair, ctx) in &pairs {
+                executor.simulator_mut().set_context(ctx);
+                let (_, stats) = detector.scan_classes(program, flat, pair, &[0, 0], &mut executor);
+                confirmed += stats.confirmed;
+                runs += stats.validation_runs;
+            }
+            samples.push(t0.elapsed().as_secs_f64());
+        }
+        samples.sort_by(f64::total_cmp);
+        let candidates = pairs.len();
+        let rate = candidates as f64 / samples[2];
+        let name = defense.name();
+        println!(
+            "validate {name:<10}: {candidates} candidates ({confirmed} confirmed, {runs} validation runs) = {rate:.0} candidates/s"
+        );
+        let _ = writeln!(
+            json,
+            "{{\"bench\":\"throughput\",\"kind\":\"validate\",\"name\":\"{name}\",\"contract\":\"{}\",\"pages\":{pages},\"candidates\":{candidates},\"confirmed\":{confirmed},\"validation_runs\":{runs},\"candidates_per_sec\":{rate:.1}}}",
+            contract.name()
+        );
+    }
+}
+
+/// Sandbox page draws at 128 pages (the STT harness sandbox): each load of
+/// a seeded image is followed by reads of 8 distinct random pages, each
+/// the first touch of its page, so each read draws one page from the
+/// image. Reports draws/s, median of 5 passes.
+fn page_draw_bench(json: &mut String) {
+    let pages = 128;
+    let mut rng = Xoshiro256::seed_from_u64(61);
+    let inputs: Vec<TestInput> = (0..32)
+        .map(|_| TestInput::random(&mut rng, pages))
+        .collect();
+    let mut order: Vec<u64> = (0..pages as u64).collect();
+    let touched: Vec<Vec<u64>> = inputs
+        .iter()
+        .map(|_| {
+            rng.shuffle(&mut order);
+            order[..8].to_vec()
+        })
+        .collect();
+    let mut sandbox = Sandbox::new(0, pages * PAGE_SIZE);
+    let reps = 20;
+    let mut samples = Vec::new();
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            for (input, pages) in inputs.iter().zip(&touched) {
+                sandbox.load_image(input.mem_image());
+                for &page in pages {
+                    black_box(sandbox.read_u8(page * PAGE_SIZE as u64 + 8));
+                }
+            }
+        }
+        samples.push(t0.elapsed().as_secs_f64());
+    }
+    samples.sort_by(f64::total_cmp);
+    let draws = reps * inputs.len() * 8;
+    let rate = draws as f64 / samples[2];
+    println!("page_draw ({pages} pages): {rate:.0} draws/s");
+    let _ = writeln!(
+        json,
+        "{{\"bench\":\"throughput\",\"kind\":\"page_draw\",\"name\":\"seeded_image\",\"pages\":{pages},\"draws\":{draws},\"draws_per_sec\":{rate:.1}}}"
+    );
+}
+
 /// The violation minimiser (the per-batch corpus pass of a corpus-backed
 /// `amulet serve`): every confirmed violation of one fixed-seed quick
 /// Baseline × CT-SEQ campaign is minimised with the executor configuration
@@ -471,6 +610,8 @@ fn main() {
     cycle_loop_bench(&mut json, programs);
     taint_microbench(&mut json);
     stt_hot_path(&mut json, env_usize("AMULET_STT_PROGRAMS", 6));
+    validate_bench(&mut json);
+    page_draw_bench(&mut json);
     minimize_bench(&mut json);
 
     // 1b. Full detector workload (scan + ctraces + validation re-runs).

@@ -8,6 +8,17 @@
 //! candidates are therefore validated by re-running both inputs under each
 //! other's starting context and confirming the difference persists (§3.2).
 //!
+//! # Validation from hot-path digests
+//!
+//! A hot-path case starts from its captured context with freshly reset
+//! caches, so re-running input `a` under its own context `ctx_a` replays
+//! its hot run exactly: its digest is already known. Validation therefore
+//! simulates only the *other* input under each context, as a digest with
+//! logging off, and compares it with the known one. Only a confirmed pair
+//! re-runs both inputs with logging on to build the [`UTrace`]s and debug
+//! logs a [`Violation`] carries; a rejected pair costs at most two digest
+//! runs and no trace or log.
+//!
 //! # Digest-first detection
 //!
 //! The first pass over the inputs only needs µarch-trace *equality*, never
@@ -18,9 +29,8 @@
 //! the selected trace format and saves the starting predictor state into a
 //! recycled per-index slot — no snapshot clone, no [`UTrace`]
 //! materialisation, no event logging, no per-case context allocation. Only
-//! the candidate pairs that reach validation re-run with logging on and
-//! full traces; [`UTrace`] remains the analysis/report type carried by
-//! [`Violation`].
+//! confirmed pairs re-run with logging on and materialise full traces;
+//! [`UTrace`] remains the analysis/report type carried by [`Violation`].
 //! Up to 64-bit hash collisions (~2⁻⁶⁴ per pair), the confirmed violations
 //! are bit-identical to comparing materialised traces.
 //!
@@ -42,7 +52,7 @@
 //! evolution for detection variety), not because skipped singletons could
 //! themselves be violations.
 
-use crate::executor::{CaseDigest, Executor};
+use crate::executor::{CaseDigest, ExecMode, Executor};
 use crate::trace::UTrace;
 use amulet_contracts::{LeakageModel, ModelScratch};
 use amulet_isa::{Program, SharedProgram, TestInput};
@@ -84,7 +94,9 @@ pub struct ScanStats {
     pub classes: usize,
     /// Candidate violating pairs before validation.
     pub candidates: usize,
-    /// Validation re-runs performed.
+    /// Validation re-runs, counted two per starting context checked (the
+    /// pair's two inputs under that context), whether or not a run could
+    /// reuse the known hot-path digest of an input under its own context.
     pub validation_runs: usize,
     /// Confirmed violations.
     pub confirmed: usize,
@@ -145,6 +157,9 @@ pub struct Detector {
     /// Per-case starting contexts of the current scan, captured into
     /// recycled slots (see [`Executor::run_case_ctx`]).
     ctxs: Vec<UarchContext>,
+    /// The executor's context after the current scan's hot loop (Opt mode,
+    /// captured only when a candidate reaches validation).
+    end_ctx: UarchContext,
     /// Contract-trace scratch (emulator machine reused across cases).
     emu_scratch: ModelScratch,
 }
@@ -158,6 +173,7 @@ impl Detector {
             log_cap: 20_000,
             skip_singletons: false,
             ctxs: Vec::new(),
+            end_ctx: UarchContext::default(),
             emu_scratch: ModelScratch::new(),
         }
     }
@@ -249,6 +265,14 @@ impl Detector {
         let mut ordered: Vec<(u64, Vec<usize>)> = classes.into_iter().collect();
         ordered.sort_by_key(|(_, members)| members[0]);
 
+        // In Opt mode the predictor state a scan leaves behind carries into
+        // the next one. A full four-run validation ends with the second
+        // input replaying its own hot run; a rejected pair skips that run,
+        // so its end state is restored once the scan is done (`rejected`
+        // holds the second input of the last validation, if rejected).
+        let opt = executor.config().mode == ExecMode::Opt;
+        let mut rejected = None;
+
         for (_, members) in ordered {
             if members.len() < 2 || violations.len() >= self.max_per_program {
                 continue;
@@ -266,14 +290,31 @@ impl Detector {
                 if rep_run.digest == other_run.digest {
                     continue;
                 }
+                if opt && stats.candidates == 0 {
+                    executor
+                        .simulator_mut()
+                        .save_context_into(&mut self.end_ctx);
+                }
                 stats.candidates += 1;
-                if let Some(v) =
-                    self.validate(program, flat, inputs, rep, other, executor, &mut stats)
-                {
-                    stats.confirmed += 1;
-                    violations.push(v);
+                let hot = [rep_run.digest, other_run.digest];
+                match self.validate(program, flat, inputs, rep, other, hot, executor, &mut stats) {
+                    Validation::Confirmed(v) => {
+                        stats.confirmed += 1;
+                        violations.push(*v);
+                        rejected = None;
+                    }
+                    Validation::Rejected => rejected = Some(other),
+                    Validation::OutsideClass => {}
                 }
             }
+        }
+        if let (true, Some(b)) = (opt, rejected) {
+            // Replaying `b` ends where its hot run did: at the start context
+            // of the next executed case, or at the end of the hot loop.
+            let next = (b + 1..runs.len()).find(|&j| runs[j].is_some());
+            executor
+                .simulator_mut()
+                .set_context(next.map_or(&self.end_ctx, |j| &self.ctxs[j]));
         }
         (violations, stats)
     }
@@ -281,8 +322,10 @@ impl Detector {
     /// Validation: Definition 2.1 quantifies over a *single* µarch context
     /// µ, so a candidate is confirmed when the µarch traces differ with both
     /// inputs started from the *same* context — checked under each of the
-    /// two original contexts (either suffices). These re-runs log events and
-    /// materialise full traces; only candidates pay this cost.
+    /// two original contexts (either suffices). An input run under its own
+    /// context replays its hot run, so under each context only the other
+    /// input is simulated, as a digest. A confirmed pair re-runs both
+    /// inputs under the confirming context with logging on and full traces.
     ///
     /// First, both contract traces are re-derived: a candidate whose inputs
     /// do not really share a contract trace (its class digest came from an
@@ -295,9 +338,10 @@ impl Detector {
         inputs: &[TestInput],
         a: usize,
         b: usize,
+        hot: [u64; 2],
         executor: &mut Executor,
         stats: &mut ScanStats,
-    ) -> Option<Violation> {
+    ) -> Validation {
         let digest = self
             .model
             .ctrace_with(flat, &inputs[a], &mut self.emu_scratch)
@@ -307,56 +351,54 @@ impl Detector {
             .ctrace_with(flat, &inputs[b], &mut self.emu_scratch)
             .digest();
         if digest != digest_b {
-            return None;
+            return Validation::OutsideClass;
         }
         // Candidates always executed, so their context slots are fresh.
-        let ctx_a = &self.ctxs[a];
-        let ctx_b = &self.ctxs[b];
-
-        // Under context A.
-        let ra_ca = executor.run_case_with_ctx(flat, &inputs[a], ctx_a);
-        let log_a = executor.last_log_capped(self.log_cap);
-        let rb_ca = executor.run_case_with_ctx(flat, &inputs[b], ctx_a);
-        let log_b = executor.last_log_capped(self.log_cap);
+        // Under its own context an input replays its hot run, whose digest
+        // is `hot`: only the other input is simulated there.
+        let mut differs = |ctx: &UarchContext, input: &TestInput, known: u64| {
+            executor.run_case_digest_with_ctx(flat, input, ctx).digest != known
+        };
         stats.validation_runs += 2;
-        if ra_ca.utrace != rb_ca.utrace {
-            return Some(Violation {
-                program: program.clone(),
-                input_a: inputs[a].clone(),
-                input_b: inputs[b].clone(),
-                ctrace_digest: digest,
-                utrace_a: ra_ca.utrace,
-                utrace_b: rb_ca.utrace,
-                ctx_a: ctx_a.clone(),
-                ctx_b: ctx_a.clone(),
-                log_a,
-                log_b,
-            });
-        }
+        let confirming = if differs(&self.ctxs[a], &inputs[b], hot[0]) {
+            a
+        } else {
+            stats.validation_runs += 2;
+            if !differs(&self.ctxs[b], &inputs[a], hot[1]) {
+                return Validation::Rejected;
+            }
+            b
+        };
 
-        // Under context B.
-        let ra_cb = executor.run_case_with_ctx(flat, &inputs[a], ctx_b);
+        let ctx = &self.ctxs[confirming];
+        let ra = executor.run_case_with_ctx(flat, &inputs[a], ctx);
         let log_a = executor.last_log_capped(self.log_cap);
-        let rb_cb = executor.run_case_with_ctx(flat, &inputs[b], ctx_b);
+        let rb = executor.run_case_with_ctx(flat, &inputs[b], ctx);
         let log_b = executor.last_log_capped(self.log_cap);
-        stats.validation_runs += 2;
-        if ra_cb.utrace == rb_cb.utrace {
-            return None;
-        }
-
-        Some(Violation {
+        debug_assert_ne!(ra.utrace, rb.utrace, "digests differ, traces must too");
+        Validation::Confirmed(Box::new(Violation {
             program: program.clone(),
             input_a: inputs[a].clone(),
             input_b: inputs[b].clone(),
             ctrace_digest: digest,
-            utrace_a: ra_cb.utrace,
-            utrace_b: rb_cb.utrace,
-            ctx_a: ctx_b.clone(),
-            ctx_b: ctx_b.clone(),
+            utrace_a: ra.utrace,
+            utrace_b: rb.utrace,
+            ctx_a: ctx.clone(),
+            ctx_b: ctx.clone(),
             log_a,
             log_b,
-        })
+        }))
     }
+}
+
+/// The outcome of validating one candidate pair.
+enum Validation {
+    /// The pair's contract traces differ: no µarch run was made.
+    OutsideClass,
+    /// The µarch traces agree under both starting contexts.
+    Rejected,
+    /// The µarch traces differ under one starting context.
+    Confirmed(Box<Violation>),
 }
 
 impl Violation {
@@ -392,7 +434,7 @@ impl Violation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{ExecMode, ExecutorConfig};
+    use crate::executor::ExecutorConfig;
     use amulet_contracts::ContractKind;
     use amulet_defenses::gadgets::{self, payload};
     use amulet_defenses::DefenseKind;

@@ -22,6 +22,7 @@ use crate::cache::Cache;
 use crate::config::SimConfig;
 use crate::debuglog::{DebugEvent, DebugLog};
 use crate::tlb::Tlb;
+use std::cell::{Ref, RefCell};
 
 /// How a request interacts with cache state — chosen by the defense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,13 +108,23 @@ struct Parked {
     write: bool,
 }
 
+/// The L1I and the fetches not yet filled into it.
+#[derive(Debug)]
+struct LazyL1i {
+    cache: Cache,
+    /// Lines fetched since the cache was last brought up to date, in fetch
+    /// order and without back-to-back repeats (see [`MemSys::fetch_line`]).
+    fetch_log: Vec<u64>,
+}
+
 /// The complete timed memory system.
 #[derive(Debug)]
 pub struct MemSys {
     /// L1 data cache.
     pub l1d: Cache,
-    /// L1 instruction cache.
-    pub l1i: Cache,
+    /// L1 instruction cache with its deferred fetch fills: read it through
+    /// [`MemSys::l1i`].
+    l1i: RefCell<LazyL1i>,
     /// Unified L2.
     pub l2: Cache,
     /// Data TLB.
@@ -150,7 +161,10 @@ impl MemSys {
     pub fn new(cfg: &SimConfig) -> Self {
         MemSys {
             l1d: Cache::new(cfg.l1d),
-            l1i: Cache::new(cfg.l1i),
+            l1i: RefCell::new(LazyL1i {
+                cache: Cache::new(cfg.l1i),
+                fetch_log: Vec::new(),
+            }),
             l2: Cache::new(cfg.l2),
             dtlb: Tlb::new(cfg.dtlb_entries, cfg.page_bytes),
             cfg: cfg.clone(),
@@ -613,15 +627,43 @@ impl MemSys {
 
     /// Touches the instruction cache for the line containing `addr`
     /// (footprint only — I-fetch timing is not modelled).
+    ///
+    /// A fetch fill has no timing effect and no L2 side, so the fill is
+    /// deferred: the line joins a log that [`MemSys::l1i`] replays when
+    /// something observes the L1I. Re-fetching the line just logged is
+    /// dropped — filling the most recently used line again changes neither
+    /// residency, relative LRU order nor flags.
     pub fn fetch_line(&mut self, addr: u64) {
-        self.l1i.fill(addr, false, true);
+        let line = self.cfg.l1i.line_of(addr);
+        let log = &mut self.l1i.get_mut().fetch_log;
+        if log.last() != Some(&line) {
+            log.push(line);
+        }
+    }
+
+    /// The L1 instruction cache, with every logged fetch applied.
+    pub fn l1i(&self) -> Ref<'_, Cache> {
+        {
+            let LazyL1i { cache, fetch_log } = &mut *self.l1i.borrow_mut();
+            for &line in fetch_log.iter() {
+                cache.fill(line, false, true);
+            }
+            fetch_log.clear();
+        }
+        Ref::map(self.l1i.borrow(), |l1i| &l1i.cache)
+    }
+
+    fn flush_l1i(&mut self) {
+        let l1i = self.l1i.get_mut();
+        l1i.fetch_log.clear();
+        l1i.cache.flush();
     }
 
     /// Flushes L1D, L1I, L2 and the TLB (the "simulator hook" reset used for
     /// CleanupSpec/SpecLFB harnesses, §3.5).
     pub fn flush_all(&mut self) {
         self.l1d.flush();
-        self.l1i.flush();
+        self.flush_l1i();
         self.l2.flush();
         self.dtlb.flush();
     }
@@ -631,7 +673,7 @@ impl MemSys {
     /// the L1D wholesale anyway (flushing it first would void the tracking
     /// baseline and force a full image copy every test case).
     pub fn flush_all_except_l1d(&mut self) {
-        self.l1i.flush();
+        self.flush_l1i();
         self.l2.flush();
         self.dtlb.flush();
     }
@@ -640,6 +682,57 @@ impl MemSys {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The deferred L1I equals one filled eagerly at every fetch, read at
+    /// any point of a random fetch stream: repeats, sequential fetch-ahead
+    /// spans, flushes, and small geometry so that lines are evicted.
+    #[test]
+    fn replayed_l1i_equals_eager_fills() {
+        use amulet_util::Xoshiro256;
+        let mut rng = Xoshiro256::seed_from_u64(0x11CA);
+        let l1i = crate::config::CacheConfig {
+            sets: 4,
+            ways: 2,
+            ..SimConfig::default().l1i
+        };
+        let cfg = SimConfig {
+            l1i,
+            ..SimConfig::default()
+        };
+        let mut m = MemSys::new(&cfg);
+        let mut eager = Cache::new(l1i);
+        let fetch = |m: &mut MemSys, eager: &mut Cache, addr: u64| {
+            m.fetch_line(addr);
+            eager.fill(addr, false, true);
+        };
+        for step in 0..2_000 {
+            let pc = rng.index(512);
+            match rng.index(8) {
+                // A fetch-ahead span: one fetch per cycle, several per line.
+                0 => {
+                    for k in 0..rng.index(40) {
+                        fetch(&mut m, &mut eager, amulet_isa::code_addr(pc + k));
+                    }
+                }
+                1 => {
+                    let addr = amulet_isa::code_addr(pc);
+                    for _ in 0..1 + rng.index(3) {
+                        fetch(&mut m, &mut eager, addr);
+                    }
+                }
+                2 if rng.chance(1, 8) => {
+                    m.flush_all_except_l1d();
+                    eager.flush();
+                }
+                _ => fetch(&mut m, &mut eager, amulet_isa::code_addr(pc)),
+            }
+            if rng.chance(1, 4) {
+                let lazy = m.l1i();
+                assert_eq!(lazy.snapshot(), eager.snapshot(), "step {step}");
+                assert_eq!(lazy.digest(0x11), eager.digest(0x11), "step {step}");
+            }
+        }
+    }
 
     fn memsys(mshrs: usize) -> (MemSys, DebugLog) {
         let cfg = SimConfig {

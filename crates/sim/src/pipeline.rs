@@ -702,7 +702,7 @@ impl Simulator {
         let (bp_table, ghr) = self.bp.state();
         UarchSnapshot {
             l1d: self.mem.l1d.snapshot(),
-            l1i: self.mem.l1i.snapshot(),
+            l1i: self.mem.l1i().snapshot(),
             dtlb: self.mem.dtlb.snapshot(),
             bp_table,
             ghr,
@@ -747,7 +747,7 @@ impl Simulator {
                 let mut h = self.mem.l1d.digest(0x1d);
                 h = h.wrapping_mul(3).wrapping_add(self.mem.dtlb.digest(0x71b));
                 if include_l1i {
-                    h = h.wrapping_mul(3).wrapping_add(self.mem.l1i.digest(0x11));
+                    h = h.wrapping_mul(3).wrapping_add(self.mem.l1i().digest(0x11));
                 }
                 h
             }
@@ -2203,10 +2203,8 @@ mod digest_tests {
                 sim.mem.l1d.digest(0x1d),
                 set_digest(sim.mem.l1d.iter_lines(), 0x1d)
             );
-            assert_eq!(
-                sim.mem.l1i.digest(0x11),
-                set_digest(sim.mem.l1i.iter_lines(), 0x11)
-            );
+            let l1i = sim.mem.l1i();
+            assert_eq!(l1i.digest(0x11), set_digest(l1i.iter_lines(), 0x11));
             assert_eq!(
                 sim.mem.dtlb.digest(0x71b),
                 set_digest(sim.mem.dtlb.iter_pages(), 0x71b)

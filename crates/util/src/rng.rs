@@ -178,22 +178,21 @@ impl Xoshiro256 {
 
     /// Advances the generator by `steps` outputs: the same state as `steps`
     /// calls of [`Xoshiro256::next_u64`], in O(log steps) jump-table
-    /// applications (~150 ns each) plus fewer than 512 single steps.
+    /// applications (64 table lookups each) plus fewer than 512 single
+    /// steps. A jump level is built on its first use, in well under a
+    /// millisecond.
     pub fn advance(&mut self, steps: u64) {
-        let ladder = jump_ladder();
         let mut units = steps / JUMP_UNIT;
-        for jump in &ladder[..ladder.len() - 1] {
-            if units == 0 {
-                break;
-            }
+        let mut level = 0;
+        while units != 0 && level < JUMP_LEVELS - 1 {
             if units & 1 == 1 {
-                self.s = jump.apply(self.s);
+                self.s = jump(level).apply(self.s);
             }
             units >>= 1;
+            level += 1;
         }
-        let top = &ladder[ladder.len() - 1];
         for _ in 0..units {
-            self.s = top.apply(self.s);
+            self.s = jump(JUMP_LEVELS - 1).apply(self.s);
         }
         for _ in 0..steps % JUMP_UNIT {
             self.next_u64();
@@ -239,40 +238,55 @@ const JUMP_UNIT: u64 = 512;
 /// top table.
 const JUMP_LEVELS: usize = 16;
 
-/// A GF(2)-linear map on the 256-bit generator state, stored by column:
-/// `cols[i]` is the image of state bit `i` (bit `i % 64` of word `i / 64`).
+/// A GF(2)-linear map on the 256-bit generator state, stored as one
+/// table per nibble of the state: `nibbles[n][v]` is the image of the state
+/// whose bits `4n..4n + 4` hold `v` and whose other bits are clear, so an
+/// application is 64 lookups (32 KiB per map).
 struct Jump {
-    cols: Box<[[u64; 4]; 256]>,
+    nibbles: Box<[[[u64; 4]; 16]; 64]>,
 }
 
 impl Jump {
+    /// The map whose column `i` (the image of state bit `i`, bit `i % 64`
+    /// of word `i / 64`) is `cols[i]`.
+    fn from_cols(cols: &[[u64; 4]; 256]) -> Self {
+        let mut nibbles = Box::new([[[0u64; 4]; 16]; 64]);
+        for (n, table) in nibbles.iter_mut().enumerate() {
+            for v in 1..16usize {
+                let rest = v & (v - 1);
+                let col = &cols[4 * n + (v ^ rest).trailing_zeros() as usize];
+                let mut image = table[rest];
+                for (o, c) in image.iter_mut().zip(col) {
+                    *o ^= c;
+                }
+                table[v] = image;
+            }
+        }
+        Jump { nibbles }
+    }
+
     /// `JUMP_UNIT` transitions, column by column: the image of each basis
     /// state.
     fn unit() -> Self {
-        let mut cols = Box::new([[0u64; 4]; 256]);
+        let mut cols = [[0u64; 4]; 256];
         for (i, col) in cols.iter_mut().enumerate() {
-            let mut s = [0u64; 4];
-            s[i / 64] = 1 << (i % 64);
+            col[i / 64] = 1 << (i % 64);
             for _ in 0..JUMP_UNIT {
-                step(&mut s);
+                step(col);
             }
-            *col = s;
         }
-        Jump { cols }
+        Jump::from_cols(&cols)
     }
 
-    /// The state this map sends `s` to: the XOR of the columns of `s`'s set
-    /// bits.
+    /// The state this map sends `s` to: the XOR of its nibbles' images.
     fn apply(&self, s: [u64; 4]) -> [u64; 4] {
         let mut out = [0u64; 4];
-        for (w, &word) in s.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let col = &self.cols[w * 64 + bits.trailing_zeros() as usize];
-                for (o, c) in out.iter_mut().zip(col) {
+        for (tables, &word) in self.nibbles.chunks_exact(16).zip(&s) {
+            for (k, table) in tables.iter().enumerate() {
+                let image = &table[(word >> (4 * k)) as usize & 15];
+                for (o, c) in out.iter_mut().zip(image) {
                     *o ^= c;
                 }
-                bits &= bits - 1;
             }
         }
         out
@@ -280,24 +294,23 @@ impl Jump {
 
     /// This map applied twice.
     fn squared(&self) -> Self {
-        let mut cols = Box::new([[0u64; 4]; 256]);
-        for (col, own) in cols.iter_mut().zip(self.cols.iter()) {
-            *col = self.apply(*own);
+        let mut cols = [[0u64; 4]; 256];
+        for (i, col) in cols.iter_mut().enumerate() {
+            *col = self.apply(self.nibbles[i / 4][1 << (i % 4)]);
         }
-        Jump { cols }
+        Jump::from_cols(&cols)
     }
 }
 
-/// The process-wide jump ladder, built on first use (about a millisecond).
-fn jump_ladder() -> &'static [Jump] {
-    static LADDER: std::sync::OnceLock<Vec<Jump>> = std::sync::OnceLock::new();
-    LADDER.get_or_init(|| {
-        let mut ladder = vec![Jump::unit()];
-        while ladder.len() < JUMP_LEVELS {
-            let next = ladder[ladder.len() - 1].squared();
-            ladder.push(next);
-        }
-        ladder
+/// Jump level `level` (`JUMP_UNIT · 2^level` steps) of the process-wide
+/// ladder. Each level is built on first use from the one below, so a
+/// process that only jumps within 128-page images builds levels 0–7.
+fn jump(level: usize) -> &'static Jump {
+    static LADDER: [std::sync::OnceLock<Jump>; JUMP_LEVELS] =
+        [const { std::sync::OnceLock::new() }; JUMP_LEVELS];
+    LADDER[level].get_or_init(|| match level {
+        0 => Jump::unit(),
+        _ => jump(level - 1).squared(),
     })
 }
 
