@@ -26,7 +26,7 @@ use amulet_core::{
 use amulet_defenses::DefenseKind;
 use amulet_emu::Sandbox;
 use amulet_isa::{TestInput, PAGE_SIZE};
-use amulet_util::Xoshiro256;
+use amulet_util::{EventLog, Xoshiro256};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::io::Write as _;
@@ -485,7 +485,7 @@ fn fleet_bench(json: &mut String) {
                     continue;
                 };
                 let reader = std::io::BufReader::new(clone);
-                let _ = serve_session(&worker_cfg, reader, &stream, &mut std::io::sink());
+                let _ = serve_session(&worker_cfg, reader, &stream, &EventLog::off());
             }
         });
     }
@@ -524,7 +524,7 @@ fn fleet_bench(json: &mut String) {
                         Ok(FaultyLink::new(link, plan, counters.clone()))
                     },
                     None,
-                    None,
+                    &EventLog::off(),
                 )
             } else {
                 run_driver(
@@ -532,7 +532,7 @@ fn fleet_bench(json: &mut String) {
                     &drive,
                     |slot| TcpLink::connect(&addrs[slot % addrs.len()], drive.liveness),
                     None,
-                    None,
+                    &EventLog::off(),
                 )
             }
             .expect("fleet bench campaign");

@@ -21,15 +21,17 @@
 use crate::fleet::{run_driver, DriveConfig, WorkerLink};
 use crate::{print_report, report_json, Args, JsonSink, ShapeOptions};
 use amulet_core::proto::{Msg, PROTO_VERSION};
+use amulet_util::EventLog;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::Duration;
 
 /// A [`WorkerLink`] over a spawned `amulet worker` child process's
-/// stdin/stdout pipes (stderr is inherited, so worker logs interleave with
-/// the driver's). A detached reader thread pumps stdout lines into a
-/// channel so receives can carry a deadline.
+/// stdin/stdout pipes (stderr is inherited, so each worker's event rows,
+/// numbered by its own `seq`, interleave with the driver's). A detached
+/// reader thread pumps stdout lines into a channel so receives can carry a
+/// deadline.
 #[derive(Debug)]
 pub struct ProcLink {
     child: Child,
@@ -173,6 +175,8 @@ pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
     };
     let tee = open_append(fragments_path.as_deref())?;
     let events = open_append(events_path.as_deref())?;
+    // Made where the driver starts, so `t_s` counts from the campaign's start.
+    let events = || events.map_or_else(EventLog::off, EventLog::new);
 
     let report = match connect_list.as_deref() {
         Some(list) => {
@@ -190,7 +194,7 @@ pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
                 &drive,
                 |slot| crate::net::TcpLink::connect(&addrs[slot % addrs.len()], drive.liveness),
                 tee,
-                events,
+                &events(),
             )?
         }
         None => {
@@ -208,7 +212,7 @@ pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
                 &drive,
                 |_slot| ProcLink::spawn(&exe, &worker_args),
                 tee,
-                events,
+                &events(),
             )?
         }
     };

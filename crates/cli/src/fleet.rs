@@ -10,7 +10,8 @@
 //! ([`TcpLink`](crate::TcpLink)), or an in-memory link wrapped in fault
 //! injection ([`FaultyLink`](crate::FaultyLink)). [`run_driver`] is
 //! `amulet drive`: a single-campaign, in-memory `Service` fed by
-//! `drive.procs` slots.
+//! `drive.procs` slots. Slots log their ladder as `fleet` rows on an
+//! [`EventLog`]: `drive --events`' file, or `serve`'s stderr stream.
 //!
 //! # Robustness model
 //!
@@ -48,10 +49,9 @@
 
 use amulet_core::proto::{FragmentReport, Msg};
 use amulet_core::{CampaignConfig, CampaignReport, Lease, LeaseWait, Service};
-use amulet_util::{JsonObj, Xoshiro256};
+use amulet_util::{EventLog, Xoshiro256};
 use std::io::Write;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long an idle slot waits for a lease before housekeeping (closing a
 /// session whose campaign has ended, shutdown checks).
@@ -130,45 +130,6 @@ impl Default for DriveConfig {
     }
 }
 
-/// The fleet's structured JSONL event log (connects, link failures,
-/// backoff, orphaned and adopted batches, refusals, quarantines, drains) —
-/// `drive --events` writes it to a file, `serve` to stderr. Timestamps are
-/// seconds since the fleet started; every row carries a dense monotonic
-/// `seq` so consumers can detect truncation and order rows even when `t_s`
-/// values collide.
-pub(crate) struct FleetEvents {
-    // The counter lives under the same lock as the writer so seq order
-    // and file order can never disagree across racing slot threads.
-    out: Option<Mutex<(u64, Box<dyn Write + Send>)>>,
-    start: Instant,
-}
-
-impl FleetEvents {
-    pub(crate) fn new(out: Option<Box<dyn Write + Send>>) -> Self {
-        FleetEvents {
-            out: out.map(|w| Mutex::new((0, w))),
-            start: Instant::now(),
-        }
-    }
-
-    fn emit(&self, slot: usize, event: &str, detail: impl FnOnce(JsonObj) -> JsonObj) {
-        let Some(out) = &self.out else { return };
-        let mut guard = out.lock().unwrap();
-        let (seq, w) = &mut *guard;
-        let line = detail(
-            JsonObj::new()
-                .str("event", event)
-                .int("seq", *seq)
-                .int("slot", slot as u64)
-                .num("t_s", self.start.elapsed().as_secs_f64()),
-        )
-        .finish();
-        *seq += 1;
-        let _ = writeln!(w, "{line}");
-        let _ = w.flush();
-    }
-}
-
 /// Drives one campaign over `drive.procs` worker links and reduces the
 /// streamed fragments deterministically: a single-campaign, in-memory
 /// [`Service`] fed by `drive.procs` slots (`run_slot`).
@@ -181,10 +142,9 @@ impl FleetEvents {
 /// *mismatch* is a configuration error that the slot never retries, while
 /// every transport-shaped handshake failure is transient and consumes
 /// retry budget. `tee`, when given, receives every executed fragment as
-/// one JSONL line; `events`, when given, receives the fleet event log
-/// (JSONL: `connect`, `link_failure`, `backoff`, `orphan`, `adopt`,
-/// `refused`, `quarantine`, `drained` events with slot numbers and
-/// timestamps).
+/// one JSONL line; `events` receives the slots' `fleet` rows (`connect`,
+/// `link_failure`, `backoff`, `orphan`, `adopt`, `refused`, `quarantine`,
+/// `drained`, each with its `slot`) — [`EventLog::off`] discards them.
 ///
 /// The reduced fragment set is checked by
 /// [`verify_fragment_coverage`](amulet_core::verify_fragment_coverage)
@@ -195,14 +155,13 @@ pub fn run_driver<L, C>(
     drive: &DriveConfig,
     connect: C,
     tee: Option<Box<dyn Write + Send>>,
-    events: Option<Box<dyn Write + Send>>,
+    events: &EventLog,
 ) -> Result<CampaignReport, String>
 where
     L: WorkerLink,
     C: Fn(usize) -> Result<L, String> + Sync,
 {
     let service = Service::new();
-    let events = FleetEvents::new(events);
     // Attach every slot before the submit, so the degradation floor can
     // never see an empty fleet that is merely still starting up.
     let ids: Vec<u64> = (0..drive.procs.max(1))
@@ -211,7 +170,7 @@ where
     let done = service.submit_config(cfg.clone(), drive.batch_programs, tee);
     std::thread::scope(|scope| {
         for (slot, id) in ids.into_iter().enumerate() {
-            let (service, connect, events) = (&service, &connect, &events);
+            let (service, connect) = (&service, &connect);
             scope.spawn(move || run_slot(service, id, slot, || connect(slot), drive, events));
         }
         let outcome = done
@@ -255,15 +214,15 @@ fn close<L: WorkerLink>(session: &mut Option<Session<L>>) {
 /// run it through the retry/backoff ladder on links from `connect`, and
 /// complete it, release it for the survivors, or refuse its campaign.
 /// Exits on service shutdown (emitting `drained`) or on quarantine, and
-/// retires the slot either way. `slot` numbers the slot in the event log
-/// and seeds its backoff jitter.
+/// retires the slot either way. `slot` numbers the slot in its `fleet`
+/// rows on `events` and seeds its backoff jitter.
 pub(crate) fn run_slot<L: WorkerLink>(
     service: &Service,
     id: u64,
     slot: usize,
     connect: impl Fn() -> Result<L, String>,
     drive: &DriveConfig,
-    events: &FleetEvents,
+    events: &EventLog,
 ) {
     let mut rng =
         Xoshiro256::seed_from_u64(drive.seed ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -290,7 +249,9 @@ pub(crate) fn run_slot<L: WorkerLink>(
         };
         let batch = lease.spec.index as u64;
         if lease.adopted {
-            events.emit(slot, "adopt", |o| o.int("batch", batch));
+            events.emit("fleet", "adopt", |o| {
+                o.int("slot", slot as u64).int("batch", batch)
+            });
         }
         if session
             .as_ref()
@@ -306,7 +267,7 @@ pub(crate) fn run_slot<L: WorkerLink>(
             let attempt = match session.as_mut() {
                 Some(live) => call_worker(live, &lease, drive, token).map_err(Failure::Transient),
                 None => connect_checked(&lease.cfg, &connect, drive.liveness).and_then(|link| {
-                    events.emit(slot, "connect", |o| o);
+                    events.emit("fleet", "connect", |o| o.int("slot", slot as u64));
                     let fresh = session.insert(Session {
                         campaign: lease.campaign,
                         link,
@@ -321,8 +282,9 @@ pub(crate) fn run_slot<L: WorkerLink>(
                     // ever re-sent on a fresh session, so a zombie's late
                     // fragment can never be read.
                     session = None;
-                    events.emit(slot, "link_failure", |o| {
-                        o.int("batch", batch)
+                    events.emit("fleet", "link_failure", |o| {
+                        o.int("slot", slot as u64)
+                            .int("batch", batch)
                             .int("attempt", attempts as u64)
                             .str("error", &e)
                     });
@@ -331,7 +293,10 @@ pub(crate) fn run_slot<L: WorkerLink>(
                     }
                     attempts += 1;
                     let delay = backoff_delay(&mut rng, drive, attempts);
-                    events.emit(slot, "backoff", |o| o.num("delay_s", delay.as_secs_f64()));
+                    events.emit("fleet", "backoff", |o| {
+                        o.int("slot", slot as u64)
+                            .num("delay_s", delay.as_secs_f64())
+                    });
                     std::thread::sleep(delay);
                 }
                 other => break other,
@@ -350,17 +315,25 @@ pub(crate) fn run_slot<L: WorkerLink>(
                 }
             }
             Err(Failure::Refused(e)) => {
-                events.emit(slot, "refused", |o| {
-                    o.int("campaign", lease.campaign).str("error", &e)
+                events.emit("fleet", "refused", |o| {
+                    o.int("slot", slot as u64)
+                        .int("campaign", lease.campaign)
+                        .str("error", &e)
                 });
                 service.refuse(id, *lease, e);
             }
             Err(Failure::Transient(e)) => {
                 strikes += 1;
-                events.emit(slot, "orphan", |o| o.int("batch", batch).str("error", &e));
+                events.emit("fleet", "orphan", |o| {
+                    o.int("slot", slot as u64)
+                        .int("batch", batch)
+                        .str("error", &e)
+                });
                 service.release(*lease);
                 if strikes >= drive.quarantine_after {
-                    events.emit(slot, "quarantine", |o| o.int("strikes", strikes as u64));
+                    events.emit("fleet", "quarantine", |o| {
+                        o.int("slot", slot as u64).int("strikes", strikes as u64)
+                    });
                     service.retire_slot(id);
                     return;
                 }
@@ -369,7 +342,7 @@ pub(crate) fn run_slot<L: WorkerLink>(
     }
 
     close(&mut session);
-    events.emit(slot, "drained", |o| o);
+    events.emit("fleet", "drained", |o| o.int("slot", slot as u64));
     service.retire_slot(id);
 }
 
@@ -476,6 +449,7 @@ mod tests {
     use amulet_core::{Corpus, CorpusInput, Reduction, ViolationClass, ViolationDigest};
     use amulet_defenses::DefenseKind;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
@@ -538,7 +512,7 @@ mod tests {
                 })
             },
             None,
-            None,
+            &EventLog::off(),
         )
         .unwrap_err();
         assert!(
@@ -571,7 +545,7 @@ mod tests {
                 })
             },
             None,
-            None,
+            &EventLog::off(),
         )
         .unwrap_err();
         assert_eq!(

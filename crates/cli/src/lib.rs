@@ -64,7 +64,7 @@ pub use fault::{AdversarialPlan, FaultCounters, FaultPlan, FaultyLink};
 pub use fleet::{run_driver, DriveConfig, WorkerLink};
 pub use net::{parse_connect_list, serve_listener, ListenConfig, TcpLink};
 pub use serve::{serve_client, serve_client_with, ClientStats, ServiceHost, SessionLimits};
-pub use worker::{serve_session, serve_worker, SessionStats};
+pub use worker::{serve_session, SessionStats};
 
 /// Usage text printed by `amulet help` (and on usage errors).
 pub const USAGE: &str = "\

@@ -15,7 +15,7 @@ use crate::fleet::WorkerLink;
 use crate::worker::serve_session;
 use amulet_core::proto::Msg;
 use amulet_core::CampaignConfig;
-use amulet_util::JsonObj;
+use amulet_util::events;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -144,8 +144,8 @@ pub struct ListenConfig {
 }
 
 /// Binds `addr` and serves driver sessions sequentially, announcing the
-/// bound address as a structured JSON line on `log` first (so scripts and
-/// tests can scrape the port when binding to `:0`).
+/// bound address in a `listening` row on the stderr event stream first
+/// (so scripts and tests can scrape the port when binding to `:0`).
 ///
 /// A session error (malformed traffic, mid-batch disconnect) is logged
 /// and the listener keeps accepting: driver reconnects after a network
@@ -156,16 +156,11 @@ pub fn serve_listener(cfg: &CampaignConfig, listen: &ListenConfig) -> Result<(),
     let local = listener
         .local_addr()
         .map_err(|e| format!("cannot read bound address: {e}"))?;
-    let mut log = std::io::stderr();
-    let _ = writeln!(
-        log,
-        "{}",
-        JsonObj::new()
-            .str("event", "listening")
-            .str("addr", &local.to_string())
+    let log = events::stderr();
+    log.emit("worker", "listening", |o| {
+        o.str("addr", &local.to_string())
             .int("pid", u64::from(std::process::id()))
-            .finish()
-    );
+    });
     let mut served = 0usize;
     loop {
         let (stream, peer) = listener
@@ -175,43 +170,22 @@ pub fn serve_listener(cfg: &CampaignConfig, listen: &ListenConfig) -> Result<(),
         if let Some(idle) = listen.idle_timeout {
             let _ = stream.set_read_timeout(Some(idle));
         }
-        let _ = writeln!(
-            log,
-            "{}",
-            JsonObj::new()
-                .str("event", "session_start")
-                .str("peer", &peer.to_string())
-                .finish()
-        );
+        log.emit("worker", "session_start", |o| {
+            o.str("peer", &peer.to_string())
+        });
         let reader = BufReader::new(
             stream
                 .try_clone()
                 .map_err(|e| format!("cannot clone stream: {e}"))?,
         );
-        match serve_session(cfg, reader, &stream, &mut log) {
-            Ok(stats) => {
-                let _ = writeln!(
-                    log,
-                    "{}",
-                    JsonObj::new()
-                        .str("event", "session_end")
-                        .int("batches", stats.batches as u64)
-                        .int("skipped", stats.skipped as u64)
-                        .int("pings", stats.pings as u64)
-                        .int("malformed", stats.malformed as u64)
-                        .finish()
-                );
-            }
-            Err(e) => {
-                let _ = writeln!(
-                    log,
-                    "{}",
-                    JsonObj::new()
-                        .str("event", "session_error")
-                        .str("error", &e)
-                        .finish()
-                );
-            }
+        match serve_session(cfg, reader, &stream, log) {
+            Ok(stats) => log.emit("worker", "session_end", |o| {
+                o.int("batches", stats.batches as u64)
+                    .int("skipped", stats.skipped as u64)
+                    .int("pings", stats.pings as u64)
+                    .int("malformed", stats.malformed as u64)
+            }),
+            Err(e) => log.emit("worker", "session_error", |o| o.str("error", &e)),
         }
         served += 1;
         if listen.sessions != 0 && served >= listen.sessions {
@@ -261,7 +235,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let reader = BufReader::new(stream.try_clone().unwrap());
-            serve_session(&server_cfg, reader, &stream, &mut std::io::sink()).unwrap()
+            serve_session(&server_cfg, reader, &stream, &amulet_util::EventLog::off()).unwrap()
         });
 
         let mut link = TcpLink::connect(&addr.to_string(), Duration::from_secs(5)).unwrap();

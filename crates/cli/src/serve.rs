@@ -29,8 +29,9 @@
 //! idle-session reaping, a strike ladder for malformed traffic — the PR 6
 //! shape); and SIGTERM runs a graceful drain (stop admitting, announce
 //! `draining`, checkpoint or finish active campaigns, exit 0). Every
-//! rejection, eviction and drain is logged as a structured stderr event
-//! with a dense monotonic `seq`, like the fleet event log.
+//! rejection, eviction, client fault and drain is a `serve` row on the
+//! process's one stderr event stream ([`amulet_util::events::stderr`]),
+//! which its `--connect` slots' `fleet` rows share.
 //!
 //! Scheduling fairness, the result cache and corpus persistence live in
 //! `amulet_core::service`; this module is transport and process glue —
@@ -38,7 +39,7 @@
 //! can drive [`serve_client`] over in-memory pipes and prove the same
 //! properties the real-socket tests prove end-to-end.
 
-use crate::fleet::{backoff_delay, run_slot, DriveConfig, FleetEvents, LEASE_POLL};
+use crate::fleet::{backoff_delay, run_slot, DriveConfig, LEASE_POLL};
 use crate::net::{parse_connect_list, TcpLink};
 use crate::{Args, JsonSink, ShapeOptions, WorkerLink};
 use amulet_core::proto::{CampaignSpec, Msg, ResultMsg};
@@ -46,13 +47,13 @@ use amulet_core::{
     run_batch, Admission, Corpus, LeaseWait, Service, ServiceEvent, ShardConfig, StateDir,
     SubmitOutcome, UnitRuntime,
 };
-use amulet_util::{JsonObj, Xoshiro256};
+use amulet_util::{events, JsonObj, Xoshiro256};
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -91,18 +92,6 @@ impl Default for SessionLimits {
 /// admission quota counts. `u64::MAX` is the service's anonymous id, so
 /// the counter can never collide with it in practice.
 static CLIENT_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Emits one structured overload event (`rejected`/`evicted`/`draining`)
-/// to stderr. The `seq` is dense and monotonic across all such events in
-/// this process — the PR 7 fleet-event convention — which the serialising
-/// lock guarantees even when session threads race.
-fn daemon_event(build: impl FnOnce(u64) -> String) {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    static ORDER: Mutex<()> = Mutex::new(());
-    let guard = ORDER.lock().unwrap();
-    eprintln!("{}", build(SEQ.fetch_add(1, Ordering::Relaxed)));
-    drop(guard);
-}
 
 /// One unit from a session's bounded reader thread.
 enum Frame {
@@ -184,21 +173,21 @@ impl ServiceHost {
     /// Starts `local_workers` in-process workers and one TCP slot per
     /// `connect` address, all leasing from `service`. TCP slots run the
     /// fleet's slot loop under [`DriveConfig::default`] and log their
-    /// event rows to stderr, numbered by their position in `connect`.
+    /// `fleet` rows to the process's stderr event stream, numbered by
+    /// their position in `connect`.
     pub fn start(service: Arc<Service>, local_workers: usize, connect: &[String]) -> Self {
         let mut host = ServiceHost {
             service,
             threads: Vec::new(),
         };
         host.add_local_workers(local_workers);
-        let events = Arc::new(FleetEvents::new(Some(Box::new(std::io::stderr()))));
         for (slot, addr) in connect.iter().enumerate() {
             let id = host.service.attach_slot();
-            let (service, events, addr) = (host.service.clone(), events.clone(), addr.clone());
+            let (service, addr) = (host.service.clone(), addr.clone());
             host.threads.push(std::thread::spawn(move || {
                 let drive = DriveConfig::default();
                 let connect = || TcpLink::connect(&addr, drive.liveness);
-                run_slot(&service, id, slot, connect, &drive, &events)
+                run_slot(&service, id, slot, connect, &drive, events::stderr())
             }));
         }
         host
@@ -304,8 +293,9 @@ where
 /// write-ahead journal file survives, so the client's resubmit against a
 /// restarted daemon resumes batch-granularly. Submit errors are answered
 /// with an error `result` under campaign id `u64::MAX` (no id was ever
-/// assigned); admission sheds are answered with `rejected` and logged as
-/// structured `rejected` events.
+/// assigned). Admission sheds are answered with `rejected`; sheds,
+/// evictions and every malformed, unexpected or oversized frame are
+/// logged as `serve` rows on the stderr event stream.
 pub fn serve_client_with<R, W>(
     service: &Arc<Service>,
     input: R,
@@ -386,14 +376,10 @@ where
                                 retry_after_ms,
                             }) => {
                                 stats.rejected += 1;
-                                daemon_event(|seq| {
-                                    JsonObj::new()
-                                        .str("event", "rejected")
-                                        .int("seq", seq)
-                                        .int("client", client)
+                                events::stderr().emit("serve", "rejected", |o| {
+                                    o.int("client", client)
                                         .str("reason", &reason)
                                         .int("retry_after_ms", retry_after_ms)
-                                        .finish()
                                 });
                                 send(
                                     &mut out,
@@ -424,12 +410,20 @@ where
                         Ok(other) => {
                             stats.malformed += 1;
                             strikes += 1;
-                            eprintln!("client {client} sent unexpected {:?}", other.tag());
+                            events::stderr().emit("serve", "client_malformed", |o| {
+                                o.int("client", client)
+                                    .str("kind", "unexpected")
+                                    .str("tag", other.tag())
+                            });
                         }
                         Err(e) => {
                             stats.malformed += 1;
                             strikes += 1;
-                            eprintln!("client {client} sent malformed line: {e}");
+                            events::stderr().emit("serve", "client_malformed", |o| {
+                                o.int("client", client)
+                                    .str("kind", "malformed")
+                                    .str("error", &e)
+                            });
                         }
                     }
                 }
@@ -437,7 +431,11 @@ where
                     last_frame = Instant::now();
                     stats.malformed += 1;
                     strikes += 1;
-                    eprintln!("client {client} sent oversized frame ({bytes} bytes, discarded)");
+                    events::stderr().emit("serve", "client_malformed", |o| {
+                        o.int("client", client)
+                            .str("kind", "oversized")
+                            .int("bytes", bytes as u64)
+                    });
                 }
                 Ok(Frame::Tick) => {}
                 Ok(Frame::Failed(e)) => return Err(format!("client read failed: {e}")),
@@ -450,14 +448,10 @@ where
                 stats.evicted = Some("idle");
             }
             if let Some(reason) = stats.evicted {
-                daemon_event(|seq| {
-                    JsonObj::new()
-                        .str("event", "evicted")
-                        .int("seq", seq)
-                        .int("client", client)
+                events::stderr().emit("serve", "evicted", |o| {
+                    o.int("client", client)
                         .str("reason", reason)
                         .int("malformed", stats.malformed as u64)
-                        .finish()
                 });
                 return Ok(());
             }
@@ -581,16 +575,12 @@ pub(crate) fn cmd_serve(mut args: Args) -> Result<(), String> {
     let local = listener
         .local_addr()
         .map_err(|e| format!("cannot read bound address: {e}"))?;
-    eprintln!(
-        "{}",
-        JsonObj::new()
-            .str("event", "serving")
-            .str("addr", &local.to_string())
+    events::stderr().emit("serve", "serving", |o| {
+        o.str("addr", &local.to_string())
             .int("pid", u64::from(std::process::id()))
             .int("workers", workers as u64)
             .int("tcp_slots", connect.len() as u64)
-            .finish()
-    );
+    });
 
     let service = Arc::new(match state {
         Some(state) => {
@@ -598,17 +588,13 @@ pub(crate) fn cmd_serve(mut args: Args) -> Result<(), String> {
             // clear journals whose campaign already completed, and announce
             // what a resubmit could resume.
             let recovery = state.recover()?;
-            eprintln!(
-                "{}",
-                JsonObj::new()
-                    .str("event", "recovery")
-                    .str("state_dir", &state.path().display().to_string())
+            events::stderr().emit("serve", "recovery", |o| {
+                o.str("state_dir", &state.path().display().to_string())
                     .int("cached", recovery.cache.len() as u64)
                     .int("resumable", recovery.resumable as u64)
                     .int("cleared", recovery.cleared as u64)
                     .int("corrupt", recovery.corrupt as u64)
-                    .finish()
-            );
+            });
             Service::with_persistence(corpus, state, recovery)
         }
         None => Service::with_corpus(corpus),
@@ -629,13 +615,7 @@ pub(crate) fn cmd_serve(mut args: Args) -> Result<(), String> {
             // let sessions checkpoint (persistent) or finish (in-memory),
             // then exit 0 below.
             let active = service.drain();
-            daemon_event(|seq| {
-                JsonObj::new()
-                    .str("event", "draining")
-                    .int("seq", seq)
-                    .int("active", active)
-                    .finish()
-            });
+            events::stderr().emit("serve", "draining", |o| o.int("active", active));
             break;
         }
         let (stream, peer) = match listener.accept() {
@@ -657,29 +637,19 @@ pub(crate) fn cmd_serve(mut args: Args) -> Result<(), String> {
         let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
         let session = session_seq.fetch_add(1, Ordering::Relaxed);
-        eprintln!(
-            "{}",
-            JsonObj::new()
-                .str("event", "session_start")
-                .int("session", session)
-                .str("peer", &peer.to_string())
-                .finish()
-        );
+        let log = events::stderr();
+        log.emit("serve", "session_start", |o| {
+            o.int("session", session).str("peer", &peer.to_string())
+        });
         let service = service.clone();
         handlers.push(std::thread::spawn(move || {
-            let reader = match stream.try_clone() {
-                Ok(s) => BufReader::new(s),
-                Err(e) => {
-                    eprintln!("cannot clone client stream: {e}");
-                    return;
-                }
-            };
-            match serve_client_with(&service, reader, &stream, &limits) {
-                Ok(stats) => eprintln!(
-                    "{}",
-                    JsonObj::new()
-                        .str("event", "session_end")
-                        .int("session", session)
+            let served = stream
+                .try_clone()
+                .map_err(|e| format!("cannot clone client stream: {e}"))
+                .and_then(|s| serve_client_with(&service, BufReader::new(s), &stream, &limits));
+            match served {
+                Ok(stats) => log.emit("serve", "session_end", |o| {
+                    o.int("session", session)
                         .int("submitted", stats.submitted as u64)
                         .int("cache_hits", stats.cache_hits as u64)
                         .int("rejected", stats.rejected as u64)
@@ -687,16 +657,10 @@ pub(crate) fn cmd_serve(mut args: Args) -> Result<(), String> {
                         .int("cancelled", stats.cancelled as u64)
                         .int("malformed", stats.malformed as u64)
                         .str("evicted", stats.evicted.unwrap_or(""))
-                        .finish()
-                ),
-                Err(e) => eprintln!(
-                    "{}",
-                    JsonObj::new()
-                        .str("event", "session_error")
-                        .int("session", session)
-                        .str("error", &e)
-                        .finish()
-                ),
+                }),
+                Err(e) => log.emit("serve", "session_error", |o| {
+                    o.int("session", session).str("error", &e)
+                }),
             }
         }));
         served += 1;
@@ -928,15 +892,11 @@ pub(crate) fn cmd_submit(mut args: Args) -> Result<(), String> {
             None => backoff_delay(&mut rng, &DriveConfig::default(), attempt as usize),
         };
         attempt += 1;
-        eprintln!(
-            "{}",
-            JsonObj::new()
-                .str("event", "submit_retry")
-                .int("attempt", attempt)
+        events::stderr().emit("submit", "submit_retry", |o| {
+            o.int("attempt", attempt)
                 .int("delay_ms", delay.as_millis() as u64)
                 .str("error", &why)
-                .finish()
-        );
+        });
         std::thread::sleep(delay);
     }
 }

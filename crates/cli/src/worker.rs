@@ -11,19 +11,19 @@
 //! Two transports share the same loop ([`serve_session`]):
 //!
 //! - **pipes** (spawned by `amulet drive --procs`): protocol on
-//!   stdin/stdout, logs on stderr;
+//!   stdin/stdout, `worker` event rows on stderr;
 //! - **TCP** (`amulet worker --listen ADDR`): protocol on the socket,
-//!   structured JSON logs on stderr — see `crate::net::serve_listener`.
+//!   `worker` event rows on stderr — see `crate::net::serve_listener`.
 //!
 //! The loop is *tolerant*: a malformed or unexpected line is logged as a
-//! structured `error` event and skipped (the driver recovers via its own
+//! `worker_error` row and skipped (the driver recovers via its own
 //! deadline), and a trailing partial line at EOF — a driver that died
 //! mid-frame — ends the session cleanly instead of poisoning it.
 
 use crate::{Args, ShapeOptions};
 use amulet_core::proto::{FragmentReport, Hello, Msg};
 use amulet_core::{run_batch, CampaignConfig, UnitRuntime};
-use amulet_util::JsonObj;
+use amulet_util::{events, EventLog};
 use std::io::{BufRead, Write};
 use std::time::Instant;
 
@@ -43,7 +43,7 @@ pub struct SessionStats {
 
 /// Serves one worker session: hello, then batch → fragment until
 /// `shutdown` or EOF, answering `ping` heartbeats between batches.
-/// Structured JSON log events (`worker_error`, `worker_eof_truncated`,
+/// `worker` event rows (`worker_error`, `worker_eof_truncated`,
 /// `worker_idle_timeout`) go to `log`; only an unwritable *output* is a
 /// hard error (the driver is gone and taking its deadline with it).
 ///
@@ -53,11 +53,40 @@ pub struct SessionStats {
 /// change the reduced result — the floor only ever holds indices with
 /// confirmed violations, so every skipped index lies strictly past the
 /// final earliest hit, in the suffix the reducer discards anyway.
+///
+/// # Examples
+///
+/// A complete in-memory session (this is exactly what travels over the
+/// pipes or sockets of a real `amulet drive` run):
+///
+/// ```
+/// use amulet_cli::serve_session;
+/// use amulet_core::proto::Msg;
+/// use amulet_core::{BatchSpec, CampaignConfig};
+/// use amulet_contracts::ContractKind;
+/// use amulet_defenses::DefenseKind;
+/// use amulet_util::EventLog;
+///
+/// let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
+/// cfg.programs_per_instance = 1;
+/// let spec = BatchSpec { index: 0, instance: 0, batch: 0, programs: 1, records: false };
+/// let script = format!("{}\n{}\n", Msg::Batch(spec).to_line(), Msg::Shutdown.to_line());
+/// let mut out = Vec::new();
+/// let stats = serve_session(&cfg, script.as_bytes(), &mut out, &EventLog::off()).unwrap();
+/// let lines: Vec<Msg> = String::from_utf8(out)
+///     .unwrap()
+///     .lines()
+///     .map(|l| Msg::parse_line(l).unwrap())
+///     .collect();
+/// assert!(matches!(lines[0], Msg::Hello(_)));
+/// assert!(matches!(&lines[1], Msg::Fragment(f) if f.index == 0 && !f.skipped));
+/// assert_eq!(stats.batches, 1);
+/// ```
 pub fn serve_session(
     cfg: &CampaignConfig,
     mut input: impl BufRead,
     mut out: impl Write,
-    log: &mut impl Write,
+    log: &EventLog,
 ) -> Result<SessionStats, String> {
     send(&mut out, &Msg::Hello(Hello::for_config(cfg)))?;
     let anchor = Instant::now();
@@ -73,7 +102,7 @@ pub fn serve_session(
                 // A trailing partial line: the driver died mid-frame.
                 // Tolerate it — the frame is unusable but the session
                 // ended, which is all it means.
-                log_event(log, "worker_eof_truncated", |o| {
+                log.emit("worker", "worker_eof_truncated", |o| {
                     o.int("bytes", line.len() as u64)
                 });
                 stats.malformed += 1;
@@ -89,7 +118,7 @@ pub fn serve_session(
                 // The listener's per-session idle deadline (SO_RCVTIMEO)
                 // expired: end the session so the listener can accept a
                 // fresh connection.
-                log_event(log, "worker_idle_timeout", |o| o);
+                log.emit("worker", "worker_idle_timeout", |o| o);
                 break;
             }
             Err(e) => return Err(format!("worker: read failed: {e}")),
@@ -103,7 +132,7 @@ pub fn serve_session(
                 // Garbage on the wire (a truncated or corrupted frame).
                 // Skip it — the driver's deadline, not our exit, handles
                 // the lost message.
-                log_event(log, "worker_error", |o| {
+                log.emit("worker", "worker_error", |o| {
                     o.str("error", &e).int("line_bytes", line.len() as u64)
                 });
                 stats.malformed += 1;
@@ -130,7 +159,7 @@ pub fn serve_session(
             other => {
                 // Valid protocol, wrong direction (a hello or fragment
                 // echoed back at us): log and keep serving.
-                log_event(log, "worker_error", |o| {
+                log.emit("worker", "worker_error", |o| {
                     o.str(
                         "error",
                         &format!("unexpected {:?} message from driver", other.tag()),
@@ -143,58 +172,12 @@ pub fn serve_session(
     Ok(stats)
 }
 
-/// Serves one worker session and discards the stats — the stable
-/// entry point the in-memory tests and pipe transport use. Logs go to
-/// stderr.
-///
-/// # Examples
-///
-/// A complete in-memory session (this is exactly what travels over the
-/// pipes or sockets of a real `amulet drive` run):
-///
-/// ```
-/// use amulet_cli::serve_worker;
-/// use amulet_core::proto::Msg;
-/// use amulet_core::{BatchSpec, CampaignConfig};
-/// use amulet_contracts::ContractKind;
-/// use amulet_defenses::DefenseKind;
-///
-/// let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-/// cfg.programs_per_instance = 1;
-/// let spec = BatchSpec { index: 0, instance: 0, batch: 0, programs: 1, records: false };
-/// let script = format!("{}\n{}\n", Msg::Batch(spec).to_line(), Msg::Shutdown.to_line());
-/// let mut out = Vec::new();
-/// serve_worker(&cfg, script.as_bytes(), &mut out).unwrap();
-/// let lines: Vec<Msg> = String::from_utf8(out)
-///     .unwrap()
-///     .lines()
-///     .map(|l| Msg::parse_line(l).unwrap())
-///     .collect();
-/// assert!(matches!(lines[0], Msg::Hello(_)));
-/// assert!(matches!(&lines[1], Msg::Fragment(f) if f.index == 0 && !f.skipped));
-/// ```
-pub fn serve_worker(
-    cfg: &CampaignConfig,
-    input: impl BufRead,
-    out: impl Write,
-) -> Result<(), String> {
-    serve_session(cfg, input, out, &mut std::io::stderr()).map(|_| ())
-}
-
 /// Writes one protocol line and flushes — every message must reach the
 /// driver promptly; the link is the scheduler's critical path.
 fn send(out: &mut impl Write, msg: &Msg) -> Result<(), String> {
     writeln!(out, "{}", msg.to_line())
         .and_then(|()| out.flush())
         .map_err(|e| format!("worker: write failed: {e}"))
-}
-
-/// One structured JSON log line (best-effort — logging must never take a
-/// session down).
-fn log_event(log: &mut impl Write, event: &str, detail: impl FnOnce(JsonObj) -> JsonObj) {
-    let line = detail(JsonObj::new().str("event", event)).finish();
-    let _ = writeln!(log, "{line}");
-    let _ = log.flush();
 }
 
 /// `amulet worker`.
@@ -243,7 +226,7 @@ pub(crate) fn cmd_worker(mut args: Args) -> Result<(), String> {
             );
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
-            serve_worker(&cfg, stdin.lock(), stdout.lock())
+            serve_session(&cfg, stdin.lock(), stdout.lock(), events::stderr()).map(|_| ())
         }
     }
 }
@@ -254,17 +237,34 @@ mod tests {
     use amulet_contracts::ContractKind;
     use amulet_core::BatchSpec;
     use amulet_defenses::DefenseKind;
+    use std::sync::{Arc, Mutex};
+
+    /// An event sink the test can read back.
+    #[derive(Clone, Default)]
+    struct Captured(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Captured {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(data);
+            Ok(data.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 
     fn session_raw(cfg: &CampaignConfig, input: &str) -> (Vec<Msg>, SessionStats, String) {
         let mut out = Vec::new();
-        let mut log = Vec::new();
-        let stats = serve_session(cfg, input.as_bytes(), &mut out, &mut log).unwrap();
+        let log = Captured::default();
+        let stats =
+            serve_session(cfg, input.as_bytes(), &mut out, &EventLog::new(log.clone())).unwrap();
         let replies = String::from_utf8(out)
             .unwrap()
             .lines()
             .map(|l| Msg::parse_line(l).unwrap())
             .collect();
-        (replies, stats, String::from_utf8(log).unwrap())
+        let log = String::from_utf8(log.0.lock().unwrap().clone()).unwrap();
+        (replies, stats, log)
     }
 
     fn session(cfg: &CampaignConfig, script: &[Msg]) -> Vec<Msg> {
@@ -361,10 +361,9 @@ mod tests {
         assert_eq!(stats, SessionStats::default());
     }
 
-    /// The malformed-input satellite: garbage and wrong-direction lines
-    /// are logged as structured `worker_error` events and skipped, and a
-    /// trailing partial line at EOF ends the session cleanly — the worker
-    /// keeps serving through everything else.
+    /// Garbage and wrong-direction lines are logged as `worker_error`
+    /// rows and skipped, and a trailing partial line at EOF ends the
+    /// session cleanly — the worker keeps serving through everything else.
     #[test]
     fn malformed_lines_are_logged_and_tolerated() {
         let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
@@ -404,8 +403,17 @@ mod tests {
             1,
             "{log}"
         );
-        for line in log.lines() {
-            amulet_util::parse_json(line).expect("log lines are valid JSON");
+        for (n, line) in log.lines().enumerate() {
+            let row = amulet_util::parse_json(line).expect("log lines are valid JSON");
+            assert_eq!(
+                row.get("seq").and_then(|v| v.as_u64()),
+                Some(n as u64),
+                "{log}"
+            );
+            assert_eq!(
+                row.get("component").and_then(|v| v.as_str()),
+                Some("worker")
+            );
         }
     }
 }

@@ -10,6 +10,7 @@
 //! The in-memory version of these assertions (more campaigns, controlled
 //! scheduling) lives at the workspace root in `tests/serve_session.rs`.
 
+use amulet_util::{parse_json, JsonValue};
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
@@ -38,7 +39,8 @@ struct Announced {
 
 impl Announced {
     /// Spawns the binary and scrapes `"addr":"..."` from the first
-    /// structured announcement line on stderr.
+    /// structured announcement line on stderr. The captured stderr starts
+    /// with the lines read up to and including that announcement.
     fn spawn(args: &[&str]) -> Self {
         let mut child = Command::new(BIN)
             .args(args)
@@ -48,10 +50,12 @@ impl Announced {
             .spawn()
             .expect("spawn amulet");
         let mut reader = BufReader::new(child.stderr.take().unwrap());
+        let mut head = String::new();
         let addr = loop {
             let mut line = String::new();
             let n = reader.read_line(&mut line).expect("read stderr");
             assert!(n > 0, "{args:?} exited before announcing its address");
+            head.push_str(&line);
             if let Some(at) = line.find("\"addr\":\"") {
                 let rest = &line[at + "\"addr\":\"".len()..];
                 break rest[..rest.find('"').unwrap()].to_string();
@@ -59,7 +63,7 @@ impl Announced {
         };
         // Keep draining stderr (the process must never block on a full
         // pipe) into a buffer the test can assert on.
-        let stderr = Arc::new(Mutex::new(Vec::new()));
+        let stderr = Arc::new(Mutex::new(head.into_bytes()));
         let sink = stderr.clone();
         std::thread::spawn(move || {
             let mut buf = [0u8; 4096];
@@ -181,6 +185,29 @@ fn serve_caches_resubmits_and_survives_a_worker_killed_mid_run() {
         log.matches("\"event\":\"session_end\"").count(),
         2,
         "both client sessions must close cleanly:\n{log}"
+    );
+    // One process, one event stream: the daemon's own rows and its TCP
+    // slot's fleet rows share one dense sequence, so a collector can
+    // prove it missed nothing. (The drainer may be mid-line; only
+    // complete lines count.)
+    let seqs: Vec<u64> = log[..log.rfind('\n').map_or(0, |end| end + 1)]
+        .lines()
+        .filter(|l| l.starts_with('{'))
+        .map(|l| {
+            let row = parse_json(l).unwrap_or_else(|e| panic!("{e}: {l}"));
+            assert!(
+                row.get("component").and_then(JsonValue::as_str).is_some(),
+                "row without a component: {l}"
+            );
+            row.get("seq")
+                .and_then(JsonValue::as_u64)
+                .unwrap_or_else(|| panic!("row without a seq: {l}"))
+        })
+        .collect();
+    assert_eq!(
+        seqs,
+        (0..seqs.len() as u64).collect::<Vec<_>>(),
+        "the daemon's stderr must carry one dense seq:\n{log}"
     );
 
     // The violating campaign left its findings in the corpus, and the

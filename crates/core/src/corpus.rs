@@ -37,6 +37,7 @@
 use crate::campaign::{CampaignReport, Fnv1a, ViolationDigest};
 use crate::proto::{hex_arr_field, hex_u64, str_field, u64_field, violation_from_json};
 use amulet_isa::TestInput;
+use amulet_util::events;
 use amulet_util::json::{parse_json, JsonObj, JsonValue};
 use std::io::Write;
 use std::path::PathBuf;
@@ -267,13 +268,10 @@ impl Corpus {
             match CorpusRecord::parse_line(line) {
                 Ok(rec) => out.push(rec),
                 Err(_) if torn_tail && n + 1 == total_lines => {
-                    crate::journal::warn_note(
-                        "corpus_torn_tail",
-                        &[
-                            ("path", &self.path.display().to_string()),
-                            ("line", &(n + 1).to_string()),
-                        ],
-                    );
+                    events::stderr().emit("persist", "corpus_torn_tail", |o| {
+                        o.str("path", &self.path.display().to_string())
+                            .int("line", n as u64 + 1)
+                    });
                 }
                 Err(e) => return Err(format!("corpus line {}: {e}", n + 1)),
             }

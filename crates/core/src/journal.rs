@@ -42,6 +42,7 @@
 
 use crate::campaign::Fnv1a;
 use crate::proto::{str_field, u64_field, CampaignSpec, FragmentReport, Msg, ResultMsg};
+use amulet_util::events;
 use amulet_util::json::{parse_json, JsonObj};
 use std::collections::HashSet;
 use std::io::Write;
@@ -52,17 +53,6 @@ pub const CACHE_FILE: &str = "cache.jsonl";
 
 /// The identity marker on every journal header line.
 const JOURNAL_MARKER: &str = "amulet-campaign";
-
-/// Emits a structured JSON note on stderr — the daemon's warn channel for
-/// recoverable persistence trouble (torn tails, unusable journals, failed
-/// appends). One object per line, discriminated by `"event"`.
-pub(crate) fn warn_note(event: &str, fields: &[(&str, &str)]) {
-    let mut obj = JsonObj::new().str("event", event);
-    for (k, v) in fields {
-        obj = obj.str(k, v);
-    }
-    eprintln!("{}", obj.finish());
-}
 
 /// The first line of a campaign journal: the campaign's identity
 /// ([`CampaignSpec::cache_key`]) and batch-plan size, so a replay can
@@ -299,7 +289,7 @@ pub fn load_journal(path: &Path, expect_key: &str) -> Result<Option<JournalRepla
         // The header write itself was torn — even a parseable line is not
         // trusted without its newline, because every later append assumes a
         // newline-terminated prefix. Nothing was journaled; start over.
-        warn_note("journal_torn_header", &[("path", shown.as_str())]);
+        events::stderr().emit("persist", "journal_torn_header", |o| o.str("path", &shown));
         return Ok(None);
     }
     let mut lines = text.lines().enumerate();
@@ -325,10 +315,9 @@ pub fn load_journal(path: &Path, expect_key: &str) -> Result<Option<JournalRepla
             // deterministically instead.
             skipped_torn = true;
             valid_len = (text.len() - line.len()) as u64;
-            warn_note(
-                "journal_torn_tail",
-                &[("path", shown.as_str()), ("line", &(n + 1).to_string())],
-            );
+            events::stderr().emit("persist", "journal_torn_tail", |o| {
+                o.str("path", &shown).int("line", n as u64 + 1)
+            });
             continue;
         }
         if line.trim().is_empty() {
@@ -353,10 +342,9 @@ pub fn load_journal(path: &Path, expect_key: &str) -> Result<Option<JournalRepla
                 if seen.insert(frag.index) {
                     fragments.push(frag);
                 } else {
-                    warn_note(
-                        "journal_duplicate_fragment",
-                        &[("path", shown.as_str()), ("index", &frag.index.to_string())],
-                    );
+                    events::stderr().emit("persist", "journal_duplicate_fragment", |o| {
+                        o.str("path", &shown).int("index", frag.index as u64)
+                    });
                     let at = fragments.iter().position(|f| f.index == frag.index);
                     fragments[at.expect("seen indices were pushed")] = frag;
                 }
@@ -487,10 +475,9 @@ impl StateDir {
                 // Crash mid-append: the unterminated final line is dropped
                 // even when it parses — its campaign simply recomputes (or
                 // resumes from its still-present journal).
-                warn_note(
-                    "cache_torn_tail",
-                    &[("path", shown.as_str()), ("line", &(n + 1).to_string())],
-                );
+                events::stderr().emit("persist", "cache_torn_tail", |o| {
+                    o.str("path", &shown).int("line", n as u64 + 1)
+                });
                 continue;
             }
             if line.trim().is_empty() {
@@ -531,10 +518,9 @@ impl StateDir {
                 }
                 Ok(_) => recovery.resumable += 1,
                 Err(e) => {
-                    warn_note(
-                        "journal_unreadable",
-                        &[("path", shown.as_str()), ("error", e.as_str())],
-                    );
+                    events::stderr().emit("persist", "journal_unreadable", |o| {
+                        o.str("path", &shown).str("error", &e)
+                    });
                     recovery.corrupt += 1;
                 }
             }

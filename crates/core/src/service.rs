@@ -52,11 +52,10 @@
 
 use crate::campaign::{CampaignConfig, CampaignReport};
 use crate::corpus::{records_from_report, Corpus};
-use crate::journal::{
-    load_journal, warn_note, CampaignJournal, CrashPlan, JournalHeader, Recovery, StateDir,
-};
+use crate::journal::{load_journal, CampaignJournal, CrashPlan, JournalHeader, Recovery, StateDir};
 use crate::proto::{CampaignSpec, FragmentReport, Msg, ReportWire, ResultMsg};
 use crate::shard::{plan_batches, reduce_fragments, verify_fragment_coverage, BatchSpec, Fragment};
+use amulet_util::events;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -502,22 +501,18 @@ impl Service {
                 let replay = match load_journal(&path, &key) {
                     Ok(Some(r)) if r.header.total_batches == total_batches => Some(r),
                     Ok(Some(r)) => {
-                        warn_note(
-                            "journal_plan_mismatch",
-                            &[
-                                ("key", key.as_str()),
-                                ("journaled", &r.header.total_batches.to_string()),
-                                ("planned", &total_batches.to_string()),
-                            ],
-                        );
+                        events::stderr().emit("persist", "journal_plan_mismatch", |o| {
+                            o.str("key", &key)
+                                .int("journaled", r.header.total_batches)
+                                .int("planned", total_batches)
+                        });
                         None
                     }
                     Ok(None) => None,
                     Err(e) => {
-                        warn_note(
-                            "journal_unusable",
-                            &[("key", key.as_str()), ("error", e.as_str())],
-                        );
+                        events::stderr().emit("persist", "journal_unusable", |o| {
+                            o.str("key", &key).str("error", &e)
+                        });
                         None
                     }
                 };
@@ -529,10 +524,9 @@ impl Service {
                     Ok(j) => journal = Some(j),
                     // Keep the replayed fragments even if the reopen failed:
                     // recovered work is valid work, it just won't extend.
-                    Err(e) => warn_note(
-                        "journal_open_failed",
-                        &[("key", key.as_str()), ("error", e.as_str())],
-                    ),
+                    Err(e) => events::stderr().emit("persist", "journal_open_failed", |o| {
+                        o.str("key", &key).str("error", &e)
+                    }),
                 }
                 if let Some(r) = replay {
                     // A violating fragment journaled without records (by a
@@ -918,13 +912,9 @@ impl Service {
         // suffix.
         if let Some(journal) = inner.journals.get_mut(&lease.campaign) {
             if let Err(e) = journal.append(&FragmentReport::from_fragment(&fragment)) {
-                warn_note(
-                    "journal_append_failed",
-                    &[
-                        ("campaign", &lease.campaign.to_string()),
-                        ("error", e.as_str()),
-                    ],
-                );
+                events::stderr().emit("persist", "journal_append_failed", |o| {
+                    o.int("campaign", lease.campaign).str("error", &e)
+                });
                 inner.journals.remove(&lease.campaign);
             }
         }
@@ -989,7 +979,7 @@ impl Service {
             // Best-effort: a full disk must not fail the campaign, but the
             // operator should hear about it.
             if let Err(e) = corpus.append(&records_from_report(report)) {
-                eprintln!("corpus append failed: {e}");
+                events::stderr().emit("persist", "corpus_append_failed", |o| o.str("error", &e));
             }
         }
         if let Some(reply) = camp.reply {
@@ -1021,10 +1011,9 @@ impl Service {
                         let _ = std::fs::remove_file(state.journal_path(&camp.key));
                     }
                     Ok(()) => {}
-                    Err(e) => warn_note(
-                        "cache_write_failed",
-                        &[("key", camp.key.as_str()), ("error", e.as_str())],
-                    ),
+                    Err(e) => events::stderr().emit("persist", "cache_write_failed", |o| {
+                        o.str("key", &camp.key).str("error", &e)
+                    }),
                 }
             }
             inner.cache.insert(camp.key.clone(), result.clone());

@@ -1,6 +1,6 @@
 //! Small dependency-free utilities shared across the AMuLeT workspace:
-//! a deterministic PRNG, a compact bit set, streaming statistics, and an
-//! allocation-free inline vector.
+//! a deterministic PRNG, a compact bit set, streaming statistics, an
+//! allocation-free inline vector, and the JSONL event writer.
 //!
 //! Everything in this crate is deterministic on purpose: the whole point of
 //! model-based relational testing is reproducibility, so AMuLeT never touches
@@ -19,6 +19,7 @@
 
 pub mod arrayvec;
 pub mod bitset;
+pub mod events;
 pub mod json;
 pub mod rng;
 pub mod stats;
@@ -26,6 +27,7 @@ pub mod taintset;
 
 pub use arrayvec::ArrayVec;
 pub use bitset::BitSet;
+pub use events::EventLog;
 pub use json::{json_string, parse_json, JsonObj, JsonValue};
 pub use rng::{mix64, residency_digest, SplitMix64, Xoshiro256};
 pub use stats::{fmt_duration_s, Summary};

@@ -12,6 +12,7 @@
 mod common;
 
 use amulet::fuzz::CampaignConfig;
+use amulet::util::EventLog;
 use amulet_cli::{run_driver, DriveConfig, FaultCounters, FaultPlan, FaultyLink};
 use common::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,7 +57,7 @@ fn drive_hostile(
             ))
         },
         None,
-        None,
+        &EventLog::off(),
     )
     .expect("the fleet must degrade gracefully, not fail")
 }
@@ -168,7 +169,7 @@ fn worker_churn_quarantines_the_dead_and_preserves_the_fingerprint() {
             _ => Err("connection refused".into()),
         },
         None,
-        Some(Box::new(events_sink)),
+        &EventLog::new(events_sink),
     )
     .expect("two surviving workers must carry the campaign");
 
@@ -188,18 +189,20 @@ fn worker_churn_quarantines_the_dead_and_preserves_the_fingerprint() {
         late_joins.load(Ordering::SeqCst) > 2,
         "the late joiner must have joined"
     );
-    for line in events.lines() {
-        amulet::util::parse_json(line).expect("event lines are valid JSON");
-    }
-    // Every event row carries a dense monotonic sequence number in file
-    // order, so consumers can order rows (t_s collides at millisecond
-    // scale) and detect truncated logs.
+    // Every row is a `fleet` row naming its slot, and carries a dense
+    // monotonic sequence number in file order, so consumers can order rows
+    // (t_s collides at millisecond scale) and detect truncated logs.
     let seqs: Vec<u64> = events
         .lines()
         .map(|line| {
-            amulet::util::parse_json(line)
-                .unwrap()
-                .get("seq")
+            let row = amulet::util::parse_json(line).expect("event lines are valid JSON");
+            assert_eq!(
+                row.get("component").and_then(|v| v.as_str()),
+                Some("fleet"),
+                "{line}"
+            );
+            assert!(row.get("slot").and_then(|v| v.as_u64()).is_some(), "{line}");
+            row.get("seq")
                 .unwrap_or_else(|| panic!("event row lacks a seq: {line}"))
                 .as_u64()
                 .expect("seq is an exact integer")
@@ -229,7 +232,7 @@ fn a_fleet_with_no_survivors_fails_cleanly() {
         &drive,
         |_slot| Err("connection refused".into()),
         None,
-        None,
+        &EventLog::off(),
     )
     .unwrap_err();
     assert!(

@@ -16,6 +16,7 @@ mod common;
 
 use amulet::fuzz::proto::Msg;
 use amulet::fuzz::{CampaignConfig, CampaignReport, SpecSource};
+use amulet::util::EventLog;
 use amulet_cli::{run_driver, WorkerLink};
 use common::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,7 +28,7 @@ fn drive_in_memory(cfg: &CampaignConfig, procs: usize) -> CampaignReport {
         &quick_drive(procs),
         |_slot| Ok(spawn_mem_worker(cfg)),
         None,
-        None,
+        &EventLog::off(),
     )
     .expect("in-memory drive")
 }
@@ -156,7 +157,7 @@ fn worker_crashes_and_restarts_do_not_perturb_the_fingerprint() {
             })
         },
         None,
-        None,
+        &EventLog::off(),
     )
     .expect("campaign survives worker crashes");
     assert!(
@@ -178,7 +179,7 @@ fn fragment_tee_is_valid_jsonl_covering_every_batch() {
         &quick_drive(2),
         |_slot| Ok(spawn_mem_worker(&cfg)),
         Some(Box::new(sink)),
-        None,
+        &EventLog::off(),
     )
     .unwrap();
 
@@ -210,7 +211,7 @@ fn a_clean_run_logs_only_connects_and_drains() {
         &quick_drive(2),
         |_slot| Ok(spawn_mem_worker(&cfg)),
         None,
-        Some(Box::new(sink)),
+        &EventLog::new(sink),
     )
     .unwrap();
     let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();

@@ -2,7 +2,8 @@
 //! campaign fabric must survive serialise → parse bit-exactly — including
 //! violation fragments carrying µarch diffs, whose contents feed the
 //! campaign fingerprint — and the operator's handbook must document
-//! exactly the tag set the protocol emits.
+//! exactly the tag set the protocol emits and the event rows the
+//! workspace writes.
 
 use amulet::fuzz::proto::{
     CampaignSpec, FragmentReport, Hello, Msg, ReportWire, ResultMsg, PROTO_VERSION,
@@ -11,6 +12,7 @@ use amulet::fuzz::{
     BatchSpec, CampaignConfig, CorpusInput, Reduction, ScanStats, SpecSource, ViolationClass,
     ViolationDigest,
 };
+use amulet::util::events::EVENTS;
 use amulet::{contracts::ContractKind, defenses::DefenseKind};
 use std::collections::BTreeSet;
 
@@ -324,6 +326,33 @@ fn handbook_documents_exactly_the_emitted_tag_set() {
     assert!(
         HANDBOOK.contains(&format!("\"proto\":{PROTO_VERSION}")),
         "handbook hello example must show the current protocol version"
+    );
+}
+
+/// The event schema pin: the `(component, event)` table in the handbook's
+/// "Event stream" section is `amulet_util::events::EVENTS`, row for row.
+/// An event added, renamed or moved to another component without its
+/// table row fails here; debug builds assert every emitted row against
+/// `EVENTS`, so the whole suite checks every row it emits.
+#[test]
+fn handbook_documents_exactly_the_event_table() {
+    let section = HANDBOOK
+        .split("### Event stream")
+        .nth(1)
+        .expect("handbook has an Event stream section");
+    let documented: Vec<(&str, &str)> = section
+        .lines()
+        .take_while(|l| !l.starts_with('#'))
+        .filter_map(|l| {
+            let mut cells = l.strip_prefix("| `")?.split('|');
+            let component = cells.next()?.trim().trim_matches('`');
+            let event = cells.next()?.trim().trim_matches('`');
+            Some((component, event))
+        })
+        .collect();
+    assert_eq!(
+        documented, EVENTS,
+        "docs/DISTRIBUTED.md's event table must list exactly amulet_util::events::EVENTS, in order"
     );
 }
 
