@@ -6,7 +6,9 @@
 //! the *minimized* program, the violating input pair, the class and the
 //! deterministic digest. The file reopens to exactly the records written
 //! (`amulet corpus` queries it), and because it is append-only, a daemon
-//! restart loses nothing.
+//! restart loses nothing. It is read and appended through the same
+//! crash-tolerant pair as the service's journal and cache (`read_log`
+//! and `LogAppender` in `crate::journal`).
 //!
 //! This module only stores records. Minimization happens inside the batch
 //! that found each violation ([`run_batch`](crate::shard::run_batch), when
@@ -35,11 +37,10 @@
 //! ```
 
 use crate::campaign::{CampaignReport, Fnv1a, ViolationDigest};
+use crate::journal::{read_log, LogAppender};
 use crate::proto::{hex_arr_field, hex_u64, str_field, u64_field, violation_from_json};
 use amulet_isa::TestInput;
-use amulet_util::events;
 use amulet_util::json::{parse_json, JsonObj, JsonValue};
-use std::io::Write;
 use std::path::PathBuf;
 
 /// One violating input in corpus form: the full architectural register
@@ -233,50 +234,22 @@ impl Corpus {
         if records.is_empty() {
             return Ok(0);
         }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| format!("cannot open corpus {}: {e}", self.path.display()))?;
+        let mut log = LogAppender::open(&self.path)?;
         for rec in records {
-            writeln!(file, "{}", rec.to_line())
-                .map_err(|e| format!("cannot append to corpus {}: {e}", self.path.display()))?;
+            log.append(rec.to_line())?;
         }
-        file.flush()
-            .map_err(|e| format!("cannot flush corpus {}: {e}", self.path.display()))?;
         Ok(records.len())
     }
 
     /// Loads every record. A missing file is an empty corpus; a malformed
-    /// line is an error naming its line number — except a torn *trailing*
-    /// line (no final newline: the signature of a crash mid-append), which
-    /// is skipped with a structured stderr note so a daemon restart never
-    /// fails over the one record a crash interrupted.
+    /// line is an error naming its line number.
     pub fn load(&self) -> Result<Vec<CorpusRecord>, String> {
-        let text = match std::fs::read_to_string(&self.path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(format!("cannot read corpus {}: {e}", self.path.display())),
-        };
-        let total_lines = text.lines().count();
-        let torn_tail = !text.is_empty() && !text.ends_with('\n');
-        let mut out = Vec::new();
-        for (n, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match CorpusRecord::parse_line(line) {
-                Ok(rec) => out.push(rec),
-                Err(_) if torn_tail && n + 1 == total_lines => {
-                    events::stderr().emit("persist", "corpus_torn_tail", |o| {
-                        o.str("path", &self.path.display().to_string())
-                            .int("line", n as u64 + 1)
-                    });
-                }
-                Err(e) => return Err(format!("corpus line {}: {e}", n + 1)),
-            }
-        }
-        Ok(out)
+        read_log(&self.path)?
+            .iter()
+            .map(|(n, line)| {
+                CorpusRecord::parse_line(line).map_err(|e| format!("corpus line {n}: {e}"))
+            })
+            .collect()
     }
 
     /// Loads records matching the given filters (`None` = no constraint).
@@ -423,12 +396,12 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// A byte-truncated trailing line — the on-disk signature of a crash
-    /// mid-append — is skipped with a warning instead of failing the load,
-    /// at every truncation point inside the final record. Interior
-    /// malformed lines (newline-terminated) stay hard errors.
+    /// Cut the corpus's last record at every length — down to just its
+    /// newline — then append once, as the daemon does when its next
+    /// campaign finishes: the corpus reloads with the intact prefix plus
+    /// the new record.
     #[test]
-    fn torn_trailing_line_is_skipped_not_fatal() {
+    fn torn_corpus_tail_then_append_reloads_at_every_cut() {
         let path = std::env::temp_dir().join(format!(
             "amulet_corpus_torn_{}_{:?}",
             std::process::id(),
@@ -438,16 +411,20 @@ mod tests {
         let corpus = Corpus::open(&path);
         let keep = sample_record(1, ViolationClass::SpectreV1);
         let torn = sample_record(2, ViolationClass::SpectreV4);
+        let added = sample_record(3, ViolationClass::SpectreV1);
         corpus.append(&[keep.clone(), torn.clone()]).unwrap();
         let whole = std::fs::read(&path).unwrap();
         let torn_len = torn.to_line().len() + 1;
 
-        // Cut anywhere inside the final record (always leaving at least one
-        // byte of it, so the tail is malformed, not merely absent).
-        for cut in 2..torn_len {
+        for cut in 1..=torn_len {
             std::fs::write(&path, &whole[..whole.len() - cut]).unwrap();
-            let loaded = corpus.load().unwrap();
-            assert_eq!(loaded, vec![keep.clone()], "cut {cut}");
+            assert_eq!(corpus.load().unwrap(), vec![keep.clone()], "cut {cut}");
+            corpus.append(std::slice::from_ref(&added)).unwrap();
+            assert_eq!(
+                corpus.load().unwrap(),
+                vec![keep.clone(), added.clone()],
+                "cut {cut}"
+            );
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -1,6 +1,8 @@
 //! Crash-safe persistence for the campaign service: a per-campaign
 //! write-ahead journal plus a persisted result cache, both append-only
-//! JSONL under one `--state-dir`.
+//! JSONL under one `--state-dir`, and the one reader/appender pair that
+//! every JSONL log (these two and the [`Corpus`](crate::Corpus)) goes
+//! through.
 //!
 //! # Why resume is cheap here
 //!
@@ -32,20 +34,23 @@
 //!
 //! # Crash tolerance
 //!
-//! Every loader distinguishes a *torn tail* (a final line without a
-//! trailing newline — the signature of a crash mid-append) from interior
-//! corruption: the torn tail is skipped with a structured stderr note and
-//! the valid prefix is used; anything else is an error, which recovery
-//! answers by recomputing from scratch — never by trusting a corrupt file.
-//! [`CrashPlan`] makes those crash points deterministic for tests: the
-//! storage-layer sibling of the CLI's seeded network fault injection.
+//! One rule covers every log: its records are its newline-terminated
+//! lines. A final line without its newline is a write a crash cut short
+//! (a *torn tail*). `read_log` drops it with a `torn_tail` row and never
+//! modifies the file; `LogAppender::open` amputates it before the first
+//! new record, so nothing is ever glued onto it. Corruption anywhere else
+//! is an error, which recovery answers by recomputing from scratch —
+//! never by trusting a corrupt file. [`CrashPlan`] makes crash points
+//! deterministic for tests: the storage-layer sibling of the CLI's seeded
+//! network fault injection.
 
 use crate::campaign::Fnv1a;
 use crate::proto::{str_field, u64_field, CampaignSpec, FragmentReport, Msg, ResultMsg};
 use amulet_util::events;
 use amulet_util::json::{parse_json, JsonObj};
 use std::collections::HashSet;
-use std::io::Write;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// The persisted result cache's file name inside a state dir.
@@ -53,6 +58,134 @@ pub const CACHE_FILE: &str = "cache.jsonl";
 
 /// The identity marker on every journal header line.
 const JOURNAL_MARKER: &str = "amulet-campaign";
+
+/// The torn-write rule, decided here and nowhere else: a log's records
+/// are its newline-terminated lines, so a final line without a newline is
+/// a write a crash cut short. Returns the file's length and, when its
+/// tail is torn, the length of the newline-terminated prefix before it.
+/// Reads backwards from the end, so a clean file costs one short read.
+fn torn_tail(file: &mut File) -> std::io::Result<(u64, Option<u64>)> {
+    let len = file.metadata()?.len();
+    let mut buf = [0u8; 4096];
+    let mut end = len;
+    while end > 0 {
+        let start = end.saturating_sub(buf.len() as u64);
+        let chunk = &mut buf[..(end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(chunk)?;
+        if let Some(i) = chunk.iter().rposition(|&b| b == b'\n') {
+            let valid = start + i as u64 + 1;
+            return Ok((len, (valid < len).then_some(valid)));
+        }
+        end = start;
+    }
+    Ok((len, (len > 0).then_some(0)))
+}
+
+/// Reads a JSONL log's records: its newline-terminated, non-blank lines,
+/// each with its 1-based line number. A missing file reads as empty. A
+/// torn tail is dropped with a `torn_tail` row — even one that parses, as
+/// it is not a record until its newline lands — and the file is left as
+/// it is: only [`LogAppender::open`] amputates.
+pub(crate) fn read_log(path: &Path) -> Result<Vec<(usize, String)>, String> {
+    let fail = |e: std::io::Error| format!("cannot read {}: {e}", path.display());
+    let mut file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(fail(e)),
+    };
+    let (len, torn) = torn_tail(&mut file).map_err(fail)?;
+    let mut text = String::new();
+    file.rewind()
+        .and_then(|()| file.take(torn.unwrap_or(len)).read_to_string(&mut text))
+        .map_err(fail)?;
+    let lines: Vec<(usize, String)> = text
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(n, line)| (n + 1, line.to_string()))
+        .collect();
+    if torn.is_some() {
+        events::stderr().emit("persist", "torn_tail", |o| {
+            o.str("path", &path.display().to_string())
+                .int("line", text.lines().count() as u64 + 1)
+        });
+    }
+    Ok(lines)
+}
+
+/// The one appender for every JSONL log. [`LogAppender::open`] truncates
+/// the file to its newline-terminated prefix, so a new record never lands
+/// on a torn tail; each [`LogAppender::append`] is then a single write of
+/// the line and its newline, flushed (no fsync).
+#[derive(Debug)]
+pub(crate) struct LogAppender {
+    path: PathBuf,
+    file: File,
+    appends: usize,
+    crash: Option<CrashPlan>,
+    dead: bool,
+}
+
+impl LogAppender {
+    /// Opens the log at `path` for appending, creating it if needed and
+    /// amputating a torn tail.
+    pub(crate) fn open(path: impl Into<PathBuf>) -> Result<Self, String> {
+        let path = path.into();
+        let fail = |what: &str, e: std::io::Error| format!("cannot {what} {}: {e}", path.display());
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(&path)
+            .map_err(|e| fail("open", e))?;
+        if let (_, Some(valid)) = torn_tail(&mut file).map_err(|e| fail("read", e))? {
+            file.set_len(valid).map_err(|e| fail("truncate", e))?;
+        }
+        Ok(LogAppender {
+            path,
+            file,
+            appends: 0,
+            crash: None,
+            dead: false,
+        })
+    }
+
+    /// Arms a deterministic crash point, counting appends from now (tests
+    /// only; `None` disarms).
+    pub(crate) fn arm(&mut self, plan: Option<CrashPlan>) {
+        self.crash = plan;
+        self.appends = 0;
+    }
+
+    /// Appends one record — `line` must hold no newline — and flushes it.
+    /// With an armed [`CrashPlan`] at its crash point, writes the torn
+    /// prefix instead and fails this and every later append: the log
+    /// behaves exactly like one whose process died mid-write.
+    pub(crate) fn append(&mut self, mut line: String) -> Result<(), String> {
+        if self.dead {
+            return Err(format!("log {} is dead (crashed)", self.path.display()));
+        }
+        if let Some(plan) = self.crash.filter(|p| p.crash_after_appends == self.appends) {
+            self.dead = true;
+            let torn = &line.as_bytes()[..plan.torn_bytes.min(line.len())];
+            let _ = self.file.write_all(torn);
+            let _ = self.file.flush();
+            return Err(format!(
+                "injected crash after {} append(s), {} byte(s) torn",
+                self.appends,
+                torn.len()
+            ));
+        }
+        line.push('\n');
+        self.file
+            .write_all(line.as_bytes())
+            .and_then(|()| self.file.flush())
+            .map_err(|e| format!("cannot append to {}: {e}", self.path.display()))?;
+        self.appends += 1;
+        Ok(())
+    }
+}
 
 /// The first line of a campaign journal: the campaign's identity
 /// ([`CampaignSpec::cache_key`]) and batch-plan size, so a replay can
@@ -118,15 +251,15 @@ impl JournalHeader {
 }
 
 /// A deterministic storage crash point: after `crash_after_appends`
-/// successful fragment appends, the next append writes only `torn_bytes`
-/// of its record (no newline), then the journal is dead — every later
-/// append fails. `torn_bytes: 0` models a kill exactly between the flush
-/// of one append and the write of the next; larger values model a write
-/// torn mid-record. The storage-layer sibling of the fleet tests' seeded
-/// link faults.
+/// successful appends (counted from when it is armed), the next append
+/// writes only `torn_bytes` of its record (no newline), then the log is
+/// dead — every later append fails. `torn_bytes: 0` models a kill exactly
+/// between the flush of one append and the write of the next; larger
+/// values model a write torn mid-record. The storage-layer sibling of the
+/// fleet tests' seeded link faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPlan {
-    /// Fragment appends that succeed before the crash fires.
+    /// Appends that succeed before the crash fires.
     pub crash_after_appends: usize,
     /// Bytes of the crashing record left on disk (clamped to the record
     /// length; the newline is never written).
@@ -153,97 +286,18 @@ impl CrashPlan {
     }
 }
 
-/// An open campaign journal: header already on disk, fragments appended
-/// one flushed line at a time. Dropping the handle closes the file; the
-/// journal itself survives until [`StateDir`] cleanup deletes it after the
-/// report reaches the persisted cache.
-#[derive(Debug)]
-pub struct CampaignJournal {
-    path: PathBuf,
-    file: std::fs::File,
-    appends: usize,
-    crash: Option<CrashPlan>,
-    dead: bool,
-}
-
-impl CampaignJournal {
-    /// Starts a fresh journal at `path`: truncates whatever was there and
-    /// writes the header line.
-    pub fn create(path: impl Into<PathBuf>, header: &JournalHeader) -> Result<Self, String> {
-        let path = path.into();
-        let mut file = std::fs::File::create(&path)
-            .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?;
-        writeln!(file, "{}", header.to_line())
-            .and_then(|()| file.flush())
-            .map_err(|e| format!("cannot write journal header {}: {e}", path.display()))?;
-        Ok(CampaignJournal {
-            path,
-            file,
-            appends: 0,
-            crash: None,
-            dead: false,
-        })
-    }
-
-    /// Reopens an existing journal for appending, first truncating it to
-    /// `valid_len` bytes — the valid prefix a [`load_journal`] replay
-    /// established — so a torn tail is amputated instead of being glued to
-    /// the next record.
-    pub fn resume(path: impl Into<PathBuf>, valid_len: u64) -> Result<Self, String> {
-        let path = path.into();
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("cannot reopen journal {}: {e}", path.display()))?;
-        file.set_len(valid_len)
-            .map_err(|e| format!("cannot truncate journal {}: {e}", path.display()))?;
-        Ok(CampaignJournal {
-            path,
-            file,
-            appends: 0,
-            crash: None,
-            dead: false,
-        })
-    }
-
-    /// The journal's backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Arms a deterministic crash point (tests only; `None` disarms).
-    pub fn arm(&mut self, plan: Option<CrashPlan>) {
-        self.crash = plan;
-    }
-
-    /// Appends one fragment record and flushes it. With an armed
-    /// [`CrashPlan`] at its crash point, writes the torn prefix instead
-    /// and fails this and every later append — the journal behaves exactly
-    /// like one whose process died mid-write.
-    pub fn append(&mut self, frag: &FragmentReport) -> Result<(), String> {
-        if self.dead {
-            return Err("journal is dead (crashed)".into());
+/// Starts `header`'s campaign journal afresh at `path`, replacing whatever
+/// was there; fragment lines follow through [`LogAppender::append`].
+pub(crate) fn create_journal(path: &Path, header: &JournalHeader) -> Result<LogAppender, String> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            return Err(format!("cannot replace journal {}: {e}", path.display()))
         }
-        let line = Msg::Fragment(frag.clone()).to_line();
-        if let Some(plan) = self.crash {
-            if self.appends == plan.crash_after_appends {
-                self.dead = true;
-                let torn = &line.as_bytes()[..plan.torn_bytes.min(line.len())];
-                let _ = self.file.write_all(torn);
-                let _ = self.file.flush();
-                return Err(format!(
-                    "injected crash after {} append(s), {} byte(s) torn",
-                    self.appends,
-                    torn.len()
-                ));
-            }
-        }
-        writeln!(self.file, "{line}")
-            .and_then(|()| self.file.flush())
-            .map_err(|e| format!("cannot append to journal {}: {e}", self.path.display()))?;
-        self.appends += 1;
-        Ok(())
+        _ => {}
     }
+    let mut journal = LogAppender::open(path)?;
+    journal.append(header.to_line())?;
+    Ok(journal)
 }
 
 /// What [`load_journal`] recovered from disk.
@@ -256,87 +310,69 @@ pub struct JournalReplay {
     /// by the corpus records a corpus-backed resume re-ran the batch for —
     /// the dedup is the never-double-count backstop).
     pub fragments: Vec<FragmentReport>,
-    /// Whether a torn trailing line was skipped.
-    pub skipped_torn: bool,
-    /// Byte length of the valid prefix — what [`CampaignJournal::resume`]
-    /// truncates to before appending.
-    pub valid_len: u64,
 }
 
 /// Loads a campaign journal for replay.
 ///
-/// - missing file → `Ok(None)`: nothing to resume;
+/// - missing file, or no whole header line yet (a crash during the header
+///   write) → `Ok(None)`: nothing to resume;
 /// - valid header for `expect_key` → `Ok(Some(..))` with the fragment
-///   prefix (a torn trailing line is skipped with a stderr note);
-/// - a torn *header* (crash before the first full line) → `Ok(None)` with
-///   a note: the journal recorded nothing usable;
+///   prefix;
 /// - anything else — wrong identity, interior corruption, out-of-plan or
 ///   skipped fragments — is an error, and the caller must recompute from
 ///   scratch rather than trust the file.
 pub fn load_journal(path: &Path, expect_key: &str) -> Result<Option<JournalReplay>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("cannot read journal {}: {e}", path.display())),
+    let Some((header, lines)) = read_journal(path)? else {
+        return Ok(None);
     };
-    if text.is_empty() {
-        return Ok(None);
-    }
-    let total_lines = text.lines().count();
-    let torn_tail = !text.ends_with('\n');
-    let shown = path.display().to_string();
-    if torn_tail && total_lines == 1 {
-        // The header write itself was torn — even a parseable line is not
-        // trusted without its newline, because every later append assumes a
-        // newline-terminated prefix. Nothing was journaled; start over.
-        events::stderr().emit("persist", "journal_torn_header", |o| o.str("path", &shown));
-        return Ok(None);
-    }
-    let mut lines = text.lines().enumerate();
-    let (_, first) = lines.next().expect("non-empty text has a first line");
-    let header = JournalHeader::parse_line(first)
-        .map_err(|e| format!("journal {shown}: bad header: {e}"))?;
     if header.key != expect_key {
         return Err(format!(
-            "journal {shown}: identity mismatch: holds {:?}, expected {expect_key:?}",
+            "journal {}: identity mismatch: holds {:?}, expected {expect_key:?}",
+            path.display(),
             header.key
         ));
     }
+    let fragments = replay_fragments(path, &header, lines)?;
+    Ok(Some(JournalReplay { header, fragments }))
+}
+
+/// A journal's fragment lines, after its header.
+type JournalLines = std::vec::IntoIter<(usize, String)>;
+
+/// A journal's parsed header and its remaining records: `None` when not
+/// even the header line is whole.
+fn read_journal(path: &Path) -> Result<Option<(JournalHeader, JournalLines)>, String> {
+    let mut lines = read_log(path)?.into_iter();
+    let Some((_, first)) = lines.next() else {
+        return Ok(None);
+    };
+    let header = JournalHeader::parse_line(&first)
+        .map_err(|e| format!("journal {}: bad header: {e}", path.display()))?;
+    Ok(Some((header, lines)))
+}
+
+/// Parses a journal's fragment records against its header's plan,
+/// deduplicating by batch index (the last line wins).
+fn replay_fragments(
+    path: &Path,
+    header: &JournalHeader,
+    lines: JournalLines,
+) -> Result<Vec<FragmentReport>, String> {
+    let shown = path.display().to_string();
     let mut fragments: Vec<FragmentReport> = Vec::new();
     let mut seen: HashSet<usize> = HashSet::new();
-    let mut skipped_torn = false;
-    let mut valid_len = text.len() as u64;
     for (n, line) in lines {
-        if torn_tail && n + 1 == total_lines {
-            // The signature of a crash mid-append: a final line with no
-            // trailing newline. Skipped even when it happens to parse — the
-            // valid prefix must stay newline-terminated so a resumed append
-            // never glues onto a dangling record. The batch re-executes
-            // deterministically instead.
-            skipped_torn = true;
-            valid_len = (text.len() - line.len()) as u64;
-            events::stderr().emit("persist", "journal_torn_tail", |o| {
-                o.str("path", &shown).int("line", n as u64 + 1)
-            });
-            continue;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match Msg::parse_line(line) {
+        match Msg::parse_line(&line) {
             Ok(Msg::Fragment(frag)) => {
                 if frag.skipped {
                     return Err(format!(
-                        "journal {shown}: line {}: skipped fragment was never executed",
-                        n + 1
+                        "journal {shown}: line {n}: skipped fragment was never executed"
                     ));
                 }
                 if frag.index as u64 >= header.total_batches {
                     return Err(format!(
-                        "journal {shown}: line {}: batch index {} outside the {}-batch plan",
-                        n + 1,
-                        frag.index,
-                        header.total_batches
+                        "journal {shown}: line {n}: batch index {} outside the {}-batch plan",
+                        frag.index, header.total_batches
                     ));
                 }
                 if seen.insert(frag.index) {
@@ -351,20 +387,14 @@ pub fn load_journal(path: &Path, expect_key: &str) -> Result<Option<JournalRepla
             }
             Ok(other) => {
                 return Err(format!(
-                    "journal {shown}: line {}: unexpected {:?} record",
-                    n + 1,
+                    "journal {shown}: line {n}: unexpected {:?} record",
                     other.tag()
                 ))
             }
-            Err(e) => return Err(format!("journal {shown}: line {}: {e}", n + 1)),
+            Err(e) => return Err(format!("journal {shown}: line {n}: {e}")),
         }
     }
-    Ok(Some(JournalReplay {
-        header,
-        fragments,
-        skipped_torn,
-        valid_len,
-    }))
+    Ok(fragments)
 }
 
 /// What a [`StateDir::recover`] startup pass found.
@@ -441,85 +471,55 @@ impl StateDir {
     /// line wraps the full `result` protocol line, so loading it re-runs
     /// the wire parser's fingerprint verification.
     pub fn append_cache(&self, key: &str, result: &ResultMsg) -> Result<(), String> {
-        let path = self.cache_path();
         let line = JsonObj::new()
             .str("key", key)
             .str("line", &Msg::CampaignResult(result.clone()).to_line())
             .finish();
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("cannot open cache {}: {e}", path.display()))?;
-        writeln!(file, "{line}")
-            .and_then(|()| file.flush())
-            .map_err(|e| format!("cannot append to cache {}: {e}", path.display()))
+        LogAppender::open(self.cache_path())?.append(line)
     }
 
     /// Loads the persisted cache, file order. A missing file is an empty
-    /// cache; a torn trailing line is skipped with a stderr note; interior
-    /// corruption (including a lying fingerprint) is an error.
+    /// cache; interior corruption (including a lying fingerprint) is an
+    /// error.
     pub fn load_cache(&self) -> Result<Vec<(String, ResultMsg)>, String> {
         let path = self.cache_path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(format!("cannot read cache {}: {e}", path.display())),
-        };
-        let shown = path.display().to_string();
-        let total_lines = text.lines().count();
-        let torn_tail = !text.ends_with('\n');
-        let mut out = Vec::new();
-        for (n, line) in text.lines().enumerate() {
-            if torn_tail && n + 1 == total_lines {
-                // Crash mid-append: the unterminated final line is dropped
-                // even when it parses — its campaign simply recomputes (or
-                // resumes from its still-present journal).
-                events::stderr().emit("persist", "cache_torn_tail", |o| {
-                    o.str("path", &shown).int("line", n as u64 + 1)
-                });
-                continue;
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_cache_line(line) {
-                Ok(entry) => out.push(entry),
-                Err(e) => return Err(format!("cache {shown}: line {}: {e}", n + 1)),
-            }
-        }
-        Ok(out)
+        read_log(&path)?
+            .iter()
+            .map(|(n, line)| {
+                parse_cache_line(line)
+                    .map_err(|e| format!("cache {}: line {n}: {e}", path.display()))
+            })
+            .collect()
     }
 
     /// The daemon's startup pass: loads the cache, deletes journals whose
     /// campaign already completed (write-through landed, cleanup did not),
-    /// and counts what a resubmit could resume.
+    /// and counts what a resubmit could resume. Each uncached journal is
+    /// replayed exactly as a resubmit replays it, so one that a resubmit
+    /// would recompute over (no whole header line, or a corrupt record)
+    /// counts as corrupt.
     pub fn recover(&self) -> Result<Recovery, String> {
         let cache = self.load_cache()?;
         let cached_keys: HashSet<&str> = cache.iter().map(|(k, _)| k.as_str()).collect();
-        let mut recovery = Recovery {
-            cache: Vec::new(),
-            resumable: 0,
-            cleared: 0,
-            corrupt: 0,
-        };
+        let mut recovery = Recovery::default();
         for path in self.journal_paths()? {
-            let shown = path.display().to_string();
-            let header = std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| {
-                    let first = text.lines().next().ok_or("empty journal")?;
-                    JournalHeader::parse_line(first)
-                });
-            match header {
-                Ok(h) if cached_keys.contains(h.key.as_str()) => {
+            // Ok(true): cached, whatever the body holds; Ok(false): resumable.
+            let cached = read_journal(&path).and_then(|journal| {
+                let (header, lines) = journal.ok_or("no whole header line")?;
+                if cached_keys.contains(header.key.as_str()) {
+                    return Ok(true);
+                }
+                replay_fragments(&path, &header, lines).map(|_| false)
+            });
+            match cached {
+                Ok(true) => {
                     let _ = std::fs::remove_file(&path);
                     recovery.cleared += 1;
                 }
-                Ok(_) => recovery.resumable += 1,
+                Ok(false) => recovery.resumable += 1,
                 Err(e) => {
                     events::stderr().emit("persist", "journal_unreadable", |o| {
-                        o.str("path", &shown).str("error", &e)
+                        o.str("path", &path.display().to_string()).str("error", &e)
                     });
                     recovery.corrupt += 1;
                 }
@@ -635,8 +635,28 @@ mod tests {
         }
     }
 
-    /// The satellite-required round trip: write N fragment records, reopen,
-    /// bit-exact replay; a wrong-identity header is rejected.
+    /// Writes a journal the way the service does: the header, then one
+    /// fragment line per batch.
+    fn write_journal(path: &Path, header: &JournalHeader, frags: &[FragmentReport]) {
+        let mut journal = create_journal(path, header).unwrap();
+        for frag in frags {
+            journal
+                .append(Msg::Fragment(frag.clone()).to_line())
+                .unwrap();
+        }
+    }
+
+    /// Reopens a journal the way a resumed campaign does and appends one
+    /// fragment.
+    fn extend_journal(path: &Path, frag: &FragmentReport) {
+        let mut journal = LogAppender::open(path).unwrap();
+        journal
+            .append(Msg::Fragment(frag.clone()).to_line())
+            .unwrap();
+    }
+
+    /// Write N fragment records, reopen, bit-exact replay; a
+    /// wrong-identity header is rejected.
     #[test]
     fn journal_round_trips_and_rejects_wrong_identity() {
         let state = StateDir::open(tmp_dir("roundtrip")).unwrap();
@@ -649,24 +669,21 @@ mod tests {
             header
         );
 
-        let mut journal = CampaignJournal::create(&path, &header).unwrap();
         let written: Vec<FragmentReport> = (0..5).map(sample_fragment).collect();
-        for frag in &written {
-            journal.append(frag).unwrap();
-        }
-        drop(journal);
-
+        write_journal(&path, &header, &written);
         let replay = load_journal(&path, &key).unwrap().expect("journal exists");
         assert_eq!(replay.header, header);
         assert_eq!(replay.fragments, written, "replay must be bit-exact");
-        assert!(!replay.skipped_torn);
 
         // Resume and extend: the new records land after the old prefix.
-        let mut journal = CampaignJournal::resume(&path, replay.valid_len).unwrap();
-        journal.append(&sample_fragment(5)).unwrap();
-        drop(journal);
+        extend_journal(&path, &sample_fragment(5));
         let replay = load_journal(&path, &key).unwrap().unwrap();
         assert_eq!(replay.fragments.len(), 6);
+
+        // Starting afresh replaces the old journal.
+        write_journal(&path, &header, &written[..1]);
+        let replay = load_journal(&path, &key).unwrap().unwrap();
+        assert_eq!(replay.fragments, written[..1]);
 
         // A different campaign's key must refuse this journal.
         let err = load_journal(&path, &sample_spec(12).cache_key()).unwrap_err();
@@ -686,8 +703,6 @@ mod tests {
         let state = StateDir::open(tmp_dir("duplicate")).unwrap();
         let spec = sample_spec(13);
         let path = state.journal_path(&spec.cache_key());
-        let mut journal =
-            CampaignJournal::create(&path, &JournalHeader::for_spec(&spec, 8)).unwrap();
         let input = CorpusInput {
             regs: [2; 16],
             flags: 0,
@@ -703,15 +718,16 @@ mod tests {
             }],
             ..sample_fragment(2)
         };
-        for frag in [
-            sample_fragment(1),
-            sample_fragment(2),
-            sample_fragment(3),
-            rerun.clone(),
-        ] {
-            journal.append(&frag).unwrap();
-        }
-        drop(journal);
+        write_journal(
+            &path,
+            &JournalHeader::for_spec(&spec, 8),
+            &[
+                sample_fragment(1),
+                sample_fragment(2),
+                sample_fragment(3),
+                rerun.clone(),
+            ],
+        );
         let replay = load_journal(&path, &spec.cache_key()).unwrap().unwrap();
         assert_eq!(
             replay.fragments,
@@ -720,44 +736,74 @@ mod tests {
         std::fs::remove_dir_all(state.path()).unwrap();
     }
 
-    /// A byte-truncated trailing record (crash mid-write) is skipped with
-    /// the prefix kept — at every truncation length — and `resume`
-    /// amputates the tear so later appends stay parseable.
+    /// The reader drops an unterminated final line — even a whole record
+    /// missing only its newline — and leaves the file untouched; the
+    /// appender amputates it on open.
     #[test]
-    fn torn_trailing_record_is_skipped_at_every_length() {
+    fn reader_drops_a_torn_tail_and_only_the_appender_amputates_it() {
+        let dir = tmp_dir("log");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("log.jsonl");
+        assert_eq!(read_log(&path).unwrap(), Vec::new(), "missing = empty");
+        std::fs::write(&path, "{\"a\":1}\n\n{\"b\":2}\n{\"c\":3}").unwrap();
+        let lines = read_log(&path).unwrap();
+        assert_eq!(
+            lines,
+            vec![(1, "{\"a\":1}".to_string()), (3, "{\"b\":2}".to_string())]
+        );
+        assert!(std::fs::read_to_string(&path)
+            .unwrap()
+            .ends_with("{\"c\":3}"));
+
+        let mut log = LogAppender::open(&path).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"a\":1}\n\n{\"b\":2}\n",
+            "opening amputates the tear"
+        );
+        log.append("{\"d\":4}".into()).unwrap();
+        assert_eq!(read_log(&path).unwrap().last().unwrap().0, 4);
+
+        // A file that is one torn line (longer than one read-back chunk)
+        // holds no record, and opening it empties it.
+        std::fs::write(&path, "x".repeat(10_000)).unwrap();
+        assert_eq!(read_log(&path).unwrap(), Vec::new());
+        drop(LogAppender::open(&path).unwrap());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Cut the journal's last record at every length — down to just its
+    /// newline — then resume the way the service does: the replay holds
+    /// the intact prefix, and after one append the journal reloads with
+    /// that prefix plus the new fragment.
+    #[test]
+    fn torn_journal_tail_then_append_reloads_at_every_cut() {
         let state = StateDir::open(tmp_dir("torn")).unwrap();
         let spec = sample_spec(21);
         let key = spec.cache_key();
         let path = state.journal_path(&key);
         let header = JournalHeader::for_spec(&spec, 8);
-        let mut journal = CampaignJournal::create(&path, &header).unwrap();
-        for i in 0..3 {
-            journal.append(&sample_fragment(i)).unwrap();
-        }
-        drop(journal);
+        write_journal(
+            &path,
+            &header,
+            &(0..3).map(sample_fragment).collect::<Vec<_>>(),
+        );
         let whole = std::fs::read(&path).unwrap();
         let last_line_len = Msg::Fragment(sample_fragment(2)).to_line().len() + 1;
+        let prefix = vec![sample_fragment(0), sample_fragment(1)];
 
-        for cut in 1..last_line_len {
+        for cut in 1..=last_line_len {
             std::fs::write(&path, &whole[..whole.len() - cut]).unwrap();
             let replay = load_journal(&path, &key).unwrap().unwrap();
-            assert_eq!(replay.fragments.len(), 2, "cut {cut}");
-            assert_eq!(
-                replay.fragments,
-                vec![sample_fragment(0), sample_fragment(1)]
-            );
-            assert!(replay.skipped_torn, "cut {cut}");
+            assert_eq!(replay.fragments, prefix, "cut {cut}");
 
-            // Resuming truncates the tear; the next append reloads cleanly.
-            let mut journal = CampaignJournal::resume(&path, replay.valid_len).unwrap();
-            journal.append(&sample_fragment(7)).unwrap();
-            drop(journal);
+            extend_journal(&path, &sample_fragment(7));
             let healed = load_journal(&path, &key).unwrap().unwrap();
-            assert!(!healed.skipped_torn, "cut {cut}");
-            assert_eq!(
-                healed.fragments,
-                vec![sample_fragment(0), sample_fragment(1), sample_fragment(7)]
-            );
+            let mut want = prefix.clone();
+            want.push(sample_fragment(7));
+            assert_eq!(healed.fragments, want, "cut {cut}");
+            assert!(std::fs::read(&path).unwrap().ends_with(b"\n"));
         }
 
         // Interior corruption is NOT tolerated — recompute, don't guess.
@@ -778,40 +824,38 @@ mod tests {
         let spec = sample_spec(31);
         let key = spec.cache_key();
         let path = state.journal_path(&key);
-        let mut journal =
-            CampaignJournal::create(&path, &JournalHeader::for_spec(&spec, 8)).unwrap();
+        let header = JournalHeader::for_spec(&spec, 8);
+        let line = |i| Msg::Fragment(sample_fragment(i)).to_line();
+        let mut journal = create_journal(&path, &header).unwrap();
         journal.arm(Some(CrashPlan::torn(2, 17)));
-        journal.append(&sample_fragment(0)).unwrap();
-        journal.append(&sample_fragment(1)).unwrap();
-        assert!(journal.append(&sample_fragment(2)).is_err(), "crash point");
-        assert!(journal.append(&sample_fragment(3)).is_err(), "stays dead");
+        journal.append(line(0)).unwrap();
+        journal.append(line(1)).unwrap();
+        assert!(journal.append(line(2)).is_err(), "crash point");
+        assert!(journal.append(line(3)).is_err(), "stays dead");
         drop(journal);
 
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(!text.ends_with('\n'), "the tear has no newline");
         let replay = load_journal(&path, &key).unwrap().unwrap();
         assert_eq!(replay.fragments.len(), 2, "only flushed records survive");
-        assert!(replay.skipped_torn);
 
         // A clean kill (torn_bytes 0) leaves a newline-terminated file.
-        let mut journal =
-            CampaignJournal::create(&path, &JournalHeader::for_spec(&spec, 8)).unwrap();
+        let mut journal = create_journal(&path, &header).unwrap();
         journal.arm(Some(CrashPlan::kill_after(1)));
-        journal.append(&sample_fragment(0)).unwrap();
-        assert!(journal.append(&sample_fragment(1)).is_err());
+        journal.append(line(0)).unwrap();
+        assert!(journal.append(line(1)).is_err());
         drop(journal);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.ends_with('\n'));
         let replay = load_journal(&path, &key).unwrap().unwrap();
         assert_eq!(replay.fragments.len(), 1);
-        assert!(!replay.skipped_torn);
         std::fs::remove_dir_all(state.path()).unwrap();
     }
 
-    /// The persisted cache round-trips, tolerates a torn tail, lets a
-    /// later line supersede an earlier one, and rejects interior lies.
+    /// The persisted cache round-trips, lets a later line supersede an
+    /// earlier one, and rejects interior lies.
     #[test]
-    fn cache_round_trips_and_tolerates_a_torn_tail() {
+    fn cache_round_trips_and_rejects_interior_corruption() {
         let state = StateDir::open(tmp_dir("cache")).unwrap();
         let spec = sample_spec(41);
         state
@@ -825,13 +869,8 @@ mod tests {
         assert_eq!(loaded[0].0, spec.cache_key());
         assert_eq!(loaded[0].1, sample_result(41), "bit-exact replay");
 
-        // A torn trailing line (crash mid-append) is skipped, not fatal.
-        let text = std::fs::read_to_string(state.cache_path()).unwrap();
-        std::fs::write(state.cache_path(), &text[..text.len() - 9]).unwrap();
-        let loaded = state.load_cache().unwrap();
-        assert_eq!(loaded.len(), 1, "only the whole line survives");
-
         // Interior corruption is a hard error.
+        let text = std::fs::read_to_string(state.cache_path()).unwrap();
         std::fs::write(
             state.cache_path(),
             format!("not json\n{}", text.lines().next().unwrap()),
@@ -839,6 +878,47 @@ mod tests {
         .unwrap();
         let err = state.load_cache().unwrap_err();
         assert!(err.contains("line 1"), "{err}");
+        std::fs::remove_dir_all(state.path()).unwrap();
+    }
+
+    /// Cut the cache's last line at every length — down to just its
+    /// newline — then load it and append once, as a restarted daemon
+    /// does: the next load returns the intact prefix plus the new entry.
+    #[test]
+    fn torn_cache_tail_then_append_reloads_at_every_cut() {
+        let state = StateDir::open(tmp_dir("cache_torn")).unwrap();
+        let (kept, torn, added) = (sample_spec(43), sample_spec(44), sample_spec(45));
+        state
+            .append_cache(&kept.cache_key(), &sample_result(43))
+            .unwrap();
+        let prefix = std::fs::read(state.cache_path()).unwrap();
+        state
+            .append_cache(&torn.cache_key(), &sample_result(44))
+            .unwrap();
+        let whole = std::fs::read(state.cache_path()).unwrap();
+
+        for cut in 1..=whole.len() - prefix.len() {
+            std::fs::write(state.cache_path(), &whole[..whole.len() - cut]).unwrap();
+            let loaded = state.load_cache().unwrap();
+            assert_eq!(
+                loaded,
+                vec![(kept.cache_key(), sample_result(43))],
+                "cut {cut}"
+            );
+
+            state
+                .append_cache(&added.cache_key(), &sample_result(45))
+                .unwrap();
+            let loaded = state.load_cache().unwrap();
+            assert_eq!(
+                loaded,
+                vec![
+                    (kept.cache_key(), sample_result(43)),
+                    (added.cache_key(), sample_result(45))
+                ],
+                "cut {cut}"
+            );
+        }
         std::fs::remove_dir_all(state.path()).unwrap();
     }
 
@@ -854,12 +934,11 @@ mod tests {
             .append_cache(&done.cache_key(), &sample_result(51))
             .unwrap();
         for spec in [&done, &pending] {
-            let mut journal = CampaignJournal::create(
-                state.journal_path(&spec.cache_key()),
+            write_journal(
+                &state.journal_path(&spec.cache_key()),
                 &JournalHeader::for_spec(spec, 8),
-            )
-            .unwrap();
-            journal.append(&sample_fragment(0)).unwrap();
+                &[sample_fragment(0)],
+            );
         }
         std::fs::write(state.dir.join("journal-garbage.jsonl"), "what\n").unwrap();
 
@@ -873,6 +952,55 @@ mod tests {
             "cleared journal must be gone"
         );
         assert!(state.journal_path(&pending.cache_key()).exists());
+        std::fs::remove_dir_all(state.path()).unwrap();
+    }
+
+    /// The startup pass counts a journal as resumable only when a
+    /// resubmit would resume it: a journal whose only line is a torn
+    /// header (even one that parses) or whose records are corrupt is
+    /// counted corrupt, and a resubmit indeed starts over.
+    #[test]
+    fn recover_counts_what_a_resubmit_would_resume() {
+        let state = StateDir::open(tmp_dir("recover_torn")).unwrap();
+        let spec = sample_spec(53);
+        let key = spec.cache_key();
+        let path = state.journal_path(&key);
+        std::fs::write(&path, JournalHeader::for_spec(&spec, 8).to_line()).unwrap();
+        let recovery = state.recover().unwrap();
+        assert_eq!((recovery.resumable, recovery.corrupt), (0, 1));
+        assert_eq!(
+            load_journal(&path, &key).unwrap(),
+            None,
+            "submit starts over"
+        );
+
+        write_journal(
+            &path,
+            &JournalHeader::for_spec(&spec, 8),
+            &[sample_fragment(9)],
+        );
+        let recovery = state.recover().unwrap();
+        assert_eq!(
+            (recovery.resumable, recovery.corrupt),
+            (0, 1),
+            "out of plan"
+        );
+        assert!(load_journal(&path, &key).is_err(), "submit recomputes");
+
+        // Once the campaign is cached, its journal is cleared whatever
+        // its body holds.
+        state.append_cache(&key, &sample_result(53)).unwrap();
+        assert_eq!(state.recover().unwrap().cleared, 1);
+        assert!(!path.exists());
+        std::fs::remove_file(state.cache_path()).unwrap();
+
+        write_journal(
+            &path,
+            &JournalHeader::for_spec(&spec, 8),
+            &[sample_fragment(1)],
+        );
+        let recovery = state.recover().unwrap();
+        assert_eq!((recovery.resumable, recovery.corrupt), (1, 0));
         std::fs::remove_dir_all(state.path()).unwrap();
     }
 }

@@ -85,9 +85,7 @@ pub use generator::{Generator, GeneratorConfig};
 pub use inputs::{
     boosted_inputs, boosted_inputs_and_classes_into, boosted_inputs_into, InputGenConfig,
 };
-pub use journal::{
-    load_journal, CampaignJournal, CrashPlan, JournalHeader, JournalReplay, Recovery, StateDir,
-};
+pub use journal::{load_journal, CrashPlan, JournalHeader, JournalReplay, Recovery, StateDir};
 pub use minimize::{minimize, Minimized};
 pub use proto::{CampaignSpec, FragmentReport, Hello, Msg, ReportWire, ResultMsg, PROTO_VERSION};
 pub use service::{Admission, Lease, LeaseWait, Service, ServiceEvent, SubmitOutcome};

@@ -52,7 +52,9 @@
 
 use crate::campaign::{CampaignConfig, CampaignReport};
 use crate::corpus::{records_from_report, Corpus};
-use crate::journal::{load_journal, CampaignJournal, CrashPlan, JournalHeader, Recovery, StateDir};
+use crate::journal::{
+    create_journal, load_journal, CrashPlan, JournalHeader, LogAppender, Recovery, StateDir,
+};
 use crate::proto::{CampaignSpec, FragmentReport, Msg, ReportWire, ResultMsg};
 use crate::shard::{plan_batches, reduce_fragments, verify_fragment_coverage, BatchSpec, Fragment};
 use amulet_util::events;
@@ -326,7 +328,7 @@ struct Inner {
     /// Completed reports keyed by [`CampaignSpec::cache_key`].
     cache: HashMap<String, ResultMsg>,
     /// Open write-ahead journals keyed by campaign id.
-    journals: HashMap<u64, CampaignJournal>,
+    journals: HashMap<u64, LogAppender>,
     /// Cache keys with an open journal — a second concurrent submit of the
     /// same identity runs unjournaled rather than sharing the file.
     journaled_keys: HashSet<String>,
@@ -493,7 +495,7 @@ impl Service {
         // unusable journal (wrong plan, corruption) means recomputing from
         // scratch over a fresh file — never trusting bad data.
         let mut recovered_frags: Vec<Fragment> = Vec::new();
-        let mut journal: Option<CampaignJournal> = None;
+        let mut journal: Option<LogAppender> = None;
         if let Some(state) = &self.state {
             if !inner.journaled_keys.contains(&key) {
                 let path = state.journal_path(&key);
@@ -517,8 +519,8 @@ impl Service {
                     }
                 };
                 let opened = match &replay {
-                    Some(r) => CampaignJournal::resume(&path, r.valid_len),
-                    None => CampaignJournal::create(&path, &header),
+                    Some(_) => LogAppender::open(&path),
+                    None => create_journal(&path, &header),
                 };
                 match opened {
                     Ok(j) => journal = Some(j),
@@ -911,7 +913,8 @@ impl Service {
         // to unjournaled — the run continues, resume just won't see this
         // suffix.
         if let Some(journal) = inner.journals.get_mut(&lease.campaign) {
-            if let Err(e) = journal.append(&FragmentReport::from_fragment(&fragment)) {
+            let line = Msg::Fragment(FragmentReport::from_fragment(&fragment)).to_line();
+            if let Err(e) = journal.append(line) {
                 events::stderr().emit("persist", "journal_append_failed", |o| {
                     o.int("campaign", lease.campaign).str("error", &e)
                 });
@@ -977,8 +980,11 @@ impl Service {
         };
         if let (Ok(report), Some(corpus)) = (&outcome, &self.corpus) {
             // Best-effort: a full disk must not fail the campaign, but the
-            // operator should hear about it.
-            if let Err(e) = corpus.append(&records_from_report(report)) {
+            // operator should hear about it. Under the service lock, so two
+            // campaigns finishing at once never share the file.
+            let records = records_from_report(report);
+            let _serial = self.inner.lock().unwrap();
+            if let Err(e) = corpus.append(&records) {
                 events::stderr().emit("persist", "corpus_append_failed", |o| o.str("error", &e));
             }
         }
@@ -1341,7 +1347,7 @@ mod tests {
         use crate::analyze::ViolationClass;
         use crate::campaign::ViolationDigest;
         use crate::detect::ScanStats;
-        use crate::journal::{CampaignJournal, JournalHeader};
+        use crate::journal::{create_journal, JournalHeader};
 
         let dir =
             std::env::temp_dir().join(format!("amulet_service_records_{}", std::process::id()));
@@ -1367,9 +1373,10 @@ mod tests {
         let boot = |corpus: Option<Corpus>| {
             let path = state.journal_path(&spec.cache_key());
             let header = JournalHeader::for_spec(&spec, total);
-            let mut journal = CampaignJournal::create(&path, &header).unwrap();
-            journal.append(&fragment(0, vec![digest.clone()])).unwrap();
-            journal.append(&fragment(1, Vec::new())).unwrap();
+            let mut journal = create_journal(&path, &header).unwrap();
+            for frag in [fragment(0, vec![digest.clone()]), fragment(1, Vec::new())] {
+                journal.append(Msg::Fragment(frag).to_line()).unwrap();
+            }
             Service::with_persistence(corpus, state.clone(), state.recover().unwrap())
         };
 

@@ -202,12 +202,38 @@ impl MemSys {
         self.next_event
     }
 
-    /// Debug-build soundness check of the warp horizon at the top of cycle
-    /// `now`: [`MemSys::next_event`] is no later than the earliest pending
-    /// fill or the earliest MSHR free from `now` on — so warping to it can
-    /// never skip either.
+    /// Debug-build check at the top of cycle `now` of the warp horizon and
+    /// the MSHR accounting:
+    ///
+    /// - [`MemSys::next_event`] is no later than the earliest pending fill
+    ///   or the earliest MSHR free from `now` on — so warping to it can
+    ///   never skip either;
+    /// - every slot from `mshr_first_zero` on is still 0 (never used), the
+    ///   premise of the O(1) allocation fast path;
+    /// - every pending fill's MSHR slot lies in the used prefix and stays
+    ///   held at least until the fill lands.
     #[cfg(debug_assertions)]
-    pub(crate) fn check_next_event(&self, now: u64) {
+    pub(crate) fn check_invariants(&self, now: u64) {
+        assert!(
+            self.mshr_free_at[self.mshr_first_zero..]
+                .iter()
+                .all(|&f| f == 0),
+            "cycle {now}: an MSHR slot at or after mshr_first_zero {} is in use",
+            self.mshr_first_zero
+        );
+        for p in &self.pending {
+            if let Some(slot) = p.mshr_slot {
+                assert!(
+                    slot < self.mshr_first_zero && self.mshr_free_at[slot] >= p.apply_at,
+                    "cycle {now}: fill of {:#x} at {} holds MSHR {slot} (free at {}, \
+                     first zero {})",
+                    p.line,
+                    p.apply_at,
+                    self.mshr_free_at[slot],
+                    self.mshr_first_zero
+                );
+            }
+        }
         let fill = self.pending.iter().map(|p| p.apply_at).min();
         let free = self.mshr_free_at[..self.mshr_first_zero]
             .iter()

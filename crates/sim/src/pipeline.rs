@@ -504,7 +504,8 @@ impl Simulator {
 
     /// Debug-build check, run at the top of every stepped cycle, that each
     /// event list agrees with a full window scan and that the memory
-    /// system's horizon is sound (the warp's obligation):
+    /// system's horizon and MSHR accounting are sound
+    /// (`MemSys::check_invariants`):
     ///
     /// - `executing` holds every live `Executing` entry, and
     ///   `next_complete` is no later than any of them;
@@ -602,7 +603,7 @@ impl Simulator {
             with_mem(MemEffect::reads).eq(window(&self.loads, self.commit_ptr)),
             "cycle {cycle}: load list diverged"
         );
-        self.mem.check_next_event(cycle);
+        self.mem.check_invariants(cycle);
     }
 
     /// The time-warp scheduler: advances `self.cycle` to the next event

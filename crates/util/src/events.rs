@@ -46,17 +46,14 @@ pub const EVENTS: &[(&str, &str)] = &[
     ("worker", "worker_eof_truncated"),
     ("worker", "worker_idle_timeout"),
     ("submit", "submit_retry"),
-    ("persist", "journal_torn_header"),
-    ("persist", "journal_torn_tail"),
+    ("persist", "torn_tail"),
     ("persist", "journal_duplicate_fragment"),
     ("persist", "journal_unreadable"),
     ("persist", "journal_plan_mismatch"),
     ("persist", "journal_unusable"),
     ("persist", "journal_open_failed"),
     ("persist", "journal_append_failed"),
-    ("persist", "cache_torn_tail"),
     ("persist", "cache_write_failed"),
-    ("persist", "corpus_torn_tail"),
     ("persist", "corpus_append_failed"),
 ];
 
