@@ -557,35 +557,25 @@ fn fleet_bench(json: &mut String) {
     );
 }
 
-/// End-to-end quick-campaign throughput: the classic instance-parallel
-/// orchestrator (parallelism capped at `cfg.instances`, 2 for the quick
-/// shape) vs. the sharded work-stealing orchestrator saturating
-/// `AMULET_WORKERS` (default: all hardware threads). Median of 3 runs per
-/// arm; the sharded gain scales with host cores because the quick shape
-/// leaves an instance-parallel run at most 2 threads.
-fn sharded_campaign_comparison() -> (usize, ShardConfig, f64, f64) {
+/// End-to-end quick-campaign throughput through `Campaign::run_sharded`
+/// on `AMULET_WORKERS` slots (default: all hardware threads). Median of 3
+/// runs.
+fn sharded_campaign() -> (usize, ShardConfig, f64) {
     let workers = ShardConfig {
         workers: env_usize("AMULET_WORKERS", 0),
         ..ShardConfig::default()
     };
     let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-    let mut instance_samples = Vec::new();
-    let mut sharded_samples = Vec::new();
+    let mut samples = Vec::new();
     let mut cases = 0;
     for _ in 0..3 {
         let t0 = Instant::now();
-        let report = Campaign::new(cfg.clone()).run();
-        instance_samples.push(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        let report_sharded = Campaign::new(cfg.clone()).run_sharded(workers);
-        sharded_samples.push(t0.elapsed().as_secs_f64());
-        cases = report.stats.cases.max(report_sharded.stats.cases);
+        let report = Campaign::new(cfg.clone()).run_sharded(workers);
+        samples.push(t0.elapsed().as_secs_f64());
+        cases = report.stats.cases;
     }
-    instance_samples.sort_by(f64::total_cmp);
-    sharded_samples.sort_by(f64::total_cmp);
-    let instance_rate = cases as f64 / instance_samples[1];
-    let sharded_rate = cases as f64 / sharded_samples[1];
-    (cases, workers, instance_rate, sharded_rate)
+    samples.sort_by(f64::total_cmp);
+    (cases, workers, cases as f64 / samples[1])
 }
 
 fn main() {
@@ -625,22 +615,18 @@ fn main() {
         "{{\"bench\":\"throughput\",\"kind\":\"detector\",\"name\":\"baseline_ctseq\",\"cases_per_sec\":{drate:.1},\"confirmed\":{confirmed}}}"
     );
 
-    // 1c. Sharded vs instance-parallel end-to-end quick campaign. The
-    // instance-parallel arm is capped at 2 threads by the quick shape, so
-    // the sharded speedup tracks the host's core count (≈1x on a 1-core
-    // runner, ≥2x from 4 cores up).
+    // 1c. The end-to-end sharded quick campaign.
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let (scases, shard, instance_rate, sharded_rate) = sharded_campaign_comparison();
+    let (scases, shard, sharded_rate) = sharded_campaign();
     let (workers, batch) = (shard.resolved_workers(), shard.batch_programs);
-    let sharded_speedup = sharded_rate / instance_rate;
     println!(
-        "sharded campaign: {scases} cases, instance-parallel {instance_rate:.0} cases/s -> sharded {sharded_rate:.0} cases/s ({sharded_speedup:.2}x, {workers} workers, {host_threads} host threads)"
+        "sharded campaign: {scases} cases, {sharded_rate:.0} cases/s ({workers} workers, {host_threads} host threads)"
     );
     let _ = writeln!(
         json,
-        "{{\"bench\":\"throughput\",\"kind\":\"sharded_campaign\",\"name\":\"Baseline\",\"contract\":\"CT-SEQ\",\"workers\":{workers},\"batch_programs\":{batch},\"host_threads\":{host_threads},\"cases\":{scases},\"cases_per_sec\":{sharded_rate:.1},\"instance_parallel_cases_per_sec\":{instance_rate:.1},\"speedup\":{sharded_speedup:.3}}}"
+        "{{\"bench\":\"throughput\",\"kind\":\"sharded_campaign\",\"name\":\"Baseline\",\"contract\":\"CT-SEQ\",\"workers\":{workers},\"batch_programs\":{batch},\"host_threads\":{host_threads},\"cases\":{scases},\"cases_per_sec\":{sharded_rate:.1}}}"
     );
 
     // 1d. The cross-host fleet: the same campaign through real loopback TCP

@@ -217,12 +217,7 @@ pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
         }
     };
     print_report(&report);
-    sink.line(&report_json(
-        &report,
-        "drive",
-        drive.procs,
-        Some(batch_programs),
-    ))
+    sink.line(&report_json(&report, "drive", drive.procs, batch_programs))
 }
 
 /// Converts a `--*-s` seconds flag into a `Duration`, rejecting values a

@@ -10,7 +10,8 @@
 //! ([`TcpLink`](crate::TcpLink)), or an in-memory link wrapped in fault
 //! injection ([`FaultyLink`](crate::FaultyLink)). [`run_driver`] is
 //! `amulet drive`: a single-campaign, in-memory `Service` fed by
-//! `drive.procs` slots. Slots log their ladder as `fleet` rows on an
+//! `drive.procs` slots, exactly as `Campaign::run_sharded` is with
+//! in-process slots. Slots log their ladder as `fleet` rows on an
 //! [`EventLog`]: `drive --events`' file, or `serve`'s stderr stream.
 //!
 //! # Robustness model
@@ -48,14 +49,12 @@
 //! See `docs/DISTRIBUTED.md` for the operator-level picture.
 
 use amulet_core::proto::{FragmentReport, Msg};
-use amulet_core::{CampaignConfig, CampaignReport, Lease, LeaseWait, Service};
+use amulet_core::{
+    run_with_slots, CampaignConfig, CampaignReport, Lease, LeaseWait, Service, LEASE_POLL,
+};
 use amulet_util::{EventLog, Xoshiro256};
 use std::io::Write;
 use std::time::Duration;
-
-/// How long an idle slot waits for a lease before housekeeping (closing a
-/// session whose campaign has ended, shutdown checks).
-pub(crate) const LEASE_POLL: Duration = Duration::from_millis(250);
 
 /// A bidirectional, line-delimited message channel to one worker.
 ///
@@ -131,8 +130,9 @@ impl Default for DriveConfig {
 }
 
 /// Drives one campaign over `drive.procs` worker links and reduces the
-/// streamed fragments deterministically: a single-campaign, in-memory
-/// [`Service`] fed by `drive.procs` slots (`run_slot`).
+/// streamed fragments deterministically: [`run_with_slots`] with
+/// `drive.procs` linked slots (`run_slot`), the skeleton
+/// `Campaign::run_sharded` runs with in-process slots.
 ///
 /// `connect` is called with the slot index — once when the slot takes its
 /// first batch, plus once per reconnect after a link failure — so a TCP
@@ -161,24 +161,13 @@ where
     L: WorkerLink,
     C: Fn(usize) -> Result<L, String> + Sync,
 {
-    let service = Service::new();
-    // Attach every slot before the submit, so the degradation floor can
-    // never see an empty fleet that is merely still starting up.
-    let ids: Vec<u64> = (0..drive.procs.max(1))
-        .map(|_| service.attach_slot())
-        .collect();
-    let done = service.submit_config(cfg.clone(), drive.batch_programs, tee);
-    std::thread::scope(|scope| {
-        for (slot, id) in ids.into_iter().enumerate() {
-            let (service, connect) = (&service, &connect);
-            scope.spawn(move || run_slot(service, id, slot, || connect(slot), drive, events));
-        }
-        let outcome = done
-            .recv()
-            .unwrap_or_else(|_| Err("campaign ended without a result".into()));
-        service.shutdown();
-        outcome
-    })
+    run_with_slots(
+        cfg.clone(),
+        drive.batch_programs,
+        tee,
+        drive.procs,
+        |service, id, slot| run_slot(service, id, slot, || connect(slot), drive, events),
+    )
 }
 
 /// How a batch attempt (or handshake) failed.

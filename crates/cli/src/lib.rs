@@ -1,18 +1,18 @@
-//! The `amulet` command line — campaigns, scenario matrices, a quick
-//! throughput bench, and the multi-process campaign fabric, with zero
+//! The `amulet` command line — campaigns, scenario matrices, the contract
+//! boundary search, and the multi-process campaign fabric, with zero
 //! external dependencies (the argument parser is hand-rolled here; the
 //! JSON writer/parser live in `amulet_util::json`).
 //!
 //! Subcommands, mirroring how the paper's evaluation is driven:
 //!
-//! - `amulet campaign` — one defense × contract campaign, sharded across a
-//!   worker pool by default (`--instance-parallel` restores the classic one
-//!   thread per instance).
+//! - `amulet campaign` — one defense × contract campaign, its batches
+//!   scheduled over `--workers` in-process slots of an in-memory
+//!   [`Service`](amulet_core::Service) (`Campaign::run_sharded`).
 //! - `amulet matrix` — every requested defense × contract scenario at the
 //!   quick or paper-scaled shape, one summary row each, optionally as
 //!   machine-readable JSON lines.
-//! - `amulet bench` — instance-parallel vs. sharded quick-campaign
-//!   throughput on this host.
+//! - `amulet boundary` — walks the contract lattice per defense to
+//!   localise its leakage boundary.
 //! - `amulet drive` — the same campaign sharded over `--procs` **worker
 //!   processes** (spawned `amulet worker` children speaking
 //!   `amulet_core::proto` over pipes) or over `--connect host:port,...`
@@ -56,7 +56,6 @@ use amulet_core::{
     boundary_row, BoundaryConfig, Campaign, CampaignConfig, CampaignReport, ShardConfig, SpecSource,
 };
 use amulet_defenses::DefenseKind;
-use std::time::Instant;
 
 pub use amulet_util::{json_string, JsonObj};
 pub use drive::ProcLink;
@@ -74,11 +73,10 @@ USAGE:
     amulet <SUBCOMMAND> [OPTIONS]
 
 SUBCOMMANDS:
-    campaign    Run one defense × contract campaign (sharded by default)
+    campaign    Run one defense × contract campaign
     matrix      Run a defense × contract scenario matrix
     boundary    Walk the contract lattice to localise each defense's
                 leakage boundary (one campaign per contract, by strength)
-    bench       Compare instance-parallel vs sharded quick-campaign throughput
     drive       Run one campaign across worker *processes* (multi-process fabric)
     worker      Serve batches over stdin/stdout (spawned by `drive`)
     serve       Long-lived campaign service (submit/cache/corpus over TCP)
@@ -97,7 +95,6 @@ CAMPAIGN OPTIONS:
                           default) or STL (store-to-load misspeculation)
     --workers N           Worker threads (default: all hardware threads)
     --batch N             Programs per shard batch (default: 4)
-    --instance-parallel   Classic orchestrator: one thread per instance
     --no-cycle-skip       Step every simulator cycle (disable the event-driven
                           time-warp scheduler; results are bit-identical)
     --json PATH           Append a JSON report line to PATH (`-` = stdout)
@@ -115,10 +112,6 @@ BOUNDARY OPTIONS:
     --source NAME         Speculation source the probes test (default: PHT)
     --scale X, --seed N, --workers N, --batch N, --no-cycle-skip     As above
     --json PATH           Append one boundary row per defense as JSONL
-
-BENCH OPTIONS:
-    --programs N          Programs per instance (default: 12)
-    --workers N, --batch N, --seed N, --no-cycle-skip                As above
 
 DRIVE OPTIONS (shape options as for campaign):
     --procs N             Worker processes to spawn (default: 2)
@@ -318,15 +311,14 @@ where
 
 /// Serialises one campaign report as a self-contained JSON line (the
 /// machine-readable form of [`CampaignReport::summary_row`], plus the
-/// deterministic fingerprint). `batch_programs` must be given for sharded
-/// runs — the batch size is part of the deterministic case-stream identity
-/// (see `amulet_core::shard`), so a line without it could not be
-/// reproduced; instance-parallel runs pass `None`.
+/// deterministic fingerprint). `batch_programs` is recorded because the
+/// batch size is part of the deterministic case-stream identity (see
+/// `amulet_core::shard`): a line without it could not be reproduced.
 pub fn report_json(
     report: &CampaignReport,
     orchestrator: &str,
     workers: usize,
-    batch_programs: Option<usize>,
+    batch_programs: usize,
 ) -> String {
     let mut classes = JsonObj::new();
     for (class, count) in report.unique_classes() {
@@ -341,16 +333,13 @@ pub fn report_json(
     if report.config.source != SpecSource::Pht {
         obj = obj.str("source", report.config.source.name());
     }
-    let mut obj = obj
-        .str("orchestrator", orchestrator)
-        .int("workers", workers as u64);
-    if let Some(batch) = batch_programs {
-        obj = obj.int("batch_programs", batch as u64);
-    }
-    // The seed is a string for the same reason the fingerprint is: a u64
-    // above 2^53 would be silently rounded by double-based JSON readers,
-    // and a wrong seed makes the line irreproducible.
-    obj.str("seed", &report.config.seed.to_string())
+    obj.str("orchestrator", orchestrator)
+        .int("workers", workers as u64)
+        .int("batch_programs", batch_programs as u64)
+        // The seed is a string for the same reason the fingerprint is: a
+        // u64 above 2^53 would be silently rounded by double-based JSON
+        // readers, and a wrong seed makes the line irreproducible.
+        .str("seed", &report.config.seed.to_string())
         .int("instances", report.config.instances as u64)
         .int(
             "programs_per_instance",
@@ -527,32 +516,27 @@ fn shard_options(args: &mut Args) -> Result<ShardConfig, String> {
 /// `amulet campaign`.
 fn cmd_campaign(mut args: Args) -> Result<(), String> {
     let shape = ShapeOptions::parse(&mut args)?;
-    let instance_parallel = args.flag("--instance-parallel");
     let shard = shard_options(&mut args)?;
     let mut sink = JsonSink::open(args.value("--json")?)?;
     args.finish()?;
 
     let cfg = shape.config();
-    let (orchestrator, workers) = if instance_parallel {
-        ("instances", cfg.instances)
-    } else {
-        ("sharded", shard.resolved_workers())
-    };
+    let workers = shard.resolved_workers();
     eprintln!(
-        "running {} × {} ({} cases, {orchestrator} orchestrator, {workers} workers)",
+        "running {} × {} ({} cases, sharded orchestrator, {workers} workers)",
         shape.defense.name(),
         shape.contract.name(),
         cfg.total_cases()
     );
-    let report = if instance_parallel {
-        Campaign::new(cfg).run()
-    } else {
-        Campaign::new(cfg).run_sharded(shard)
-    };
+    let report = Campaign::new(cfg).run_sharded(shard);
 
     print_report(&report);
-    let batch = (!instance_parallel).then_some(shard.batch_programs);
-    sink.line(&report_json(&report, orchestrator, workers, batch))
+    sink.line(&report_json(
+        &report,
+        "sharded",
+        workers,
+        shard.batch_programs,
+    ))
 }
 
 /// The human-readable campaign summary `campaign` and `drive` share.
@@ -611,7 +595,7 @@ fn cmd_matrix(mut args: Args) -> Result<(), String> {
                     &report,
                     "sharded",
                     workers,
-                    Some(shard.batch_programs),
+                    shard.batch_programs,
                 ))?;
             }
         }
@@ -662,49 +646,6 @@ fn cmd_boundary(mut args: Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `amulet bench`.
-fn cmd_bench(mut args: Args) -> Result<(), String> {
-    let programs = args.parsed::<usize>("--programs")?.unwrap_or(12);
-    let seed = args.parsed::<u64>("--seed")?;
-    let no_cycle_skip = args.flag("--no-cycle-skip");
-    let shard = shard_options(&mut args)?;
-    args.finish()?;
-
-    let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-    cfg.programs_per_instance = programs;
-    cfg.sim.cycle_skip = !no_cycle_skip;
-    if let Some(seed) = seed {
-        cfg.seed = seed;
-    }
-
-    let t0 = Instant::now();
-    let instance_report = Campaign::new(cfg.clone()).run();
-    let instance_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let sharded_report = Campaign::new(cfg.clone()).run_sharded(shard);
-    let sharded_secs = t0.elapsed().as_secs_f64();
-
-    let instance_rate = instance_report.stats.cases as f64 / instance_secs.max(1e-9);
-    let sharded_rate = sharded_report.stats.cases as f64 / sharded_secs.max(1e-9);
-    println!(
-        "instance-parallel: {} cases in {instance_secs:.3}s = {instance_rate:.0} cases/s ({} threads)",
-        instance_report.stats.cases, cfg.instances
-    );
-    println!(
-        "sharded:           {} cases in {sharded_secs:.3}s = {sharded_rate:.0} cases/s ({} workers)",
-        sharded_report.stats.cases,
-        shard.resolved_workers()
-    );
-    println!("speedup:           {:.2}x", sharded_rate / instance_rate);
-    println!(
-        "cycles/case:       {:.0} (warp ratio {:.3}, cycle skipping {})",
-        sharded_report.cycles_per_case(),
-        sharded_report.warp_ratio(),
-        if no_cycle_skip { "off" } else { "on" }
-    );
-    Ok(())
-}
-
 /// `amulet list`.
 fn cmd_list(args: Args) -> Result<(), String> {
     args.finish()?;
@@ -734,7 +675,6 @@ pub fn run(argv: &[String]) -> i32 {
         "campaign" => cmd_campaign(args),
         "matrix" => cmd_matrix(args),
         "boundary" => cmd_boundary(args),
-        "bench" => cmd_bench(args),
         "drive" => drive::cmd_drive(args),
         "worker" => worker::cmd_worker(args),
         "serve" => serve::cmd_serve(args),
@@ -853,7 +793,7 @@ mod tests {
             detection_times: Summary::new(),
             modeled_seconds: 1.5,
         };
-        let json = report_json(&report, "sharded", 8, Some(4));
+        let json = report_json(&report, "sharded", 8, 4);
         for key in [
             "\"defense\":\"SpecLFB\"",
             "\"contract\":\"CT-SEQ\"",
@@ -872,10 +812,6 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.starts_with('{') && json.ends_with('}'));
-        // Instance-parallel streams don't depend on a batch size — the
-        // field is omitted rather than recorded as a misleading value.
-        let no_batch = report_json(&report, "instances", 2, None);
-        assert!(!no_batch.contains("batch_programs"));
     }
 
     #[test]

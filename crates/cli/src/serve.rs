@@ -7,8 +7,9 @@
 //!   speaking the protocol-v5 service messages (`submit`/`accepted`/
 //!   `rejected`/`recovering`/`progress`/`result`/`draining`/
 //!   `cancel_campaign`) as JSONL over the socket;
-//! - **local workers** ([`ServiceHost`]): in-process threads executing
-//!   leased batches with per-campaign persistent runtimes;
+//! - **local workers** ([`ServiceHost`]): in-process threads running
+//!   the core's slot loop ([`run_local_slot`]) — the same loop
+//!   `Campaign::run_sharded` runs;
 //! - **TCP slots**: one thread per `--connect` address, forwarding leases
 //!   to remote `amulet worker --listen` processes through the fleet's slot
 //!   loop ([`crate::fleet`]) — the same heartbeat, per-batch deadline,
@@ -39,16 +40,15 @@
 //! can drive [`serve_client`] over in-memory pipes and prove the same
 //! properties the real-socket tests prove end-to-end.
 
-use crate::fleet::{backoff_delay, run_slot, DriveConfig, LEASE_POLL};
+use crate::fleet::{backoff_delay, run_slot, DriveConfig};
 use crate::net::{parse_connect_list, TcpLink};
 use crate::{Args, JsonSink, ShapeOptions, WorkerLink};
 use amulet_core::proto::{CampaignSpec, Msg, ResultMsg};
 use amulet_core::{
-    run_batch, Admission, Corpus, LeaseWait, Service, ServiceEvent, ShardConfig, StateDir,
-    SubmitOutcome, UnitRuntime,
+    run_local_slot, Admission, Corpus, Service, ServiceEvent, ShardConfig, StateDir, SubmitOutcome,
 };
 use amulet_util::{events, JsonObj, Xoshiro256};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -200,7 +200,7 @@ impl ServiceHost {
             let slot = self.service.attach_slot();
             let service = self.service.clone();
             self.threads
-                .push(std::thread::spawn(move || local_worker(&service, slot)));
+                .push(std::thread::spawn(move || run_local_slot(&service, slot)));
         }
     }
 
@@ -216,40 +216,6 @@ impl ServiceHost {
             let _ = t.join();
         }
     }
-}
-
-/// An in-process worker loop: lease, execute, complete. Runtimes are
-/// per-campaign (a [`UnitRuntime`] must never serve two configs). Those of
-/// campaigns that left the active set are dropped whenever a lease names a
-/// campaign the slot holds no runtime for, and whenever the slot goes idle,
-/// so a slot under continuous load keeps no finished campaign's runtime.
-/// The worker is attached slot `slot`, retired when the service shuts down.
-fn local_worker(service: &Service, slot: u64) {
-    let mut runtimes: HashMap<u64, UnitRuntime> = HashMap::new();
-    loop {
-        match service.wait_lease(LEASE_POLL) {
-            LeaseWait::Shutdown => return service.retire_slot(slot),
-            LeaseWait::Idle => runtimes.retain(|id, _| service.is_active(*id)),
-            LeaseWait::Lease(lease) => {
-                let rt = runtime_for(&mut runtimes, lease.campaign, |id| service.is_active(id));
-                let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, rt);
-                service.complete(*lease, fragment);
-            }
-        }
-    }
-}
-
-/// `campaign`'s runtime in `runtimes`, created on first use. A campaign
-/// without one first drops every runtime whose campaign `is_active` denies.
-fn runtime_for(
-    runtimes: &mut HashMap<u64, UnitRuntime>,
-    campaign: u64,
-    is_active: impl Fn(u64) -> bool,
-) -> &mut UnitRuntime {
-    if !runtimes.contains_key(&campaign) {
-        runtimes.retain(|id, _| is_active(*id));
-    }
-    runtimes.entry(campaign).or_default()
 }
 
 /// Counters from one client conversation.
@@ -931,56 +897,6 @@ mod tests {
             report: None,
             error: error.map(str::to_owned),
         })
-    }
-
-    /// A slot that never goes idle drops a finished campaign's runtime when
-    /// the next campaign's first lease reaches it.
-    #[test]
-    fn a_busy_slot_drops_finished_runtimes_on_the_next_campaign() {
-        let service = Service::new();
-        let spec = |seed| CampaignSpec {
-            defense: "Baseline".into(),
-            contract: "CT-SEQ".into(),
-            source: "PHT".into(),
-            seed,
-            scale: None,
-            find_first: false,
-            batch_programs: 12,
-            cycle_skip: true,
-        };
-        let mut runtimes: HashMap<u64, UnitRuntime> = HashMap::new();
-        let run_next = |runtimes: &mut HashMap<u64, UnitRuntime>| {
-            let LeaseWait::Lease(lease) = service.wait_lease(Duration::ZERO) else {
-                panic!("a submitted campaign must have a batch to lease")
-            };
-            let rt = runtime_for(runtimes, lease.campaign, |id| service.is_active(id));
-            let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, rt);
-            let campaign = lease.campaign;
-            service.complete(*lease, fragment);
-            campaign
-        };
-        let SubmitOutcome::Accepted {
-            campaign: first, ..
-        } = service.submit(&spec(1)).unwrap()
-        else {
-            panic!("fresh submit must not hit the cache")
-        };
-        while service.is_active(first) {
-            assert_eq!(run_next(&mut runtimes), first);
-        }
-        assert!(runtimes.contains_key(&first), "no idle poll has run");
-        let SubmitOutcome::Accepted {
-            campaign: second, ..
-        } = service.submit(&spec(2)).unwrap()
-        else {
-            panic!("fresh submit must not hit the cache")
-        };
-        assert_eq!(run_next(&mut runtimes), second);
-        assert!(
-            !runtimes.contains_key(&first),
-            "the finished campaign's runtime must go"
-        );
-        assert!(runtimes.contains_key(&second));
     }
 
     /// The fatal-vs-transient-vs-shed split the retry loop rests on:

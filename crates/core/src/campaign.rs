@@ -9,6 +9,8 @@ use crate::executor::{ExecMode, Executor, ExecutorConfig};
 use crate::generator::{Generator, GeneratorConfig};
 use crate::inputs::{boosted_inputs_and_classes_into, InputGenConfig};
 use crate::minimize::minimize;
+use crate::service::{run_local_slot, run_with_slots};
+use crate::shard::ShardConfig;
 use crate::trace::TraceFormat;
 use amulet_contracts::{ContractKind, LeakageModel, ModelScratch};
 use amulet_defenses::DefenseKind;
@@ -393,9 +395,9 @@ impl CampaignReport {
     /// quantities.
     ///
     /// Two runs of the same campaign agree on this fingerprint exactly when
-    /// they found the same things; in particular a
-    /// [`ShardedCampaign`](crate::ShardedCampaign) produces the same
-    /// fingerprint at any worker count (asserted by
+    /// they found the same things; in particular
+    /// [`Campaign::run_sharded`] produces the same fingerprint at any
+    /// worker count (asserted by
     /// `tests/shard_determinism.rs`), and an `amulet drive` run reduces
     /// wire fragments to the same fingerprint at any process count
     /// (`tests/multiproc_determinism.rs`) — the hash input is
@@ -549,19 +551,39 @@ impl Campaign {
         Campaign { cfg }
     }
 
-    /// Runs the campaign on a sharded, work-stealing worker pool instead of
-    /// one thread per instance — see
-    /// [`ShardedCampaign`](crate::ShardedCampaign) for the determinism
-    /// contract (fingerprint-equal reports at any worker count).
-    pub fn run_sharded(self, shard: crate::ShardConfig) -> CampaignReport {
-        crate::ShardedCampaign::new(self.cfg, shard).run()
+    /// Runs the campaign's batch plan on [`ShardConfig::workers`] in-process
+    /// slots ([`run_with_slots`] with [`run_local_slot`]): the scheduler,
+    /// slot loop and reducer `serve` runs, so `drive` and `serve` differ
+    /// from this only in the link. Reports are fingerprint-equal at any
+    /// worker count and keep the full violation artefacts.
+    ///
+    /// # Panics
+    ///
+    /// When a batch panics on every slot, with the batch's panic message.
+    pub fn run_sharded(self, shard: ShardConfig) -> CampaignReport {
+        let slots = shard.resolved_workers();
+        run_with_slots(
+            self.cfg,
+            shard.batch_programs,
+            None,
+            slots,
+            |service, id, _| run_local_slot(service, id),
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs all instances (in parallel threads) and aggregates.
     ///
-    /// Parallelism is capped at [`CampaignConfig::instances`]; use
-    /// [`Campaign::run_sharded`] to saturate a many-core host independently
-    /// of the instance count.
+    /// This is the instance-stream reference: instance `i` scans
+    /// `programs_per_instance` programs from one RNG stream seeded
+    /// `seed + i`, so its case stream differs from the batch streams every
+    /// other path runs. It stays for the unpinned paper tests
+    /// (`tests/paper_findings.rs` and friends, whose class-set assertions
+    /// were written against these streams) and for the benchmark's traced
+    /// pipeline mirror, which replays the same streams stage by stage and
+    /// checks its counters against this run's. Parallelism is capped at
+    /// [`CampaignConfig::instances`]; [`Campaign::run_sharded`] saturates a
+    /// many-core host independently of the instance count.
     pub fn run(self) -> CampaignReport {
         let cfg = self.cfg;
         let start = Instant::now();

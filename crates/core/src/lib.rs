@@ -23,14 +23,15 @@
 //!    supports signature-based filtering of known classes (§3.3).
 //! 6. [`campaign`] orchestrates multi-instance testing campaigns with the
 //!    paper's metrics: throughput, detection time, unique violations, and
-//!    [`shard`] scales a campaign across a work-stealing worker pool with
-//!    deterministic (worker-count-independent) results. [`proto`] carries
+//!    [`shard`] splits a campaign into deterministic batches that any
+//!    number of workers can run with worker-count-independent results.
+//!    [`service`] schedules those batches for every path. [`proto`] carries
 //!    the same batches and fragments across *process* boundaries — the
 //!    wire protocol behind `amulet drive` / `amulet worker` — with
 //!    fingerprints equal to the in-process run at any process count.
-//! 7. [`service`] turns the fabric into a long-lived daemon (`amulet
-//!    serve`): many concurrent campaigns fair-share one worker fleet,
-//!    repeated submits hit a fingerprint-keyed result cache, and every
+//! 7. The same [`service`] backs the long-lived daemon (`amulet serve`):
+//!    many concurrent campaigns fair-share one worker fleet, repeated
+//!    submits hit a fingerprint-keyed result cache, and every
 //!    validated violation lands in the persisted [`corpus`]. [`journal`]
 //!    makes the daemon crash-safe: a per-campaign write-ahead log plus a
 //!    persisted result cache let a restarted service replay completed
@@ -44,14 +45,11 @@
 //! use amulet_defenses::DefenseKind;
 //! use amulet_contracts::ContractKind;
 //!
-//! // One thread per instance...
+//! // Batches of 4 programs, scheduled over every available core.
 //! let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-//! let report = Campaign::new(cfg.clone()).run();
+//! let report = Campaign::new(cfg).run_sharded(ShardConfig::default());
 //! println!("{}", report.summary_row());
-//!
-//! // ...or sharded over every available core, same report type.
-//! let sharded = Campaign::new(cfg).run_sharded(ShardConfig::default());
-//! println!("{:#018x}", sharded.fingerprint());
+//! println!("{:#018x}", report.fingerprint());
 //! ```
 
 pub mod analyze;
@@ -88,9 +86,12 @@ pub use inputs::{
 pub use journal::{load_journal, CrashPlan, JournalHeader, JournalReplay, Recovery, StateDir};
 pub use minimize::{minimize, Minimized};
 pub use proto::{CampaignSpec, FragmentReport, Hello, Msg, ReportWire, ResultMsg, PROTO_VERSION};
-pub use service::{Admission, Lease, LeaseWait, Service, ServiceEvent, SubmitOutcome};
+pub use service::{
+    run_local_slot, run_with_slots, Admission, Lease, LeaseWait, Service, ServiceEvent,
+    SubmitOutcome, LEASE_POLL,
+};
 pub use shard::{
-    plan_batches, reduce_fragments, run_batch, verify_fragment_coverage, BatchSpec, CursorSource,
-    Fragment, ShardConfig, ShardedCampaign,
+    plan_batches, reduce_fragments, run_batch, verify_fragment_coverage, BatchSpec, Fragment,
+    ShardConfig,
 };
 pub use trace::{TraceFormat, UTrace};

@@ -1257,7 +1257,7 @@ mod tests {
             amulet_defenses::DefenseKind::Baseline,
             amulet_contracts::ContractKind::CtSeq,
         );
-        let report = crate::ShardedCampaign::new(cfg, crate::ShardConfig::default()).run();
+        let report = crate::Campaign::new(cfg).run_sharded(crate::ShardConfig::default());
         let wire = ReportWire::from_report(&report);
         assert_eq!(wire.fingerprint(), report.fingerprint());
         // And it survives the wire bit-exactly.

@@ -8,11 +8,11 @@
 //! The scheduler round-robins batch *leases* across active campaigns, so a
 //! submit never starves behind a big earlier campaign. This cannot move
 //! any result: a batch's outcome is a pure function of `(campaign config,
-//! batch seed)` — see [`run_batch`](crate::shard::run_batch) — so the
-//! interleaving chooses only *when* each fragment arrives, never *what* it
-//! contains, and the reduction ([`reduce_fragments`]) is order-insensitive
-//! by construction. `tests/serve_session.rs` asserts the consequence:
-//! interleaved fingerprints byte-equal their solo in-process runs.
+//! batch seed)` — see [`run_batch`] — so the interleaving chooses only
+//! *when* each fragment arrives, never *what* it contains, and the
+//! reduction ([`reduce_fragments`]) is order-insensitive by construction.
+//! `tests/serve_session.rs` asserts the consequence: interleaved
+//! fingerprints byte-equal their solo in-process runs.
 //!
 //! # Cache semantics
 //!
@@ -47,23 +47,34 @@
 //! The service is transport-agnostic: `amulet serve` (the CLI) wires
 //! client sockets to [`Service::submit`]/[`Service::subscribe`] and worker
 //! loops to [`Service::wait_lease`]/[`Service::complete`]; `amulet drive`
-//! runs one hand-shaped campaign through [`Service::submit_config`]; the
-//! in-memory test suite drives the same methods directly.
+//! and [`Campaign::run_sharded`](crate::Campaign::run_sharded) run one
+//! hand-shaped campaign through [`Service::submit_config`]; the in-memory
+//! test suite drives the same methods directly. [`run_with_slots`] is the
+//! single-campaign skeleton `run_sharded` and `drive` share, and
+//! [`run_local_slot`] the one in-process worker loop, shared by
+//! `run_sharded` and `serve`'s local workers.
 
-use crate::campaign::{CampaignConfig, CampaignReport};
+use crate::campaign::{CampaignConfig, CampaignReport, UnitRuntime};
 use crate::corpus::{records_from_report, Corpus};
 use crate::journal::{
     create_journal, load_journal, CrashPlan, JournalHeader, LogAppender, Recovery, StateDir,
 };
 use crate::proto::{CampaignSpec, FragmentReport, Msg, ReportWire, ResultMsg};
-use crate::shard::{plan_batches, reduce_fragments, verify_fragment_coverage, BatchSpec, Fragment};
+use crate::shard::{
+    plan_batches, reduce_fragments, run_batch, verify_fragment_coverage, BatchSpec, Fragment,
+};
 use amulet_util::events;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// How long an idle slot waits for a lease before housekeeping (dropping
+/// finished campaigns' runtimes or sessions, shutdown checks).
+pub const LEASE_POLL: Duration = Duration::from_millis(250);
 
 /// A progress notification broadcast to every [`Service::subscribe`]r.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,7 +173,7 @@ pub struct Lease {
     /// The batch assignment.
     pub spec: BatchSpec,
     /// The campaign's config (cloned per lease; workers keyed by campaign
-    /// id keep their own persistent [`UnitRuntime`](crate::UnitRuntime)s).
+    /// id keep their own persistent [`UnitRuntime`]s).
     pub cfg: CampaignConfig,
     /// The campaign's detection-time anchor.
     pub anchor: Instant,
@@ -897,9 +908,6 @@ impl Service {
     /// progress stream and, on the final fragment, the reduction, the cache
     /// fill and the corpus append.
     pub fn complete(&self, lease: Lease, mut fragment: Fragment) {
-        // A service reduces digests and records only, so a report cannot
-        // depend on whether an in-process slot also handed over artefacts.
-        fragment.violations = Vec::new();
         self.executed_total.fetch_add(1, Ordering::SeqCst);
         let mut inner = self.inner.lock().unwrap();
         let Some(pos) = inner.active.iter().position(|c| c.id == lease.campaign) else {
@@ -907,6 +915,12 @@ impl Service {
             // batch ran) — the fragment is surplus, drop it.
             return;
         };
+        // A submitted campaign's report is built from digests and records
+        // only, so it cannot depend on whether an in-process slot also
+        // handed over artefacts. A `submit_config` caller gets them.
+        if inner.active[pos].reply.is_none() {
+            fragment.violations = Vec::new();
+        }
         // Write-ahead: the fragment reaches disk before the in-memory state
         // learns about it, so a crash after this point loses nothing. An
         // append failure (full disk, injected crash) downgrades the campaign
@@ -1090,6 +1104,101 @@ impl Default for Service {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Runs one [`Service::submit_config`] campaign on a fresh service fed by
+/// `slots` scoped threads, each running `slot_loop(service, id, n)` as
+/// slot number `n`, attached as `id`, until the service shuts down. This
+/// is `Campaign::run_sharded` with [`run_local_slot`] loops and `amulet
+/// drive` with linked ones.
+pub fn run_with_slots(
+    cfg: CampaignConfig,
+    batch_programs: usize,
+    tee: Option<Box<dyn Write + Send>>,
+    slots: usize,
+    slot_loop: impl Fn(&Service, u64, usize) + Sync,
+) -> Result<CampaignReport, String> {
+    let service = Service::new();
+    // Attach every slot before the submit, so the degradation floor can
+    // never see an empty fleet that is merely still starting up.
+    let ids: Vec<u64> = (0..slots.max(1)).map(|_| service.attach_slot()).collect();
+    let done = service.submit_config(cfg, batch_programs, tee);
+    std::thread::scope(|scope| {
+        for (n, id) in ids.into_iter().enumerate() {
+            let (service, slot_loop) = (&service, &slot_loop);
+            scope.spawn(move || slot_loop(service, id, n));
+        }
+        let outcome = done
+            .recv()
+            .unwrap_or_else(|_| Err("campaign ended without a result".into()));
+        service.shutdown();
+        outcome
+    })
+}
+
+/// The in-process slot loop: lease, execute, complete, as attached slot
+/// `slot`, until the service shuts down (then the slot retires).
+///
+/// Runtimes are per-campaign (a [`UnitRuntime`] must never serve two
+/// configs). Those of campaigns that left the active set are dropped
+/// whenever a lease names a campaign the slot holds no runtime for, and
+/// whenever the slot goes idle, so a slot under continuous load keeps no
+/// finished campaign's runtime.
+///
+/// A batch that panics fails its campaign, not the slot: the slot drops
+/// that campaign's runtime and [refuses](Service::refuse) the campaign
+/// with the panic message, so once every live slot has refused it the
+/// degradation floor ends the campaign with that message instead of
+/// leaving it waiting on a dead thread.
+pub fn run_local_slot(service: &Service, slot: u64) {
+    let mut runtimes: HashMap<u64, UnitRuntime> = HashMap::new();
+    loop {
+        match service.wait_lease_for(Some(slot), LEASE_POLL) {
+            LeaseWait::Shutdown => return service.retire_slot(slot),
+            LeaseWait::Idle => runtimes.retain(|id, _| service.is_active(*id)),
+            LeaseWait::Lease(lease) => {
+                let rt = runtime_for(&mut runtimes, lease.campaign, |id| service.is_active(id));
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    run_batch(&lease.cfg, &lease.spec, lease.anchor, rt)
+                }));
+                match run {
+                    Ok(fragment) => service.complete(*lease, fragment),
+                    Err(panic) => {
+                        runtimes.remove(&lease.campaign);
+                        let error = format!(
+                            "batch {} panicked: {}",
+                            lease.spec.index,
+                            panic_message(panic.as_ref())
+                        );
+                        service.refuse(slot, *lease, error);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `campaign`'s runtime in `runtimes`, created on first use. A campaign
+/// without one first drops every runtime whose campaign `is_active` denies.
+fn runtime_for(
+    runtimes: &mut HashMap<u64, UnitRuntime>,
+    campaign: u64,
+    is_active: impl Fn(u64) -> bool,
+) -> &mut UnitRuntime {
+    if !runtimes.contains_key(&campaign) {
+        runtimes.retain(|id, _| is_active(*id));
+    }
+    runtimes.entry(campaign).or_default()
+}
+
+/// The message a panic was raised with (`panic!` payloads are a `&str` or
+/// a `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 #[cfg(test)]
@@ -1398,6 +1507,151 @@ mod tests {
         assert_eq!(lease.spec.index, 0, "the violating batch re-runs first");
         assert!(lease.spec.records, "and asks for records");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A one-instance, ten-batch hand-shaped campaign (one program per
+    /// batch), submitted through [`Service::submit_config`].
+    fn ten_batches(
+        service: &Service,
+        stop_on_first: bool,
+    ) -> Receiver<Result<CampaignReport, String>> {
+        let mut cfg = CampaignConfig::quick(
+            amulet_defenses::DefenseKind::Baseline,
+            amulet_contracts::ContractKind::CtSeq,
+        );
+        cfg.instances = 1;
+        cfg.programs_per_instance = 10;
+        cfg.stop_on_first = stop_on_first;
+        service.submit_config(cfg, 1, None)
+    }
+
+    fn lease(service: &Service) -> Box<Lease> {
+        match service.wait_lease(Duration::from_millis(10)) {
+            LeaseWait::Lease(lease) => lease,
+            other => panic!("expected a lease, got {other:?}"),
+        }
+    }
+
+    /// A fragment for `lease`'s batch; `hit` gives it one confirmed
+    /// violation (a find-first hit).
+    fn fragment(lease: &Lease, hit: bool) -> Fragment {
+        use crate::analyze::ViolationClass;
+        use crate::campaign::ViolationDigest;
+        let digest = ViolationDigest {
+            class: ViolationClass::SpectreV1,
+            ctrace_digest: lease.spec.index as u64,
+            l1d_diff: vec![0x4740],
+            dtlb_diff: Vec::new(),
+            l1i_diff: Vec::new(),
+        };
+        Fragment {
+            index: lease.spec.index,
+            digests: if hit { vec![digest] } else { Vec::new() },
+            ..Fragment::default()
+        }
+    }
+
+    /// Find-first: leases come out in batch order; a hit withholds every
+    /// later batch; the floor only ever decreases; and the report keeps
+    /// exactly the prefix up to the earliest hit.
+    #[test]
+    fn find_first_leases_in_order_and_withhold_batches_past_the_floor() {
+        let service = Service::new();
+        let done = ten_batches(&service, true);
+        let mut held: Vec<Option<Box<Lease>>> = (0..6).map(|_| Some(lease(&service))).collect();
+        let indices: Vec<usize> = held.iter().flatten().map(|l| l.spec.index).collect();
+        assert_eq!(
+            indices,
+            vec![0, 1, 2, 3, 4, 5],
+            "leases are handed out in order"
+        );
+        let mut settle = |i: usize, hit: bool| {
+            let lease = held[i].take().unwrap();
+            let frag = fragment(&lease, hit);
+            service.complete(*lease, frag);
+            held[0].as_ref().and_then(|l| l.floor())
+        };
+        assert_eq!(settle(5, true), Some(5));
+        assert_eq!(settle(3, true), Some(3), "an earlier hit lowers the floor");
+        assert_eq!(settle(4, true), Some(3), "a later hit never raises it");
+        assert!(
+            matches!(
+                service.wait_lease(Duration::from_millis(10)),
+                LeaseWait::Idle
+            ),
+            "batches past the floor are withheld"
+        );
+        for i in (0..3).rev() {
+            settle(i, false);
+        }
+        let report = done.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+        let kept: Vec<u64> = report.digests.iter().map(|d| d.ctrace_digest).collect();
+        assert_eq!(
+            kept,
+            vec![3],
+            "only the prefix up to the earliest hit is kept"
+        );
+    }
+
+    /// Without find-first a hit is recorded nowhere and withholds nothing:
+    /// every planned batch still leases.
+    #[test]
+    fn hits_are_ignored_without_find_first() {
+        let service = Service::new();
+        let _done = ten_batches(&service, false);
+        let first = lease(&service);
+        let frag = fragment(&first, true);
+        let later = lease(&service);
+        service.complete(*first, frag);
+        assert_eq!(later.floor(), None, "no floor without stop_on_first");
+        let rest: Vec<usize> = (0..8).map(|_| lease(&service).spec.index).collect();
+        assert_eq!(
+            rest,
+            (2..10).collect::<Vec<_>>(),
+            "every batch still leases"
+        );
+    }
+
+    /// A slot that never goes idle drops a finished campaign's runtime when
+    /// the next campaign's first lease reaches it.
+    #[test]
+    fn a_busy_slot_drops_finished_runtimes_on_the_next_campaign() {
+        let service = Service::new();
+        let spec = |seed| CampaignSpec {
+            batch_programs: 12,
+            ..quick_spec(seed)
+        };
+        let mut runtimes: HashMap<u64, UnitRuntime> = HashMap::new();
+        let run_next = |runtimes: &mut HashMap<u64, UnitRuntime>| {
+            let lease = lease(&service);
+            let rt = runtime_for(runtimes, lease.campaign, |id| service.is_active(id));
+            let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, rt);
+            let campaign = lease.campaign;
+            service.complete(*lease, fragment);
+            campaign
+        };
+        let SubmitOutcome::Accepted {
+            campaign: first, ..
+        } = service.submit(&spec(1)).unwrap()
+        else {
+            panic!("fresh submit must not hit the cache")
+        };
+        while service.is_active(first) {
+            assert_eq!(run_next(&mut runtimes), first);
+        }
+        assert!(runtimes.contains_key(&first), "no idle poll has run");
+        let SubmitOutcome::Accepted {
+            campaign: second, ..
+        } = service.submit(&spec(2)).unwrap()
+        else {
+            panic!("fresh submit must not hit the cache")
+        };
+        assert_eq!(run_next(&mut runtimes), second);
+        assert!(
+            !runtimes.contains_key(&first),
+            "the finished campaign's runtime must go"
+        );
+        assert!(runtimes.contains_key(&second));
     }
 
     /// A released lease goes back to the same campaign and is re-leased

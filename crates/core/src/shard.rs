@@ -1,35 +1,36 @@
-//! Sharded, work-stealing campaign orchestration — and the scheduling /
-//! reduction primitives the multi-process campaign fabric is built from.
+//! Batched campaigns: the batch plan, the batch runner and the reducer
+//! every scheduling path shares.
 //!
 //! [`Campaign::run`](crate::Campaign::run) parallelises across campaign
 //! *instances* — at most `cfg.instances` threads, which leaves a many-core
 //! box idle for the paper's quick shapes (2 instances) and ties parallelism
-//! to a semantic knob. The sharded orchestrator decouples the two:
+//! to a semantic knob. Batched campaigns decouple the two:
 //!
 //! - Each instance's program stream is split into fixed-size **batches**
-//!   ([`ShardConfig::batch_programs`] programs each). A batch is the unit of
-//!   scheduling *and* of determinism: its generator and input RNG streams
-//!   are derived from `(campaign seed, instance, batch)` alone, and it runs
-//!   on executor state reset to batch-fresh semantics, so its results are
-//!   identical no matter which worker runs it, in what order, how many
-//!   workers exist — or **which process** they live in.
-//! - The in-process pool ([`ShardedCampaign`]) takes batches from a
-//!   [`CursorSource`] — work stealing without queues: an atomic cursor
-//!   hands out batch indices in order, so a slow batch never blocks the
-//!   rest — which also carries the find-first early-exit broadcast.
-//!   Multi-process fleets (`amulet drive`, `amulet serve`) lease the same
-//!   batch plan, in the same order, from [`Service`](crate::Service)
-//!   instead, and every path shares the reducer — which is why their
+//!   ([`ShardConfig::batch_programs`] programs each, [`plan_batches`]). A
+//!   batch is the unit of scheduling *and* of determinism: its generator
+//!   and input RNG streams are derived from `(campaign seed, instance,
+//!   batch)` alone, and it runs on executor state reset to batch-fresh
+//!   semantics ([`run_batch`]), so its results are identical no matter
+//!   which worker runs it, in what order, how many workers exist — or
+//!   **which process** they live in.
+//! - One scheduler hands batches out: the [`Service`](crate::Service). It
+//!   leases the plan in index order, re-issues orphaned batches first, and
+//!   carries the find-first floor. In-process threads
+//!   ([`Campaign::run_sharded`](crate::Campaign::run_sharded), `amulet
+//!   serve`'s local workers) and worker processes (`amulet drive`, `amulet
+//!   serve --connect`) are all slots leasing from it, which is why their
 //!   fingerprints agree.
 //! - In find-first mode ([`CampaignConfig::stop_on_first`]) a confirmed
-//!   violation broadcasts its batch index; the source stops handing out
-//!   batches beyond the earliest violating index, and the reducer discards
-//!   any speculatively-completed fragment past it. Because the cursor hands
-//!   out indices in order, every batch at or before the earliest hit has
-//!   run to completion — the surviving prefix is exactly what a single
-//!   worker would have produced.
+//!   violation lowers the campaign's floor to its batch index; the service
+//!   stops leasing batches beyond the earliest violating index, and the
+//!   reducer discards any speculatively-completed fragment past it.
+//!   Because leases go out in index order, every batch at or before the
+//!   earliest hit has run to completion — the surviving prefix is exactly
+//!   what a single worker would have produced.
 //! - [`reduce_fragments`] merges the per-batch fragments in batch order
-//!   into one [`CampaignReport`], so
+//!   into one [`CampaignReport`], after [`verify_fragment_coverage`] has
+//!   checked that the kept prefix is complete, so
 //!   [`CampaignReport::fingerprint`] is equal across worker counts and
 //!   process counts.
 //!
@@ -40,14 +41,14 @@
 //! # Examples
 //!
 //! ```no_run
-//! use amulet_core::{CampaignConfig, ShardConfig, ShardedCampaign};
+//! use amulet_core::{Campaign, CampaignConfig, ShardConfig};
 //! use amulet_defenses::DefenseKind;
 //! use amulet_contracts::ContractKind;
 //!
 //! let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
 //! // Same seed, same batch size → same fingerprint at any worker count.
-//! let serial = ShardedCampaign::new(cfg.clone(), ShardConfig::with_workers(1)).run();
-//! let pooled = ShardedCampaign::new(cfg, ShardConfig::with_workers(8)).run();
+//! let serial = Campaign::new(cfg.clone()).run_sharded(ShardConfig::with_workers(1));
+//! let pooled = Campaign::new(cfg).run_sharded(ShardConfig::with_workers(8));
 //! assert_eq!(serial.fingerprint(), pooled.fingerprint());
 //! ```
 
@@ -57,8 +58,6 @@ use crate::corpus::Reduction;
 use crate::cost::CostModel;
 use crate::detect::{ScanStats, Violation};
 use amulet_util::{SplitMix64, Summary, Xoshiro256};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How a campaign is split across a worker pool.
@@ -128,7 +127,7 @@ pub struct BatchSpec {
 /// Results of one executed batch, merged by [`reduce_fragments`] in `index`
 /// order.
 ///
-/// In-process pools carry the full [`Violation`] artefacts; fragments
+/// In-process slots carry the full [`Violation`] artefacts; fragments
 /// reconstructed from the wire protocol carry only the deterministic
 /// [`ViolationDigest`]s (the full artefacts stay in the worker process).
 /// `digests` is always authoritative — it is what the campaign fingerprint
@@ -149,74 +148,6 @@ pub struct Fragment {
     pub stats: ScanStats,
     /// Time from the campaign anchor to this batch's first confirmation.
     pub first_detection: Option<Duration>,
-}
-
-/// The in-process pool's batch source: the whole batch plan behind an
-/// atomic cursor, plus the find-first early-exit broadcast (an atomic
-/// `fetch_min` of the earliest violating batch index).
-///
-/// The contract that keeps results deterministic: batch indices are handed
-/// out **in order, each at most once**, and after
-/// [`CursorSource::record_hit`]`(i)` no index greater than the smallest
-/// recorded `i` is handed out (the reducer would discard its fragment).
-#[derive(Debug)]
-pub struct CursorSource {
-    batches: Vec<BatchSpec>,
-    cursor: AtomicUsize,
-    earliest_hit: AtomicUsize,
-    stop_on_first: bool,
-}
-
-impl CursorSource {
-    /// Plans `cfg`'s batches at the given batch size.
-    pub fn new(cfg: &CampaignConfig, batch_programs: usize) -> Self {
-        CursorSource {
-            batches: plan_batches(cfg, batch_programs),
-            cursor: AtomicUsize::new(0),
-            earliest_hit: AtomicUsize::new(usize::MAX),
-            stop_on_first: cfg.stop_on_first,
-        }
-    }
-
-    /// Total batches in the plan.
-    pub fn len(&self) -> usize {
-        self.batches.len()
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.batches.is_empty()
-    }
-
-    /// The earliest batch index with a recorded hit, if any.
-    pub fn earliest_hit(&self) -> Option<usize> {
-        let hit = self.earliest_hit.load(Ordering::SeqCst);
-        (hit != usize::MAX).then_some(hit)
-    }
-
-    /// The next batch to execute, or `None` when the plan is exhausted (or
-    /// everything left is past the earliest recorded hit).
-    pub fn next_batch(&self) -> Option<BatchSpec> {
-        let idx = self.cursor.fetch_add(1, Ordering::SeqCst);
-        if idx >= self.batches.len() {
-            return None;
-        }
-        // Early-exit: batches past the earliest confirmed hit would be
-        // discarded by the reducer anyway. (`earliest_hit` only decreases,
-        // so a withheld index can never end up at or before the final hit.)
-        if self.stop_on_first && idx > self.earliest_hit.load(Ordering::SeqCst) {
-            return None;
-        }
-        Some(self.batches[idx])
-    }
-
-    /// Broadcasts a confirmed violation in batch `index` (no-op unless the
-    /// campaign runs find-first).
-    pub fn record_hit(&self, index: usize) {
-        if self.stop_on_first {
-            self.earliest_hit.fetch_min(index, Ordering::SeqCst);
-        }
-    }
 }
 
 /// Splits a campaign into per-instance batches of `batch_programs` programs
@@ -256,7 +187,7 @@ fn batch_seed(campaign_seed: u64, instance: usize, batch: usize) -> u64 {
 }
 
 /// Runs one batch with its own derived RNG streams, through the same
-/// per-program scan loop as the instance-parallel orchestrator. `anchor`
+/// per-program scan loop as [`Campaign::run`](crate::Campaign::run). `anchor`
 /// ties detection times to the campaign start, so the reducer's min over
 /// batches is the true wall-clock time until the campaign first confirmed a
 /// violation (a per-batch time would measure schedule position instead; in
@@ -303,11 +234,11 @@ pub fn run_batch(
 /// batch index the reducer will keep (`0..total_batches`, or `0..=hit` in
 /// find-first mode) is present exactly once, and no index appears twice.
 ///
-/// The in-process pool satisfies this by construction; a fault-tolerant
-/// driver — where batches are re-run after crashes, re-assigned after
-/// quarantines, and adopted by surviving workers — calls this before
-/// reducing, so a scheduling bug under churn becomes a loud campaign error
-/// instead of a silently wrong (but plausible-looking) fingerprint.
+/// The [`Service`](crate::Service) calls this before reducing every
+/// campaign — in-process or fleet, where batches are re-run after crashes,
+/// re-assigned after quarantines, and adopted by surviving workers — so a
+/// scheduling bug under churn becomes a loud campaign error instead of a
+/// silently wrong (but plausible-looking) fingerprint.
 pub fn verify_fragment_coverage(
     cfg: &CampaignConfig,
     fragments: &[Fragment],
@@ -346,14 +277,14 @@ pub fn verify_fragment_coverage(
     }
 }
 
-/// The deterministic reducer both the in-process pool and the
-/// multi-process driver share: sorts fragments by batch index, keeps the
+/// The deterministic reducer behind every batched campaign (and a
+/// journal's resumed prefix): sorts fragments by batch index, keeps the
 /// `index <= earliest_hit` prefix when find-first trimmed the plan, and
 /// folds stats / violations / digests / records / detection time into one
 /// [`CampaignReport`].
 ///
-/// Find-first cancellation can never change the reduced prefix: sources
-/// hand out batch indices in order, so every batch at or before the
+/// Find-first cancellation can never change the reduced prefix: the
+/// service leases batch indices in order, so every batch at or before the
 /// earliest hit ran to completion before the campaign stopped, and
 /// fragments past the hit — including `amulet worker`'s skipped-batch
 /// acknowledgements — are exactly the ones dropped here.
@@ -401,54 +332,6 @@ pub fn reduce_fragments(
         report.records.extend(r.records);
     }
     report
-}
-
-/// A campaign run on a sharded worker pool.
-///
-/// Produces the same [`CampaignReport`] type as
-/// [`Campaign::run`](crate::Campaign::run), but with the work split into
-/// deterministic batches scheduled over [`ShardConfig::workers`] threads —
-/// see the [module docs](self) for the determinism contract.
-#[derive(Debug)]
-pub struct ShardedCampaign {
-    cfg: CampaignConfig,
-    shard: ShardConfig,
-}
-
-impl ShardedCampaign {
-    /// Creates a sharded campaign.
-    pub fn new(cfg: CampaignConfig, shard: ShardConfig) -> Self {
-        ShardedCampaign { cfg, shard }
-    }
-
-    /// Runs all batches on the worker pool and reduces deterministically.
-    pub fn run(self) -> CampaignReport {
-        let cfg = self.cfg;
-        let workers = self.shard.resolved_workers();
-        let source = CursorSource::new(&cfg, self.shard.batch_programs);
-        let fragments = Mutex::new(Vec::new());
-        let start = Instant::now();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers.max(1) {
-                scope.spawn(|| {
-                    // One executor + scratch set per (worker, defense),
-                    // reused across every batch this worker pulls.
-                    let mut rt = UnitRuntime::new();
-                    while let Some(spec) = source.next_batch() {
-                        let frag = run_batch(&cfg, &spec, start, &mut rt);
-                        if !frag.digests.is_empty() {
-                            source.record_hit(spec.index);
-                        }
-                        fragments.lock().unwrap().push(frag);
-                    }
-                });
-            }
-        });
-        let wall = start.elapsed();
-        let hit = source.earliest_hit();
-        reduce_fragments(cfg, fragments.into_inner().unwrap(), hit, wall)
-    }
 }
 
 #[cfg(test)]
@@ -499,44 +382,6 @@ mod tests {
         cfg.programs_per_instance = 3;
         let batches = plan_batches(&cfg, 0);
         assert_eq!(batches.len(), 3, "batch size 0 degrades to 1");
-    }
-
-    #[test]
-    fn cursor_source_hands_out_in_order_and_honours_hits() {
-        let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-        cfg.instances = 1;
-        cfg.programs_per_instance = 10;
-        cfg.stop_on_first = true;
-        let source = CursorSource::new(&cfg, 1);
-        assert_eq!(source.len(), 10);
-        assert_eq!(source.next_batch().unwrap().index, 0);
-        assert_eq!(source.next_batch().unwrap().index, 1);
-        source.record_hit(3);
-        assert_eq!(source.earliest_hit(), Some(3));
-        // Indices at or before the hit still flow; later ones are withheld.
-        assert_eq!(source.next_batch().unwrap().index, 2);
-        assert_eq!(source.next_batch().unwrap().index, 3);
-        assert!(source.next_batch().is_none());
-        // The broadcast only ever decreases.
-        source.record_hit(7);
-        assert_eq!(source.earliest_hit(), Some(3));
-        source.record_hit(1);
-        assert_eq!(source.earliest_hit(), Some(1));
-    }
-
-    #[test]
-    fn cursor_source_without_find_first_ignores_hits() {
-        let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-        cfg.instances = 1;
-        cfg.programs_per_instance = 4;
-        let source = CursorSource::new(&cfg, 1);
-        source.record_hit(0);
-        assert_eq!(source.earliest_hit(), None, "no-op without stop_on_first");
-        let mut count = 0;
-        while source.next_batch().is_some() {
-            count += 1;
-        }
-        assert_eq!(count, 4, "every batch still flows");
     }
 
     #[test]
@@ -597,14 +442,10 @@ mod tests {
     fn sharded_quick_campaign_finds_baseline_violations() {
         let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
         cfg.programs_per_instance = 20;
-        let report = ShardedCampaign::new(
-            cfg,
-            ShardConfig {
-                workers: 2,
-                batch_programs: 4,
-            },
-        )
-        .run();
+        let report = crate::Campaign::new(cfg).run_sharded(ShardConfig {
+            workers: 2,
+            batch_programs: 4,
+        });
         assert!(report.violation_found(), "stats: {:?}", report.stats);
         assert_eq!(
             report.stats.cases,

@@ -11,7 +11,7 @@
 use amulet::contracts::ContractKind;
 use amulet::defenses::DefenseKind;
 use amulet::fuzz::proto::Msg;
-use amulet::fuzz::{CampaignConfig, CampaignReport, ShardConfig, ShardedCampaign};
+use amulet::fuzz::{Campaign, CampaignConfig, CampaignReport, ShardConfig};
 use amulet_cli::{DriveConfig, WorkerLink};
 use std::io::{BufReader, Read, Write};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -27,14 +27,10 @@ pub fn quick_cfg(stop_on_first: bool) -> CampaignConfig {
 }
 
 pub fn in_process(cfg: &CampaignConfig) -> CampaignReport {
-    ShardedCampaign::new(
-        cfg.clone(),
-        ShardConfig {
-            workers: 2,
-            batch_programs: BATCH_PROGRAMS,
-        },
-    )
-    .run()
+    Campaign::new(cfg.clone()).run_sharded(ShardConfig {
+        workers: 2,
+        batch_programs: BATCH_PROGRAMS,
+    })
 }
 
 /// A [`DriveConfig`] with millisecond-scale backoff and tight-but-safe

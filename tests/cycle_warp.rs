@@ -14,7 +14,7 @@ use amulet::contracts::ContractKind;
 use amulet::defenses::DefenseKind;
 use amulet::fuzz::{
     boosted_inputs, Campaign, CampaignConfig, CampaignReport, Executor, ExecutorConfig, Generator,
-    GeneratorConfig, InputGenConfig, ShardConfig, ShardedCampaign,
+    GeneratorConfig, InputGenConfig, ShardConfig,
 };
 use amulet::util::Xoshiro256;
 
@@ -140,8 +140,8 @@ fn quick_matrix_fingerprints_are_identical_with_and_without_warp() {
                 cfg.programs_per_instance = 4;
                 cfg
             };
-            let warped = ShardedCampaign::new(shape(true), shard).run();
-            let stepped = ShardedCampaign::new(shape(false), shard).run();
+            let warped = Campaign::new(shape(true)).run_sharded(shard);
+            let stepped = Campaign::new(shape(false)).run_sharded(shard);
             let what = format!("{} × {}", defense.name(), contract.name());
             assert_reports_agree(&warped, &stepped, &what);
             assert!(
@@ -169,7 +169,7 @@ fn warp_equivalence_is_worker_count_invariant() {
                     workers,
                     batch_programs: 3,
                 };
-                let report = ShardedCampaign::new(quick_cfg(defense, contract, skip), shard).run();
+                let report = Campaign::new(quick_cfg(defense, contract, skip)).run_sharded(shard);
                 fingerprints.push((workers, skip, report.fingerprint()));
             }
         }

@@ -19,7 +19,9 @@ use amulet::fuzz::{CampaignConfig, CampaignReport, SpecSource};
 use amulet::util::EventLog;
 use amulet_cli::{run_driver, WorkerLink};
 use common::*;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 fn drive_in_memory(cfg: &CampaignConfig, procs: usize) -> CampaignReport {
@@ -118,18 +120,23 @@ fn find_first_cancellation_preserves_the_reduced_prefix() {
 /// schedule-independent, so crash recovery cannot perturb the fingerprint.
 #[test]
 fn worker_crashes_and_restarts_do_not_perturb_the_fingerprint() {
-    /// A link that drops dead after a fixed number of sends.
-    struct FlakyLink {
+    /// A link that drops dead on the first assignment of any batch still
+    /// in `crash`, and records the slot it crashed on.
+    struct FlakyLink<'a> {
         inner: MemLink,
-        sends_left: usize,
+        slot: usize,
+        crash: &'a Mutex<HashSet<usize>>,
+        crashed_on: &'a Mutex<Vec<usize>>,
     }
 
-    impl WorkerLink for FlakyLink {
+    impl WorkerLink for FlakyLink<'_> {
         fn send(&mut self, msg: &Msg) -> Result<(), String> {
-            if self.sends_left == 0 {
-                return Err("injected worker crash".to_string());
+            if let Msg::Batch(spec) = msg {
+                if self.crash.lock().unwrap().remove(&spec.index) {
+                    self.crashed_on.lock().unwrap().push(self.slot);
+                    return Err("injected worker crash".to_string());
+                }
             }
-            self.sends_left -= 1;
             self.inner.send(msg)
         }
 
@@ -141,28 +148,36 @@ fn worker_crashes_and_restarts_do_not_perturb_the_fingerprint() {
     let cfg = quick_cfg(false);
     let reference = in_process(&cfg);
 
-    // The first two connections crash after four sends each (enough to
-    // get through the heartbeat and die around the batch assignment);
-    // replacements are reliable. With `retries: 2` per batch, the
-    // campaign must finish.
+    // The first assignment of each of batches 0, 1 and 2 kills its link,
+    // whichever slot holds it. Every crash makes that slot reconnect for
+    // its retry (`retries: 2` per batch), so at least one first connection
+    // plus three reconnects happen however the slots share the work.
+    let crash = Mutex::new(HashSet::from([0, 1, 2]));
+    let crashed_on = Mutex::new(Vec::new());
     let connections = AtomicUsize::new(0);
     let driven = run_driver(
         &cfg,
         &quick_drive(3),
-        |_slot| {
-            let n = connections.fetch_add(1, Ordering::SeqCst);
+        |slot| {
+            connections.fetch_add(1, Ordering::SeqCst);
             Ok(FlakyLink {
                 inner: spawn_mem_worker(&cfg),
-                sends_left: if n < 2 { 4 } else { usize::MAX },
+                slot,
+                crash: &crash,
+                crashed_on: &crashed_on,
             })
         },
         None,
         &EventLog::off(),
     )
     .expect("campaign survives worker crashes");
+    let connections = connections.load(Ordering::SeqCst);
     assert!(
-        connections.load(Ordering::SeqCst) > 3,
-        "the crash path must actually have reconnected"
+        connections > 3,
+        "the crash path must actually have reconnected: seed {}, crashes on slots {:?}, \
+         {connections} connections",
+        cfg.seed,
+        crashed_on.lock().unwrap()
     );
     assert_eq!(driven.fingerprint(), reference.fingerprint());
     assert_eq!(driven.stats, reference.stats);

@@ -16,8 +16,8 @@ use amulet::contracts::ContractKind;
 use amulet::defenses::DefenseKind;
 use amulet::fuzz::proto::{CampaignSpec, Msg, ResultMsg};
 use amulet::fuzz::{
-    run_batch, Admission, CampaignConfig, LeaseWait, Service, ShardConfig, ShardedCampaign,
-    StateDir, UnitRuntime,
+    run_batch, Admission, Campaign, CampaignConfig, LeaseWait, Service, ShardConfig, StateDir,
+    UnitRuntime,
 };
 use amulet_cli::{AdversarialPlan, ServiceHost, SessionLimits};
 use common::{spawn_hardened_client, spawn_serve_client, MemClient};
@@ -47,15 +47,12 @@ fn spec(seed: u64) -> CampaignSpec {
 fn solo_fingerprint(seed: u64) -> u64 {
     let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
     cfg.seed = seed;
-    ShardedCampaign::new(
-        cfg,
-        ShardConfig {
+    Campaign::new(cfg)
+        .run_sharded(ShardConfig {
             workers: 2,
             batch_programs: 3,
-        },
-    )
-    .run()
-    .fingerprint()
+        })
+        .fingerprint()
 }
 
 /// Reads messages until the terminal `result`, tolerating the overload

@@ -13,7 +13,7 @@ mod common;
 use amulet::contracts::ContractKind;
 use amulet::defenses::DefenseKind;
 use amulet::fuzz::proto::{CampaignSpec, Msg, ResultMsg};
-use amulet::fuzz::{CampaignConfig, Service, ShardConfig, ShardedCampaign};
+use amulet::fuzz::{Campaign, CampaignConfig, Service, ShardConfig};
 use amulet_cli::ServiceHost;
 use common::{spawn_serve_client, MemClient};
 use std::sync::Arc;
@@ -41,15 +41,12 @@ fn spec(seed: u64) -> CampaignSpec {
 fn solo_fingerprint(seed: u64) -> u64 {
     let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
     cfg.seed = seed;
-    ShardedCampaign::new(
-        cfg,
-        ShardConfig {
+    Campaign::new(cfg)
+        .run_sharded(ShardConfig {
             workers: 2,
             batch_programs: 3,
-        },
-    )
-    .run()
-    .fingerprint()
+        })
+        .fingerprint()
 }
 
 /// Reads messages until the terminal `result`, asserting progress rows
@@ -229,5 +226,35 @@ fn bad_submissions_are_answered_with_errors_not_silence() {
     let (_, ok) = await_result(&client);
     assert_eq!(ok.report.unwrap().fingerprint(), solo_fingerprint(1));
     drop(client);
+    host.shutdown();
+}
+
+/// A batch that panics on a local slot fails only its own campaign, and
+/// fast: each slot refuses the campaign with the panic message, and once
+/// both have, the degradation floor answers the caller instead of leaving
+/// it waiting on dead threads. The slots live on and serve the next
+/// campaign to its usual fingerprint.
+#[test]
+fn a_panicking_batch_fails_only_its_own_campaign() {
+    let service = Arc::new(Service::new());
+    let host = ServiceHost::start(service.clone(), 2, &[]);
+    let mut bad = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
+    bad.sim.bp_entries = 3;
+    let error = service
+        .submit_config(bad, 3, None)
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a panicking campaign must be answered, not hang")
+        .expect_err("a panicking campaign cannot report");
+    assert!(
+        error.contains("PHT entries must be a power of two"),
+        "the panic message must reach the caller: {error}"
+    );
+
+    let client = spawn_serve_client(&service);
+    client.send(&Msg::Submit(spec(2025)));
+    expect_accepted(&client, false);
+    let (_, result) = await_result(&client);
+    let report = result.report.expect("the next campaign completes");
+    assert_eq!(report.fingerprint(), solo_fingerprint(2025));
     host.shutdown();
 }

@@ -20,8 +20,8 @@ mod common;
 
 use amulet::fuzz::proto::{CampaignSpec, Msg};
 use amulet::fuzz::{
-    run_batch, CrashPlan, LeaseWait, Service, ShardConfig, ShardedCampaign, StateDir,
-    SubmitOutcome, UnitRuntime,
+    run_batch, Campaign, CrashPlan, LeaseWait, Service, ShardConfig, StateDir, SubmitOutcome,
+    UnitRuntime,
 };
 use amulet::util::Xoshiro256;
 use common::spawn_serve_client;
@@ -46,15 +46,12 @@ fn spec(seed: u64, find_first: bool) -> CampaignSpec {
 /// The uninterrupted reference: the same campaign run in process.
 fn solo_fingerprint(spec: &CampaignSpec) -> u64 {
     let cfg = spec.resolve().expect("test spec must resolve");
-    ShardedCampaign::new(
-        cfg,
-        ShardConfig {
+    Campaign::new(cfg)
+        .run_sharded(ShardConfig {
             workers: 2,
             batch_programs: spec.batch_programs,
-        },
-    )
-    .run()
-    .fingerprint()
+        })
+        .fingerprint()
 }
 
 fn state_dir(tag: &str) -> StateDir {

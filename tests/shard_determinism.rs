@@ -1,25 +1,19 @@
-//! Shard determinism: the work-stealing orchestrator must produce
+//! Shard determinism: the batched orchestrator must produce
 //! fingerprint-identical reports no matter how many workers run the
 //! batches — scheduling is an implementation detail, the random case
 //! stream is not.
 
 use amulet::contracts::ContractKind;
 use amulet::defenses::DefenseKind;
-use amulet::fuzz::{
-    Campaign, CampaignConfig, CampaignReport, ShardConfig, ShardedCampaign, SpecSource,
-};
+use amulet::fuzz::{Campaign, CampaignConfig, CampaignReport, ShardConfig, SpecSource};
 
 const WORKER_COUNTS: [usize; 3] = [1, 4, 8];
 
 fn run_with_workers(cfg: &CampaignConfig, workers: usize) -> CampaignReport {
-    ShardedCampaign::new(
-        cfg.clone(),
-        ShardConfig {
-            workers,
-            batch_programs: 3,
-        },
-    )
-    .run()
+    Campaign::new(cfg.clone()).run_sharded(ShardConfig {
+        workers,
+        batch_programs: 3,
+    })
 }
 
 /// Full campaign (no early exit): identical fingerprints at 1, 4 and 8
@@ -142,4 +136,18 @@ fn sharded_and_instance_parallel_agree_on_baseline_insecurity() {
     });
     assert!(instance.violation_found());
     assert!(sharded.violation_found());
+}
+
+/// A batch that panics fails the campaign with the batch's panic message:
+/// every slot refuses the campaign in turn, the degradation floor ends
+/// it, and `run_sharded` re-raises the error on the caller's thread.
+#[test]
+#[should_panic(expected = "PHT entries must be a power of two")]
+fn a_panicking_batch_fails_the_campaign_with_its_message() {
+    let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
+    cfg.sim.bp_entries = 3;
+    Campaign::new(cfg).run_sharded(ShardConfig {
+        workers: 2,
+        batch_programs: 3,
+    });
 }

@@ -12,7 +12,7 @@
 
 use amulet::contracts::ContractKind;
 use amulet::defenses::DefenseKind;
-use amulet::fuzz::{CampaignConfig, ShardConfig, ShardedCampaign};
+use amulet::fuzz::{Campaign, CampaignConfig, ShardConfig};
 
 /// Recorded fingerprint of the smoke shape (see module docs). Equal before
 /// and after the sparse-taint/executor-reuse rewrite of PR 3: the campaign
@@ -28,14 +28,10 @@ fn smoke_config() -> CampaignConfig {
 #[test]
 fn stt_quick_campaign_matches_recorded_fingerprint_at_any_worker_count() {
     for workers in [1usize, 2, 4] {
-        let report = ShardedCampaign::new(
-            smoke_config(),
-            ShardConfig {
-                workers,
-                batch_programs: 2,
-            },
-        )
-        .run();
+        let report = Campaign::new(smoke_config()).run_sharded(ShardConfig {
+            workers,
+            batch_programs: 2,
+        });
         assert_eq!(
             report.fingerprint(),
             RECORDED_FINGERPRINT,
