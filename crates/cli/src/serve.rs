@@ -293,7 +293,14 @@ where
                 .map_err(|e| format!("client write failed: {e}"))
         };
         while open || !owned.is_empty() {
-            match frames.recv_timeout(Duration::from_millis(20)) {
+            // After the client half-closes, `frames` answers `Disconnected`
+            // at once: wait on the service's events instead of spinning.
+            let frame = if open {
+                frames.recv_timeout(Duration::from_millis(20))
+            } else {
+                Err(RecvTimeoutError::Timeout)
+            };
+            match frame {
                 Ok(Frame::Line(line)) if line.trim().is_empty() => last_frame = Instant::now(),
                 Ok(Frame::Line(line)) => {
                     last_frame = Instant::now();
@@ -421,8 +428,18 @@ where
                 });
                 return Ok(());
             }
+            let mut block = !open && !owned.is_empty();
             loop {
-                match events.try_recv() {
+                let event = if std::mem::take(&mut block) {
+                    // Every sender gone: no owned campaign can resolve.
+                    let Ok(event) = events.recv() else {
+                        return Ok(());
+                    };
+                    Ok(event)
+                } else {
+                    events.try_recv()
+                };
+                match event {
                     Ok(ServiceEvent::Progress {
                         campaign,
                         done,

@@ -71,7 +71,6 @@ impl Defense for CleanupSpec {
             return LoadPlan::baseline();
         }
         LoadPlan {
-            delay: false,
             fill: FillMode::FillUndo {
                 record: !(ctx.split && self.split_cleanup_bug),
             },
@@ -92,7 +91,6 @@ impl Defense for CleanupSpec {
             }
         };
         StorePlan {
-            delay: false,
             tlb: true,
             rfo: Some(rfo),
         }

@@ -9,6 +9,10 @@
 //! performance cost: the miss latency is serialised behind the speculation
 //! window.
 //!
+//! The fully conservative DelayAll variant holds every speculative load
+//! ([`Defense::holds_load`]): the pipeline parks it without re-issuing and
+//! releases it the cycle it reaches the visibility point.
+//!
 //! Included as an extension defense for the security-vs-performance ablation
 //! bench (`bench ablation_perf`).
 
@@ -18,11 +22,9 @@ use amulet_sim::{Defense, FillMode, LoadCtx, LoadPlan, StoreCtx, StorePlan};
 ///
 /// The simulator probes the L1 as part of the request; to model
 /// delay-on-miss without a dedicated pre-probe hook, speculative loads use
-/// [`FillMode::Park`]-style gating *plus* an issue delay: we approximate the
-/// design by delaying every speculative load until it is safe unless the
-/// line is already resident. The probe is communicated through `LoadCtx` by
-/// the pipeline's retry loop: a delayed load is re-asked whenever pipeline
-/// state changes and proceeds the cycle it becomes safe.
+/// [`FillMode::Park`]: a hit proceeds, a miss parks its line until the load
+/// is safe. DelayAll instead holds every speculative load, hit or miss,
+/// until it is safe.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DelayOnMiss {
     /// Also delay speculative L1 *hits* (the fully conservative "delay
@@ -52,18 +54,19 @@ impl Defense for DelayOnMiss {
         }
     }
 
+    fn holds_load(&self, safe: bool, _tainted_addr: bool) -> bool {
+        self.delay_hits && !safe
+    }
+
     fn plan_load(&mut self, ctx: &LoadCtx) -> LoadPlan {
         if ctx.safe {
             return LoadPlan::baseline();
         }
-        if self.delay_hits {
-            return LoadPlan::delayed();
-        }
-        // Hits proceed without touching replacement state; misses park in
-        // the (bug-free) fill buffer and install once safe — squashed loads
-        // drop their parked lines, so no speculative state ever commits.
+        // Only DelayOnMiss plans an unsafe load. Hits proceed without
+        // touching replacement state; misses park in the (bug-free) fill
+        // buffer and install once safe — squashed loads drop their parked
+        // lines, so no speculative state ever commits.
         LoadPlan {
-            delay: false,
             fill: FillMode::Park,
             tlb: true,
             expose_at_safe: false,

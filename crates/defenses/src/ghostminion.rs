@@ -35,7 +35,6 @@ impl Defense for GhostMinion {
             return LoadPlan::baseline();
         }
         LoadPlan {
-            delay: false,
             fill: FillMode::NoFill {
                 buggy_eviction: false,
                 ghost: true,

@@ -51,7 +51,6 @@ impl Defense for InvisiSpec {
             return LoadPlan::baseline();
         }
         LoadPlan {
-            delay: false,
             fill: FillMode::NoFill {
                 buggy_eviction: self.eviction_bug,
                 ghost: false,

@@ -59,7 +59,6 @@ impl Defense for SpecLfb {
             };
         }
         LoadPlan {
-            delay: false,
             fill: FillMode::Park,
             tlb: true,
             expose_at_safe: false,

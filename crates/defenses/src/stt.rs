@@ -13,6 +13,10 @@
 //! translation**, installing a D-TLB entry whose page number encodes
 //! speculatively accessed data. `store_tlb_bug: false` applies the
 //! DOLMA-style fix (delay tainted stores).
+//!
+//! Both blocks are holds ([`Defense::holds_load`], [`Defense::holds_store`]):
+//! an unsafe op with a tainted address is parked without re-issuing and
+//! released when it becomes safe or an entry of the window untaints.
 
 use amulet_sim::{Defense, LoadCtx, LoadPlan, StoreCtx, StorePlan};
 
@@ -52,25 +56,24 @@ impl Defense for Stt {
         true
     }
 
-    fn plan_load(&mut self, ctx: &LoadCtx) -> LoadPlan {
-        if !ctx.safe && ctx.tainted_addr {
-            // A tainted-address load is a transmitter: block until the
-            // source untaints (its producer load reaches visibility).
-            return LoadPlan::delayed();
-        }
+    fn holds_load(&self, safe: bool, tainted_addr: bool) -> bool {
+        // A tainted-address load is a transmitter: block until the source
+        // untaints (its producer load reaches visibility).
+        !safe && tainted_addr
+    }
+
+    fn holds_store(&self, safe: bool, tainted_addr: bool) -> bool {
+        // KV3: with the bug, the tainted store executes anyway, translating
+        // its address and installing a D-TLB entry.
+        !self.store_tlb_bug && !safe && tainted_addr
+    }
+
+    fn plan_load(&mut self, _ctx: &LoadCtx) -> LoadPlan {
         // Untainted loads execute and fill normally, even speculatively.
         LoadPlan::baseline()
     }
 
-    fn plan_store(&mut self, ctx: &StoreCtx) -> StorePlan {
-        if !ctx.safe && ctx.tainted_addr {
-            if self.store_tlb_bug {
-                // KV3: the tainted store executes anyway, translating its
-                // address and installing a D-TLB entry.
-                return StorePlan::baseline();
-            }
-            return StorePlan::delayed();
-        }
+    fn plan_store(&mut self, _ctx: &StoreCtx) -> StorePlan {
         StorePlan::baseline()
     }
 }

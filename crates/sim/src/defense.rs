@@ -1,7 +1,8 @@
 //! The defense hook interface.
 //!
 //! A secure-speculation countermeasure is a [`Defense`]: a strategy object
-//! the pipeline consults at fixed points (load issue, store execute, squash).
+//! the pipeline consults at fixed points (load issue, store execute, squash),
+//! plus two hold predicates that keep a speculative memory op from issuing.
 //! The simulator implements the *mechanics* (invisible requests, line-fill
 //! buffers, undo metadata, exposes); the defense chooses *policies* — which
 //! is exactly the paper's portability argument (§5.1): porting AMuLeT to a
@@ -31,8 +32,6 @@ pub struct LoadCtx {
     /// The load has reached the visibility point (no older unresolved
     /// branches or stores).
     pub safe: bool,
-    /// Any address-source register is tainted (STT).
-    pub tainted_addr: bool,
     /// No older unsafe load is in flight — the SpecLFB `isPrevNoUnsafe`
     /// condition whose mishandling is UV6.
     pub first_unsafe_load: bool,
@@ -55,10 +54,6 @@ pub struct StoreCtx {
     pub split: bool,
     /// The store has reached the visibility point.
     pub safe: bool,
-    /// Any address-source register is tainted (STT).
-    pub tainted_addr: bool,
-    /// The stored data is tainted (STT).
-    pub tainted_data: bool,
     /// Current cycle.
     pub cycle: u64,
 }
@@ -66,13 +61,6 @@ pub struct StoreCtx {
 /// What a defense decides for an issuing load.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadPlan {
-    /// Delay the load — STT's tainted-transmitter block. A delayed load is
-    /// re-asked whenever pipeline or memory state changes; the event-gated
-    /// cycle loop does *not* re-invoke plans on idle memory-wait cycles, so
-    /// a plan must derive its delay decision from the [`LoadCtx`] and from
-    /// defense state updated through the other hooks — never from counting
-    /// invocations or comparing wall cycles.
-    pub delay: bool,
     /// How the cache access behaves.
     pub fill: FillMode,
     /// Whether address translation may install a D-TLB entry.
@@ -88,19 +76,10 @@ impl LoadPlan {
     /// The unprotected baseline plan: fill caches, touch the TLB.
     pub fn baseline() -> Self {
         LoadPlan {
-            delay: false,
             fill: FillMode::Fill,
             tlb: true,
             expose_at_safe: false,
             flag_unsafe_fill: false,
-        }
-    }
-
-    /// A delayed (retry next cycle) plan.
-    pub fn delayed() -> Self {
-        LoadPlan {
-            delay: true,
-            ..Self::baseline()
         }
     }
 }
@@ -108,8 +87,6 @@ impl LoadPlan {
 /// What a defense decides for an executing store.
 #[derive(Debug, Clone, Copy)]
 pub struct StorePlan {
-    /// Delay address resolution (retry next cycle).
-    pub delay: bool,
     /// Whether address translation may install a D-TLB entry — the knob
     /// behind STT's KV3.
     pub tlb: bool,
@@ -123,17 +100,8 @@ impl StorePlan {
     /// The unprotected baseline plan: translate at execute, no RFO.
     pub fn baseline() -> Self {
         StorePlan {
-            delay: false,
             tlb: true,
             rfo: None,
-        }
-    }
-
-    /// A delayed (retry next cycle) plan.
-    pub fn delayed() -> Self {
-        StorePlan {
-            delay: true,
-            ..Self::baseline()
         }
     }
 }
@@ -167,6 +135,15 @@ impl SquashPlan {
 ///
 /// Implementations should be deterministic: the same sequence of hook calls
 /// must produce the same plans.
+///
+/// A delay-style defense (STT's transmitter block, DelayAll) *holds* a ready
+/// memory op through [`Defense::holds_load`] / [`Defense::holds_store`]
+/// instead of planning it. A hold may depend only on the op's `safe` and
+/// `tainted_addr` bits: the pipeline asks once when the op is ready, then
+/// leaves it parked and asks again only when one of those bits changes (it
+/// becomes safe, or an entry of the window untaints). A hold that read
+/// anything else — defense state, the cycle, how often it was asked — would
+/// never see its release.
 pub trait Defense: std::fmt::Debug + Send {
     /// Display name (used in reports and tables).
     fn name(&self) -> &'static str;
@@ -179,10 +156,25 @@ pub trait Defense: std::fmt::Debug + Send {
     /// Called once per test case before execution.
     fn reset(&mut self) {}
 
-    /// Decide how a ready load issues.
+    /// Whether a ready load (or RMW) must wait. `safe`: it reached the
+    /// visibility point; `tainted_addr`: an address source is tainted
+    /// (always `false` unless [`Defense::needs_taint`]). See the trait docs
+    /// for when the pipeline re-asks.
+    fn holds_load(&self, _safe: bool, _tainted_addr: bool) -> bool {
+        false
+    }
+
+    /// Whether a ready store must wait before resolving its address, on the
+    /// same inputs and re-ask rule as [`Defense::holds_load`].
+    fn holds_store(&self, _safe: bool, _tainted_addr: bool) -> bool {
+        false
+    }
+
+    /// Decide how a ready load issues (asked once the load is not held).
     fn plan_load(&mut self, ctx: &LoadCtx) -> LoadPlan;
 
-    /// Decide how a ready store executes.
+    /// Decide how a ready store executes (asked once the store is not
+    /// held).
     fn plan_store(&mut self, ctx: &StoreCtx) -> StorePlan;
 
     /// Decide squash-time behaviour.
@@ -225,12 +217,12 @@ mod tests {
             width: Width::Q,
             split: false,
             safe: false,
-            tainted_addr: true,
             first_unsafe_load: true,
             cycle: 0,
         };
         let plan = b.plan_load(&ctx);
-        assert!(!plan.delay && plan.tlb && !plan.expose_at_safe);
+        assert!(!b.holds_load(false, true) && !b.holds_store(false, true));
+        assert!(plan.tlb && !plan.expose_at_safe);
         assert!(matches!(plan.fill, FillMode::Fill));
         assert!(!b.needs_taint());
         assert!(!b.squash_plan().cleanup);

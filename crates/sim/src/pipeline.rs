@@ -103,8 +103,8 @@ struct MemState {
     /// Wrapped virtual address, set at issue (address resolution).
     addr: Option<u64>,
     /// Wrapped address and split flag, computed on the first issue attempt
-    /// (the sources are final by then) and reused by retries — a load a
-    /// defense delays retries on every dirty cycle.
+    /// (the sources are final by then) and reused by retries — a load
+    /// waiting on an older store retries on every dirty cycle.
     computed: Option<(u64, bool)>,
     split: bool,
     /// Loaded value (loads / RMW).
@@ -164,6 +164,11 @@ struct RobEntry {
     needs_expose: bool,
     exposed: bool,
     tainted: bool,
+    /// While the defense holds this memory op (`Defense::holds_load`/
+    /// `holds_store`), the `(safe, tainted_addr)` it was held on. A held op
+    /// stays on `waiting` but `issue_stage` skips it until `on_safe` or an
+    /// untaint in `recompute_taint` releases it.
+    held: Option<(bool, bool)>,
 }
 
 impl RobEntry {
@@ -516,7 +521,12 @@ impl Simulator {
     ///   blocks nothing;
     /// - `stores` and `loads` are exactly the memory-writing and
     ///   memory-reading entries;
-    /// - every source before an entry's `ready_from` cursor is ready.
+    /// - every source before an entry's `ready_from` cursor is ready;
+    /// - every held entry is a live, `Waiting` memory op whose `safe` and
+    ///   `tainted_addr` are still those the defense held it on — so, by the
+    ///   `Defense` hold contract, the hold still stands. The defense is not
+    ///   re-asked here: an ask on every cycle would be the very poll the hold
+    ///   replaces.
     #[cfg(debug_assertions)]
     fn check_invariants(&self) {
         let cycle = self.cycle;
@@ -563,6 +573,17 @@ impl Simulator {
                     }
                 },
                 EState::Done { .. } => {}
+            }
+            if let Some(held_on) = e.held {
+                let inputs = e.mem.as_ref().map(|m| {
+                    let tainted_addr = self.defense.needs_taint()
+                        && self.src_tainted(idx, m.effect.mem_ref().addr_regs());
+                    (e.safe_at.is_some(), tainted_addr)
+                });
+                assert!(
+                    matches!(e.state, EState::Waiting) && inputs == Some(held_on),
+                    "cycle {cycle}: held entry {idx} missed its release ({inputs:?}, held on {held_on:?})"
+                );
             }
             for (_, src) in e.srcs.iter().take(e.ready_from as usize) {
                 if let SrcVal::Producer(p) = src {
@@ -1054,6 +1075,8 @@ impl Simulator {
     }
 
     fn on_safe(&mut self, idx: usize) {
+        // Safety is a hold input: let the defense decide again.
+        self.rob[idx].held = None;
         let needs_expose = {
             let e = &self.rob[idx];
             e.needs_expose && !e.exposed && e.mem.as_ref().is_some_and(|m| m.issued)
@@ -1099,8 +1122,10 @@ impl Simulator {
         }
     }
 
-    /// Recomputes STT taint over the in-flight window.
+    /// Recomputes STT taint over the in-flight window. Any live entry that
+    /// untaints releases every held op: a hold reads `tainted_addr`.
     fn recompute_taint(&mut self) {
+        let mut untainted = false;
         for idx in self.commit_ptr..self.rob.len() {
             if self.rob[idx].squashed || self.rob[idx].committed {
                 self.rob[idx].tainted = false;
@@ -1118,7 +1143,13 @@ impl Simulator {
                     }
                 }
             }
+            untainted |= self.rob[idx].tainted && !tainted;
             self.rob[idx].tainted = tainted;
+        }
+        if untainted {
+            for &idx in &self.waiting {
+                self.rob[idx].held = None;
+            }
         }
     }
 
@@ -1138,20 +1169,14 @@ impl Simulator {
         })
     }
 
-    fn data_tainted(&self, idx: usize, addr_regs: impl Iterator<Item = Gpr>) -> bool {
-        let addr = Self::reg_indices(addr_regs);
-        self.rob[idx].srcs.iter().any(|(ri, src)| {
-            !addr.contains(&ri) && matches!(src, SrcVal::Producer(p) if self.rob[p].tainted)
-        })
-    }
-
     /// Attempts to issue every ready entry, oldest first.
     ///
     /// Walks the `waiting` list — entries whose sources are all ready —
     /// dropping entries that left `Waiting` (or were squashed or committed)
     /// as it goes. A fence has no sources and leaves `Waiting` only for
     /// `Done`, so every unexecuted fence is on the list and its barrier
-    /// cannot be skipped.
+    /// cannot be skipped. A held memory op stays on the list, in order, but
+    /// is not re-issued.
     fn issue_stage(&mut self) {
         let mut keep = 0;
         let mut i = 0;
@@ -1176,7 +1201,9 @@ impl Simulator {
                 i += 1;
                 continue;
             }
-            if self.rob[idx].mem.is_some() {
+            if self.rob[idx].held.is_some() {
+                self.log_hold(idx);
+            } else if self.rob[idx].mem.is_some() {
                 self.issue_mem(idx);
             } else {
                 self.issue_alu(idx);
@@ -1407,11 +1434,14 @@ impl Simulator {
 
         if reads {
             // ----- load / RMW-load path -----
+            if self.defense.holds_load(safe, tainted_addr) {
+                self.hold(idx, safe, tainted_addr);
+                return;
+            }
             match self.scan_store_queue(idx, addr, width) {
                 StoreScan::WaitFor(_) => return, // retry next cycle
                 StoreScan::Forward(store_idx) => {
-                    let plan = self.plan_load(idx, addr, width, split, safe, tainted_addr);
-                    let Some(plan) = plan else { return };
+                    let plan = self.plan_load(idx, addr, width, split, safe);
                     let value = width.trunc(self.rob[store_idx].result.expect("store data"));
                     self.finish_load(idx, addr, width, split, plan.tlb, safe);
                     let done = self.cycle + self.cfg.forward_latency;
@@ -1425,8 +1455,7 @@ impl Simulator {
                     return;
                 }
                 StoreScan::Bypass(any_unresolved) => {
-                    let plan = self.plan_load(idx, addr, width, split, safe, tainted_addr);
-                    let Some(plan) = plan else { return };
+                    let plan = self.plan_load(idx, addr, width, split, safe);
                     let mode = if safe { FillMode::Fill } else { plan.fill };
                     if plan.flag_unsafe_fill && !safe {
                         self.log.push(DebugEvent::LfbUnsafeFill {
@@ -1514,8 +1543,10 @@ impl Simulator {
                     return;
                 }
             }
-            let tainted_data =
-                self.defense.needs_taint() && self.data_tainted(idx, mref.addr_regs());
+            if self.defense.holds_store(safe, tainted_addr) {
+                self.hold(idx, safe, tainted_addr);
+                return;
+            }
             let ctx = StoreCtx {
                 seq: idx,
                 pc: self.rob[idx].pc,
@@ -1523,19 +1554,9 @@ impl Simulator {
                 width,
                 split,
                 safe,
-                tainted_addr,
-                tainted_data,
                 cycle: self.cycle,
             };
             let plan = self.defense.plan_store(&ctx);
-            if plan.delay {
-                self.log.push(DebugEvent::TaintDelay {
-                    cycle: self.cycle,
-                    seq: idx,
-                    pc: self.rob[idx].pc,
-                });
-                return;
-            }
             self.resolve_store(
                 idx,
                 addr,
@@ -1694,8 +1715,40 @@ impl Simulator {
         StoreScan::Bypass(any_unresolved)
     }
 
-    /// Asks the defense for a load plan, handling delays. Returns `None` if
-    /// the load must retry next cycle.
+    /// Parks a memory op the defense holds on `(safe, tainted_addr)` (see
+    /// `RobEntry::held`).
+    fn hold(&mut self, idx: usize, safe: bool, tainted_addr: bool) {
+        self.rob[idx].held = Some((safe, tainted_addr));
+        self.log_hold(idx);
+    }
+
+    /// The Record-mode trace of one visit to a held op: the `TaintDelay`
+    /// row a retry would log, which for a load is pushed only when the
+    /// store queue would not make it wait first (the scan comes before the
+    /// plan on the issue path). A held op costs nothing with logging off.
+    fn log_hold(&mut self, idx: usize) {
+        if self.log.mode() == LogMode::Off {
+            return;
+        }
+        let m = self.rob[idx].mem.as_ref().expect("held ops access memory");
+        if m.effect.reads() {
+            let (addr, _) = m.computed.expect("address computed before the hold");
+            let width = m.effect.mem_ref().width;
+            if matches!(
+                self.scan_store_queue(idx, addr, width),
+                StoreScan::WaitFor(_)
+            ) {
+                return;
+            }
+        }
+        self.log.push(DebugEvent::TaintDelay {
+            cycle: self.cycle,
+            seq: idx,
+            pc: self.rob[idx].pc,
+        });
+    }
+
+    /// Asks the defense for the plan of a load it does not hold.
     fn plan_load(
         &mut self,
         idx: usize,
@@ -1703,8 +1756,7 @@ impl Simulator {
         width: Width,
         split: bool,
         safe: bool,
-        tainted_addr: bool,
-    ) -> Option<crate::defense::LoadPlan> {
+    ) -> crate::defense::LoadPlan {
         let first_unsafe_load = !self
             .loads
             .iter()
@@ -1720,20 +1772,10 @@ impl Simulator {
             width,
             split,
             safe,
-            tainted_addr,
             first_unsafe_load,
             cycle: self.cycle,
         };
-        let plan = self.defense.plan_load(&ctx);
-        if plan.delay {
-            self.log.push(DebugEvent::TaintDelay {
-                cycle: self.cycle,
-                seq: idx,
-                pc: self.rob[idx].pc,
-            });
-            return None;
-        }
-        Some(plan)
+        self.defense.plan_load(&ctx)
     }
 
     fn finish_load(
@@ -2087,6 +2129,7 @@ impl Simulator {
             needs_expose: false,
             exposed: false,
             tainted: false,
+            held: None,
         };
         if let Some((r, _)) = decoded.writes {
             self.rename[r.index()] = Some(idx);

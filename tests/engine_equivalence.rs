@@ -11,84 +11,106 @@ use amulet::contracts::{ContractKind, LeakageModel};
 use amulet::defenses::DefenseKind;
 use amulet::emu::{Emulator, NullObserver};
 use amulet::fuzz::{Executor, ExecutorConfig, Generator, GeneratorConfig, SpecSource, STL_WINDOW};
-use amulet::isa::{FlatProgram, MemImage, SeededImage, TestInput};
-use amulet::sim::{InsecureBaseline, SimConfig, Simulator};
+use amulet::isa::{Flags, FlatProgram, MemImage, Program, SeededImage, TestInput};
+use amulet::sim::{SimConfig, Simulator};
 use amulet::util::Xoshiro256;
 
-fn check_equivalence(seed: u64, programs: usize, inputs_per: usize) {
-    let mut generator = Generator::new(GeneratorConfig::default(), seed);
-    let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xDEAD_BEEF);
-    let mut sim = Simulator::new(SimConfig::default(), Box::new(InsecureBaseline));
-    for p in 0..programs {
-        let program = generator.program();
-        let flat = program.flatten();
-        for i in 0..inputs_per {
-            let input = TestInput::random(&mut rng, 1);
+/// Runs `programs` generated programs × `inputs_per` random inputs on a
+/// `pages`-page sandbox through the emulator once, then through the
+/// simulator under every defense × {PHT, STL} × {warped, stepped}: the
+/// committed registers, flags and memory must match the emulator's. The
+/// delay defenses hold speculative loads (DelayAll, STT) and stores
+/// (STT-Patched) until they are safe, so a hold that is never released
+/// fails here at the cycle cap instead of posing as a leak. A failure
+/// prints a one-line seeded repro, then the program.
+/// An emulator run's committed state: registers, flags, sandbox bytes.
+type Arch = ([u64; 16], Flags, Vec<u8>);
+/// A generated program with each of its inputs and their emulator state.
+type Case = (Program, FlatProgram, Vec<(TestInput, Arch)>);
 
-            let mut emu = Emulator::new(&flat, 0x4000, &input);
-            emu.run(&mut NullObserver, 100_000).expect("emulator runs");
+fn check_equivalence(seed: u64, rng_seed: u64, pages: usize, programs: usize, inputs_per: usize) {
+    for source in [SpecSource::Pht, SpecSource::Stl] {
+        let stl = source == SpecSource::Stl;
+        let gen_cfg = GeneratorConfig {
+            pages,
+            stl_gadgets: stl,
+            ..GeneratorConfig::default()
+        };
+        let mut generator = Generator::new(gen_cfg, seed);
+        let mut rng = Xoshiro256::seed_from_u64(rng_seed);
+        let mut cases: Vec<Case> = Vec::new();
+        for _ in 0..programs {
+            let program = generator.program();
+            let flat = program.flatten();
+            let runs = (0..inputs_per)
+                .map(|_| {
+                    let input = TestInput::random(&mut rng, pages);
+                    let mut emu = Emulator::new(&flat, 0x4000, &input);
+                    emu.run(&mut NullObserver, 100_000).expect("emulator runs");
+                    let m = &mut emu.machine;
+                    let arch = (m.regs, m.flags, m.sandbox.bytes().to_vec());
+                    (input, arch)
+                })
+                .collect();
+            cases.push((program, flat, runs));
+        }
 
-            sim.load_test(&flat, &input);
-            let res = sim.run();
-            assert!(
-                res.exit_cycle.is_some(),
-                "seed {seed} program {p} input {i}: simulator hit the cycle cap\n{program}"
-            );
-
-            assert_eq!(
-                sim.arch_regs(),
-                &emu.machine.regs,
-                "seed {seed} program {p} input {i}: registers diverged\n{program}"
-            );
-            assert_eq!(
-                sim.arch_flags(),
-                emu.machine.flags,
-                "seed {seed} program {p} input {i}: flags diverged\n{program}"
-            );
-            assert_eq!(
-                sim.sandbox_bytes(),
-                emu.machine.sandbox.bytes(),
-                "seed {seed} program {p} input {i}: memory diverged\n{program}"
-            );
+        for defense in DefenseKind::ALL {
+            for warp in [true, false] {
+                let sim_cfg = SimConfig {
+                    stl_window: if stl { STL_WINDOW } else { 0 },
+                    ..SimConfig::default()
+                }
+                .with_sandbox_pages(pages)
+                .with_cycle_skip(warp);
+                let mut sim = Simulator::new(sim_cfg, defense.build());
+                for (p, (program, flat, runs)) in cases.iter().enumerate() {
+                    for (i, (input, (regs, flags, bytes))) in runs.iter().enumerate() {
+                        let repro = format!(
+                            "defense {} source {source:?} warp {warp} pages {pages} \
+                             seed {seed} inputs {rng_seed} program {p} input {i}",
+                            defense.name()
+                        );
+                        sim.load_test(flat, input);
+                        let res = sim.run();
+                        assert!(
+                            res.exit_cycle.is_some(),
+                            "{repro}: simulator hit the cycle cap\n{program}"
+                        );
+                        assert_eq!(
+                            sim.arch_regs(),
+                            regs,
+                            "{repro}: registers diverged\n{program}"
+                        );
+                        assert_eq!(
+                            sim.arch_flags(),
+                            *flags,
+                            "{repro}: flags diverged\n{program}"
+                        );
+                        assert!(
+                            sim.sandbox_bytes() == bytes.as_slice(),
+                            "{repro}: memory diverged\n{program}"
+                        );
+                    }
+                }
+            }
         }
     }
 }
 
 #[test]
 fn random_programs_agree_across_engines_seed1() {
-    check_equivalence(1, 40, 4);
+    check_equivalence(1, 1 ^ 0xDEAD_BEEF, 1, 40, 4);
 }
 
 #[test]
 fn random_programs_agree_across_engines_seed2() {
-    check_equivalence(20_260_610, 40, 4);
+    check_equivalence(20_260_610, 20_260_610 ^ 0xDEAD_BEEF, 1, 40, 4);
 }
 
 #[test]
 fn random_programs_agree_across_engines_large_sandbox() {
-    let cfg = GeneratorConfig {
-        pages: 8,
-        ..GeneratorConfig::default()
-    };
-    let mut generator = Generator::new(cfg, 77);
-    let mut rng = Xoshiro256::seed_from_u64(78);
-    let sim_cfg = SimConfig::default().with_sandbox_pages(8);
-    let mut sim = Simulator::new(sim_cfg, Box::new(InsecureBaseline));
-    for _ in 0..20 {
-        let program = generator.program();
-        let flat = program.flatten();
-        let input = TestInput::random(&mut rng, 8);
-        let mut emu = Emulator::new(&flat, 0x4000, &input);
-        emu.run(&mut NullObserver, 100_000).expect("emulator runs");
-        sim.load_test(&flat, &input);
-        sim.run();
-        assert_eq!(sim.arch_regs(), &emu.machine.regs, "{program}");
-        assert_eq!(
-            sim.sandbox_bytes(),
-            emu.machine.sandbox.bytes(),
-            "{program}"
-        );
-    }
+    check_equivalence(77, 78, 8, 20, 1);
 }
 
 /// `input`'s registers over a freshly drawn seeded image, and over an

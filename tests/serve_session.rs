@@ -258,3 +258,54 @@ fn a_panicking_batch_fails_only_its_own_campaign() {
     assert_eq!(report.fingerprint(), solo_fingerprint(2025));
     host.shutdown();
 }
+
+/// A client whose input ends right after its submit — a half-close — still
+/// gets its result, and its session waits for the campaign on the service's
+/// events instead of spinning on the closed input.
+#[test]
+fn a_half_closed_client_gets_its_result_without_spinning() {
+    let service = Arc::new(Service::new());
+    let host = ServiceHost::start(service.clone(), 1, &[]);
+    let input = format!("{}\n", Msg::Submit(spec(103)).to_line());
+    let (out, written) = common::SharedBuf::pair();
+    let cpu_before = thread_cpu_s();
+    let start = std::time::Instant::now();
+    let stats = amulet_cli::serve_client(&service, std::io::Cursor::new(input), out)
+        .expect("the session ends cleanly");
+    let wall = start.elapsed().as_secs_f64();
+    let cpu = thread_cpu_s()
+        .zip(cpu_before)
+        .map(|(after, before)| after - before);
+
+    assert_eq!((stats.submitted, stats.results), (1, 1));
+    let text = String::from_utf8(written.lock().unwrap().clone()).unwrap();
+    let last = text.lines().last().expect("the session wrote lines");
+    let Ok(Msg::CampaignResult(result)) = Msg::parse_line(last) else {
+        panic!("the last line is not a result: {last}");
+    };
+    let report = result.report.expect("the campaign completes");
+    assert_eq!(report.fingerprint(), solo_fingerprint(103));
+    if let Some(cpu) = cpu {
+        // CPU time is charged in whole clock ticks: allow one.
+        assert!(
+            cpu < wall / 4.0 + 0.01,
+            "the session thread burned {cpu:.3} s of CPU over a {wall:.3} s campaign"
+        );
+    }
+    host.shutdown();
+}
+
+/// The calling thread's user + system CPU time, from
+/// `/proc/thread-self/stat` (Linux only; clock ticks at the usual 100 Hz).
+fn thread_cpu_s() -> Option<f64> {
+    if !cfg!(target_os = "linux") {
+        return None;
+    }
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    // Fields after the parenthesised command name start at field 3, so
+    // utime (14) and stime (15) are the 12th and 13th.
+    let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+    let utime: u64 = fields.next()?.parse().ok()?;
+    let stime: u64 = fields.next()?.parse().ok()?;
+    Some((utime + stime) as f64 / 100.0)
+}
