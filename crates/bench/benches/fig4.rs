@@ -3,26 +3,9 @@
 //! L1D set, leaking its address through the eviction.
 
 use amulet_bench::banner;
-use amulet_defenses::InvisiSpec;
+use amulet_defenses::{gadgets::FIG4, InvisiSpec};
 use amulet_isa::{parse_program, TestInput};
 use amulet_sim::{SimConfig, Simulator};
-
-const FIG4: &str = "
-.bb_main.2:
-    OR byte ptr [R14 + RDX], AL
-    LOOPNE .bb_main.3
-    JMP .bb_main.exit
-
-.bb_main.3: # misspeculated
-    AND BL, 34
-    AND RAX, 0b111111111111
-    CMOVNBE SI, word ptr [R14 + RAX]
-    AND RBX, 0b111111111111
-    XOR qword ptr [R14 + RBX], RDI
-    JMP .bb_main.exit
-
-.bb_main.exit:
-    EXIT";
 
 fn run(defense: InvisiSpec, secret: u64) -> Vec<u64> {
     let flat = parse_program(FIG4).unwrap().flatten();

@@ -105,7 +105,8 @@ fn detector_workload(programs: usize) -> (usize, f64, usize) {
 /// (`SimConfig::cycle_skip` off). Reports cases/sec, simulated cycles/sec,
 /// and the warp ratio per arm — simulated cycles are bit-identical across
 /// arms by construction (the differential tests enforce it), so the
-/// cases/sec gap is pure scheduler win. Median of 5 passes.
+/// cases/sec gap is pure scheduler win. Median of 5 passes, and the pass
+/// rates at the quartiles, so each row shows its own spread.
 ///
 /// Two workloads: the quick-campaign shape under Baseline × CT-SEQ (rows
 /// `warped`/`stepped`), and DelayAll × CT-SEQ under the STL source with
@@ -174,14 +175,15 @@ fn cycle_loop_arm(
         samples.sort_by(f64::total_cmp);
         let secs = samples[2];
         let case_rate = cases as f64 / secs;
+        let (q1, q3) = (cases as f64 / samples[3], cases as f64 / samples[1]);
         let cycle_rate = sim_cycles as f64 / secs;
         let warp_ratio = warped_cycles as f64 / sim_cycles.max(1) as f64;
         println!(
-            "cycle loop ({label:>20}): {case_rate:>9.0} cases/s  {cycle_rate:>11.0} sim-cycles/s  {sim_cycles} sim-cycles  warp ratio {warp_ratio:.3}"
+            "cycle loop ({label:>20}): {case_rate:>9.0} [{q1:.0}, {q3:.0}] cases/s  {cycle_rate:>11.0} sim-cycles/s  {sim_cycles} sim-cycles  warp ratio {warp_ratio:.3}"
         );
         let _ = writeln!(
             json,
-            "{{\"bench\":\"throughput\",\"kind\":\"cycle_loop\",\"name\":\"{label}\",\"cases\":{cases},\"cases_per_sec\":{case_rate:.1},\"sim_cycles_per_sec\":{cycle_rate:.1},\"sim_cycles\":{sim_cycles},\"warp_ratio\":{warp_ratio:.4}}}"
+            "{{\"bench\":\"throughput\",\"kind\":\"cycle_loop\",\"name\":\"{label}\",\"cases\":{cases},\"cases_per_sec\":{case_rate:.1},\"cases_per_sec_q1\":{q1:.1},\"cases_per_sec_q3\":{q3:.1},\"sim_cycles_per_sec\":{cycle_rate:.1},\"sim_cycles\":{sim_cycles},\"warp_ratio\":{warp_ratio:.4}}}"
         );
     }
 }

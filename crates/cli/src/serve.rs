@@ -16,6 +16,10 @@
 //!   retry/backoff, quarantine and cancel-floor ladder as `drive`, with
 //!   its event rows on stderr.
 //!
+//! No daemon loop polls. The accept loop blocks in `accept` (SIGTERM wakes
+//! it with a connection of its own), and each client handler blocks on one
+//! channel that carries both its client's frames and the service's events.
+//!
 //! With `--state-dir DIR`, the daemon is crash-safe: a startup recovery
 //! pass (`StateDir::recover`) reloads the persisted result cache and
 //! clears stale journals, and every campaign is write-ahead journaled so
@@ -50,16 +54,12 @@ use amulet_core::{
 use amulet_util::{events, JsonObj, Xoshiro256};
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::TcpListener;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often the drained accept loop polls for the SIGTERM flag and new
-/// connections.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// Per-session hardening limits for [`serve_client_with`] — the defense
 /// against slowloris peers (bounded line assembly: a byte-at-a-time
@@ -93,38 +93,44 @@ impl Default for SessionLimits {
 /// the counter can never collide with it in practice.
 static CLIENT_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// One unit from a session's bounded reader thread.
+/// One unit on a session's channel: a frame from its bounded reader
+/// thread, or an event from the service.
 enum Frame {
     /// A complete line within the size bound (trailing `\r` stripped).
     Line(String),
     /// A line exceeded the bound; this many bytes were discarded.
     TooLong(usize),
-    /// A transport read deadline elapsed with the peer still connected —
-    /// lets the session loop observe wall-clock idleness on a quiet link.
-    Tick,
+    /// The peer closed its sending side (EOF).
+    End,
     /// The transport failed.
     Failed(String),
+    /// A [`Service::subscribe`] event.
+    Event(ServiceEvent),
+}
+
+impl From<ServiceEvent> for Frame {
+    fn from(event: ServiceEvent) -> Self {
+        Frame::Event(event)
+    }
 }
 
 /// Reads newline-delimited frames from `input` under a hard per-line byte
 /// bound, so a hostile peer can neither balloon memory with an endless
-/// line nor smuggle one past the bound a byte at a time. Exits at EOF, on
-/// transport error, or when the session side hangs up (send fails).
+/// line nor smuggle one past the bound a byte at a time. Exits at EOF
+/// (after sending [`Frame::End`]), on transport error, or when the
+/// session side hangs up (send fails).
 fn pump_frames<R: BufRead>(mut input: R, max_line: usize, tx: Sender<Frame>) {
     let mut line: Vec<u8> = Vec::new();
     let mut overflow = 0usize;
     loop {
         let (consumed, ended) = {
             let chunk = match input.fill_buf() {
-                Ok([]) => return,
+                Ok([]) => {
+                    let _ = tx.send(Frame::End);
+                    return;
+                }
                 Ok(chunk) => chunk,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if tx.send(Frame::Tick).is_err() {
-                        return;
-                    }
-                    continue;
-                }
                 Err(e) => {
                     let _ = tx.send(Frame::Failed(e.to_string()));
                     return;
@@ -204,11 +210,6 @@ impl ServiceHost {
         }
     }
 
-    /// The shared service.
-    pub fn service(&self) -> &Arc<Service> {
-        &self.service
-    }
-
     /// Shuts the service down and joins every worker thread.
     pub fn shutdown(self) {
         self.service.shutdown();
@@ -273,17 +274,17 @@ where
     W: Write,
 {
     let client = CLIENT_SEQ.fetch_add(1, Ordering::Relaxed);
-    // Subscribe before the first submit can possibly resolve, so no event
-    // for an owned campaign is ever missed.
-    let events = service.subscribe();
+    // Client frames and service events share one channel, so the session
+    // waits on one source. Subscribe before the first submit can possibly
+    // resolve, so no event for an owned campaign is ever missed.
     let (tx, frames) = channel();
+    service.subscribe(tx.clone());
     let max_line = limits.max_line_bytes;
     std::thread::spawn(move || pump_frames(input, max_line, tx));
 
     let mut stats = ClientStats::default();
     let mut owned: HashSet<u64> = HashSet::new();
     let mut open = true;
-    let mut strikes = 0usize;
     let mut saw_drain = false;
     let mut last_frame = Instant::now();
     let result = (|| -> Result<(), String> {
@@ -293,12 +294,13 @@ where
                 .map_err(|e| format!("client write failed: {e}"))
         };
         while open || !owned.is_empty() {
-            // After the client half-closes, `frames` answers `Disconnected`
-            // at once: wait on the service's events instead of spinning.
-            let frame = if open {
-                frames.recv_timeout(Duration::from_millis(20))
+            // Only an open session with nothing in flight can go idle, so
+            // only its wait carries a deadline: reaching it evicts.
+            let frame = if open && owned.is_empty() {
+                let idle_at = last_frame + limits.idle_timeout;
+                frames.recv_timeout(idle_at.saturating_duration_since(Instant::now()))
             } else {
-                Err(RecvTimeoutError::Timeout)
+                frames.recv().map_err(RecvTimeoutError::from)
             };
             match frame {
                 Ok(Frame::Line(line)) if line.trim().is_empty() => last_frame = Instant::now(),
@@ -382,7 +384,6 @@ where
                         }
                         Ok(other) => {
                             stats.malformed += 1;
-                            strikes += 1;
                             events::stderr().emit("serve", "client_malformed", |o| {
                                 o.int("client", client)
                                     .str("kind", "unexpected")
@@ -391,7 +392,6 @@ where
                         }
                         Err(e) => {
                             stats.malformed += 1;
-                            strikes += 1;
                             events::stderr().emit("serve", "client_malformed", |o| {
                                 o.int("client", client)
                                     .str("kind", "malformed")
@@ -403,22 +403,48 @@ where
                 Ok(Frame::TooLong(bytes)) => {
                     last_frame = Instant::now();
                     stats.malformed += 1;
-                    strikes += 1;
                     events::stderr().emit("serve", "client_malformed", |o| {
                         o.int("client", client)
                             .str("kind", "oversized")
                             .int("bytes", bytes as u64)
                     });
                 }
-                Ok(Frame::Tick) => {}
+                Ok(Frame::End) => open = false,
                 Ok(Frame::Failed(e)) => return Err(format!("client read failed: {e}")),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => open = false,
+                Ok(Frame::Event(ServiceEvent::Progress {
+                    campaign,
+                    done,
+                    total,
+                    cases,
+                })) if owned.contains(&campaign) => send(
+                    &mut out,
+                    &Msg::Progress {
+                        campaign,
+                        done,
+                        total,
+                        cases,
+                    },
+                )?,
+                Ok(Frame::Event(ServiceEvent::Finished { campaign }))
+                    if owned.contains(&campaign) =>
+                {
+                    if let Some(result) = service.take_result(campaign) {
+                        stats.results += 1;
+                        owned.remove(&campaign);
+                        send(&mut out, &Msg::CampaignResult(result))?;
+                    }
+                }
+                Ok(Frame::Event(ServiceEvent::Draining { active })) => {
+                    saw_drain = true;
+                    send(&mut out, &Msg::Draining { active })?;
+                }
+                Ok(Frame::Event(_)) => {}
+                Err(RecvTimeoutError::Timeout) => stats.evicted = Some("idle"),
+                // The service holds a sender while it lives.
+                Err(RecvTimeoutError::Disconnected) => return Ok(()),
             }
-            if open && strikes >= limits.strike_limit {
+            if open && stats.malformed >= limits.strike_limit {
                 stats.evicted = Some("strikes");
-            } else if open && owned.is_empty() && last_frame.elapsed() >= limits.idle_timeout {
-                stats.evicted = Some("idle");
             }
             if let Some(reason) = stats.evicted {
                 events::stderr().emit("serve", "evicted", |o| {
@@ -427,47 +453,6 @@ where
                         .int("malformed", stats.malformed as u64)
                 });
                 return Ok(());
-            }
-            let mut block = !open && !owned.is_empty();
-            loop {
-                let event = if std::mem::take(&mut block) {
-                    // Every sender gone: no owned campaign can resolve.
-                    let Ok(event) = events.recv() else {
-                        return Ok(());
-                    };
-                    Ok(event)
-                } else {
-                    events.try_recv()
-                };
-                match event {
-                    Ok(ServiceEvent::Progress {
-                        campaign,
-                        done,
-                        total,
-                        cases,
-                    }) if owned.contains(&campaign) => send(
-                        &mut out,
-                        &Msg::Progress {
-                            campaign,
-                            done,
-                            total,
-                            cases,
-                        },
-                    )?,
-                    Ok(ServiceEvent::Finished { campaign }) if owned.contains(&campaign) => {
-                        if let Some(result) = service.take_result(campaign) {
-                            stats.results += 1;
-                            owned.remove(&campaign);
-                            send(&mut out, &Msg::CampaignResult(result))?;
-                        }
-                    }
-                    Ok(ServiceEvent::Draining { active }) => {
-                        saw_drain = true;
-                        send(&mut out, &Msg::Draining { active })?;
-                    }
-                    Ok(_) => {}
-                    Err(_) => break,
-                }
             }
             // Drain wind-down: a persistent service checkpoints — the
             // cleanup below cancels owned campaigns, whose journal files
@@ -489,45 +474,49 @@ where
     result.map(|()| stats)
 }
 
-/// SIGTERM → graceful drain, installed with no external crate: the
-/// handler only stores into an atomic (async-signal-safe), the accept
-/// loop polls the flag between nonblocking accepts.
+/// SIGTERM → graceful drain, installed with no external crate. The
+/// handler only `write`s one byte to a self-pipe (async-signal-safe); a
+/// thread blocked reading the pipe then runs the caller's `on_term`.
 #[cfg(unix)]
 mod term {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::io::Read;
+    use std::os::unix::{io::IntoRawFd, net::UnixStream};
+    use std::sync::atomic::{AtomicI32, Ordering};
 
-    static FLAG: AtomicBool = AtomicBool::new(false);
+    static PIPE: AtomicI32 = AtomicI32::new(-1);
 
-    type Handler = extern "C" fn(i32);
     extern "C" {
-        fn signal(signum: i32, handler: Handler) -> usize;
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
 
-    extern "C" fn on_term(_sig: i32) {
-        FLAG.store(true, Ordering::SeqCst);
+    extern "C" fn on_signal(_sig: i32) {
+        unsafe { write(PIPE.load(Ordering::SeqCst), [1u8].as_ptr(), 1) };
     }
 
-    /// Installs the SIGTERM handler (signal 15 on every supported Unix).
-    pub fn install() {
-        unsafe {
-            let _ = signal(15, on_term);
-        }
-    }
-
-    /// Whether SIGTERM has arrived since [`install`].
-    pub fn requested() -> bool {
-        FLAG.load(Ordering::SeqCst)
+    /// Installs the SIGTERM handler (signal 15 on every supported Unix):
+    /// `on_term` runs once, on its own thread, after the first SIGTERM.
+    pub fn install(on_term: impl FnOnce() + Send + 'static) {
+        let Ok((mut rx, tx)) = UnixStream::pair() else {
+            return;
+        };
+        // The write end stays open for the life of the process, so the
+        // handler never writes to a closed (or reused) descriptor.
+        PIPE.store(tx.into_raw_fd(), Ordering::SeqCst);
+        std::thread::spawn(move || {
+            if rx.read(&mut [0u8]).is_ok() {
+                on_term();
+            }
+        });
+        unsafe { signal(15, on_signal) };
     }
 }
 
-/// SIGTERM drain is Unix-only; elsewhere the flag simply never fires and
-/// the daemon stops via `--sessions` or a hard kill.
+/// SIGTERM drain is Unix-only; elsewhere the daemon stops via `--sessions`
+/// or a hard kill.
 #[cfg(not(unix))]
 mod term {
-    pub fn install() {}
-    pub fn requested() -> bool {
-        false
-    }
+    pub fn install(_on_term: impl FnOnce() + Send + 'static) {}
 }
 
 /// `amulet serve`.
@@ -584,40 +573,32 @@ pub(crate) fn cmd_serve(mut args: Args) -> Result<(), String> {
     });
     service.set_admission(admission);
     let host = ServiceHost::start(service.clone(), workers, &connect);
-    term::install();
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot poll listener: {e}"))?;
+    let drain = service.clone();
+    term::install(move || {
+        // Graceful drain: stop admitting, tell every connected client,
+        // let sessions checkpoint (persistent) or finish (in-memory), then
+        // wake the blocking accept below by connecting to it (an
+        // unspecified listen address connects to this host) to exit 0.
+        let active = drain.drain();
+        events::stderr().emit("serve", "draining", |o| o.int("active", active));
+        drop(TcpStream::connect(local));
+    });
     let limits = SessionLimits::default();
     let session_seq = AtomicU64::new(0);
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     let mut served = 0usize;
     loop {
-        if term::requested() {
-            // Graceful drain: stop admitting, tell every connected client,
-            // let sessions checkpoint (persistent) or finish (in-memory),
-            // then exit 0 below.
-            let active = service.drain();
-            events::stderr().emit("serve", "draining", |o| o.int("active", active));
+        let accepted = listener.accept();
+        if service.is_draining() {
             break;
         }
-        let (stream, peer) = match listener.accept() {
-            Ok(accepted) => accepted,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                // Reap finished sessions so an eviction-heavy day keeps
-                // the daemon's memory bounded by *live* sessions.
-                handlers.retain(|h| !h.is_finished());
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-            Err(e) => return Err(format!("accept failed: {e}")),
-        };
-        let _ = stream.set_nonblocking(false);
+        let (stream, peer) = accepted.map_err(|e| format!("accept failed: {e}"))?;
+        // Reap finished sessions so an eviction-heavy day keeps the
+        // daemon's memory bounded by *live* sessions.
+        handlers.retain(|h| !h.is_finished());
         let _ = stream.set_nodelay(true);
-        // The read deadline turns a silent half-open peer into periodic
-        // reader-thread ticks (so idle reaping fires); the write deadline
-        // keeps a non-reading peer from wedging the session thread.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+        // The write deadline keeps a non-reading peer from wedging the
+        // session thread.
         let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
         let session = session_seq.fetch_add(1, Ordering::Relaxed);
         let log = events::stderr();
@@ -630,6 +611,8 @@ pub(crate) fn cmd_serve(mut args: Args) -> Result<(), String> {
                 .try_clone()
                 .map_err(|e| format!("cannot clone client stream: {e}"))
                 .and_then(|s| serve_client_with(&service, BufReader::new(s), &stream, &limits));
+            // Ends the session's reader thread, which holds a clone.
+            let _ = stream.shutdown(Shutdown::Both);
             match served {
                 Ok(stats) => log.emit("serve", "session_end", |o| {
                     o.int("session", session)
@@ -1000,7 +983,8 @@ mod tests {
 
     /// The bounded reader assembles split frames, strips `\r`, discards
     /// oversized lines without buffering them, and reports the overflow —
-    /// including a line dripped in byte by byte (slowloris).
+    /// including a line dripped in byte by byte (slowloris) — and ends
+    /// with an explicit end-of-input frame.
     #[test]
     fn pump_frames_bounds_lines_and_reassembles_chunks() {
         struct Script(Vec<Vec<u8>>);
@@ -1036,12 +1020,16 @@ mod tests {
         let (tx, rx) = channel();
         pump_frames(Script(chunks), 16, tx);
         let frames: Vec<Frame> = rx.iter().collect();
-        assert_eq!(frames.len(), 3, "hello, overflow, rld");
+        assert_eq!(frames.len(), 4, "hello, overflow, rld, end of input");
         assert!(matches!(&frames[0], Frame::Line(l) if l == "hello"));
         assert!(
             matches!(frames[1], Frame::TooLong(n) if n == 102),
             "the slow drip must be discarded, not assembled"
         );
         assert!(matches!(&frames[2], Frame::Line(l) if l == "rld"));
+        assert!(
+            matches!(frames[3], Frame::End),
+            "EOF must be explicit: the service holds a sender too"
+        );
     }
 }

@@ -17,6 +17,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const BIN: &str = env!("CARGO_BIN_EXE_amulet");
+/// How long one daemon operation (a failed campaign, a drain) may take.
+const OP_LIMIT: Duration = Duration::from_secs(10);
 // The quick shape at batch 3 — same campaign identity for the in-process
 // reference, the remote worker, and both submits.
 const SHAPE: &[&str] = &[
@@ -259,7 +261,13 @@ fn serve_fails_a_campaign_no_slot_can_serve() {
     let out = Command::new(BIN)
         .args(
             [
-                &["submit", "--connect", &serve.addr, "--timeout-s", "10"],
+                &[
+                    "submit",
+                    "--connect",
+                    &serve.addr,
+                    "--timeout-s",
+                    &OP_LIMIT.as_secs().to_string(),
+                ],
                 SHAPE,
             ]
             .concat(),
@@ -273,7 +281,7 @@ fn serve_fails_a_campaign_no_slot_can_serve() {
         "expected the degradation-floor error:\n{stderr}"
     );
     assert!(
-        t0.elapsed() < Duration::from_secs(10),
+        t0.elapsed() < OP_LIMIT,
         "the floor must fire before the client deadline ({:?})",
         t0.elapsed()
     );
@@ -326,4 +334,97 @@ fn serve_tcp_slots_carry_find_first_campaigns() {
         reference,
         "find-first over a TCP slot diverged from the in-process run: {served}"
     );
+}
+
+/// A real SIGTERM wakes the daemon's blocking accept: with one idle client
+/// connected and one campaign in flight, the daemon logs `draining`, tells
+/// both clients, checkpoints the campaign (`--state-dir`) and exits 0.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_a_daemon_blocked_in_accept() {
+    use amulet_core::proto::{CampaignSpec, Msg};
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    let state = std::env::temp_dir().join(format!("amulet_serve_term_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state);
+    let mut serve = Announced::spawn(&[
+        "serve",
+        "--listen",
+        "127.0.0.1:0",
+        "--workers",
+        "1",
+        "--state-dir",
+        state.to_str().unwrap(),
+    ]);
+    let idle = TcpStream::connect(&serve.addr).expect("connect idle client");
+    let busy = TcpStream::connect(&serve.addr).expect("connect busy client");
+    for client in [&idle, &busy] {
+        client.set_read_timeout(Some(OP_LIMIT)).unwrap();
+    }
+    // A paper-scaled campaign far longer than the test: still in flight
+    // when the signal lands.
+    let spec = CampaignSpec {
+        defense: "Baseline".into(),
+        contract: "CT-SEQ".into(),
+        source: "PHT".into(),
+        seed: 2025,
+        scale: Some(1.0),
+        find_first: false,
+        batch_programs: 3,
+        cycle_skip: true,
+    };
+    writeln!(&busy, "{}", Msg::Submit(spec).to_line()).expect("send submit");
+    let mut busy_lines = BufReader::new(&busy).lines();
+    let mut next = || {
+        let line = busy_lines.next().expect("daemon hung up").expect("read");
+        Msg::parse_line(&line).expect("daemon sent a malformed line")
+    };
+    assert!(matches!(next(), Msg::Accepted { cached: false, .. }));
+
+    let t0 = std::time::Instant::now();
+    let killed = Command::new("kill")
+        .args(["-TERM", &serve.child.id().to_string()])
+        .status()
+        .expect("spawn kill");
+    assert!(killed.success());
+    let status = loop {
+        if let Some(status) = serve.child.try_wait().expect("wait for serve") {
+            break status;
+        }
+        assert!(t0.elapsed() < OP_LIMIT, "serve did not exit after SIGTERM");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "serve exited with {status} after SIGTERM");
+
+    loop {
+        match next() {
+            Msg::Progress { .. } => {}
+            Msg::Draining { active } => break assert_eq!(active, 1),
+            other => panic!("the in-flight client must hear `draining`, got {other:?}"),
+        }
+    }
+    let idle_heard = BufReader::new(&idle)
+        .lines()
+        .map_while(Result::ok)
+        .collect::<Vec<_>>();
+    assert_eq!(
+        idle_heard,
+        [Msg::Draining { active: 1 }.to_line()],
+        "the idle client hears `draining`, then the daemon hangs up"
+    );
+    // The drainer thread may still be flushing the last lines — poll.
+    let mut log = String::new();
+    for _ in 0..50 {
+        log = String::from_utf8_lossy(&serve.stderr.lock().unwrap()).into_owned();
+        if log.contains("\"event\":\"draining\"") {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(
+        log.contains("\"event\":\"draining\""),
+        "the drain must be logged:\n{log}"
+    );
+    let _ = std::fs::remove_dir_all(&state);
 }

@@ -346,7 +346,8 @@ struct Inner {
     /// A deterministic crash point armed for the next journal opened
     /// (tests only; consumed by [`Service::submit`]).
     armed_crash: Option<CrashPlan>,
-    subscribers: Vec<Sender<ServiceEvent>>,
+    /// One send per [`Service::subscribe`]r; `false` once its receiver is gone.
+    subscribers: Vec<Box<dyn Fn(ServiceEvent) -> bool + Send>>,
     shutdown: bool,
     /// Slot ids handed out so far (0 = no slot ever attached).
     next_slot: u64,
@@ -1066,17 +1067,15 @@ impl Service {
     }
 
     fn broadcast(inner: &mut Inner, event: ServiceEvent) {
-        inner
-            .subscribers
-            .retain(|tx| tx.send(event.clone()).is_ok());
+        inner.subscribers.retain(|send| send(event.clone()));
     }
 
-    /// Subscribes to every future [`ServiceEvent`]. A dropped receiver is
-    /// pruned on the next broadcast.
-    pub fn subscribe(&self) -> Receiver<ServiceEvent> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        self.inner.lock().unwrap().subscribers.push(tx);
-        rx
+    /// Sends every future [`ServiceEvent`] into the caller's `tx`, converted
+    /// to its message type, so a session can wait on its input and the
+    /// service's events as one channel. A dropped receiver is pruned.
+    pub fn subscribe<T: From<ServiceEvent> + Send + 'static>(&self, tx: Sender<T>) {
+        let send = move |event: ServiceEvent| tx.send(event.into()).is_ok();
+        self.inner.lock().unwrap().subscribers.push(Box::new(send));
     }
 
     /// Removes and returns a finished campaign's terminal result.
@@ -1372,7 +1371,8 @@ mod tests {
     #[test]
     fn drain_sheds_submits_but_finish_drain_keeps_leasing() {
         let service = Service::new();
-        let events = service.subscribe();
+        let (tx, events) = channel::<ServiceEvent>();
+        service.subscribe(tx);
         let SubmitOutcome::Accepted { campaign, .. } = service.submit(&quick_spec(30)).unwrap()
         else {
             panic!("fresh submit must not hit the cache")

@@ -84,6 +84,26 @@ pub mod payload {
          MOV dword ptr [R14 + RAX], EBX";
 }
 
+/// Paper Figure 4(a), verbatim: the InvisiSpec UV1 eviction leak. The
+/// `.bb_main.2` block is architectural; `.bb_main.3` is mis-speculated; the
+/// XOR's RMW load is the transmitter.
+pub const FIG4: &str = "
+.bb_main.2:
+    OR byte ptr [R14 + RDX], AL
+    LOOPNE .bb_main.3
+    JMP .bb_main.exit
+
+.bb_main.3: # misspeculated
+    AND BL, 34
+    AND RAX, 0b111111111111
+    CMOVNBE SI, word ptr [R14 + RAX]
+    AND RBX, 0b111111111111
+    XOR qword ptr [R14 + RBX], RDI
+    JMP .bb_main.exit
+
+.bb_main.exit:
+    EXIT";
+
 /// Builds a store→load aliasing (Spectre-STL) victim: a store whose address
 /// sits behind `distance` dependent ALU ops (the attacker-controlled
 /// disambiguation distance), statically aliased by a displacement-only load

@@ -514,9 +514,11 @@ impl Simulator {
     ///
     /// - `executing` holds every live `Executing` entry, and
     ///   `next_complete` is no later than any of them;
-    /// - `waiting` is strictly ascending; every live `Waiting` entry is on
-    ///   it with all sources ready, or parked on the waiter chain of the
-    ///   unfinished producer its `ready_from` cursor points at;
+    /// - `waiting`, `stores` and `loads` are in ROB age order, and every
+    ///   entry behind `commit_ptr` is committed or squashed;
+    /// - every live `Waiting` entry is on `waiting` with all sources
+    ///   ready, or parked on the waiter chain of the unfinished producer
+    ///   its `ready_from` cursor points at;
     /// - every non-squashed entry in `commit_ptr..safe_from` is safe and
     ///   blocks nothing;
     /// - `stores` and `loads` are exactly the memory-writing and
@@ -594,9 +596,20 @@ impl Simulator {
                 }
             }
         }
+        // The LSQ walks' `take_while(>= commit_ptr)` and `waiting`'s binary
+        // search rely on ROB age order.
+        for list in [&self.waiting, &self.stores, &self.loads] {
+            assert!(
+                list.windows(2).all(|w| w[0] < w[1]),
+                "cycle {cycle}: event list out of age order: {list:?}"
+            );
+        }
         assert!(
-            self.waiting.windows(2).all(|w| w[0] < w[1]),
-            "cycle {cycle}: waiting list out of order"
+            self.rob[..self.commit_ptr]
+                .iter()
+                .all(|e| e.squashed || e.committed),
+            "cycle {cycle}: a live entry is behind commit_ptr {}",
+            self.commit_ptr
         );
         assert!(self.safe_from <= self.rob.len());
         for idx in self.commit_ptr..self.safe_from {

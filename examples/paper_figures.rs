@@ -7,29 +7,10 @@
 //! cargo run --release --example paper_figures
 //! ```
 
-use amulet::defenses::{gadgets, DefenseKind};
+use amulet::defenses::gadgets::{self, FIG4};
+use amulet::defenses::DefenseKind;
 use amulet::isa::{parse_program, TestInput};
 use amulet::sim::{SimConfig, Simulator};
-
-/// Paper Figure 4(a): the InvisiSpec UV1 eviction leak. The `.bb_main.2`
-/// block is architectural; `.bb_main.3` is mis-speculated; the XOR's RMW
-/// load is the transmitter.
-const FIG4: &str = "
-.bb_main.2:
-    OR byte ptr [R14 + RDX], AL
-    LOOPNE .bb_main.3
-    JMP .bb_main.exit
-
-.bb_main.3: # misspeculated
-    AND BL, 34
-    AND RAX, 0b111111111111
-    CMOVNBE SI, word ptr [R14 + RAX]
-    AND RBX, 0b111111111111
-    XOR qword ptr [R14 + RBX], RDI
-    JMP .bb_main.exit
-
-.bb_main.exit:
-    EXIT";
 
 /// Paper Figure 8(b): the SpecLFB UV6 single-load Spectre-v1 (secret in
 /// RBX).

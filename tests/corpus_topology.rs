@@ -85,7 +85,8 @@ fn assert_reference(topology: &str, path: &PathBuf) {
 /// Submits the campaign and waits for its result; the corpus append
 /// happens before the `Finished` event.
 fn run_to_result(service: &Service) {
-    let events = service.subscribe();
+    let (tx, events) = std::sync::mpsc::channel();
+    service.subscribe(tx);
     let SubmitOutcome::Accepted { campaign, .. } = service.submit(&spec()).unwrap() else {
         panic!("a fresh service must accept the campaign")
     };

@@ -172,7 +172,8 @@ fn strike_ladder_evicts_hostile_sessions_without_disturbing_honest_clients() {
 
 /// A slow writer that drips partial-frame bytes but never completes a
 /// line is reaped on the idle clock — trickling bytes must not count as
-/// liveness — while an honest campaign on the same service completes.
+/// liveness — and so is a peer that stays connected and sends nothing at
+/// all, while an honest campaign on the same service completes.
 #[test]
 fn slowloris_drip_is_idle_reaped_while_honest_sessions_proceed() {
     let service = Arc::new(Service::new());
@@ -182,6 +183,8 @@ fn slowloris_drip_is_idle_reaped_while_honest_sessions_proceed() {
         ..SessionLimits::default()
     };
     let (hostile_tx, _hostile_rx, hostile) = spawn_hardened_client(&service, limits);
+    // Held open, never written: no byte, no EOF.
+    let (_silent_tx, _silent_rx, silent) = spawn_hardened_client(&service, limits);
     let honest = spawn_serve_client(&service);
 
     honest.send(&Msg::Submit(spec(502)));
@@ -210,6 +213,11 @@ fn slowloris_drip_is_idle_reaped_while_honest_sessions_proceed() {
     assert_eq!(stats.evicted, Some("idle"));
     assert_eq!(stats.submitted, 0, "the partial frame never parsed");
     dripper.join().expect("dripper thread");
+    let stats = silent
+        .join()
+        .expect("session thread must not panic")
+        .expect("idle reaping is an orderly return");
+    assert_eq!(stats.evicted, Some("idle"), "a silent peer is idle too");
 
     let result = await_result(&honest);
     assert_eq!(result.error, None);
