@@ -11,9 +11,9 @@ use amulet_contracts::{ContractKind, LeakageModel};
 use amulet_core::{boosted_inputs, Generator, GeneratorConfig, InputGenConfig};
 use amulet_defenses::DefenseKind;
 use amulet_emu::{Emulator, NullObserver};
-use amulet_isa::{SeededImage, TestInput, PAGE_SIZE};
+use amulet_isa::{SeededImage, TestInput, LINE_SIZE, PAGE_SIZE};
 use amulet_sim::{SimConfig, Simulator};
-use amulet_util::Xoshiro256;
+use amulet_util::{Basis, Xoshiro256};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -85,8 +85,10 @@ fn bench_generation() {
 }
 
 /// Seeded sandbox images: the one-off build of the jump-ladder rungs a
-/// 128-page image uses (0–7), one generator jump, and drawing one page of
-/// a 128-page image against filling a page eagerly and copying it.
+/// 128-page image uses (0–7), one rung application, the basis walk a load
+/// pays on its first line draw and one line jump through that basis, and
+/// drawing one page of a 128-page image against filling a page eagerly and
+/// copying it.
 fn bench_images() {
     let t0 = Instant::now();
     Xoshiro256::seed_from_u64(1).advance(512 * 255);
@@ -100,6 +102,15 @@ fn bench_images() {
         black_box(&mut rng).advance(black_box(1 << 16));
     });
     let image = SeededImage::draw(&mut rng, 128 * PAGE_SIZE);
+    let mut basis = Basis::new();
+    time_fn("basis_walk", || {
+        black_box(&image).walk_basis(&mut basis);
+    });
+    let mut line = 0;
+    time_fn("basis_line_jump_128p", || {
+        line = (line + 4099) % (128 * PAGE_SIZE / LINE_SIZE);
+        black_box(basis.line(black_box(line)));
+    });
     let mut page = vec![0u8; PAGE_SIZE];
     time_fn("seeded_page_draw_128p", || {
         image.read(black_box(77 * PAGE_SIZE), &mut page);

@@ -25,7 +25,7 @@ use amulet_core::{
 };
 use amulet_defenses::DefenseKind;
 use amulet_emu::Sandbox;
-use amulet_isa::{TestInput, PAGE_SIZE};
+use amulet_isa::{MemImage, SeededImage, TestInput, LINE_SIZE, PAGE_SIZE};
 use amulet_util::{EventLog, Xoshiro256};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -382,47 +382,58 @@ fn validate_bench(json: &mut String) {
     }
 }
 
-/// Sandbox page draws at 128 pages (the STT harness sandbox): each load of
-/// a seeded image is followed by reads of 8 distinct random pages, each
-/// the first touch of its page, so each read draws one page from the
-/// image. Reports draws/s, median of 5 passes.
-fn page_draw_bench(json: &mut String) {
-    let pages = 128;
+/// Sandbox line draws: each load of a seeded image (of 1, 8 and 128
+/// pages; 128 is the STT harness sandbox) is followed by first reads of
+/// one or two random lines in each of up to 8 distinct random pages, so
+/// each read draws one line, and the first draw of a load also walks the
+/// image's basis. Reports draws/s, median of 5 passes.
+fn line_draw_bench(json: &mut String) {
+    const LINES: u64 = (PAGE_SIZE / LINE_SIZE) as u64;
     let mut rng = Xoshiro256::seed_from_u64(61);
-    let inputs: Vec<TestInput> = (0..32)
-        .map(|_| TestInput::random(&mut rng, pages))
-        .collect();
-    let mut order: Vec<u64> = (0..pages as u64).collect();
-    let touched: Vec<Vec<u64>> = inputs
-        .iter()
-        .map(|_| {
-            rng.shuffle(&mut order);
-            order[..8].to_vec()
-        })
-        .collect();
-    let mut sandbox = Sandbox::new(0, pages * PAGE_SIZE);
-    let reps = 20;
-    let mut samples = Vec::new();
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            for (input, pages) in inputs.iter().zip(&touched) {
-                sandbox.load_image(input.mem_image());
-                for &page in pages {
-                    black_box(sandbox.read_u8(page * PAGE_SIZE as u64 + 8));
+    for pages in [1usize, 8, 128] {
+        for lines_per_page in [1usize, 2] {
+            let images: Vec<MemImage> = (0..32)
+                .map(|_| MemImage::Seeded(SeededImage::draw(&mut rng, pages * PAGE_SIZE)))
+                .collect();
+            let mut order: Vec<u64> = (0..pages as u64).collect();
+            let mut reads: Vec<Vec<u64>> = Vec::new();
+            for _ in &images {
+                rng.shuffle(&mut order);
+                let mut addrs = Vec::new();
+                for &page in &order[..pages.min(8)] {
+                    let first = rng.range(0, LINES);
+                    let second = (first + rng.range(1, LINES)) % LINES;
+                    for line in [first, second].into_iter().take(lines_per_page) {
+                        addrs.push(page * PAGE_SIZE as u64 + line * LINE_SIZE as u64 + 8);
+                    }
                 }
+                reads.push(addrs);
             }
+            let mut sandbox = Sandbox::new(0, pages * PAGE_SIZE);
+            let reps = 20;
+            let mut samples = Vec::new();
+            for _ in 0..5 {
+                let t0 = Instant::now();
+                for _ in 0..reps {
+                    for (image, addrs) in images.iter().zip(&reads) {
+                        sandbox.load_image(image);
+                        for &addr in addrs {
+                            black_box(sandbox.read_u8(addr));
+                        }
+                    }
+                }
+                samples.push(t0.elapsed().as_secs_f64());
+            }
+            samples.sort_by(f64::total_cmp);
+            let draws = reps * reads.iter().map(Vec::len).sum::<usize>();
+            let rate = draws as f64 / samples[2];
+            println!("line_draw ({pages} pages, {lines_per_page} line/page): {rate:.0} draws/s");
+            let _ = writeln!(
+                json,
+                "{{\"bench\":\"throughput\",\"kind\":\"line_draw\",\"name\":\"seeded_image\",\"pages\":{pages},\"lines_per_page\":{lines_per_page},\"draws\":{draws},\"draws_per_sec\":{rate:.1}}}"
+            );
         }
-        samples.push(t0.elapsed().as_secs_f64());
     }
-    samples.sort_by(f64::total_cmp);
-    let draws = reps * inputs.len() * 8;
-    let rate = draws as f64 / samples[2];
-    println!("page_draw ({pages} pages): {rate:.0} draws/s");
-    let _ = writeln!(
-        json,
-        "{{\"bench\":\"throughput\",\"kind\":\"page_draw\",\"name\":\"seeded_image\",\"pages\":{pages},\"draws\":{draws},\"draws_per_sec\":{rate:.1}}}"
-    );
 }
 
 /// The violation minimiser (the per-batch corpus pass of a corpus-backed
@@ -603,7 +614,7 @@ fn main() {
     taint_microbench(&mut json);
     stt_hot_path(&mut json, env_usize("AMULET_STT_PROGRAMS", 6));
     validate_bench(&mut json);
-    page_draw_bench(&mut json);
+    line_draw_bench(&mut json);
     minimize_bench(&mut json);
 
     // 1b. Full detector workload (scan + ctraces + validation re-runs).

@@ -9,16 +9,19 @@
 //! identical in the emulator and the simulator, so it can never create a
 //! spurious contract violation.
 //!
-//! The sandbox is demand-paged: loading a [`SeededImage`] stores its small
-//! descriptor, and each page is drawn from it on the first read of a byte
-//! the case has not stored since the load. [`Sandbox::write`] (the
-//! simulator's commit path) never draws: on a non-resident page it keeps
-//! the stored bytes and marks them in a per-page written-byte bitmap, and
-//! a later draw fills in only the unmarked bytes. Every byte read is the
-//! byte an eager copy would hold; a test case that reads four of 128 pages
-//! draws four, however many more it only stores to.
+//! The sandbox is demand-paged at line granularity: loading a
+//! [`SeededImage`] stores its small descriptor, and each 64-byte line is
+//! drawn from it on the first read of a byte the case has not stored since
+//! the load. A draw jumps straight to its line through the image's
+//! [`Basis`], walked on the first draw after the load. [`Sandbox::write`]
+//! (the simulator's commit path) never draws: on a non-resident line it
+//! keeps the stored bytes and marks them in a written-byte bitmap, and a
+//! later draw fills in only the unmarked bytes. Every byte read is the byte
+//! an eager copy would hold; a test case that reads one line of each of four
+//! pages draws four lines, however many more it only stores to.
 
-use amulet_isa::{MemImage, SeededImage, Width, PAGE_SIZE};
+use amulet_isa::{MemImage, SeededImage, Width, LINE_SIZE, PAGE_SIZE};
+use amulet_util::Basis;
 
 /// A power-of-two-sized memory region at a base virtual address.
 #[derive(Debug, Clone)]
@@ -26,23 +29,35 @@ pub struct Sandbox {
     base: u64,
     data: Vec<u8>,
     mask: u64,
-    /// The seeded image non-resident pages are drawn from.
+    /// The seeded image non-resident lines are drawn from.
     image: Option<SeededImage>,
-    /// Per page: the load epoch whose contents `data` holds. A page is
-    /// resident when this equals `epoch`.
-    page_epoch: Vec<u32>,
+    /// The loaded image's basis, once walked (`basis_stale` clear).
+    basis: Basis,
+    basis_stale: bool,
+    /// Per page: which of its lines are resident or written this load.
+    pages: Vec<PageLines>,
     epoch: u32,
-    /// Per page: the load epoch the page's bits in `written` belong to.
-    /// Bits of an older epoch are stale and read as clear.
-    written_epoch: Vec<u32>,
-    /// One bit per byte (bit `off % 64` of word `off / 64`): stored into
-    /// while its page was not resident, so `data` holds the byte and a
-    /// draw must keep it.
+    /// One word per line, one bit per byte (bit `off % 64` of word
+    /// `off / 64`): stored into while its line was not resident, so `data`
+    /// holds the byte and a draw must keep it. A word is meaningful only
+    /// while its bit in its page's `written` mask is set.
     written: Vec<u64>,
 }
 
-/// Words of the written-byte bitmap per page.
-const PAGE_WORDS: usize = PAGE_SIZE / 64;
+/// The line residency of one page.
+#[derive(Debug, Clone, Copy)]
+struct PageLines {
+    /// The load epoch the masks belong to; masks of an older epoch are
+    /// stale and read as clear.
+    epoch: u32,
+    /// Bit `l`: line `l` of the page holds its bytes for this load.
+    resident: u64,
+    /// Bit `l`: line `l`'s word in `written` belongs to this load.
+    written: u64,
+}
+
+/// Lines per page: one bit each in a page's masks.
+const PAGE_LINES: usize = PAGE_SIZE / LINE_SIZE;
 
 impl Sandbox {
     /// Creates a sandbox of `size` bytes (must be a power of two) based at
@@ -56,16 +71,21 @@ impl Sandbox {
             size.is_power_of_two(),
             "sandbox size must be a power of two"
         );
-        let pages = size.div_ceil(PAGE_SIZE);
+        let resident = PageLines {
+            epoch: 0,
+            resident: !0,
+            written: 0,
+        };
         Sandbox {
             base,
             data: vec![0; size],
             mask: (size - 1) as u64,
             image: None,
-            page_epoch: vec![0; pages],
+            basis: Basis::new(),
+            basis_stale: true,
+            pages: vec![resident; size.div_ceil(PAGE_SIZE)],
             epoch: 0,
-            written_epoch: vec![0; pages],
-            written: vec![0; pages * PAGE_WORDS],
+            written: vec![0; size.div_ceil(LINE_SIZE)],
         }
     }
 
@@ -90,52 +110,80 @@ impl Sandbox {
         self.base + self.offset_of(addr)
     }
 
-    /// Makes the page holding offset `off` resident.
+    /// Whether line `line` holds its bytes for this load.
     #[inline]
-    fn touch(&mut self, off: usize) {
-        let page = off / PAGE_SIZE;
-        if self.page_epoch[page] != self.epoch {
-            self.materialize(page);
-        }
+    fn is_resident(&self, line: usize) -> bool {
+        let page = &self.pages[line / PAGE_LINES];
+        page.epoch == self.epoch && page.resident >> (line % PAGE_LINES) & 1 == 1
     }
 
-    /// Whether the byte at offset `off` of a non-resident page was stored
+    /// Whether the byte at offset `off` of a non-resident line was stored
     /// since the load.
     #[inline]
     fn is_written(&self, off: usize) -> bool {
-        self.written_epoch[off / PAGE_SIZE] == self.epoch
-            && self.written[off / 64] >> (off % 64) & 1 == 1
+        let line = off / LINE_SIZE;
+        let page = &self.pages[line / PAGE_LINES];
+        page.epoch == self.epoch
+            && page.written >> (line % PAGE_LINES) & 1 == 1
+            && self.written[line] >> (off % LINE_SIZE) & 1 == 1
     }
 
-    /// Draws one page from the loaded seeded image, keeping the bytes
-    /// stored into it since the load.
+    /// Page `page`'s masks for this load, cleared first if stale.
+    #[inline]
+    fn page(&mut self, page: usize) -> &mut PageLines {
+        let epoch = self.epoch;
+        let lines = &mut self.pages[page];
+        if lines.epoch != epoch {
+            *lines = PageLines {
+                epoch,
+                resident: 0,
+                written: 0,
+            };
+        }
+        lines
+    }
+
+    /// Makes line `line` resident.
+    #[inline]
+    fn touch(&mut self, line: usize) {
+        if !self.is_resident(line) {
+            self.page(line / PAGE_LINES);
+            self.draw(line, line + 1);
+        }
+    }
+
+    /// Draws lines `first..end` (non-resident, on pages whose masks belong
+    /// to this load) from the loaded seeded image with one jump, keeping
+    /// the bytes stored into them since the load.
     #[cold]
-    fn materialize(&mut self, page: usize) {
-        self.page_epoch[page] = self.epoch;
-        let start = page * PAGE_SIZE;
-        let end = (start + PAGE_SIZE).min(self.data.len());
+    fn draw(&mut self, first: usize, end: usize) {
         let image = self
             .image
             .as_ref()
-            .expect("non-resident page without image");
-        if self.written_epoch[page] != self.epoch {
-            image.read(start, &mut self.data[start..end]);
-            return;
+            .expect("non-resident line without image");
+        if self.basis_stale {
+            image.walk_basis(&mut self.basis);
+            self.basis_stale = false;
         }
-        let mut drawn = [0u8; PAGE_SIZE];
-        let drawn = &mut drawn[..end - start];
-        image.read(start, drawn);
-        let words = &self.written[start / 64..end.div_ceil(64)];
-        for ((dst, src), &mask) in self.data[start..end]
-            .chunks_mut(64)
-            .zip(drawn.chunks(64))
-            .zip(words)
-        {
-            if mask == 0 {
-                dst.copy_from_slice(src);
+        let size = self.data.len();
+        let mut lines = image.lines(&self.basis, first);
+        for line in first..end {
+            let drawn = lines.next_line();
+            let bit = 1 << (line % PAGE_LINES);
+            let page = &mut self.pages[line / PAGE_LINES];
+            page.resident |= bit;
+            let written = if page.written & bit != 0 {
+                self.written[line]
             } else {
-                for (j, (d, &s)) in dst.iter_mut().zip(src).enumerate() {
-                    if mask >> j & 1 == 0 {
+                0
+            };
+            let start = line * LINE_SIZE;
+            let dst = &mut self.data[start..(start + LINE_SIZE).min(size)];
+            if written == 0 {
+                dst.copy_from_slice(&drawn[..dst.len()]);
+            } else {
+                for (j, (d, &s)) in dst.iter_mut().zip(&drawn).enumerate() {
+                    if written >> j & 1 == 0 {
                         *d = s;
                     }
                 }
@@ -143,16 +191,18 @@ impl Sandbox {
         }
     }
 
-    /// Stores one byte at offset `off` without drawing its page.
+    /// Stores one byte at offset `off` without drawing its line.
     #[inline]
     fn store(&mut self, off: usize, value: u8) {
-        let page = off / PAGE_SIZE;
-        if self.page_epoch[page] != self.epoch {
-            if self.written_epoch[page] != self.epoch {
-                self.written_epoch[page] = self.epoch;
-                self.written[page * PAGE_WORDS..(page + 1) * PAGE_WORDS].fill(0);
+        let line = off / LINE_SIZE;
+        if !self.is_resident(line) {
+            let bit = 1 << (line % PAGE_LINES);
+            let page = self.page(line / PAGE_LINES);
+            if page.written & bit == 0 {
+                page.written |= bit;
+                self.written[line] = 0;
             }
-            self.written[off / 64] |= 1 << (off % 64);
+            self.written[line] |= 1 << (off % LINE_SIZE);
         }
         self.data[off] = value;
     }
@@ -160,23 +210,40 @@ impl Sandbox {
     /// Reads a single byte at a (wrapped) virtual address.
     pub fn read_u8(&mut self, addr: u64) -> u8 {
         let off = self.offset_of(addr) as usize;
-        if self.page_epoch[off / PAGE_SIZE] != self.epoch && !self.is_written(off) {
-            self.materialize(off / PAGE_SIZE);
+        if !self.is_resident(off / LINE_SIZE) && !self.is_written(off) {
+            self.touch(off / LINE_SIZE);
         }
         self.data[off]
     }
 
     /// Writes a single byte at a (wrapped) virtual address, returning the
-    /// previous value (which draws the byte's page).
+    /// previous value (which draws the byte's line).
     pub fn write_u8(&mut self, addr: u64, value: u8) -> u8 {
         let off = self.offset_of(addr) as usize;
-        self.touch(off);
+        self.touch(off / LINE_SIZE);
         std::mem::replace(&mut self.data[off], value)
+    }
+
+    /// The offset of an access of `width` bytes at `addr` when it lies in
+    /// one resident line, so its bytes can be copied as a block.
+    #[inline]
+    fn resident_span(&self, addr: u64, width: Width) -> Option<(usize, usize)> {
+        let off = self.offset_of(addr) as usize;
+        let n = width.bytes() as usize;
+        (off % LINE_SIZE + n <= LINE_SIZE
+            && off + n <= self.data.len()
+            && self.is_resident(off / LINE_SIZE))
+        .then_some((off, n))
     }
 
     /// Reads a little-endian value of the given width; bytes wrap
     /// individually at the sandbox boundary.
     pub fn read(&mut self, addr: u64, width: Width) -> u64 {
+        if let Some((off, n)) = self.resident_span(addr, width) {
+            let mut bytes = [0; 8];
+            bytes[..n].copy_from_slice(&self.data[off..off + n]);
+            return u64::from_le_bytes(bytes);
+        }
         let mut v = 0u64;
         for i in 0..width.bytes() {
             v |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
@@ -185,22 +252,27 @@ impl Sandbox {
     }
 
     /// Writes a little-endian value of the given width; bytes wrap
-    /// individually at the sandbox boundary. Draws no page.
+    /// individually at the sandbox boundary. Draws no line.
     pub fn write(&mut self, addr: u64, width: Width, value: u64) {
+        if let Some((off, n)) = self.resident_span(addr, width) {
+            self.data[off..off + n].copy_from_slice(&value.to_le_bytes()[..n]);
+            return;
+        }
         for i in 0..width.bytes() {
             let off = self.offset_of(addr.wrapping_add(i)) as usize;
             self.store(off, (value >> (8 * i)) as u8);
         }
     }
 
-    /// Starts a new load: every page becomes non-resident.
+    /// Starts a new load: every line becomes non-resident.
     fn next_epoch(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Wrapped: restamp every page with 0, which no later epoch
-            // reuses, so no stale stamp can alias a new epoch.
-            self.page_epoch.fill(0);
-            self.written_epoch.fill(0);
+            // reuses, so no stale mask can alias a new epoch.
+            for page in &mut self.pages {
+                page.epoch = 0;
+            }
             self.epoch = 1;
         }
     }
@@ -213,12 +285,17 @@ impl Sandbox {
         let n = contents.len().min(self.data.len());
         self.data[..n].copy_from_slice(&contents[..n]);
         self.data[n..].fill(0);
-        self.page_epoch.fill(self.epoch);
+        self.pages.fill(PageLines {
+            epoch: self.epoch,
+            resident: !0,
+            written: 0,
+        });
     }
 
     /// Reloads the sandbox from an input's image with [`Sandbox::load`]'s
     /// zero-fill/truncate rule. Bytes are copied now; a seeded image costs
-    /// only its descriptor here and a draw per page on first touch.
+    /// only its descriptor here, one basis walk on the first draw, and one
+    /// line jump per run of lines drawn.
     pub fn load_image(&mut self, image: &MemImage) {
         match image {
             MemImage::Bytes(bytes) => self.load(bytes),
@@ -227,15 +304,30 @@ impl Sandbox {
                     Some(own) => own.clone_from(seeded),
                     None => self.image = Some(seeded.clone()),
                 }
+                self.basis_stale = true;
                 self.next_epoch();
             }
         }
     }
 
-    /// The whole contents, drawing every non-resident page first.
+    /// The whole contents, drawing each run of non-resident lines with one
+    /// jump first.
     pub fn bytes(&mut self) -> &[u8] {
-        for page in 0..self.page_epoch.len() {
-            self.touch(page * PAGE_SIZE);
+        for page in 0..self.pages.len() {
+            self.page(page);
+        }
+        let lines = self.written.len();
+        let mut line = 0;
+        while line < lines {
+            let first = line;
+            while line < lines && !self.is_resident(line) {
+                line += 1;
+            }
+            if line == first {
+                line += 1;
+            } else {
+                self.draw(first, line);
+            }
         }
         &self.data
     }
@@ -303,30 +395,58 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(21);
         let mut seeded = Sandbox::new(0x4000, 8 * PAGE_SIZE);
         let mut eager = Sandbox::new(0x4000, 8 * PAGE_SIZE);
+        let page = |p: u64| 0x4000 + p * PAGE_SIZE as u64;
         for round in 0..3u64 {
             let mut input = TestInput::random(&mut rng, 8);
             input.set_word(700, round);
             seeded.load_image(input.mem_image());
             eager.load(&input.mem_bytes());
-            // A write before any read of its page, a page-crossing read, and
-            // a write whose page the next load must forget.
-            seeded.write(0x4000 + 3 * 4096 + 8, Width::Q, 0xFEED);
-            eager.write(0x4000 + 3 * 4096 + 8, Width::Q, 0xFEED);
-            for addr in [0x4000 + 700 * 8, 0x4000 + 4096 - 4, 0x4000 + 3 * 4096] {
-                assert_eq!(seeded.read(addr, Width::Q), eager.read(addr, Width::Q));
+            // Stores into lines before their first read: a whole word, and
+            // one byte of a line that a later read straddles.
+            for (addr, width, value) in [
+                (page(3) + 8, Width::Q, 0xFEED),
+                (page(5) + 130, Width::B, 0x5A),
+                (page(6) + 60, Width::D, 0xC0DE_F00D),
+            ] {
+                seeded.write(addr, width, value);
+                eager.write(addr, width, value);
+            }
+            // Reads of an override, of a stored line around its store, reads
+            // straddling two lines, a page boundary, and the sandbox end.
+            for addr in [
+                0x4000 + 700 * 8,
+                page(3) + 4,
+                page(3),
+                page(5) + 124,
+                page(6) + 56,
+                page(1) - 4,
+                page(2) + 60,
+                page(8) - 4,
+            ] {
+                assert_eq!(
+                    seeded.read(addr, Width::Q),
+                    eager.read(addr, Width::Q),
+                    "round {round}, {addr:#x}"
+                );
+            }
+            // Journaled byte writes return the previous byte, drawn or not.
+            for addr in [page(4) + 17, page(3) + 9, page(4) + 17] {
+                assert_eq!(seeded.write_u8(addr, 0x77), eager.write_u8(addr, 0x77));
             }
             assert_eq!(seeded.bytes(), eager.bytes(), "round {round}");
+            assert_eq!(seeded.bytes(), eager.bytes(), "round {round}, drawn");
         }
         // A byte image after a seeded one is fully resident again.
         seeded.load(&[7; 64]);
-        assert_eq!(seeded.read_u8(0x4000 + 5 * 4096), 0);
+        assert_eq!(seeded.read_u8(page(5)), 0);
         assert_eq!(seeded.read_u8(0x4000 + 63), 7);
     }
 
     /// Stores never draw, yet a seeded sandbox reads like an eager copy:
-    /// random interleavings of stores at every width (page-crossing and
-    /// wrapping at the sandbox end included), reads, journaled byte writes
-    /// and whole-contents reads, across loads and an epoch wrap.
+    /// random interleavings of stores at every width (line-, page-crossing
+    /// and wrapping at the sandbox end included), reads, journaled byte
+    /// writes and whole-contents reads after partial draws, across loads and
+    /// an epoch wrap.
     #[test]
     fn store_overlay_reads_like_an_eager_copy() {
         let mut rng = Xoshiro256::seed_from_u64(23);
@@ -337,8 +457,8 @@ mod tests {
             let mut eager = Sandbox::new(0x4000, size);
             for round in 0..10 {
                 if round == 3 {
-                    // Jump close to the wrap, with written stamps of the
-                    // early epochs still in place for it to invalidate.
+                    // Jump close to the wrap, with the masks of the early
+                    // epochs still in place for it to invalidate.
                     seeded.epoch = u32::MAX - 1;
                 }
                 let input = TestInput::random(&mut rng, pages);
@@ -346,9 +466,10 @@ mod tests {
                 eager.load(&input.mem_bytes());
                 for op in 0..300 {
                     let page = rng.index(pages + 1) as u64;
-                    let within = match rng.index(3) {
+                    let within = match rng.index(4) {
                         0 => rng.range(0, 16),
                         1 => PAGE_SIZE as u64 - rng.range(1, 8),
+                        2 => LINE_SIZE as u64 * rng.range(1, 64) - rng.range(0, 8),
                         _ => rng.range(0, PAGE_SIZE as u64),
                     };
                     let addr = 0x4000 + page * PAGE_SIZE as u64 + within;
@@ -385,18 +506,28 @@ mod tests {
         }
     }
 
+    /// Masks stamped long before an epoch wrap must not alias the epochs
+    /// after it: a line drawn and a byte stored at epoch 1, then the wrap
+    /// back to 1.
     #[test]
-    fn epoch_wrap_keeps_pages_non_resident() {
+    fn epoch_wrap_keeps_lines_non_resident() {
         let mut rng = Xoshiro256::seed_from_u64(22);
+        let old = TestInput::random(&mut rng, 2);
         let input = TestInput::random(&mut rng, 2);
+        let (bytes, stored) = (input.mem_bytes(), PAGE_SIZE + 3);
+        assert!(old.mem_bytes()[70] != bytes[70] && bytes[stored] != 0xEE);
         let mut s = Sandbox::new(0, 2 * PAGE_SIZE);
+        s.load_image(old.mem_image());
+        assert_eq!(s.epoch, 1);
+        s.read_u8(70);
+        s.write(stored as u64, Width::B, 0xEE);
         s.epoch = u32::MAX - 1;
-        s.page_epoch.fill(u32::MAX - 1);
-        for _ in 0..3 {
-            s.load_image(input.mem_image());
-            s.write_u8(0, !input.mem_bytes()[0]);
-            assert_eq!(s.read_u8(1), input.mem_bytes()[1]);
-        }
-        assert_eq!(s.bytes()[1..], input.mem_bytes()[1..]);
+        s.load_image(input.mem_image());
+        s.load_image(input.mem_image());
+        assert_eq!(s.epoch, 1, "the epoch wrapped");
+        assert_eq!(s.read_u8(70), bytes[70]);
+        assert_eq!(s.read_u8(stored as u64), bytes[stored]);
+        s.write_u8(0, !bytes[0]);
+        assert_eq!(s.bytes()[1..], bytes[1..]);
     }
 }

@@ -13,16 +13,20 @@
 //!
 //! A generated multi-page sandbox image is stored as a [`SeededImage`]: the
 //! generator state its bytes are drawn from, not the bytes. A test case
-//! touches a handful of its pages, so the sandbox draws each page on first
-//! touch instead of copying the whole image per case.
+//! reads about one 64-byte line of each page it touches, so the sandbox
+//! draws each line on its first read instead of copying the whole image per
+//! case.
 
 use crate::reg::Gpr;
-use amulet_util::Xoshiro256;
+use amulet_util::{Basis, Xoshiro256};
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 
 /// Size of one sandbox page in bytes.
 pub const PAGE_SIZE: usize = 4096;
+
+/// Size of one sandbox line in bytes: the unit a seeded image is drawn in.
+pub const LINE_SIZE: usize = 64;
 
 /// Generated images of at most this many pages are stored as bytes: a
 /// one-page image has no untouched pages to skip, and drawing it once here
@@ -101,6 +105,34 @@ impl SeededImage {
         }
     }
 
+    /// Walks `basis` from this image's start state, for [`SeededImage::lines`].
+    pub fn walk_basis(&self, basis: &mut Basis) {
+        basis.walk(&self.start, self.len.div_ceil(LINE_SIZE));
+    }
+
+    /// Draws the image line by line from line `line` on, with one jump
+    /// through `basis` (walked for this image by
+    /// [`SeededImage::walk_basis`]).
+    pub fn lines<'a>(&'a self, basis: &Basis, line: usize) -> LineDraw<'a> {
+        let offset = line * LINE_SIZE;
+        let rng = if offset < self.len {
+            debug_assert!(
+                basis.line(0) == self.start,
+                "basis walked for another image"
+            );
+            basis.line(line)
+        } else {
+            self.start.clone()
+        };
+        let from = self.overrides.partition_point(|&(w, _)| w < offset / 8);
+        LineDraw {
+            len: self.len,
+            rng,
+            offset,
+            overrides: &self.overrides[from..],
+        }
+    }
+
     /// Writes image bytes `offset..offset + buf.len()` into `buf`; bytes
     /// past the end of the image read as zero. Costs one generator jump to
     /// `offset` plus one step per word read.
@@ -129,13 +161,47 @@ impl SeededImage {
     }
 }
 
+/// Consecutive lines of a [`SeededImage`], from [`SeededImage::lines`].
+#[derive(Debug)]
+pub struct LineDraw<'a> {
+    len: usize,
+    /// The generator at `offset`.
+    rng: Xoshiro256,
+    offset: usize,
+    /// The overrides at or past `offset`.
+    overrides: &'a [(usize, u64)],
+}
+
+impl LineDraw<'_> {
+    /// The next line's bytes; bytes past the end of the image read as zero.
+    pub fn next_line(&mut self) -> [u8; LINE_SIZE] {
+        let mut line = [0; LINE_SIZE];
+        let n = LINE_SIZE.min(self.len.saturating_sub(self.offset));
+        if n > 0 {
+            self.rng.fill_bytes(&mut line[..n]);
+            let end = (self.offset + n).div_ceil(8);
+            while let Some((&(word, value), rest)) = self.overrides.split_first() {
+                if word >= end {
+                    break;
+                }
+                let at = word * 8 - self.offset;
+                let k = (n - at).min(8);
+                line[at..at + k].copy_from_slice(&value.to_le_bytes()[..k]);
+                self.overrides = rest;
+            }
+        }
+        self.offset += LINE_SIZE;
+        line
+    }
+}
+
 /// A test input's sandbox image: plain bytes, or seeded and drawn on
 /// demand. Both forms of the same content are interchangeable everywhere.
 #[derive(Debug, Clone)]
 pub enum MemImage {
     /// The image bytes.
     Bytes(Vec<u8>),
-    /// A seeded image, materialised page by page by its consumers.
+    /// A seeded image, drawn line by line by the sandbox on first read.
     Seeded(SeededImage),
 }
 
@@ -485,6 +551,24 @@ mod tests {
             let mut past = vec![0xAA; PAGE_SIZE];
             image.read(len, &mut past);
             assert!(past.iter().all(|&b| b == 0), "past the end reads zero");
+            let mut basis = Basis::new();
+            image.walk_basis(&mut basis);
+            let lines = len / LINE_SIZE;
+            for first in [0, 7, 63, lines / 2, lines - 2]
+                .into_iter()
+                .filter(|&l| l + 2 <= lines)
+            {
+                let mut draw = image.lines(&basis, first);
+                for line in first..first + 2 {
+                    let at = line * LINE_SIZE;
+                    assert_eq!(
+                        draw.next_line()[..],
+                        expected[at..at + LINE_SIZE],
+                        "{pages} pages: line {line}"
+                    );
+                }
+            }
+            assert_eq!(image.lines(&basis, lines).next_line(), [0; LINE_SIZE]);
         }
     }
 

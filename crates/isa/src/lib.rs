@@ -38,7 +38,7 @@ pub mod semantics;
 
 pub use builder::ProgramBuilder;
 pub use decode::{DecodedInstr, DecodedProgram, Flow};
-pub use input::{MemImage, SeededImage, TestInput, PAGE_SIZE};
+pub use input::{LineDraw, MemImage, SeededImage, TestInput, LINE_SIZE, PAGE_SIZE};
 pub use instr::{AluOp, Cond, Instr, LoopKind, MemRef, Operand, UnOp};
 pub use parse::{parse_program, ParseProgramError};
 pub use program::{BasicBlock, BlockId, FlatProgram, Program, SharedProgram};

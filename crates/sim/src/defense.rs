@@ -140,10 +140,10 @@ impl SquashPlan {
 /// memory op through [`Defense::holds_load`] / [`Defense::holds_store`]
 /// instead of planning it. A hold may depend only on the op's `safe` and
 /// `tainted_addr` bits: the pipeline asks once when the op is ready, then
-/// leaves it parked and asks again only when one of those bits changes (it
-/// becomes safe, or an entry of the window untaints). A hold that read
-/// anything else — defense state, the cycle, how often it was asked — would
-/// never see its release.
+/// leaves it parked and asks again only when one of those bits may have
+/// changed (it becomes safe, or one of its producers untaints). A hold
+/// that read anything else — defense state, the cycle, how often it was
+/// asked — would never see its release.
 pub trait Defense: std::fmt::Debug + Send {
     /// Display name (used in reports and tables).
     fn name(&self) -> &'static str;

@@ -163,15 +163,24 @@ struct RobEntry {
     issued_unsafe_load: bool,
     needs_expose: bool,
     exposed: bool,
+    /// STT taint (taint-tracking defenses only): an unsafe access load, or
+    /// a consumer of a tainted producer. Set at dispatch and cleared by
+    /// `untaint`; a live entry never gains taint after dispatch.
     tainted: bool,
     /// While the defense holds this memory op (`Defense::holds_load`/
     /// `holds_store`), the `(safe, tainted_addr)` it was held on. A held op
     /// stays on `waiting` but `issue_stage` skips it until `on_safe` or an
-    /// untaint in `recompute_taint` releases it.
+    /// untaint of one of its producers releases it.
     held: Option<(bool, bool)>,
 }
 
 impl RobEntry {
+    /// An access load (or RMW) not yet safe: tainted by STT whatever its
+    /// producers.
+    fn unsafe_access_load(&self) -> bool {
+        self.safe_at.is_none() && self.mem.as_ref().is_some_and(|m| m.effect.reads())
+    }
+
     /// Unresolved conditional branches block younger safety, as do stores
     /// with unresolved addresses.
     fn blocks_safety(&self) -> bool {
@@ -242,6 +251,9 @@ pub struct UarchSnapshot {
 pub struct Simulator {
     cfg: SimConfig,
     defense: Box<dyn Defense>,
+    /// `defense.needs_taint()`: only then is taint tracked and are
+    /// producer → consumer edges recorded.
+    tracks_taint: bool,
     /// The memory system (public for harness prefill/flush hooks).
     pub mem: MemSys,
     bp: Gshare,
@@ -317,6 +329,16 @@ pub struct Simulator {
     stores: Vec<usize>,
     /// Ascending indices of every entry that reads memory (loads, RMWs).
     loads: Vec<usize>,
+    /// Per entry (when `tracks_taint`): its newest consumer edge in
+    /// `consumer_edges`, `NO_WAITER` if none. Unlike a waiter chain, an
+    /// edge outlives its consumer becoming ready, so an untaint reaches
+    /// every consumer.
+    first_consumer: Vec<usize>,
+    /// `(consumer, next edge of the same producer)`, recorded at dispatch.
+    consumer_edges: Vec<(usize, usize)>,
+    /// Reusable worklist of entries whose untaint still has to reach their
+    /// consumers.
+    untainted: Vec<usize>,
 }
 
 impl Simulator {
@@ -368,7 +390,11 @@ impl Simulator {
             safe_from: 0,
             stores: Vec::new(),
             loads: Vec::new(),
+            first_consumer: Vec::new(),
+            consumer_edges: Vec::new(),
+            untainted: Vec::new(),
             cfg,
+            tracks_taint: defense.needs_taint(),
             defense,
         }
     }
@@ -448,16 +474,20 @@ impl Simulator {
         self.safe_from = 0;
         self.stores.clear();
         self.loads.clear();
+        self.first_consumer.clear();
+        self.consumer_edges.clear();
     }
 
     /// Runs the loaded test case to completion (EXIT commit) or the cycle
     /// cap.
     ///
-    /// The stage order is tick → complete → safety/taint → issue → commit →
-    /// fetch, exactly as before event gating: the gated stages run on every
-    /// cycle where their outcome could differ from a no-op (see the
-    /// `stage_dirty`/`next_complete` field docs) and are skipped on provably
-    /// idle cycles — the bulk of every memory-latency wait.
+    /// The stage order is tick → complete → safety → issue → commit →
+    /// fetch, exactly as before event gating (taint changes only at
+    /// dispatch and, through `on_safe`, in the safety stage): the gated
+    /// stages run on every cycle where their outcome could differ from a
+    /// no-op (see the `stage_dirty`/`next_complete` field docs) and are
+    /// skipped on provably idle cycles — the bulk of every memory-latency
+    /// wait.
     ///
     /// With [`SimConfig::cycle_skip`] (the default) the loop is
     /// event-driven on top of that: when a cycle is provably inert it warps
@@ -479,9 +509,6 @@ impl Simulator {
             if self.stage_dirty {
                 self.stage_dirty = false;
                 self.update_safety();
-                if self.defense.needs_taint() {
-                    self.recompute_taint();
-                }
                 self.issue_stage();
             }
             self.commit_stage();
@@ -528,10 +555,35 @@ impl Simulator {
     ///   `tainted_addr` are still those the defense held it on — so, by the
     ///   `Defense` hold contract, the hold still stands. The defense is not
     ///   re-asked here: an ask on every cycle would be the very poll the hold
-    ///   replaces.
+    ///   replaces;
+    /// - on taint-tracking defenses, every live entry's `tainted` is what a
+    ///   walk of the window in age order computes: an unsafe access load, or
+    ///   a consumer of a tainted producer (a producer behind `commit_ptr`
+    ///   keeps the taint it committed with).
     #[cfg(debug_assertions)]
     fn check_invariants(&self) {
         let cycle = self.cycle;
+        if self.tracks_taint {
+            let mut walked = vec![false; self.rob.len() - self.commit_ptr];
+            for idx in self.commit_ptr..self.rob.len() {
+                let e = &self.rob[idx];
+                if e.squashed || e.committed {
+                    continue;
+                }
+                let producer_tainted = e.srcs.iter().any(|(_, src)| match src {
+                    SrcVal::Producer(p) if p >= self.commit_ptr => walked[p - self.commit_ptr],
+                    SrcVal::Producer(p) => self.rob[p].tainted,
+                    SrcVal::Ready(_) => false,
+                });
+                let tainted = producer_tainted || e.unsafe_access_load();
+                walked[idx - self.commit_ptr] = tainted;
+                assert_eq!(
+                    e.tainted, tainted,
+                    "cycle {cycle}: entry {idx} has taint {} where the window walk has {tainted}",
+                    e.tainted
+                );
+            }
+        }
         for idx in self.commit_ptr..self.rob.len() {
             let e = &self.rob[idx];
             if e.squashed || e.committed {
@@ -578,8 +630,8 @@ impl Simulator {
             }
             if let Some(held_on) = e.held {
                 let inputs = e.mem.as_ref().map(|m| {
-                    let tainted_addr = self.defense.needs_taint()
-                        && self.src_tainted(idx, m.effect.mem_ref().addr_regs());
+                    let tainted_addr =
+                        self.tracks_taint && self.src_tainted(idx, m.effect.mem_ref().addr_regs());
                     (e.safe_at.is_some(), tainted_addr)
                 });
                 assert!(
@@ -1090,6 +1142,10 @@ impl Simulator {
     fn on_safe(&mut self, idx: usize) {
         // Safety is a hold input: let the defense decide again.
         self.rob[idx].held = None;
+        // An access load's own taint ends at safety.
+        if self.rob[idx].tainted && !self.producer_tainted(idx) {
+            self.untaint(idx);
+        }
         let needs_expose = {
             let e = &self.rob[idx];
             e.needs_expose && !e.exposed && e.mem.as_ref().is_some_and(|m| m.issued)
@@ -1135,35 +1191,41 @@ impl Simulator {
         }
     }
 
-    /// Recomputes STT taint over the in-flight window. Any live entry that
-    /// untaints releases every held op: a hold reads `tainted_addr`.
-    fn recompute_taint(&mut self) {
-        let mut untainted = false;
-        for idx in self.commit_ptr..self.rob.len() {
-            if self.rob[idx].squashed || self.rob[idx].committed {
-                self.rob[idx].tainted = false;
-                continue;
-            }
-            let is_access_load = self.rob[idx].mem.as_ref().is_some_and(|m| m.effect.reads());
-            let mut tainted = is_access_load && self.rob[idx].safe_at.is_none();
-            if !tainted {
-                for (_, src) in self.rob[idx].srcs.iter() {
-                    if let SrcVal::Producer(p) = src {
-                        if self.rob[p].tainted {
-                            tainted = true;
-                            break;
-                        }
-                    }
+    /// Whether any producer of entry `idx` is tainted.
+    fn producer_tainted(&self, idx: usize) -> bool {
+        self.rob[idx]
+            .srcs
+            .iter()
+            .any(|(_, src)| matches!(src, SrcVal::Producer(p) if self.rob[p].tainted))
+    }
+
+    /// Clears the taint of entry `idx` and carries the untaint along its
+    /// consumer edges: a consumer untaints once none of its producers is
+    /// tainted and it is not an unsafe access load. Every live consumer of
+    /// an entry that untaints is released from its hold, whether or not
+    /// its own taint changes, because a hold reads its producers' taint
+    /// (`tainted_addr`).
+    fn untaint(&mut self, idx: usize) {
+        self.rob[idx].tainted = false;
+        let mut work = std::mem::take(&mut self.untainted);
+        work.push(idx);
+        while let Some(p) = work.pop() {
+            let mut edge = self.first_consumer[p];
+            while edge != NO_WAITER {
+                let (c, next) = self.consumer_edges[edge];
+                edge = next;
+                if self.rob[c].squashed {
+                    continue;
+                }
+                self.rob[c].held = None;
+                let e = &self.rob[c];
+                if e.tainted && !e.unsafe_access_load() && !self.producer_tainted(c) {
+                    self.rob[c].tainted = false;
+                    work.push(c);
                 }
             }
-            untainted |= self.rob[idx].tainted && !tainted;
-            self.rob[idx].tainted = tainted;
         }
-        if untainted {
-            for &idx in &self.waiting {
-                self.rob[idx].held = None;
-            }
-        }
+        self.untainted = work;
     }
 
     /// Collects ≤ 2 address-register indices into an inline buffer (a memory
@@ -1443,7 +1505,7 @@ impl Simulator {
             }
         };
         let safe = self.rob[idx].safe_at.is_some();
-        let tainted_addr = self.defense.needs_taint() && self.src_tainted(idx, mref.addr_regs());
+        let tainted_addr = self.tracks_taint && self.src_tainted(idx, mref.addr_regs());
 
         if reads {
             // ----- load / RMW-load path -----
@@ -2107,7 +2169,7 @@ impl Simulator {
             }
         }
 
-        let entry = RobEntry {
+        let mut entry = RobEntry {
             pc,
             instr,
             srcs,
@@ -2144,6 +2206,17 @@ impl Simulator {
             tainted: false,
             held: None,
         };
+        if self.tracks_taint {
+            self.first_consumer.push(NO_WAITER);
+            entry.tainted = entry.unsafe_access_load();
+            for (_, src) in entry.srcs.iter() {
+                if let SrcVal::Producer(p) = src {
+                    entry.tainted |= self.rob[p].tainted;
+                    self.consumer_edges.push((idx, self.first_consumer[p]));
+                    self.first_consumer[p] = self.consumer_edges.len() - 1;
+                }
+            }
+        }
         if let Some((r, _)) = decoded.writes {
             self.rename[r.index()] = Some(idx);
         }

@@ -29,6 +29,6 @@ pub use arrayvec::ArrayVec;
 pub use bitset::BitSet;
 pub use events::EventLog;
 pub use json::{json_string, parse_json, JsonObj, JsonValue};
-pub use rng::{mix64, residency_digest, SplitMix64, Xoshiro256};
+pub use rng::{mix64, residency_digest, Basis, SplitMix64, Xoshiro256};
 pub use stats::{fmt_duration_s, Summary};
 pub use taintset::{TaintPool, TaintSet};

@@ -314,6 +314,124 @@ fn jump(level: usize) -> &'static Jump {
     })
 }
 
+/// The characteristic polynomial `P(x) = x^256 + Σ p_j x^j` of the state
+/// transition, `p_j` in bit `j % 64` of word `j / 64`. By Cayley–Hamilton
+/// `P(T) = 0`, so `x^k mod P = Σ c_j x^j` gives `s_k = Σ c_j s_j`: any
+/// state of a stream is a GF(2) combination of its first 256. Derived
+/// offline by Berlekamp–Massey; `char_poly_annihilates_the_transition`
+/// pins it.
+const CHAR_POLY: [u64; 4] = [
+    0x9d11_6f2b_b0f0_f001,
+    0x0280_002b_cefd_1a5e,
+    0x04b4_edcf_2625_9f85,
+    0x0003_c03c_3f3e_cb19,
+];
+
+/// Outputs per 64-byte line of [`Xoshiro256::fill_bytes`].
+const LINE_WORDS: usize = 8;
+
+/// `x · c mod P` for a residue `c` of degree below 256.
+fn times_x(c: [u64; 4]) -> [u64; 4] {
+    let carry = c[3] >> 63;
+    let mut out = [
+        c[0] << 1,
+        c[1] << 1 | c[0] >> 63,
+        c[2] << 1 | c[1] >> 63,
+        c[3] << 1 | c[2] >> 63,
+    ];
+    if carry == 1 {
+        for (o, p) in out.iter_mut().zip(CHAR_POLY) {
+            *o ^= p;
+        }
+    }
+    out
+}
+
+/// The process-wide line table: entry `l` is `x^(8l) mod P`, the
+/// combination of a stream's first 256 states that is its state at line
+/// `l`. Grows, under its lock, to the longest image asked for (32 bytes a
+/// line: 256 KiB for a 128-page image); a caller keeps the `Arc` it got.
+fn line_table(lines: usize) -> std::sync::Arc<[[u64; 4]]> {
+    static TABLE: std::sync::Mutex<Option<std::sync::Arc<[[u64; 4]]>>> =
+        std::sync::Mutex::new(None);
+    // The one update is a single store of a whole table, so a poisoned
+    // lock still guards a valid table.
+    let mut table = TABLE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    if let Some(t) = table.as_ref().filter(|t| t.len() >= lines) {
+        return t.clone();
+    }
+    let mut polys = table
+        .as_deref()
+        .map_or_else(|| vec![[1, 0, 0, 0]], <[_]>::to_vec);
+    while polys.len() < lines {
+        let mut c = polys[polys.len() - 1];
+        for _ in 0..LINE_WORDS {
+            c = times_x(c);
+        }
+        polys.push(c);
+    }
+    let grown: std::sync::Arc<[[u64; 4]]> = polys.into();
+    *table = Some(grown.clone());
+    grown
+}
+
+/// A stream's first 256 states, from which its state at any 64-byte line
+/// of [`Xoshiro256::fill_bytes`] output is one XOR combination (see
+/// `CHAR_POLY`): walking the basis costs 256 steps once, and each line
+/// jump after that is at most 256 state XORs, against a ladder jump's rungs
+/// plus up to 504 single steps.
+#[derive(Debug, Clone, Default)]
+pub struct Basis {
+    /// `states[j]` is the start state after `j` steps (8 KiB once walked).
+    states: Vec<[u64; 4]>,
+    /// Line table covering every line the basis was walked for.
+    lines: Option<std::sync::Arc<[[u64; 4]]>>,
+}
+
+impl Basis {
+    /// An empty basis; it allocates on its first walk.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Walks the basis from `start`, for lines `0..lines` of its stream.
+    pub fn walk(&mut self, start: &Xoshiro256, lines: usize) {
+        self.states.resize(256, [0; 4]);
+        let mut s = start.s;
+        for state in &mut self.states {
+            *state = s;
+            step(&mut s);
+        }
+        if self.lines.as_ref().is_none_or(|t| t.len() < lines) {
+            self.lines = Some(line_table(lines));
+        }
+    }
+
+    /// The generator at line `line` of the walked stream: the start
+    /// advanced by `8 · line` outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the basis was not walked for `line`.
+    pub fn line(&self, line: usize) -> Xoshiro256 {
+        let table = self.lines.as_deref().expect("basis not walked");
+        let mut s = [0u64; 4];
+        for (w, &word) in table[line].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let state = &self.states[64 * w + bits.trailing_zeros() as usize];
+                for (o, x) in s.iter_mut().zip(state) {
+                    *o ^= x;
+                }
+                bits &= bits - 1;
+            }
+        }
+        Xoshiro256 { s }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,6 +467,58 @@ mod tests {
         parts.advance(2 * top);
         parts.advance(7);
         assert_eq!(once, parts);
+    }
+
+    #[test]
+    fn char_poly_annihilates_the_transition() {
+        let mut meta = Xoshiro256::seed_from_u64(0xC4A2);
+        for _ in 0..8 {
+            let mut s = [
+                meta.next_u64(),
+                meta.next_u64(),
+                meta.next_u64(),
+                meta.next_u64(),
+            ];
+            let mut sum = [0u64; 4];
+            for j in 0..256 {
+                if CHAR_POLY[j / 64] >> (j % 64) & 1 == 1 {
+                    for (o, x) in sum.iter_mut().zip(s) {
+                        *o ^= x;
+                    }
+                }
+                step(&mut s);
+            }
+            assert_eq!(sum, s, "s_256 = Σ p_j s_j");
+        }
+    }
+
+    #[test]
+    fn basis_lines_match_advance() {
+        let mut meta = Xoshiro256::seed_from_u64(0xBA515);
+        let lines_128p = 128 * 64;
+        let lines_256p = 256 * 64;
+        let random = meta.index(lines_256p);
+        let mut basis = Basis::new();
+        for round in 0..4 {
+            let start = meta.split();
+            basis.walk(
+                &start,
+                if round % 2 == 0 {
+                    lines_128p
+                } else {
+                    lines_256p
+                },
+            );
+            let mut wanted = vec![0, 1, 31, 32, 63, 64, random % lines_128p, lines_128p - 1];
+            if round % 2 == 1 {
+                wanted.extend([random, lines_256p - 1]);
+            }
+            for line in wanted {
+                let mut advanced = start.clone();
+                advanced.advance(8 * line as u64);
+                assert_eq!(basis.line(line), advanced, "round {round}, line {line}");
+            }
+        }
     }
 
     #[test]

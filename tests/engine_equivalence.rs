@@ -4,7 +4,7 @@
 //! violations could stem from semantic drift instead of speculation.
 //!
 //! Also the seeded-image differential: an input whose sandbox image is
-//! seeded (drawn page by page on demand) must be indistinguishable from its
+//! seeded (drawn line by line on demand) must be indistinguishable from its
 //! materialised byte copy to every consumer.
 
 use amulet::contracts::{ContractKind, LeakageModel};
