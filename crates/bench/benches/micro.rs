@@ -86,8 +86,8 @@ fn bench_generation() {
 
 /// Seeded sandbox images: the one-off build of the jump-ladder rungs a
 /// 128-page image uses (0–7), one rung application, the basis walk a load
-/// pays on its first line draw and one line jump through that basis, and
-/// drawing one page of a 128-page image against filling a page eagerly and
+/// pays on its first line draw, one line jump through that basis against
+/// the same jump along the ladder, and filling a page eagerly against
 /// copying it.
 fn bench_images() {
     let t0 = Instant::now();
@@ -101,6 +101,7 @@ fn bench_images() {
     time_fn("rng_advance_one_table", || {
         black_box(&mut rng).advance(black_box(1 << 16));
     });
+    let start = rng.clone();
     let image = SeededImage::draw(&mut rng, 128 * PAGE_SIZE);
     let mut basis = Basis::new();
     time_fn("basis_walk", || {
@@ -111,10 +112,13 @@ fn bench_images() {
         line = (line + 4099) % (128 * PAGE_SIZE / LINE_SIZE);
         black_box(basis.line(black_box(line)));
     });
-    let mut page = vec![0u8; PAGE_SIZE];
-    time_fn("seeded_page_draw_128p", || {
-        image.read(black_box(77 * PAGE_SIZE), &mut page);
+    time_fn("ladder_line_jump_128p", || {
+        line = (line + 4099) % (128 * PAGE_SIZE / LINE_SIZE);
+        let mut jumped = start.clone();
+        jumped.advance(black_box(8 * line as u64));
+        black_box(jumped);
     });
+    let mut page = vec![0u8; PAGE_SIZE];
     time_fn("eager_page_fill", || {
         rng.fill_bytes(black_box(&mut page));
     });

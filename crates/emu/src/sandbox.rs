@@ -166,7 +166,7 @@ impl Sandbox {
             self.basis_stale = false;
         }
         let size = self.data.len();
-        let mut lines = image.lines(&self.basis, first);
+        let mut lines = image.lines_from(&self.basis, first);
         for line in first..end {
             let drawn = lines.next_line();
             let bit = 1 << (line % PAGE_LINES);

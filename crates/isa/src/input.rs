@@ -105,25 +105,36 @@ impl SeededImage {
         }
     }
 
-    /// Walks `basis` from this image's start state, for [`SeededImage::lines`].
+    /// Walks `basis` from this image's start state, for
+    /// [`SeededImage::lines_from`].
     pub fn walk_basis(&self, basis: &mut Basis) {
         basis.walk(&self.start, self.len.div_ceil(LINE_SIZE));
+    }
+
+    /// Draws the image line by line from its first line.
+    pub fn lines(&self) -> LineDraw<'_> {
+        self.lines_at(self.start.clone(), 0)
     }
 
     /// Draws the image line by line from line `line` on, with one jump
     /// through `basis` (walked for this image by
     /// [`SeededImage::walk_basis`]).
-    pub fn lines<'a>(&'a self, basis: &Basis, line: usize) -> LineDraw<'a> {
+    pub fn lines_from<'a>(&'a self, basis: &Basis, line: usize) -> LineDraw<'a> {
+        if line * LINE_SIZE >= self.len {
+            // Past the end: every byte reads zero, no generator is stepped.
+            return self.lines_at(self.start.clone(), line);
+        }
+        debug_assert!(
+            basis.line(0) == self.start,
+            "basis walked for another image"
+        );
+        self.lines_at(basis.line(line), line)
+    }
+
+    /// Draws the image line by line from line `line` on; `rng` is the
+    /// image's generator advanced to that line.
+    fn lines_at(&self, rng: Xoshiro256, line: usize) -> LineDraw<'_> {
         let offset = line * LINE_SIZE;
-        let rng = if offset < self.len {
-            debug_assert!(
-                basis.line(0) == self.start,
-                "basis walked for another image"
-            );
-            basis.line(line)
-        } else {
-            self.start.clone()
-        };
         let from = self.overrides.partition_point(|&(w, _)| w < offset / 8);
         LineDraw {
             len: self.len,
@@ -132,36 +143,10 @@ impl SeededImage {
             overrides: &self.overrides[from..],
         }
     }
-
-    /// Writes image bytes `offset..offset + buf.len()` into `buf`; bytes
-    /// past the end of the image read as zero. Costs one generator jump to
-    /// `offset` plus one step per word read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset` is not a multiple of 8.
-    pub fn read(&self, offset: usize, buf: &mut [u8]) {
-        assert!(offset.is_multiple_of(8), "unaligned image read at {offset}");
-        let n = buf.len().min(self.len.saturating_sub(offset));
-        let (image, tail) = buf.split_at_mut(n);
-        tail.fill(0);
-        if n == 0 {
-            return;
-        }
-        let mut rng = self.start.clone();
-        rng.advance((offset / 8) as u64);
-        rng.fill_bytes(image);
-        let (first, end) = (offset / 8, (offset + n).div_ceil(8));
-        let from = self.overrides.partition_point(|&(w, _)| w < first);
-        for &(word, value) in self.overrides[from..].iter().take_while(|(w, _)| *w < end) {
-            let at = word * 8 - offset;
-            let k = (n - at).min(8);
-            image[at..at + k].copy_from_slice(&value.to_le_bytes()[..k]);
-        }
-    }
 }
 
-/// Consecutive lines of a [`SeededImage`], from [`SeededImage::lines`].
+/// Consecutive lines of a [`SeededImage`], from [`SeededImage::lines`] or
+/// [`SeededImage::lines_from`].
 #[derive(Debug)]
 pub struct LineDraw<'a> {
     len: usize,
@@ -352,7 +337,10 @@ impl TestInput {
             MemImage::Bytes(b) => Cow::Borrowed(b),
             MemImage::Seeded(s) => {
                 let mut bytes = vec![0; s.len()];
-                s.read(0, &mut bytes);
+                let mut lines = s.lines();
+                for chunk in bytes.chunks_mut(LINE_SIZE) {
+                    chunk.copy_from_slice(&lines.next_line()[..chunk.len()]);
+                }
                 Cow::Owned(bytes)
             }
         }
@@ -532,15 +520,11 @@ mod tests {
                 expected_overrides.push((w, v));
             }
             let expected = eager(&start, pages, &expected_overrides);
-            for page in 0..pages {
-                let mut buf = vec![0xAA; PAGE_SIZE];
-                image.read(page * PAGE_SIZE, &mut buf);
-                assert_eq!(
-                    buf[..],
-                    expected[page * PAGE_SIZE..(page + 1) * PAGE_SIZE],
-                    "{pages} pages: page {page}"
-                );
+            let mut draw = image.lines();
+            for (line, bytes) in expected.chunks(LINE_SIZE).enumerate() {
+                assert_eq!(draw.next_line()[..], *bytes, "{pages} pages: line {line}");
             }
+            assert_eq!(draw.next_line(), [0; LINE_SIZE], "past the end reads zero");
             for w in [0, 1, 511, 513, words - 1]
                 .into_iter()
                 .filter(|&w| w < words)
@@ -548,9 +532,6 @@ mod tests {
                 let bytes: [u8; 8] = expected[w * 8..w * 8 + 8].try_into().unwrap();
                 assert_eq!(image.word(w), u64::from_le_bytes(bytes), "word {w}");
             }
-            let mut past = vec![0xAA; PAGE_SIZE];
-            image.read(len, &mut past);
-            assert!(past.iter().all(|&b| b == 0), "past the end reads zero");
             let mut basis = Basis::new();
             image.walk_basis(&mut basis);
             let lines = len / LINE_SIZE;
@@ -558,7 +539,7 @@ mod tests {
                 .into_iter()
                 .filter(|&l| l + 2 <= lines)
             {
-                let mut draw = image.lines(&basis, first);
+                let mut draw = image.lines_from(&basis, first);
                 for line in first..first + 2 {
                     let at = line * LINE_SIZE;
                     assert_eq!(
@@ -568,7 +549,7 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(image.lines(&basis, lines).next_line(), [0; LINE_SIZE]);
+            assert_eq!(image.lines_from(&basis, lines).next_line(), [0; LINE_SIZE]);
         }
     }
 

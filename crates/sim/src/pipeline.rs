@@ -1191,6 +1191,25 @@ impl Simulator {
         }
     }
 
+    /// Records entry `idx`, being dispatched with sources `srcs`, as a
+    /// consumer of each of its producers, and returns its taint: it is an
+    /// access load (not safe at dispatch) or a consumer of a tainted
+    /// producer. Taint-tracking defenses only; kept out of line because
+    /// inlined into dispatch it slowed the defenses that never taint.
+    #[inline(never)]
+    fn link_consumer(&mut self, idx: usize, srcs: &SrcList, access_load: bool) -> bool {
+        self.first_consumer.push(NO_WAITER);
+        let mut tainted = access_load;
+        for (_, src) in srcs.iter() {
+            if let SrcVal::Producer(p) = src {
+                tainted |= self.rob[p].tainted;
+                self.consumer_edges.push((idx, self.first_consumer[p]));
+                self.first_consumer[p] = self.consumer_edges.len() - 1;
+            }
+        }
+        tainted
+    }
+
     /// Whether any producer of entry `idx` is tainted.
     fn producer_tainted(&self, idx: usize) -> bool {
         self.rob[idx]
@@ -1204,7 +1223,9 @@ impl Simulator {
     /// tainted and it is not an unsafe access load. Every live consumer of
     /// an entry that untaints is released from its hold, whether or not
     /// its own taint changes, because a hold reads its producers' taint
-    /// (`tainted_addr`).
+    /// (`tainted_addr`). Kept out of line: inlined into `on_safe`, it
+    /// slowed the safety stage of defenses that never taint.
+    #[inline(never)]
     fn untaint(&mut self, idx: usize) {
         self.rob[idx].tainted = false;
         let mut work = std::mem::take(&mut self.untainted);
@@ -2169,7 +2190,9 @@ impl Simulator {
             }
         }
 
-        let mut entry = RobEntry {
+        let tainted = self.tracks_taint
+            && self.link_consumer(idx, &srcs, decoded.mem.is_some_and(|m| m.reads()));
+        let entry = RobEntry {
             pc,
             instr,
             srcs,
@@ -2203,20 +2226,9 @@ impl Simulator {
             issued_unsafe_load: false,
             needs_expose: false,
             exposed: false,
-            tainted: false,
+            tainted,
             held: None,
         };
-        if self.tracks_taint {
-            self.first_consumer.push(NO_WAITER);
-            entry.tainted = entry.unsafe_access_load();
-            for (_, src) in entry.srcs.iter() {
-                if let SrcVal::Producer(p) = src {
-                    entry.tainted |= self.rob[p].tainted;
-                    self.consumer_edges.push((idx, self.first_consumer[p]));
-                    self.first_consumer[p] = self.consumer_edges.len() - 1;
-                }
-            }
-        }
         if let Some((r, _)) = decoded.writes {
             self.rename[r.index()] = Some(idx);
         }
