@@ -118,7 +118,7 @@ impl AdversarialPlan {
 /// Reconnects must not replay the same decision stream — a link that
 /// severs on its first send would then sever on *every* reconnect and no
 /// campaign could ever finish — so give each [`FaultyLink`] a distinct
-/// seed (e.g. `plan.with_seed(base ^ connection_counter)`).
+/// seed (e.g. `FaultPlan::hostile(base ^ connection_counter)`).
 #[derive(Debug, Clone, Copy)]
 pub struct FaultPlan {
     /// Seed of this link's decision stream.
@@ -159,12 +159,6 @@ impl FaultPlan {
             delay_per_mille: 60,
             delay: Duration::from_millis(1),
         }
-    }
-
-    /// The same probabilities under a different decision stream.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }
 

@@ -98,12 +98,6 @@ impl LeakageModel {
         self
     }
 
-    /// Sets the sandbox base address.
-    pub fn with_sandbox_base(mut self, base: u64) -> Self {
-        self.sandbox_base = base;
-        self
-    }
-
     /// Computes the contract trace for a test case.
     pub fn ctrace(&self, flat: &FlatProgram, input: &TestInput) -> CTrace {
         self.ctrace_with(flat, input, &mut ModelScratch::new())
@@ -181,22 +175,30 @@ impl LeakageModel {
     /// [`LeakageModel::relevant_labels`] cross-checked against the dense
     /// reference oracle on every speculative rollback and once at the end —
     /// the differential-test entry point (see `tests/taint_oracle.rs`).
+    /// Like the oracle, it exists only in builds with `debug_assertions`.
     ///
     /// # Panics
     ///
     /// Panics if the sparse engine and the dense oracle ever disagree.
+    #[cfg(debug_assertions)]
     pub fn relevant_labels_verified(&self, flat: &FlatProgram, input: &TestInput) -> BitSet {
         let engine = TaintEngine::new(self.taint_config(), input.mem_len()).with_dense_shadow();
         let mut scratch = ModelScratch::new();
-        self.relevant_labels_drive(flat, input, engine, &mut scratch)
+        let relevant = self
+            .relevant_labels_drive(flat, input, engine, &mut scratch)
             .0
-            .clone()
+            .clone();
+        scratch
+            .engine
+            .as_ref()
+            .expect("engine kept by the drive")
+            .verify_shadow();
+        relevant
     }
 
     fn taint_config(&self) -> TaintConfig {
         TaintConfig {
             observe_values: self.kind.observes_values(),
-            observe_store_values: false,
         }
     }
 
@@ -217,9 +219,6 @@ impl LeakageModel {
         let (machine, engine) = emu.into_parts();
         scratch.machine = Some(machine);
         let engine = engine.expect("taint engine attached above");
-        if engine.has_dense_shadow() {
-            engine.verify_shadow();
-        }
         scratch.relevant.clone_from(engine.relevant());
         scratch.engine = Some(engine);
         if self.kind.observes_values() {

@@ -213,18 +213,6 @@ pub fn boundary_row(
     }
 }
 
-/// Runs [`boundary_row`] for each requested defense, in the given order.
-pub fn boundary_table(
-    defenses: &[DefenseKind],
-    opts: &BoundaryConfig,
-    shard: ShardConfig,
-) -> Vec<BoundaryRow> {
-    defenses
-        .iter()
-        .map(|&d| boundary_row(d, opts, shard))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

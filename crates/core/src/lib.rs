@@ -69,9 +69,7 @@ pub mod shard;
 pub mod trace;
 
 pub use analyze::{classify, ViolationClass, ViolationFilter};
-pub use boundary::{
-    boundary_row, boundary_table, contract_config, BoundaryConfig, BoundaryRow, ContractVerdict,
-};
+pub use boundary::{boundary_row, contract_config, BoundaryConfig, BoundaryRow, ContractVerdict};
 pub use campaign::{
     Campaign, CampaignConfig, CampaignReport, SpecSource, UnitRuntime, ViolationDigest, STL_WINDOW,
 };

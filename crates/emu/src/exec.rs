@@ -469,9 +469,6 @@ impl<'p> Emulator<'p> {
             let off = wrapped.wrapping_sub(self.machine.sandbox.base());
             let engine = self.taint.as_mut().expect("checked above");
             engine.mark_relevant(at);
-            if engine.config().observe_store_values {
-                engine.mark_relevant(data_taint);
-            }
             engine.set_mem_taint_range(off, m.width.bytes(), data_taint);
         }
     }
@@ -656,7 +653,6 @@ mod tests {
         let engine = TaintEngine::new(
             TaintConfig {
                 observe_values: true,
-                ..TaintConfig::default()
             },
             input.mem_len(),
         );

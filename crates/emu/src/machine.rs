@@ -124,11 +124,6 @@ impl Machine {
         self.flags = cp.flags;
         self.pc = cp.pc;
     }
-
-    /// Drops journal history (memoised writes become permanent).
-    pub fn commit_journal(&mut self) {
-        self.journal.clear();
-    }
 }
 
 #[cfg(test)]

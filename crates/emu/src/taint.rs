@@ -34,8 +34,9 @@
 //! The original dense engine survives as [`dense::DenseTaintEngine`], a
 //! reference oracle: [`TaintEngine::with_dense_shadow`] mirrors every
 //! mutation into it and cross-checks on each restore, and
-//! [`TaintEngine::verify_shadow`] compares the complete state. Production
-//! paths never construct the shadow.
+//! [`TaintEngine::verify_shadow`] compares the complete state. Release
+//! builds do not compile it: the oracle, the shadow and every mirror exist
+//! only under `debug_assertions`.
 
 use amulet_util::BitSet;
 pub use amulet_util::{TaintPool, TaintSet};
@@ -46,9 +47,6 @@ pub use amulet_util::{TaintPool, TaintSet};
 pub struct TaintConfig {
     /// Loaded values are observed (ARCH-SEQ).
     pub observe_values: bool,
-    /// Stored values are observed (not used by the paper's contracts, but
-    /// available for extensions).
-    pub observe_store_values: bool,
 }
 
 /// One journalled word-taint write: `(word, previous set, previous stamp)`.
@@ -72,6 +70,7 @@ pub struct TaintEngine {
     relevant: BitSet,
     /// Reference oracle (tests only): the dense engine, mirrored write for
     /// write.
+    #[cfg(debug_assertions)]
     shadow: Option<Box<dense::DenseTaintEngine>>,
 }
 
@@ -82,6 +81,7 @@ pub struct TaintCheckpoint {
     mark: usize,
     reg: [TaintSet; 16],
     flags: TaintSet,
+    #[cfg(debug_assertions)]
     shadow: Option<Box<dense::DenseCheckpoint>>,
 }
 
@@ -101,6 +101,7 @@ impl TaintEngine {
             undo: Vec::new(),
             sandbox_size,
             relevant: BitSet::new(),
+            #[cfg(debug_assertions)]
             shadow: None,
         }
     }
@@ -137,6 +138,7 @@ impl TaintEngine {
         if self.pool.spilled_sets() > (1 << 15) {
             self.pool.clear();
         }
+        #[cfg(debug_assertions)]
         if let Some(shadow) = &mut self.shadow {
             **shadow = dense::DenseTaintEngine::new(sandbox_size);
         }
@@ -145,6 +147,7 @@ impl TaintEngine {
     /// Attaches the dense reference oracle: every mutation is mirrored into
     /// a [`dense::DenseTaintEngine`] and cross-checked on rollback. Test
     /// harness only — it restores the dense engine's O(sandbox) costs.
+    #[cfg(debug_assertions)]
     pub fn with_dense_shadow(mut self) -> Self {
         self.shadow = Some(Box::new(dense::DenseTaintEngine::new(self.sandbox_size)));
         self
@@ -153,11 +156,6 @@ impl TaintEngine {
     /// The observation configuration.
     pub fn config(&self) -> TaintConfig {
         self.cfg
-    }
-
-    /// `true` if the dense reference oracle is attached.
-    pub fn has_dense_shadow(&self) -> bool {
-        self.shadow.is_some()
     }
 
     /// The interned-set pool (label iteration for diagnostics/tests).
@@ -183,20 +181,18 @@ impl TaintEngine {
     /// Overwrites a register's taint.
     pub fn set_reg_taint(&mut self, reg_index: usize, taint: TaintSet) {
         self.reg[reg_index] = taint;
-        if self.shadow.is_some() {
-            let bits = self.to_bitset(&taint);
-            self.shadow_mut().set_reg_taint(reg_index, bits);
-        }
+        #[cfg(debug_assertions)]
+        self.mirror(taint, |shadow, bits| shadow.set_reg_taint(reg_index, bits));
     }
 
     /// Merges additional labels into a register's taint (for partial-width
     /// writes, where the old value survives in the high bits).
     pub fn merge_reg_taint(&mut self, reg_index: usize, taint: TaintSet) {
         self.reg[reg_index] = self.pool.union(self.reg[reg_index], taint);
-        if self.shadow.is_some() {
-            let bits = self.to_bitset(&taint);
-            self.shadow_mut().merge_reg_taint(reg_index, &bits);
-        }
+        #[cfg(debug_assertions)]
+        self.mirror(taint, |shadow, bits| {
+            shadow.merge_reg_taint(reg_index, &bits)
+        });
     }
 
     /// Taint of the FLAGS register.
@@ -207,10 +203,8 @@ impl TaintEngine {
     /// Overwrites the FLAGS taint.
     pub fn set_flags_taint(&mut self, taint: TaintSet) {
         self.flags = taint;
-        if self.shadow.is_some() {
-            let bits = self.to_bitset(&taint);
-            self.shadow_mut().set_flags_taint(bits);
-        }
+        #[cfg(debug_assertions)]
+        self.mirror(taint, |shadow, bits| shadow.set_flags_taint(bits));
     }
 
     fn word_of(&self, sandbox_off: u64) -> usize {
@@ -269,10 +263,10 @@ impl TaintEngine {
                 self.write_word(w, merged);
             }
         }
-        if self.shadow.is_some() {
-            let bits = self.to_bitset(&taint);
-            self.shadow_mut().set_mem_taint_range(off, len, &bits);
-        }
+        #[cfg(debug_assertions)]
+        self.mirror(taint, |shadow, bits| {
+            shadow.set_mem_taint_range(off, len, &bits)
+        });
     }
 
     /// Marks labels as reaching a contract observation.
@@ -286,10 +280,8 @@ impl TaintEngine {
         for &label in pool.labels(&taint) {
             relevant.insert(label as usize);
         }
-        if self.shadow.is_some() {
-            let bits = self.to_bitset(&taint);
-            self.shadow_mut().mark_relevant(&bits);
-        }
+        #[cfg(debug_assertions)]
+        self.mirror(taint, |shadow, bits| shadow.mark_relevant(&bits));
     }
 
     /// Labels that reached observations so far.
@@ -305,6 +297,7 @@ impl TaintEngine {
             mark: self.undo.len(),
             reg: self.reg,
             flags: self.flags,
+            #[cfg(debug_assertions)]
             shadow: self.shadow.as_ref().map(|s| Box::new(s.checkpoint())),
         }
     }
@@ -328,14 +321,18 @@ impl TaintEngine {
         }
         self.reg = cp.reg;
         self.flags = cp.flags;
-        if let (Some(shadow), Some(dense_cp)) = (self.shadow.as_mut(), cp.shadow.as_ref()) {
-            shadow.restore(dense_cp);
+        #[cfg(debug_assertions)]
+        {
+            if let (Some(shadow), Some(dense_cp)) = (self.shadow.as_mut(), cp.shadow.as_ref()) {
+                shadow.restore(dense_cp);
+            }
+            self.assert_shadow_regs_agree();
         }
-        self.assert_shadow_regs_agree();
     }
 
-    /// Converts a sparse set to a dense bitset (oracle mirroring and tests).
-    pub fn to_bitset(&self, taint: &TaintSet) -> BitSet {
+    /// Converts a sparse set to a dense bitset (oracle mirroring).
+    #[cfg(debug_assertions)]
+    fn to_bitset(&self, taint: &TaintSet) -> BitSet {
         self.pool
             .labels(taint)
             .iter()
@@ -343,12 +340,23 @@ impl TaintEngine {
             .collect()
     }
 
-    fn shadow_mut(&mut self) -> &mut dense::DenseTaintEngine {
-        self.shadow.as_mut().expect("shadow checked by caller")
+    /// Applies one mutation to the dense shadow, if one is attached, with
+    /// `taint` converted to a bitset.
+    #[cfg(debug_assertions)]
+    fn mirror(
+        &mut self,
+        taint: TaintSet,
+        apply: impl FnOnce(&mut dense::DenseTaintEngine, BitSet),
+    ) {
+        if let Some(shadow) = self.shadow.as_deref_mut() {
+            let bits = self.pool.labels(&taint).iter().map(|&l| l as usize);
+            apply(shadow, bits.collect());
+        }
     }
 
     /// Cheap per-restore oracle check: registers, flags and the relevant set
     /// must agree with the dense shadow. No-op without a shadow.
+    #[cfg(debug_assertions)]
     fn assert_shadow_regs_agree(&self) {
         let Some(shadow) = &self.shadow else { return };
         for i in 0..16 {
@@ -376,6 +384,7 @@ impl TaintEngine {
     /// # Panics
     ///
     /// Panics on any divergence, or if no shadow is attached.
+    #[cfg(debug_assertions)]
     pub fn verify_shadow(&self) {
         let shadow = self
             .shadow
@@ -392,6 +401,7 @@ impl TaintEngine {
     }
 }
 
+#[cfg(debug_assertions)]
 pub mod dense {
     //! The original dense taint engine, retained as a reference oracle.
     //!
@@ -658,6 +668,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     fn shadow_oracle_agrees_on_a_mixed_workload() {
         let mut t = TaintEngine::new(TaintConfig::default(), 4096).with_dense_shadow();
         t.set_mem_taint_range(0, 8, TaintSet::singleton(3));

@@ -356,11 +356,6 @@ impl TestInput {
         16 + self.mem.len() / 8
     }
 
-    /// The taint label of a register.
-    pub fn reg_label(reg: Gpr) -> usize {
-        reg.index()
-    }
-
     /// The taint label of the memory word containing sandbox offset `off`.
     pub fn mem_label(&self, off: u64) -> usize {
         16 + (off as usize % self.mem.len()) / 8

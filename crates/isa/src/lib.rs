@@ -27,7 +27,6 @@
 //! assert_eq!(program.flatten().instrs.len(), 3);
 //! ```
 
-pub mod builder;
 pub mod decode;
 pub mod input;
 pub mod instr;
@@ -36,7 +35,6 @@ pub mod program;
 pub mod reg;
 pub mod semantics;
 
-pub use builder::ProgramBuilder;
 pub use decode::{DecodedInstr, DecodedProgram, Flow};
 pub use input::{LineDraw, MemImage, SeededImage, TestInput, LINE_SIZE, PAGE_SIZE};
 pub use instr::{AluOp, Cond, Instr, LoopKind, MemRef, Operand, UnOp};

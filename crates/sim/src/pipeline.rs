@@ -404,11 +404,6 @@ impl Simulator {
         &self.cfg
     }
 
-    /// The defense under test.
-    pub fn defense_name(&self) -> &'static str {
-        self.defense.name()
-    }
-
     /// Loads a (program, input) pair: resets architectural and transient
     /// pipeline state. Caches and predictors are *preserved* (AMuLeT-Opt
     /// semantics, §3.2); the harness resets them explicitly when needed.
@@ -807,11 +802,6 @@ impl Simulator {
     /// event construction from the hot path; see [`crate::debuglog`]).
     pub fn set_log_mode(&mut self, mode: LogMode) {
         self.log.set_mode(mode);
-    }
-
-    /// The current logging mode.
-    pub fn log_mode(&self) -> LogMode {
-        self.log.mode()
     }
 
     /// A streaming 64-bit digest of the current µarch trace in the selected

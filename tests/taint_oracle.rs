@@ -20,8 +20,10 @@ use amulet::util::Xoshiro256;
 /// and checkpoint/restore round-trips identically — across all contract
 /// kinds and sandbox sizes. Also pins the scratch-reuse path
 /// (`relevant_labels_with`) to the fresh-engine path: a stale reset would
-/// show up as a divergence between the two.
+/// show up as a divergence between the two. The oracle exists only in
+/// builds with `debug_assertions`, so this test does too.
 #[test]
+#[cfg(debug_assertions)]
 fn sparse_engine_matches_dense_oracle_across_contracts_and_pages() {
     for pages in [1usize, 8, 128] {
         // Fewer iterations at 128 pages: the dense oracle is O(sandbox) per
