@@ -172,11 +172,8 @@ fn cycle_loop_arm(
             }
             samples.push(t0.elapsed().as_secs_f64());
         }
-        samples.sort_by(f64::total_cmp);
-        let secs = samples[2];
-        let case_rate = cases as f64 / secs;
-        let (q1, q3) = (cases as f64 / samples[3], cases as f64 / samples[1]);
-        let cycle_rate = sim_cycles as f64 / secs;
+        let (case_rate, q1, q3) = pass_rates(cases, &mut samples);
+        let cycle_rate = sim_cycles as f64 / samples[2];
         let warp_ratio = warped_cycles as f64 / sim_cycles.max(1) as f64;
         println!(
             "cycle loop ({label:>20}): {case_rate:>9.0} [{q1:.0}, {q3:.0}] cases/s  {cycle_rate:>11.0} sim-cycles/s  {sim_cycles} sim-cycles  warp ratio {warp_ratio:.3}"
@@ -188,11 +185,21 @@ fn cycle_loop_arm(
     }
 }
 
+/// The rate of `work` units per second at the median of 5 timed passes
+/// (`samples`, in seconds; sorted in place) and at its two quartile passes:
+/// `(median, q1, q3)`, q1 the slower.
+fn pass_rates(work: usize, samples: &mut [f64]) -> (f64, f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    let rate = |secs: f64| work as f64 / secs;
+    (rate(samples[2]), rate(samples[3]), rate(samples[1]))
+}
+
 /// Taint-engine microbench: `relevant_labels` calls/sec over a fixed-seed
 /// workload of generated programs at 1/8/128 sandbox pages, under ARCH-SEQ
 /// (the value-observing contract STT campaigns boost with — the worst case
 /// for the taint engine, since every loaded value's taint reaches
-/// `mark_relevant`). Median of 5 passes.
+/// `mark_relevant`). Median of 5 passes, and the pass rates at the
+/// quartiles.
 fn taint_microbench(json: &mut String) {
     for pages in [1usize, 8, 128] {
         let model = LeakageModel::new(ContractKind::ArchSeq);
@@ -224,13 +231,13 @@ fn taint_microbench(json: &mut String) {
             }
             samples.push(t0.elapsed().as_secs_f64());
         }
-        samples.sort_by(f64::total_cmp);
-        let calls = reps * workload.len();
-        let rate = calls as f64 / samples[2];
-        println!("taint relevant_labels ({pages:>3} pages): {rate:>9.0} calls/s");
+        let (rate, q1, q3) = pass_rates(reps * workload.len(), &mut samples);
+        println!(
+            "taint relevant_labels ({pages:>3} pages): {rate:>9.0} [{q1:.0}, {q3:.0}] calls/s"
+        );
         let _ = writeln!(
             json,
-            "{{\"bench\":\"throughput\",\"kind\":\"taint\",\"name\":\"relevant_labels\",\"contract\":\"ARCH-SEQ\",\"pages\":{pages},\"calls_per_sec\":{rate:.1}}}"
+            "{{\"bench\":\"throughput\",\"kind\":\"taint\",\"name\":\"relevant_labels\",\"contract\":\"ARCH-SEQ\",\"pages\":{pages},\"calls_per_sec\":{rate:.1},\"calls_per_sec_q1\":{q1:.1},\"calls_per_sec_q3\":{q3:.1}}}"
         );
     }
 }

@@ -53,7 +53,8 @@ pub mod worker;
 
 use amulet_contracts::ContractKind;
 use amulet_core::{
-    boundary_row, BoundaryConfig, Campaign, CampaignConfig, CampaignReport, ShardConfig, SpecSource,
+    boundary_row, Campaign, CampaignConfig, CampaignReport, CampaignSpec, ShardConfig, SpecSource,
+    DEFAULT_SEED,
 };
 use amulet_defenses::DefenseKind;
 
@@ -402,23 +403,6 @@ impl JsonSink {
     }
 }
 
-/// Shape options shared by `campaign` and `matrix`.
-fn shape_config(
-    defense: DefenseKind,
-    contract: ContractKind,
-    scale: Option<f64>,
-    seed: Option<u64>,
-) -> CampaignConfig {
-    let mut cfg = match scale {
-        Some(s) => CampaignConfig::paper_scaled(defense, contract, s),
-        None => CampaignConfig::quick(defense, contract),
-    };
-    if let Some(seed) = seed {
-        cfg.seed = seed;
-    }
-    cfg
-}
-
 /// The campaign-identity flags shared by `campaign`, `drive` and `worker` —
 /// everything that determines the deterministic case stream (and therefore
 /// the fingerprint), parsed once and reproducible as a worker command line.
@@ -441,7 +425,8 @@ pub struct ShapeOptions {
 }
 
 impl ShapeOptions {
-    /// Consumes the shape flags from `args`.
+    /// Consumes the shape flags from `args`, rejecting a shape the
+    /// resolver refuses (a `--scale` that is not finite and positive).
     pub fn parse(args: &mut Args) -> Result<Self, String> {
         Ok(ShapeOptions {
             defense: match args.value("--defense")? {
@@ -452,42 +437,70 @@ impl ShapeOptions {
                 Some(name) => parse_contract(&name)?,
                 None => ContractKind::CtSeq,
             },
-            scale: args.parsed::<f64>("--scale")?,
-            seed: args.parsed::<u64>("--seed")?,
             find_first: args.flag("--find-first"),
             source: match args.value("--source")? {
                 Some(name) => parse_source(&name)?,
                 None => SpecSource::Pht,
             },
-            no_cycle_skip: args.flag("--no-cycle-skip"),
+            ..ShapeOptions::parse_template(args)?
         })
     }
 
-    /// The campaign configuration these flags select.
+    /// Consumes `--scale`, `--seed` and `--no-cycle-skip` into a Baseline ×
+    /// CT-SEQ × PHT template that `matrix` and `boundary` vary. Only the
+    /// scale can fail to resolve, so every shape built on it resolves.
+    fn parse_template(args: &mut Args) -> Result<Self, String> {
+        let template = ShapeOptions {
+            defense: DefenseKind::Baseline,
+            contract: ContractKind::CtSeq,
+            scale: args.parsed::<f64>("--scale")?,
+            seed: args.parsed::<u64>("--seed")?,
+            find_first: false,
+            source: SpecSource::Pht,
+            no_cycle_skip: args.flag("--no-cycle-skip"),
+        };
+        template.spec(1).resolve()?;
+        Ok(template)
+    }
+
+    /// These flags as a campaign spec with `batch_programs`-program
+    /// batches — the request `submit` sends, and the one form every entry
+    /// point resolves into a [`CampaignConfig`]. The batch size shapes only
+    /// the batch plan, never the resolved config.
+    pub fn spec(&self, batch_programs: usize) -> CampaignSpec {
+        CampaignSpec {
+            defense: self.defense.name().to_string(),
+            contract: self.contract.name().to_string(),
+            source: self.source.name().to_string(),
+            seed: self.seed.unwrap_or(DEFAULT_SEED),
+            scale: self.scale,
+            find_first: self.find_first,
+            batch_programs,
+            cycle_skip: !self.no_cycle_skip,
+        }
+    }
+
+    /// The campaign configuration these flags select. Panics on a shape
+    /// [`ShapeOptions::parse`] would have rejected.
     pub fn config(&self) -> CampaignConfig {
-        let mut cfg = shape_config(self.defense, self.contract, self.scale, self.seed)
-            .with_source(self.source);
-        cfg.stop_on_first = self.find_first;
-        cfg.sim.cycle_skip = !self.no_cycle_skip;
-        cfg
+        self.spec(1)
+            .resolve()
+            .unwrap_or_else(|e| panic!("invalid campaign shape: {e}"))
     }
 
     /// The argument vector reproducing these flags on an `amulet worker`
     /// command line — how `drive` guarantees its workers resolve the exact
     /// campaign it will fingerprint (double-checked by the hello handshake).
     pub fn worker_argv(&self) -> Vec<String> {
-        let cfg = self.config();
         let mut argv = vec![
             "--defense".into(),
             self.defense.name().into(),
             "--contract".into(),
             self.contract.name().into(),
             "--seed".into(),
-            cfg.seed.to_string(),
+            self.seed.unwrap_or(DEFAULT_SEED).to_string(),
         ];
-        if let Some(scale) = self.scale {
-            argv.push(format!("--scale={scale}"));
-        }
+        argv.extend(self.scale.map(|scale| format!("--scale={scale}")));
         if self.find_first {
             argv.push("--find-first".into());
         }
@@ -557,8 +570,7 @@ pub(crate) fn print_report(report: &CampaignReport) {
 /// `amulet matrix`.
 fn cmd_matrix(mut args: Args) -> Result<(), String> {
     let _quick = args.flag("--quick"); // the default shape, accepted for symmetry
-    let scale = args.parsed::<f64>("--scale")?;
-    let seed = args.parsed::<u64>("--seed")?;
+    let template = ShapeOptions::parse_template(&mut args)?;
     let defenses = parse_list(args.value("--defenses")?, parse_defense, &DefenseKind::ALL)?;
     let contracts = parse_list(
         args.value("--contracts")?,
@@ -566,7 +578,6 @@ fn cmd_matrix(mut args: Args) -> Result<(), String> {
         &ContractKind::ALL,
     )?;
     let sources = parse_list(args.value("--sources")?, parse_source, &[SpecSource::Pht])?;
-    let no_cycle_skip = args.flag("--no-cycle-skip");
     let shard = shard_options(&mut args)?;
     let mut sink = JsonSink::open(args.value("--json")?)?;
     args.finish()?;
@@ -577,7 +588,7 @@ fn cmd_matrix(mut args: Args) -> Result<(), String> {
         defenses.len(),
         contracts.len(),
         sources.len(),
-        if scale.is_some() {
+        if template.scale.is_some() {
             "paper-scaled"
         } else {
             "quick"
@@ -587,9 +598,13 @@ fn cmd_matrix(mut args: Args) -> Result<(), String> {
     for &source in &sources {
         for &defense in &defenses {
             for &contract in &contracts {
-                let mut cfg = shape_config(defense, contract, scale, seed).with_source(source);
-                cfg.sim.cycle_skip = !no_cycle_skip;
-                let report = Campaign::new(cfg).run_sharded(shard);
+                let cell = ShapeOptions {
+                    defense,
+                    contract,
+                    source,
+                    ..template.clone()
+                };
+                let report = Campaign::new(cell.config()).run_sharded(shard);
                 println!("{}", report.summary_row());
                 sink.line(&report_json(
                     &report,
@@ -608,32 +623,32 @@ fn cmd_matrix(mut args: Args) -> Result<(), String> {
 /// defense and the deterministic JSONL table behind `--json`.
 fn cmd_boundary(mut args: Args) -> Result<(), String> {
     let defenses = parse_list(args.value("--defenses")?, parse_defense, &DefenseKind::ALL)?;
-    let source = match args.value("--source")? {
-        Some(name) => parse_source(&name)?,
-        None => SpecSource::Pht,
+    // The probe template; `boundary_row` replaces the contract per probe.
+    let template = ShapeOptions {
+        source: match args.value("--source")? {
+            Some(name) => parse_source(&name)?,
+            None => SpecSource::Pht,
+        },
+        ..ShapeOptions::parse_template(&mut args)?
     };
-    let scale = args.parsed::<f64>("--scale")?;
-    let seed = args.parsed::<u64>("--seed")?;
-    let no_cycle_skip = args.flag("--no-cycle-skip");
     let shard = shard_options(&mut args)?;
     let mut sink = JsonSink::open(args.value("--json")?)?;
     args.finish()?;
 
-    let opts = BoundaryConfig {
-        source,
-        scale,
-        seed,
-        cycle_skip: !no_cycle_skip,
-    };
     eprintln!(
-        "boundary: {} defenses × {} contracts (by strength), source {source}, {} workers",
+        "boundary: {} defenses × {} contracts (by strength), source {}, {} workers",
         defenses.len(),
         ContractKind::BY_STRENGTH.len(),
+        template.source,
         shard.resolved_workers(),
     );
     let fmt = |c: Option<ContractKind>| c.map(ContractKind::name).unwrap_or("-");
     for &defense in &defenses {
-        let row = boundary_row(defense, &opts, shard);
+        let probe = ShapeOptions {
+            defense,
+            ..template.clone()
+        };
+        let row = boundary_row(&probe.spec(shard.batch_programs), shard.workers)?;
         println!(
             "{:<20} strongest satisfied: {:<8} weakest violated: {:<8} {:#018x}",
             defense.name(),
@@ -812,6 +827,63 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.starts_with('{') && json.ends_with('}'));
+    }
+
+    fn parse_shape<S: AsRef<str>>(argv: &[S]) -> Result<ShapeOptions, String> {
+        let raw: Vec<String> = argv.iter().map(|s| s.as_ref().to_string()).collect();
+        let mut args = Args::new(&raw);
+        let shape = ShapeOptions::parse(&mut args)?;
+        args.finish()?;
+        Ok(shape)
+    }
+
+    #[test]
+    fn shape_parse_rejects_scales_the_resolver_rejects() {
+        for bad in ["0", "-1", "nan", "inf"] {
+            let err = parse_shape(&["--scale", bad]).unwrap_err();
+            assert!(
+                err.contains("scale must be finite and positive"),
+                "{bad}: {err}"
+            );
+        }
+        let shape = parse_shape(&["--scale", "0.25"]).unwrap();
+        assert_eq!(shape.scale, Some(0.25));
+        assert_eq!(shape.config().instances, 25);
+    }
+
+    #[test]
+    fn worker_argv_reproduces_the_campaign_identity() {
+        for argv in [
+            &[][..],
+            &["--find-first"],
+            &["--source", "stl"],
+            &["--scale", "0.25"],
+            &["--seed", "18446744073709551615"],
+            &["--no-cycle-skip"],
+            &[
+                "--defense",
+                "cleanupspec",
+                "--contract",
+                "arch-seq",
+                "--find-first",
+                "--source",
+                "STL",
+                "--scale",
+                "0.3",
+                "--seed",
+                "7",
+                "--no-cycle-skip",
+            ],
+        ] {
+            let shape = parse_shape(argv).unwrap();
+            let worker_argv = shape.worker_argv();
+            let worker = parse_shape(&worker_argv).unwrap();
+            assert_eq!(
+                worker.spec(4).cache_key(),
+                shape.spec(4).cache_key(),
+                "{argv:?} -> {worker_argv:?}"
+            );
+        }
     }
 
     #[test]

@@ -817,17 +817,7 @@ pub(crate) fn cmd_submit(mut args: Args) -> Result<(), String> {
     let mut sink = JsonSink::open(args.value("--json")?)?;
     args.finish()?;
 
-    let cfg = shape.config();
-    let spec = CampaignSpec {
-        defense: shape.defense.name().to_string(),
-        contract: shape.contract.name().to_string(),
-        source: shape.source.name().to_string(),
-        seed: cfg.seed,
-        scale: shape.scale,
-        find_first: shape.find_first,
-        batch_programs: batch,
-        cycle_skip: !shape.no_cycle_skip,
-    };
+    let spec = shape.spec(batch);
     // Deterministic jitter, decorrelated across campaigns by the seed.
     let mut rng = Xoshiro256::seed_from_u64(spec.seed ^ 0x5355_424d_4954_5232);
     let deadline = Instant::now() + timeout;

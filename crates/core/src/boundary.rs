@@ -10,9 +10,10 @@
 //! the defense leaks beyond CT-SEQ is sanctioned by the weakest violated
 //! contract's successor.
 //!
-//! Each per-contract probe is an ordinary [`Campaign`] — built by
-//! [`contract_config`] exactly as `amulet campaign` would build it from the
-//! same flags, so the boundary table composes standalone campaigns by
+//! Each per-contract probe is an ordinary [`Campaign`], resolved by
+//! [`CampaignSpec::resolve`] from the caller's probe spec with only the
+//! contract replaced — the same resolver every CLI entry point and the
+//! service use — so the boundary table composes standalone campaigns by
 //! construction: the per-contract fingerprints in a [`BoundaryRow`] equal
 //! the fingerprints of the individual campaigns (asserted by
 //! `tests/contract_hierarchy.rs`). Rows carry no wall-clock quantities, so
@@ -22,72 +23,31 @@
 //! # Examples
 //!
 //! ```no_run
-//! use amulet_core::boundary::{boundary_row, BoundaryConfig};
-//! use amulet_defenses::DefenseKind;
-//! use amulet_core::ShardConfig;
+//! use amulet_core::boundary::boundary_row;
+//! use amulet_core::{CampaignSpec, DEFAULT_SEED};
 //!
-//! let row = boundary_row(
-//!     DefenseKind::Baseline,
-//!     &BoundaryConfig::default(),
-//!     ShardConfig::default(),
-//! );
+//! let probe = CampaignSpec {
+//!     defense: "Baseline".into(),
+//!     contract: "CT-SEQ".into(),
+//!     source: "PHT".into(),
+//!     seed: DEFAULT_SEED,
+//!     scale: None,
+//!     find_first: false,
+//!     batch_programs: 4,
+//!     cycle_skip: true,
+//! };
+//! let row = boundary_row(&probe, 0).unwrap();
 //! println!("{}", row.to_json());
 //! ```
 
 use crate::analyze::ViolationClass;
-use crate::campaign::{Campaign, CampaignConfig, Fnv1a, SpecSource};
+use crate::campaign::{Campaign, Fnv1a, SpecSource};
+use crate::proto::CampaignSpec;
 use crate::shard::ShardConfig;
 use amulet_contracts::ContractKind;
 use amulet_defenses::DefenseKind;
 use amulet_util::json::JsonObj;
 use std::collections::BTreeMap;
-
-/// The campaign-shape knobs a boundary search shares across its
-/// per-contract probes — everything except the contract itself.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundaryConfig {
-    /// Speculation source the probes test (default: PHT).
-    pub source: SpecSource,
-    /// Paper-scaled shape at this scale (`None` = the quick shape).
-    pub scale: Option<f64>,
-    /// Campaign seed override (`None` = the shape's default seed).
-    pub seed: Option<u64>,
-    /// Event-driven time-warp scheduler (results are bit-identical either
-    /// way; off only costs time).
-    pub cycle_skip: bool,
-}
-
-impl Default for BoundaryConfig {
-    fn default() -> Self {
-        BoundaryConfig {
-            source: SpecSource::Pht,
-            scale: None,
-            seed: None,
-            cycle_skip: true,
-        }
-    }
-}
-
-/// The campaign configuration one boundary probe runs — byte-identical to
-/// what `amulet campaign --defense D --contract C [--source S] [--scale X]
-/// [--seed N]` resolves, which is what makes the boundary table equal to
-/// composing standalone campaigns.
-pub fn contract_config(
-    defense: DefenseKind,
-    contract: ContractKind,
-    opts: &BoundaryConfig,
-) -> CampaignConfig {
-    let mut cfg = match opts.scale {
-        Some(s) => CampaignConfig::paper_scaled(defense, contract, s),
-        None => CampaignConfig::quick(defense, contract),
-    };
-    if let Some(seed) = opts.seed {
-        cfg.seed = seed;
-    }
-    let mut cfg = cfg.with_source(opts.source);
-    cfg.sim.cycle_skip = opts.cycle_skip;
-    cfg
-}
 
 /// One probe's outcome: did the defense violate this contract, with what,
 /// and under which campaign fingerprint?
@@ -187,53 +147,42 @@ impl BoundaryRow {
     }
 }
 
-/// Runs the boundary search for one defense: one sharded campaign per
-/// contract in [`ContractKind::BY_STRENGTH`] order.
-pub fn boundary_row(
-    defense: DefenseKind,
-    opts: &BoundaryConfig,
-    shard: ShardConfig,
-) -> BoundaryRow {
-    let verdicts = ContractKind::BY_STRENGTH
-        .iter()
-        .map(|&contract| {
-            let report = Campaign::new(contract_config(defense, contract, opts)).run_sharded(shard);
-            ContractVerdict {
-                contract,
-                violated: report.violation_found(),
-                classes: report.unique_classes(),
-                fingerprint: report.fingerprint(),
-            }
-        })
-        .collect();
-    BoundaryRow {
-        defense,
-        source: opts.source,
-        verdicts,
+/// Runs the boundary search for `probe`'s defense: one sharded campaign
+/// per contract in [`ContractKind::BY_STRENGTH`] order, each `probe` with
+/// its contract replaced, over `workers` threads (`0` = all hardware
+/// threads) in `probe.batch_programs`-program batches. Fails with the
+/// resolver's message when `probe` does not resolve.
+pub fn boundary_row(probe: &CampaignSpec, workers: usize) -> Result<BoundaryRow, String> {
+    let base = probe.resolve()?;
+    let shard = ShardConfig {
+        workers,
+        batch_programs: probe.batch_programs,
+    };
+    let mut verdicts = Vec::with_capacity(ContractKind::BY_STRENGTH.len());
+    for contract in ContractKind::BY_STRENGTH {
+        let cfg = CampaignSpec {
+            contract: contract.name().to_string(),
+            ..probe.clone()
+        }
+        .resolve()?;
+        let report = Campaign::new(cfg).run_sharded(shard);
+        verdicts.push(ContractVerdict {
+            contract,
+            violated: report.violation_found(),
+            classes: report.unique_classes(),
+            fingerprint: report.fingerprint(),
+        });
     }
+    Ok(BoundaryRow {
+        defense: base.defense,
+        source: base.source,
+        verdicts,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn contract_config_matches_the_standalone_campaign_shape() {
-        let opts = BoundaryConfig {
-            source: SpecSource::Stl,
-            scale: None,
-            seed: Some(99),
-            cycle_skip: true,
-        };
-        let cfg = contract_config(DefenseKind::Baseline, ContractKind::CtSeq, &opts);
-        let mut want = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-        want.seed = 99;
-        let want = want.with_source(SpecSource::Stl);
-        assert_eq!(cfg.seed, want.seed);
-        assert_eq!(cfg.source, want.source);
-        assert_eq!(cfg.sim, want.sim);
-        assert_eq!(cfg.generator.stl_gadgets, want.generator.stl_gadgets);
-    }
 
     #[test]
     fn boundary_endpoints_come_from_the_strength_walk() {

@@ -69,6 +69,9 @@ impl std::fmt::Display for SpecSource {
 /// issue before the mis-forwarding squash.
 pub const STL_WINDOW: u64 = 180;
 
+/// The campaign seed every shape starts from when no seed is given.
+pub const DEFAULT_SEED: u64 = 2025;
+
 /// Full configuration of a testing campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -147,7 +150,7 @@ impl CampaignConfig {
             },
             sim: SimConfig::default(),
             source: SpecSource::Pht,
-            seed: 2025,
+            seed: DEFAULT_SEED,
             stop_on_first: false,
             filter: ViolationFilter::none(),
             skip_singletons: false,

@@ -69,9 +69,10 @@ pub mod shard;
 pub mod trace;
 
 pub use analyze::{classify, ViolationClass, ViolationFilter};
-pub use boundary::{boundary_row, contract_config, BoundaryConfig, BoundaryRow, ContractVerdict};
+pub use boundary::{boundary_row, BoundaryRow, ContractVerdict};
 pub use campaign::{
-    Campaign, CampaignConfig, CampaignReport, SpecSource, UnitRuntime, ViolationDigest, STL_WINDOW,
+    Campaign, CampaignConfig, CampaignReport, SpecSource, UnitRuntime, ViolationDigest,
+    DEFAULT_SEED, STL_WINDOW,
 };
 pub use corpus::{records_from_report, Corpus, CorpusInput, CorpusRecord, Reduction};
 pub use cost::{CostModel, TimeBreakdown};

@@ -126,6 +126,9 @@ pub struct Hello {
     pub programs: u64,
     /// Inputs per program.
     pub inputs: u64,
+    /// Find-first mode: it decides which batches a worker skips past a
+    /// cancel floor. Omitted on the wire when false, as `source` is for PHT.
+    pub find_first: bool,
 }
 
 impl Hello {
@@ -140,7 +143,24 @@ impl Hello {
             instances: cfg.instances as u64,
             programs: cfg.programs_per_instance as u64,
             inputs: cfg.inputs.total() as u64,
+            find_first: cfg.stop_on_first,
         }
+    }
+
+    /// The identity this hello announces, as one phrase for mismatch
+    /// messages.
+    fn describe(&self) -> String {
+        format!(
+            "{}/{}/{} seed {} shape {}x{}x{}{}",
+            self.defense,
+            self.contract,
+            self.source,
+            self.seed,
+            self.instances,
+            self.programs,
+            self.inputs,
+            if self.find_first { " find-first" } else { "" }
+        )
     }
 
     /// Checks this hello against the driver's expectation, returning a
@@ -155,22 +175,9 @@ impl Hello {
         let expect = Hello::for_config(cfg);
         if *self != expect {
             return Err(format!(
-                "config mismatch: worker announced {}/{}/{} seed {} shape {}x{}x{}, \
-                 driver expects {}/{}/{} seed {} shape {}x{}x{}",
-                self.defense,
-                self.contract,
-                self.source,
-                self.seed,
-                self.instances,
-                self.programs,
-                self.inputs,
-                expect.defense,
-                expect.contract,
-                expect.source,
-                expect.seed,
-                expect.instances,
-                expect.programs,
-                expect.inputs
+                "config mismatch: worker announced {}, driver expects {}",
+                self.describe(),
+                expect.describe()
             ));
         }
         Ok(())
@@ -575,11 +582,15 @@ impl Msg {
                 }
                 // Strings for the same reason report lines use them: a u64
                 // above 2^53 would be rounded by double-based readers.
-                out.str("seed", &h.seed.to_string())
+                out = out
+                    .str("seed", &h.seed.to_string())
                     .int("instances", h.instances)
                     .int("programs", h.programs)
-                    .int("inputs", h.inputs)
-                    .finish()
+                    .int("inputs", h.inputs);
+                if h.find_first {
+                    out = out.bool("find_first", true);
+                }
+                out.finish()
             }
             Msg::Ping { token } | Msg::Pong { token } => obj.int("token", *token).finish(),
             Msg::Batch(b) => {
@@ -713,6 +724,10 @@ impl Msg {
                 instances: u64_field(&v, "instances")?,
                 programs: u64_field(&v, "programs")?,
                 inputs: u64_field(&v, "inputs")?,
+                find_first: v
+                    .get("find_first")
+                    .and_then(JsonValue::as_bool)
+                    .unwrap_or(false),
             })),
             "ping" => Ok(Msg::Ping {
                 token: u64_field(&v, "token")?,
@@ -1099,6 +1114,7 @@ mod tests {
                 instances: 2,
                 programs: 12,
                 inputs: 28,
+                find_first: true,
             }),
             Msg::Ping { token: u64::MAX },
             Msg::Pong { token: 0 },
@@ -1307,6 +1323,7 @@ mod tests {
             amulet_contracts::ContractKind::CtSeq,
         );
         assert_eq!(cfg.seed, 2025);
+        assert_eq!(cfg.source, SpecSource::Pht);
         assert_eq!(cfg.instances, quick.instances);
         assert_eq!(cfg.programs_per_instance, quick.programs_per_instance);
         assert!(!cfg.stop_on_first);
@@ -1318,6 +1335,27 @@ mod tests {
         .resolve()
         .unwrap();
         assert_eq!(scaled.instances, 100);
+
+        // Source, seed, find-first and cycle-skip land exactly where the
+        // hand-built standalone shape puts them.
+        let stl = CampaignSpec {
+            source: "STL".into(),
+            seed: 99,
+            find_first: true,
+            cycle_skip: false,
+            ..sample_spec()
+        }
+        .resolve()
+        .unwrap();
+        let mut want = quick.clone().with_source(SpecSource::Stl);
+        want.seed = 99;
+        want.stop_on_first = true;
+        want.sim.cycle_skip = false;
+        assert_eq!(
+            (stl.seed, stl.source, stl.stop_on_first, &stl.sim),
+            (want.seed, want.source, want.stop_on_first, &want.sim)
+        );
+        assert_eq!(stl.generator.stl_gadgets, want.generator.stl_gadgets);
 
         for bad in [
             CampaignSpec {
@@ -1334,6 +1372,14 @@ mod tests {
             },
             CampaignSpec {
                 scale: Some(f64::INFINITY),
+                ..sample_spec()
+            },
+            CampaignSpec {
+                scale: Some(f64::NAN),
+                ..sample_spec()
+            },
+            CampaignSpec {
+                scale: Some(-1.0),
                 ..sample_spec()
             },
             CampaignSpec {
@@ -1389,6 +1435,29 @@ mod tests {
         let mut wrong_seed = hello.clone();
         wrong_seed.seed ^= 1;
         assert!(wrong_seed.check(&cfg).unwrap_err().contains("mismatch"));
+
+        // Find-first is campaign identity: a worker without it must not
+        // pass a find-first driver's handshake, nor the reverse.
+        let mut find_first = cfg.clone();
+        find_first.stop_on_first = true;
+        let err = hello.check(&find_first).unwrap_err();
+        assert!(
+            err.contains("mismatch") && err.contains("find-first"),
+            "{err}"
+        );
+        assert!(Hello::for_config(&find_first).check(&cfg).is_err());
+        assert!(Hello::for_config(&find_first).check(&find_first).is_ok());
+
+        // The field is omitted when false, so such lines keep their old bytes.
+        assert_eq!(
+            Msg::Hello(hello).to_line(),
+            r#"{"type":"hello","proto":6,"defense":"Baseline","contract":"CT-SEQ","seed":"2025","instances":2,"programs":12,"inputs":28}"#
+        );
+        let line = Msg::Hello(Hello::for_config(&find_first)).to_line();
+        assert!(
+            line.ends_with(r#""inputs":28,"find_first":true}"#),
+            "{line}"
+        );
     }
 
     #[test]

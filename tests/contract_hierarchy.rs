@@ -14,8 +14,8 @@
 use amulet::contracts::{ContractKind, LeakageModel};
 use amulet::defenses::DefenseKind;
 use amulet::fuzz::{
-    boosted_inputs, boundary_row, contract_config, Campaign, CampaignConfig, Generator,
-    GeneratorConfig, InputGenConfig, ShardConfig, SpecSource,
+    boosted_inputs, boundary_row, Campaign, CampaignConfig, CampaignSpec, Generator,
+    GeneratorConfig, InputGenConfig, ShardConfig, SpecSource, DEFAULT_SEED,
 };
 use amulet::util::Xoshiro256;
 
@@ -85,12 +85,18 @@ fn ct_bpas_absorbs_baseline_leaks() {
 
 // ---- boundary search over the lattice ------------------------------------
 
-use amulet::fuzz::BoundaryConfig;
-
-fn quick_boundary(source: SpecSource) -> BoundaryConfig {
-    BoundaryConfig {
-        source,
-        ..BoundaryConfig::default()
+/// The quick-shape probe `amulet boundary --source S --batch 3` sends for
+/// `defense`.
+fn quick_probe(defense: DefenseKind, source: SpecSource) -> CampaignSpec {
+    CampaignSpec {
+        defense: defense.name().to_string(),
+        contract: ContractKind::CtSeq.name().to_string(),
+        source: source.name().to_string(),
+        seed: DEFAULT_SEED,
+        scale: None,
+        find_first: false,
+        batch_programs: BOUNDARY_SHARD.batch_programs,
+        cycle_skip: true,
     }
 }
 
@@ -113,7 +119,7 @@ fn boundary_verdicts_are_monotone_along_refinement() {
             DefenseKind::InvisiSpec,
             DefenseKind::DelayAll,
         ] {
-            let row = boundary_row(defense, &quick_boundary(source), BOUNDARY_SHARD);
+            let row = boundary_row(&quick_probe(defense, source), BOUNDARY_SHARD.workers).unwrap();
             for a in &row.verdicts {
                 if a.violated {
                     continue;
@@ -138,16 +144,18 @@ fn boundary_verdicts_are_monotone_along_refinement() {
 
 /// Composition equality: a boundary row is nothing more than the standalone
 /// campaigns it claims to compose — per-contract fingerprints equal to
-/// running `Campaign` on [`contract_config`] directly, verdicts included.
+/// running `Campaign` on the quick STL shape directly (what `amulet
+/// campaign --source STL --contract C` runs), verdicts included.
 #[test]
 fn boundary_rows_compose_standalone_campaigns_exactly() {
-    let opts = quick_boundary(SpecSource::Stl);
-    let row = boundary_row(DefenseKind::Baseline, &opts, BOUNDARY_SHARD);
+    let probe = quick_probe(DefenseKind::Baseline, SpecSource::Stl);
+    let row = boundary_row(&probe, BOUNDARY_SHARD.workers).unwrap();
     assert_eq!(row.verdicts.len(), ContractKind::BY_STRENGTH.len());
     for (verdict, &contract) in row.verdicts.iter().zip(&ContractKind::BY_STRENGTH) {
         assert_eq!(verdict.contract, contract, "strength order preserved");
-        let standalone = Campaign::new(contract_config(DefenseKind::Baseline, contract, &opts))
-            .run_sharded(BOUNDARY_SHARD);
+        let cfg =
+            CampaignConfig::quick(DefenseKind::Baseline, contract).with_source(SpecSource::Stl);
+        let standalone = Campaign::new(cfg).run_sharded(BOUNDARY_SHARD);
         assert_eq!(
             verdict.fingerprint,
             standalone.fingerprint(),
@@ -157,7 +165,7 @@ fn boundary_rows_compose_standalone_campaigns_exactly() {
         assert_eq!(verdict.classes, standalone.unique_classes());
     }
     // And the row digest is a pure function of those probe results.
-    let again = boundary_row(DefenseKind::Baseline, &opts, BOUNDARY_SHARD);
+    let again = boundary_row(&probe, BOUNDARY_SHARD.workers).unwrap();
     assert_eq!(row.fingerprint(), again.fingerprint());
     assert_eq!(row.to_json(), again.to_json());
 }

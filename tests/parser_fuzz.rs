@@ -84,6 +84,7 @@ fn valid_lines() -> Vec<String> {
             instances: 2,
             programs: 12,
             inputs: 28,
+            find_first: false,
         }),
         Msg::Submit(spec),
         Msg::Accepted {

@@ -92,6 +92,7 @@ fn all_message_shapes() -> Vec<Msg> {
             instances: 100,
             programs: 200,
             inputs: 140,
+            find_first: true,
         }),
         Msg::Batch(BatchSpec {
             index: 0,
@@ -383,6 +384,18 @@ fn hello_handshake_rejects_version_and_config_drift() {
         good.check(&stl_cfg).unwrap_err().contains("STL"),
         "source drift must fail the handshake"
     );
+
+    // Find-first decides which batches a worker skips, so a driver and a
+    // worker that disagree on it must not shake hands, either way round.
+    let mut find_first_cfg = cfg.clone();
+    find_first_cfg.stop_on_first = true;
+    assert!(
+        good.check(&find_first_cfg)
+            .unwrap_err()
+            .contains("find-first"),
+        "find-first drift must fail the handshake"
+    );
+    assert!(Hello::for_config(&find_first_cfg).check(&cfg).is_err());
 
     let stale = Hello {
         proto: PROTO_VERSION + 1,
