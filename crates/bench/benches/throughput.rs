@@ -501,7 +501,7 @@ fn fleet_bench(json: &mut String) {
                     continue;
                 };
                 let reader = std::io::BufReader::new(clone);
-                let _ = serve_session(&worker_cfg, reader, &stream, &EventLog::off());
+                let _ = serve_session(&worker_cfg, reader, &stream, &EventLog::off(), None);
             }
         });
     }

@@ -15,28 +15,31 @@
 //! and CI.
 //!
 //! This module holds the OS-process transport ([`ProcLink`]) and the
-//! command itself. See `docs/DISTRIBUTED.md` for the operator-level
-//! picture.
+//! command itself. Like every fabric link, `ProcLink` reads its worker's
+//! lines through the one frame reader (`wire::pump_frames`), so a worker
+//! that dies mid-frame is the same "mid-frame" error over a pipe as over
+//! TCP. See `docs/DISTRIBUTED.md` for the operator-level picture.
 
 use crate::fleet::{run_driver, DriveConfig, WorkerLink};
+use crate::wire::{recv_msg, spawn_pump, write_msg, Frame};
 use crate::{print_report, report_json, Args, JsonSink, ShapeOptions};
 use amulet_core::proto::{Msg, PROTO_VERSION};
 use amulet_util::EventLog;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
 /// A [`WorkerLink`] over a spawned `amulet worker` child process's
 /// stdin/stdout pipes (stderr is inherited, so each worker's event rows,
-/// numbered by its own `seq`, interleave with the driver's). A detached
-/// reader thread pumps stdout lines into a channel so receives can carry a
+/// numbered by its own `seq`, interleave with the driver's). A
+/// `wire::pump_frames` thread reads stdout, so receives can carry a
 /// deadline.
 #[derive(Debug)]
 pub struct ProcLink {
     child: Child,
     stdin: Option<ChildStdin>,
-    lines: Receiver<Result<String, String>>,
+    frames: Receiver<Frame>,
 }
 
 impl ProcLink {
@@ -52,56 +55,24 @@ impl ProcLink {
             .map_err(|e| format!("cannot spawn worker {}: {e}", program.display()))?;
         let stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");
-        let (tx, lines) = std::sync::mpsc::channel();
-        // The thread exits on EOF/error, or when the link (receiver) is
-        // dropped and a send fails — it can never outlive its purpose by
-        // more than one line.
-        std::thread::spawn(move || {
-            let mut reader = BufReader::new(stdout);
-            loop {
-                let mut line = String::new();
-                match reader.read_line(&mut line) {
-                    Ok(0) => break,
-                    Ok(_) if line.ends_with('\n') => {
-                        if tx.send(Ok(line)).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(n) => {
-                        // A partial line at EOF: the worker died mid-frame.
-                        let _ = tx.send(Err(format!("worker died mid-frame ({n} bytes)")));
-                        break;
-                    }
-                    Err(e) => {
-                        let _ = tx.send(Err(format!("worker read failed: {e}")));
-                        break;
-                    }
-                }
-            }
-        });
+        // Unbounded: a records-bearing fragment grows with its violations.
+        // The reader ends at the child's EOF, which `Drop` guarantees.
+        let frames = spawn_pump(BufReader::new(stdout), usize::MAX);
         Ok(ProcLink {
             child,
             stdin: Some(stdin),
-            lines,
+            frames,
         })
     }
 }
 
 impl WorkerLink for ProcLink {
     fn send(&mut self, msg: &Msg) -> Result<(), String> {
-        let stdin = self.stdin.as_mut().ok_or("worker stdin closed")?;
-        writeln!(stdin, "{}", msg.to_line())
-            .and_then(|()| stdin.flush())
-            .map_err(|e| format!("worker write failed: {e}"))
+        write_msg(self.stdin.as_mut().ok_or("worker stdin closed")?, msg)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Msg>, String> {
-        match self.lines.recv_timeout(timeout) {
-            Ok(Ok(line)) => Msg::parse_line(&line).map(Some),
-            Ok(Err(e)) => Err(e),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err("worker exited (EOF on stdout)".into()),
-        }
+        recv_msg(&self.frames, timeout)
     }
 }
 
@@ -126,40 +97,30 @@ impl Drop for ProcLink {
 /// `amulet drive`.
 pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
     let shape = ShapeOptions::parse(&mut args)?;
-    let procs = args.parsed::<usize>("--procs")?.unwrap_or(2).max(1);
-    let batch_programs = args
-        .parsed::<usize>("--batch")?
-        .unwrap_or(DriveConfig::default().batch_programs)
-        .max(1);
+    let cfg = shape.config();
+    let defaults = DriveConfig::default();
+    let mut drive = DriveConfig {
+        procs: args.parsed("--procs")?.unwrap_or(2).max(1),
+        batch_programs: args
+            .parsed("--batch")?
+            .unwrap_or(defaults.batch_programs)
+            .max(1),
+        retries: args.parsed("--retries")?.unwrap_or(defaults.retries),
+        quarantine_after: args
+            .parsed("--quarantine-after")?
+            .map_or(defaults.quarantine_after, |q: usize| q.max(1)),
+        liveness: args.seconds("--liveness-s")?.unwrap_or(defaults.liveness),
+        batch_timeout: args
+            .seconds("--batch-timeout-s")?
+            .unwrap_or(defaults.batch_timeout),
+        seed: cfg.seed,
+        ..defaults
+    };
     let connect_list = args.value("--connect")?;
-    let retries = args.parsed::<usize>("--retries")?;
-    let quarantine_after = args.parsed::<usize>("--quarantine-after")?;
-    let liveness_s = args.parsed::<f64>("--liveness-s")?;
-    let batch_timeout_s = args.parsed::<f64>("--batch-timeout-s")?;
     let fragments_path = args.value("--fragments")?;
     let events_path = args.value("--events")?;
     let mut sink = JsonSink::open(args.value("--json")?)?;
     args.finish()?;
-
-    let cfg = shape.config();
-    let mut drive = DriveConfig {
-        procs,
-        batch_programs,
-        seed: cfg.seed,
-        ..DriveConfig::default()
-    };
-    if let Some(r) = retries {
-        drive.retries = r;
-    }
-    if let Some(q) = quarantine_after {
-        drive.quarantine_after = q.max(1);
-    }
-    if let Some(s) = liveness_s {
-        drive.liveness = parse_seconds("--liveness-s", s)?;
-    }
-    if let Some(s) = batch_timeout_s {
-        drive.batch_timeout = parse_seconds("--batch-timeout-s", s)?;
-    }
 
     let open_append = |path: Option<&str>| -> Result<Option<Box<dyn Write + Send>>, String> {
         match path {
@@ -202,10 +163,11 @@ pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
                 std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
             let worker_args = shape.worker_argv();
             eprintln!(
-                "driving {} × {} ({} cases) over {procs} worker processes, proto v{PROTO_VERSION}",
+                "driving {} × {} ({} cases) over {} worker processes, proto v{PROTO_VERSION}",
                 shape.defense.name(),
                 shape.contract.name(),
-                cfg.total_cases()
+                cfg.total_cases(),
+                drive.procs
             );
             run_driver(
                 &cfg,
@@ -217,15 +179,29 @@ pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
         }
     };
     print_report(&report);
-    sink.line(&report_json(&report, "drive", drive.procs, batch_programs))
+    sink.line(&report_json(
+        &report,
+        "drive",
+        drive.procs,
+        drive.batch_programs,
+    ))
 }
 
-/// Converts a `--*-s` seconds flag into a `Duration`, rejecting values a
-/// deadline cannot represent.
-fn parse_seconds(flag: &str, s: f64) -> Result<Duration, String> {
-    if s.is_finite() && s > 0.0 {
-        Ok(Duration::from_secs_f64(s))
-    } else {
-        Err(format!("{flag}: expected a positive number of seconds"))
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A worker that dies mid-frame is a truncation error over a real
+    /// pipe too, with the torn byte count: `printf worker` writes the six
+    /// bytes `worker` with no newline and exits.
+    #[cfg(unix)]
+    #[test]
+    fn a_worker_dying_mid_frame_is_a_truncation_error() {
+        let mut link = ProcLink::spawn(std::path::Path::new("printf"), &[]).unwrap();
+        let err = link.recv_timeout(Duration::from_secs(30)).unwrap_err();
+        assert!(
+            err.contains("mid-frame (6 bytes)"),
+            "unexpected error: {err}"
+        );
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! The wrapper is deliberately *typed* (it perturbs whole messages, not
 //! bytes): byte-level truncation of a frame in flight is covered by the
-//! worker's malformed-line tolerance and `TcpLink`'s mid-frame EOF
+//! worker's malformed-line tolerance and the links' mid-frame EOF
 //! detection, which this module models as a lost message plus a dead link
 //! — the driver-observable outcomes are the same.
 

@@ -49,6 +49,7 @@ pub mod fault;
 pub mod fleet;
 pub mod net;
 pub mod serve;
+mod wire;
 pub mod worker;
 
 use amulet_contracts::ContractKind;
@@ -57,6 +58,7 @@ use amulet_core::{
     DEFAULT_SEED,
 };
 use amulet_defenses::DefenseKind;
+use std::time::{Duration, Instant};
 
 pub use amulet_util::{json_string, JsonObj};
 pub use drive::ProcLink;
@@ -240,6 +242,20 @@ impl Args {
                 .parse()
                 .map(Some)
                 .map_err(|_| format!("{name}: cannot parse {v:?}")),
+        }
+    }
+
+    /// Consumes a `--*-s` seconds flag as a deadline, rejecting values
+    /// that are not positive or that no deadline from now can represent.
+    pub fn seconds(&mut self, name: &str) -> Result<Option<Duration>, String> {
+        let Some(v) = self.value(name)? else {
+            return Ok(None);
+        };
+        match v.parse().map(Duration::try_from_secs_f64) {
+            Ok(Ok(d)) if !d.is_zero() && Instant::now().checked_add(d).is_some() => Ok(Some(d)),
+            _ => Err(format!(
+                "{name}: expected a positive number of seconds, got {v:?}"
+            )),
         }
     }
 
@@ -744,6 +760,47 @@ mod tests {
 
         let args = Args::new(&["--bogus".to_string()]);
         assert!(args.finish().is_err(), "unknown arguments are rejected");
+    }
+
+    /// Every seconds flag rejects, at parse time and without panicking, a
+    /// value no deadline can hold. The trailing unknown flag makes a value
+    /// accepted by mistake fail at `finish` instead of starting the command.
+    #[test]
+    fn seconds_flags_reject_values_no_deadline_can_hold() {
+        type Cmd = fn(Args) -> Result<(), String>;
+        let cases: [(Cmd, &[&str], &str); 4] = [
+            (
+                serve::cmd_submit,
+                &["--connect", "127.0.0.1:1"],
+                "--timeout-s",
+            ),
+            (
+                worker::cmd_worker,
+                &["--listen", "127.0.0.1:0"],
+                "--idle-timeout-s",
+            ),
+            (drive::cmd_drive, &["--procs", "1"], "--liveness-s"),
+            (drive::cmd_drive, &["--procs", "1"], "--batch-timeout-s"),
+        ];
+        for (cmd, base, flag) in cases {
+            for value in ["-1", "0", "nan", "inf", "1e19", "1e300"] {
+                let argv: Vec<String> = base
+                    .iter()
+                    .chain(&[flag, value, "--not-a-flag"])
+                    .map(|s| s.to_string())
+                    .collect();
+                let err = cmd(Args::new(&argv)).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("{flag}: expected a positive number of seconds")),
+                    "{flag} {value}: {err}"
+                );
+            }
+        }
+        let mut args = Args::new(&["--timeout-s".to_string(), "0.25".to_string()]);
+        assert_eq!(
+            args.seconds("--timeout-s").unwrap(),
+            Some(Duration::from_millis(250))
+        );
     }
 
     #[test]

@@ -2,23 +2,28 @@
 //! `amulet drive --connect` / `amulet worker --listen`.
 //!
 //! The wire format is *identical* to the pipe transport: newline-delimited
-//! `amulet_core::proto` JSON messages. [`TcpLink`] is the driver side (a
-//! [`WorkerLink`] with real deadlines via `SO_RCVTIMEO`); [`serve_listener`]
-//! is the worker side — accept one connection at a time, run the ordinary
-//! serve loop over it, and go back to accepting, so a driver reconnect
-//! after a network fault lands on a fresh session of the same process.
+//! `amulet_core::proto` JSON messages, read by the fabric's one frame
+//! reader (`wire::pump_frames`) on a thread per connection. [`TcpLink`]
+//! is the driver side (a [`WorkerLink`] whose deadlines are waits on its
+//! frame channel); [`serve_listener`] is the worker side — accept one
+//! connection at a time, run the ordinary serve loop over it, and go back
+//! to accepting, so a driver reconnect after a network fault lands on a
+//! fresh session of the same process. Each side shuts its socket down
+//! when it is done, which ends its reader thread.
 //!
 //! Zero dependencies beyond `std::net`. No TLS, no auth — the fabric is
 //! meant for trusted lab networks (see `docs/DISTRIBUTED.md`).
 
 use crate::fleet::WorkerLink;
+use crate::wire::{recv_msg, spawn_pump, write_msg, Frame};
 use crate::worker::serve_session;
 use amulet_core::proto::Msg;
 use amulet_core::CampaignConfig;
 use amulet_util::events;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::io::BufReader;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::mpsc::Receiver;
+use std::time::Duration;
 
 /// Writes get a generous fixed deadline: protocol messages are tiny, so a
 /// send that stalls this long means the peer stopped draining its socket —
@@ -27,15 +32,14 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The driver's end of one TCP worker connection.
 ///
-/// Line framing is done here with a persistent buffer: a read deadline
-/// that expires mid-frame keeps the partial line and resumes on the next
-/// call, so slow-but-alive peers lose nothing while dead peers are
-/// detected by the caller's retry ladder.
+/// A `wire::pump_frames` thread reads the socket, so a deadline that
+/// expires mid-frame leaves the partial line in the pump and a later call
+/// receives it whole: slow-but-alive peers lose nothing, while dead peers
+/// are detected by the caller's retry ladder.
 #[derive(Debug)]
 pub struct TcpLink {
     stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    line: String,
+    frames: Receiver<Frame>,
 }
 
 impl TcpLink {
@@ -67,65 +71,29 @@ impl TcpLink {
         stream
             .set_write_timeout(Some(WRITE_TIMEOUT))
             .map_err(|e| format!("set_write_timeout failed: {e}"))?;
-        let reader = BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| format!("cannot clone stream: {e}"))?,
-        );
-        Ok(TcpLink {
-            stream,
-            reader,
-            line: String::new(),
-        })
+        let reader = stream
+            .try_clone()
+            .map_err(|e| format!("cannot clone stream: {e}"))?;
+        // Unbounded: a records-bearing fragment grows with its violations.
+        let frames = spawn_pump(BufReader::new(reader), usize::MAX);
+        Ok(TcpLink { stream, frames })
     }
 }
 
 impl WorkerLink for TcpLink {
     fn send(&mut self, msg: &Msg) -> Result<(), String> {
-        writeln!(self.stream, "{}", msg.to_line())
-            .and_then(|()| self.stream.flush())
-            .map_err(|e| format!("tcp write failed: {e}"))
+        write_msg(&mut self.stream, msg)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Msg>, String> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Ok(None);
-            }
-            // SO_RCVTIMEO carries the deadline into the kernel; a timeout
-            // mid-line leaves the partial frame in `self.line` for the
-            // next call (read_line appends).
-            self.stream
-                .set_read_timeout(Some(remaining))
-                .map_err(|e| format!("set_read_timeout failed: {e}"))?;
-            match self.reader.read_line(&mut self.line) {
-                Ok(0) => return Err("peer closed the connection".into()),
-                Ok(_) if self.line.ends_with('\n') => {
-                    let msg = Msg::parse_line(&self.line);
-                    self.line.clear();
-                    return msg.map(Some);
-                }
-                // read_line returns Ok(n) without a newline only at EOF:
-                // the peer died mid-frame.
-                Ok(_) => {
-                    return Err(format!(
-                        "peer closed the connection mid-frame ({} bytes)",
-                        self.line.len()
-                    ))
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                    ) =>
-                {
-                    continue
-                }
-                Err(e) => return Err(format!("tcp read failed: {e}")),
-            }
-        }
+        recv_msg(&self.frames, timeout)
+    }
+}
+
+impl Drop for TcpLink {
+    /// Shuts the socket down, which ends the link's reader thread.
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -167,9 +135,6 @@ pub fn serve_listener(cfg: &CampaignConfig, listen: &ListenConfig) -> Result<(),
             .accept()
             .map_err(|e| format!("accept failed: {e}"))?;
         let _ = stream.set_nodelay(true);
-        if let Some(idle) = listen.idle_timeout {
-            let _ = stream.set_read_timeout(Some(idle));
-        }
         log.emit("worker", "session_start", |o| {
             o.str("peer", &peer.to_string())
         });
@@ -178,7 +143,7 @@ pub fn serve_listener(cfg: &CampaignConfig, listen: &ListenConfig) -> Result<(),
                 .try_clone()
                 .map_err(|e| format!("cannot clone stream: {e}"))?,
         );
-        match serve_session(cfg, reader, &stream, log) {
+        match serve_session(cfg, reader, &stream, log, listen.idle_timeout) {
             Ok(stats) => log.emit("worker", "session_end", |o| {
                 o.int("batches", stats.batches as u64)
                     .int("skipped", stats.skipped as u64)
@@ -187,6 +152,8 @@ pub fn serve_listener(cfg: &CampaignConfig, listen: &ListenConfig) -> Result<(),
             }),
             Err(e) => log.emit("worker", "session_error", |o| o.str("error", &e)),
         }
+        // Ends the session's reader thread, which holds a clone.
+        let _ = stream.shutdown(Shutdown::Both);
         served += 1;
         if listen.sessions != 0 && served >= listen.sessions {
             return Ok(());
@@ -214,6 +181,7 @@ mod tests {
     use super::*;
     use amulet_contracts::ContractKind;
     use amulet_defenses::DefenseKind;
+    use std::io::Write;
 
     #[test]
     fn connect_list_parses_and_rejects_empty() {
@@ -235,7 +203,8 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let reader = BufReader::new(stream.try_clone().unwrap());
-            serve_session(&server_cfg, reader, &stream, &amulet_util::EventLog::off()).unwrap()
+            let log = amulet_util::EventLog::off();
+            serve_session(&server_cfg, reader, &stream, &log, None).unwrap()
         });
 
         let mut link = TcpLink::connect(&addr.to_string(), Duration::from_secs(5)).unwrap();

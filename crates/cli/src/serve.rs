@@ -46,6 +46,7 @@
 
 use crate::fleet::{backoff_delay, run_slot, DriveConfig};
 use crate::net::{parse_connect_list, TcpLink};
+use crate::wire::{pump_frames, write_msg, Frame};
 use crate::{Args, JsonSink, ShapeOptions, WorkerLink};
 use amulet_core::proto::{CampaignSpec, Msg, ResultMsg};
 use amulet_core::{
@@ -53,10 +54,10 @@ use amulet_core::{
 };
 use amulet_util::{events, JsonObj, Xoshiro256};
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -93,77 +94,9 @@ impl Default for SessionLimits {
 /// the counter can never collide with it in practice.
 static CLIENT_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// One unit on a session's channel: a frame from its bounded reader
-/// thread, or an event from the service.
-enum Frame {
-    /// A complete line within the size bound (trailing `\r` stripped).
-    Line(String),
-    /// A line exceeded the bound; this many bytes were discarded.
-    TooLong(usize),
-    /// The peer closed its sending side (EOF).
-    End,
-    /// The transport failed.
-    Failed(String),
-    /// A [`Service::subscribe`] event.
-    Event(ServiceEvent),
-}
-
-impl From<ServiceEvent> for Frame {
+impl From<ServiceEvent> for Frame<ServiceEvent> {
     fn from(event: ServiceEvent) -> Self {
         Frame::Event(event)
-    }
-}
-
-/// Reads newline-delimited frames from `input` under a hard per-line byte
-/// bound, so a hostile peer can neither balloon memory with an endless
-/// line nor smuggle one past the bound a byte at a time. Exits at EOF
-/// (after sending [`Frame::End`]), on transport error, or when the
-/// session side hangs up (send fails).
-fn pump_frames<R: BufRead>(mut input: R, max_line: usize, tx: Sender<Frame>) {
-    let mut line: Vec<u8> = Vec::new();
-    let mut overflow = 0usize;
-    loop {
-        let (consumed, ended) = {
-            let chunk = match input.fill_buf() {
-                Ok([]) => {
-                    let _ = tx.send(Frame::End);
-                    return;
-                }
-                Ok(chunk) => chunk,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    let _ = tx.send(Frame::Failed(e.to_string()));
-                    return;
-                }
-            };
-            let newline = chunk.iter().position(|&b| b == b'\n');
-            let body = &chunk[..newline.unwrap_or(chunk.len())];
-            if overflow > 0 || line.len() + body.len() > max_line {
-                if overflow == 0 {
-                    overflow = line.len();
-                    line.clear();
-                }
-                overflow += body.len();
-            } else {
-                line.extend_from_slice(body);
-            }
-            (newline.map_or(chunk.len(), |p| p + 1), newline.is_some())
-        };
-        input.consume(consumed);
-        if ended {
-            let frame = if overflow > 0 {
-                Frame::TooLong(std::mem::take(&mut overflow))
-            } else {
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                Frame::Line(String::from_utf8_lossy(&line).into_owned())
-            };
-            line.clear();
-            if tx.send(frame).is_err() {
-                return;
-            }
-        }
     }
 }
 
@@ -288,11 +221,6 @@ where
     let mut saw_drain = false;
     let mut last_frame = Instant::now();
     let result = (|| -> Result<(), String> {
-        let send = |out: &mut W, msg: &Msg| -> Result<(), String> {
-            writeln!(out, "{}", msg.to_line())
-                .and_then(|()| out.flush())
-                .map_err(|e| format!("client write failed: {e}"))
-        };
         while open || !owned.is_empty() {
             // Only an open session with nothing in flight can go idle, so
             // only its wait carries a deadline: reaching it evicts.
@@ -315,7 +243,7 @@ where
                             }) => {
                                 stats.submitted += 1;
                                 owned.insert(campaign);
-                                send(
+                                write_msg(
                                     &mut out,
                                     &Msg::Accepted {
                                         campaign,
@@ -323,7 +251,7 @@ where
                                     },
                                 )?;
                                 if recovered > 0 {
-                                    send(
+                                    write_msg(
                                         &mut out,
                                         &Msg::Recovering {
                                             campaign,
@@ -337,14 +265,14 @@ where
                                 stats.submitted += 1;
                                 stats.cache_hits += 1;
                                 stats.results += 1;
-                                send(
+                                write_msg(
                                     &mut out,
                                     &Msg::Accepted {
                                         campaign,
                                         cached: true,
                                     },
                                 )?;
-                                send(&mut out, &Msg::CampaignResult(*result))?;
+                                write_msg(&mut out, &Msg::CampaignResult(*result))?;
                             }
                             Ok(SubmitOutcome::Rejected {
                                 reason,
@@ -356,7 +284,7 @@ where
                                         .str("reason", &reason)
                                         .int("retry_after_ms", retry_after_ms)
                                 });
-                                send(
+                                write_msg(
                                     &mut out,
                                     &Msg::Rejected {
                                         reason,
@@ -365,7 +293,7 @@ where
                                 )?;
                             }
                             Err(e) => {
-                                send(
+                                write_msg(
                                     &mut out,
                                     &Msg::CampaignResult(ResultMsg {
                                         campaign: u64::MAX,
@@ -409,14 +337,15 @@ where
                             .int("bytes", bytes as u64)
                     });
                 }
-                Ok(Frame::End) => open = false,
+                // A torn final line is end of input, not a strike.
+                Ok(Frame::End(_)) => open = false,
                 Ok(Frame::Failed(e)) => return Err(format!("client read failed: {e}")),
                 Ok(Frame::Event(ServiceEvent::Progress {
                     campaign,
                     done,
                     total,
                     cases,
-                })) if owned.contains(&campaign) => send(
+                })) if owned.contains(&campaign) => write_msg(
                     &mut out,
                     &Msg::Progress {
                         campaign,
@@ -431,12 +360,12 @@ where
                     if let Some(result) = service.take_result(campaign) {
                         stats.results += 1;
                         owned.remove(&campaign);
-                        send(&mut out, &Msg::CampaignResult(result))?;
+                        write_msg(&mut out, &Msg::CampaignResult(result))?;
                     }
                 }
                 Ok(Frame::Event(ServiceEvent::Draining { active })) => {
                     saw_drain = true;
-                    send(&mut out, &Msg::Draining { active })?;
+                    write_msg(&mut out, &Msg::Draining { active })?;
                 }
                 Ok(Frame::Event(_)) => {}
                 Err(RecvTimeoutError::Timeout) => stats.evicted = Some("idle"),
@@ -750,10 +679,8 @@ fn submit_attempt(
     link.send(&Msg::Submit(spec.clone()))
         .map_err(SubmitFailure::Transient)?;
     loop {
+        // An expired deadline is a `None` receive, which is fatal.
         let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(SubmitFailure::Fatal("submit: deadline exhausted".into()));
-        }
         let msg = link
             .recv_timeout(remaining)
             .map_err(SubmitFailure::Transient)?;
@@ -812,7 +739,9 @@ pub(crate) fn cmd_submit(mut args: Args) -> Result<(), String> {
         .parsed::<usize>("--batch")?
         .unwrap_or(ShardConfig::default().batch_programs)
         .max(1);
-    let timeout = Duration::from_secs_f64(args.parsed::<f64>("--timeout-s")?.unwrap_or(600.0));
+    let timeout = args
+        .seconds("--timeout-s")?
+        .unwrap_or(Duration::from_secs(600));
     let retries = args.parsed::<u64>("--retries")?.unwrap_or(0);
     let mut sink = JsonSink::open(args.value("--json")?)?;
     args.finish()?;
@@ -968,58 +897,6 @@ mod tests {
         assert!(
             shed_delay(&mut rng, 0) > Duration::ZERO,
             "never a busy spin"
-        );
-    }
-
-    /// The bounded reader assembles split frames, strips `\r`, discards
-    /// oversized lines without buffering them, and reports the overflow —
-    /// including a line dripped in byte by byte (slowloris) — and ends
-    /// with an explicit end-of-input frame.
-    #[test]
-    fn pump_frames_bounds_lines_and_reassembles_chunks() {
-        struct Script(Vec<Vec<u8>>);
-        impl std::io::Read for Script {
-            fn read(&mut self, _buf: &mut [u8]) -> std::io::Result<usize> {
-                unreachable!("BufRead goes through fill_buf")
-            }
-        }
-        impl BufRead for Script {
-            fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-                match self.0.first() {
-                    Some(chunk) => Ok(chunk),
-                    None => Ok(&[]),
-                }
-            }
-            fn consume(&mut self, amt: usize) {
-                if amt == 0 {
-                    return;
-                }
-                let chunk = &mut self.0[0];
-                chunk.drain(..amt);
-                if chunk.is_empty() {
-                    self.0.remove(0);
-                }
-            }
-        }
-
-        let mut chunks: Vec<Vec<u8>> = vec![b"hel".to_vec(), b"lo\r\nwo".to_vec()];
-        // 100 more bytes dripped one at a time against a 16-byte cap: the
-        // oversized line is "wo" + 100 × "x" = 102 bytes, all discarded.
-        chunks.extend((0..100).map(|_| b"x".to_vec()));
-        chunks.push(b"\nrld\n".to_vec());
-        let (tx, rx) = channel();
-        pump_frames(Script(chunks), 16, tx);
-        let frames: Vec<Frame> = rx.iter().collect();
-        assert_eq!(frames.len(), 4, "hello, overflow, rld, end of input");
-        assert!(matches!(&frames[0], Frame::Line(l) if l == "hello"));
-        assert!(
-            matches!(frames[1], Frame::TooLong(n) if n == 102),
-            "the slow drip must be discarded, not assembled"
-        );
-        assert!(matches!(&frames[2], Frame::Line(l) if l == "rld"));
-        assert!(
-            matches!(frames[3], Frame::End),
-            "EOF must be explicit: the service holds a sender too"
         );
     }
 }

@@ -15,17 +15,24 @@
 //! - **TCP** (`amulet worker --listen ADDR`): protocol on the socket,
 //!   `worker` event rows on stderr — see `crate::net::serve_listener`.
 //!
-//! The loop is *tolerant*: a malformed or unexpected line is logged as a
+//! Input lines come from the fabric's one frame reader
+//! (`wire::pump_frames`) on a thread of the session's own, under the same
+//! 64 KiB line bound as a `serve` session; the loop waits on its frame
+//! channel, and `--idle-timeout-s` is that wait's deadline. The loop is
+//! *tolerant*: a malformed, oversized or unexpected line is logged as a
 //! `worker_error` row and skipped (the driver recovers via its own
 //! deadline), and a trailing partial line at EOF — a driver that died
 //! mid-frame — ends the session cleanly instead of poisoning it.
 
+use crate::serve::SessionLimits;
+use crate::wire::{spawn_pump, write_msg, Frame};
 use crate::{Args, ShapeOptions};
 use amulet_core::proto::{FragmentReport, Hello, Msg};
 use amulet_core::{run_batch, CampaignConfig, UnitRuntime};
 use amulet_util::{events, EventLog};
-use std::io::{BufRead, Write};
-use std::time::Instant;
+use std::io::{BufRead, BufReader, Write};
+use std::sync::mpsc::RecvTimeoutError;
+use std::time::{Duration, Instant};
 
 /// What one worker session did — returned so listeners and tests can log
 /// and assert on the session shape.
@@ -46,6 +53,10 @@ pub struct SessionStats {
 /// `worker` event rows (`worker_error`, `worker_eof_truncated`,
 /// `worker_idle_timeout`) go to `log`; only an unwritable *output* is a
 /// hard error (the driver is gone and taking its deadline with it).
+/// With `idle`, a session that receives no line for that long ends with
+/// a `worker_idle_timeout` row. `input` is read on a thread of its own,
+/// which ends at its EOF: a caller serving a socket shuts it down after
+/// the session.
 ///
 /// Find-first semantics: a [`Msg::Cancel`] lowers the worker's cancel
 /// floor; a later batch assignment *above* the floor is answered with a
@@ -72,7 +83,8 @@ pub struct SessionStats {
 /// let spec = BatchSpec { index: 0, instance: 0, batch: 0, programs: 1, records: false };
 /// let script = format!("{}\n{}\n", Msg::Batch(spec).to_line(), Msg::Shutdown.to_line());
 /// let mut out = Vec::new();
-/// let stats = serve_session(&cfg, script.as_bytes(), &mut out, &EventLog::off()).unwrap();
+/// let input = std::io::Cursor::new(script);
+/// let stats = serve_session(&cfg, input, &mut out, &EventLog::off(), None).unwrap();
 /// let lines: Vec<Msg> = String::from_utf8(out)
 ///     .unwrap()
 ///     .lines()
@@ -84,56 +96,54 @@ pub struct SessionStats {
 /// ```
 pub fn serve_session(
     cfg: &CampaignConfig,
-    mut input: impl BufRead,
+    input: impl BufRead + Send + 'static,
     mut out: impl Write,
     log: &EventLog,
+    idle: Option<Duration>,
 ) -> Result<SessionStats, String> {
-    send(&mut out, &Msg::Hello(Hello::for_config(cfg)))?;
+    let frames = spawn_pump(input, SessionLimits::default().max_line_bytes);
+    write_msg(&mut out, &Msg::Hello(Hello::for_config(cfg)))?;
     let anchor = Instant::now();
     let mut rt = UnitRuntime::new();
     let mut cancel_floor = usize::MAX;
     let mut stats = SessionStats::default();
-    let mut line = String::new();
     loop {
-        line.clear();
-        match input.read_line(&mut line) {
-            Ok(0) => break, // EOF: driver hung up — clean exit.
-            Ok(_) if !line.ends_with('\n') => {
-                // A trailing partial line: the driver died mid-frame.
-                // Tolerate it — the frame is unusable but the session
-                // ended, which is all it means.
+        let frame = match idle {
+            Some(idle) => frames.recv_timeout(idle),
+            None => frames.recv().map_err(RecvTimeoutError::from),
+        };
+        let (msg, line_bytes) = match frame {
+            Ok(Frame::Line(line)) if line.trim().is_empty() => continue,
+            Ok(Frame::Line(line)) => (Msg::parse_line(&line), line.len()),
+            Ok(Frame::TooLong(bytes)) => (Err("line exceeds the line bound".into()), bytes),
+            // EOF: driver hung up — clean exit.
+            Ok(Frame::End(0)) | Err(RecvTimeoutError::Disconnected) => break,
+            Ok(Frame::End(torn)) => {
+                // The driver died mid-frame. Tolerate it — the frame is
+                // unusable but the session ended, which is all it means.
                 log.emit("worker", "worker_eof_truncated", |o| {
-                    o.int("bytes", line.len() as u64)
+                    o.int("bytes", torn as u64)
                 });
                 stats.malformed += 1;
                 break;
             }
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // The listener's per-session idle deadline (SO_RCVTIMEO)
-                // expired: end the session so the listener can accept a
-                // fresh connection.
+            Ok(Frame::Failed(e)) => return Err(format!("worker: read failed: {e}")),
+            Ok(Frame::Event(never)) => match never {},
+            Err(RecvTimeoutError::Timeout) => {
+                // The listener's per-session idle deadline expired: end
+                // the session so the listener can accept a fresh one.
                 log.emit("worker", "worker_idle_timeout", |o| o);
                 break;
             }
-            Err(e) => return Err(format!("worker: read failed: {e}")),
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let msg = match Msg::parse_line(&line) {
+        };
+        let msg = match msg {
             Ok(msg) => msg,
             Err(e) => {
-                // Garbage on the wire (a truncated or corrupted frame).
-                // Skip it — the driver's deadline, not our exit, handles
-                // the lost message.
+                // Garbage on the wire (a truncated, corrupted or oversized
+                // frame). Skip it — the driver's deadline, not our exit,
+                // handles the lost message.
                 log.emit("worker", "worker_error", |o| {
-                    o.str("error", &e).int("line_bytes", line.len() as u64)
+                    o.str("error", &e).int("line_bytes", line_bytes as u64)
                 });
                 stats.malformed += 1;
                 continue;
@@ -142,7 +152,7 @@ pub fn serve_session(
         match msg {
             Msg::Ping { token } => {
                 stats.pings += 1;
-                send(&mut out, &Msg::Pong { token })?;
+                write_msg(&mut out, &Msg::Pong { token })?;
             }
             Msg::Batch(spec) => {
                 let reply = if cfg.stop_on_first && spec.index > cancel_floor {
@@ -152,7 +162,7 @@ pub fn serve_session(
                     stats.batches += 1;
                     FragmentReport::from_fragment(&run_batch(cfg, &spec, anchor, &mut rt))
                 };
-                send(&mut out, &Msg::Fragment(reply))?;
+                write_msg(&mut out, &Msg::Fragment(reply))?;
             }
             Msg::Cancel { earliest } => cancel_floor = cancel_floor.min(earliest),
             Msg::Shutdown => break,
@@ -172,20 +182,12 @@ pub fn serve_session(
     Ok(stats)
 }
 
-/// Writes one protocol line and flushes — every message must reach the
-/// driver promptly; the link is the scheduler's critical path.
-fn send(out: &mut impl Write, msg: &Msg) -> Result<(), String> {
-    writeln!(out, "{}", msg.to_line())
-        .and_then(|()| out.flush())
-        .map_err(|e| format!("worker: write failed: {e}"))
-}
-
 /// `amulet worker`.
 pub(crate) fn cmd_worker(mut args: Args) -> Result<(), String> {
     let shape = ShapeOptions::parse(&mut args)?;
     let listen = args.value("--listen")?;
     let sessions = args.parsed::<usize>("--sessions")?.unwrap_or(0);
-    let idle_s = args.parsed::<f64>("--idle-timeout-s")?;
+    let idle_timeout = args.seconds("--idle-timeout-s")?;
     args.finish()?;
     let cfg = shape.config();
     match listen {
@@ -197,13 +199,6 @@ pub(crate) fn cmd_worker(mut args: Args) -> Result<(), String> {
                 shape.contract.name(),
                 cfg.seed
             );
-            let idle_timeout = match idle_s {
-                None => None,
-                Some(s) if s.is_finite() && s > 0.0 => Some(std::time::Duration::from_secs_f64(s)),
-                Some(_) => {
-                    return Err("--idle-timeout-s: expected a positive number of seconds".into())
-                }
-            };
             crate::net::serve_listener(
                 &cfg,
                 &crate::net::ListenConfig {
@@ -214,7 +209,7 @@ pub(crate) fn cmd_worker(mut args: Args) -> Result<(), String> {
             )
         }
         None => {
-            if sessions != 0 || idle_s.is_some() {
+            if sessions != 0 || idle_timeout.is_some() {
                 return Err("--sessions/--idle-timeout-s require --listen".into());
             }
             eprintln!(
@@ -224,9 +219,9 @@ pub(crate) fn cmd_worker(mut args: Args) -> Result<(), String> {
                 shape.contract.name(),
                 cfg.seed
             );
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            serve_session(&cfg, stdin.lock(), stdout.lock(), events::stderr()).map(|_| ())
+            let stdin = BufReader::new(std::io::stdin());
+            let stdout = std::io::stdout().lock();
+            serve_session(&cfg, stdin, stdout, events::stderr(), None).map(|_| ())
         }
     }
 }
@@ -256,8 +251,9 @@ mod tests {
     fn session_raw(cfg: &CampaignConfig, input: &str) -> (Vec<Msg>, SessionStats, String) {
         let mut out = Vec::new();
         let log = Captured::default();
-        let stats =
-            serve_session(cfg, input.as_bytes(), &mut out, &EventLog::new(log.clone())).unwrap();
+        let input = std::io::Cursor::new(input.to_owned());
+        let log_to = EventLog::new(log.clone());
+        let stats = serve_session(cfg, input, &mut out, &log_to, None).unwrap();
         let replies = String::from_utf8(out)
             .unwrap()
             .lines()
@@ -351,6 +347,25 @@ mod tests {
         };
         assert!(!at_floor.skipped && at_floor.stats.cases > 0);
         assert!(past.skipped && past.stats.cases == 0);
+    }
+
+    /// A line past the 64 KiB bound is discarded as it streams in, logged
+    /// as a `worker_error` with its length, and the session keeps serving.
+    #[test]
+    fn oversized_lines_are_discarded_and_logged() {
+        let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
+        let input = format!(
+            "{}\n{}\n",
+            "x".repeat(70 * 1024),
+            Msg::Ping { token: 5 }.to_line()
+        );
+        let (replies, stats, log) = session_raw(&cfg, &input);
+        assert!(matches!(replies[1], Msg::Pong { token: 5 }));
+        assert_eq!(stats.malformed, 1);
+        assert!(
+            log.contains("\"event\":\"worker_error\"") && log.contains("\"line_bytes\":71680"),
+            "{log}"
+        );
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! lives at the workspace root in `tests/fleet_faults.rs`; this file
 //! proves the same ladder holds over actual sockets and processes.
 
-use std::io::{BufRead, BufReader, Read};
-use std::net::TcpListener;
-use std::process::{Child, Command, Stdio};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::process::{Child, ChildStderr, Command, Stdio};
 use std::time::Duration;
 
 const BIN: &str = env!("CARGO_BIN_EXE_amulet");
@@ -38,9 +38,23 @@ impl ListenWorker {
     /// Spawns `amulet worker --listen 127.0.0.1:0` and scrapes the bound
     /// address from the structured `listening` line on stderr.
     fn spawn() -> Self {
+        let (worker, mut log) = Self::spawn_logged(&[]);
+        // Keep draining stderr so the worker can never block on a full
+        // pipe, however chatty its session logs get.
+        std::thread::spawn(move || {
+            let mut sink = Vec::new();
+            let _ = log.read_to_end(&mut sink);
+        });
+        worker
+    }
+
+    /// [`ListenWorker::spawn`] with `extra` worker flags, handing back the
+    /// stderr event stream after the `listening` row.
+    fn spawn_logged(extra: &[&str]) -> (Self, BufReader<ChildStderr>) {
         let mut child = Command::new(BIN)
             .args(["worker", "--listen", "127.0.0.1:0"])
             .args(WORKER_SHAPE)
+            .args(extra)
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
@@ -56,13 +70,7 @@ impl ListenWorker {
                 break rest[..rest.find('"').unwrap()].to_string();
             }
         };
-        // Keep draining stderr so the worker can never block on a full
-        // pipe, however chatty its session logs get.
-        std::thread::spawn(move || {
-            let mut sink = Vec::new();
-            let _ = reader.read_to_end(&mut sink);
-        });
-        ListenWorker { child, addr }
+        (ListenWorker { child, addr }, reader)
     }
 }
 
@@ -193,4 +201,46 @@ fn killing_a_worker_mid_run_does_not_move_the_fingerprint() {
     let driven = fingerprint_of(&[&["drive", "--connect", &connect], DRIVE_SHAPE].concat());
     killer.join().unwrap();
     assert_eq!(driven, reference, "mid-run kill moved the fingerprint");
+}
+
+/// `--idle-timeout-s` ends a session whose driver has gone silent: the
+/// worker logs `worker_idle_timeout`, closes the socket, and the listener
+/// serves the next connection.
+#[test]
+fn an_idle_session_times_out_and_the_listener_serves_the_next() {
+    let (mut worker, mut log) =
+        ListenWorker::spawn_logged(&["--idle-timeout-s", "0.2", "--sessions", "2"]);
+    let silent = TcpStream::connect(&worker.addr).expect("connect");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut silent = BufReader::new(silent);
+    let mut line = String::new();
+    silent.read_line(&mut line).expect("read hello");
+    assert!(line.contains("\"type\":\"hello\""), "{line}");
+    line.clear();
+    let n = silent.read_line(&mut line).expect("idle session closed");
+    assert_eq!(n, 0, "a silent driver's session must end, got {line:?}");
+    let mut rows = String::new();
+    while !rows.contains("\"event\":\"session_end\"") {
+        assert!(log.read_line(&mut rows).unwrap() > 0, "worker exited early");
+    }
+    assert!(rows.contains("\"event\":\"worker_idle_timeout\""), "{rows}");
+
+    let mut next = TcpStream::connect(&worker.addr).expect("connect again");
+    next.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    writeln!(next, "{{\"type\":\"ping\",\"token\":7}}").unwrap();
+    let mut replies = BufReader::new(next.try_clone().unwrap());
+    line.clear();
+    replies.read_line(&mut line).expect("read hello");
+    assert!(line.contains("\"type\":\"hello\""), "{line}");
+    line.clear();
+    replies.read_line(&mut line).expect("read pong");
+    assert!(line.contains("\"type\":\"pong\""), "{line}");
+    writeln!(next, "{{\"type\":\"shutdown\"}}").unwrap();
+    assert!(
+        worker.child.wait().unwrap().success(),
+        "the listener exits after its two sessions"
+    );
 }

@@ -147,7 +147,8 @@ pub fn spawn_mem_worker(cfg: &CampaignConfig) -> MemLink {
         };
         // Errors are expected when a test tears a link down mid-batch;
         // logs go nowhere (the tests assert on driver-side events).
-        let _ = amulet_cli::serve_session(&cfg, reader, writer, &amulet::util::EventLog::off());
+        let log = amulet::util::EventLog::off();
+        let _ = amulet_cli::serve_session(&cfg, reader, writer, &log, None);
     });
     MemLink {
         tx: to_worker,

@@ -117,8 +117,8 @@ fn spawn_tcp_worker() -> String {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { continue };
             let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-            let _ =
-                amulet_cli::serve_session(&cfg, reader, &stream, &amulet::util::EventLog::off());
+            let log = amulet::util::EventLog::off();
+            let _ = amulet_cli::serve_session(&cfg, reader, &stream, &log, None);
         }
     });
     addr
