@@ -18,6 +18,7 @@ use amulet_cli::{
     run_driver, serve_session, DriveConfig, FaultCounters, FaultPlan, FaultyLink, TcpLink,
 };
 use amulet_contracts::{ContractKind, LeakageModel, ModelScratch};
+use amulet_core::proto::CampaignSpec;
 use amulet_core::{
     boosted_inputs, boosted_inputs_and_classes_into, minimize, Campaign, CampaignConfig, Detector,
     ExecMode, Executor, ExecutorConfig, Generator, GeneratorConfig, InputGenConfig, ShardConfig,
@@ -185,13 +186,18 @@ fn cycle_loop_arm(
     }
 }
 
-/// The rate of `work` units per second at the median of 5 timed passes
+/// The rate of `work` units per second at the median of the timed passes
 /// (`samples`, in seconds; sorted in place) and at its two quartile passes:
 /// `(median, q1, q3)`, q1 the slower.
 fn pass_rates(work: usize, samples: &mut [f64]) -> (f64, f64, f64) {
     samples.sort_by(f64::total_cmp);
+    let n = samples.len();
     let rate = |secs: f64| work as f64 / secs;
-    (rate(samples[2]), rate(samples[3]), rate(samples[1]))
+    (
+        rate(samples[n / 2]),
+        rate(samples[3 * n / 4]),
+        rate(samples[n / 4]),
+    )
 }
 
 /// Taint-engine microbench: `relevant_labels` calls/sec over a fixed-seed
@@ -479,21 +485,32 @@ fn minimize_bench(json: &mut String) {
 }
 
 /// The cross-host fleet overhead, measured: the full `amulet drive` driver
-/// loop (handshake, heartbeat, batch round trips, reduction) over loopback
-/// TCP workers, clean and under hostile seeded fault injection (drops,
-/// truncations, severed links, delays — recovery re-runs batches, so this
-/// arm prices the robustness ladder). Both arms must reduce to one
-/// fingerprint; the workers are in-process accept loops standing in for
-/// remote hosts, detached threads that die with the bench. Median of 3
-/// runs per arm.
+/// loop (handshake, submit, heartbeat, batch round trips, reduction) over
+/// loopback TCP workers, clean and under hostile seeded fault injection
+/// (drops, truncations, severed links, delays — recovery re-runs batches,
+/// so this arm prices the robustness ladder). The campaign is Baseline ×
+/// CT-SEQ at scale 0.1 (10 × 63 programs × 140 inputs = 88,200 cases in
+/// 160 batches), long enough that one run is not a handful of batches.
+/// Both arms must reduce to one fingerprint; the workers are in-process
+/// accept loops standing in for remote hosts, detached threads that die
+/// with the bench. The arms alternate over [`FLEET_ROUNDS`] rounds, and
+/// each row records the median rate with its quartiles.
 fn fleet_bench(json: &mut String) {
-    let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
+    let spec = CampaignSpec {
+        defense: "Baseline".into(),
+        contract: "CT-SEQ".into(),
+        source: "PHT".into(),
+        seed: 2025,
+        scale: Some(0.1),
+        find_first: false,
+        batch_programs: ShardConfig::default().batch_programs,
+        cycle_skip: true,
+    };
     let workers = 2usize;
     let mut addrs = Vec::new();
     for _ in 0..workers {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         addrs.push(listener.local_addr().unwrap().to_string());
-        let worker_cfg = cfg.clone();
         std::thread::spawn(move || {
             while let Ok((stream, _)) = listener.accept() {
                 let _ = stream.set_nodelay(true);
@@ -501,70 +518,59 @@ fn fleet_bench(json: &mut String) {
                     continue;
                 };
                 let reader = std::io::BufReader::new(clone);
-                let _ = serve_session(&worker_cfg, reader, &stream, &EventLog::off(), None);
+                let _ = serve_session(reader, &stream, &EventLog::off(), None);
             }
         });
     }
-    // Deadlines sized for a bench: hostile drops resolve through timeouts,
-    // and a spurious expiry is safe (it costs a retry, never the result).
+    // Deadlines sized for a bench: a batch here takes milliseconds, hostile
+    // drops resolve through timeouts, and a spurious expiry is safe (it
+    // costs a retry, never the result).
     let drive = DriveConfig {
         procs: workers,
-        liveness: std::time::Duration::from_millis(500),
-        batch_timeout: std::time::Duration::from_secs(5),
+        liveness: std::time::Duration::from_millis(100),
+        batch_timeout: std::time::Duration::from_millis(500),
         backoff_base: std::time::Duration::from_millis(1),
         backoff_max: std::time::Duration::from_millis(8),
         ..DriveConfig::default()
     };
-    let addrs = std::sync::Arc::new(addrs);
+    let arms = [("clean", false), ("hostile", true)];
+    let counters = arms.map(|_| Arc::new(FaultCounters::default()));
+    let mut samples = arms.map(|_| Vec::new());
     let mut fingerprints = Vec::new();
-    for (label, hostile) in [("clean", false), ("hostile", true)] {
-        let counters = Arc::new(FaultCounters::default());
-        let mut samples = Vec::new();
-        let mut cases = 0usize;
-        for round in 0..3u64 {
+    let mut cases = 0usize;
+    for round in 0..FLEET_ROUNDS {
+        for (arm, (_, hostile)) in arms.into_iter().enumerate() {
             let connections = std::sync::atomic::AtomicUsize::new(0);
+            let connect = |slot: usize| {
+                let link = TcpLink::connect(&addrs[slot % addrs.len()], drive.liveness)?;
+                // Fresh fault schedule per connection, or a first-send
+                // sever would repeat forever.
+                let n = connections.fetch_add(1, std::sync::atomic::Ordering::SeqCst) as u64;
+                let seed = 0xBE7C ^ (round << 32) ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let plan = if hostile {
+                    FaultPlan::hostile(seed)
+                } else {
+                    FaultPlan::none(seed)
+                };
+                Ok(FaultyLink::new(link, plan, counters[arm].clone()))
+            };
             let t0 = Instant::now();
-            let report = if hostile {
-                run_driver(
-                    &cfg,
-                    &drive,
-                    |slot| {
-                        // Fresh fault schedule per connection, or a
-                        // first-send sever would repeat forever.
-                        let n =
-                            connections.fetch_add(1, std::sync::atomic::Ordering::SeqCst) as u64;
-                        let plan = FaultPlan::hostile(
-                            0xBE7C ^ (round << 32) ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                        );
-                        let link = TcpLink::connect(&addrs[slot % addrs.len()], drive.liveness)?;
-                        Ok(FaultyLink::new(link, plan, counters.clone()))
-                    },
-                    None,
-                    &EventLog::off(),
-                )
-            } else {
-                run_driver(
-                    &cfg,
-                    &drive,
-                    |slot| TcpLink::connect(&addrs[slot % addrs.len()], drive.liveness),
-                    None,
-                    &EventLog::off(),
-                )
-            }
-            .expect("fleet bench campaign");
-            samples.push(t0.elapsed().as_secs_f64());
+            let report = run_driver(&spec, &drive, connect, None, &EventLog::off())
+                .expect("fleet bench campaign");
+            samples[arm].push(t0.elapsed().as_secs_f64());
             cases = report.stats.cases;
             fingerprints.push(report.fingerprint());
         }
-        samples.sort_by(f64::total_cmp);
-        let rate = cases as f64 / samples[1];
-        let injected = counters.total();
+    }
+    for (arm, (label, _)) in arms.into_iter().enumerate() {
+        let (rate, q1, q3) = pass_rates(cases, &mut samples[arm]);
+        let injected = counters[arm].total();
         println!(
-            "fleet ({label:>7}): {workers} tcp workers  {rate:>9.0} cases/s  {injected} injected faults"
+            "fleet ({label:>7}): {workers} tcp workers  {rate:>9.0} [{q1:.0}, {q3:.0}] cases/s  {injected} injected faults"
         );
         let _ = writeln!(
             json,
-            "{{\"bench\":\"throughput\",\"kind\":\"fleet\",\"name\":\"{label}\",\"transport\":\"tcp-loopback\",\"workers\":{workers},\"injected_faults\":{injected},\"cases\":{cases},\"cases_per_sec\":{rate:.1}}}"
+            "{{\"bench\":\"throughput\",\"kind\":\"fleet\",\"name\":\"{label}\",\"transport\":\"tcp-loopback\",\"workers\":{workers},\"scale\":0.1,\"rounds\":{FLEET_ROUNDS},\"injected_faults\":{injected},\"cases\":{cases},\"cases_per_sec\":{rate:.1},\"cases_per_sec_q1\":{q1:.1},\"cases_per_sec_q3\":{q3:.1}}}"
         );
     }
     assert!(
@@ -572,6 +578,9 @@ fn fleet_bench(json: &mut String) {
         "fleet fingerprint moved across transports/faults: {fingerprints:?}"
     );
 }
+
+/// Timed runs per `fleet` arm.
+const FLEET_ROUNDS: u64 = 7;
 
 /// End-to-end quick-campaign throughput through `Campaign::run_sharded`
 /// on `AMULET_WORKERS` slots (default: all hardware threads). Median of 3

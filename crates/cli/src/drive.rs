@@ -24,6 +24,7 @@ use crate::fleet::{run_driver, DriveConfig, WorkerLink};
 use crate::wire::{recv_msg, spawn_pump, write_msg, Frame};
 use crate::{print_report, report_json, Args, JsonSink, ShapeOptions};
 use amulet_core::proto::{Msg, PROTO_VERSION};
+use amulet_core::ShardConfig;
 use amulet_util::EventLog;
 use std::io::{BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -43,11 +44,11 @@ pub struct ProcLink {
 }
 
 impl ProcLink {
-    /// Spawns `program worker <worker_args...>` and wires up its pipes.
-    pub fn spawn(program: &std::path::Path, worker_args: &[String]) -> Result<Self, String> {
+    /// Spawns `program worker` and wires up its pipes. The worker learns
+    /// its campaign from the slot's `submit`, so it takes no arguments.
+    pub fn spawn(program: &std::path::Path) -> Result<Self, String> {
         let mut child = Command::new(program)
             .arg("worker")
-            .args(worker_args)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
@@ -97,14 +98,12 @@ impl Drop for ProcLink {
 /// `amulet drive`.
 pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
     let shape = ShapeOptions::parse(&mut args)?;
-    let cfg = shape.config();
+    let batch = args.parsed("--batch")?;
+    let spec = shape.spec(batch.map_or(ShardConfig::default().batch_programs, |b: usize| b.max(1)));
+    let cases = shape.config().total_cases();
     let defaults = DriveConfig::default();
     let mut drive = DriveConfig {
         procs: args.parsed("--procs")?.unwrap_or(2).max(1),
-        batch_programs: args
-            .parsed("--batch")?
-            .unwrap_or(defaults.batch_programs)
-            .max(1),
         retries: args.parsed("--retries")?.unwrap_or(defaults.retries),
         quarantine_after: args
             .parsed("--quarantine-after")?
@@ -113,7 +112,7 @@ pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
         batch_timeout: args
             .seconds("--batch-timeout-s")?
             .unwrap_or(defaults.batch_timeout),
-        seed: cfg.seed,
+        seed: spec.seed,
         ..defaults
     };
     let connect_list = args.value("--connect")?;
@@ -147,11 +146,11 @@ pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
                 "driving {} × {} ({} cases) over {} TCP workers, proto v{PROTO_VERSION}",
                 shape.defense.name(),
                 shape.contract.name(),
-                cfg.total_cases(),
+                cases,
                 addrs.len()
             );
             run_driver(
-                &cfg,
+                &spec,
                 &drive,
                 |slot| crate::net::TcpLink::connect(&addrs[slot % addrs.len()], drive.liveness),
                 tee,
@@ -161,21 +160,14 @@ pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
         None => {
             let exe =
                 std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-            let worker_args = shape.worker_argv();
             eprintln!(
                 "driving {} × {} ({} cases) over {} worker processes, proto v{PROTO_VERSION}",
                 shape.defense.name(),
                 shape.contract.name(),
-                cfg.total_cases(),
+                cases,
                 drive.procs
             );
-            run_driver(
-                &cfg,
-                &drive,
-                |_slot| ProcLink::spawn(&exe, &worker_args),
-                tee,
-                &events(),
-            )?
+            run_driver(&spec, &drive, |_slot| ProcLink::spawn(&exe), tee, &events())?
         }
     };
     print_report(&report);
@@ -183,7 +175,7 @@ pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
         &report,
         "drive",
         drive.procs,
-        drive.batch_programs,
+        spec.batch_programs,
     ))
 }
 
@@ -197,7 +189,7 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn a_worker_dying_mid_frame_is_a_truncation_error() {
-        let mut link = ProcLink::spawn(std::path::Path::new("printf"), &[]).unwrap();
+        let mut link = ProcLink::spawn(std::path::Path::new("printf")).unwrap();
         let err = link.recv_timeout(Duration::from_secs(30)).unwrap_err();
         assert!(
             err.contains("mid-frame (6 bytes)"),

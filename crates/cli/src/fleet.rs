@@ -40,18 +40,17 @@
 //!   campaign completes (same fingerprint) as long as one willing slot
 //!   survives. The service's degradation floor fails a campaign that no
 //!   live slot is willing to serve: "campaign incomplete" once every slot
-//!   quarantined, the handshake error once every live slot refused the
-//!   campaign's hello.
+//!   quarantined, the refusal error once every live slot refused the
+//!   campaign (a worker of another protocol version, or one that rejected
+//!   the campaign's spec).
 //! - **Find-first** — before each batch the slot forwards the campaign's
 //!   current floor ([`Lease::floor`]) as [`Msg::Cancel`], and accepts a
 //!   worker's skipped fragment for a batch past it.
 //!
 //! See `docs/DISTRIBUTED.md` for the operator-level picture.
 
-use amulet_core::proto::{FragmentReport, Msg};
-use amulet_core::{
-    run_with_slots, CampaignConfig, CampaignReport, Lease, LeaseWait, Service, LEASE_POLL,
-};
+use amulet_core::proto::{CampaignSpec, FragmentReport, Msg};
+use amulet_core::{run_with_slots, CampaignReport, Lease, LeaseWait, Service, LEASE_POLL};
 use amulet_util::{EventLog, Xoshiro256};
 use std::io::Write;
 use std::time::Duration;
@@ -87,9 +86,6 @@ pub trait WorkerLink {
 pub struct DriveConfig {
     /// Worker links (slots) to drive concurrently.
     pub procs: usize,
-    /// Programs per batch — part of the deterministic stream identity,
-    /// exactly as for the in-process pool.
-    pub batch_programs: usize,
     /// Reconnect-and-retry attempts per batch before the batch is
     /// orphaned (returned to the pool for another slot).
     pub retries: usize,
@@ -117,7 +113,6 @@ impl Default for DriveConfig {
     fn default() -> Self {
         DriveConfig {
             procs: 2,
-            batch_programs: amulet_core::ShardConfig::default().batch_programs,
             retries: 2,
             liveness: Duration::from_secs(10),
             batch_timeout: Duration::from_secs(120),
@@ -129,29 +124,31 @@ impl Default for DriveConfig {
     }
 }
 
-/// Drives one campaign over `drive.procs` worker links and reduces the
-/// streamed fragments deterministically: [`run_with_slots`] with
-/// `drive.procs` linked slots (`run_slot`), the skeleton
-/// `Campaign::run_sharded` runs with in-process slots.
+/// Drives the campaign `spec` resolves to over `drive.procs` worker links
+/// and reduces the streamed fragments deterministically:
+/// [`run_with_slots`] with `drive.procs` linked slots (`run_slot`), the
+/// skeleton `Campaign::run_sharded` runs with in-process slots.
 ///
 /// `connect` is called with the slot index — once when the slot takes its
 /// first batch, plus once per reconnect after a link failure — so a TCP
 /// fleet can map slots to addresses and tests can inject per-connection
-/// faults. Each fresh link must open with a `hello` whose version and
-/// config echo match `cfg` within [`DriveConfig::liveness`]; a hello
-/// *mismatch* is a configuration error that the slot never retries, while
-/// every transport-shaped handshake failure is transient and consumes
-/// retry budget. `tee`, when given, receives every executed fragment as
-/// one JSONL line; `events` receives the slots' `fleet` rows (`connect`,
-/// `link_failure`, `backoff`, `orphan`, `adopt`, `refused`, `quarantine`,
-/// `drained`, each with its `slot`) — [`EventLog::off`] discards them.
+/// faults. Each fresh link must open with a `hello` within
+/// [`DriveConfig::liveness`], and the slot answers it with `spec` as a
+/// `submit`. A worker of another protocol version, or one that answers
+/// the submit with `rejected`, refuses the campaign, which the slot never
+/// retries; every transport-shaped handshake failure is transient and
+/// consumes retry budget. `tee`, when given, receives every executed
+/// fragment as one JSONL line; `events` receives the slots' `fleet` rows
+/// (`connect`, `link_failure`, `backoff`, `orphan`, `adopt`, `refused`,
+/// `quarantine`, `drained`, each with its `slot`) — [`EventLog::off`]
+/// discards them.
 ///
 /// The reduced fragment set is checked by
 /// [`verify_fragment_coverage`](amulet_core::verify_fragment_coverage)
 /// before reduction — exactly one fragment per planned batch (or per batch
 /// in the find-first prefix), however chaotic the failure schedule was.
 pub fn run_driver<L, C>(
-    cfg: &CampaignConfig,
+    spec: &CampaignSpec,
     drive: &DriveConfig,
     connect: C,
     tee: Option<Box<dyn Write + Send>>,
@@ -162,8 +159,9 @@ where
     C: Fn(usize) -> Result<L, String> + Sync,
 {
     run_with_slots(
-        cfg.clone(),
-        drive.batch_programs,
+        spec.resolve()?,
+        Some(spec),
+        spec.batch_programs,
         tee,
         drive.procs,
         |service, id, slot| run_slot(service, id, slot, || connect(slot), drive, events),
@@ -172,17 +170,23 @@ where
 
 /// How a batch attempt (or handshake) failed.
 enum Failure {
-    /// The worker's hello does not match the campaign's config: a
-    /// deployment bug no retry can fix, so the slot refuses the campaign.
+    /// The worker cannot serve the campaign (another protocol version, or
+    /// a `rejected` submit), or the lease has no spec to send: no retry
+    /// can fix it, so the slot refuses the campaign.
     Refused(String),
     /// Transport-level failure (EOF, timeout, truncation, refused
     /// connection): retry/backoff/quarantine territory.
     Transient(String),
 }
 
-/// A live link and the campaign whose hello it passed. A worker's
-/// persistent runtime must never serve two configs, so sessions are
-/// per-campaign.
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Transient(e)
+    }
+}
+
+/// A live link and the campaign it was sent. A worker's persistent
+/// runtime must never serve two configs, so sessions are per-campaign.
 struct Session<L> {
     campaign: u64,
     link: L,
@@ -254,15 +258,15 @@ pub(crate) fn run_slot<L: WorkerLink>(
         let outcome = loop {
             token += 1;
             let attempt = match session.as_mut() {
-                Some(live) => call_worker(live, &lease, drive, token).map_err(Failure::Transient),
-                None => connect_checked(&lease.cfg, &connect, drive.liveness).and_then(|link| {
+                Some(live) => call_worker(live, &lease, drive, token),
+                None => open_session(&lease, &connect, drive.liveness).and_then(|link| {
                     events.emit("fleet", "connect", |o| o.int("slot", slot as u64));
                     let fresh = session.insert(Session {
                         campaign: lease.campaign,
                         link,
                         sent_floor: usize::MAX,
                     });
-                    call_worker(fresh, &lease, drive, token).map_err(Failure::Transient)
+                    call_worker(fresh, &lease, drive, token)
                 }),
             };
             match attempt {
@@ -304,6 +308,9 @@ pub(crate) fn run_slot<L: WorkerLink>(
                 }
             }
             Err(Failure::Refused(e)) => {
+                // A worker that rejected the campaign's submit holds a
+                // session it will never serve; free it for other drivers.
+                close(&mut session);
                 events.emit("fleet", "refused", |o| {
                     o.int("slot", slot as u64)
                         .int("campaign", lease.campaign)
@@ -335,44 +342,41 @@ pub(crate) fn run_slot<L: WorkerLink>(
     service.retire_slot(id);
 }
 
-/// Connects a link and consumes its `hello` handshake under a deadline.
-/// Only a hello that *arrives but mismatches* is a refusal; everything
-/// else about a bad handshake looks like a transport failure and stays
-/// transient.
-fn connect_checked<L: WorkerLink>(
-    cfg: &CampaignConfig,
+/// Connects a link, consumes its `hello` under a deadline and sends the
+/// lease's campaign as a `submit`. Only a hello of another version is a
+/// refusal here (a `rejected` answer to the submit arrives where
+/// `call_worker` waits for its pong); everything else about a bad
+/// handshake looks like a transport failure and stays transient.
+fn open_session<L: WorkerLink>(
+    lease: &Lease,
     connect: &impl Fn() -> Result<L, String>,
     liveness: Duration,
 ) -> Result<L, Failure> {
-    let mut link = connect().map_err(Failure::Transient)?;
-    match link.recv_timeout(liveness) {
-        Ok(Some(Msg::Hello(hello))) => hello.check(cfg).map_err(Failure::Refused)?,
-        Ok(Some(other)) => {
-            return Err(Failure::Transient(format!(
-                "expected hello, got {:?}",
-                other.tag()
-            )))
-        }
-        Ok(None) => {
-            return Err(Failure::Transient(format!(
-                "handshake timed out after {liveness:?}"
-            )))
-        }
-        Err(e) => return Err(Failure::Transient(e)),
+    let spec = lease.campaign_spec.as_deref().ok_or_else(|| {
+        Failure::Refused("a hand-built campaign has no spec to send a worker".into())
+    })?;
+    let mut link = connect()?;
+    match link.recv_timeout(liveness)? {
+        Some(Msg::Hello(hello)) => hello.check().map_err(Failure::Refused)?,
+        Some(other) => return Err(format!("expected hello, got {:?}", other.tag()).into()),
+        None => return Err(format!("handshake timed out after {liveness:?}").into()),
     }
+    link.send(&Msg::Submit(spec.clone()))?;
     Ok(link)
 }
 
 /// One batch over a live session: heartbeat probe, forward a lowered
 /// cancel floor, assign the batch, await its fragment under the batch
 /// deadline. A skipped fragment is accepted only past a floor this link
-/// was sent, and a records batch only with one record per violation.
+/// was sent, and a records batch only with one record per violation. A
+/// `rejected` in place of the pong is the worker refusing the session's
+/// `submit`.
 fn call_worker<L: WorkerLink>(
     session: &mut Session<L>,
     lease: &Lease,
     drive: &DriveConfig,
     token: u64,
-) -> Result<FragmentReport, String> {
+) -> Result<FragmentReport, Failure> {
     let (link, spec) = (&mut session.link, lease.spec);
     // The probe catches a wedged-but-connected peer within `liveness`
     // instead of committing a batch and waiting out the much longer batch
@@ -382,10 +386,11 @@ fn call_worker<L: WorkerLink>(
     match link.recv_timeout(drive.liveness)? {
         Some(Msg::Pong { token: t }) if t == token => {}
         Some(Msg::Pong { token: t }) => {
-            return Err(format!("pong token mismatch: sent {token:#x}, got {t:#x}"))
+            return Err(format!("pong token mismatch: sent {token:#x}, got {t:#x}").into())
         }
-        Some(other) => return Err(format!("expected pong, got {:?}", other.tag())),
-        None => return Err(format!("heartbeat timed out after {:?}", drive.liveness)),
+        Some(Msg::Rejected { reason, .. }) => return Err(Failure::Refused(reason)),
+        Some(other) => return Err(format!("expected pong, got {:?}", other.tag()).into()),
+        None => return Err(format!("heartbeat timed out after {:?}", drive.liveness).into()),
     }
     if let Some(hit) = lease.floor().filter(|&hit| hit < session.sent_floor) {
         link.send(&Msg::Cancel { earliest: hit })?;
@@ -407,12 +412,14 @@ fn call_worker<L: WorkerLink>(
             reply.skipped,
             reply.records.len(),
             reply.violations.len()
-        )),
-        Some(other) => Err(format!("expected fragment, got {:?}", other.tag())),
+        )
+        .into()),
+        Some(other) => Err(format!("expected fragment, got {:?}", other.tag()).into()),
         None => Err(format!(
             "batch {} timed out after {:?}",
             spec.index, drive.batch_timeout
-        )),
+        )
+        .into()),
     }
 }
 
@@ -434,8 +441,11 @@ pub(crate) fn backoff_delay(rng: &mut Xoshiro256, drive: &DriveConfig, attempt: 
 mod tests {
     use super::*;
     use amulet_contracts::ContractKind;
-    use amulet_core::proto::{CampaignSpec, Hello};
-    use amulet_core::{Corpus, CorpusInput, Reduction, ViolationClass, ViolationDigest};
+    use amulet_core::proto::Hello;
+    use amulet_core::{
+        CampaignConfig, Corpus, CorpusInput, Reduction, ViolationClass, ViolationDigest,
+        PROTO_VERSION,
+    };
     use amulet_defenses::DefenseKind;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Instant;
@@ -448,7 +458,6 @@ mod tests {
     fn quick_drive() -> DriveConfig {
         DriveConfig {
             procs: 1,
-            batch_programs: 2,
             retries: 1,
             liveness: ms(25),
             batch_timeout: ms(60),
@@ -459,22 +468,61 @@ mod tests {
         }
     }
 
-    /// A worker that completes the handshake and then wedges: sends
-    /// succeed, nothing ever comes back — the failure mode a blocking
-    /// `recv` would stall on forever.
+    /// The quick Baseline × CT-SEQ campaign in `batch_programs`-program
+    /// batches.
+    fn quick_spec(batch_programs: usize) -> CampaignSpec {
+        CampaignSpec {
+            defense: "Baseline".into(),
+            contract: "CT-SEQ".into(),
+            source: "PHT".into(),
+            seed: 1,
+            scale: None,
+            find_first: false,
+            batch_programs,
+            cycle_skip: true,
+        }
+    }
+
+    /// A worker that announces `hello`, answers a `submit` with a
+    /// `rejected` carrying `reject` (when set) and pings with pongs, and never answers a batch: it
+    /// wedges, the failure mode a blocking `recv` would stall on forever.
     struct HungLink {
-        cfg: CampaignConfig,
-        hello_sent: bool,
+        hello: Option<Hello>,
+        reject: Option<String>,
+        replies: Vec<Msg>,
+    }
+
+    impl HungLink {
+        fn new(proto: u64, reject: Option<&str>) -> Self {
+            HungLink {
+                hello: Some(Hello { proto }),
+                reject: reject.map(str::to_owned),
+                replies: Vec::new(),
+            }
+        }
     }
 
     impl WorkerLink for HungLink {
-        fn send(&mut self, _msg: &Msg) -> Result<(), String> {
+        fn send(&mut self, msg: &Msg) -> Result<(), String> {
+            match msg {
+                Msg::Submit(_) => {
+                    self.replies
+                        .extend(self.reject.clone().map(|reason| Msg::Rejected {
+                            reason,
+                            retry_after_ms: 0,
+                        }))
+                }
+                Msg::Ping { token } => self.replies.push(Msg::Pong { token: *token }),
+                _ => {}
+            }
             Ok(())
         }
         fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Msg>, String> {
-            if !self.hello_sent {
-                self.hello_sent = true;
-                return Ok(Some(Msg::Hello(Hello::for_config(&self.cfg))));
+            if let Some(hello) = self.hello.take() {
+                return Ok(Some(Msg::Hello(hello)));
+            }
+            if !self.replies.is_empty() {
+                return Ok(Some(self.replies.remove(0)));
             }
             std::thread::sleep(timeout);
             Ok(None)
@@ -486,20 +534,11 @@ mod tests {
     /// and promptly instead of stalling.
     #[test]
     fn a_hung_worker_exhausts_the_retry_budget_cleanly() {
-        let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-        cfg.instances = 1;
-        cfg.programs_per_instance = 2;
-        let drive = quick_drive();
         let t0 = Instant::now();
         let err = run_driver(
-            &cfg,
-            &drive,
-            |_slot| {
-                Ok(HungLink {
-                    cfg: cfg.clone(),
-                    hello_sent: false,
-                })
-            },
+            &quick_spec(12),
+            &quick_drive(),
+            |_slot| Ok(HungLink::new(PROTO_VERSION, None)),
             None,
             &EventLog::off(),
         )
@@ -515,37 +554,49 @@ mod tests {
         );
     }
 
-    /// A hello that *arrives but mismatches* is a deployment bug: the
-    /// campaign aborts at once, with no reconnect burning the budget.
+    /// A worker that cannot serve the campaign — it speaks another
+    /// protocol version, or rejects the spec — is a deployment bug: the
+    /// campaign fails at once with that error, and no reconnect burns the
+    /// retry budget.
     #[test]
-    fn a_mismatched_hello_aborts_without_retries() {
-        let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-        let mut wrong = cfg.clone();
-        wrong.seed ^= 0xdead;
-        let connects = AtomicUsize::new(0);
-        let err = run_driver(
-            &cfg,
-            &quick_drive(),
-            |_slot| {
-                connects.fetch_add(1, Ordering::SeqCst);
-                Ok(HungLink {
-                    cfg: wrong.clone(),
-                    hello_sent: false,
-                })
-            },
-            None,
-            &EventLog::off(),
-        )
+    fn a_refusing_worker_fails_the_campaign_without_retries() {
+        for (proto, reject, expect) in [
+            (PROTO_VERSION - 1, None, "version mismatch"),
+            (PROTO_VERSION, Some("unknown defense"), "unknown defense"),
+        ] {
+            let connects = AtomicUsize::new(0);
+            let err = run_driver(
+                &quick_spec(12),
+                &quick_drive(),
+                |_slot| {
+                    connects.fetch_add(1, Ordering::SeqCst);
+                    Ok(HungLink::new(proto, reject))
+                },
+                None,
+                &EventLog::off(),
+            )
+            .unwrap_err();
+            assert_eq!(
+                connects.load(Ordering::SeqCst),
+                1,
+                "a refusal must not be retried: {err}"
+            );
+            assert!(err.contains(expect), "{err}");
+        }
+    }
+
+    /// A hand-built config has no spec to send, so a linked slot refuses
+    /// it without connecting; it runs on local slots only.
+    #[test]
+    fn a_linked_slot_refuses_a_hand_built_campaign() {
+        let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
+        cfg.programs_per_instance = 15;
+        let err = run_with_slots(cfg, None, 4, None, 1, |service, id, slot| {
+            let connect = || -> Result<HungLink, String> { panic!("must not connect") };
+            run_slot(service, id, slot, connect, &quick_drive(), &EventLog::off())
+        })
         .unwrap_err();
-        assert_eq!(
-            connects.load(Ordering::SeqCst),
-            1,
-            "a config mismatch must not be retried: {err}"
-        );
-        assert!(
-            !err.contains("campaign incomplete"),
-            "the handshake mismatch itself must surface: {err}"
-        );
+        assert!(err.contains("hand-built"), "{err}");
     }
 
     /// A worker that answers every batch with one violation digest and
@@ -601,17 +652,7 @@ mod tests {
         let service = Service::with_corpus(Some(Corpus::open(
             std::env::temp_dir().join(format!("amulet_fleet_records_{}", std::process::id())),
         )));
-        let spec = CampaignSpec {
-            defense: "Baseline".into(),
-            contract: "CT-SEQ".into(),
-            source: "PHT".into(),
-            seed: 1,
-            scale: None,
-            find_first: false,
-            batch_programs: 4,
-            cycle_skip: true,
-        };
-        service.submit(&spec).unwrap();
+        service.submit(&quick_spec(4)).unwrap();
         let LeaseWait::Lease(lease) = service.wait_lease(ms(10)) else {
             panic!("expected a lease")
         };
@@ -630,9 +671,14 @@ mod tests {
             };
             call_worker(&mut session, &lease, &quick_drive(), 1)
         };
-        let err = call(0).unwrap_err();
+        let Err(Failure::Transient(err)) = call(0) else {
+            panic!("a records batch without records must fail transiently")
+        };
         assert!(err.contains("0 records for 1 violations"), "{err}");
-        assert_eq!(call(1).unwrap().records.len(), 1);
+        let Ok(reply) = call(1) else {
+            panic!("one record per violation is a usable fragment")
+        };
+        assert_eq!(reply.records.len(), 1);
     }
 
     /// Backoff is deterministic in (seed, attempt), grows exponentially,

@@ -19,9 +19,10 @@
 //!   **TCP workers** on other hosts, fingerprint-identical to the
 //!   in-process run and robust to worker crashes, hangs and churn; see
 //!   [`drive`], [`fleet`], [`net`] and `docs/DISTRIBUTED.md`.
-//! - `amulet worker` — the serving end of `drive`: stdin/stdout when
-//!   spawned, `--listen ADDR` for TCP (also usable by external drivers
-//!   speaking the protocol); see [`worker`].
+//! - `amulet worker` — the serving end of `drive` and `serve --connect`:
+//!   stdin/stdout when spawned, `--listen ADDR` for TCP (also usable by
+//!   external drivers speaking the protocol). It takes only transport
+//!   flags; each driver sends the campaign it serves. See [`worker`].
 //! - `amulet serve` — the long-lived campaign service: accepts `submit`
 //!   requests over TCP, fair-shares one worker fleet (in-process threads
 //!   plus `--connect` TCP workers) across concurrent campaigns, answers
@@ -131,7 +132,7 @@ DRIVE OPTIONS (shape options as for campaign):
                           backoff, quarantines) as JSONL to PATH
     --json PATH           Append the reduced campaign report line to PATH
 
-WORKER OPTIONS (shape options as for campaign):
+WORKER OPTIONS (transport only: each driver sends the campaign it serves):
     --listen ADDR         Serve the protocol over TCP on ADDR (e.g.
                           0.0.0.0:7711; :0 picks a port, announced on stderr)
     --sessions N          With --listen: exit after N driver sessions (0 = forever)
@@ -419,9 +420,9 @@ impl JsonSink {
     }
 }
 
-/// The campaign-identity flags shared by `campaign`, `drive` and `worker` —
+/// The campaign-identity flags shared by `campaign`, `drive` and `submit` —
 /// everything that determines the deterministic case stream (and therefore
-/// the fingerprint), parsed once and reproducible as a worker command line.
+/// the fingerprint), parsed once and reproducible as a command line.
 #[derive(Debug, Clone)]
 pub struct ShapeOptions {
     /// Defense under test.
@@ -504,9 +505,10 @@ impl ShapeOptions {
             .unwrap_or_else(|e| panic!("invalid campaign shape: {e}"))
     }
 
-    /// The argument vector reproducing these flags on an `amulet worker`
-    /// command line — how `drive` guarantees its workers resolve the exact
-    /// campaign it will fingerprint (double-checked by the hello handshake).
+    /// The argument vector reproducing these flags on a `campaign`,
+    /// `drive` or `submit` command line, so a harness can run one shape
+    /// through several entry points. (`amulet worker` takes none of them:
+    /// its driver sends the campaign on the wire.)
     pub fn worker_argv(&self) -> Vec<String> {
         let mut argv = vec![
             "--defense".into(),

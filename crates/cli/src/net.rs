@@ -18,7 +18,6 @@ use crate::fleet::WorkerLink;
 use crate::wire::{recv_msg, spawn_pump, write_msg, Frame};
 use crate::worker::serve_session;
 use amulet_core::proto::Msg;
-use amulet_core::CampaignConfig;
 use amulet_util::events;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -115,10 +114,12 @@ pub struct ListenConfig {
 /// bound address in a `listening` row on the stderr event stream first
 /// (so scripts and tests can scrape the port when binding to `:0`).
 ///
-/// A session error (malformed traffic, mid-batch disconnect) is logged
-/// and the listener keeps accepting: driver reconnects after a network
-/// fault are routine, not fatal.
-pub fn serve_listener(cfg: &CampaignConfig, listen: &ListenConfig) -> Result<(), String> {
+/// Each session serves the campaign its driver submits, so one listener
+/// serves any number of campaigns, one session at a time. A session error
+/// (malformed traffic, mid-batch disconnect) is logged and the listener
+/// keeps accepting: driver reconnects after a network fault are routine,
+/// not fatal.
+pub fn serve_listener(listen: &ListenConfig) -> Result<(), String> {
     let listener =
         TcpListener::bind(&listen.addr).map_err(|e| format!("cannot bind {}: {e}", listen.addr))?;
     let local = listener
@@ -143,7 +144,7 @@ pub fn serve_listener(cfg: &CampaignConfig, listen: &ListenConfig) -> Result<(),
                 .try_clone()
                 .map_err(|e| format!("cannot clone stream: {e}"))?,
         );
-        match serve_session(cfg, reader, &stream, log, listen.idle_timeout) {
+        match serve_session(reader, &stream, log, listen.idle_timeout) {
             Ok(stats) => log.emit("worker", "session_end", |o| {
                 o.int("batches", stats.batches as u64)
                     .int("skipped", stats.skipped as u64)
@@ -179,8 +180,6 @@ pub fn parse_connect_list(list: &str) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amulet_contracts::ContractKind;
-    use amulet_defenses::DefenseKind;
     use std::io::Write;
 
     #[test]
@@ -196,22 +195,20 @@ mod tests {
     /// heartbeat, shutdown — with the worker side served by a thread.
     #[test]
     fn tcp_link_round_trips_the_protocol_over_loopback() {
-        let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let server_cfg = cfg.clone();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let reader = BufReader::new(stream.try_clone().unwrap());
             let log = amulet_util::EventLog::off();
-            serve_session(&server_cfg, reader, &stream, &log, None).unwrap()
+            serve_session(reader, &stream, &log, None).unwrap()
         });
 
         let mut link = TcpLink::connect(&addr.to_string(), Duration::from_secs(5)).unwrap();
         let Msg::Hello(hello) = link.recv().unwrap() else {
             panic!("expected hello")
         };
-        hello.check(&cfg).unwrap();
+        hello.check().unwrap();
         link.send(&Msg::Ping { token: 0xfeed }).unwrap();
         assert!(matches!(
             link.recv_timeout(Duration::from_secs(5)).unwrap(),

@@ -1,12 +1,16 @@
 //! `amulet worker` — the serving end of the multi-process campaign fabric.
 //!
-//! A worker resolves its campaign configuration from the same shape flags
-//! as `amulet campaign` (`--defense`, `--contract`, `--scale`, `--seed`,
-//! `--find-first`, `--no-cycle-skip`), announces a [`Hello`] on its
-//! output, then serves `batch` assignments until `shutdown` (or EOF — a
-//! vanished driver never leaves a worker behind). One session holds one
-//! persistent [`UnitRuntime`], exactly like one thread of the in-process
-//! pool, so a batch's results are independent of which worker ran it.
+//! A worker takes only transport flags. It announces a [`Hello`] carrying
+//! its protocol version on its output, then waits for its driver's
+//! `submit`: the campaign this session serves, resolved through
+//! [`CampaignSpec::resolve`](amulet_core::CampaignSpec::resolve) exactly as
+//! `amulet serve` resolves a client's submit (a spec that does not resolve
+//! is answered with `rejected`). It then serves `batch` assignments until
+//! `shutdown` (or EOF — a vanished driver never leaves a worker behind).
+//! One session serves one campaign and holds one persistent
+//! [`UnitRuntime`], exactly like one thread of the in-process pool, so a
+//! batch's results are independent of which worker ran it — and one
+//! listening worker serves whatever campaigns its drivers send it.
 //!
 //! Two transports share the same loop ([`serve_session`]):
 //!
@@ -19,14 +23,15 @@
 //! (`wire::pump_frames`) on a thread of the session's own, under the same
 //! 64 KiB line bound as a `serve` session; the loop waits on its frame
 //! channel, and `--idle-timeout-s` is that wait's deadline. The loop is
-//! *tolerant*: a malformed, oversized or unexpected line is logged as a
-//! `worker_error` row and skipped (the driver recovers via its own
-//! deadline), and a trailing partial line at EOF — a driver that died
-//! mid-frame — ends the session cleanly instead of poisoning it.
+//! *tolerant*: a malformed, oversized or unexpected line — a batch before
+//! any submit included — is logged as a `worker_error` row and skipped
+//! (the driver recovers via its own deadline), and a trailing partial line
+//! at EOF — a driver that died mid-frame — ends the session cleanly
+//! instead of poisoning it.
 
 use crate::serve::SessionLimits;
 use crate::wire::{spawn_pump, write_msg, Frame};
-use crate::{Args, ShapeOptions};
+use crate::Args;
 use amulet_core::proto::{FragmentReport, Hello, Msg};
 use amulet_core::{run_batch, CampaignConfig, UnitRuntime};
 use amulet_util::{events, EventLog};
@@ -48,8 +53,11 @@ pub struct SessionStats {
     pub malformed: usize,
 }
 
-/// Serves one worker session: hello, then batch → fragment until
-/// `shutdown` or EOF, answering `ping` heartbeats between batches.
+/// Serves one worker session: hello, the driver's `submit`, then batch →
+/// fragment until `shutdown` or EOF, answering `ping` heartbeats between
+/// batches. A submit that does not resolve is answered with `rejected`
+/// and leaves the session waiting for one that does; once a campaign is
+/// set, a further submit is an unexpected message.
 /// `worker` event rows (`worker_error`, `worker_eof_truncated`,
 /// `worker_idle_timeout`) go to `log`; only an unwritable *output* is a
 /// hard error (the driver is gone and taking its deadline with it).
@@ -72,19 +80,28 @@ pub struct SessionStats {
 ///
 /// ```
 /// use amulet_cli::serve_session;
-/// use amulet_core::proto::Msg;
-/// use amulet_core::{BatchSpec, CampaignConfig};
-/// use amulet_contracts::ContractKind;
-/// use amulet_defenses::DefenseKind;
+/// use amulet_core::proto::{CampaignSpec, Msg};
+/// use amulet_core::BatchSpec;
 /// use amulet_util::EventLog;
 ///
-/// let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-/// cfg.programs_per_instance = 1;
-/// let spec = BatchSpec { index: 0, instance: 0, batch: 0, programs: 1, records: false };
-/// let script = format!("{}\n{}\n", Msg::Batch(spec).to_line(), Msg::Shutdown.to_line());
+/// let spec = CampaignSpec {
+///     defense: "Baseline".into(),
+///     contract: "CT-SEQ".into(),
+///     source: "PHT".into(),
+///     seed: 2025,
+///     scale: None,
+///     find_first: false,
+///     batch_programs: 1,
+///     cycle_skip: true,
+/// };
+/// let batch = BatchSpec { index: 0, instance: 0, batch: 0, programs: 1, records: false };
+/// let script: String = [Msg::Submit(spec), Msg::Batch(batch), Msg::Shutdown]
+///     .iter()
+///     .map(|m| m.to_line() + "\n")
+///     .collect();
 /// let mut out = Vec::new();
 /// let input = std::io::Cursor::new(script);
-/// let stats = serve_session(&cfg, input, &mut out, &EventLog::off(), None).unwrap();
+/// let stats = serve_session(input, &mut out, &EventLog::off(), None).unwrap();
 /// let lines: Vec<Msg> = String::from_utf8(out)
 ///     .unwrap()
 ///     .lines()
@@ -95,16 +112,16 @@ pub struct SessionStats {
 /// assert_eq!(stats.batches, 1);
 /// ```
 pub fn serve_session(
-    cfg: &CampaignConfig,
     input: impl BufRead + Send + 'static,
     mut out: impl Write,
     log: &EventLog,
     idle: Option<Duration>,
 ) -> Result<SessionStats, String> {
     let frames = spawn_pump(input, SessionLimits::default().max_line_bytes);
-    write_msg(&mut out, &Msg::Hello(Hello::for_config(cfg)))?;
+    write_msg(&mut out, &Msg::Hello(Hello::CURRENT))?;
     let anchor = Instant::now();
-    let mut rt = UnitRuntime::new();
+    // The session's campaign, from the driver's submit, and its runtime.
+    let mut campaign: Option<(CampaignConfig, UnitRuntime)> = None;
     let mut cancel_floor = usize::MAX;
     let mut stats = SessionStats::default();
     loop {
@@ -136,92 +153,84 @@ pub fn serve_session(
                 break;
             }
         };
-        let msg = match msg {
-            Ok(msg) => msg,
-            Err(e) => {
-                // Garbage on the wire (a truncated, corrupted or oversized
-                // frame). Skip it — the driver's deadline, not our exit,
-                // handles the lost message.
-                log.emit("worker", "worker_error", |o| {
-                    o.str("error", &e).int("line_bytes", line_bytes as u64)
-                });
-                stats.malformed += 1;
-                continue;
-            }
-        };
-        match msg {
-            Msg::Ping { token } => {
+        let error = match msg {
+            Ok(Msg::Ping { token }) => {
                 stats.pings += 1;
                 write_msg(&mut out, &Msg::Pong { token })?;
+                continue;
             }
-            Msg::Batch(spec) => {
-                let reply = if cfg.stop_on_first && spec.index > cancel_floor {
-                    stats.skipped += 1;
-                    FragmentReport::skipped(spec.index)
-                } else {
-                    stats.batches += 1;
-                    FragmentReport::from_fragment(&run_batch(cfg, &spec, anchor, &mut rt))
-                };
-                write_msg(&mut out, &Msg::Fragment(reply))?;
+            Ok(Msg::Submit(spec)) if campaign.is_none() => {
+                match spec.resolve() {
+                    Ok(cfg) => campaign = Some((cfg, UnitRuntime::new())),
+                    Err(reason) => write_msg(
+                        &mut out,
+                        &Msg::Rejected {
+                            reason,
+                            retry_after_ms: 0,
+                        },
+                    )?,
+                }
+                continue;
             }
-            Msg::Cancel { earliest } => cancel_floor = cancel_floor.min(earliest),
-            Msg::Shutdown => break,
-            other => {
-                // Valid protocol, wrong direction (a hello or fragment
-                // echoed back at us): log and keep serving.
-                log.emit("worker", "worker_error", |o| {
-                    o.str(
-                        "error",
-                        &format!("unexpected {:?} message from driver", other.tag()),
-                    )
-                });
-                stats.malformed += 1;
+            Ok(Msg::Batch(spec)) => match campaign.as_mut() {
+                Some((cfg, rt)) => {
+                    let reply = if cfg.stop_on_first && spec.index > cancel_floor {
+                        stats.skipped += 1;
+                        FragmentReport::skipped(spec.index)
+                    } else {
+                        stats.batches += 1;
+                        FragmentReport::from_fragment(&run_batch(cfg, &spec, anchor, rt))
+                    };
+                    write_msg(&mut out, &Msg::Fragment(reply))?;
+                    continue;
+                }
+                None => format!("batch {} before any submit", spec.index),
+            },
+            Ok(Msg::Cancel { earliest }) => {
+                cancel_floor = cancel_floor.min(earliest);
+                continue;
             }
-        }
+            Ok(Msg::Shutdown) => break,
+            // Valid protocol, wrong direction (a hello or fragment echoed
+            // back at us) or a second submit: log and keep serving.
+            Ok(other) => format!("unexpected {:?} message from driver", other.tag()),
+            // Garbage on the wire (a truncated, corrupted or oversized
+            // frame). Skip it — the driver's deadline, not our exit,
+            // handles the lost message.
+            Err(e) => e,
+        };
+        log.emit("worker", "worker_error", |o| {
+            o.str("error", &error).int("line_bytes", line_bytes as u64)
+        });
+        stats.malformed += 1;
     }
     Ok(stats)
 }
 
-/// `amulet worker`.
+/// `amulet worker`. Only transport flags: the campaign comes from the
+/// driver.
 pub(crate) fn cmd_worker(mut args: Args) -> Result<(), String> {
-    let shape = ShapeOptions::parse(&mut args)?;
     let listen = args.value("--listen")?;
     let sessions = args.parsed::<usize>("--sessions")?.unwrap_or(0);
     let idle_timeout = args.seconds("--idle-timeout-s")?;
     args.finish()?;
-    let cfg = shape.config();
     match listen {
         Some(addr) => {
-            eprintln!(
-                "worker {}: listening on {addr}, serving {} × {} (seed {})",
-                std::process::id(),
-                shape.defense.name(),
-                shape.contract.name(),
-                cfg.seed
-            );
-            crate::net::serve_listener(
-                &cfg,
-                &crate::net::ListenConfig {
-                    addr,
-                    sessions,
-                    idle_timeout,
-                },
-            )
+            eprintln!("worker {}: listening on {addr}", std::process::id());
+            crate::net::serve_listener(&crate::net::ListenConfig {
+                addr,
+                sessions,
+                idle_timeout,
+            })
         }
         None => {
             if sessions != 0 || idle_timeout.is_some() {
                 return Err("--sessions/--idle-timeout-s require --listen".into());
             }
-            eprintln!(
-                "worker {}: serving {} × {} (seed {})",
-                std::process::id(),
-                shape.defense.name(),
-                shape.contract.name(),
-                cfg.seed
-            );
+            eprintln!("worker {}: serving stdin/stdout", std::process::id());
             let stdin = BufReader::new(std::io::stdin());
             let stdout = std::io::stdout().lock();
-            serve_session(&cfg, stdin, stdout, events::stderr(), None).map(|_| ())
+            serve_session(stdin, stdout, events::stderr(), None).map(|_| ())
         }
     }
 }
@@ -229,9 +238,8 @@ pub(crate) fn cmd_worker(mut args: Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amulet_contracts::ContractKind;
+    use amulet_core::proto::CampaignSpec;
     use amulet_core::BatchSpec;
-    use amulet_defenses::DefenseKind;
     use std::sync::{Arc, Mutex};
 
     /// An event sink the test can read back.
@@ -248,12 +256,12 @@ mod tests {
         }
     }
 
-    fn session_raw(cfg: &CampaignConfig, input: &str) -> (Vec<Msg>, SessionStats, String) {
+    fn session_raw(input: &str) -> (Vec<Msg>, SessionStats, String) {
         let mut out = Vec::new();
         let log = Captured::default();
         let input = std::io::Cursor::new(input.to_owned());
         let log_to = EventLog::new(log.clone());
-        let stats = serve_session(cfg, input, &mut out, &log_to, None).unwrap();
+        let stats = serve_session(input, &mut out, &log_to, None).unwrap();
         let replies = String::from_utf8(out)
             .unwrap()
             .lines()
@@ -263,35 +271,47 @@ mod tests {
         (replies, stats, log)
     }
 
-    fn session(cfg: &CampaignConfig, script: &[Msg]) -> Vec<Msg> {
-        let input: String = script
-            .iter()
-            .map(|m| format!("{}\n", m.to_line()))
-            .collect();
-        session_raw(cfg, &input).0
+    fn script(msgs: &[Msg]) -> String {
+        msgs.iter().map(|m| format!("{}\n", m.to_line())).collect()
     }
 
-    #[test]
-    fn worker_answers_batches_and_stops_on_shutdown() {
-        let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-        cfg.instances = 1;
-        cfg.programs_per_instance = 2;
-        let spec = |index| BatchSpec {
+    fn session(msgs: &[Msg]) -> Vec<Msg> {
+        session_raw(&script(msgs)).0
+    }
+
+    /// The quick Baseline × CT-SEQ campaign as its driver submits it.
+    fn submit(find_first: bool) -> Msg {
+        Msg::Submit(CampaignSpec {
+            defense: "Baseline".into(),
+            contract: "CT-SEQ".into(),
+            source: "PHT".into(),
+            seed: 2025,
+            scale: None,
+            find_first,
+            batch_programs: 1,
+            cycle_skip: true,
+        })
+    }
+
+    /// A one-program batch of instance 0.
+    fn batch(index: usize) -> Msg {
+        Msg::Batch(BatchSpec {
             index,
             instance: 0,
             batch: index,
             programs: 1,
             records: false,
-        };
-        let replies = session(
-            &cfg,
-            &[Msg::Batch(spec(0)), Msg::Batch(spec(1)), Msg::Shutdown],
-        );
+        })
+    }
+
+    #[test]
+    fn worker_answers_batches_and_stops_on_shutdown() {
+        let replies = session(&[submit(false), batch(0), batch(1), Msg::Shutdown]);
         assert_eq!(replies.len(), 3, "hello + two fragments");
         let Msg::Hello(h) = &replies[0] else {
             panic!("first message must be hello");
         };
-        assert!(h.check(&cfg).is_ok());
+        assert!(h.check().is_ok());
         for (i, reply) in replies[1..].iter().enumerate() {
             let Msg::Fragment(f) = reply else {
                 panic!("expected fragment")
@@ -304,41 +324,24 @@ mod tests {
 
     #[test]
     fn pings_are_answered_with_matching_pongs() {
-        let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-        let replies = session(
-            &cfg,
-            &[
-                Msg::Ping { token: 41 },
-                Msg::Ping { token: u64::MAX },
-                Msg::Shutdown,
-            ],
-        );
+        let replies = session(&[
+            Msg::Ping { token: 41 },
+            Msg::Ping { token: u64::MAX },
+            Msg::Shutdown,
+        ]);
         assert!(matches!(replies[1], Msg::Pong { token: 41 }));
         assert!(matches!(replies[2], Msg::Pong { token: u64::MAX }));
     }
 
     #[test]
     fn cancel_floor_skips_later_batches_in_find_first_mode() {
-        let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-        cfg.instances = 1;
-        cfg.programs_per_instance = 8;
-        cfg.stop_on_first = true;
-        let spec = |index| BatchSpec {
-            index,
-            instance: 0,
-            batch: index,
-            programs: 1,
-            records: false,
-        };
-        let replies = session(
-            &cfg,
-            &[
-                Msg::Cancel { earliest: 2 },
-                Msg::Batch(spec(2)), // at the floor: executes
-                Msg::Batch(spec(5)), // past the floor: skipped
-                Msg::Shutdown,
-            ],
-        );
+        let replies = session(&[
+            submit(true),
+            Msg::Cancel { earliest: 2 },
+            batch(2), // at the floor: executes
+            batch(5), // past the floor: skipped
+            Msg::Shutdown,
+        ]);
         let Msg::Fragment(at_floor) = &replies[1] else {
             panic!()
         };
@@ -349,17 +352,70 @@ mod tests {
         assert!(past.skipped && past.stats.cases == 0);
     }
 
+    /// A submit that does not resolve is answered with `rejected`, and the
+    /// session waits for one that does; once it has its campaign, a second
+    /// submit is an unexpected message and the first campaign stays.
+    #[test]
+    fn an_unresolvable_submit_is_rejected() {
+        let Msg::Submit(good) = submit(false) else {
+            unreachable!()
+        };
+        let bad = CampaignSpec {
+            defense: "NoSuchDefense".into(),
+            ..good.clone()
+        };
+        let other = CampaignSpec {
+            find_first: true,
+            ..good.clone()
+        };
+        let (replies, stats, log) = session_raw(&script(&[
+            Msg::Submit(bad),
+            Msg::Submit(good),
+            Msg::Submit(other),
+            Msg::Cancel { earliest: 0 },
+            batch(1),
+            Msg::Shutdown,
+        ]));
+        let Msg::Rejected { reason, .. } = &replies[1] else {
+            panic!("expected rejected, got {:?}", replies[1])
+        };
+        assert!(reason.contains("unknown defense"), "{reason}");
+        assert!(
+            matches!(&replies[2], Msg::Fragment(f) if !f.skipped && f.stats.cases > 0),
+            "the first resolved campaign (not find-first) runs the batch"
+        );
+        assert_eq!(replies.len(), 3);
+        assert_eq!((stats.batches, stats.malformed), (1, 1));
+        assert!(log.contains("unexpected \\\"submit\\\" message"), "{log}");
+    }
+
+    /// A batch before any submit has no campaign to run: it is logged as a
+    /// `worker_error` and skipped, and the session keeps serving.
+    #[test]
+    fn a_batch_before_any_submit_is_logged_and_skipped() {
+        let (replies, stats, log) =
+            session_raw(&script(&[batch(0), Msg::Ping { token: 3 }, Msg::Shutdown]));
+        assert!(matches!(
+            replies[..],
+            [Msg::Hello(_), Msg::Pong { token: 3 }]
+        ));
+        assert_eq!((stats.batches, stats.malformed), (0, 1));
+        assert!(
+            log.contains("\"event\":\"worker_error\"") && log.contains("before any submit"),
+            "{log}"
+        );
+    }
+
     /// A line past the 64 KiB bound is discarded as it streams in, logged
     /// as a `worker_error` with its length, and the session keeps serving.
     #[test]
     fn oversized_lines_are_discarded_and_logged() {
-        let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
         let input = format!(
             "{}\n{}\n",
             "x".repeat(70 * 1024),
             Msg::Ping { token: 5 }.to_line()
         );
-        let (replies, stats, log) = session_raw(&cfg, &input);
+        let (replies, stats, log) = session_raw(&input);
         assert!(matches!(replies[1], Msg::Pong { token: 5 }));
         assert_eq!(stats.malformed, 1);
         assert!(
@@ -370,8 +426,7 @@ mod tests {
 
     #[test]
     fn eof_without_shutdown_is_a_clean_exit() {
-        let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-        let (replies, stats, _) = session_raw(&cfg, "");
+        let (replies, stats, _) = session_raw("");
         assert!(matches!(replies[0], Msg::Hello(_)));
         assert_eq!(stats, SessionStats::default());
     }
@@ -381,23 +436,14 @@ mod tests {
     /// session cleanly — the worker keeps serving through everything else.
     #[test]
     fn malformed_lines_are_logged_and_tolerated() {
-        let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-        cfg.instances = 1;
-        cfg.programs_per_instance = 1;
-        let spec = BatchSpec {
-            index: 0,
-            instance: 0,
-            batch: 0,
-            programs: 1,
-            records: false,
-        };
         let input = format!(
-            "this is not json\n{}\n{}\n{}",
+            "{}this is not json\n{}\n{}\n{}",
+            script(&[submit(false)]),
             Msg::Pong { token: 9 }.to_line(), // wrong direction
-            Msg::Batch(spec).to_line(),
+            batch(0).to_line(),
             r#"{"type":"shutdo"# // truncated partial line, no newline
         );
-        let (replies, stats, log) = session_raw(&cfg, &input);
+        let (replies, stats, log) = session_raw(&input);
         assert!(matches!(replies[0], Msg::Hello(_)));
         assert!(
             matches!(&replies[1], Msg::Fragment(f) if f.index == 0 && !f.skipped),

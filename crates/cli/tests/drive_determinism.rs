@@ -89,30 +89,47 @@ fn drive_find_first_matches_and_writes_fragments() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A worker takes only transport flags: a shape flag is a usage error
+/// (exit 2). The real binary announces only its protocol version, learns
+/// its campaign from the driver's `submit`, and answers one that does not
+/// resolve with `rejected`.
 #[test]
-fn worker_handshake_mismatch_fails_loudly() {
-    // A driver expecting one campaign must refuse a worker serving
-    // another. Simulate by speaking the protocol to a worker directly:
-    // spawn `amulet worker` for STT and read its hello.
+fn worker_takes_its_campaign_from_the_wire() {
     use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+    let flagged = Command::new(BIN)
+        .args(["worker", "--defense", "STT"])
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    assert_eq!(flagged.status.code(), Some(2), "shape flags are refused");
+    assert!(
+        String::from_utf8_lossy(&flagged.stderr).contains("unrecognised arguments: --defense STT")
+    );
+
     let mut child = Command::new(BIN)
-        .args(["worker", "--defense", "STT", "--contract", "ARCH-SEQ"])
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
+        .arg("worker")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
         .spawn()
         .unwrap();
     let mut reader = BufReader::new(child.stdout.take().unwrap());
-    let mut hello = String::new();
-    reader.read_line(&mut hello).unwrap();
-    assert!(
-        hello.contains("\"type\":\"hello\"")
-            && hello.contains("\"defense\":\"STT\"")
-            && hello.contains("\"contract\":\"ARCH-SEQ\""),
-        "worker must announce its resolved campaign: {hello}"
-    );
-    // Shutdown cleanly.
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line.trim_end(), r#"{"type":"hello","proto":7}"#);
     let mut stdin = child.stdin.take().unwrap();
+    writeln!(
+        stdin,
+        r#"{{"type":"submit","defense":"NoSuchDefense","contract":"CT-SEQ","seed":"1","find_first":false,"batch":3,"cycle_skip":true}}"#
+    )
+    .unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.starts_with(r#"{"type":"rejected","reason":"unknown defense"#),
+        "an unresolvable submit is rejected: {line}"
+    );
     writeln!(stdin, "{{\"type\":\"shutdown\"}}").unwrap();
     drop(stdin);
     let status = child.wait().unwrap();

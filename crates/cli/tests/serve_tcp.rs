@@ -20,7 +20,8 @@ const BIN: &str = env!("CARGO_BIN_EXE_amulet");
 /// How long one daemon operation (a failed campaign, a drain) may take.
 const OP_LIMIT: Duration = Duration::from_secs(10);
 // The quick shape at batch 3 — same campaign identity for the in-process
-// reference, the remote worker, and both submits.
+// reference and both submits. Remote workers take no shape flags: each
+// slot sends them the campaign it leases.
 const SHAPE: &[&str] = &[
     "--defense",
     "Baseline",
@@ -29,7 +30,6 @@ const SHAPE: &[&str] = &[
     "--batch",
     "3",
 ];
-const WORKER_SHAPE: &[&str] = &["--defense", "Baseline", "--contract", "CT-SEQ"];
 
 /// A child process that announced an address on stderr (worker or serve
 /// daemon), with stderr captured for later assertions.
@@ -127,7 +127,7 @@ fn serve_caches_resubmits_and_survives_a_worker_killed_mid_run() {
         field(&line, "fingerprint").to_string()
     };
 
-    let worker = Announced::spawn(&[&["worker", "--listen", "127.0.0.1:0"], WORKER_SHAPE].concat());
+    let worker = Announced::spawn(&["worker", "--listen", "127.0.0.1:0"]);
     let corpus = std::env::temp_dir().join(format!("amulet_serve_corpus_{}", std::process::id()));
     let _ = std::fs::remove_file(&corpus);
     let mut serve = Announced::spawn(&[
@@ -293,9 +293,10 @@ fn serve_fails_a_campaign_no_slot_can_serve() {
     );
 }
 
-/// Find-first through a TCP slot alone: the slot forwards the campaign's
-/// cancel floor to a `--find-first` remote worker, and the served result
-/// carries the in-process `campaign --find-first` fingerprint.
+/// Find-first through a TCP slot alone: the slot sends the find-first
+/// campaign to a remote worker started without shape flags and forwards
+/// its cancel floor, and the served result carries the in-process
+/// `campaign --find-first` fingerprint.
 #[test]
 fn serve_tcp_slots_carry_find_first_campaigns() {
     let reference = {
@@ -308,14 +309,7 @@ fn serve_tcp_slots_carry_find_first_campaigns() {
         );
         field(&line, "fingerprint").to_string()
     };
-    let worker = Announced::spawn(
-        &[
-            &["worker", "--listen", "127.0.0.1:0"],
-            WORKER_SHAPE,
-            &["--find-first"],
-        ]
-        .concat(),
-    );
+    let worker = Announced::spawn(&["worker", "--listen", "127.0.0.1:0"]);
     let serve = Announced::spawn(&[
         "serve",
         "--listen",
@@ -333,6 +327,53 @@ fn serve_tcp_slots_carry_find_first_campaigns() {
         field(&served, "fingerprint"),
         reference,
         "find-first over a TCP slot diverged from the in-process run: {served}"
+    );
+}
+
+/// One worker, many campaigns: a `worker --listen` started with no shape
+/// flags serves two different campaigns submitted to a daemon whose only
+/// slot it is, and each result carries its in-process fingerprint.
+#[test]
+fn one_listening_worker_serves_two_different_campaigns() {
+    let campaigns: [&[&str]; 2] = [
+        &[
+            "--defense",
+            "Baseline",
+            "--contract",
+            "CT-SEQ",
+            "--batch",
+            "3",
+        ],
+        &["--defense", "STT", "--contract", "ARCH-SEQ", "--batch", "6"],
+    ];
+    let worker = Announced::spawn(&["worker", "--listen", "127.0.0.1:0"]);
+    let serve = Announced::spawn(&[
+        "serve",
+        "--listen",
+        "127.0.0.1:0",
+        "--workers",
+        "0",
+        "--connect",
+        &worker.addr,
+        "--sessions",
+        "2",
+    ]);
+    for shape in campaigns {
+        let reference =
+            json_line_of(&[&["campaign", "--workers", "2", "--json", "-"], shape].concat());
+        let served = json_line_of(&[&["submit", "--connect", &serve.addr], shape].concat());
+        assert_eq!(
+            field(&served, "fingerprint"),
+            field(&reference, "fingerprint"),
+            "{shape:?} through the shared worker diverged: {served}"
+        );
+        assert_eq!(field(&served, "cached"), "false", "{served}");
+    }
+    // Both campaigns ran on the one worker, one session each.
+    let log = String::from_utf8_lossy(&worker.stderr.lock().unwrap()).into_owned();
+    assert!(
+        log.matches("\"event\":\"session_start\"").count() >= 2,
+        "{log}"
     );
 }
 

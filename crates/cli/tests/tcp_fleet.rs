@@ -25,8 +25,6 @@ const DRIVE_SHAPE: &[&str] = &[
     "--batch",
     "3",
 ];
-// Workers take the same identity flags, minus the driver-side `--batch`.
-const WORKER_SHAPE: &[&str] = &["--defense", "Baseline", "--contract", "CT-SEQ"];
 
 /// A listening worker process plus the address it announced.
 struct ListenWorker {
@@ -53,7 +51,6 @@ impl ListenWorker {
     fn spawn_logged(extra: &[&str]) -> (Self, BufReader<ChildStderr>) {
         let mut child = Command::new(BIN)
             .args(["worker", "--listen", "127.0.0.1:0"])
-            .args(WORKER_SHAPE)
             .args(extra)
             .stdin(Stdio::null())
             .stdout(Stdio::null())

@@ -567,6 +567,7 @@ impl Campaign {
         let slots = shard.resolved_workers();
         run_with_slots(
             self.cfg,
+            None,
             shard.batch_programs,
             None,
             slots,

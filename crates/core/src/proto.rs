@@ -11,7 +11,9 @@
 //! # Message flow
 //!
 //! ```text
-//! worker → driver   {"type":"hello", ...}        once, on startup (version + config echo)
+//! worker → driver   {"type":"hello","proto":7}   once, on startup (protocol version)
+//! driver → worker   {"type":"submit", ...}       once per session: the campaign to serve
+//! worker → driver   {"type":"rejected", ...}     a submit the worker cannot resolve
 //! driver → worker   {"type":"ping", ...}         liveness probe (heartbeat)
 //! worker → driver   {"type":"pong", ...}         probe echo (same token)
 //! driver → worker   {"type":"cancel", ...}       find-first broadcast (optional)
@@ -97,90 +99,38 @@ use std::time::Duration;
 /// `violations`. Both are omitted when absent, so older lines parse and
 /// re-encode byte-identically; the bump makes an older worker fail at
 /// `hello` instead of answering a records batch without records.
-pub const PROTO_VERSION: u64 = 6;
+///
+/// Version 7 moved the campaign identity from the worker's command line to
+/// the wire: `hello` carries only the version, and the driver opens each
+/// session with the campaign's `submit`, which the worker resolves (or
+/// answers with `rejected`). An older worker would echo a campaign and
+/// ignore the submit, so it must fail at `hello`.
+pub const PROTO_VERSION: u64 = 7;
 
-/// The worker's startup announcement: protocol version plus an echo of the
-/// campaign identity it resolved from its command line, so a driver/worker
-/// flag mismatch fails the handshake instead of silently producing a
-/// fingerprint from a different campaign.
+/// The worker's startup announcement: its protocol version. The campaign
+/// it serves comes next, from the driver, as a [`Msg::Submit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hello {
     /// The worker's [`PROTO_VERSION`].
     pub proto: u64,
-    /// Defense display name (e.g. `"Baseline"`).
-    pub defense: String,
-    /// Contract paper name (e.g. `"CT-SEQ"`).
-    pub contract: String,
-    /// Speculation source name (`"PHT"`/`"STL"`). Absent on the wire means
-    /// `"PHT"`, so pre-STL workers interoperate — and a worker that does
-    /// not understand `--source` announces `"PHT"` and fails the handshake
-    /// loudly when the driver expects STL.
-    pub source: String,
-    /// Campaign seed.
-    pub seed: u64,
-    /// Campaign instances — with `programs` and `inputs`, the shape echo
-    /// that catches a `--scale` mismatch (same defense/contract/seed,
-    /// different case stream).
-    pub instances: u64,
-    /// Programs per instance.
-    pub programs: u64,
-    /// Inputs per program.
-    pub inputs: u64,
-    /// Find-first mode: it decides which batches a worker skips past a
-    /// cancel floor. Omitted on the wire when false, as `source` is for PHT.
-    pub find_first: bool,
 }
 
 impl Hello {
-    /// The hello a worker running `cfg` announces.
-    pub fn for_config(cfg: &CampaignConfig) -> Self {
-        Hello {
-            proto: PROTO_VERSION,
-            defense: cfg.defense.name().to_string(),
-            contract: cfg.contract.name().to_string(),
-            source: cfg.source.name().to_string(),
-            seed: cfg.seed,
-            instances: cfg.instances as u64,
-            programs: cfg.programs_per_instance as u64,
-            inputs: cfg.inputs.total() as u64,
-            find_first: cfg.stop_on_first,
-        }
-    }
+    /// This build's hello.
+    pub const CURRENT: Hello = Hello {
+        proto: PROTO_VERSION,
+    };
 
-    /// The identity this hello announces, as one phrase for mismatch
-    /// messages.
-    fn describe(&self) -> String {
-        format!(
-            "{}/{}/{} seed {} shape {}x{}x{}{}",
-            self.defense,
-            self.contract,
-            self.source,
-            self.seed,
-            self.instances,
-            self.programs,
-            self.inputs,
-            if self.find_first { " find-first" } else { "" }
-        )
-    }
-
-    /// Checks this hello against the driver's expectation, returning a
-    /// description of the first mismatch.
-    pub fn check(&self, cfg: &CampaignConfig) -> Result<(), String> {
-        if self.proto != PROTO_VERSION {
-            return Err(format!(
+    /// Checks the worker's version against this build's.
+    pub fn check(&self) -> Result<(), String> {
+        if self.proto == PROTO_VERSION {
+            Ok(())
+        } else {
+            Err(format!(
                 "protocol version mismatch: worker speaks v{}, driver v{PROTO_VERSION}",
                 self.proto
-            ));
+            ))
         }
-        let expect = Hello::for_config(cfg);
-        if *self != expect {
-            return Err(format!(
-                "config mismatch: worker announced {}, driver expects {}",
-                self.describe(),
-                expect.describe()
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -430,7 +380,7 @@ pub struct ResultMsg {
 /// `"type"` tag.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
-    /// Worker → driver, once on startup: version handshake + config echo.
+    /// Worker → driver, once on startup: the version handshake.
     Hello(Hello),
     /// Driver → worker: liveness probe. A live worker answers immediately
     /// with a [`Msg::Pong`] echoing the token; a driver that hears nothing
@@ -458,7 +408,8 @@ pub enum Msg {
     Shutdown,
     /// Worker → driver: one batch's results.
     Fragment(FragmentReport),
-    /// Client → service: run this campaign.
+    /// Client → service: run this campaign. Driver → worker (protocol v7),
+    /// once per session after `hello`: the campaign the session serves.
     Submit(CampaignSpec),
     /// Service → client: the submit was accepted under this campaign id.
     /// `cached: true` means the result is already known — the matching
@@ -473,9 +424,11 @@ pub enum Msg {
     /// control — no campaign id was assigned and no batch will run. The
     /// client should wait roughly `retry_after_ms` and resubmit; the
     /// identical spec converges on the identical fingerprint whenever it
-    /// is finally admitted.
+    /// is finally admitted. Worker → driver (protocol v7): the session's
+    /// `submit` does not resolve, so the worker refuses the campaign.
     Rejected {
-        /// Why the submit was shed (queue full, quota, draining).
+        /// Why the submit was shed (queue full, quota, draining) or
+        /// refused.
         reason: String,
         /// The service's actionable backoff hint, in milliseconds.
         retry_after_ms: u64,
@@ -570,28 +523,7 @@ impl Msg {
     pub fn to_line(&self) -> String {
         let obj = JsonObj::new().str("type", self.tag());
         match self {
-            Msg::Hello(h) => {
-                let mut out = obj
-                    .int("proto", h.proto)
-                    .str("defense", &h.defense)
-                    .str("contract", &h.contract);
-                // The default source is omitted (like Submit's `scale`), so
-                // PHT hello lines are byte-identical to pre-STL ones.
-                if h.source != "PHT" {
-                    out = out.str("source", &h.source);
-                }
-                // Strings for the same reason report lines use them: a u64
-                // above 2^53 would be rounded by double-based readers.
-                out = out
-                    .str("seed", &h.seed.to_string())
-                    .int("instances", h.instances)
-                    .int("programs", h.programs)
-                    .int("inputs", h.inputs);
-                if h.find_first {
-                    out = out.bool("find_first", true);
-                }
-                out.finish()
-            }
+            Msg::Hello(h) => obj.int("proto", h.proto).finish(),
             Msg::Ping { token } | Msg::Pong { token } => obj.int("token", *token).finish(),
             Msg::Batch(b) => {
                 let out = obj
@@ -715,19 +647,6 @@ impl Msg {
         match tag {
             "hello" => Ok(Msg::Hello(Hello {
                 proto: u64_field(&v, "proto")?,
-                defense: str_field(&v, "defense")?.to_string(),
-                contract: str_field(&v, "contract")?.to_string(),
-                source: source_field(&v)?,
-                seed: str_field(&v, "seed")?
-                    .parse()
-                    .map_err(|_| "hello: bad seed".to_string())?,
-                instances: u64_field(&v, "instances")?,
-                programs: u64_field(&v, "programs")?,
-                inputs: u64_field(&v, "inputs")?,
-                find_first: v
-                    .get("find_first")
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(false),
             })),
             "ping" => Ok(Msg::Ping {
                 token: u64_field(&v, "token")?,
@@ -983,7 +902,7 @@ pub(crate) fn violation_from_json(v: &JsonValue) -> Result<ViolationDigest, Stri
     })
 }
 
-/// The optional `source` field shared by hello/submit/report objects:
+/// The optional `source` field shared by submit/report objects:
 /// absent or `null` means the original PHT-only protocol.
 fn source_field(v: &JsonValue) -> Result<String, String> {
     match v.get("source") {
@@ -1105,17 +1024,8 @@ mod tests {
     #[test]
     fn every_message_round_trips() {
         let msgs = [
-            Msg::Hello(Hello {
-                proto: PROTO_VERSION,
-                defense: "Baseline".into(),
-                contract: "CT-SEQ".into(),
-                source: "PHT".into(),
-                seed: u64::MAX,
-                instances: 2,
-                programs: 12,
-                inputs: 28,
-                find_first: true,
-            }),
+            Msg::Hello(Hello::CURRENT),
+            Msg::Hello(Hello { proto: u64::MAX }),
             Msg::Ping { token: u64::MAX },
             Msg::Pong { token: 0 },
             Msg::Batch(BatchSpec {
@@ -1214,10 +1124,7 @@ mod tests {
     #[test]
     fn tags_match_the_enum() {
         let msgs = [
-            Msg::Hello(Hello::for_config(&CampaignConfig::quick(
-                amulet_defenses::DefenseKind::Baseline,
-                amulet_contracts::ContractKind::CtSeq,
-            ))),
+            Msg::Hello(Hello::CURRENT),
             Msg::Ping { token: 1 },
             Msg::Pong { token: 1 },
             Msg::Batch(BatchSpec {
@@ -1421,42 +1328,18 @@ mod tests {
         assert_eq!(unique.len(), keys.len(), "cache keys collided: {keys:?}");
     }
 
+    /// The hello carries the version and nothing else: the campaign is
+    /// the driver's `submit`, so a worker has no identity to echo.
     #[test]
-    fn hello_checks_version_and_config() {
-        let cfg = CampaignConfig::quick(
-            amulet_defenses::DefenseKind::Baseline,
-            amulet_contracts::ContractKind::CtSeq,
-        );
-        let hello = Hello::for_config(&cfg);
-        assert!(hello.check(&cfg).is_ok());
-        let mut wrong_proto = hello.clone();
-        wrong_proto.proto = PROTO_VERSION + 1;
-        assert!(wrong_proto.check(&cfg).unwrap_err().contains("version"));
-        let mut wrong_seed = hello.clone();
-        wrong_seed.seed ^= 1;
-        assert!(wrong_seed.check(&cfg).unwrap_err().contains("mismatch"));
-
-        // Find-first is campaign identity: a worker without it must not
-        // pass a find-first driver's handshake, nor the reverse.
-        let mut find_first = cfg.clone();
-        find_first.stop_on_first = true;
-        let err = hello.check(&find_first).unwrap_err();
-        assert!(
-            err.contains("mismatch") && err.contains("find-first"),
-            "{err}"
-        );
-        assert!(Hello::for_config(&find_first).check(&cfg).is_err());
-        assert!(Hello::for_config(&find_first).check(&find_first).is_ok());
-
-        // The field is omitted when false, so such lines keep their old bytes.
+    fn hello_checks_only_the_version() {
+        assert!(Hello::CURRENT.check().is_ok());
+        let stale = Hello {
+            proto: PROTO_VERSION - 1,
+        };
+        assert!(stale.check().unwrap_err().contains("version mismatch"));
         assert_eq!(
-            Msg::Hello(hello).to_line(),
-            r#"{"type":"hello","proto":6,"defense":"Baseline","contract":"CT-SEQ","seed":"2025","instances":2,"programs":12,"inputs":28}"#
-        );
-        let line = Msg::Hello(Hello::for_config(&find_first)).to_line();
-        assert!(
-            line.ends_with(r#""inputs":28,"find_first":true}"#),
-            "{line}"
+            Msg::Hello(Hello::CURRENT).to_line(),
+            r#"{"type":"hello","proto":7}"#
         );
     }
 

@@ -48,7 +48,7 @@
 //! client sockets to [`Service::submit`]/[`Service::subscribe`] and worker
 //! loops to [`Service::wait_lease`]/[`Service::complete`]; `amulet drive`
 //! and [`Campaign::run_sharded`](crate::Campaign::run_sharded) run one
-//! hand-shaped campaign through [`Service::submit_config`]; the in-memory
+//! campaign through [`Service::submit_config`]; the in-memory
 //! test suite drives the same methods directly. [`run_with_slots`] is the
 //! single-campaign skeleton `run_sharded` and `drive` share, and
 //! [`run_local_slot`] the one in-process worker loop, shared by
@@ -175,6 +175,9 @@ pub struct Lease {
     /// The campaign's config (cloned per lease; workers keyed by campaign
     /// id keep their own persistent [`UnitRuntime`]s).
     pub cfg: CampaignConfig,
+    /// The spec `cfg` was resolved from — what a linked slot sends its
+    /// worker. `None` for a hand-built config, which only local slots run.
+    pub campaign_spec: Option<Arc<CampaignSpec>>,
     /// The campaign's detection-time anchor.
     pub anchor: Instant,
     /// Whether this batch was returned by a failing slot and is being
@@ -216,7 +219,9 @@ struct ActiveCampaign {
     /// The submitting client's identity (`u64::MAX` = anonymous) — what
     /// the per-client in-flight quota counts.
     owner: u64,
-    key: String,
+    /// The spec `cfg` was resolved from (`None` for a hand-built config);
+    /// its [`CampaignSpec::cache_key`] keys the result cache and journal.
+    spec: Option<Arc<CampaignSpec>>,
     cfg: CampaignConfig,
     /// Batches still to execute. After a journal resume this holds only
     /// the *missing* indices — `total_batches` keeps the plan size.
@@ -240,7 +245,7 @@ struct ActiveCampaign {
     cases_done: u64,
     done_batches: u64,
     cancelled: bool,
-    /// Slots that refused this campaign, with their handshake errors.
+    /// Slots that refused this campaign, with their errors.
     refused: HashMap<u64, String>,
     /// A [`Service::submit_config`] campaign's report channel and
     /// fragment tee.
@@ -255,7 +260,7 @@ impl ActiveCampaign {
         ActiveCampaign {
             id,
             owner: u64::MAX,
-            key: String::new(),
+            spec: None,
             cfg,
             batches,
             total_batches,
@@ -278,6 +283,14 @@ impl ActiveCampaign {
 
     fn earliest_hit(&self) -> Option<usize> {
         floor_of(&self.hit)
+    }
+
+    /// The result-cache and journal key (empty for a hand-built config,
+    /// which is never cached or journaled).
+    fn key(&self) -> String {
+        self.spec
+            .as_deref()
+            .map_or_else(String::new, CampaignSpec::cache_key)
     }
 
     /// Whether `index` lies past the find-first cancellation floor.
@@ -579,7 +592,7 @@ impl Service {
             .flatten();
         let camp = ActiveCampaign {
             owner: client,
-            key: key.clone(),
+            spec: Some(Arc::new(spec.clone())),
             journaled: journal.is_some(),
             hit: Arc::new(AtomicUsize::new(earliest_hit.unwrap_or(usize::MAX))),
             cases_done: recovered_frags.iter().map(|f| f.stats.cases as u64).sum(),
@@ -608,17 +621,20 @@ impl Service {
         })
     }
 
-    /// Submits a hand-shaped campaign config — the single-campaign path
-    /// `amulet drive` runs on. It bypasses the result cache, admission
-    /// control and the journal (a [`CampaignConfig`] has no
-    /// [`CampaignSpec`] identity), and it yields the reduced
-    /// [`CampaignReport`] itself on the returned channel — or the error
-    /// that ended the campaign. `tee`, when given, receives every executed
-    /// fragment as one protocol line; a failed tee write fails the
+    /// Submits one campaign config — the single-campaign path
+    /// `Campaign::run_sharded` and `amulet drive` run on. It bypasses the
+    /// result cache, admission control and the journal, and it yields the
+    /// reduced [`CampaignReport`] itself on the returned channel — or the
+    /// error that ended the campaign. `spec`, when given, is the spec `cfg`
+    /// was resolved from: it rides every lease, which is what lets linked
+    /// slots send the campaign to their workers. A hand-built config has
+    /// none and runs on local slots only. `tee`, when given, receives every
+    /// executed fragment as one protocol line; a failed tee write fails the
     /// campaign.
     pub fn submit_config(
         &self,
         cfg: CampaignConfig,
+        spec: Option<&CampaignSpec>,
         batch_programs: usize,
         tee: Option<Box<dyn Write + Send>>,
     ) -> Receiver<Result<CampaignReport, String>> {
@@ -633,6 +649,7 @@ impl Service {
         let batches = self.plan(&cfg, batch_programs);
         let total = batches.len();
         let camp = ActiveCampaign {
+            spec: spec.map(|s| Arc::new(s.clone())),
             reply: Some(reply),
             tee,
             ..ActiveCampaign::new(id, cfg, batches, total)
@@ -784,6 +801,7 @@ impl Service {
                     campaign: camp.id,
                     spec,
                     cfg: camp.cfg.clone(),
+                    campaign_spec: camp.spec.clone(),
                     anchor: camp.start,
                     adopted,
                     hit: camp.hit.clone(),
@@ -830,10 +848,12 @@ impl Service {
         self.settle_unexecuted(lease, None);
     }
 
-    /// Returns a lease because `slot`'s worker refused the campaign's
-    /// config (a hello mismatch): the slot is never offered this campaign
-    /// again, and when no live slot is left willing to serve it the
-    /// campaign fails with `error`.
+    /// Returns a lease because `slot` cannot serve its campaign: a local
+    /// slot whose batch panicked, or a linked slot whose worker speaks
+    /// another protocol version, rejected the campaign's spec, or was
+    /// leased a hand-built config it has no spec to send for. The slot is
+    /// never offered this campaign again, and when no live slot is left
+    /// willing to serve it the campaign fails with `error`.
     pub fn refuse(&self, slot: u64, lease: Lease, error: String) {
         self.settle_unexecuted(lease, Some((slot, error)));
     }
@@ -866,7 +886,7 @@ impl Service {
 
     /// The degradation floor: finalizes with an error every campaign that
     /// has runnable work but no live slot willing to serve it — with a
-    /// refusing slot's handshake error when slots refused it, "campaign
+    /// refusing slot's error when slots refused it, "campaign
     /// incomplete" when they retired. Exempt are a service no slot has
     /// attached to yet, and a stopping one (its slots leave on purpose and
     /// its campaigns stop at their checkpoint).
@@ -986,7 +1006,7 @@ impl Service {
     /// [`ServiceEvent::Finished`]. A [`Service::submit_config`] campaign
     /// instead receives its report (or error) on its own channel.
     fn finalize(&self, camp: ActiveCampaign, failure: Option<String>) {
-        let hit = camp.earliest_hit();
+        let (hit, key) = (camp.earliest_hit(), camp.key());
         let outcome = match failure {
             Some(e) => Err(e),
             None => verify_fragment_coverage(&camp.cfg, &camp.fragments, hit, camp.total_batches)
@@ -1019,7 +1039,7 @@ impl Service {
         // Close the journal handle before any unlink.
         drop(inner.journals.remove(&camp.id));
         if camp.journaled {
-            inner.journaled_keys.remove(&camp.key);
+            inner.journaled_keys.remove(&key);
         }
         if result.report.is_some() {
             if let Some(state) = &self.state {
@@ -1027,17 +1047,17 @@ impl Service {
                 // both files, and the startup pass clears the stale journal
                 // against the cache. A failed write-through keeps the
                 // journal, so a restart resumes with zero re-execution.
-                match state.append_cache(&camp.key, &result) {
+                match state.append_cache(&key, &result) {
                     Ok(()) if camp.journaled => {
-                        let _ = std::fs::remove_file(state.journal_path(&camp.key));
+                        let _ = std::fs::remove_file(state.journal_path(&key));
                     }
                     Ok(()) => {}
                     Err(e) => events::stderr().emit("persist", "cache_write_failed", |o| {
-                        o.str("key", &camp.key).str("error", &e)
+                        o.str("key", &key).str("error", &e)
                     }),
                 }
             }
-            inner.cache.insert(camp.key.clone(), result.clone());
+            inner.cache.insert(key, result.clone());
         }
         inner.finished.insert(camp.id, result);
         Self::broadcast(&mut inner, ServiceEvent::Finished { campaign: camp.id });
@@ -1050,7 +1070,7 @@ impl Service {
         // campaign's executed prefix is valid work a resubmit can resume.
         drop(inner.journals.remove(&camp.id));
         if camp.journaled {
-            inner.journaled_keys.remove(&camp.key);
+            inner.journaled_keys.remove(&camp.key());
         }
         inner.finished.insert(
             camp.id,
@@ -1109,9 +1129,10 @@ impl Default for Service {
 /// `slots` scoped threads, each running `slot_loop(service, id, n)` as
 /// slot number `n`, attached as `id`, until the service shuts down. This
 /// is `Campaign::run_sharded` with [`run_local_slot`] loops and `amulet
-/// drive` with linked ones.
+/// drive` with linked ones (which need the campaign's `spec`).
 pub fn run_with_slots(
     cfg: CampaignConfig,
+    spec: Option<&CampaignSpec>,
     batch_programs: usize,
     tee: Option<Box<dyn Write + Send>>,
     slots: usize,
@@ -1121,7 +1142,7 @@ pub fn run_with_slots(
     // Attach every slot before the submit, so the degradation floor can
     // never see an empty fleet that is merely still starting up.
     let ids: Vec<u64> = (0..slots.max(1)).map(|_| service.attach_slot()).collect();
-    let done = service.submit_config(cfg, batch_programs, tee);
+    let done = service.submit_config(cfg, spec, batch_programs, tee);
     std::thread::scope(|scope| {
         for (n, id) in ids.into_iter().enumerate() {
             let (service, slot_loop) = (&service, &slot_loop);
@@ -1402,7 +1423,7 @@ mod tests {
     }
 
     /// The degradation floor: a campaign waits while no slot has attached;
-    /// it fails with the handshake error once every live slot refused it,
+    /// it fails with the refusal error once every live slot refused it,
     /// and with "campaign incomplete" once every slot retired — as does
     /// any later submit.
     #[test]
@@ -1522,7 +1543,7 @@ mod tests {
         cfg.instances = 1;
         cfg.programs_per_instance = 10;
         cfg.stop_on_first = stop_on_first;
-        service.submit_config(cfg, 1, None)
+        service.submit_config(cfg, None, 1, None)
     }
 
     fn lease(service: &Service) -> Box<Lease> {

@@ -86,12 +86,15 @@ pub struct SimConfig {
     pub cycle_skip: bool,
 
     /// Store-disambiguation delay in cycles: how long a store's address
-    /// stays *unresolved* after the store could otherwise execute. While
-    /// unresolved, younger loads the memory-dependence predictor clears may
-    /// speculatively bypass the store; a mis-forwarding is squashed when the
-    /// address finally resolves. `0` (the default) disambiguates stores
-    /// immediately — no store-to-load misspeculation, bit-identical to the
-    /// pre-STL simulator (the same escape-hatch pattern as `cycle_skip`).
+    /// stays *unresolved* after its address operands are ready. A younger
+    /// load may bypass any older store whose address is unresolved: at
+    /// every window, `0` included, the memory-dependence predictor allows
+    /// that bypass unless an earlier memory-order squash of the same load
+    /// trained it to wait. A mis-forwarding is squashed when the address
+    /// resolves. The window only widens the bypass the predictor allows. `0` (the default) resolves a store's
+    /// address as soon as its operands are ready, bit-identical to the
+    /// pre-STL simulator (the same escape-hatch pattern as `cycle_skip`);
+    /// it does not rule store-to-load misspeculation out.
     pub stl_window: u64,
 
     /// Sandbox base virtual address (must match the leakage model).

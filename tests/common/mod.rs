@@ -8,28 +8,38 @@
 
 #![allow(dead_code)] // each test binary uses a subset
 
-use amulet::contracts::ContractKind;
-use amulet::defenses::DefenseKind;
-use amulet::fuzz::proto::Msg;
-use amulet::fuzz::{Campaign, CampaignConfig, CampaignReport, ShardConfig};
+use amulet::fuzz::proto::{CampaignSpec, Msg};
+use amulet::fuzz::{Campaign, CampaignReport, ShardConfig};
 use amulet_cli::{DriveConfig, WorkerLink};
 use std::io::{BufReader, Read, Write};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
-pub const BATCH_PROGRAMS: usize = 3;
+/// Programs per batch: the quick shape's 12 programs per instance split
+/// 5 + 5 + 2, so every plan ends in a short batch.
+pub const BATCH_PROGRAMS: usize = 5;
 
-pub fn quick_cfg(stop_on_first: bool) -> CampaignConfig {
-    let mut cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-    cfg.programs_per_instance = 15;
-    cfg.stop_on_first = stop_on_first;
-    cfg
+/// The quick Baseline × CT-SEQ campaign at seed 2025 — what a fleet
+/// test's driver sends its workers.
+pub fn quick_spec(find_first: bool) -> CampaignSpec {
+    CampaignSpec {
+        defense: "Baseline".into(),
+        contract: "CT-SEQ".into(),
+        source: "PHT".into(),
+        seed: 2025,
+        scale: None,
+        find_first,
+        batch_programs: BATCH_PROGRAMS,
+        cycle_skip: true,
+    }
 }
 
-pub fn in_process(cfg: &CampaignConfig) -> CampaignReport {
-    Campaign::new(cfg.clone()).run_sharded(ShardConfig {
+/// The in-process reference for `spec`: the same batch plan on two local
+/// slots.
+pub fn in_process(spec: &CampaignSpec) -> CampaignReport {
+    Campaign::new(spec.resolve().expect("test specs resolve")).run_sharded(ShardConfig {
         workers: 2,
-        batch_programs: BATCH_PROGRAMS,
+        batch_programs: spec.batch_programs,
     })
 }
 
@@ -38,7 +48,6 @@ pub fn in_process(cfg: &CampaignConfig) -> CampaignReport {
 pub fn quick_drive(procs: usize) -> DriveConfig {
     DriveConfig {
         procs,
-        batch_programs: BATCH_PROGRAMS,
         retries: 2,
         liveness: Duration::from_secs(5),
         batch_timeout: Duration::from_secs(60),
@@ -130,11 +139,11 @@ impl Write for ChanWriter {
 }
 
 /// Boots a real worker serve loop on its own thread and hands back the
-/// driver's end of the link.
-pub fn spawn_mem_worker(cfg: &CampaignConfig) -> MemLink {
+/// driver's end of the link. The worker serves whatever campaign the
+/// driver submits.
+pub fn spawn_mem_worker() -> MemLink {
     let (to_worker, worker_rx) = channel::<String>();
     let (worker_tx, from_worker) = channel::<String>();
-    let cfg = cfg.clone();
     std::thread::spawn(move || {
         let reader = BufReader::new(ChanReader {
             rx: worker_rx,
@@ -148,7 +157,7 @@ pub fn spawn_mem_worker(cfg: &CampaignConfig) -> MemLink {
         // Errors are expected when a test tears a link down mid-batch;
         // logs go nowhere (the tests assert on driver-side events).
         let log = amulet::util::EventLog::off();
-        let _ = amulet_cli::serve_session(&cfg, reader, writer, &log, None);
+        let _ = amulet_cli::serve_session(reader, writer, &log, None);
     });
     MemLink {
         tx: to_worker,

@@ -112,13 +112,12 @@ fn run_to_result(service: &Service) {
 fn spawn_tcp_worker() -> String {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap().to_string();
-    let cfg = spec().resolve().unwrap();
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { continue };
             let reader = BufReader::new(stream.try_clone().expect("clone stream"));
             let log = amulet::util::EventLog::off();
-            let _ = amulet_cli::serve_session(&cfg, reader, &stream, &log, None);
+            let _ = amulet_cli::serve_session(reader, &stream, &log, None);
         }
     });
     addr

@@ -11,7 +11,7 @@
 
 mod common;
 
-use amulet::fuzz::CampaignConfig;
+use amulet::fuzz::proto::CampaignSpec;
 use amulet::util::EventLog;
 use amulet_cli::{run_driver, DriveConfig, FaultCounters, FaultPlan, FaultyLink};
 use common::*;
@@ -35,14 +35,14 @@ fn fault_drive(procs: usize) -> DriveConfig {
 /// Runs one campaign with every link wrapped in hostile fault injection,
 /// each connection under its own decision stream derived from `base_seed`.
 fn drive_hostile(
-    cfg: &CampaignConfig,
+    spec: &CampaignSpec,
     drive: &DriveConfig,
     base_seed: u64,
     counters: &Arc<FaultCounters>,
 ) -> amulet::fuzz::CampaignReport {
     let connections = AtomicUsize::new(0);
     run_driver(
-        cfg,
+        spec,
         drive,
         |_slot| {
             // Each connection gets a fresh seed: a reconnect must explore
@@ -50,11 +50,7 @@ fn drive_hostile(
             // repeat forever and nothing could ever complete.
             let n = connections.fetch_add(1, Ordering::SeqCst) as u64;
             let plan = FaultPlan::hostile(base_seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            Ok(FaultyLink::new(
-                spawn_mem_worker(cfg),
-                plan,
-                counters.clone(),
-            ))
+            Ok(FaultyLink::new(spawn_mem_worker(), plan, counters.clone()))
         },
         None,
         &EventLog::off(),
@@ -67,13 +63,13 @@ fn drive_hostile(
 /// time — and the injection must demonstrably have fired in every mode.
 #[test]
 fn hostile_network_faults_do_not_move_the_fingerprint() {
-    let cfg = quick_cfg(false);
-    let reference = in_process(&cfg);
+    let spec = quick_spec(false);
+    let reference = in_process(&spec);
     assert!(reference.violation_found(), "{:?}", reference.stats);
 
     let counters = Arc::new(FaultCounters::default());
     for base_seed in [3u64, 77, 20250808] {
-        let driven = drive_hostile(&cfg, &fault_drive(3), base_seed, &counters);
+        let driven = drive_hostile(&spec, &fault_drive(3), base_seed, &counters);
         assert_eq!(
             driven.fingerprint(),
             reference.fingerprint(),
@@ -108,15 +104,15 @@ fn hostile_network_faults_do_not_move_the_fingerprint() {
 /// hostile network.
 #[test]
 fn find_first_early_exit_survives_hostile_faults() {
-    let cfg = quick_cfg(true);
-    let reference = in_process(&cfg);
+    let spec = quick_spec(true);
+    let reference = in_process(&spec);
     assert!(reference.violation_found(), "{:?}", reference.stats);
 
     // Find-first runs are short (they stop at the first hit), so a single
     // seed can legitimately draw zero faults — accumulate over several.
     let counters = Arc::new(FaultCounters::default());
     for base_seed in [0xf1ee7u64, 41, 1234, 99999] {
-        let driven = drive_hostile(&cfg, &fault_drive(3), base_seed, &counters);
+        let driven = drive_hostile(&spec, &fault_drive(3), base_seed, &counters);
         assert_eq!(
             driven.fingerprint(),
             reference.fingerprint(),
@@ -140,8 +136,8 @@ fn find_first_early_exit_survives_hostile_faults() {
 /// the clean run's.
 #[test]
 fn worker_churn_quarantines_the_dead_and_preserves_the_fingerprint() {
-    let cfg = quick_cfg(false);
-    let reference = in_process(&cfg);
+    let spec = quick_spec(false);
+    let reference = in_process(&spec);
 
     let drive = DriveConfig {
         retries: 1,
@@ -151,18 +147,18 @@ fn worker_churn_quarantines_the_dead_and_preserves_the_fingerprint() {
     let late_joins = AtomicUsize::new(0);
     let (events_sink, events_buf) = SharedBuf::pair();
     let driven = run_driver(
-        &cfg,
+        &spec,
         &drive,
         |slot| match slot {
             // Reliable from the start.
-            0 => Ok(spawn_mem_worker(&cfg)),
+            0 => Ok(spawn_mem_worker()),
             // Joins mid-campaign: the first connection attempts fail while
             // the worker is still booting.
             1 => {
                 if late_joins.fetch_add(1, Ordering::SeqCst) < 2 {
                     Err("worker still booting".into())
                 } else {
-                    Ok(spawn_mem_worker(&cfg))
+                    Ok(spawn_mem_worker())
                 }
             }
             // Left the fleet before the campaign started, never to return.
@@ -220,7 +216,7 @@ fn worker_churn_quarantines_the_dead_and_preserves_the_fingerprint() {
 /// hanging or fabricating a result.
 #[test]
 fn a_fleet_with_no_survivors_fails_cleanly() {
-    let cfg = quick_cfg(false);
+    let spec = quick_spec(false);
     let drive = DriveConfig {
         retries: 1,
         quarantine_after: 2,
@@ -228,7 +224,7 @@ fn a_fleet_with_no_survivors_fails_cleanly() {
     };
     let t0 = std::time::Instant::now();
     let err = run_driver::<MemLink, _>(
-        &cfg,
+        &spec,
         &drive,
         |_slot| Err("connection refused".into()),
         None,

@@ -14,8 +14,8 @@
 
 mod common;
 
-use amulet::fuzz::proto::Msg;
-use amulet::fuzz::{CampaignConfig, CampaignReport, SpecSource};
+use amulet::fuzz::proto::{CampaignSpec, Msg};
+use amulet::fuzz::CampaignReport;
 use amulet::util::EventLog;
 use amulet_cli::{run_driver, WorkerLink};
 use common::*;
@@ -24,11 +24,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-fn drive_in_memory(cfg: &CampaignConfig, procs: usize) -> CampaignReport {
+fn drive_in_memory(spec: &CampaignSpec, procs: usize) -> CampaignReport {
     run_driver(
-        cfg,
+        spec,
         &quick_drive(procs),
-        |_slot| Ok(spawn_mem_worker(cfg)),
+        |_slot| Ok(spawn_mem_worker()),
         None,
         &EventLog::off(),
     )
@@ -41,15 +41,15 @@ fn drive_in_memory(cfg: &CampaignConfig, procs: usize) -> CampaignReport {
 /// worker processes — one fingerprint.
 #[test]
 fn in_process_and_driven_fingerprints_are_equal_at_any_proc_count() {
-    let cfg = quick_cfg(false);
-    let reference = in_process(&cfg);
+    let spec = quick_spec(false);
+    let reference = in_process(&spec);
     assert!(
         reference.violation_found(),
         "quick baseline campaign finds violations ({:?})",
         reference.stats
     );
     for procs in [1usize, 4] {
-        let driven = drive_in_memory(&cfg, procs);
+        let driven = drive_in_memory(&spec, procs);
         assert_eq!(
             driven.fingerprint(),
             reference.fingerprint(),
@@ -66,20 +66,23 @@ fn in_process_and_driven_fingerprints_are_equal_at_any_proc_count() {
 }
 
 /// The STL source crosses the process boundary intact: the `source` field
-/// on Hello/Submit re-arms the worker's generator and disambiguation
-/// window, so the driven reduction equals the in-process STL run at any
+/// of the session's submit re-arms the worker's generator and
+/// disambiguation window, so the driven reduction equals the in-process STL run at any
 /// process count.
 #[test]
 fn stl_campaigns_survive_the_process_boundary() {
-    let cfg = quick_cfg(false).with_source(SpecSource::Stl);
-    let reference = in_process(&cfg);
+    let spec = CampaignSpec {
+        source: "STL".into(),
+        ..quick_spec(false)
+    };
+    let reference = in_process(&spec);
     assert!(
         reference.violation_found(),
         "quick baseline STL campaign finds violations ({:?})",
         reference.stats
     );
     for procs in [1usize, 2] {
-        let driven = drive_in_memory(&cfg, procs);
+        let driven = drive_in_memory(&spec, procs);
         assert_eq!(
             driven.fingerprint(),
             reference.fingerprint(),
@@ -97,11 +100,11 @@ fn stl_campaigns_survive_the_process_boundary() {
 /// in-process early exit.
 #[test]
 fn find_first_cancellation_preserves_the_reduced_prefix() {
-    let cfg = quick_cfg(true);
-    let reference = in_process(&cfg);
+    let spec = quick_spec(true);
+    let reference = in_process(&spec);
     assert!(reference.violation_found(), "{:?}", reference.stats);
     for procs in [1usize, 4] {
-        let driven = drive_in_memory(&cfg, procs);
+        let driven = drive_in_memory(&spec, procs);
         assert_eq!(
             driven.fingerprint(),
             reference.fingerprint(),
@@ -145,8 +148,8 @@ fn worker_crashes_and_restarts_do_not_perturb_the_fingerprint() {
         }
     }
 
-    let cfg = quick_cfg(false);
-    let reference = in_process(&cfg);
+    let spec = quick_spec(false);
+    let reference = in_process(&spec);
 
     // The first assignment of each of batches 0, 1 and 2 kills its link,
     // whichever slot holds it. Every crash makes that slot reconnect for
@@ -156,12 +159,12 @@ fn worker_crashes_and_restarts_do_not_perturb_the_fingerprint() {
     let crashed_on = Mutex::new(Vec::new());
     let connections = AtomicUsize::new(0);
     let driven = run_driver(
-        &cfg,
+        &spec,
         &quick_drive(3),
         |slot| {
             connections.fetch_add(1, Ordering::SeqCst);
             Ok(FlakyLink {
-                inner: spawn_mem_worker(&cfg),
+                inner: spawn_mem_worker(),
                 slot,
                 crash: &crash,
                 crashed_on: &crashed_on,
@@ -176,7 +179,7 @@ fn worker_crashes_and_restarts_do_not_perturb_the_fingerprint() {
         connections > 3,
         "the crash path must actually have reconnected: seed {}, crashes on slots {:?}, \
          {connections} connections",
-        cfg.seed,
+        spec.seed,
         crashed_on.lock().unwrap()
     );
     assert_eq!(driven.fingerprint(), reference.fingerprint());
@@ -187,12 +190,12 @@ fn worker_crashes_and_restarts_do_not_perturb_the_fingerprint() {
 /// one line per executed batch (the artifact CI uploads).
 #[test]
 fn fragment_tee_is_valid_jsonl_covering_every_batch() {
-    let cfg = quick_cfg(false);
+    let spec = quick_spec(false);
     let (sink, buf) = SharedBuf::pair();
     let report = run_driver(
-        &cfg,
+        &spec,
         &quick_drive(2),
-        |_slot| Ok(spawn_mem_worker(&cfg)),
+        |_slot| Ok(spawn_mem_worker()),
         Some(Box::new(sink)),
         &EventLog::off(),
     )
@@ -210,7 +213,8 @@ fn fragment_tee_is_valid_jsonl_covering_every_batch() {
     }
     // Without find-first every planned batch executes exactly once, so the
     // teed stream accounts for every case the report counted.
-    let batches = cfg.programs_per_instance.div_ceil(BATCH_PROGRAMS) * cfg.instances;
+    let shape = spec.resolve().unwrap();
+    let batches = shape.programs_per_instance.div_ceil(BATCH_PROGRAMS) * shape.instances;
     assert_eq!(lines, batches);
     assert_eq!(teed_cases, report.stats.cases);
 }
@@ -219,12 +223,12 @@ fn fragment_tee_is_valid_jsonl_covering_every_batch() {
 /// orphaned or quarantined, and each line is valid JSON.
 #[test]
 fn a_clean_run_logs_only_connects_and_drains() {
-    let cfg = quick_cfg(false);
+    let spec = quick_spec(false);
     let (sink, buf) = SharedBuf::pair();
     run_driver(
-        &cfg,
+        &spec,
         &quick_drive(2),
-        |_slot| Ok(spawn_mem_worker(&cfg)),
+        |_slot| Ok(spawn_mem_worker()),
         None,
         &EventLog::new(sink),
     )

@@ -75,17 +75,7 @@ fn valid_lines() -> Vec<String> {
         cycle_skip: true,
     };
     [
-        Msg::Hello(Hello {
-            proto: 5,
-            defense: "Baseline".into(),
-            contract: "CT-SEQ".into(),
-            source: "PHT".into(),
-            seed: u64::MAX,
-            instances: 2,
-            programs: 12,
-            inputs: 28,
-            find_first: false,
-        }),
+        Msg::Hello(Hello { proto: u64::MAX }),
         Msg::Submit(spec),
         Msg::Accepted {
             campaign: 3,

@@ -9,18 +9,26 @@ use amulet::fuzz::proto::{
     CampaignSpec, FragmentReport, Hello, Msg, ReportWire, ResultMsg, PROTO_VERSION,
 };
 use amulet::fuzz::{
-    BatchSpec, CampaignConfig, CorpusInput, Reduction, ScanStats, SpecSource, ViolationClass,
-    ViolationDigest,
+    BatchSpec, CorpusInput, Reduction, ScanStats, SpecSource, ViolationClass, ViolationDigest,
 };
 use amulet::util::events::EVENTS;
-use amulet::{contracts::ContractKind, defenses::DefenseKind};
 use std::collections::BTreeSet;
 
 /// The handbook the tag test audits.
 const HANDBOOK: &str = include_str!("../docs/DISTRIBUTED.md");
 
-fn quick_cfg() -> CampaignConfig {
-    CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq)
+/// The quick Baseline × CT-SEQ spec at seed 2025, PHT.
+fn quick_spec() -> CampaignSpec {
+    CampaignSpec {
+        defense: "Baseline".into(),
+        contract: "CT-SEQ".into(),
+        source: "PHT".into(),
+        seed: 2025,
+        scale: None,
+        find_first: false,
+        batch_programs: 3,
+        cycle_skip: true,
+    }
 }
 
 /// A fragment with the richest payload the protocol carries: multiple
@@ -82,18 +90,8 @@ fn recorded_fragment() -> FragmentReport {
 
 fn all_message_shapes() -> Vec<Msg> {
     vec![
-        Msg::Hello(Hello::for_config(&quick_cfg())),
-        Msg::Hello(Hello {
-            proto: PROTO_VERSION,
-            defense: "STT".into(),
-            contract: "ARCH-SEQ".into(),
-            source: "STL".into(),
-            seed: u64::MAX,
-            instances: 100,
-            programs: 200,
-            inputs: 140,
-            find_first: true,
-        }),
+        Msg::Hello(Hello::CURRENT),
+        Msg::Hello(Hello { proto: u64::MAX }),
         Msg::Batch(BatchSpec {
             index: 0,
             instance: 0,
@@ -323,7 +321,7 @@ fn handbook_documents_exactly_the_emitted_tag_set() {
         "docs/DISTRIBUTED.md worked examples must cover exactly the protocol's tags"
     );
     // The version constant is part of the documented contract too.
-    assert_eq!(PROTO_VERSION, 6, "a version bump must update this pin");
+    assert_eq!(PROTO_VERSION, 7, "a version bump must update this pin");
     assert!(
         HANDBOOK.contains(&format!("\"proto\":{PROTO_VERSION}")),
         "handbook hello example must show the current protocol version"
@@ -357,51 +355,20 @@ fn handbook_documents_exactly_the_event_table() {
     );
 }
 
+/// The hello carries the protocol version and nothing else — the
+/// campaign is the driver's `submit` — so a version is the one thing a
+/// handshake can disagree on.
 #[test]
-fn hello_handshake_rejects_version_and_config_drift() {
-    let cfg = quick_cfg();
-    let good = Hello::for_config(&cfg);
-    assert!(good.check(&cfg).is_ok());
-
-    let mut other_seed = cfg.clone();
-    other_seed.seed += 1;
-    assert!(good.check(&other_seed).is_err());
-
-    // A shape mismatch (what a --scale drift produces: same
-    // defense/contract/seed, different case stream) must also fail.
-    let mut other_shape = cfg.clone();
-    other_shape.programs_per_instance *= 2;
-    assert!(
-        good.check(&other_shape).unwrap_err().contains("shape"),
-        "shape drift must fail the handshake"
+fn hello_handshake_rejects_version_drift() {
+    assert!(Hello::CURRENT.check().is_ok());
+    assert_eq!(
+        Msg::Hello(Hello::CURRENT).to_line(),
+        format!(r#"{{"type":"hello","proto":{PROTO_VERSION}}}"#)
     );
-
-    // A source mismatch (an STL driver against a PHT worker, e.g. an old
-    // binary that silently dropped `--source`) must fail like any other
-    // config drift.
-    let stl_cfg = cfg.clone().with_source(SpecSource::Stl);
-    assert!(
-        good.check(&stl_cfg).unwrap_err().contains("STL"),
-        "source drift must fail the handshake"
-    );
-
-    // Find-first decides which batches a worker skips, so a driver and a
-    // worker that disagree on it must not shake hands, either way round.
-    let mut find_first_cfg = cfg.clone();
-    find_first_cfg.stop_on_first = true;
-    assert!(
-        good.check(&find_first_cfg)
-            .unwrap_err()
-            .contains("find-first"),
-        "find-first drift must fail the handshake"
-    );
-    assert!(Hello::for_config(&find_first_cfg).check(&cfg).is_err());
-
-    let stale = Hello {
-        proto: PROTO_VERSION + 1,
-        ..good
-    };
-    assert!(stale.check(&cfg).unwrap_err().contains("version"));
+    for proto in [0, PROTO_VERSION - 1, PROTO_VERSION + 1] {
+        let err = Hello { proto }.check().unwrap_err();
+        assert!(err.contains("version mismatch"), "v{proto}: {err}");
+    }
 }
 
 /// Pre-STL peers never wrote a `source` field; the default must be
@@ -410,8 +377,8 @@ fn hello_handshake_rejects_version_and_config_drift() {
 /// parse as PHT.
 #[test]
 fn default_source_is_invisible_on_the_wire() {
-    let hello = Msg::Hello(Hello::for_config(&quick_cfg()));
-    assert!(!hello.to_line().contains("source"), "{}", hello.to_line());
+    let submit = Msg::Submit(quick_spec());
+    assert!(!submit.to_line().contains("source"), "{}", submit.to_line());
 
     let legacy = r#"{"type":"submit","defense":"Baseline","contract":"CT-SEQ","seed":"1","find_first":false,"batch":3,"cycle_skip":true}"#;
     let Msg::Submit(spec) = Msg::parse_line(legacy).unwrap() else {
@@ -421,7 +388,10 @@ fn default_source_is_invisible_on_the_wire() {
     assert_eq!(spec.resolve().unwrap().source, SpecSource::Pht);
 
     // The non-default source, by contrast, must be loud everywhere.
-    let stl = Msg::Hello(Hello::for_config(&quick_cfg().with_source(SpecSource::Stl)));
+    let stl = Msg::Submit(CampaignSpec {
+        source: "STL".into(),
+        ..quick_spec()
+    });
     assert!(
         stl.to_line().contains(r#""source":"STL""#),
         "{}",

@@ -241,7 +241,7 @@ fn a_panicking_batch_fails_only_its_own_campaign() {
     let mut bad = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
     bad.sim.bp_entries = 3;
     let error = service
-        .submit_config(bad, 3, None)
+        .submit_config(bad, None, 3, None)
         .recv_timeout(Duration::from_secs(30))
         .expect("a panicking campaign must be answered, not hang")
         .expect_err("a panicking campaign cannot report");
