@@ -24,12 +24,11 @@ use crate::fleet::{run_driver, DriveConfig, WorkerLink};
 use crate::wire::{recv_msg, spawn_pump, write_msg, Frame};
 use crate::{print_report, report_json, Args, JsonSink, ShapeOptions};
 use amulet_core::proto::{Msg, PROTO_VERSION};
-use amulet_core::ShardConfig;
 use amulet_util::EventLog;
 use std::io::{BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::Receiver;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A [`WorkerLink`] over a spawned `amulet worker` child process's
 /// stdin/stdout pipes (stderr is inherited, so each worker's event rows,
@@ -57,7 +56,7 @@ impl ProcLink {
         let stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");
         // Unbounded: a records-bearing fragment grows with its violations.
-        // The reader ends at the child's EOF, which `Drop` guarantees.
+        // The reader ends when the child exits, which `Drop` guarantees.
         let frames = spawn_pump(BufReader::new(stdout), usize::MAX);
         Ok(ProcLink {
             child,
@@ -78,16 +77,21 @@ impl WorkerLink for ProcLink {
 }
 
 impl Drop for ProcLink {
-    /// Closes the worker's stdin (EOF ends its serve loop), gives it a
-    /// moment to exit cleanly, then kills and reaps — a dropped link never
+    /// Closes the worker's stdin (EOF ends its serve loop) and waits up to
+    /// 200 ms for it to exit, which ends the frame channel: exiting closes
+    /// the worker's stdout. Then kills and reaps — a dropped link never
     /// leaks a child process, even on error paths.
     fn drop(&mut self) {
         drop(self.stdin.take());
-        for _ in 0..100 {
-            match self.child.try_wait() {
-                Ok(Some(_)) => return,
-                Ok(None) => std::thread::sleep(Duration::from_millis(2)),
-                Err(_) => break,
+        let deadline = Instant::now() + Duration::from_millis(200);
+        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+            // Lines still in flight are skipped; the end, a read failure
+            // or the deadline stops the wait.
+            if !matches!(
+                self.frames.recv_timeout(left),
+                Ok(Frame::Line(_) | Frame::TooLong(_))
+            ) {
+                break;
             }
         }
         let _ = self.child.kill();
@@ -98,8 +102,7 @@ impl Drop for ProcLink {
 /// `amulet drive`.
 pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
     let shape = ShapeOptions::parse(&mut args)?;
-    let batch = args.parsed("--batch")?;
-    let spec = shape.spec(batch.map_or(ShardConfig::default().batch_programs, |b: usize| b.max(1)));
+    let spec = shape.spec(shape.parse_batch(&mut args)?);
     let cases = shape.config().total_cases();
     let defaults = DriveConfig::default();
     let mut drive = DriveConfig {
@@ -194,6 +197,28 @@ mod tests {
         assert!(
             err.contains("mid-frame (6 bytes)"),
             "unexpected error: {err}"
+        );
+    }
+
+    /// A worker that ignores EOF is killed once the exit wait runs out:
+    /// dropping its link returns promptly instead of waiting out the
+    /// worker's 60 s sleep.
+    #[cfg(unix)]
+    #[test]
+    fn dropping_a_link_kills_a_worker_that_ignores_eof() {
+        use std::os::unix::fs::PermissionsExt;
+        let script =
+            std::env::temp_dir().join(format!("amulet_deaf_worker_{}", std::process::id()));
+        std::fs::write(&script, "#!/bin/sh\nexec sleep 60\n").unwrap();
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let link = ProcLink::spawn(&script).unwrap();
+        let t0 = Instant::now();
+        drop(link);
+        let _ = std::fs::remove_file(&script);
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "drop took {:?}: the kill was lost",
+            t0.elapsed()
         );
     }
 }

@@ -50,7 +50,7 @@
 //! See `docs/DISTRIBUTED.md` for the operator-level picture.
 
 use amulet_core::proto::{CampaignSpec, FragmentReport, Msg};
-use amulet_core::{run_with_slots, CampaignReport, Lease, LeaseWait, Service, LEASE_POLL};
+use amulet_core::{run_with_slots, CampaignReport, Lease, LeaseWait, Service};
 use amulet_util::{EventLog, Xoshiro256};
 use std::io::Write;
 use std::time::Duration;
@@ -68,16 +68,6 @@ pub trait WorkerLink {
     /// deadline passed with the link still (apparently) alive; partial
     /// data already received must be retained for the next call.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Msg>, String>;
-
-    /// Receives the next message, waiting effectively forever (one year —
-    /// large enough to mean "no deadline", small enough that deadline
-    /// arithmetic on `Instant` cannot overflow).
-    fn recv(&mut self) -> Result<Msg, String> {
-        match self.recv_timeout(Duration::from_secs(365 * 24 * 3600))? {
-            Some(msg) => Ok(msg),
-            None => Err("link timed out".into()),
-        }
-    }
 }
 
 /// Knobs of a fleet run: how many slots `drive` starts, and the failure
@@ -226,14 +216,11 @@ pub(crate) fn run_slot<L: WorkerLink>(
     let mut token = (slot as u64) << 32;
 
     loop {
-        let lease = match service.wait_lease_for(Some(id), LEASE_POLL) {
+        let lease = match service.wait_lease(id) {
             LeaseWait::Shutdown => break,
-            LeaseWait::Idle => {
+            LeaseWait::Ended(campaign) => {
                 // A session outliving its campaign would pin the worker.
-                if session
-                    .as_ref()
-                    .is_some_and(|s| !service.is_active(s.campaign))
-                {
+                if session.as_ref().is_some_and(|s| s.campaign == campaign) {
                     close(&mut session);
                 }
                 continue;
@@ -653,9 +640,7 @@ mod tests {
             std::env::temp_dir().join(format!("amulet_fleet_records_{}", std::process::id())),
         )));
         service.submit(&quick_spec(4)).unwrap();
-        let LeaseWait::Lease(lease) = service.wait_lease(ms(10)) else {
-            panic!("expected a lease")
-        };
+        let lease = service.try_lease().expect("expected a lease");
         assert!(
             lease.spec.records,
             "a service with a corpus asks for records"

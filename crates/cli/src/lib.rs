@@ -497,6 +497,17 @@ impl ShapeOptions {
         }
     }
 
+    /// Consumes `--batch`, the programs per batch ([`ShardConfig`]'s
+    /// default when absent), rejecting a size the resolver refuses for
+    /// this shape (0) as [`ShapeOptions::parse`] rejects a bad `--scale`.
+    pub(crate) fn parse_batch(&self, args: &mut Args) -> Result<usize, String> {
+        let batch = args
+            .parsed("--batch")?
+            .unwrap_or(ShardConfig::default().batch_programs);
+        self.spec(batch).resolve()?;
+        Ok(batch)
+    }
+
     /// The campaign configuration these flags select. Panics on a shape
     /// [`ShapeOptions::parse`] would have rejected.
     pub fn config(&self) -> CampaignConfig {
@@ -533,21 +544,20 @@ impl ShapeOptions {
     }
 }
 
-fn shard_options(args: &mut Args) -> Result<ShardConfig, String> {
-    let mut shard = ShardConfig::default();
-    if let Some(w) = args.parsed::<usize>("--workers")? {
-        shard.workers = w;
-    }
-    if let Some(b) = args.parsed::<usize>("--batch")? {
-        shard.batch_programs = b.max(1);
-    }
-    Ok(shard)
+/// Consumes `--workers` and `--batch` for a campaign of `shape`'s.
+fn shard_options(args: &mut Args, shape: &ShapeOptions) -> Result<ShardConfig, String> {
+    Ok(ShardConfig {
+        workers: args
+            .parsed("--workers")?
+            .unwrap_or(ShardConfig::default().workers),
+        batch_programs: shape.parse_batch(args)?,
+    })
 }
 
 /// `amulet campaign`.
 fn cmd_campaign(mut args: Args) -> Result<(), String> {
     let shape = ShapeOptions::parse(&mut args)?;
-    let shard = shard_options(&mut args)?;
+    let shard = shard_options(&mut args, &shape)?;
     let mut sink = JsonSink::open(args.value("--json")?)?;
     args.finish()?;
 
@@ -596,7 +606,7 @@ fn cmd_matrix(mut args: Args) -> Result<(), String> {
         &ContractKind::ALL,
     )?;
     let sources = parse_list(args.value("--sources")?, parse_source, &[SpecSource::Pht])?;
-    let shard = shard_options(&mut args)?;
+    let shard = shard_options(&mut args, &template)?;
     let mut sink = JsonSink::open(args.value("--json")?)?;
     args.finish()?;
 
@@ -649,7 +659,7 @@ fn cmd_boundary(mut args: Args) -> Result<(), String> {
         },
         ..ShapeOptions::parse_template(&mut args)?
     };
-    let shard = shard_options(&mut args)?;
+    let shard = shard_options(&mut args, &template)?;
     let mut sink = JsonSink::open(args.value("--json")?)?;
     args.finish()?;
 
@@ -908,6 +918,22 @@ mod tests {
         let shape = parse_shape(&["--scale", "0.25"]).unwrap();
         assert_eq!(shape.scale, Some(0.25));
         assert_eq!(shape.config().instances, 25);
+    }
+
+    /// `--batch 0` fails with the resolver's message, as it would on the
+    /// service, instead of running the 1-program-batch campaign.
+    #[test]
+    fn batch_parse_rejects_sizes_the_resolver_rejects() {
+        let batch = |argv: &[&str]| {
+            let raw: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            parse_shape::<&str>(&[])
+                .unwrap()
+                .parse_batch(&mut Args::new(&raw))
+        };
+        let err = batch(&["--batch", "0"]).unwrap_err();
+        assert!(err.contains("batch must be at least 1"), "{err}");
+        assert_eq!(batch(&["--batch", "7"]), Ok(7));
+        assert_eq!(batch(&[]), Ok(ShardConfig::default().batch_programs));
     }
 
     #[test]

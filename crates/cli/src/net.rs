@@ -205,7 +205,7 @@ mod tests {
         });
 
         let mut link = TcpLink::connect(&addr.to_string(), Duration::from_secs(5)).unwrap();
-        let Msg::Hello(hello) = link.recv().unwrap() else {
+        let Some(Msg::Hello(hello)) = link.recv_timeout(Duration::from_secs(5)).unwrap() else {
             panic!("expected hello")
         };
         hello.check().unwrap();

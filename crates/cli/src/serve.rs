@@ -50,7 +50,7 @@ use crate::wire::{pump_frames, write_msg, Frame};
 use crate::{Args, JsonSink, ShapeOptions, WorkerLink};
 use amulet_core::proto::{CampaignSpec, Msg, ResultMsg};
 use amulet_core::{
-    run_local_slot, Admission, Corpus, Service, ServiceEvent, ShardConfig, StateDir, SubmitOutcome,
+    run_local_slot, Admission, Corpus, Service, ServiceEvent, StateDir, SubmitOutcome,
 };
 use amulet_util::{events, JsonObj, Xoshiro256};
 use std::collections::HashSet;
@@ -102,7 +102,8 @@ impl From<ServiceEvent> for Frame<ServiceEvent> {
 
 /// The service plus its worker threads. [`ServiceHost::shutdown`] drains
 /// and joins them; dropping without shutdown leaves daemon threads running
-/// (they exit at the next poll once the service is shut down elsewhere).
+/// (each exits as soon as the service is shut down elsewhere, which wakes
+/// every slot's wait).
 pub struct ServiceHost {
     service: Arc<Service>,
     threads: Vec<JoinHandle<()>>,
@@ -735,10 +736,7 @@ pub(crate) fn cmd_submit(mut args: Args) -> Result<(), String> {
         .value("--connect")?
         .ok_or("submit: --connect ADDR is required")?;
     let shape = ShapeOptions::parse(&mut args)?;
-    let batch = args
-        .parsed::<usize>("--batch")?
-        .unwrap_or(ShardConfig::default().batch_programs)
-        .max(1);
+    let batch = shape.parse_batch(&mut args)?;
     let timeout = args
         .seconds("--timeout-s")?
         .unwrap_or(Duration::from_secs(600));

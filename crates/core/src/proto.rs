@@ -541,15 +541,8 @@ impl Msg {
             Msg::Cancel { earliest } => obj.int("earliest", *earliest as u64).finish(),
             Msg::Shutdown => obj.finish(),
             Msg::Fragment(f) => {
-                let mut out = obj.int("index", f.index as u64).bool("skipped", f.skipped);
-                out = out
-                    .int("cases", f.stats.cases as u64)
-                    .int("classes", f.stats.classes as u64)
-                    .int("candidates", f.stats.candidates as u64)
-                    .int("validation_runs", f.stats.validation_runs as u64)
-                    .int("confirmed", f.stats.confirmed as u64)
-                    .int("sim_cycles", f.stats.sim_cycles)
-                    .int("warped_cycles", f.stats.warped_cycles);
+                let head = obj.int("index", f.index as u64).bool("skipped", f.skipped);
+                let mut out = stats_to_json(head, &f.stats);
                 if let Some(s) = f.first_detection_s {
                     out = out.num("first_detection_s", s);
                 }
@@ -669,15 +662,7 @@ impl Msg {
             }),
             "shutdown" => Ok(Msg::Shutdown),
             "fragment" => {
-                let stats = ScanStats {
-                    cases: usize_field(&v, "cases")?,
-                    classes: usize_field(&v, "classes")?,
-                    candidates: usize_field(&v, "candidates")?,
-                    validation_runs: usize_field(&v, "validation_runs")?,
-                    confirmed: usize_field(&v, "confirmed")?,
-                    sim_cycles: u64_field(&v, "sim_cycles")?,
-                    warped_cycles: u64_field(&v, "warped_cycles")?,
-                };
+                let stats = stats_from_json(&v)?;
                 let violations = v
                     .get("violations")
                     .and_then(JsonValue::as_arr)
@@ -820,18 +805,13 @@ fn report_to_json(r: &ReportWire) -> String {
     if r.source != "PHT" {
         out = out.str("source", &r.source);
     }
-    out.bool("include_l1i", r.include_l1i)
+    let out = out
+        .bool("include_l1i", r.include_l1i)
         .str("seed", &r.seed.to_string())
         .int("instances", r.instances)
         .int("programs", r.programs)
-        .int("inputs", r.inputs)
-        .int("cases", r.stats.cases as u64)
-        .int("classes", r.stats.classes as u64)
-        .int("candidates", r.stats.candidates as u64)
-        .int("validation_runs", r.stats.validation_runs as u64)
-        .int("confirmed", r.stats.confirmed as u64)
-        .int("sim_cycles", r.stats.sim_cycles)
-        .int("warped_cycles", r.stats.warped_cycles)
+        .int("inputs", r.inputs);
+    stats_to_json(out, &r.stats)
         .int("detections", r.detections)
         .raw("violations", &format!("[{}]", violations.join(",")))
         .finish()
@@ -858,17 +838,34 @@ fn report_from_json(v: &JsonValue) -> Result<ReportWire, String> {
         instances: u64_field(v, "instances")?,
         programs: u64_field(v, "programs")?,
         inputs: u64_field(v, "inputs")?,
-        stats: ScanStats {
-            cases: usize_field(v, "cases")?,
-            classes: usize_field(v, "classes")?,
-            candidates: usize_field(v, "candidates")?,
-            validation_runs: usize_field(v, "validation_runs")?,
-            confirmed: usize_field(v, "confirmed")?,
-            sim_cycles: u64_field(v, "sim_cycles")?,
-            warped_cycles: u64_field(v, "warped_cycles")?,
-        },
+        stats: stats_from_json(v)?,
         detections: u64_field(v, "detections")?,
         digests,
+    })
+}
+
+/// Appends the seven [`ScanStats`] counters, in wire order — the one
+/// encoding fragment and result lines share.
+fn stats_to_json(out: JsonObj, s: &ScanStats) -> JsonObj {
+    out.int("cases", s.cases as u64)
+        .int("classes", s.classes as u64)
+        .int("candidates", s.candidates as u64)
+        .int("validation_runs", s.validation_runs as u64)
+        .int("confirmed", s.confirmed as u64)
+        .int("sim_cycles", s.sim_cycles)
+        .int("warped_cycles", s.warped_cycles)
+}
+
+/// The inverse of [`stats_to_json`].
+fn stats_from_json(v: &JsonValue) -> Result<ScanStats, String> {
+    Ok(ScanStats {
+        cases: usize_field(v, "cases")?,
+        classes: usize_field(v, "classes")?,
+        candidates: usize_field(v, "candidates")?,
+        validation_runs: usize_field(v, "validation_runs")?,
+        confirmed: usize_field(v, "confirmed")?,
+        sim_cycles: u64_field(v, "sim_cycles")?,
+        warped_cycles: u64_field(v, "warped_cycles")?,
     })
 }
 

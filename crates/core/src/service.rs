@@ -53,6 +53,14 @@
 //! single-campaign skeleton `run_sharded` and `drive` share, and
 //! [`run_local_slot`] the one in-process worker loop, shared by
 //! `run_sharded` and `serve`'s local workers.
+//!
+//! # No clock in a slot
+//!
+//! A slot's only wait is [`Service::wait_lease`], which has no deadline.
+//! It returns a lease, shutdown, or [`LeaseWait::Ended`] for a campaign
+//! the slot leased from once that campaign leaves the active set (every
+//! removal goes through one helper that queues the end), so a slot frees
+//! a finished campaign's runtime or worker session without polling.
 
 use crate::campaign::{CampaignConfig, CampaignReport, UnitRuntime};
 use crate::corpus::{records_from_report, Corpus};
@@ -70,11 +78,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
-
-/// How long an idle slot waits for a lease before housekeeping (dropping
-/// finished campaigns' runtimes or sessions, shutdown checks).
-pub const LEASE_POLL: Duration = Duration::from_millis(250);
+use std::time::Instant;
 
 /// A progress notification broadcast to every [`Service::subscribe`]r.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,8 +211,9 @@ pub enum LeaseWait {
     /// A batch to execute. Boxed: a [`Lease`] carries a full
     /// [`CampaignConfig`] and dwarfs the other variants.
     Lease(Box<Lease>),
-    /// The deadline passed with no runnable batch — poll again.
-    Idle,
+    /// A campaign this slot leased from left the active set (finished,
+    /// failed or cancelled): the slot drops what it holds for it.
+    Ended(u64),
     /// The service is shutting down — the worker loop should exit.
     Shutdown,
 }
@@ -240,10 +245,11 @@ struct ActiveCampaign {
     hit: Arc<AtomicUsize>,
     /// Leases handed out and not yet completed or released.
     outstanding: usize,
+    /// Slots that leased from this campaign — the ones told when it ends.
+    leased_by: HashSet<u64>,
     executed: u64,
     fragments: Vec<Fragment>,
     cases_done: u64,
-    done_batches: u64,
     cancelled: bool,
     /// Slots that refused this campaign, with their errors.
     refused: HashMap<u64, String>,
@@ -269,10 +275,10 @@ impl ActiveCampaign {
             orphans: Vec::new(),
             hit: Arc::new(AtomicUsize::new(usize::MAX)),
             outstanding: 0,
+            leased_by: HashSet::new(),
             executed: 0,
             fragments: Vec::new(),
             cases_done: 0,
-            done_batches: 0,
             cancelled: false,
             refused: HashMap::new(),
             reply: None,
@@ -364,8 +370,9 @@ struct Inner {
     shutdown: bool,
     /// Slot ids handed out so far (0 = no slot ever attached).
     next_slot: u64,
-    /// Attached slots that have not retired.
-    live_slots: HashSet<u64>,
+    /// Attached slots that have not retired, each with the campaigns it
+    /// leased from that ended since its last [`Service::wait_lease`].
+    live_slots: HashMap<u64, Vec<u64>>,
 }
 
 /// The long-lived campaign service: shared scheduler state plus the
@@ -597,7 +604,6 @@ impl Service {
             hit: Arc::new(AtomicUsize::new(earliest_hit.unwrap_or(usize::MAX))),
             cases_done: recovered_frags.iter().map(|f| f.stats.cases as u64).sum(),
             fragments: recovered_frags,
-            done_batches: recovered,
             ..ActiveCampaign::new(id, cfg, missing, total)
         };
         if let Some(j) = journal {
@@ -713,9 +719,8 @@ impl Service {
         };
         inner.active[pos].cancelled = true;
         if inner.active[pos].outstanding == 0 {
-            let camp = inner.active.swap_remove(pos);
+            let camp = Self::deactivate(&mut inner, pos);
             Self::finish_cancelled(&mut inner, camp);
-            Self::promote(&mut inner);
         }
         drop(inner);
         self.wake.notify_all();
@@ -759,35 +764,35 @@ impl Service {
         self.inner.lock().unwrap().finished.len()
     }
 
-    /// Waits up to `timeout` for a batch lease from any active campaign.
-    pub fn wait_lease(&self, timeout: Duration) -> LeaseWait {
-        self.wait_lease_for(None, timeout)
-    }
-
-    /// Waits up to `timeout` for a lease on behalf of `slot`, skipping the
-    /// campaigns that slot has [refused](Service::refuse).
-    pub fn wait_lease_for(&self, slot: Option<u64>, timeout: Duration) -> LeaseWait {
-        let deadline = Instant::now() + timeout;
+    /// Blocks attached slot `slot` until the scheduler has something for
+    /// it: shutdown, the end of a campaign it leased from, or a batch from
+    /// a campaign it has not [refused](Service::refuse). There is no
+    /// deadline: every change that could answer a waiter wakes it.
+    pub fn wait_lease(&self, slot: u64) -> LeaseWait {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if self.stopping(&inner) {
                 return LeaseWait::Shutdown;
             }
-            if let Some(lease) = Self::try_lease(&mut inner, slot) {
+            if let Some(campaign) = inner.live_slots.get_mut(&slot).and_then(Vec::pop) {
+                return LeaseWait::Ended(campaign);
+            }
+            if let Some(lease) = Self::next_lease(&mut inner, Some(slot)) {
                 return LeaseWait::Lease(Box::new(lease));
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return LeaseWait::Idle;
-            }
-            let (guard, _) = self.wake.wait_timeout(inner, remaining).unwrap();
-            inner = guard;
+            inner = self.wake.wait(inner).unwrap();
         }
+    }
+
+    /// A lease runnable right now, taken on behalf of no slot — the probe
+    /// for callers that drive the scheduler by hand, such as tests.
+    pub fn try_lease(&self) -> Option<Lease> {
+        Self::next_lease(&mut self.inner.lock().unwrap(), None)
     }
 
     /// Round-robin lease: resume one past the campaign that got the
     /// previous lease, so concurrent campaigns alternate A, B, A, B...
-    fn try_lease(inner: &mut Inner, slot: Option<u64>) -> Option<Lease> {
+    fn next_lease(inner: &mut Inner, slot: Option<u64>) -> Option<Lease> {
         let n = inner.active.len();
         for step in 0..n {
             let pos = (inner.rr + step) % n;
@@ -797,6 +802,7 @@ impl Service {
             }
             if let Some((spec, adopted)) = camp.next_runnable() {
                 camp.outstanding += 1;
+                camp.leased_by.extend(slot);
                 let lease = Lease {
                     campaign: camp.id,
                     spec,
@@ -823,18 +829,19 @@ impl Service {
     }
 
     /// Registers a worker slot as live; the id names it to
-    /// [`Service::wait_lease_for`], [`Service::refuse`] and
+    /// [`Service::wait_lease`], [`Service::refuse`] and
     /// [`Service::retire_slot`].
     pub fn attach_slot(&self) -> u64 {
         let mut inner = self.inner.lock().unwrap();
         let slot = inner.next_slot;
         inner.next_slot += 1;
-        inner.live_slots.insert(slot);
+        inner.live_slots.insert(slot, Vec::new());
         slot
     }
 
-    /// Retires a slot (quarantine, or its loop exiting) and applies the
-    /// degradation floor to the campaigns it leaves behind.
+    /// Retires a slot (quarantine, or its loop exiting), dropping the
+    /// campaign ends it has not heard, and applies the degradation floor to
+    /// the campaigns it leaves behind.
     pub fn retire_slot(&self, slot: u64) {
         let mut inner = self.inner.lock().unwrap();
         inner.live_slots.remove(&slot);
@@ -869,13 +876,11 @@ impl Service {
                 camp.refused.insert(slot, error);
             }
             if camp.cancelled && camp.outstanding == 0 {
-                let camp = inner.active.swap_remove(pos);
+                let camp = Self::deactivate(&mut inner, pos);
                 Self::finish_cancelled(&mut inner, camp);
-                Self::promote(&mut inner);
             } else if camp.drained() {
                 // Only past-hit work was returned: nothing is left to run.
-                finished = Some(inner.active.swap_remove(pos));
-                Self::promote(&mut inner);
+                finished = Some(Self::deactivate(&mut inner, pos));
             }
         }
         self.enforce_floor(inner);
@@ -898,18 +903,17 @@ impl Service {
                 let camp = &inner.active[pos];
                 let willing = inner
                     .live_slots
-                    .iter()
+                    .keys()
                     .any(|s| !camp.refused.contains_key(s));
                 if willing || camp.cancelled || !camp.has_runnable() {
                     pos += 1;
                 } else {
-                    stranded.push(inner.active.swap_remove(pos));
+                    stranded.push(Self::deactivate(&mut inner, pos));
                 }
             }
             if inner.live_slots.is_empty() {
                 stranded.extend(inner.queued.drain(..));
             }
-            Self::promote(&mut inner);
         }
         drop(inner);
         self.wake.notify_all();
@@ -961,9 +965,8 @@ impl Service {
         camp.executed += 1;
         if camp.cancelled {
             if camp.outstanding == 0 {
-                let camp = inner.active.swap_remove(pos);
+                let camp = Self::deactivate(&mut inner, pos);
                 Self::finish_cancelled(&mut inner, camp);
-                Self::promote(&mut inner);
             }
             drop(inner);
             self.wake.notify_all();
@@ -978,20 +981,16 @@ impl Service {
         if camp.cfg.stop_on_first && !fragment.digests.is_empty() {
             camp.hit.fetch_min(fragment.index, Ordering::SeqCst);
         }
-        camp.done_batches += 1;
         camp.cases_done += fragment.stats.cases as u64;
+        camp.fragments.push(fragment);
         let event = ServiceEvent::Progress {
             campaign: camp.id,
-            done: camp.done_batches,
+            done: camp.fragments.len() as u64,
             total: camp.total_batches as u64,
             cases: camp.cases_done,
         };
-        camp.fragments.push(fragment);
         let finished =
-            (tee_error.is_some() || camp.drained()).then(|| inner.active.swap_remove(pos));
-        if finished.is_some() {
-            Self::promote(&mut inner);
-        }
+            (tee_error.is_some() || camp.drained()).then(|| Self::deactivate(&mut inner, pos));
         Self::broadcast(&mut inner, event);
         drop(inner);
         self.wake.notify_all();
@@ -1065,6 +1064,21 @@ impl Service {
         self.wake.notify_all();
     }
 
+    /// Takes `active[pos]` out of the rotation — the one way a campaign
+    /// leaves it — queues its end for every live slot that leased from it,
+    /// and promotes the admit queue into the freed place. The caller wakes
+    /// the waiters.
+    fn deactivate(inner: &mut Inner, pos: usize) -> ActiveCampaign {
+        let camp = inner.active.swap_remove(pos);
+        for slot in &camp.leased_by {
+            if let Some(ended) = inner.live_slots.get_mut(slot) {
+                ended.push(camp.id);
+            }
+        }
+        Self::promote(inner);
+        camp
+    }
+
     fn finish_cancelled(inner: &mut Inner, camp: ActiveCampaign) {
         // The journal handle closes here, but the FILE stays: a cancelled
         // campaign's executed prefix is valid work a resubmit can resume.
@@ -1101,14 +1115,6 @@ impl Service {
     /// Removes and returns a finished campaign's terminal result.
     pub fn take_result(&self, campaign: u64) -> Option<ResultMsg> {
         self.inner.lock().unwrap().finished.remove(&campaign)
-    }
-
-    /// Whether `campaign` is still in flight (active or queued) — worker
-    /// loops use this to garbage-collect per-campaign runtimes.
-    pub fn is_active(&self, campaign: u64) -> bool {
-        let inner = self.inner.lock().unwrap();
-        inner.active.iter().any(|c| c.id == campaign)
-            || inner.queued.iter().any(|c| c.id == campaign)
     }
 
     /// Begins shutdown: no new submits; every [`Service::wait_lease`]
@@ -1160,10 +1166,9 @@ pub fn run_with_slots(
 /// `slot`, until the service shuts down (then the slot retires).
 ///
 /// Runtimes are per-campaign (a [`UnitRuntime`] must never serve two
-/// configs). Those of campaigns that left the active set are dropped
-/// whenever a lease names a campaign the slot holds no runtime for, and
-/// whenever the slot goes idle, so a slot under continuous load keeps no
-/// finished campaign's runtime.
+/// configs). A campaign's runtime is dropped when the service reports its
+/// end ([`LeaseWait::Ended`]), so a slot keeps no finished campaign's
+/// runtime and needs no clock.
 ///
 /// A batch that panics fails its campaign, not the slot: the slot drops
 /// that campaign's runtime and [refuses](Service::refuse) the campaign
@@ -1173,11 +1178,11 @@ pub fn run_with_slots(
 pub fn run_local_slot(service: &Service, slot: u64) {
     let mut runtimes: HashMap<u64, UnitRuntime> = HashMap::new();
     loop {
-        match service.wait_lease_for(Some(slot), LEASE_POLL) {
+        match service.wait_lease(slot) {
             LeaseWait::Shutdown => return service.retire_slot(slot),
-            LeaseWait::Idle => runtimes.retain(|id, _| service.is_active(*id)),
+            LeaseWait::Ended(campaign) => drop(runtimes.remove(&campaign)),
             LeaseWait::Lease(lease) => {
-                let rt = runtime_for(&mut runtimes, lease.campaign, |id| service.is_active(id));
+                let rt = runtimes.entry(lease.campaign).or_default();
                 let run = catch_unwind(AssertUnwindSafe(|| {
                     run_batch(&lease.cfg, &lease.spec, lease.anchor, rt)
                 }));
@@ -1196,19 +1201,6 @@ pub fn run_local_slot(service: &Service, slot: u64) {
             }
         }
     }
-}
-
-/// `campaign`'s runtime in `runtimes`, created on first use. A campaign
-/// without one first drops every runtime whose campaign `is_active` denies.
-fn runtime_for(
-    runtimes: &mut HashMap<u64, UnitRuntime>,
-    campaign: u64,
-    is_active: impl Fn(u64) -> bool,
-) -> &mut UnitRuntime {
-    if !runtimes.contains_key(&campaign) {
-        runtimes.retain(|id, _| is_active(*id));
-    }
-    runtimes.entry(campaign).or_default()
 }
 
 /// The message a panic was raised with (`panic!` payloads are a `&str` or
@@ -1252,13 +1244,7 @@ mod tests {
         else {
             panic!("fresh submit must not hit the cache")
         };
-        let mut owners = Vec::new();
-        for _ in 0..6 {
-            match service.wait_lease(Duration::from_millis(10)) {
-                LeaseWait::Lease(lease) => owners.push(lease.campaign),
-                other => panic!("expected a lease, got {other:?}"),
-            }
-        }
+        let owners: Vec<u64> = (0..6).map(|_| lease(&service).campaign).collect();
         assert_eq!(owners, vec![a, b, a, b, a, b], "round-robin broke");
     }
 
@@ -1297,7 +1283,7 @@ mod tests {
         service.shutdown();
         assert!(service.submit(&quick_spec(1)).is_err());
         assert!(matches!(
-            service.wait_lease(Duration::from_secs(5)),
+            service.wait_lease(service.attach_slot()),
             LeaseWait::Shutdown
         ));
     }
@@ -1321,7 +1307,7 @@ mod tests {
         else {
             panic!("second submit must queue")
         };
-        assert!(service.is_active(b), "queued campaigns are in flight");
+        assert!(service.take_result(b).is_none(), "queued campaigns wait");
         let SubmitOutcome::Rejected {
             reason,
             retry_after_ms,
@@ -1334,21 +1320,16 @@ mod tests {
         // Only the active campaign leases while b waits in the queue.
         let mut held = Vec::new();
         for _ in 0..3 {
-            let LeaseWait::Lease(lease) = service.wait_lease(Duration::from_millis(10)) else {
-                panic!("expected a lease")
-            };
+            let lease = lease(&service);
             assert_eq!(lease.campaign, a, "queued campaign must not lease");
             held.push(lease);
         }
         // A cancelled campaign holds its slot until its leases settle.
         service.cancel(a);
         for lease in held {
-            service.release(*lease);
+            service.release(lease);
         }
-        let LeaseWait::Lease(lease) = service.wait_lease(Duration::from_millis(10)) else {
-            panic!("expected a lease after promotion")
-        };
-        assert_eq!(lease.campaign, b, "queue head must promote FIFO");
+        assert_eq!(lease(&service).campaign, b, "queue head must promote FIFO");
     }
 
     /// The per-client quota counts active + queued per identity and never
@@ -1415,17 +1396,17 @@ mod tests {
         };
         assert!(reason.contains("draining"), "{reason}");
         assert!(retry_after_ms > 0);
-        let LeaseWait::Lease(lease) = service.wait_lease(Duration::from_millis(10)) else {
-            panic!("finish-drain must keep leasing active work")
-        };
+        let lease = service
+            .try_lease()
+            .expect("finish-drain must keep leasing active work");
         assert_eq!(lease.campaign, campaign);
         assert!(!service.persistent());
     }
 
     /// The degradation floor: a campaign waits while no slot has attached;
-    /// it fails with the refusal error once every live slot refused it,
-    /// and with "campaign incomplete" once every slot retired — as does
-    /// any later submit.
+    /// it fails with the refusal error once every live slot refused it (and
+    /// the refusing slot hears its end), and with "campaign incomplete"
+    /// once every slot retired — as does any later submit.
     #[test]
     fn degradation_floor_fails_campaigns_no_live_slot_will_serve() {
         let accept = |service: &Service, seed| match service.submit(&quick_spec(seed)).unwrap() {
@@ -1435,12 +1416,11 @@ mod tests {
         let service = Service::new();
         let refused = accept(&service, 40);
         assert!(
-            service.is_active(refused),
+            service.take_result(refused).is_none(),
             "no slot yet: the campaign waits"
         );
         let slot = service.attach_slot();
-        let LeaseWait::Lease(lease) = service.wait_lease_for(Some(slot), Duration::from_millis(10))
-        else {
+        let LeaseWait::Lease(lease) = service.wait_lease(slot) else {
             panic!("expected a lease")
         };
         service.refuse(slot, *lease, "config mismatch".into());
@@ -1448,10 +1428,13 @@ mod tests {
             .take_result(refused)
             .expect("every live slot refused");
         assert_eq!(result.error.as_deref(), Some("config mismatch"));
+        assert!(
+            matches!(service.wait_lease(slot), LeaseWait::Ended(c) if c == refused),
+            "the refusing slot hears the failed campaign's end"
+        );
 
         let stranded = accept(&service, 41);
-        let LeaseWait::Lease(lease) = service.wait_lease_for(Some(slot), Duration::from_millis(10))
-        else {
+        let LeaseWait::Lease(lease) = service.wait_lease(slot) else {
             panic!("a refusal covers one campaign, not the slot")
         };
         assert_eq!(lease.campaign, stranded);
@@ -1522,9 +1505,7 @@ mod tests {
             panic!("a journaled campaign resumes")
         };
         assert_eq!(recovered, 1, "only the clean fragment replays");
-        let LeaseWait::Lease(lease) = with_corpus.wait_lease(Duration::from_millis(10)) else {
-            panic!("expected a lease")
-        };
+        let lease = with_corpus.try_lease().expect("expected a lease");
         assert_eq!(lease.spec.index, 0, "the violating batch re-runs first");
         assert!(lease.spec.records, "and asks for records");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1546,11 +1527,8 @@ mod tests {
         service.submit_config(cfg, None, 1, None)
     }
 
-    fn lease(service: &Service) -> Box<Lease> {
-        match service.wait_lease(Duration::from_millis(10)) {
-            LeaseWait::Lease(lease) => lease,
-            other => panic!("expected a lease, got {other:?}"),
-        }
+    fn lease(service: &Service) -> Lease {
+        service.try_lease().expect("expected a runnable lease")
     }
 
     /// A fragment for `lease`'s batch; `hit` gives it one confirmed
@@ -1579,7 +1557,7 @@ mod tests {
     fn find_first_leases_in_order_and_withhold_batches_past_the_floor() {
         let service = Service::new();
         let done = ten_batches(&service, true);
-        let mut held: Vec<Option<Box<Lease>>> = (0..6).map(|_| Some(lease(&service))).collect();
+        let mut held: Vec<Option<Lease>> = (0..6).map(|_| Some(lease(&service))).collect();
         let indices: Vec<usize> = held.iter().flatten().map(|l| l.spec.index).collect();
         assert_eq!(
             indices,
@@ -1589,17 +1567,14 @@ mod tests {
         let mut settle = |i: usize, hit: bool| {
             let lease = held[i].take().unwrap();
             let frag = fragment(&lease, hit);
-            service.complete(*lease, frag);
+            service.complete(lease, frag);
             held[0].as_ref().and_then(|l| l.floor())
         };
         assert_eq!(settle(5, true), Some(5));
         assert_eq!(settle(3, true), Some(3), "an earlier hit lowers the floor");
         assert_eq!(settle(4, true), Some(3), "a later hit never raises it");
         assert!(
-            matches!(
-                service.wait_lease(Duration::from_millis(10)),
-                LeaseWait::Idle
-            ),
+            service.try_lease().is_none(),
             "batches past the floor are withheld"
         );
         for i in (0..3).rev() {
@@ -1623,7 +1598,7 @@ mod tests {
         let first = lease(&service);
         let frag = fragment(&first, true);
         let later = lease(&service);
-        service.complete(*first, frag);
+        service.complete(first, frag);
         assert_eq!(later.floor(), None, "no floor without stop_on_first");
         let rest: Vec<usize> = (0..8).map(|_| lease(&service).spec.index).collect();
         assert_eq!(
@@ -1633,46 +1608,62 @@ mod tests {
         );
     }
 
-    /// A slot that never goes idle drops a finished campaign's runtime when
-    /// the next campaign's first lease reaches it.
+    /// A slot hears the end of each campaign it leased from, cancelled or
+    /// finished, before its next lease; a slot that never leased from a
+    /// campaign hears nothing of it.
     #[test]
-    fn a_busy_slot_drops_finished_runtimes_on_the_next_campaign() {
+    fn a_slot_hears_the_end_of_each_campaign_it_leased_from() {
         let service = Service::new();
-        let spec = |seed| CampaignSpec {
-            batch_programs: 12,
-            ..quick_spec(seed)
+        let (slot, bystander) = (service.attach_slot(), service.attach_slot());
+        let lease_for = |slot| match service.wait_lease(slot) {
+            LeaseWait::Lease(lease) => lease,
+            other => panic!("expected a lease, got {other:?}"),
         };
-        let mut runtimes: HashMap<u64, UnitRuntime> = HashMap::new();
-        let run_next = |runtimes: &mut HashMap<u64, UnitRuntime>| {
-            let lease = lease(&service);
-            let rt = runtime_for(runtimes, lease.campaign, |id| service.is_active(id));
-            let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, rt);
-            let campaign = lease.campaign;
-            service.complete(*lease, fragment);
-            campaign
+        let ended = |slot| match service.wait_lease(slot) {
+            LeaseWait::Ended(campaign) => campaign,
+            other => panic!("expected a campaign end, got {other:?}"),
         };
+
         let SubmitOutcome::Accepted {
-            campaign: first, ..
-        } = service.submit(&spec(1)).unwrap()
+            campaign: cancelled,
+            ..
+        } = service.submit(&quick_spec(60)).unwrap()
         else {
             panic!("fresh submit must not hit the cache")
         };
-        while service.is_active(first) {
-            assert_eq!(run_next(&mut runtimes), first);
-        }
-        assert!(runtimes.contains_key(&first), "no idle poll has run");
-        let SubmitOutcome::Accepted {
-            campaign: second, ..
-        } = service.submit(&spec(2)).unwrap()
-        else {
-            panic!("fresh submit must not hit the cache")
-        };
-        assert_eq!(run_next(&mut runtimes), second);
-        assert!(
-            !runtimes.contains_key(&first),
-            "the finished campaign's runtime must go"
+        let held = lease_for(slot);
+        service.cancel(cancelled);
+        service.release(*held);
+        assert_eq!(
+            ended(slot),
+            cancelled,
+            "a cancel ends once its leases settle"
         );
-        assert!(runtimes.contains_key(&second));
+
+        let mut cfg = CampaignConfig::quick(
+            amulet_defenses::DefenseKind::Baseline,
+            amulet_contracts::ContractKind::CtSeq,
+        );
+        cfg.instances = 1;
+        cfg.programs_per_instance = 1;
+        let done = service.submit_config(cfg, None, 1, None);
+        let only = lease_for(slot);
+        let finished = only.campaign;
+        let frag = fragment(&only, false);
+        service.complete(*only, frag);
+        assert!(done.recv_timeout(Duration::from_secs(5)).unwrap().is_ok());
+        assert_eq!(ended(slot), finished, "a drained campaign ends");
+
+        let SubmitOutcome::Accepted { campaign: next, .. } =
+            service.submit(&quick_spec(61)).unwrap()
+        else {
+            panic!("fresh submit must not hit the cache")
+        };
+        assert_eq!(
+            lease_for(bystander).campaign,
+            next,
+            "a slot hears only of campaigns it leased from"
+        );
     }
 
     /// A released lease goes back to the same campaign and is re-leased
@@ -1684,14 +1675,10 @@ mod tests {
         else {
             panic!("fresh submit must not hit the cache")
         };
-        let LeaseWait::Lease(first) = service.wait_lease(Duration::from_millis(10)) else {
-            panic!("expected a lease")
-        };
+        let first = lease(&service);
         let first_index = first.spec.index;
-        service.release(*first);
-        let LeaseWait::Lease(again) = service.wait_lease(Duration::from_millis(10)) else {
-            panic!("expected a lease")
-        };
+        service.release(first);
+        let again = lease(&service);
         assert_eq!(again.campaign, campaign);
         assert_eq!(
             again.spec.index, first_index,

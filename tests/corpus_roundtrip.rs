@@ -4,12 +4,9 @@
 //! "daemon restart loses nothing" half of the `amulet serve` contract.
 
 use amulet::fuzz::proto::CampaignSpec;
-use amulet::fuzz::{
-    run_batch, Corpus, CorpusRecord, LeaseWait, Service, SubmitOutcome, UnitRuntime,
-};
+use amulet::fuzz::{run_batch, Corpus, CorpusRecord, Service, SubmitOutcome, UnitRuntime};
 use amulet::isa::parse_program;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// The records a corpus-backed [`Service`] — the production path — writes
 /// for one quick Baseline × CT-SEQ campaign.
@@ -30,9 +27,9 @@ fn quick_records(seed: u64) -> Vec<CorpusRecord> {
         panic!("a fresh service must accept the campaign")
     };
     let mut rt = UnitRuntime::new();
-    while let LeaseWait::Lease(lease) = service.wait_lease(Duration::from_millis(100)) {
+    while let Some(lease) = service.try_lease() {
         let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, &mut rt);
-        service.complete(*lease, fragment);
+        service.complete(lease, fragment);
     }
     let result = service.take_result(campaign).expect("campaign finished");
     let report = result.report.expect("campaign succeeded");

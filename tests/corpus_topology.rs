@@ -10,8 +10,8 @@
 
 use amulet::fuzz::proto::{CampaignSpec, FragmentReport, Msg};
 use amulet::fuzz::{
-    run_batch, Corpus, CrashPlan, Fragment, LeaseWait, Service, ServiceEvent, StateDir,
-    SubmitOutcome, UnitRuntime,
+    run_batch, Corpus, CrashPlan, Fragment, Service, ServiceEvent, StateDir, SubmitOutcome,
+    UnitRuntime,
 };
 use amulet_cli::ServiceHost;
 use std::io::BufReader;
@@ -141,13 +141,11 @@ fn hosted(topology: &str, local: usize, tcp: usize) {
 fn drive(service: &Service, max: usize, carry: impl Fn(Fragment) -> Fragment) {
     let mut rt = UnitRuntime::new();
     for _ in 0..max {
-        match service.wait_lease(Duration::from_millis(300)) {
-            LeaseWait::Lease(lease) => {
-                let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, &mut rt);
-                service.complete(*lease, carry(fragment));
-            }
-            _ => break,
-        }
+        let Some(lease) = service.try_lease() else {
+            break;
+        };
+        let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, &mut rt);
+        service.complete(lease, carry(fragment));
     }
 }
 

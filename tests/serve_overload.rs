@@ -16,8 +16,7 @@ use amulet::contracts::ContractKind;
 use amulet::defenses::DefenseKind;
 use amulet::fuzz::proto::{CampaignSpec, Msg, ResultMsg};
 use amulet::fuzz::{
-    run_batch, Admission, Campaign, CampaignConfig, LeaseWait, Service, ShardConfig, StateDir,
-    UnitRuntime,
+    run_batch, Admission, Campaign, CampaignConfig, Service, ShardConfig, StateDir, UnitRuntime,
 };
 use amulet_cli::{AdversarialPlan, ServiceHost, SessionLimits};
 use common::{spawn_hardened_client, spawn_serve_client, MemClient};
@@ -395,11 +394,11 @@ fn checkpoint_drain_journals_and_a_restart_resumes_fingerprint_identical() {
     expect_accepted(&client);
     let mut rt = UnitRuntime::new();
     for _ in 0..2 {
-        let LeaseWait::Lease(lease) = service.wait_lease(RESULT_TIMEOUT) else {
-            panic!("the submitted campaign must offer a batch");
-        };
+        let lease = service
+            .try_lease()
+            .expect("the submitted campaign must offer a batch");
         let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, &mut rt);
-        service.complete(*lease, fragment);
+        service.complete(lease, fragment);
     }
     // Let at least two batches land in the journal before the "SIGTERM".
     let mut seen = 0;

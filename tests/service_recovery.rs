@@ -20,8 +20,7 @@ mod common;
 
 use amulet::fuzz::proto::{CampaignSpec, Msg};
 use amulet::fuzz::{
-    run_batch, Campaign, CrashPlan, LeaseWait, Service, ShardConfig, StateDir, SubmitOutcome,
-    UnitRuntime,
+    run_batch, Campaign, CrashPlan, Service, ShardConfig, StateDir, SubmitOutcome, UnitRuntime,
 };
 use amulet::util::Xoshiro256;
 use common::spawn_serve_client;
@@ -78,15 +77,13 @@ fn drive(service: &Service, max: usize) -> usize {
     let mut runtimes: HashMap<u64, UnitRuntime> = HashMap::new();
     let mut done = 0;
     while done < max {
-        match service.wait_lease(Duration::from_millis(300)) {
-            LeaseWait::Lease(lease) => {
-                let rt = runtimes.entry(lease.campaign).or_default();
-                let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, rt);
-                service.complete(*lease, fragment);
-                done += 1;
-            }
-            _ => break,
-        }
+        let Some(lease) = service.try_lease() else {
+            break;
+        };
+        let rt = runtimes.entry(lease.campaign).or_default();
+        let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, rt);
+        service.complete(lease, fragment);
+        done += 1;
     }
     done
 }
@@ -294,10 +291,7 @@ fn find_first_campaigns_resume_with_their_hit() {
     accepted(first.submit(&spec).unwrap());
     let mut leases = Vec::new();
     for _ in 0..3 {
-        match first.wait_lease(Duration::from_millis(300)) {
-            LeaseWait::Lease(lease) => leases.push(*lease),
-            other => panic!("expected a lease, got {other:?}"),
-        }
+        leases.push(first.try_lease().expect("expected a lease"));
     }
     let mut rt = UnitRuntime::default();
     for lease in leases.drain(..2) {
