@@ -129,7 +129,7 @@ fn bench_images() {
 }
 
 fn main() {
-    println!("micro: per-component costs (median of batches)");
+    println!("micro: per-component costs (median [quartiles] of batches)");
     bench_images();
     bench_simulator();
     bench_emulator();

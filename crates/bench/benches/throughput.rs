@@ -1,19 +1,15 @@
 //! Throughput trajectory bench — the number every perf PR is measured
 //! against.
 //!
-//! Two measurements, both fixed-seed:
-//!
-//! 1. **Hot-path throughput** — the detector's per-case pipeline
-//!    (quick-campaign shape, single instance: logging off, streaming
-//!    digest, shared program).
-//! 2. **Campaign cases/sec per defense** — a fixed-seed quick campaign per
-//!    defense, the end-to-end number future PRs must not regress.
-//!
-//! Results are printed and appended as one machine-readable JSON line each
-//! to `BENCH_throughput.json` at the workspace root (schema:
-//! `{"bench":"throughput","kind":...,"name":...,"cases_per_sec":...}`).
+//! Every arm runs a fixed-seed workload and times it through
+//! [`amulet_bench::sample`]: [`PASSES`] passes, with the variants of one
+//! workload alternating pass by pass. Every row is an
+//! [`amulet_bench::Row`] carrying each rate at the median pass plus its
+//! quartile passes (`<rate>_q1`/`<rate>_q3`). Rows are printed and
+//! appended, one JSON line each, to `BENCH_throughput.json` at the
+//! workspace root.
 
-use amulet_bench::{banner, env_usize};
+use amulet_bench::{env_usize, sample, sample_secs, Passes, Row, PASSES, TRAJECTORY};
 use amulet_cli::{
     run_driver, serve_session, DriveConfig, FaultCounters, FaultPlan, FaultyLink, TcpLink,
 };
@@ -21,194 +17,183 @@ use amulet_contracts::{ContractKind, LeakageModel, ModelScratch};
 use amulet_core::proto::CampaignSpec;
 use amulet_core::{
     boosted_inputs, boosted_inputs_and_classes_into, minimize, Campaign, CampaignConfig, Detector,
-    ExecMode, Executor, ExecutorConfig, Generator, GeneratorConfig, InputGenConfig, ShardConfig,
-    SpecSource,
+    Executor, ExecutorConfig, Generator, GeneratorConfig, ShardConfig, SpecSource,
 };
 use amulet_defenses::DefenseKind;
 use amulet_emu::Sandbox;
-use amulet_isa::{MemImage, SeededImage, TestInput, LINE_SIZE, PAGE_SIZE};
+use amulet_isa::{MemImage, SeededImage, SharedProgram, TestInput, LINE_SIZE, PAGE_SIZE};
+use amulet_sim::{DigestKind, LogMode, SimConfig, SimResult, Simulator};
 use amulet_util::{EventLog, Xoshiro256};
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Measures per-case throughput of the hot path over a fixed-seed
-/// quick-campaign workload. Program/input generation is untimed — this
-/// isolates the per-test-case pipeline. Returns (cases, median secs) over
-/// five passes.
-fn per_case_throughput(programs: usize) -> (usize, f64) {
-    let model = LeakageModel::new(ContractKind::CtSeq);
-    let mut generator = Generator::new(GeneratorConfig::default(), 11);
-    let mut rng = Xoshiro256::seed_from_u64(12);
-    let input_cfg = InputGenConfig {
-        base_inputs: 4,
-        mutations: 6,
-        pages: 1,
-    };
-    let workload: Vec<_> = (0..programs)
-        .map(|_| {
-            let program = generator.program();
-            let flat = program.flatten_shared();
-            let inputs = boosted_inputs(&model, &flat, &input_cfg, &mut rng);
-            (flat, inputs)
-        })
-        .collect();
+/// Programs in the quick per-case workload (seeds 11/12: 1,680 cases).
+const PROGRAMS: usize = 60;
 
-    // Median of 5 passes — single-shot timing is too noisy on shared
-    // machines.
-    let cases = workload.iter().map(|(_, inputs)| inputs.len()).sum();
-    let mut executor = Executor::new(ExecutorConfig::new(DefenseKind::Baseline));
-    let mut samples = Vec::new();
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        for (flat, inputs) in &workload {
-            for input in inputs {
-                black_box(executor.run_case(flat, input));
-            }
-        }
-        samples.push(t0.elapsed().as_secs_f64());
-    }
-    samples.sort_by(f64::total_cmp);
-    (cases, samples[2])
-}
+/// Programs in the STT scan workload (128-page sandbox: 168 cases).
+const STT_PROGRAMS: usize = 6;
 
-/// The full detector workload (scan + validation) at the quick-campaign
-/// shape — the number that includes contract traces and validation re-runs.
-fn detector_workload(programs: usize) -> (usize, f64, usize) {
-    let model = LeakageModel::new(ContractKind::CtSeq);
-    let mut detector = Detector::new(model.clone());
-    let mut generator = Generator::new(GeneratorConfig::default(), 11);
-    let mut rng = Xoshiro256::seed_from_u64(12);
-    let mut executor = Executor::new(ExecutorConfig::new(DefenseKind::Baseline));
-    let input_cfg = InputGenConfig {
-        base_inputs: 4,
-        mutations: 6,
-        pages: 1,
-    };
-    let mut cases = 0usize;
-    let mut confirmed = 0usize;
-    let t0 = Instant::now();
-    for _ in 0..programs {
-        let program = generator.program();
-        let flat = program.flatten_shared();
-        let inputs = boosted_inputs(&model, &flat, &input_cfg, &mut rng);
-        let (violations, stats) = detector.scan(&program, &flat, &inputs, &mut executor);
-        cases += stats.cases;
-        confirmed += violations.len();
-    }
-    (cases, t0.elapsed().as_secs_f64(), confirmed)
-}
+/// Generated programs with their boosted inputs.
+type Workload = Vec<(SharedProgram, Vec<TestInput>)>;
 
-/// Event-driven cycle scheduler bench: identical fixed-seed per-case
-/// workloads run through the warped cycle loop and the stepped one
-/// (`SimConfig::cycle_skip` off). Reports cases/sec, simulated cycles/sec,
-/// and the warp ratio per arm — simulated cycles are bit-identical across
-/// arms by construction (the differential tests enforce it), so the
-/// cases/sec gap is pure scheduler win. Median of 5 passes, and the pass
-/// rates at the quartiles, so each row shows its own spread.
-///
-/// Two workloads: the quick-campaign shape under Baseline × CT-SEQ (rows
-/// `warped`/`stepped`), and DelayAll × CT-SEQ under the STL source with
-/// paper-scaled inputs (10 base inputs × 13 mutations; rows
-/// `stl_delayall_warped`/`stl_delayall_stepped`), where the simulator's
-/// store-disambiguation path dominates. A pre/post pair of a simulator
-/// change must report the same `sim_cycles`.
-fn cycle_loop_bench(json: &mut String, programs: usize) {
-    let quick = CampaignConfig {
-        generator: GeneratorConfig::default(),
-        inputs: InputGenConfig {
-            base_inputs: 4,
-            mutations: 6,
-            pages: 1,
-        },
-        ..CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq)
-    };
-    cycle_loop_arm(json, "", &quick, programs, 11);
-    let mut stl = CampaignConfig::quick(DefenseKind::DelayAll, ContractKind::CtSeq)
-        .with_source(SpecSource::Stl);
-    stl.inputs.base_inputs = 10;
-    stl.inputs.mutations = 13;
-    cycle_loop_arm(json, "stl_delayall_", &stl, (programs / 6).max(1), 31);
-}
-
-fn cycle_loop_arm(
-    json: &mut String,
-    prefix: &str,
-    cfg: &CampaignConfig,
-    programs: usize,
-    seed: u64,
-) {
+/// `programs` programs of `cfg`'s generator stream at `seed`, with inputs
+/// boosted from the stream at `seed + 1`.
+fn workload(cfg: &CampaignConfig, programs: usize, seed: u64) -> Workload {
     let model = LeakageModel::new(cfg.contract);
     let mut generator = Generator::new(cfg.generator.clone(), seed);
     let mut rng = Xoshiro256::seed_from_u64(seed + 1);
-    let workload: Vec<_> = (0..programs)
+    (0..programs)
         .map(|_| {
             let flat = generator.program().flatten_shared();
             let inputs = boosted_inputs(&model, &flat, &cfg.inputs, &mut rng);
             (flat, inputs)
         })
-        .collect();
-    let cases: usize = workload.iter().map(|(_, inputs)| inputs.len()).sum();
-    for (arm, skip) in [("warped", true), ("stepped", false)] {
-        let label = format!("{prefix}{arm}");
-        let mut executor = Executor::new(ExecutorConfig {
-            sim: cfg.sim.clone().with_cycle_skip(skip),
-            ..ExecutorConfig::new(cfg.defense)
-        });
-        let mut samples = Vec::new();
-        let mut sim_cycles = 0u64;
-        let mut warped_cycles = 0u64;
-        for _ in 0..5 {
-            sim_cycles = 0;
-            warped_cycles = 0;
-            let t0 = Instant::now();
-            for (flat, inputs) in &workload {
-                for input in inputs {
-                    let run = black_box(executor.run_case(flat, input));
-                    sim_cycles += run.result.cycles;
-                    warped_cycles += run.result.warped_cycles;
-                }
-            }
-            samples.push(t0.elapsed().as_secs_f64());
-        }
-        let (case_rate, q1, q3) = pass_rates(cases, &mut samples);
-        let cycle_rate = sim_cycles as f64 / samples[2];
-        let warp_ratio = warped_cycles as f64 / sim_cycles.max(1) as f64;
-        println!(
-            "cycle loop ({label:>20}): {case_rate:>9.0} [{q1:.0}, {q3:.0}] cases/s  {cycle_rate:>11.0} sim-cycles/s  {sim_cycles} sim-cycles  warp ratio {warp_ratio:.3}"
-        );
-        let _ = writeln!(
-            json,
-            "{{\"bench\":\"throughput\",\"kind\":\"cycle_loop\",\"name\":\"{label}\",\"cases\":{cases},\"cases_per_sec\":{case_rate:.1},\"cases_per_sec_q1\":{q1:.1},\"cases_per_sec_q3\":{q3:.1},\"sim_cycles_per_sec\":{cycle_rate:.1},\"sim_cycles\":{sim_cycles},\"warp_ratio\":{warp_ratio:.4}}}"
-        );
+        .collect()
+}
+
+fn cases(workload: &Workload) -> usize {
+    workload.iter().map(|(_, inputs)| inputs.len()).sum()
+}
+
+/// What one pass over a workload looked like to the cycle loop.
+#[derive(Clone, Copy, Default)]
+struct Shape {
+    fetched: u64,
+    committed: u64,
+    cycles: u64,
+    warped: u64,
+    squashes: u64,
+}
+
+impl Shape {
+    fn add(&mut self, result: &SimResult) {
+        self.fetched += result.fetched as u64;
+        self.committed += result.committed as u64;
+        self.cycles += result.cycles;
+        self.warped += result.warped_cycles;
+        self.squashes += result.squashes as u64;
     }
 }
 
-/// The rate of `work` units per second at the median of the timed passes
-/// (`samples`, in seconds; sorted in place) and at its two quartile passes:
-/// `(median, q1, q3)`, q1 the slower.
-fn pass_rates(work: usize, samples: &mut [f64]) -> (f64, f64, f64) {
-    samples.sort_by(f64::total_cmp);
-    let n = samples.len();
-    let rate = |secs: f64| work as f64 / secs;
-    (
-        rate(samples[n / 2]),
-        rate(samples[3 * n / 4]),
-        rate(samples[n / 4]),
-    )
+/// Prints a row and keeps it for the trajectory file.
+fn emit(rows: &mut Vec<String>, row: Row) {
+    let line = row.finish();
+    println!("{line}");
+    rows.push(line);
+}
+
+/// Event-driven cycle scheduler: the workload through the warped cycle
+/// loop and the stepped one (`SimConfig::cycle_skip` off), alternating.
+/// Simulated cycles are bit-identical across the two by construction (the
+/// differential tests enforce it), so the cases/sec gap is pure scheduler
+/// win, and a pre/post pair of a simulator change must report the same
+/// `sim_cycles`. Returns the warped passes and shape.
+fn cycle_loop(
+    rows: &mut Vec<String>,
+    prefix: &str,
+    cfg: &CampaignConfig,
+    workload: &Workload,
+) -> (Passes, Shape) {
+    let mut executors = [true, false].map(|skip| {
+        Executor::new(ExecutorConfig {
+            sim: cfg.sim.clone().with_cycle_skip(skip),
+            ..ExecutorConfig::new(cfg.defense)
+        })
+    });
+    let mut shapes = [Shape::default(); 2];
+    let passes = sample(|arm| {
+        shapes[arm] = Shape::default();
+        for (flat, inputs) in workload {
+            for input in inputs {
+                shapes[arm].add(&black_box(executors[arm].run_case(flat, input)).result);
+            }
+        }
+    });
+    let cases = cases(workload);
+    for ((arm, passes), shape) in ["warped", "stepped"].iter().zip(&passes).zip(&shapes) {
+        let warp_ratio = shape.warped as f64 / shape.cycles.max(1) as f64;
+        let row = Row::new("cycle_loop", &format!("{prefix}{arm}"))
+            .int("cases", cases)
+            .spread("cases_per_sec", passes.rate(cases as f64))
+            .spread("sim_cycles_per_sec", passes.rate(shape.cycles as f64))
+            .int("sim_cycles", shape.cycles)
+            .fixed("warp_ratio", warp_ratio, 4);
+        emit(rows, row);
+    }
+    let [warped, _] = passes;
+    (warped, shapes[0])
+}
+
+/// The quick Baseline × CT-SEQ per-case workload: the `cycle_loop` rows,
+/// the `hot_path` row (the `warped` passes: the executor's per-case
+/// pipeline with logging off, streaming digest, shared program) and the
+/// `case_split` row.
+fn quick_per_case(rows: &mut Vec<String>) {
+    let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
+    let workload = workload(&cfg, PROGRAMS, 11);
+    let (warped, shape) = cycle_loop(rows, "", &cfg, &workload);
+    let cases = cases(&workload);
+    let hot_path = Row::new("hot_path", "baseline_ctseq")
+        .int("cases", cases)
+        .spread("cases_per_sec", warped.rate(cases as f64));
+    emit(rows, hot_path);
+    case_split(rows, &workload, shape);
+}
+
+/// The per-case split of the hot path on a bare simulator: flush +
+/// prefill, `load_test_shared`, `sim.run()` and `trace_digest`, in ns per
+/// case. Every pass runs all four stages and times one of them. The bare
+/// reset is the plain flush + full prefill restore, while the executor's
+/// keeps the L1D tracking baseline and restores touched sets only, so the
+/// stage sum can exceed the `hot_path` cost. The per-case counts are the
+/// hot path's (`shape`, from the `warped` passes).
+fn case_split(rows: &mut Vec<String>, workload: &Workload, shape: Shape) {
+    let mut sim = Simulator::new(SimConfig::default(), DefenseKind::Baseline.build());
+    sim.set_log_mode(LogMode::Off);
+    let stages: [Passes; 4] = sample_secs(|stage| {
+        let mut secs = 0.0;
+        for (flat, inputs) in workload {
+            for input in inputs {
+                let t0 = Instant::now();
+                sim.flush_caches();
+                sim.prefill_l1d_conflicting();
+                let t1 = Instant::now();
+                sim.load_test_shared(flat, input);
+                let t2 = Instant::now();
+                black_box(sim.run());
+                let t3 = Instant::now();
+                black_box(sim.trace_digest(DigestKind::L1dTlb { include_l1i: false }));
+                let laps = [t0, t1, t2, t3, Instant::now()];
+                secs += (laps[stage + 1] - laps[stage]).as_secs_f64();
+            }
+        }
+        secs
+    });
+    let cases = cases(workload);
+    let per_case = |count: u64| count as f64 / cases as f64;
+    let mut row = Row::new("case_split", "baseline_ctseq")
+        .int("cases", cases)
+        .fixed("fetched_per_case", per_case(shape.fetched), 1)
+        .fixed("committed_per_case", per_case(shape.committed), 1)
+        .fixed("cycles_per_case", per_case(shape.cycles), 1)
+        .fixed("stepped_per_case", per_case(shape.cycles - shape.warped), 1)
+        .fixed("squashes_per_case", per_case(shape.squashes), 2);
+    for (stage, passes) in ["reset", "load", "run", "digest"].iter().zip(&stages) {
+        row = row.spread(&format!("{stage}_ns_per_case"), passes.ns_per(cases as f64));
+    }
+    emit(rows, row);
 }
 
 /// Taint-engine microbench: `relevant_labels` calls/sec over a fixed-seed
 /// workload of generated programs at 1/8/128 sandbox pages, under ARCH-SEQ
 /// (the value-observing contract STT campaigns boost with — the worst case
 /// for the taint engine, since every loaded value's taint reaches
-/// `mark_relevant`). Median of 5 passes, and the pass rates at the
-/// quartiles.
-fn taint_microbench(json: &mut String) {
+/// `mark_relevant`).
+fn taint(rows: &mut Vec<String>) {
+    let model = LeakageModel::new(ContractKind::ArchSeq);
     for pages in [1usize, 8, 128] {
-        let model = LeakageModel::new(ContractKind::ArchSeq);
         let mut generator = Generator::new(
             GeneratorConfig {
                 pages,
@@ -219,85 +204,97 @@ fn taint_microbench(json: &mut String) {
         let mut rng = Xoshiro256::seed_from_u64(22);
         let workload: Vec<_> = (0..8)
             .map(|_| {
-                (
-                    generator.program().flatten_shared(),
-                    TestInput::random(&mut rng, pages),
-                )
+                let flat = generator.program().flatten_shared();
+                (flat, TestInput::random(&mut rng, pages))
             })
             .collect();
         let reps = if pages >= 128 { 2 } else { 10 };
         let mut scratch = ModelScratch::new();
-        let mut samples = Vec::new();
-        for _ in 0..5 {
-            let t0 = Instant::now();
+        let [passes] = sample(|_| {
             for _ in 0..reps {
                 for (flat, input) in &workload {
                     black_box(model.relevant_labels_with(flat, input, &mut scratch));
                 }
             }
-            samples.push(t0.elapsed().as_secs_f64());
-        }
-        let (rate, q1, q3) = pass_rates(reps * workload.len(), &mut samples);
-        println!(
-            "taint relevant_labels ({pages:>3} pages): {rate:>9.0} [{q1:.0}, {q3:.0}] calls/s"
-        );
-        let _ = writeln!(
-            json,
-            "{{\"bench\":\"throughput\",\"kind\":\"taint\",\"name\":\"relevant_labels\",\"contract\":\"ARCH-SEQ\",\"pages\":{pages},\"calls_per_sec\":{rate:.1},\"calls_per_sec_q1\":{q1:.1},\"calls_per_sec_q3\":{q3:.1}}}"
-        );
+        });
+        let row = Row::new("taint", "relevant_labels")
+            .str("contract", ContractKind::ArchSeq.name())
+            .int("pages", pages)
+            .spread("calls_per_sec", passes.rate((reps * workload.len()) as f64));
+        emit(rows, row);
     }
 }
 
-/// The STT ARCH-SEQ per-case hot path (boosting + contract traces + µarch
-/// scan on the 128-page sandbox) over a fixed-seed single-threaded workload
-/// — the pipeline a sharded STT campaign worker runs, without orchestration.
-fn stt_hot_path(json: &mut String, programs: usize) {
-    let model = LeakageModel::new(ContractKind::ArchSeq);
-    let mut detector = Detector::new(model.clone());
-    let pages = DefenseKind::Stt.harness_hints().sandbox_pages;
-    let mut generator = Generator::new(
-        GeneratorConfig {
-            pages,
-            ..GeneratorConfig::default()
-        },
-        31,
-    );
-    let mut rng = Xoshiro256::seed_from_u64(32);
-    let mut executor = Executor::new(ExecutorConfig::new(DefenseKind::Stt));
-    let input_cfg = InputGenConfig {
-        base_inputs: 4,
-        mutations: 6,
-        pages,
-    };
-    // The campaign worker loop: one boost scratch + recycled input and
-    // class-digest slots across all programs, and contract-trace classes
-    // taken from boosting (no per-input contract-trace emulation).
+/// The campaign's per-program detection loop, single-threaded: generate,
+/// boost with contract-trace classes (`boosted_inputs_and_classes_into`,
+/// one scratch and recycled input and class slots), then
+/// `Detector::scan_classes` with its validation re-runs — what a campaign
+/// worker runs, without orchestration. Every pass starts from the same
+/// seeds with a fresh detector and executor. Returns (cases, confirmed,
+/// passes).
+fn scan_loop(
+    defense: DefenseKind,
+    contract: ContractKind,
+    programs: usize,
+    seed: u64,
+) -> (usize, usize, Passes) {
+    let cfg = CampaignConfig::quick(defense, contract);
+    let model = LeakageModel::new(contract);
+    // Built up front, so that their allocation stays out of the passes.
+    let mut fresh: Vec<_> = (0..PASSES)
+        .map(|_| {
+            let detector = Detector::new(model.clone());
+            (detector, Executor::new(ExecutorConfig::new(defense)))
+        })
+        .collect();
     let mut scratch = ModelScratch::new();
     let (mut inputs, mut classes) = (Vec::new(), Vec::new());
-    let mut cases = 0usize;
-    let t0 = Instant::now();
-    for _ in 0..programs {
-        let program = generator.program();
-        let flat = program.flatten_shared();
-        boosted_inputs_and_classes_into(
-            &model,
-            &flat,
-            &input_cfg,
-            &mut rng,
-            &mut scratch,
-            &mut inputs,
-            &mut classes,
-        );
-        let (_, stats) = detector.scan_classes(&program, &flat, &inputs, &classes, &mut executor);
-        cases += stats.cases;
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    let rate = cases as f64 / secs;
-    println!("STT hot path: {cases} cases in {secs:.3}s = {rate:.0} cases/s");
-    let _ = writeln!(
-        json,
-        "{{\"bench\":\"throughput\",\"kind\":\"stt_hot_path\",\"name\":\"STT\",\"contract\":\"ARCH-SEQ\",\"pages\":{pages},\"cases\":{cases},\"cases_per_sec\":{rate:.1}}}"
-    );
+    let (mut cases, mut confirmed) = (0, 0);
+    let [passes] = sample(|_| {
+        let (mut detector, mut executor) = fresh.pop().expect("one per pass");
+        let mut generator = Generator::new(cfg.generator.clone(), seed);
+        let mut rng = Xoshiro256::seed_from_u64(seed + 1);
+        (cases, confirmed) = (0, 0);
+        for _ in 0..programs {
+            let program = generator.program();
+            let flat = program.flatten_shared();
+            boosted_inputs_and_classes_into(
+                &model,
+                &flat,
+                &cfg.inputs,
+                &mut rng,
+                &mut scratch,
+                &mut inputs,
+                &mut classes,
+            );
+            let (violations, stats) =
+                detector.scan_classes(&program, &flat, &inputs, &classes, &mut executor);
+            cases += stats.cases;
+            confirmed += violations.len();
+        }
+    });
+    (cases, confirmed, passes)
+}
+
+/// The scan loop twice: the full Baseline × CT-SEQ detector workload on
+/// the quick seeds (`detector`), and STT × ARCH-SEQ on the 128-page
+/// sandbox (`stt_hot_path`), the path the sparse taint engine exists for.
+fn scans(rows: &mut Vec<String>) {
+    let (cases, confirmed, passes) =
+        scan_loop(DefenseKind::Baseline, ContractKind::CtSeq, PROGRAMS, 11);
+    let detector = Row::new("detector", "baseline_ctseq")
+        .str("scan", "classes")
+        .int("cases", cases)
+        .int("confirmed", confirmed)
+        .spread("cases_per_sec", passes.rate(cases as f64));
+    emit(rows, detector);
+    let (cases, _, passes) = scan_loop(DefenseKind::Stt, ContractKind::ArchSeq, STT_PROGRAMS, 31);
+    let stt = Row::new("stt_hot_path", "STT")
+        .str("contract", ContractKind::ArchSeq.name())
+        .int("pages", DefenseKind::Stt.harness_hints().sandbox_pages)
+        .int("cases", cases)
+        .spread("cases_per_sec", passes.rate(cases as f64));
+    emit(rows, stt);
 }
 
 /// Candidate validation: scans of one candidate pair each. The workload
@@ -306,27 +303,16 @@ fn stt_hot_path(json: &mut String, programs: usize) {
 /// the predictor state the first one started from; each timed scan
 /// restores that state and runs the pair (two hot-path cases plus the
 /// pair's validation). Reports candidates/s, Baseline × CT-SEQ and STT ×
-/// ARCH-SEQ on the defenses' harness sandboxes, median of 5 passes.
-fn validate_bench(json: &mut String) {
+/// ARCH-SEQ on the defenses' harness sandboxes.
+fn validate(rows: &mut Vec<String>) {
     for (defense, contract) in [
         (DefenseKind::Baseline, ContractKind::CtSeq),
         (DefenseKind::Stt, ContractKind::ArchSeq),
     ] {
+        let cfg = CampaignConfig::quick(defense, contract);
         let model = LeakageModel::new(contract);
-        let pages = defense.harness_hints().sandbox_pages;
-        let mut generator = Generator::new(
-            GeneratorConfig {
-                pages,
-                ..GeneratorConfig::default()
-            },
-            51,
-        );
+        let mut generator = Generator::new(cfg.generator.clone(), 51);
         let mut rng = Xoshiro256::seed_from_u64(52);
-        let input_cfg = InputGenConfig {
-            base_inputs: 4,
-            mutations: 6,
-            pages,
-        };
         let mut scratch = ModelScratch::new();
         let mut detector = Detector::new(model.clone());
         let mut executor = Executor::new(ExecutorConfig::new(defense));
@@ -342,7 +328,7 @@ fn validate_bench(json: &mut String) {
             boosted_inputs_and_classes_into(
                 &model,
                 &flat,
-                &input_cfg,
+                &cfg.inputs,
                 &mut rng,
                 &mut scratch,
                 &mut inputs,
@@ -368,30 +354,23 @@ fn validate_bench(json: &mut String) {
             }
         }
         let (mut confirmed, mut runs) = (0, 0);
-        let mut samples = Vec::new();
-        for _ in 0..5 {
+        let [passes] = sample(|_| {
             (confirmed, runs) = (0, 0);
-            let t0 = Instant::now();
             for (program, flat, pair, ctx) in &pairs {
                 executor.simulator_mut().set_context(ctx);
                 let (_, stats) = detector.scan_classes(program, flat, pair, &[0, 0], &mut executor);
                 confirmed += stats.confirmed;
                 runs += stats.validation_runs;
             }
-            samples.push(t0.elapsed().as_secs_f64());
-        }
-        samples.sort_by(f64::total_cmp);
-        let candidates = pairs.len();
-        let rate = candidates as f64 / samples[2];
-        let name = defense.name();
-        println!(
-            "validate {name:<10}: {candidates} candidates ({confirmed} confirmed, {runs} validation runs) = {rate:.0} candidates/s"
-        );
-        let _ = writeln!(
-            json,
-            "{{\"bench\":\"throughput\",\"kind\":\"validate\",\"name\":\"{name}\",\"contract\":\"{}\",\"pages\":{pages},\"candidates\":{candidates},\"confirmed\":{confirmed},\"validation_runs\":{runs},\"candidates_per_sec\":{rate:.1}}}",
-            contract.name()
-        );
+        });
+        let row = Row::new("validate", defense.name())
+            .str("contract", contract.name())
+            .int("pages", cfg.inputs.pages)
+            .int("candidates", pairs.len())
+            .int("confirmed", confirmed)
+            .int("validation_runs", runs)
+            .spread("candidates_per_sec", passes.rate(pairs.len() as f64));
+        emit(rows, row);
     }
 }
 
@@ -401,8 +380,7 @@ fn validate_bench(json: &mut String) {
 /// page measured on that campaign). So each load here is followed by first
 /// reads of one random line in each of 3 or 4 distinct random pages,
 /// alternately; the first draw of a load also walks the image's basis.
-/// Reports draws/s, median of 5 passes.
-fn line_draw_bench(json: &mut String) {
+fn line_draw(rows: &mut Vec<String>) {
     const LINES: u64 = (PAGE_SIZE / LINE_SIZE) as u64;
     let mut rng = Xoshiro256::seed_from_u64(61);
     for pages in [8usize, 128] {
@@ -421,9 +399,7 @@ fn line_draw_bench(json: &mut String) {
         }
         let mut sandbox = Sandbox::new(0, pages * PAGE_SIZE);
         let reps = 20;
-        let mut samples = Vec::new();
-        for _ in 0..5 {
-            let t0 = Instant::now();
+        let [passes] = sample(|_| {
             for _ in 0..reps {
                 for (image, addrs) in images.iter().zip(&reads) {
                     sandbox.load_image(image);
@@ -432,25 +408,22 @@ fn line_draw_bench(json: &mut String) {
                     }
                 }
             }
-            samples.push(t0.elapsed().as_secs_f64());
-        }
-        samples.sort_by(f64::total_cmp);
+        });
         let draws = reps * reads.iter().map(Vec::len).sum::<usize>();
-        let rate = draws as f64 / samples[2];
-        println!("line_draw ({pages} pages, 3.5 lines/load): {rate:.0} draws/s");
-        let _ = writeln!(
-            json,
-            "{{\"bench\":\"throughput\",\"kind\":\"line_draw\",\"name\":\"seeded_image\",\"pages\":{pages},\"lines_per_load\":3.5,\"draws\":{draws},\"draws_per_sec\":{rate:.1}}}"
-        );
+        let row = Row::new("line_draw", "seeded_image")
+            .int("pages", pages)
+            .fixed("lines_per_load", 3.5, 1)
+            .int("draws", draws)
+            .spread("draws_per_sec", passes.rate(draws as f64));
+        emit(rows, row);
     }
 }
 
 /// The violation minimiser (the per-batch corpus pass of a corpus-backed
 /// `amulet serve`): every confirmed violation of one fixed-seed quick
 /// Baseline × CT-SEQ campaign is minimised with the executor configuration
-/// that found it. Reports
-/// violations/sec and reduction attempts/sec, median of 5 passes.
-fn minimize_bench(json: &mut String) {
+/// that found it. Reports violations/sec and reduction attempts/sec.
+fn minimize_arm(rows: &mut Vec<String>) {
     let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
     let report = Campaign::new(cfg.clone()).run();
     let detector = Detector::new(LeakageModel::new(cfg.contract));
@@ -461,27 +434,42 @@ fn minimize_bench(json: &mut String) {
         sim: cfg.sim.clone(),
         ..ExecutorConfig::new(cfg.defense)
     });
-    let violations = report.violations.len();
-    let mut attempts = 0usize;
-    let mut samples = Vec::new();
-    for _ in 0..5 {
+    let mut attempts = 0;
+    let [passes] = sample(|_| {
         attempts = 0;
-        let t0 = Instant::now();
         for (violation, _) in &report.violations {
             attempts += black_box(minimize(violation, &detector, &mut executor)).attempts;
         }
-        samples.push(t0.elapsed().as_secs_f64());
-    }
-    samples.sort_by(f64::total_cmp);
-    let secs = samples[2];
-    let (vrate, arate) = (violations as f64 / secs, attempts as f64 / secs);
-    println!(
-        "minimize: {violations} violations, {attempts} attempts in {secs:.3}s = {vrate:.1} violations/s, {arate:.0} attempts/s"
-    );
-    let _ = writeln!(
-        json,
-        "{{\"bench\":\"throughput\",\"kind\":\"minimize\",\"name\":\"Baseline\",\"contract\":\"CT-SEQ\",\"violations\":{violations},\"attempts\":{attempts},\"violations_per_sec\":{vrate:.1},\"attempts_per_sec\":{arate:.1}}}"
-    );
+    });
+    let violations = report.violations.len();
+    let row = Row::new("minimize", "Baseline")
+        .str("contract", cfg.contract.name())
+        .int("violations", violations)
+        .int("attempts", attempts)
+        .spread("violations_per_sec", passes.rate(violations as f64))
+        .spread("attempts_per_sec", passes.rate(attempts as f64));
+    emit(rows, row);
+}
+
+/// End-to-end quick-campaign throughput through `Campaign::run_sharded`
+/// on `AMULET_WORKERS` slots (default: all hardware threads).
+fn sharded_campaign(rows: &mut Vec<String>) {
+    let shard = ShardConfig {
+        workers: env_usize("AMULET_WORKERS", 0),
+        ..ShardConfig::default()
+    };
+    let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
+    let mut cases = 0;
+    let [passes] = sample(|_| cases = Campaign::new(cfg.clone()).run_sharded(shard).stats.cases);
+    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let row = Row::new("sharded_campaign", "Baseline")
+        .str("contract", cfg.contract.name())
+        .int("workers", shard.resolved_workers())
+        .int("batch_programs", shard.batch_programs)
+        .int("host_threads", host_threads)
+        .int("cases", cases)
+        .spread("cases_per_sec", passes.rate(cases as f64));
+    emit(rows, row);
 }
 
 /// The cross-host fleet overhead, measured: the full `amulet drive` driver
@@ -493,9 +481,8 @@ fn minimize_bench(json: &mut String) {
 /// 160 batches), long enough that one run is not a handful of batches.
 /// Both arms must reduce to one fingerprint; the workers are in-process
 /// accept loops standing in for remote hosts, detached threads that die
-/// with the bench. The arms alternate over [`FLEET_ROUNDS`] rounds, and
-/// each row records the median rate with its quartiles.
-fn fleet_bench(json: &mut String) {
+/// with the bench.
+fn fleet(rows: &mut Vec<String>) {
     let spec = CampaignSpec {
         defense: "Baseline".into(),
         contract: "CT-SEQ".into(),
@@ -533,249 +520,130 @@ fn fleet_bench(json: &mut String) {
         backoff_max: std::time::Duration::from_millis(8),
         ..DriveConfig::default()
     };
-    let arms = [("clean", false), ("hostile", true)];
+    let arms = ["clean", "hostile"];
     let counters = arms.map(|_| Arc::new(FaultCounters::default()));
-    let mut samples = arms.map(|_| Vec::new());
+    let mut rounds = [0u64; 2];
     let mut fingerprints = Vec::new();
-    let mut cases = 0usize;
-    for round in 0..FLEET_ROUNDS {
-        for (arm, (_, hostile)) in arms.into_iter().enumerate() {
-            let connections = std::sync::atomic::AtomicUsize::new(0);
-            let connect = |slot: usize| {
-                let link = TcpLink::connect(&addrs[slot % addrs.len()], drive.liveness)?;
-                // Fresh fault schedule per connection, or a first-send
-                // sever would repeat forever.
-                let n = connections.fetch_add(1, std::sync::atomic::Ordering::SeqCst) as u64;
-                let seed = 0xBE7C ^ (round << 32) ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let plan = if hostile {
-                    FaultPlan::hostile(seed)
-                } else {
-                    FaultPlan::none(seed)
-                };
-                Ok(FaultyLink::new(link, plan, counters[arm].clone()))
+    let mut cases = 0;
+    let passes: [Passes; 2] = sample(|arm| {
+        let round = rounds[arm];
+        rounds[arm] += 1;
+        let connections = std::sync::atomic::AtomicUsize::new(0);
+        let connect = |slot: usize| {
+            let link = TcpLink::connect(&addrs[slot % addrs.len()], drive.liveness)?;
+            // Fresh fault schedule per connection, or a first-send sever
+            // would repeat forever.
+            let n = connections.fetch_add(1, std::sync::atomic::Ordering::SeqCst) as u64;
+            let seed = 0xBE7C ^ (round << 32) ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let plan = if arms[arm] == "hostile" {
+                FaultPlan::hostile(seed)
+            } else {
+                FaultPlan::none(seed)
             };
-            let t0 = Instant::now();
-            let report = run_driver(&spec, &drive, connect, None, &EventLog::off())
-                .expect("fleet bench campaign");
-            samples[arm].push(t0.elapsed().as_secs_f64());
-            cases = report.stats.cases;
-            fingerprints.push(report.fingerprint());
-        }
-    }
-    for (arm, (label, _)) in arms.into_iter().enumerate() {
-        let (rate, q1, q3) = pass_rates(cases, &mut samples[arm]);
-        let injected = counters[arm].total();
-        println!(
-            "fleet ({label:>7}): {workers} tcp workers  {rate:>9.0} [{q1:.0}, {q3:.0}] cases/s  {injected} injected faults"
-        );
-        let _ = writeln!(
-            json,
-            "{{\"bench\":\"throughput\",\"kind\":\"fleet\",\"name\":\"{label}\",\"transport\":\"tcp-loopback\",\"workers\":{workers},\"scale\":0.1,\"rounds\":{FLEET_ROUNDS},\"injected_faults\":{injected},\"cases\":{cases},\"cases_per_sec\":{rate:.1},\"cases_per_sec_q1\":{q1:.1},\"cases_per_sec_q3\":{q3:.1}}}"
-        );
-    }
+            Ok(FaultyLink::new(link, plan, counters[arm].clone()))
+        };
+        let report = run_driver(&spec, &drive, connect, None, &EventLog::off())
+            .expect("fleet bench campaign");
+        cases = report.stats.cases;
+        fingerprints.push(report.fingerprint());
+    });
     assert!(
         fingerprints.windows(2).all(|w| w[0] == w[1]),
         "fleet fingerprint moved across transports/faults: {fingerprints:?}"
     );
+    for ((label, passes), counters) in arms.iter().zip(&passes).zip(&counters) {
+        let row = Row::new("fleet", label)
+            .str("transport", "tcp-loopback")
+            .int("workers", workers)
+            .fixed("scale", 0.1, 1)
+            .int("rounds", PASSES)
+            .int("injected_faults", counters.total())
+            .int("cases", cases)
+            .spread("cases_per_sec", passes.rate(cases as f64));
+        emit(rows, row);
+    }
 }
 
-/// Timed runs per `fleet` arm.
-const FLEET_ROUNDS: u64 = 7;
-
-/// End-to-end quick-campaign throughput through `Campaign::run_sharded`
-/// on `AMULET_WORKERS` slots (default: all hardware threads). Median of 3
-/// runs.
-fn sharded_campaign() -> (usize, ShardConfig, f64) {
-    let workers = ShardConfig {
-        workers: env_usize("AMULET_WORKERS", 0),
-        ..ShardConfig::default()
-    };
-    let cfg = CampaignConfig::quick(DefenseKind::Baseline, ContractKind::CtSeq);
-    let mut samples = Vec::new();
-    let mut cases = 0;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let report = Campaign::new(cfg.clone()).run_sharded(workers);
-        samples.push(t0.elapsed().as_secs_f64());
-        cases = report.stats.cases;
+/// Fixed-seed quick campaigns per defense, under both speculation
+/// sources. `cycles_per_case` is timing-model output and thus
+/// scheduler-independent; `warp_ratio` says how much of it the event-driven
+/// scheduler skipped. The STL rows (`stl_campaign`: store→load gadgets and
+/// the disambiguation window armed) trade branchy control flow for
+/// aliasing store→load pairs, so their cases/sec is a separate trajectory
+/// line from the PHT `campaign` rows: one detecting defense, one the
+/// window slips past (STT), one that misses (DelayAll).
+fn campaigns(rows: &mut Vec<String>) {
+    use ContractKind::{ArchSeq, CtSeq};
+    use DefenseKind::{Baseline, CleanupSpec, DelayAll, InvisiSpec, SpecLfb, Stt};
+    use SpecSource::{Pht, Stl};
+    for (source, defense, contract) in [
+        (Pht, Baseline, CtSeq),
+        (Pht, InvisiSpec, CtSeq),
+        (Pht, CleanupSpec, CtSeq),
+        (Pht, SpecLfb, CtSeq),
+        (Pht, Stt, ArchSeq),
+        (Stl, Baseline, CtSeq),
+        (Stl, Stt, CtSeq),
+        (Stl, DelayAll, CtSeq),
+    ] {
+        let cfg = CampaignConfig::quick(defense, contract).with_source(source);
+        let mut report = None;
+        let [passes] = sample(|_| report = Some(Campaign::new(cfg.clone()).run()));
+        let report = report.expect("sampled");
+        let mut row = match source {
+            Pht => Row::new("campaign", defense.name()).str("contract", contract.name()),
+            Stl => Row::new("stl_campaign", defense.name())
+                .str("contract", contract.name())
+                .str("source", "STL"),
+        };
+        row = row
+            .int("cases", report.stats.cases)
+            .spread("cases_per_sec", passes.rate(report.stats.cases as f64))
+            .fixed("cycles_per_case", report.cycles_per_case(), 1)
+            .fixed("warp_ratio", report.warp_ratio(), 4)
+            .bool("violation", report.violation_found());
+        emit(rows, row);
     }
-    samples.sort_by(f64::total_cmp);
-    (cases, workers, cases as f64 / samples[1])
 }
 
 fn main() {
-    banner(
-        "Throughput",
-        "hot-path speedup + campaign cases/sec trajectory",
-    );
-    let mut json = String::new();
-    let programs = env_usize("AMULET_PROGRAMS", 60);
-
-    // 1. Per-case hot-path throughput at fixed seed.
-    let (cases, hot_secs) = per_case_throughput(programs);
-    let hot_rate = cases as f64 / hot_secs;
-    println!("hot path:    {cases} cases in {hot_secs:.3}s = {hot_rate:.0} cases/s");
-    let _ = writeln!(
-        json,
-        "{{\"bench\":\"throughput\",\"kind\":\"hot_path\",\"name\":\"baseline_ctseq\",\"cases_per_sec\":{hot_rate:.1}}}"
-    );
-
-    // 1a. Cycle-scheduler comparison (warped vs stepped loop), then the
-    // taint-engine and STT hot-path trajectory lines.
-    cycle_loop_bench(&mut json, programs);
-    taint_microbench(&mut json);
-    stt_hot_path(&mut json, env_usize("AMULET_STT_PROGRAMS", 6));
-    validate_bench(&mut json);
-    line_draw_bench(&mut json);
-    minimize_bench(&mut json);
-
-    // 1b. Full detector workload (scan + ctraces + validation re-runs).
-    let (dcases, dsecs, confirmed) = detector_workload(programs);
-    let drate = dcases as f64 / dsecs;
     println!(
-        "detector workload: {dcases} cases in {dsecs:.3}s = {drate:.0} cases/s ({confirmed} violations)"
+        "throughput: fixed-seed arms, median [q1, q3] of {PASSES} passes \
+         (AMULET_WORKERS sets the sharded_campaign workers)"
     );
-    let _ = writeln!(
-        json,
-        "{{\"bench\":\"throughput\",\"kind\":\"detector\",\"name\":\"baseline_ctseq\",\"cases_per_sec\":{drate:.1},\"confirmed\":{confirmed}}}"
-    );
-
-    // 1c. The end-to-end sharded quick campaign.
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let (scases, shard, sharded_rate) = sharded_campaign();
-    let (workers, batch) = (shard.resolved_workers(), shard.batch_programs);
+    let started = Instant::now();
+    let mut rows = Vec::new();
+    quick_per_case(&mut rows);
+    // DelayAll × CT-SEQ under the STL source with paper-scaled inputs
+    // (10 base inputs × 13 mutations), where the simulator's
+    // store-disambiguation path dominates.
+    let mut stl = CampaignConfig::quick(DefenseKind::DelayAll, ContractKind::CtSeq)
+        .with_source(SpecSource::Stl);
+    stl.inputs.base_inputs = 10;
+    stl.inputs.mutations = 13;
+    let stl_workload = workload(&stl, PROGRAMS / 6, 31);
+    cycle_loop(&mut rows, "stl_delayall_", &stl, &stl_workload);
+    taint(&mut rows);
+    scans(&mut rows);
+    validate(&mut rows);
+    line_draw(&mut rows);
+    minimize_arm(&mut rows);
+    sharded_campaign(&mut rows);
+    fleet(&mut rows);
+    campaigns(&mut rows);
     println!(
-        "sharded campaign: {scases} cases, {sharded_rate:.0} cases/s ({workers} workers, {host_threads} host threads)"
-    );
-    let _ = writeln!(
-        json,
-        "{{\"bench\":\"throughput\",\"kind\":\"sharded_campaign\",\"name\":\"Baseline\",\"contract\":\"CT-SEQ\",\"workers\":{workers},\"batch_programs\":{batch},\"host_threads\":{host_threads},\"cases\":{scases},\"cases_per_sec\":{sharded_rate:.1}}}"
+        "\n{} rows in {:.1}s",
+        rows.len(),
+        started.elapsed().as_secs_f64()
     );
 
-    // 1d. The cross-host fleet: the same campaign through real loopback TCP
-    // links, clean and under hostile fault injection.
-    fleet_bench(&mut json);
-
-    // 2. Fixed-seed quick campaign per defense, with the warp win made
-    // observable per defense (cycles/case is timing-model output and thus
-    // scheduler-independent; the warp ratio says how much of it was
-    // skipped). Median wall time of 3 runs per defense — single-shot
-    // campaign timing is too noisy on shared 1-core machines for a
-    // regression bar.
-    println!(
-        "\n{:<22} {:>9} {:>12} {:>12} {:>6} {:>10}",
-        "Defense", "Cases", "Cases/sec", "Cycles/case", "Warp", "Violation"
-    );
-    for (defense, contract) in [
-        (DefenseKind::Baseline, ContractKind::CtSeq),
-        (DefenseKind::InvisiSpec, ContractKind::CtSeq),
-        (DefenseKind::CleanupSpec, ContractKind::CtSeq),
-        (DefenseKind::SpecLfb, ContractKind::CtSeq),
-        (DefenseKind::Stt, ContractKind::ArchSeq),
-    ] {
-        let mut cfg = CampaignConfig::quick(defense, contract);
-        cfg.mode = ExecMode::Opt;
-        let mut rates = Vec::new();
-        let mut report = Campaign::new(cfg.clone()).run();
-        rates.push(report.throughput());
-        for _ in 0..2 {
-            let next = Campaign::new(cfg.clone()).run();
-            rates.push(next.throughput());
-            report = next;
-        }
-        rates.sort_by(f64::total_cmp);
-        let rate = rates[1];
-        println!(
-            "{:<22} {:>9} {:>12.0} {:>12.0} {:>5.0}% {:>10}",
-            defense.name(),
-            report.stats.cases,
-            rate,
-            report.cycles_per_case(),
-            100.0 * report.warp_ratio(),
-            if report.violation_found() {
-                "YES"
-            } else {
-                "no"
-            },
-        );
-        let _ = writeln!(
-            json,
-            "{{\"bench\":\"throughput\",\"kind\":\"campaign\",\"name\":\"{}\",\"contract\":\"{}\",\"cases\":{},\"cases_per_sec\":{rate:.1},\"cycles_per_case\":{:.1},\"warp_ratio\":{:.4},\"violation\":{}}}",
-            defense.name(),
-            contract.name(),
-            report.stats.cases,
-            report.cycles_per_case(),
-            report.warp_ratio(),
-            report.violation_found(),
-        );
-    }
-
-    // 3. The second speculation source: the same fixed-seed quick campaign
-    // with store→load gadgets and the disambiguation window armed
-    // (`with_source(Stl)`). One detecting defense, one missing one, plus
-    // STT (which the window slips past). The PHT `campaign` rows above are
-    // the same-shape comparison baseline: the STL stream trades branchy
-    // control flow for aliasing store→load pairs, so its cases/sec is a
-    // different — tracked, not compared — trajectory line.
-    println!(
-        "\n{:<22} {:>9} {:>12} {:>12} {:>6} {:>10}",
-        "Defense (STL)", "Cases", "Cases/sec", "Cycles/case", "Warp", "Violation"
-    );
-    for (defense, contract) in [
-        (DefenseKind::Baseline, ContractKind::CtSeq),
-        (DefenseKind::Stt, ContractKind::CtSeq),
-        (DefenseKind::DelayAll, ContractKind::CtSeq),
-    ] {
-        let mut cfg = CampaignConfig::quick(defense, contract).with_source(SpecSource::Stl);
-        cfg.mode = ExecMode::Opt;
-        let mut rates = Vec::new();
-        let mut report = Campaign::new(cfg.clone()).run();
-        rates.push(report.throughput());
-        for _ in 0..2 {
-            let next = Campaign::new(cfg.clone()).run();
-            rates.push(next.throughput());
-            report = next;
-        }
-        rates.sort_by(f64::total_cmp);
-        let rate = rates[1];
-        println!(
-            "{:<22} {:>9} {:>12.0} {:>12.0} {:>5.0}% {:>10}",
-            defense.name(),
-            report.stats.cases,
-            rate,
-            report.cycles_per_case(),
-            100.0 * report.warp_ratio(),
-            if report.violation_found() {
-                "YES"
-            } else {
-                "no"
-            },
-        );
-        let _ = writeln!(
-            json,
-            "{{\"bench\":\"throughput\",\"kind\":\"stl_campaign\",\"name\":\"{}\",\"contract\":\"{}\",\"source\":\"STL\",\"cases\":{},\"cases_per_sec\":{rate:.1},\"cycles_per_case\":{:.1},\"warp_ratio\":{:.4},\"violation\":{}}}",
-            defense.name(),
-            contract.name(),
-            report.stats.cases,
-            report.cycles_per_case(),
-            report.warp_ratio(),
-            report.violation_found(),
-        );
-    }
-
-    match std::fs::OpenOptions::new()
+    let appended = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_throughput.json"
-        )) {
-        Ok(mut f) => {
-            let _ = f.write_all(json.as_bytes());
-            println!("\nappended results to BENCH_throughput.json");
-        }
+        .open(TRAJECTORY)
+        .and_then(|mut f| f.write_all((rows.join("\n") + "\n").as_bytes()));
+    match appended {
+        Ok(()) => println!("appended results to BENCH_throughput.json"),
         Err(e) => eprintln!("could not write BENCH_throughput.json: {e}"),
     }
 }

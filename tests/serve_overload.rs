@@ -470,4 +470,5 @@ fn checkpoint_drain_journals_and_a_restart_resumes_fingerprint_identical() {
     );
     drop(client);
     host.shutdown();
+    std::fs::remove_dir_all(state.path()).unwrap();
 }
