@@ -3,13 +3,18 @@
 //! "identifying the mis-speculated instruction sequence" is far easier on a
 //! minimal program).
 //!
-//! Greedy delta-debugging: repeatedly try deleting one instruction; keep the
-//! deletion when the program still validates, the two inputs still have
-//! equal contract traces, and their µarch traces still differ under the
-//! violation's shared starting context. Sound by construction (the result
-//! is still a confirmed violation); best-effort in coverage (deleting an
-//! instruction shifts PCs, which can de-train the predictor context and
-//! block a reduction).
+//! Greedy delta-debugging in place: each pass walks the program and tries
+//! deleting one instruction at a time; a kept deletion shifts the next
+//! instruction into the same index, which is tried next, so the pass goes
+//! on without restarting. A deletion is kept when the program still
+//! validates, the two inputs still have equal contract traces, and their
+//! µarch traces still differ under the violation's shared starting
+//! context. Passes repeat until one keeps nothing, so the result is
+//! 1-minimal: deleting any one remaining instruction breaks validation or
+//! the violation. Sound by construction (the result is still a confirmed
+//! violation); best-effort in coverage (deleting an instruction shifts
+//! PCs, which can de-train the predictor context and block a reduction
+//! that a different deletion order would have found).
 //!
 //! Attempts compare digests, as the detector's scan does: contract-trace
 //! digests from one reused emulator scratch, and streaming simulator
@@ -31,8 +36,9 @@ pub struct Minimized {
     pub program: Program,
     /// Instructions removed.
     pub removed: usize,
-    /// Reduction checks executed (2 simulator runs + 2 contract traces per
-    /// attempt).
+    /// Candidate programs checked, the unreduced one included. An attempt
+    /// runs `validate`, then two contract traces, then, only when their
+    /// digests are equal, two simulator runs.
     pub attempts: usize,
 }
 
@@ -41,15 +47,26 @@ pub struct Minimized {
 /// The `executor` must be configured identically to the one that found the
 /// violation (same defense, trace format, and simulator config).
 pub fn minimize(violation: &Violation, detector: &Detector, executor: &mut Executor) -> Minimized {
+    let reproduces = digest_reproduces(violation, detector);
+    reduce(violation, detector, executor, reproduces)
+}
+
+/// The attempt predicate `minimize` runs: equal contract-trace digests
+/// from one reused emulator scratch, and unequal streaming simulator
+/// digests under the violation's context A.
+fn digest_reproduces<'a>(
+    violation: &'a Violation,
+    detector: &'a Detector,
+) -> impl FnMut(&SharedProgram, &mut Executor) -> bool + 'a {
     let mut scratch = ModelScratch::new();
     let model = detector.model();
     let (a, b, ctx) = (&violation.input_a, &violation.input_b, &violation.ctx_a);
-    reduce(violation, detector, executor, |flat, executor| {
+    move |flat, executor| {
         model.ctrace_with(flat, a, &mut scratch).digest()
             == model.ctrace_with(flat, b, &mut scratch).digest()
             && executor.run_case_digest_with_ctx(flat, a, ctx).digest
                 != executor.run_case_digest_with_ctx(flat, b, ctx).digest
-    })
+    }
 }
 
 /// The greedy loop, with `reproduces` judging each valid candidate. The
@@ -76,15 +93,18 @@ fn reduce(
     if still_violates(&program, executor) {
         loop {
             let mut changed = false;
-            'scan: for bi in 0..program.blocks.len() {
-                for ii in 0..program.blocks[bi].instrs.len() {
+            for bi in 0..program.blocks.len() {
+                let mut ii = 0;
+                while ii < program.blocks[bi].instrs.len() {
                     let mut candidate = program.clone();
                     candidate.blocks[bi].instrs.remove(ii);
                     if still_violates(&candidate, executor) {
+                        // The next instruction shifted into `ii`: try it there.
                         program = candidate;
                         removed += 1;
                         changed = true;
-                        break 'scan; // indices shifted; rescan from the top
+                    } else {
+                        ii += 1;
                     }
                 }
             }
@@ -131,70 +151,14 @@ mod tests {
     use amulet_defenses::DefenseKind;
     use amulet_isa::parse_program;
 
-    /// The full-trace minimiser this module replaced, copied as the
-    /// reference for [`digest_minimizer_matches_the_full_trace_reference`]:
-    /// every attempt materialises both contract traces and both µarch
-    /// traces.
-    fn minimize_full_trace(
-        violation: &Violation,
-        detector: &Detector,
-        executor: &mut Executor,
-    ) -> Minimized {
-        let mut program = violation.program.clone();
-        let mut removed = 0usize;
-        let mut attempts = 0usize;
-
-        let still_violates = |p: &Program, executor: &mut Executor, attempts: &mut usize| -> bool {
-            *attempts += 1;
-            if p.validate().is_err() {
-                return false;
-            }
-            let flat = p.flatten_shared();
-            let model = detector.model();
-            if model.ctrace(&flat, &violation.input_a) != model.ctrace(&flat, &violation.input_b) {
-                return false;
-            }
-            let a = executor.run_case_with_ctx(&flat, &violation.input_a, &violation.ctx_a);
-            let b = executor.run_case_with_ctx(&flat, &violation.input_b, &violation.ctx_a);
-            a.utrace != b.utrace
-        };
-
-        if !still_violates(&program, executor, &mut attempts) {
-            return Minimized {
-                program,
-                removed: 0,
-                attempts,
-            };
-        }
-        loop {
-            let mut changed = false;
-            'scan: for bi in 0..program.blocks.len() {
-                for ii in 0..program.blocks[bi].instrs.len() {
-                    let mut candidate = program.clone();
-                    candidate.blocks[bi].instrs.remove(ii);
-                    if still_violates(&candidate, executor, &mut attempts) {
-                        program = candidate;
-                        removed += 1;
-                        changed = true;
-                        break 'scan;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        Minimized {
-            program,
-            removed,
-            attempts,
-        }
-    }
-
-    /// The digest-driven minimiser reduces violations of a spread of quick
-    /// campaigns (the first six of each, to bound the unoptimised test
-    /// profile) exactly as the full-trace reference does: same program
-    /// text, same `removed`, same `attempts`.
+    /// Reduces violations of a spread of quick campaigns (the first six of
+    /// each, to bound the unoptimised test profile) twice through the one
+    /// loop: with the digest predicate `minimize` runs, and with a
+    /// predicate that materialises both contract traces and both µarch
+    /// traces. Both must take the same path: same program text, same
+    /// `removed`, same `attempts`. The reduced program must pass the
+    /// full-trace check and be 1-minimal: deleting any one remaining
+    /// instruction fails `validate` or the digest predicate.
     #[test]
     fn digest_minimizer_matches_the_full_trace_reference() {
         use crate::campaign::{executor_for, Campaign, CampaignConfig, SpecSource};
@@ -211,6 +175,7 @@ mod tests {
                     cfg.seed = seed;
                     let report = Campaign::new(cfg.clone()).run();
                     let detector = Detector::new(LeakageModel::new(cfg.contract));
+                    let model = detector.model();
                     let mut executor = executor_for(&cfg);
                     for (i, (v, _)) in report.violations.iter().take(6).enumerate() {
                         let repro = format!(
@@ -218,10 +183,32 @@ mod tests {
                              .with_source({source:?}), seed {seed}, violation {i}"
                         );
                         let got = minimize(v, &detector, &mut executor);
-                        let want = minimize_full_trace(v, &detector, &mut executor);
+                        let want = reduce(v, &detector, &mut executor, |flat, executor| {
+                            let (a, b, ctx) = (&v.input_a, &v.input_b, &v.ctx_a);
+                            model.ctrace(flat, a) == model.ctrace(flat, b)
+                                && executor.run_case_with_ctx(flat, a, ctx).utrace
+                                    != executor.run_case_with_ctx(flat, b, ctx).utrace
+                        });
                         assert_eq!(got.program.to_string(), want.program.to_string(), "{repro}");
                         assert_eq!(got.removed, want.removed, "{repro}");
                         assert_eq!(got.attempts, want.attempts, "{repro}");
+
+                        assert!(
+                            confirmed(&got.program, v, &detector, &mut executor),
+                            "{repro}"
+                        );
+                        let mut reproduces = digest_reproduces(v, &detector);
+                        for (bi, block) in got.program.blocks.iter().enumerate() {
+                            for ii in 0..block.instrs.len() {
+                                let mut candidate = got.program.clone();
+                                candidate.blocks[bi].instrs.remove(ii);
+                                assert!(
+                                    candidate.validate().is_err()
+                                        || !reproduces(&candidate.flatten_shared(), &mut executor),
+                                    "{repro}, block {bi} instruction {ii} still deletable"
+                                );
+                            }
+                        }
                         compared += 1;
                     }
                 }
