@@ -35,6 +35,11 @@ const PROGRAMS: usize = 60;
 /// Programs in the STT scan workload (128-page sandbox: 168 cases).
 const STT_PROGRAMS: usize = 6;
 
+/// Quick campaigns per `campaign`/`stl_campaign` pass. One takes a few
+/// milliseconds, too short for its passes' quartiles to resolve anything,
+/// so each pass times this many runs of it.
+const CAMPAIGN_REPS: usize = 32;
+
 /// Generated programs with their boosted inputs.
 type Workload = Vec<(SharedProgram, Vec<TestInput>)>;
 
@@ -571,7 +576,8 @@ fn fleet(rows: &mut Vec<String>) {
 /// the disambiguation window armed) trade branchy control flow for
 /// aliasing store→load pairs, so their cases/sec is a separate trajectory
 /// line from the PHT `campaign` rows: one detecting defense, one the
-/// window slips past (STT), one that misses (DelayAll).
+/// window slips past (STT), one that misses (DelayAll). Each pass runs the
+/// campaign [`CAMPAIGN_REPS`] times; `cases` is one run's.
 fn campaigns(rows: &mut Vec<String>) {
     use ContractKind::{ArchSeq, CtSeq};
     use DefenseKind::{Baseline, CleanupSpec, DelayAll, InvisiSpec, SpecLfb, Stt};
@@ -588,7 +594,11 @@ fn campaigns(rows: &mut Vec<String>) {
     ] {
         let cfg = CampaignConfig::quick(defense, contract).with_source(source);
         let mut report = None;
-        let [passes] = sample(|_| report = Some(Campaign::new(cfg.clone()).run()));
+        let [passes] = sample(|_| {
+            for _ in 0..CAMPAIGN_REPS {
+                report = Some(Campaign::new(cfg.clone()).run());
+            }
+        });
         let report = report.expect("sampled");
         let mut row = match source {
             Pht => Row::new("campaign", defense.name()).str("contract", contract.name()),
@@ -598,7 +608,11 @@ fn campaigns(rows: &mut Vec<String>) {
         };
         row = row
             .int("cases", report.stats.cases)
-            .spread("cases_per_sec", passes.rate(report.stats.cases as f64))
+            .int("reps", CAMPAIGN_REPS)
+            .spread(
+                "cases_per_sec",
+                passes.rate((CAMPAIGN_REPS * report.stats.cases) as f64),
+            )
             .fixed("cycles_per_case", report.cycles_per_case(), 1)
             .fixed("warp_ratio", report.warp_ratio(), 4)
             .bool("violation", report.violation_found());

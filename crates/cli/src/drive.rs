@@ -106,11 +106,11 @@ pub(crate) fn cmd_drive(mut args: Args) -> Result<(), String> {
     let cases = shape.config().total_cases();
     let defaults = DriveConfig::default();
     let mut drive = DriveConfig {
-        procs: args.parsed("--procs")?.unwrap_or(2).max(1),
+        procs: args.count("--procs")?.unwrap_or(defaults.procs),
         retries: args.parsed("--retries")?.unwrap_or(defaults.retries),
         quarantine_after: args
-            .parsed("--quarantine-after")?
-            .map_or(defaults.quarantine_after, |q: usize| q.max(1)),
+            .count("--quarantine-after")?
+            .unwrap_or(defaults.quarantine_after),
         liveness: args.seconds("--liveness-s")?.unwrap_or(defaults.liveness),
         batch_timeout: args
             .seconds("--batch-timeout-s")?

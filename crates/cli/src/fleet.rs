@@ -2,10 +2,10 @@
 //! `--connect` slots of `amulet serve`.
 //!
 //! Scheduling lives in one place, [`amulet_core::Service`]: its lease
-//! source re-issues orphaned batches lowest index first, drops batches past
-//! the find-first floor, and reduces and coverage-checks the fragments. A
-//! *slot* (`run_slot`) is one thread forwarding leases to one worker over
-//! a [`WorkerLink`] — an `amulet worker` child process
+//! source re-issues orphaned batches lowest index first, withholds batches
+//! past the find-first floor, and reduces and coverage-checks the
+//! fragments. A *slot* (`run_slot`) is one thread forwarding leases to one
+//! worker over a [`WorkerLink`] — an `amulet worker` child process
 //! ([`ProcLink`](crate::ProcLink)), a remote `amulet worker --listen`
 //! ([`TcpLink`](crate::TcpLink)), or an in-memory link wrapped in fault
 //! injection ([`FaultyLink`](crate::FaultyLink)). [`run_driver`] is
@@ -43,14 +43,15 @@
 //!   quarantined, the refusal error once every live slot refused the
 //!   campaign (a worker of another protocol version, or one that rejected
 //!   the campaign's spec).
-//! - **Find-first** — before each batch the slot forwards the campaign's
-//!   current floor ([`Lease::floor`]) as [`Msg::Cancel`], and accepts a
-//!   worker's skipped fragment for a batch past it.
+//!
+//! A slot keeps no find-first state: it runs every batch it leases, as an
+//! in-process slot does, and the reducer drops a batch leased before the
+//! floor fell below it.
 //!
 //! See `docs/DISTRIBUTED.md` for the operator-level picture.
 
 use amulet_core::proto::{CampaignSpec, FragmentReport, Msg};
-use amulet_core::{run_with_slots, CampaignReport, Lease, LeaseWait, Service};
+use amulet_core::{run_with_slots, BatchSpec, CampaignReport, Lease, LeaseWait, Service};
 use amulet_util::{EventLog, Xoshiro256};
 use std::io::Write;
 use std::time::Duration;
@@ -180,9 +181,6 @@ impl From<String> for Failure {
 struct Session<L> {
     campaign: u64,
     link: L,
-    /// The lowest cancel floor already sent on this link; a replacement
-    /// worker starts with no floor, so the slot re-sends it.
-    sent_floor: usize,
 }
 
 /// Ends a session politely. Best-effort: a worker that misses the shutdown
@@ -245,15 +243,14 @@ pub(crate) fn run_slot<L: WorkerLink>(
         let outcome = loop {
             token += 1;
             let attempt = match session.as_mut() {
-                Some(live) => call_worker(live, &lease, drive, token),
+                Some(live) => call_worker(&mut live.link, lease.spec, drive, token),
                 None => open_session(&lease, &connect, drive.liveness).and_then(|link| {
                     events.emit("fleet", "connect", |o| o.int("slot", slot as u64));
                     let fresh = session.insert(Session {
                         campaign: lease.campaign,
                         link,
-                        sent_floor: usize::MAX,
                     });
-                    call_worker(fresh, &lease, drive, token)
+                    call_worker(&mut fresh.link, lease.spec, drive, token)
                 }),
             };
             match attempt {
@@ -287,12 +284,7 @@ pub(crate) fn run_slot<L: WorkerLink>(
         match outcome {
             Ok(reply) => {
                 strikes = 0;
-                if reply.skipped {
-                    // Past the floor: the service drops it, unexecuted.
-                    service.release(*lease);
-                } else {
-                    service.complete(*lease, reply.into_fragment());
-                }
+                service.complete(*lease, reply.into_fragment());
             }
             Err(Failure::Refused(e)) => {
                 // A worker that rejected the campaign's submit holds a
@@ -352,19 +344,16 @@ fn open_session<L: WorkerLink>(
     Ok(link)
 }
 
-/// One batch over a live session: heartbeat probe, forward a lowered
-/// cancel floor, assign the batch, await its fragment under the batch
-/// deadline. A skipped fragment is accepted only past a floor this link
-/// was sent, and a records batch only with one record per violation. A
-/// `rejected` in place of the pong is the worker refusing the session's
-/// `submit`.
+/// One batch over a live session: heartbeat probe, assign the batch,
+/// await its fragment under the batch deadline. A records batch is
+/// accepted only with one record per violation. A `rejected` in place of
+/// the pong is the worker refusing the session's `submit`.
 fn call_worker<L: WorkerLink>(
-    session: &mut Session<L>,
-    lease: &Lease,
+    link: &mut L,
+    spec: BatchSpec,
     drive: &DriveConfig,
     token: u64,
 ) -> Result<FragmentReport, Failure> {
-    let (link, spec) = (&mut session.link, lease.spec);
     // The probe catches a wedged-but-connected peer within `liveness`
     // instead of committing a batch and waiting out the much longer batch
     // deadline. Workers answer pings between batches only — they are
@@ -379,24 +368,18 @@ fn call_worker<L: WorkerLink>(
         Some(other) => return Err(format!("expected pong, got {:?}", other.tag()).into()),
         None => return Err(format!("heartbeat timed out after {:?}", drive.liveness).into()),
     }
-    if let Some(hit) = lease.floor().filter(|&hit| hit < session.sent_floor) {
-        link.send(&Msg::Cancel { earliest: hit })?;
-        session.sent_floor = hit;
-    }
     link.send(&Msg::Batch(spec))?;
     match link.recv_timeout(drive.batch_timeout)? {
         Some(Msg::Fragment(reply))
             if reply.index == spec.index
-                && (!reply.skipped || spec.index > session.sent_floor)
                 && (!spec.records || reply.records.len() == reply.violations.len()) =>
         {
             Ok(reply)
         }
         Some(Msg::Fragment(reply)) => Err(format!(
-            "unusable fragment for batch {} (index {}, skipped {}, {} records for {} violations)",
+            "unusable fragment for batch {} (index {}, {} records for {} violations)",
             spec.index,
             reply.index,
-            reply.skipped,
             reply.records.len(),
             reply.violations.len()
         )
@@ -611,7 +594,7 @@ mod tests {
                         input_b: input,
                     };
                     self.replies.push(Msg::Fragment(FragmentReport {
-                        skipped: false,
+                        index: spec.index,
                         violations: vec![ViolationDigest {
                             class: ViolationClass::SpectreV1,
                             ctrace_digest: 0,
@@ -620,7 +603,7 @@ mod tests {
                             l1i_diff: Vec::new(),
                         }],
                         records: vec![record; self.records],
-                        ..FragmentReport::skipped(spec.index)
+                        ..FragmentReport::default()
                     }));
                 }
                 _ => {}
@@ -646,15 +629,11 @@ mod tests {
             "a service with a corpus asks for records"
         );
         let call = |records| {
-            let mut session = Session {
-                campaign: lease.campaign,
-                link: RecordsLink {
-                    records,
-                    replies: Vec::new(),
-                },
-                sent_floor: usize::MAX,
+            let mut link = RecordsLink {
+                records,
+                replies: Vec::new(),
             };
-            call_worker(&mut session, &lease, &quick_drive(), 1)
+            call_worker(&mut link, lease.spec, &quick_drive(), 1)
         };
         let Err(Failure::Transient(err)) = call(0) else {
             panic!("a records batch without records must fail transiently")

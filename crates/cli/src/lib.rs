@@ -246,6 +246,14 @@ impl Args {
         }
     }
 
+    /// Like [`Args::parsed`] for a count that must be at least 1.
+    pub fn count(&mut self, name: &str) -> Result<Option<usize>, String> {
+        match self.parsed(name)? {
+            Some(0) => Err(format!("{name} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
     /// Consumes a `--*-s` seconds flag as a deadline, rejecting values
     /// that are not positive or that no deadline from now can represent.
     pub fn seconds(&mut self, name: &str) -> Result<Option<Duration>, String> {
@@ -813,6 +821,24 @@ mod tests {
             args.seconds("--timeout-s").unwrap(),
             Some(Duration::from_millis(250))
         );
+    }
+
+    /// `drive --procs 0` and `--quarantine-after 0` fail at parse time
+    /// (exit 2) instead of running with 1. The trailing unknown flag makes
+    /// a zero accepted by mistake fail at `finish`, with another message.
+    #[test]
+    fn drive_counts_reject_zero() {
+        for flag in ["--procs", "--quarantine-after"] {
+            let argv: Vec<String> = [flag, "0", "--not-a-flag"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let err = drive::cmd_drive(Args::new(&argv)).unwrap_err();
+            assert_eq!(err, format!("{flag} must be at least 1"));
+        }
+        let mut args = Args::new(&["--procs".to_string(), "3".to_string()]);
+        assert_eq!(args.count("--procs").unwrap(), Some(3));
+        assert_eq!(args.count("--quarantine-after").unwrap(), None);
     }
 
     #[test]

@@ -147,7 +147,6 @@ pub fn serve_listener(listen: &ListenConfig) -> Result<(), String> {
         match serve_session(reader, &stream, log, listen.idle_timeout) {
             Ok(stats) => log.emit("worker", "session_end", |o| {
                 o.int("batches", stats.batches as u64)
-                    .int("skipped", stats.skipped as u64)
                     .int("pings", stats.pings as u64)
                     .int("malformed", stats.malformed as u64)
             }),

@@ -13,8 +13,8 @@
 //! - **TCP slots**: one thread per `--connect` address, forwarding leases
 //!   to remote `amulet worker --listen` processes through the fleet's slot
 //!   loop ([`crate::fleet`]) — the same heartbeat, per-batch deadline,
-//!   retry/backoff, quarantine and cancel-floor ladder as `drive`, with
-//!   its event rows on stderr.
+//!   retry/backoff and quarantine ladder as `drive`, with its event rows
+//!   on stderr.
 //!
 //! No daemon loop polls. The accept loop blocks in `accept` (SIGTERM wakes
 //! it with a connection of its own), and each client handler blocks on one

@@ -45,8 +45,6 @@ use std::time::{Duration, Instant};
 pub struct SessionStats {
     /// Batches executed.
     pub batches: usize,
-    /// Batches answered as skipped (past the cancel floor).
-    pub skipped: usize,
     /// Heartbeats answered.
     pub pings: usize,
     /// Malformed or unexpected input lines tolerated.
@@ -66,12 +64,9 @@ pub struct SessionStats {
 /// which ends at its EOF: a caller serving a socket shuts it down after
 /// the session.
 ///
-/// Find-first semantics: a [`Msg::Cancel`] lowers the worker's cancel
-/// floor; a later batch assignment *above* the floor is answered with a
-/// skipped fragment (zero work) instead of being executed. This can never
-/// change the reduced result — the floor only ever holds indices with
-/// confirmed violations, so every skipped index lies strictly past the
-/// final earliest hit, in the suffix the reducer discards anyway.
+/// A worker keeps no find-first state: it runs every batch it is sent.
+/// The driver's scheduler withholds batches past the earliest hit, and
+/// its reducer drops any that ran before the hit was known.
 ///
 /// # Examples
 ///
@@ -108,7 +103,7 @@ pub struct SessionStats {
 ///     .map(|l| Msg::parse_line(l).unwrap())
 ///     .collect();
 /// assert!(matches!(lines[0], Msg::Hello(_)));
-/// assert!(matches!(&lines[1], Msg::Fragment(f) if f.index == 0 && !f.skipped));
+/// assert!(matches!(&lines[1], Msg::Fragment(f) if f.index == 0 && f.stats.cases > 0));
 /// assert_eq!(stats.batches, 1);
 /// ```
 pub fn serve_session(
@@ -122,7 +117,6 @@ pub fn serve_session(
     let anchor = Instant::now();
     // The session's campaign, from the driver's submit, and its runtime.
     let mut campaign: Option<(CampaignConfig, UnitRuntime)> = None;
-    let mut cancel_floor = usize::MAX;
     let mut stats = SessionStats::default();
     loop {
         let frame = match idle {
@@ -174,22 +168,13 @@ pub fn serve_session(
             }
             Ok(Msg::Batch(spec)) => match campaign.as_mut() {
                 Some((cfg, rt)) => {
-                    let reply = if cfg.stop_on_first && spec.index > cancel_floor {
-                        stats.skipped += 1;
-                        FragmentReport::skipped(spec.index)
-                    } else {
-                        stats.batches += 1;
-                        FragmentReport::from_fragment(&run_batch(cfg, &spec, anchor, rt))
-                    };
+                    stats.batches += 1;
+                    let reply = FragmentReport::from_fragment(&run_batch(cfg, &spec, anchor, rt));
                     write_msg(&mut out, &Msg::Fragment(reply))?;
                     continue;
                 }
                 None => format!("batch {} before any submit", spec.index),
             },
-            Ok(Msg::Cancel { earliest }) => {
-                cancel_floor = cancel_floor.min(earliest);
-                continue;
-            }
             Ok(Msg::Shutdown) => break,
             // Valid protocol, wrong direction (a hello or fragment echoed
             // back at us) or a second submit: log and keep serving.
@@ -317,7 +302,6 @@ mod tests {
                 panic!("expected fragment")
             };
             assert_eq!(f.index, i);
-            assert!(!f.skipped);
             assert!(f.stats.cases > 0);
         }
     }
@@ -331,25 +315,6 @@ mod tests {
         ]);
         assert!(matches!(replies[1], Msg::Pong { token: 41 }));
         assert!(matches!(replies[2], Msg::Pong { token: u64::MAX }));
-    }
-
-    #[test]
-    fn cancel_floor_skips_later_batches_in_find_first_mode() {
-        let replies = session(&[
-            submit(true),
-            Msg::Cancel { earliest: 2 },
-            batch(2), // at the floor: executes
-            batch(5), // past the floor: skipped
-            Msg::Shutdown,
-        ]);
-        let Msg::Fragment(at_floor) = &replies[1] else {
-            panic!()
-        };
-        let Msg::Fragment(past) = &replies[2] else {
-            panic!()
-        };
-        assert!(!at_floor.skipped && at_floor.stats.cases > 0);
-        assert!(past.skipped && past.stats.cases == 0);
     }
 
     /// A submit that does not resolve is answered with `rejected`, and the
@@ -372,7 +337,6 @@ mod tests {
             Msg::Submit(bad),
             Msg::Submit(good),
             Msg::Submit(other),
-            Msg::Cancel { earliest: 0 },
             batch(1),
             Msg::Shutdown,
         ]));
@@ -381,7 +345,7 @@ mod tests {
         };
         assert!(reason.contains("unknown defense"), "{reason}");
         assert!(
-            matches!(&replies[2], Msg::Fragment(f) if !f.skipped && f.stats.cases > 0),
+            matches!(&replies[2], Msg::Fragment(f) if f.stats.cases > 0),
             "the first resolved campaign (not find-first) runs the batch"
         );
         assert_eq!(replies.len(), 3);
@@ -431,34 +395,37 @@ mod tests {
         assert_eq!(stats, SessionStats::default());
     }
 
-    /// Garbage and wrong-direction lines are logged as `worker_error`
-    /// rows and skipped, and a trailing partial line at EOF ends the
-    /// session cleanly — the worker keeps serving through everything else.
+    /// Garbage, wrong-direction and retired (protocol v7 `cancel`) lines
+    /// are logged as `worker_error` rows and skipped, and a trailing
+    /// partial line at EOF ends the session cleanly — the worker keeps
+    /// serving through everything else.
     #[test]
     fn malformed_lines_are_logged_and_tolerated() {
         let input = format!(
-            "{}this is not json\n{}\n{}\n{}",
-            script(&[submit(false)]),
-            Msg::Pong { token: 9 }.to_line(), // wrong direction
-            batch(0).to_line(),
+            "{}this is not json\n{}\n{}\n{}\n{}",
+            script(&[submit(true)]),
+            Msg::Pong { token: 9 }.to_line(),    // wrong direction
+            r#"{"type":"cancel","earliest":0}"#, // retired in protocol v8
+            batch(1).to_line(),
             r#"{"type":"shutdo"# // truncated partial line, no newline
         );
         let (replies, stats, log) = session_raw(&input);
         assert!(matches!(replies[0], Msg::Hello(_)));
         assert!(
-            matches!(&replies[1], Msg::Fragment(f) if f.index == 0 && !f.skipped),
-            "the batch after the garbage still executed"
+            matches!(&replies[1], Msg::Fragment(f) if f.index == 1 && f.stats.cases > 0),
+            "the batch after the garbage and the cancel still executed"
         );
         assert_eq!(stats.batches, 1);
         assert_eq!(
-            stats.malformed, 3,
-            "garbage + wrong direction + truncated tail"
+            stats.malformed, 4,
+            "garbage + wrong direction + cancel + truncated tail"
         );
         assert_eq!(
             log.matches("\"event\":\"worker_error\"").count(),
-            2,
+            3,
             "{log}"
         );
+        assert!(log.contains("unknown message type \\\"cancel\\\""), "{log}");
         assert_eq!(
             log.matches("\"event\":\"worker_eof_truncated\"").count(),
             1,

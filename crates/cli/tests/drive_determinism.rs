@@ -117,7 +117,7 @@ fn worker_takes_its_campaign_from_the_wire() {
     let mut reader = BufReader::new(child.stdout.take().unwrap());
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
-    assert_eq!(line.trim_end(), r#"{"type":"hello","proto":7}"#);
+    assert_eq!(line.trim_end(), r#"{"type":"hello","proto":8}"#);
     let mut stdin = child.stdin.take().unwrap();
     writeln!(
         stdin,

@@ -294,9 +294,9 @@ fn serve_fails_a_campaign_no_slot_can_serve() {
 }
 
 /// Find-first through a TCP slot alone: the slot sends the find-first
-/// campaign to a remote worker started without shape flags and forwards
-/// its cancel floor, and the served result carries the in-process
-/// `campaign --find-first` fingerprint.
+/// campaign to a remote worker started without shape flags, the daemon's
+/// scheduler withholds batches past the earliest hit, and the served
+/// result carries the in-process `campaign --find-first` fingerprint.
 #[test]
 fn serve_tcp_slots_carry_find_first_campaigns() {
     let reference = {

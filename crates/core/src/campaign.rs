@@ -407,78 +407,8 @@ impl CampaignReport {
     /// [`CampaignReport::digests`], which survives the wire protocol
     /// bit-exactly.
     pub fn fingerprint(&self) -> u64 {
-        fingerprint_parts(
-            [
-                self.config.defense.name(),
-                self.config.contract.name(),
-                self.config.mode.name(),
-                self.config.format.name(),
-            ],
-            self.config.source.name(),
-            self.config.include_l1i,
-            self.config.seed,
-            [
-                self.config.instances as u64,
-                self.config.programs_per_instance as u64,
-                self.config.inputs.total() as u64,
-            ],
-            &self.stats,
-            self.detection_times.count(),
-            &self.digests,
-        )
+        crate::proto::ReportWire::from_report(self).fingerprint()
     }
-}
-
-/// The hash behind [`CampaignReport::fingerprint`], decoupled from the
-/// report struct so a report reconstituted from the wire (`proto::ReportWire`)
-/// can fingerprint itself bit-identically without rebuilding a full
-/// [`CampaignConfig`]. `identity` is `[defense, contract, mode, format]`
-/// names; `shape` is `[instances, programs_per_instance, inputs_total]`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fingerprint_parts(
-    identity: [&str; 4],
-    source: &str,
-    include_l1i: bool,
-    seed: u64,
-    shape: [u64; 3],
-    stats: &ScanStats,
-    detections: u64,
-    digests: &[ViolationDigest],
-) -> u64 {
-    let mut fp = Fnv1a::new();
-    for name in identity {
-        fp.str(name);
-    }
-    // The speculation source folds in only when non-default, so every
-    // fingerprint pinned before STL existed is byte-identical.
-    if source != "PHT" {
-        fp.str(source);
-    }
-    fp.u64(include_l1i as u64);
-    fp.u64(seed);
-    for n in shape {
-        fp.u64(n);
-    }
-    fp.u64(stats.cases as u64);
-    fp.u64(stats.classes as u64);
-    fp.u64(stats.candidates as u64);
-    fp.u64(stats.validation_runs as u64);
-    fp.u64(stats.confirmed as u64);
-    fp.u64(detections);
-    fp.u64(digests.len() as u64);
-    for d in digests {
-        fp.str(d.class.paper_id());
-        fp.u64(d.ctrace_digest);
-        // Length-prefix each diff section so a leak moving between
-        // structures (e.g. L1D → D-TLB) can never hash identically.
-        for diff in [&d.l1d_diff, &d.dtlb_diff, &d.l1i_diff] {
-            fp.u64(diff.len() as u64);
-            for &x in diff.iter() {
-                fp.u64(x);
-            }
-        }
-    }
-    fp.finish()
 }
 
 /// Defense/contract column widths: wide enough for every registered name

@@ -318,9 +318,9 @@ pub struct JournalReplay {
 ///   write) → `Ok(None)`: nothing to resume;
 /// - valid header for `expect_key` → `Ok(Some(..))` with the fragment
 ///   prefix;
-/// - anything else — wrong identity, interior corruption, out-of-plan or
-///   skipped fragments — is an error, and the caller must recompute from
-///   scratch rather than trust the file.
+/// - anything else — wrong identity, interior corruption, out-of-plan
+///   fragments — is an error, and the caller must recompute from scratch
+///   rather than trust the file.
 pub fn load_journal(path: &Path, expect_key: &str) -> Result<Option<JournalReplay>, String> {
     let Some((header, lines)) = read_journal(path)? else {
         return Ok(None);
@@ -364,11 +364,6 @@ fn replay_fragments(
     for (n, line) in lines {
         match Msg::parse_line(&line) {
             Ok(Msg::Fragment(frag)) => {
-                if frag.skipped {
-                    return Err(format!(
-                        "journal {shown}: line {n}: skipped fragment was never executed"
-                    ));
-                }
                 if frag.index as u64 >= header.total_batches {
                     return Err(format!(
                         "journal {shown}: line {n}: batch index {} outside the {}-batch plan",
@@ -576,7 +571,6 @@ mod tests {
     fn sample_fragment(index: usize) -> FragmentReport {
         FragmentReport {
             index,
-            skipped: false,
             stats: ScanStats {
                 cases: 84 + index,
                 classes: 12,

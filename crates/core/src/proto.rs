@@ -11,12 +11,11 @@
 //! # Message flow
 //!
 //! ```text
-//! worker → driver   {"type":"hello","proto":7}   once, on startup (protocol version)
+//! worker → driver   {"type":"hello","proto":8}   once, on startup (protocol version)
 //! driver → worker   {"type":"submit", ...}       once per session: the campaign to serve
 //! worker → driver   {"type":"rejected", ...}     a submit the worker cannot resolve
 //! driver → worker   {"type":"ping", ...}         liveness probe (heartbeat)
 //! worker → driver   {"type":"pong", ...}         probe echo (same token)
-//! driver → worker   {"type":"cancel", ...}       find-first broadcast (optional)
 //! driver → worker   {"type":"batch", ...}        one assignment
 //! worker → driver   {"type":"fragment", ...}     the assignment's result
 //! driver → worker   {"type":"shutdown"}          end of plan; worker exits
@@ -55,12 +54,12 @@
 //! assert!(line.starts_with(r#"{"type":"batch""#));
 //! assert_eq!(Msg::parse_line(&line).unwrap(), batch);
 //!
-//! let frag = Msg::Fragment(FragmentReport::skipped(9));
+//! let frag = Msg::Fragment(FragmentReport { index: 9, ..FragmentReport::default() });
 //! assert_eq!(Msg::parse_line(&frag.to_line()).unwrap(), frag);
 //! ```
 
 use crate::analyze::ViolationClass;
-use crate::campaign::{self, CampaignConfig, CampaignReport, SpecSource, ViolationDigest};
+use crate::campaign::{CampaignConfig, CampaignReport, Fnv1a, SpecSource, ViolationDigest};
 use crate::corpus::{reduction_from_json, reduction_to_json, Reduction};
 use crate::detect::ScanStats;
 use crate::shard::{BatchSpec, Fragment};
@@ -105,7 +104,13 @@ use std::time::Duration;
 /// session with the campaign's `submit`, which the worker resolves (or
 /// answers with `rejected`). An older worker would echo a campaign and
 /// ignore the submit, so it must fail at `hello`.
-pub const PROTO_VERSION: u64 = 7;
+///
+/// Version 8 removed find-first's worker-side floor: the `cancel` message
+/// and the fragment's `skipped` field are gone, and a worker runs every
+/// batch it is sent. The scheduler alone withholds batches past the
+/// earliest hit. An older driver would send `cancel` lines a new worker
+/// logs as errors, so the versions must not mix.
+pub const PROTO_VERSION: u64 = 8;
 
 /// The worker's startup announcement: its protocol version. The campaign
 /// it serves comes next, from the driver, as a [`Msg::Submit`].
@@ -139,15 +144,10 @@ impl Hello {
 /// each violation's minimized [`Reduction`]. The full artefacts — the
 /// original programs, starting contexts and debug logs — stay in the
 /// worker process.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FragmentReport {
     /// Global batch index this fragment answers.
     pub index: usize,
-    /// True when the worker skipped execution because the batch index lies
-    /// past a received [`Msg::Cancel`] floor. Skipped fragments carry zero
-    /// stats and are always past the earliest hit, so the reducer drops
-    /// them with the rest of the post-hit suffix.
-    pub skipped: bool,
     /// Detector counters for this batch.
     pub stats: ScanStats,
     /// Seconds from the worker's anchor to the batch's first confirmation.
@@ -164,23 +164,10 @@ impl FragmentReport {
     pub fn from_fragment(frag: &Fragment) -> Self {
         FragmentReport {
             index: frag.index,
-            skipped: false,
             stats: frag.stats,
             first_detection_s: frag.first_detection.map(|d| d.as_secs_f64()),
             violations: frag.digests.clone(),
             records: frag.records.clone(),
-        }
-    }
-
-    /// A skipped-batch acknowledgement (see [`FragmentReport::skipped`]).
-    pub fn skipped(index: usize) -> Self {
-        FragmentReport {
-            index,
-            skipped: true,
-            stats: ScanStats::default(),
-            first_detection_s: None,
-            violations: Vec::new(),
-            records: Vec::new(),
         }
     }
 
@@ -339,20 +326,46 @@ impl ReportWire {
         }
     }
 
-    /// Exactly [`CampaignReport::fingerprint`] computed from the wire
-    /// fields — the two agree bit-for-bit for a report and its wire form
-    /// (asserted by this module's tests).
+    /// The campaign fingerprint ([`CampaignReport::fingerprint`] is this
+    /// hash of the report's wire form): the configuration identity, the
+    /// aggregate detector counters, and every violation's class,
+    /// contract-trace digest and µarch-trace differences.
     pub fn fingerprint(&self) -> u64 {
-        campaign::fingerprint_parts(
-            [&self.defense, &self.contract, &self.mode, &self.format],
-            &self.source,
-            self.include_l1i,
-            self.seed,
-            [self.instances, self.programs, self.inputs],
-            &self.stats,
-            self.detections,
-            &self.digests,
-        )
+        let mut fp = Fnv1a::new();
+        for name in [&self.defense, &self.contract, &self.mode, &self.format] {
+            fp.str(name);
+        }
+        // The speculation source folds in only when non-default, so every
+        // fingerprint pinned before STL existed is byte-identical.
+        if self.source != "PHT" {
+            fp.str(&self.source);
+        }
+        fp.u64(self.include_l1i as u64);
+        fp.u64(self.seed);
+        for n in [self.instances, self.programs, self.inputs] {
+            fp.u64(n);
+        }
+        let stats = &self.stats;
+        fp.u64(stats.cases as u64);
+        fp.u64(stats.classes as u64);
+        fp.u64(stats.candidates as u64);
+        fp.u64(stats.validation_runs as u64);
+        fp.u64(stats.confirmed as u64);
+        fp.u64(self.detections);
+        fp.u64(self.digests.len() as u64);
+        for d in &self.digests {
+            fp.str(d.class.paper_id());
+            fp.u64(d.ctrace_digest);
+            // Length-prefix each diff section so a leak moving between
+            // structures (e.g. L1D → D-TLB) can never hash identically.
+            for diff in [&d.l1d_diff, &d.dtlb_diff, &d.l1i_diff] {
+                fp.u64(diff.len() as u64);
+                for &x in diff.iter() {
+                    fp.u64(x);
+                }
+            }
+        }
+        fp.finish()
     }
 }
 
@@ -397,13 +410,6 @@ pub enum Msg {
     },
     /// Driver → worker: execute this batch and answer with a fragment.
     Batch(BatchSpec),
-    /// Driver → worker: a violation was confirmed in batch `earliest`;
-    /// batches with a greater index may be answered with a skipped
-    /// fragment.
-    Cancel {
-        /// Earliest batch index with a confirmed violation so far.
-        earliest: usize,
-    },
     /// Driver → worker: no more batches; exit cleanly.
     Shutdown,
     /// Worker → driver: one batch's results.
@@ -480,12 +486,11 @@ impl Msg {
     /// Every `"type"` tag the protocol emits, in flow order. The operator's
     /// handbook (`docs/DISTRIBUTED.md`) documents exactly this set — a test
     /// asserts the two never drift apart.
-    pub const TAGS: [&'static str; 15] = [
+    pub const TAGS: [&'static str; 14] = [
         "hello",
         "ping",
         "pong",
         "batch",
-        "cancel",
         "shutdown",
         "fragment",
         "submit",
@@ -505,7 +510,6 @@ impl Msg {
             Msg::Ping { .. } => "ping",
             Msg::Pong { .. } => "pong",
             Msg::Batch(_) => "batch",
-            Msg::Cancel { .. } => "cancel",
             Msg::Shutdown => "shutdown",
             Msg::Fragment(_) => "fragment",
             Msg::Submit(_) => "submit",
@@ -538,11 +542,9 @@ impl Msg {
                 }
                 .finish()
             }
-            Msg::Cancel { earliest } => obj.int("earliest", *earliest as u64).finish(),
             Msg::Shutdown => obj.finish(),
             Msg::Fragment(f) => {
-                let head = obj.int("index", f.index as u64).bool("skipped", f.skipped);
-                let mut out = stats_to_json(head, &f.stats);
+                let mut out = stats_to_json(obj.int("index", f.index as u64), &f.stats);
                 if let Some(s) = f.first_detection_s {
                     out = out.num("first_detection_s", s);
                 }
@@ -630,8 +632,8 @@ impl Msg {
     /// ```
     /// use amulet_core::proto::Msg;
     ///
-    /// let msg = Msg::parse_line(r#"{"type":"cancel","earliest":3}"#).unwrap();
-    /// assert_eq!(msg, Msg::Cancel { earliest: 3 });
+    /// let msg = Msg::parse_line(r#"{"type":"ping","token":3}"#).unwrap();
+    /// assert_eq!(msg, Msg::Ping { token: 3 });
     /// assert!(Msg::parse_line(r#"{"type":"warp"}"#).is_err());
     /// ```
     pub fn parse_line(line: &str) -> Result<Msg, String> {
@@ -657,9 +659,6 @@ impl Msg {
                     .and_then(JsonValue::as_bool)
                     .unwrap_or(false),
             })),
-            "cancel" => Ok(Msg::Cancel {
-                earliest: usize_field(&v, "earliest")?,
-            }),
             "shutdown" => Ok(Msg::Shutdown),
             "fragment" => {
                 let stats = stats_from_json(&v)?;
@@ -693,10 +692,6 @@ impl Msg {
                 };
                 Ok(Msg::Fragment(FragmentReport {
                     index: usize_field(&v, "index")?,
-                    skipped: v
-                        .get("skipped")
-                        .and_then(JsonValue::as_bool)
-                        .unwrap_or(false),
                     stats,
                     first_detection_s,
                     violations,
@@ -1039,11 +1034,9 @@ mod tests {
                 programs: 4,
                 records: true,
             }),
-            Msg::Cancel { earliest: 3 },
             Msg::Shutdown,
             Msg::Fragment(FragmentReport {
                 index: 11,
-                skipped: false,
                 stats: ScanStats {
                     cases: 112,
                     classes: 16,
@@ -1057,7 +1050,10 @@ mod tests {
                 violations: vec![sample_digest()],
                 records: vec![sample_reduction()],
             }),
-            Msg::Fragment(FragmentReport::skipped(42)),
+            Msg::Fragment(FragmentReport {
+                index: 42,
+                ..FragmentReport::default()
+            }),
             Msg::Submit(sample_spec()),
             Msg::Submit(CampaignSpec {
                 scale: Some(0.25),
@@ -1131,9 +1127,8 @@ mod tests {
                 programs: 1,
                 records: false,
             }),
-            Msg::Cancel { earliest: 0 },
             Msg::Shutdown,
-            Msg::Fragment(FragmentReport::skipped(0)),
+            Msg::Fragment(FragmentReport::default()),
             Msg::Submit(sample_spec()),
             Msg::Accepted {
                 campaign: 0,
@@ -1336,7 +1331,7 @@ mod tests {
         assert!(stale.check().unwrap_err().contains("version mismatch"));
         assert_eq!(
             Msg::Hello(Hello::CURRENT).to_line(),
-            r#"{"type":"hello","proto":7}"#
+            r#"{"type":"hello","proto":8}"#
         );
     }
 
@@ -1380,9 +1375,9 @@ mod tests {
             "not json",
             // A negative, non-finite or Duration-overflowing detection
             // time must be a protocol error, not a later panic.
-            r#"{"type":"fragment","index":0,"skipped":false,"cases":0,"classes":0,"candidates":0,"validation_runs":0,"confirmed":0,"sim_cycles":0,"warped_cycles":0,"first_detection_s":-0.5,"violations":[]}"#,
-            r#"{"type":"fragment","index":0,"skipped":false,"cases":0,"classes":0,"candidates":0,"validation_runs":0,"confirmed":0,"sim_cycles":0,"warped_cycles":0,"first_detection_s":1e30,"violations":[]}"#,
-            r#"{"type":"fragment","index":0,"skipped":false,"cases":0,"classes":0,"candidates":0,"validation_runs":0,"confirmed":0,"sim_cycles":0,"warped_cycles":0,"first_detection_s":1e999,"violations":[]}"#,
+            r#"{"type":"fragment","index":0,"cases":0,"classes":0,"candidates":0,"validation_runs":0,"confirmed":0,"sim_cycles":0,"warped_cycles":0,"first_detection_s":-0.5,"violations":[]}"#,
+            r#"{"type":"fragment","index":0,"cases":0,"classes":0,"candidates":0,"validation_runs":0,"confirmed":0,"sim_cycles":0,"warped_cycles":0,"first_detection_s":1e30,"violations":[]}"#,
+            r#"{"type":"fragment","index":0,"cases":0,"classes":0,"candidates":0,"validation_runs":0,"confirmed":0,"sim_cycles":0,"warped_cycles":0,"first_detection_s":1e999,"violations":[]}"#,
             // Service messages with missing or mistyped fields.
             r#"{"type":"submit","defense":"Baseline"}"#,
             r#"{"type":"submit","defense":"Baseline","contract":"CT-SEQ","seed":"x","find_first":false,"batch":3,"cycle_skip":true}"#,

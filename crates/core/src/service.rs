@@ -75,7 +75,7 @@ use amulet_util::events;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -187,22 +187,6 @@ pub struct Lease {
     /// Whether this batch was returned by a failing slot and is being
     /// re-issued (an adopted orphan).
     pub adopted: bool,
-    /// The campaign's find-first floor, shared live with the campaign.
-    hit: Arc<AtomicUsize>,
-}
-
-impl Lease {
-    /// The campaign's current find-first floor: the earliest batch index
-    /// with a confirmed violation, if any. Batches past it are dropped by
-    /// the reducer, so a remote worker may skip them.
-    pub fn floor(&self) -> Option<usize> {
-        floor_of(&self.hit)
-    }
-}
-
-fn floor_of(hit: &AtomicUsize) -> Option<usize> {
-    let hit = hit.load(Ordering::SeqCst);
-    (hit != usize::MAX).then_some(hit)
 }
 
 /// The outcome of one [`Service::wait_lease`] call.
@@ -240,9 +224,10 @@ struct ActiveCampaign {
     /// Batches returned unexecuted by a failing worker — re-leased before
     /// the cursor advances, lowest index first.
     orphans: Vec<BatchSpec>,
-    /// Earliest batch index with a confirmed violation (find-first;
-    /// `usize::MAX` = none yet), shared with every lease.
-    hit: Arc<AtomicUsize>,
+    /// Earliest batch index with a confirmed violation (find-first only):
+    /// the one find-first floor. Batches past it are never leased; a batch
+    /// leased before it dropped still runs, and the reducer discards it.
+    hit: Option<usize>,
     /// Leases handed out and not yet completed or released.
     outstanding: usize,
     /// Slots that leased from this campaign — the ones told when it ends.
@@ -273,7 +258,7 @@ impl ActiveCampaign {
             journaled: false,
             cursor: 0,
             orphans: Vec::new(),
-            hit: Arc::new(AtomicUsize::new(usize::MAX)),
+            hit: None,
             outstanding: 0,
             leased_by: HashSet::new(),
             executed: 0,
@@ -287,10 +272,6 @@ impl ActiveCampaign {
         }
     }
 
-    fn earliest_hit(&self) -> Option<usize> {
-        floor_of(&self.hit)
-    }
-
     /// The result-cache and journal key (empty for a hand-built config,
     /// which is never cached or journaled).
     fn key(&self) -> String {
@@ -301,7 +282,7 @@ impl ActiveCampaign {
 
     /// Whether `index` lies past the find-first cancellation floor.
     fn past_hit(&self, index: usize) -> bool {
-        self.cfg.stop_on_first && self.earliest_hit().is_some_and(|hit| index > hit)
+        self.hit.is_some_and(|hit| index > hit)
     }
 
     /// The next batch to lease and whether it is an adopted orphan:
@@ -587,7 +568,7 @@ impl Service {
             .into_iter()
             .filter(|b| !have.contains(&b.index))
             .collect();
-        let earliest_hit = cfg
+        let hit = cfg
             .stop_on_first
             .then(|| {
                 recovered_frags
@@ -601,7 +582,7 @@ impl Service {
             owner: client,
             spec: Some(Arc::new(spec.clone())),
             journaled: journal.is_some(),
-            hit: Arc::new(AtomicUsize::new(earliest_hit.unwrap_or(usize::MAX))),
+            hit,
             cases_done: recovered_frags.iter().map(|f| f.stats.cases as u64).sum(),
             fragments: recovered_frags,
             ..ActiveCampaign::new(id, cfg, missing, total)
@@ -810,7 +791,6 @@ impl Service {
                     campaign_spec: camp.spec.clone(),
                     anchor: camp.start,
                     adopted,
-                    hit: camp.hit.clone(),
                 };
                 inner.rr = (pos + 1) % n;
                 return Some(lease);
@@ -848,9 +828,8 @@ impl Service {
         self.enforce_floor(inner);
     }
 
-    /// Returns a lease unexecuted (worker failure, or a batch the worker
-    /// skipped past the find-first floor): the batch goes back into the
-    /// campaign's orphan pool for the next taker.
+    /// Returns a lease unexecuted (worker failure): the batch goes back
+    /// into the campaign's orphan pool for the next taker.
     pub fn release(&self, lease: Lease) {
         self.settle_unexecuted(lease, None);
     }
@@ -979,7 +958,7 @@ impl Service {
                 .map(|e| format!("fragment tee write failed: {e}"))
         });
         if camp.cfg.stop_on_first && !fragment.digests.is_empty() {
-            camp.hit.fetch_min(fragment.index, Ordering::SeqCst);
+            camp.hit = Some(camp.hit.map_or(fragment.index, |h| h.min(fragment.index)));
         }
         camp.cases_done += fragment.stats.cases as u64;
         camp.fragments.push(fragment);
@@ -1005,7 +984,7 @@ impl Service {
     /// [`ServiceEvent::Finished`]. A [`Service::submit_config`] campaign
     /// instead receives its report (or error) on its own channel.
     fn finalize(&self, camp: ActiveCampaign, failure: Option<String>) {
-        let (hit, key) = (camp.earliest_hit(), camp.key());
+        let (hit, key) = (camp.hit, camp.key());
         let outcome = match failure {
             Some(e) => Err(e),
             None => verify_fragment_coverage(&camp.cfg, &camp.fragments, hit, camp.total_batches)
@@ -1459,7 +1438,6 @@ mod tests {
     fn corpus_resume_reruns_violating_fragments_without_records() {
         use crate::analyze::ViolationClass;
         use crate::campaign::ViolationDigest;
-        use crate::detect::ScanStats;
         use crate::journal::{create_journal, JournalHeader};
 
         let dir =
@@ -1470,11 +1448,8 @@ mod tests {
         let total = plan_batches(&spec.resolve().unwrap(), spec.batch_programs).len() as u64;
         let fragment = |index, violations| FragmentReport {
             index,
-            skipped: false,
-            stats: ScanStats::default(),
-            first_detection_s: None,
             violations,
-            records: Vec::new(),
+            ..FragmentReport::default()
         };
         let digest = ViolationDigest {
             class: ViolationClass::SpectreV1,
@@ -1557,55 +1532,64 @@ mod tests {
     fn find_first_leases_in_order_and_withhold_batches_past_the_floor() {
         let service = Service::new();
         let done = ten_batches(&service, true);
-        let mut held: Vec<Option<Lease>> = (0..6).map(|_| Some(lease(&service))).collect();
+        let mut held: Vec<Option<Lease>> = (0..7).map(|_| Some(lease(&service))).collect();
         let indices: Vec<usize> = held.iter().flatten().map(|l| l.spec.index).collect();
         assert_eq!(
             indices,
-            vec![0, 1, 2, 3, 4, 5],
+            vec![0, 1, 2, 3, 4, 5, 6],
             "leases are handed out in order"
         );
-        let mut settle = |i: usize, hit: bool| {
-            let lease = held[i].take().unwrap();
+        let mut take = |i: usize| held[i].take().unwrap();
+        let settle = |lease: Lease, hit: bool| {
             let frag = fragment(&lease, hit);
             service.complete(lease, frag);
-            held[0].as_ref().and_then(|l| l.floor())
         };
-        assert_eq!(settle(5, true), Some(5));
-        assert_eq!(settle(3, true), Some(3), "an earlier hit lowers the floor");
-        assert_eq!(settle(4, true), Some(3), "a later hit never raises it");
+        settle(take(6), true);
         assert!(
             service.try_lease().is_none(),
             "batches past the floor are withheld"
         );
+        settle(take(3), true);
+        service.release(take(5));
+        assert!(
+            service.try_lease().is_none(),
+            "an earlier hit lowers the floor: a released batch past it is withheld"
+        );
+        settle(take(4), true);
         for i in (0..3).rev() {
-            settle(i, false);
+            settle(take(i), false);
         }
         let report = done.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
         let kept: Vec<u64> = report.digests.iter().map(|d| d.ctrace_digest).collect();
         assert_eq!(
             kept,
             vec![3],
-            "only the prefix up to the earliest hit is kept"
+            "only the prefix up to the earliest hit is kept: a later hit never raises the floor"
         );
     }
 
-    /// Without find-first a hit is recorded nowhere and withholds nothing:
-    /// every planned batch still leases.
+    /// Without find-first a hit withholds nothing: every planned batch
+    /// still leases, and the report keeps every hit.
     #[test]
     fn hits_are_ignored_without_find_first() {
         let service = Service::new();
-        let _done = ten_batches(&service, false);
+        let done = ten_batches(&service, false);
         let first = lease(&service);
         let frag = fragment(&first, true);
-        let later = lease(&service);
         service.complete(first, frag);
-        assert_eq!(later.floor(), None, "no floor without stop_on_first");
-        let rest: Vec<usize> = (0..8).map(|_| lease(&service).spec.index).collect();
+        let rest: Vec<Lease> = (0..9).map(|_| lease(&service)).collect();
         assert_eq!(
-            rest,
-            (2..10).collect::<Vec<_>>(),
+            rest.iter().map(|l| l.spec.index).collect::<Vec<_>>(),
+            (1..10).collect::<Vec<_>>(),
             "every batch still leases"
         );
+        for lease in rest {
+            let frag = fragment(&lease, lease.spec.index == 9);
+            service.complete(lease, frag);
+        }
+        let report = done.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+        let kept: Vec<u64> = report.digests.iter().map(|d| d.ctrace_digest).collect();
+        assert_eq!(kept, vec![0, 9], "every hit is kept");
     }
 
     /// A slot hears the end of each campaign it leased from, cancelled or

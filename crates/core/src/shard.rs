@@ -286,8 +286,8 @@ pub fn verify_fragment_coverage(
 /// Find-first cancellation can never change the reduced prefix: the
 /// service leases batch indices in order, so every batch at or before the
 /// earliest hit ran to completion before the campaign stopped, and
-/// fragments past the hit — including `amulet worker`'s skipped-batch
-/// acknowledgements — are exactly the ones dropped here.
+/// fragments past the hit — batches leased before the floor dropped to
+/// them — are exactly the ones dropped here.
 pub fn reduce_fragments(
     cfg: CampaignConfig,
     mut fragments: Vec<Fragment>,

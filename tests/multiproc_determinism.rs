@@ -95,9 +95,9 @@ fn stl_campaigns_survive_the_process_boundary() {
     }
 }
 
-/// Find-first across the wire: the cancel broadcast and the skipped-batch
-/// acknowledgements must leave exactly the same reduced prefix as the
-/// in-process early exit.
+/// Find-first across the wire: the scheduler's floor, and the batches
+/// remote workers ran before it fell below them, must leave exactly the
+/// same reduced prefix as the in-process early exit.
 #[test]
 fn find_first_cancellation_preserves_the_reduced_prefix() {
     let spec = quick_spec(true);

@@ -108,7 +108,10 @@ fn valid_lines() -> Vec<String> {
         Msg::CancelCampaign { campaign: 3 },
         Msg::Ping { token: 99 },
         Msg::Pong { token: 99 },
-        Msg::Fragment(FragmentReport::skipped(3)),
+        Msg::Fragment(FragmentReport {
+            index: 3,
+            ..FragmentReport::default()
+        }),
         Msg::Shutdown,
     ]
     .iter()

@@ -36,7 +36,6 @@ fn quick_spec() -> CampaignSpec {
 fn loaded_fragment() -> FragmentReport {
     FragmentReport {
         index: 17,
-        skipped: false,
         stats: ScanStats {
             cases: 672,
             classes: 96,
@@ -109,12 +108,11 @@ fn all_message_shapes() -> Vec<Msg> {
         Msg::Ping { token: 0 },
         Msg::Ping { token: u64::MAX },
         Msg::Pong { token: 0xdead_beef },
-        Msg::Cancel { earliest: 0 },
-        Msg::Cancel {
-            earliest: usize::MAX >> 1,
-        },
         Msg::Shutdown,
-        Msg::Fragment(FragmentReport::skipped(3)),
+        Msg::Fragment(FragmentReport {
+            index: 3,
+            ..FragmentReport::default()
+        }),
         Msg::Fragment(loaded_fragment()),
         // Protocol v3: the service flow.
         Msg::Submit(CampaignSpec {
@@ -291,7 +289,7 @@ fn every_violation_class_round_trips_in_a_fragment() {
                 dtlb_diff: vec![],
                 l1i_diff: vec![],
             }],
-            ..FragmentReport::skipped(0)
+            ..FragmentReport::default()
         };
         let Msg::Fragment(parsed) = Msg::parse_line(&Msg::Fragment(frag).to_line()).unwrap() else {
             panic!("tag changed");
@@ -321,7 +319,7 @@ fn handbook_documents_exactly_the_emitted_tag_set() {
         "docs/DISTRIBUTED.md worked examples must cover exactly the protocol's tags"
     );
     // The version constant is part of the documented contract too.
-    assert_eq!(PROTO_VERSION, 7, "a version bump must update this pin");
+    assert_eq!(PROTO_VERSION, 8, "a version bump must update this pin");
     assert!(
         HANDBOOK.contains(&format!("\"proto\":{PROTO_VERSION}")),
         "handbook hello example must show the current protocol version"
@@ -441,7 +439,7 @@ fn corpus_records_ride_batches_and_fragments_exactly() {
 #[test]
 fn pre_records_lines_parse_and_reencode_byte_identically() {
     let batch = r#"{"type":"batch","index":7,"instance":1,"batch":2,"programs":3}"#;
-    let fragment = r#"{"type":"fragment","index":7,"skipped":false,"cases":84,"classes":12,"candidates":2,"validation_runs":4,"confirmed":1,"sim_cycles":16911,"warped_cycles":13065,"first_detection_s":0.042,"violations":[{"class":"Spectre-v1","ctrace":"0x1f83e1a2b45c9d07","l1d_diff":["0x4740","0x4100"],"dtlb_diff":[],"l1i_diff":[]}]}"#;
+    let fragment = r#"{"type":"fragment","index":7,"cases":84,"classes":12,"candidates":2,"validation_runs":4,"confirmed":1,"sim_cycles":16911,"warped_cycles":13065,"first_detection_s":0.042,"violations":[{"class":"Spectre-v1","ctrace":"0x1f83e1a2b45c9d07","l1d_diff":["0x4740","0x4100"],"dtlb_diff":[],"l1i_diff":[]}]}"#;
     let Msg::Batch(spec) = Msg::parse_line(batch).unwrap() else {
         panic!("tag changed");
     };
