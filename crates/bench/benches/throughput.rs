@@ -556,6 +556,9 @@ fn fleet(rows: &mut Vec<String>) {
         fingerprints.windows(2).all(|w| w[0] == w[1]),
         "fleet fingerprint moved across transports/faults: {fingerprints:?}"
     );
+    // Each fault kind's count beside the total: a drop that lands on a
+    // send waits out `batch_timeout`, so the hostile rate follows the drops.
+    let count = |n: &std::sync::atomic::AtomicUsize| n.load(std::sync::atomic::Ordering::Relaxed);
     for ((label, passes), counters) in arms.iter().zip(&passes).zip(&counters) {
         let row = Row::new("fleet", label)
             .str("transport", "tcp-loopback")
@@ -563,6 +566,10 @@ fn fleet(rows: &mut Vec<String>) {
             .fixed("scale", 0.1, 1)
             .int("rounds", PASSES)
             .int("injected_faults", counters.total())
+            .int("dropped", count(&counters.dropped))
+            .int("truncated", count(&counters.truncated))
+            .int("severed", count(&counters.severed))
+            .int("delayed", count(&counters.delayed))
             .int("cases", cases)
             .spread("cases_per_sec", passes.rate(cases as f64));
         emit(rows, row);

@@ -269,7 +269,8 @@ pub(crate) fn run_slot<L: WorkerLink>(
                         break Err(Failure::Transient(e));
                     }
                     attempts += 1;
-                    let delay = backoff_delay(&mut rng, drive, attempts);
+                    let delay =
+                        backoff_delay(&mut rng, drive.backoff_base, drive.backoff_max, attempts);
                     events.emit("fleet", "backoff", |o| {
                         o.int("slot", slot as u64)
                             .num("delay_s", delay.as_secs_f64())
@@ -397,9 +398,14 @@ fn call_worker<L: WorkerLink>(
 /// capped at `max`, then jittered uniformly into `[cap/2, cap]` so a
 /// fleet's reconnects decorrelate without losing reproducibility. The one
 /// backoff of the crate: `submit`'s retry and shed waits use it too.
-pub(crate) fn backoff_delay(rng: &mut Xoshiro256, drive: &DriveConfig, attempt: usize) -> Duration {
-    let base = drive.backoff_base.as_nanos().min(u128::from(u64::MAX)) as u64;
-    let max = drive.backoff_max.as_nanos().min(u128::from(u64::MAX)) as u64;
+pub(crate) fn backoff_delay(
+    rng: &mut Xoshiro256,
+    base: Duration,
+    max: Duration,
+    attempt: usize,
+) -> Duration {
+    let base = base.as_nanos().min(u128::from(u64::MAX)) as u64;
+    let max = max.as_nanos().min(u128::from(u64::MAX)) as u64;
     let cap = base
         .saturating_mul(1u64 << attempt.min(20))
         .min(max.max(base))
@@ -622,7 +628,7 @@ mod tests {
         let service = Service::with_corpus(Some(Corpus::open(
             std::env::temp_dir().join(format!("amulet_fleet_records_{}", std::process::id())),
         )));
-        service.submit(&quick_spec(4)).unwrap();
+        service.submit(0, &quick_spec(4)).unwrap();
         let lease = service.try_lease().expect("expected a lease");
         assert!(
             lease.spec.records,
@@ -657,7 +663,7 @@ mod tests {
         let delays = |seed: u64| -> Vec<Duration> {
             let mut rng = Xoshiro256::seed_from_u64(seed);
             (1..=10)
-                .map(|a| backoff_delay(&mut rng, &drive, a))
+                .map(|a| backoff_delay(&mut rng, drive.backoff_base, drive.backoff_max, a))
                 .collect()
         };
         assert_eq!(delays(1), delays(1), "same seed, same schedule");

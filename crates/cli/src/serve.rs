@@ -18,7 +18,8 @@
 //!
 //! No daemon loop polls. The accept loop blocks in `accept` (SIGTERM wakes
 //! it with a connection of its own), and each client handler blocks on one
-//! channel that carries both its client's frames and the service's events.
+//! channel that carries both its client's frames and the client's outbox:
+//! the `progress`, `result` and `draining` messages the service sends it.
 //!
 //! With `--state-dir DIR`, the daemon is crash-safe: a startup recovery
 //! pass (`StateDir::recover`) reloads the persisted result cache and
@@ -49,9 +50,7 @@ use crate::net::{parse_connect_list, TcpLink};
 use crate::wire::{pump_frames, write_msg, Frame};
 use crate::{Args, JsonSink, ShapeOptions, WorkerLink};
 use amulet_core::proto::{CampaignSpec, Msg, ResultMsg};
-use amulet_core::{
-    run_local_slot, Admission, Corpus, Service, ServiceEvent, StateDir, SubmitOutcome,
-};
+use amulet_core::{run_local_slot, Admission, Corpus, Service, StateDir, SubmitOutcome};
 use amulet_util::{events, JsonObj, Xoshiro256};
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
@@ -89,14 +88,9 @@ impl Default for SessionLimits {
     }
 }
 
-/// Distinct identity per client conversation — what the per-client
-/// admission quota counts. `u64::MAX` is the service's anonymous id, so
-/// the counter can never collide with it in practice.
-static CLIENT_SEQ: AtomicU64 = AtomicU64::new(0);
-
-impl From<ServiceEvent> for Frame<ServiceEvent> {
-    fn from(event: ServiceEvent) -> Self {
-        Frame::Event(event)
+impl From<Msg> for Frame<Msg> {
+    fn from(msg: Msg) -> Self {
+        Frame::Event(msg)
     }
 }
 
@@ -182,17 +176,21 @@ where
 }
 
 /// Serves one client conversation: reads protocol-v5 JSONL from `input`,
-/// writes `accepted`/`rejected`/`progress`/`result`/`draining` lines to
-/// `out`, and returns when the client disconnects and every campaign it
-/// owned has resolved — or earlier, when the hardening `limits` evict the
-/// session (strike ladder, idle reaping) or a service drain winds it
-/// down.
+/// answers each `submit` with `accepted` (plus `recovering` for a resumed
+/// campaign, or the `result` of a cache hit) or `rejected`, forwards the
+/// session's outbox — the `progress` and `result` of the client's own
+/// campaigns and every `draining` — to `out` as it arrives, and returns
+/// when the client disconnects and every campaign it owned has resolved —
+/// or earlier, when the hardening `limits` evict the session (strike
+/// ladder, idle reaping) or a service drain winds it down. A
+/// `cancel_campaign` reaches only the client's own campaigns.
 ///
-/// Campaigns still active when the conversation ends are cancelled — a
-/// result nobody will read is not worth worker time. On a *persistent*
-/// service that cancellation is the checkpoint-drain hand-off: the
-/// write-ahead journal file survives, so the client's resubmit against a
-/// restarted daemon resumes batch-granularly. Submit errors are answered
+/// Campaigns still active when the conversation ends are cancelled when
+/// the session disconnects from the service — a result nobody will read
+/// is not worth worker time. On a *persistent* service that cancellation
+/// is the checkpoint-drain hand-off: the write-ahead journal file
+/// survives, so the client's resubmit against a restarted daemon resumes
+/// batch-granularly. Submit errors are answered
 /// with an error `result` under campaign id `u64::MAX` (no id was ever
 /// assigned). Admission sheds are answered with `rejected`; sheds,
 /// evictions and every malformed, unexpected or oversized frame are
@@ -207,12 +205,11 @@ where
     R: BufRead + Send + 'static,
     W: Write,
 {
-    let client = CLIENT_SEQ.fetch_add(1, Ordering::Relaxed);
-    // Client frames and service events share one channel, so the session
-    // waits on one source. Subscribe before the first submit can possibly
-    // resolve, so no event for an owned campaign is ever missed.
+    // Client frames and the client's outbox share one channel, so the
+    // session waits on one source. The outbox is connected before the
+    // first submit, so no message for an owned campaign is ever missed.
     let (tx, frames) = channel();
-    service.subscribe(tx.clone());
+    let client = service.connect(tx.clone());
     let max_line = limits.max_line_bytes;
     std::thread::spawn(move || pump_frames(input, max_line, tx));
 
@@ -236,7 +233,7 @@ where
                 Ok(Frame::Line(line)) => {
                     last_frame = Instant::now();
                     match Msg::parse_line(&line) {
-                        Ok(Msg::Submit(spec)) => match service.submit_for(client, &spec) {
+                        Ok(Msg::Submit(spec)) => match service.submit(client, &spec) {
                             Ok(SubmitOutcome::Accepted {
                                 campaign,
                                 total_batches,
@@ -309,7 +306,7 @@ where
                         },
                         Ok(Msg::CancelCampaign { campaign }) => {
                             stats.cancelled += 1;
-                            service.cancel(campaign);
+                            service.cancel(client, campaign);
                         }
                         Ok(other) => {
                             stats.malformed += 1;
@@ -341,34 +338,19 @@ where
                 // A torn final line is end of input, not a strike.
                 Ok(Frame::End(_)) => open = false,
                 Ok(Frame::Failed(e)) => return Err(format!("client read failed: {e}")),
-                Ok(Frame::Event(ServiceEvent::Progress {
-                    campaign,
-                    done,
-                    total,
-                    cases,
-                })) if owned.contains(&campaign) => write_msg(
-                    &mut out,
-                    &Msg::Progress {
-                        campaign,
-                        done,
-                        total,
-                        cases,
-                    },
-                )?,
-                Ok(Frame::Event(ServiceEvent::Finished { campaign }))
-                    if owned.contains(&campaign) =>
-                {
-                    if let Some(result) = service.take_result(campaign) {
-                        stats.results += 1;
-                        owned.remove(&campaign);
-                        write_msg(&mut out, &Msg::CampaignResult(result))?;
+                // The outbox holds only this client's campaigns and the
+                // drain notice: forward each message as it is.
+                Ok(Frame::Event(msg)) => {
+                    match &msg {
+                        Msg::CampaignResult(result) => {
+                            stats.results += 1;
+                            owned.remove(&result.campaign);
+                        }
+                        Msg::Draining { .. } => saw_drain = true,
+                        _ => {}
                     }
+                    write_msg(&mut out, &msg)?;
                 }
-                Ok(Frame::Event(ServiceEvent::Draining { active })) => {
-                    saw_drain = true;
-                    write_msg(&mut out, &Msg::Draining { active })?;
-                }
-                Ok(Frame::Event(_)) => {}
                 Err(RecvTimeoutError::Timeout) => stats.evicted = Some("idle"),
                 // The service holds a sender while it lives.
                 Err(RecvTimeoutError::Disconnected) => return Ok(()),
@@ -385,7 +367,7 @@ where
                 return Ok(());
             }
             // Drain wind-down: a persistent service checkpoints — the
-            // cleanup below cancels owned campaigns, whose journal files
+            // disconnect below cancels owned campaigns, whose journal files
             // survive for the restarted daemon to resume. An in-memory
             // service finishes owned campaigns first (their results would
             // otherwise be lost with the process).
@@ -397,10 +379,7 @@ where
     })();
     // Whatever ended the conversation, never leave orphaned campaigns
     // burning worker time for a client that will not read the result.
-    for id in owned.drain() {
-        service.cancel(id);
-        let _ = service.take_result(id);
-    }
+    service.disconnect(client);
     result.map(|()| stats)
 }
 
@@ -722,12 +701,7 @@ const SHED_DELAY_CAP: Duration = Duration::from_secs(10);
 /// `[hint/2, hint]`.
 fn shed_delay(rng: &mut Xoshiro256, retry_after_ms: u64) -> Duration {
     let hint = Duration::from_millis(retry_after_ms.max(1)).min(SHED_DELAY_CAP);
-    let flat = DriveConfig {
-        backoff_base: hint,
-        backoff_max: hint,
-        ..DriveConfig::default()
-    };
-    backoff_delay(rng, &flat, 0)
+    backoff_delay(rng, hint, hint, 0)
 }
 
 /// `amulet submit`.
@@ -748,6 +722,7 @@ pub(crate) fn cmd_submit(mut args: Args) -> Result<(), String> {
     // Deterministic jitter, decorrelated across campaigns by the seed.
     let mut rng = Xoshiro256::seed_from_u64(spec.seed ^ 0x5355_424d_4954_5232);
     let deadline = Instant::now() + timeout;
+    let ladder = DriveConfig::default();
     let mut attempt = 0u64;
     loop {
         // A shed is transient — the server told us exactly when to come
@@ -772,7 +747,12 @@ pub(crate) fn cmd_submit(mut args: Args) -> Result<(), String> {
         let delay = match hint {
             Some(retry_after_ms) => shed_delay(&mut rng, retry_after_ms),
             // The fleet's reconnect ladder: cap doubles per attempt.
-            None => backoff_delay(&mut rng, &DriveConfig::default(), attempt as usize),
+            None => backoff_delay(
+                &mut rng,
+                ladder.backoff_base,
+                ladder.backoff_max,
+                attempt as usize,
+            ),
         };
         attempt += 1;
         events::stderr().emit("submit", "submit_retry", |o| {

@@ -15,7 +15,8 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 /// One unit on a frame channel: what [`pump_frames`] read, or — on a
-/// `serve` session's channel, which the service shares — an event `E`.
+/// `serve` session's channel, which is also the client's outbox — a
+/// message `E` from the service.
 pub(crate) enum Frame<E = Infallible> {
     /// A complete line within the size bound (trailing `\r` stripped).
     Line(String),
@@ -27,7 +28,7 @@ pub(crate) enum Frame<E = Infallible> {
     End(usize),
     /// The transport failed.
     Failed(String),
-    /// An event from the channel's other sender.
+    /// A message from the channel's other sender.
     Event(E),
 }
 

@@ -474,8 +474,9 @@ pub enum Msg {
         /// Campaigns still in flight at drain time.
         active: u64,
     },
-    /// Client → service: abandon a submitted campaign. Batches already
-    /// leased may still complete; no result report is produced.
+    /// Client → service: abandon a campaign this client submitted (any
+    /// other id is ignored). Batches already leased may still complete; no
+    /// result report is produced.
     CancelCampaign {
         /// The campaign id from [`Msg::Accepted`].
         campaign: u64,

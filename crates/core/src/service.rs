@@ -44,8 +44,17 @@
 //! forever — checked whenever a slot retires or refuses and at submit, but
 //! never before the first slot attaches.
 //!
-//! The service is transport-agnostic: `amulet serve` (the CLI) wires
-//! client sockets to [`Service::submit`]/[`Service::subscribe`] and worker
+//! # One outbox per client
+//!
+//! A client [connects](Service::connect) an outbox and gets its client id.
+//! Each campaign it [submits](Service::submit) reports `progress` and its
+//! terminal `result` as [`Msg`]s to that outbox alone; `draining` goes to
+//! every outbox. A client [cancels](Service::cancel) only its own
+//! campaigns, and [`Service::disconnect`] cancels whatever it still has in
+//! flight.
+//!
+//! The service is transport-agnostic: `amulet serve` (the CLI) wires each
+//! client socket to an outbox and [`Service::submit`], and worker
 //! loops to [`Service::wait_lease`]/[`Service::complete`]; `amulet drive`
 //! and [`Campaign::run_sharded`](crate::Campaign::run_sharded) run one
 //! campaign through [`Service::submit_config`]; the in-memory
@@ -80,33 +89,9 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// A progress notification broadcast to every [`Service::subscribe`]r.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServiceEvent {
-    /// One more batch of `campaign` completed.
-    Progress {
-        /// The campaign id.
-        campaign: u64,
-        /// Batches completed so far.
-        done: u64,
-        /// Batches in the plan.
-        total: u64,
-        /// Cumulative test cases executed.
-        cases: u64,
-    },
-    /// `campaign` reached its terminal state; its [`ResultMsg`] is ready
-    /// via [`Service::take_result`].
-    Finished {
-        /// The campaign id.
-        campaign: u64,
-    },
-    /// [`Service::drain`] was called: no new campaigns will be admitted.
-    /// Session handlers forward this to their clients and wind down.
-    Draining {
-        /// Campaigns (active + queued) still in flight at drain time.
-        active: u64,
-    },
-}
+/// A client's outbox ([`Service::connect`]): takes one message and says
+/// whether its receiver is still there.
+type Outbox = Box<dyn Fn(Msg) -> bool + Send>;
 
 /// Admission-control limits for [`Service::set_admission`]. `max_active`
 /// and `per_client` are "0 = unlimited" (the default is the fully open
@@ -136,8 +121,8 @@ pub struct Admission {
 /// What [`Service::submit`] decided.
 #[derive(Debug)]
 pub enum SubmitOutcome {
-    /// A new campaign was scheduled; progress events will stream and the
-    /// result arrives via [`ServiceEvent::Finished`].
+    /// A new campaign was scheduled; its `progress` and `result` messages
+    /// arrive in the submitting client's outbox.
     Accepted {
         /// The assigned campaign id.
         campaign: u64,
@@ -205,8 +190,9 @@ pub enum LeaseWait {
 /// One in-flight campaign.
 struct ActiveCampaign {
     id: u64,
-    /// The submitting client's identity (`u64::MAX` = anonymous) — what
-    /// the per-client in-flight quota counts.
+    /// The submitting client — the one outbox told of this campaign, and
+    /// what the per-client in-flight quota counts. `u64::MAX` for a
+    /// [`Service::submit_config`] campaign, which has no outbox.
     owner: u64,
     /// The spec `cfg` was resolved from (`None` for a hand-built config);
     /// its [`CampaignSpec::cache_key`] keys the result cache and journal.
@@ -334,8 +320,6 @@ struct Inner {
     admission: Admission,
     /// Set by [`Service::drain`]: stop admitting, wind down.
     draining: bool,
-    /// Terminal results awaiting [`Service::take_result`].
-    finished: HashMap<u64, ResultMsg>,
     /// Completed reports keyed by [`CampaignSpec::cache_key`].
     cache: HashMap<String, ResultMsg>,
     /// Open write-ahead journals keyed by campaign id.
@@ -346,8 +330,10 @@ struct Inner {
     /// A deterministic crash point armed for the next journal opened
     /// (tests only; consumed by [`Service::submit`]).
     armed_crash: Option<CrashPlan>,
-    /// One send per [`Service::subscribe`]r; `false` once its receiver is gone.
-    subscribers: Vec<Box<dyn Fn(ServiceEvent) -> bool + Send>>,
+    /// Client ids handed out so far.
+    next_client: u64,
+    /// Connected clients' outboxes, by client id.
+    outboxes: HashMap<u64, Outbox>,
     shutdown: bool,
     /// Slot ids handed out so far (0 = no slot ever attached).
     next_slot: u64,
@@ -428,10 +414,31 @@ impl Service {
         self.wake.notify_all();
     }
 
-    /// Submits a campaign anonymously — [`Service::submit_for`] with the
-    /// anonymous client identity (`u64::MAX`).
-    pub fn submit(&self, spec: &CampaignSpec) -> Result<SubmitOutcome, String> {
-        self.submit_for(u64::MAX, spec)
+    /// Registers a client's outbox and returns its client id: from now on
+    /// `tx` receives, converted to its message type, the `progress` and
+    /// `result` of every campaign the client submits, and every
+    /// `draining`. A session can thus wait on its input and its outbox as
+    /// one channel.
+    pub fn connect<T: From<Msg> + Send + 'static>(&self, tx: Sender<T>) -> u64 {
+        let mut inner = self.inner.lock().unwrap();
+        let client = inner.next_client;
+        inner.next_client += 1;
+        let outbox = move |msg: Msg| tx.send(msg.into()).is_ok();
+        inner.outboxes.insert(client, Box::new(outbox));
+        client
+    }
+
+    /// Ends a client's conversation: drops its outbox and cancels every
+    /// campaign it still has active or queued — a result nobody will read
+    /// is not worth worker time.
+    pub fn disconnect(&self, client: u64) {
+        self.inner.lock().unwrap().outboxes.remove(&client);
+        self.cancel_where(|c| c.owner == client);
+    }
+
+    /// Outboxes currently connected.
+    pub fn connected(&self) -> usize {
+        self.inner.lock().unwrap().outboxes.len()
     }
 
     /// Submits a campaign on behalf of `client`: a cache hit replays the
@@ -441,7 +448,7 @@ impl Service {
     /// rotation (or the admit queue). `Err` is reserved for malformed
     /// specs and hard shutdown; overload is the structured
     /// [`SubmitOutcome::Rejected`].
-    pub fn submit_for(&self, client: u64, spec: &CampaignSpec) -> Result<SubmitOutcome, String> {
+    pub fn submit(&self, client: u64, spec: &CampaignSpec) -> Result<SubmitOutcome, String> {
         let cfg = spec.resolve()?;
         let key = spec.cache_key();
         let batches = self.plan(&cfg, spec.batch_programs);
@@ -681,35 +688,45 @@ impl Service {
         }
     }
 
-    /// Cancels a campaign. Already-leased batches may still complete (their
-    /// fragments are discarded); the terminal [`ResultMsg`] has
-    /// `cancelled: true` and no report, and the cache is not populated.
-    /// Unknown or already-finished ids are a no-op. A queued campaign
-    /// resolves immediately — it holds no leases by construction.
-    pub fn cancel(&self, campaign: u64) {
+    /// Cancels `client`'s campaign `campaign`. Already-leased batches may
+    /// still complete (their fragments are discarded); the terminal
+    /// [`ResultMsg`] has `cancelled: true` and no report, and the cache is
+    /// not populated. An unknown, finished or other client's campaign is a
+    /// no-op.
+    pub fn cancel(&self, client: u64, campaign: u64) {
+        self.cancel_where(|c| c.owner == client && c.id == campaign);
+    }
+
+    /// Cancels every active or queued campaign `hit` selects. A queued one
+    /// resolves at once (it holds no leases by construction), an active one
+    /// once its outstanding leases settle.
+    fn cancel_where(&self, hit: impl Fn(&ActiveCampaign) -> bool) {
         let mut inner = self.inner.lock().unwrap();
-        if let Some(pos) = inner.queued.iter().position(|c| c.id == campaign) {
-            let camp = inner.queued.remove(pos).expect("position came from iter");
+        let (gone, kept) = inner.queued.drain(..).partition(|c| hit(c));
+        inner.queued = kept;
+        for camp in gone {
             Self::finish_cancelled(&mut inner, camp);
-            drop(inner);
-            self.wake.notify_all();
-            return;
         }
-        let Some(pos) = inner.active.iter().position(|c| c.id == campaign) else {
-            return;
-        };
-        inner.active[pos].cancelled = true;
-        if inner.active[pos].outstanding == 0 {
-            let camp = Self::deactivate(&mut inner, pos);
-            Self::finish_cancelled(&mut inner, camp);
+        let mut pos = 0;
+        while pos < inner.active.len() {
+            let camp = &mut inner.active[pos];
+            if hit(camp) {
+                camp.cancelled = true;
+                if camp.outstanding == 0 {
+                    let camp = Self::deactivate(&mut inner, pos);
+                    Self::finish_cancelled(&mut inner, camp);
+                    continue;
+                }
+            }
+            pos += 1;
         }
         drop(inner);
         self.wake.notify_all();
     }
 
     /// Enters the drain state: no new campaigns are admitted (submits shed
-    /// with a `draining` reason), every subscriber hears
-    /// [`ServiceEvent::Draining`], and — on a persistent service — lease
+    /// with a `draining` reason), every outbox receives
+    /// [`Msg::Draining`], and — on a persistent service — lease
     /// waiters see [`LeaseWait::Shutdown`] so in-flight campaigns stop at
     /// their journaled checkpoint instead of running to completion.
     /// Returns the campaigns (active + queued) still in flight; idempotent
@@ -719,7 +736,8 @@ impl Service {
         let in_flight = (inner.active.len() + inner.queued.len()) as u64;
         if !inner.draining {
             inner.draining = true;
-            Self::broadcast(&mut inner, ServiceEvent::Draining { active: in_flight });
+            let draining = Msg::Draining { active: in_flight };
+            inner.outboxes.retain(|_, outbox| outbox(draining.clone()));
         }
         drop(inner);
         self.wake.notify_all();
@@ -737,12 +755,6 @@ impl Service {
     /// completion, results would otherwise be lost).
     pub fn persistent(&self) -> bool {
         self.state.is_some()
-    }
-
-    /// Terminal results not yet collected by [`Service::take_result`] —
-    /// the overload tests pin this at zero to bound eviction memory.
-    pub fn pending_results(&self) -> usize {
-        self.inner.lock().unwrap().finished.len()
     }
 
     /// Blocks attached slot `slot` until the scheduler has something for
@@ -962,7 +974,8 @@ impl Service {
         }
         camp.cases_done += fragment.stats.cases as u64;
         camp.fragments.push(fragment);
-        let event = ServiceEvent::Progress {
+        let owner = camp.owner;
+        let progress = Msg::Progress {
             campaign: camp.id,
             done: camp.fragments.len() as u64,
             total: camp.total_batches as u64,
@@ -970,7 +983,7 @@ impl Service {
         };
         let finished =
             (tee_error.is_some() || camp.drained()).then(|| Self::deactivate(&mut inner, pos));
-        Self::broadcast(&mut inner, event);
+        Self::tell(&mut inner, owner, progress);
         drop(inner);
         self.wake.notify_all();
         if let Some(camp) = finished {
@@ -980,9 +993,10 @@ impl Service {
 
     /// Reduces a drained campaign to its terminal result — or fails it with
     /// `failure` — fills the cache (writing through to the state dir, then
-    /// retiring the journal), appends to the corpus, and announces
-    /// [`ServiceEvent::Finished`]. A [`Service::submit_config`] campaign
-    /// instead receives its report (or error) on its own channel.
+    /// retiring the journal), appends to the corpus, and only then sends the
+    /// result to its owner's outbox, so a resubmit that follows it hits the
+    /// cache. A [`Service::submit_config`] campaign instead receives its
+    /// report (or error) on its own channel.
     fn finalize(&self, camp: ActiveCampaign, failure: Option<String>) {
         let (hit, key) = (camp.hit, camp.key());
         let outcome = match failure {
@@ -1037,8 +1051,7 @@ impl Service {
             }
             inner.cache.insert(key, result.clone());
         }
-        inner.finished.insert(camp.id, result);
-        Self::broadcast(&mut inner, ServiceEvent::Finished { campaign: camp.id });
+        Self::tell(&mut inner, camp.owner, Msg::CampaignResult(result));
         drop(inner);
         self.wake.notify_all();
     }
@@ -1065,35 +1078,27 @@ impl Service {
         if camp.journaled {
             inner.journaled_keys.remove(&camp.key());
         }
-        inner.finished.insert(
-            camp.id,
-            ResultMsg {
-                campaign: camp.id,
-                cached: false,
-                cancelled: true,
-                executed_batches: camp.executed,
-                report: None,
-                error: None,
-            },
-        );
-        Self::broadcast(inner, ServiceEvent::Finished { campaign: camp.id });
+        let cancelled = ResultMsg {
+            campaign: camp.id,
+            cached: false,
+            cancelled: true,
+            executed_batches: camp.executed,
+            report: None,
+            error: None,
+        };
+        Self::tell(inner, camp.owner, Msg::CampaignResult(cancelled));
     }
 
-    fn broadcast(inner: &mut Inner, event: ServiceEvent) {
-        inner.subscribers.retain(|send| send(event.clone()));
-    }
-
-    /// Sends every future [`ServiceEvent`] into the caller's `tx`, converted
-    /// to its message type, so a session can wait on its input and the
-    /// service's events as one channel. A dropped receiver is pruned.
-    pub fn subscribe<T: From<ServiceEvent> + Send + 'static>(&self, tx: Sender<T>) {
-        let send = move |event: ServiceEvent| tx.send(event.into()).is_ok();
-        self.inner.lock().unwrap().subscribers.push(Box::new(send));
-    }
-
-    /// Removes and returns a finished campaign's terminal result.
-    pub fn take_result(&self, campaign: u64) -> Option<ResultMsg> {
-        self.inner.lock().unwrap().finished.remove(&campaign)
+    /// Sends `msg` to `client`'s outbox, if it is connected; an outbox
+    /// whose receiver is gone is dropped.
+    fn tell(inner: &mut Inner, client: u64, msg: Msg) {
+        if inner
+            .outboxes
+            .get(&client)
+            .is_some_and(|outbox| !outbox(msg))
+        {
+            inner.outboxes.remove(&client);
+        }
     }
 
     /// Begins shutdown: no new submits; every [`Service::wait_lease`]
@@ -1210,16 +1215,33 @@ mod tests {
         }
     }
 
+    /// A connected client and its outbox.
+    fn client(service: &Service) -> (u64, Receiver<Msg>) {
+        let (tx, outbox) = channel();
+        (service.connect(tx), outbox)
+    }
+
+    /// The first terminal result waiting in `outbox`, if any.
+    fn result(outbox: &Receiver<Msg>) -> Option<ResultMsg> {
+        outbox.try_iter().find_map(|msg| match msg {
+            Msg::CampaignResult(result) => Some(result),
+            _ => None,
+        })
+    }
+
     /// With no workers attached, leases are observable one at a time — the
     /// round-robin must alternate strictly between two active campaigns.
     #[test]
     fn fair_share_alternates_between_active_campaigns() {
         let service = Service::new();
-        let SubmitOutcome::Accepted { campaign: a, .. } = service.submit(&quick_spec(1)).unwrap()
+        let (c, _outbox) = client(&service);
+        let SubmitOutcome::Accepted { campaign: a, .. } =
+            service.submit(c, &quick_spec(1)).unwrap()
         else {
             panic!("fresh submit must not hit the cache")
         };
-        let SubmitOutcome::Accepted { campaign: b, .. } = service.submit(&quick_spec(2)).unwrap()
+        let SubmitOutcome::Accepted { campaign: b, .. } =
+            service.submit(c, &quick_spec(2)).unwrap()
         else {
             panic!("fresh submit must not hit the cache")
         };
@@ -1232,17 +1254,18 @@ mod tests {
     #[test]
     fn cancel_without_workers_resolves_and_does_not_cache() {
         let service = Service::new();
-        let SubmitOutcome::Accepted { campaign, .. } = service.submit(&quick_spec(7)).unwrap()
+        let (c, outbox) = client(&service);
+        let SubmitOutcome::Accepted { campaign, .. } = service.submit(c, &quick_spec(7)).unwrap()
         else {
             panic!("fresh submit must not hit the cache")
         };
-        service.cancel(campaign);
-        let result = service.take_result(campaign).expect("cancel is terminal");
+        service.cancel(c, campaign);
+        let result = result(&outbox).expect("cancel is terminal");
         assert!(result.cancelled);
         assert_eq!(result.executed_batches, 0);
         assert!(result.report.is_none());
         assert!(matches!(
-            service.submit(&quick_spec(7)).unwrap(),
+            service.submit(c, &quick_spec(7)).unwrap(),
             SubmitOutcome::Accepted { .. }
         ));
     }
@@ -1252,15 +1275,19 @@ mod tests {
     #[test]
     fn bad_specs_error_and_shutdown_drains_waiters() {
         let service = Service::new();
+        let (c, _outbox) = client(&service);
         let err = service
-            .submit(&CampaignSpec {
-                defense: "Nope".into(),
-                ..quick_spec(1)
-            })
+            .submit(
+                c,
+                &CampaignSpec {
+                    defense: "Nope".into(),
+                    ..quick_spec(1)
+                },
+            )
             .unwrap_err();
         assert!(err.contains("unknown defense"), "{err}");
         service.shutdown();
-        assert!(service.submit(&quick_spec(1)).is_err());
+        assert!(service.submit(c, &quick_spec(1)).is_err());
         assert!(matches!(
             service.wait_lease(service.attach_slot()),
             LeaseWait::Shutdown
@@ -1278,19 +1305,22 @@ mod tests {
             max_queue: 1,
             per_client: 0,
         });
-        let SubmitOutcome::Accepted { campaign: a, .. } = service.submit(&quick_spec(10)).unwrap()
+        let (c, outbox) = client(&service);
+        let SubmitOutcome::Accepted { campaign: a, .. } =
+            service.submit(c, &quick_spec(10)).unwrap()
         else {
             panic!("first submit must activate")
         };
-        let SubmitOutcome::Accepted { campaign: b, .. } = service.submit(&quick_spec(11)).unwrap()
+        let SubmitOutcome::Accepted { campaign: b, .. } =
+            service.submit(c, &quick_spec(11)).unwrap()
         else {
             panic!("second submit must queue")
         };
-        assert!(service.take_result(b).is_none(), "queued campaigns wait");
+        assert!(result(&outbox).is_none(), "queued campaigns wait");
         let SubmitOutcome::Rejected {
             reason,
             retry_after_ms,
-        } = service.submit(&quick_spec(12)).unwrap()
+        } = service.submit(c, &quick_spec(12)).unwrap()
         else {
             panic!("third submit must shed")
         };
@@ -1304,7 +1334,7 @@ mod tests {
             held.push(lease);
         }
         // A cancelled campaign holds its slot until its leases settle.
-        service.cancel(a);
+        service.cancel(c, a);
         for lease in held {
             service.release(lease);
         }
@@ -1322,26 +1352,27 @@ mod tests {
             max_queue: 0,
             per_client: 1,
         });
+        let ((greedy, outbox), (other, _other_outbox)) = (client(&service), client(&service));
         let SubmitOutcome::Accepted { campaign, .. } =
-            service.submit_for(7, &quick_spec(20)).unwrap()
+            service.submit(greedy, &quick_spec(20)).unwrap()
         else {
             panic!("first submit must activate")
         };
         let SubmitOutcome::Rejected { reason, .. } =
-            service.submit_for(7, &quick_spec(21)).unwrap()
+            service.submit(greedy, &quick_spec(21)).unwrap()
         else {
             panic!("over-quota submit must shed")
         };
         assert!(reason.contains("quota"), "{reason}");
         assert!(matches!(
-            service.submit_for(8, &quick_spec(21)).unwrap(),
+            service.submit(other, &quick_spec(21)).unwrap(),
             SubmitOutcome::Accepted { .. }
         ));
-        service.cancel(campaign);
-        let result = service.take_result(campaign).expect("cancel is terminal");
+        service.cancel(greedy, campaign);
+        let result = result(&outbox).expect("cancel is terminal");
         assert!(result.cancelled);
         assert!(matches!(
-            service.submit_for(7, &quick_spec(22)).unwrap(),
+            service.submit(greedy, &quick_spec(22)).unwrap(),
             SubmitOutcome::Accepted { .. }
         ));
     }
@@ -1352,9 +1383,8 @@ mod tests {
     #[test]
     fn drain_sheds_submits_but_finish_drain_keeps_leasing() {
         let service = Service::new();
-        let (tx, events) = channel::<ServiceEvent>();
-        service.subscribe(tx);
-        let SubmitOutcome::Accepted { campaign, .. } = service.submit(&quick_spec(30)).unwrap()
+        let (c, outbox) = client(&service);
+        let SubmitOutcome::Accepted { campaign, .. } = service.submit(c, &quick_spec(30)).unwrap()
         else {
             panic!("fresh submit must not hit the cache")
         };
@@ -1362,14 +1392,14 @@ mod tests {
         assert!(service.is_draining());
         assert_eq!(service.drain(), 1, "drain is idempotent");
         assert_eq!(
-            events.recv_timeout(Duration::from_secs(5)).unwrap(),
-            ServiceEvent::Draining { active: 1 },
-            "drain must announce to subscribers"
+            outbox.recv_timeout(Duration::from_secs(5)).unwrap(),
+            Msg::Draining { active: 1 },
+            "drain must announce to every outbox"
         );
         let SubmitOutcome::Rejected {
             reason,
             retry_after_ms,
-        } = service.submit(&quick_spec(31)).unwrap()
+        } = service.submit(c, &quick_spec(31)).unwrap()
         else {
             panic!("submit during drain must shed")
         };
@@ -1388,39 +1418,38 @@ mod tests {
     /// once every slot retired — as does any later submit.
     #[test]
     fn degradation_floor_fails_campaigns_no_live_slot_will_serve() {
-        let accept = |service: &Service, seed| match service.submit(&quick_spec(seed)).unwrap() {
+        let service = Service::new();
+        let (c, outbox) = client(&service);
+        let accept = |seed| match service.submit(c, &quick_spec(seed)).unwrap() {
             SubmitOutcome::Accepted { campaign, .. } => campaign,
             other => panic!("fresh submit must be accepted, got {other:?}"),
         };
-        let service = Service::new();
-        let refused = accept(&service, 40);
-        assert!(
-            service.take_result(refused).is_none(),
-            "no slot yet: the campaign waits"
-        );
+        let refused = accept(40);
+        assert!(result(&outbox).is_none(), "no slot yet: the campaign waits");
         let slot = service.attach_slot();
         let LeaseWait::Lease(lease) = service.wait_lease(slot) else {
             panic!("expected a lease")
         };
         service.refuse(slot, *lease, "config mismatch".into());
-        let result = service
-            .take_result(refused)
-            .expect("every live slot refused");
-        assert_eq!(result.error.as_deref(), Some("config mismatch"));
+        let failed = result(&outbox).expect("every live slot refused");
+        assert_eq!(failed.campaign, refused);
+        assert_eq!(failed.error.as_deref(), Some("config mismatch"));
         assert!(
             matches!(service.wait_lease(slot), LeaseWait::Ended(c) if c == refused),
             "the refusing slot hears the failed campaign's end"
         );
 
-        let stranded = accept(&service, 41);
+        let stranded = accept(41);
         let LeaseWait::Lease(lease) = service.wait_lease(slot) else {
             panic!("a refusal covers one campaign, not the slot")
         };
         assert_eq!(lease.campaign, stranded);
         service.release(*lease);
         service.retire_slot(slot);
-        for campaign in [stranded, accept(&service, 42)] {
-            let error = service.take_result(campaign).and_then(|r| r.error);
+        for campaign in [stranded, accept(42)] {
+            let failed = result(&outbox).expect("a stranded campaign fails");
+            assert_eq!(failed.campaign, campaign);
+            let error = failed.error;
             assert!(
                 error
                     .as_deref()
@@ -1469,14 +1498,17 @@ mod tests {
         };
 
         let plain = boot(None);
-        let SubmitOutcome::Accepted { recovered, .. } = plain.submit(&spec).unwrap() else {
+        let (c, _outbox) = client(&plain);
+        let SubmitOutcome::Accepted { recovered, .. } = plain.submit(c, &spec).unwrap() else {
             panic!("a journaled campaign resumes")
         };
         assert_eq!(recovered, 2, "without a corpus both fragments replay");
 
         let corpus = Corpus::open(dir.join("corpus.jsonl"));
         let with_corpus = boot(Some(corpus));
-        let SubmitOutcome::Accepted { recovered, .. } = with_corpus.submit(&spec).unwrap() else {
+        let (c, _outbox) = client(&with_corpus);
+        let SubmitOutcome::Accepted { recovered, .. } = with_corpus.submit(c, &spec).unwrap()
+        else {
             panic!("a journaled campaign resumes")
         };
         assert_eq!(recovered, 1, "only the clean fragment replays");
@@ -1608,15 +1640,16 @@ mod tests {
             other => panic!("expected a campaign end, got {other:?}"),
         };
 
+        let (c, _outbox) = client(&service);
         let SubmitOutcome::Accepted {
             campaign: cancelled,
             ..
-        } = service.submit(&quick_spec(60)).unwrap()
+        } = service.submit(c, &quick_spec(60)).unwrap()
         else {
             panic!("fresh submit must not hit the cache")
         };
         let held = lease_for(slot);
-        service.cancel(cancelled);
+        service.cancel(c, cancelled);
         service.release(*held);
         assert_eq!(
             ended(slot),
@@ -1639,7 +1672,7 @@ mod tests {
         assert_eq!(ended(slot), finished, "a drained campaign ends");
 
         let SubmitOutcome::Accepted { campaign: next, .. } =
-            service.submit(&quick_spec(61)).unwrap()
+            service.submit(c, &quick_spec(61)).unwrap()
         else {
             panic!("fresh submit must not hit the cache")
         };
@@ -1655,7 +1688,8 @@ mod tests {
     #[test]
     fn released_leases_are_reissued_first() {
         let service = Service::new();
-        let SubmitOutcome::Accepted { campaign, .. } = service.submit(&quick_spec(3)).unwrap()
+        let (c, _outbox) = client(&service);
+        let SubmitOutcome::Accepted { campaign, .. } = service.submit(c, &quick_spec(3)).unwrap()
         else {
             panic!("fresh submit must not hit the cache")
         };
@@ -1667,6 +1701,76 @@ mod tests {
         assert_eq!(
             again.spec.index, first_index,
             "orphan must be re-leased first"
+        );
+    }
+
+    /// A campaign's progress and result reach only the outbox of the client
+    /// that submitted it, and another client's cancel of it is a no-op.
+    #[test]
+    fn a_campaign_is_told_only_to_its_own_client() {
+        let service = Service::new();
+        let ((owner, outbox), (other, bystander)) = (client(&service), client(&service));
+        let SubmitOutcome::Accepted {
+            campaign,
+            total_batches,
+            ..
+        } = service.submit(owner, &quick_spec(70)).unwrap()
+        else {
+            panic!("fresh submit must not hit the cache")
+        };
+        service.cancel(other, campaign);
+        while let Some(lease) = service.try_lease() {
+            let frag = fragment(&lease, false);
+            service.complete(lease, frag);
+        }
+        let told: Vec<Msg> = outbox.try_iter().collect();
+        assert_eq!(
+            told.len() as u64,
+            total_batches + 1,
+            "one progress per batch, then the result"
+        );
+        let Some(Msg::CampaignResult(result)) = told.last() else {
+            panic!("the result comes last, got {:?}", told.last())
+        };
+        assert!(!result.cancelled, "another client's cancel is a no-op");
+        assert!(result.report.is_some(), "{:?}", result.error);
+        assert_eq!(
+            bystander.try_iter().count(),
+            0,
+            "another client's outbox hears nothing of the campaign"
+        );
+    }
+
+    /// Disconnecting drops the client's outbox and cancels its active and
+    /// queued campaigns, and no other client's.
+    #[test]
+    fn disconnect_cancels_only_the_clients_campaigns() {
+        let service = Service::new();
+        service.set_admission(Admission {
+            max_active: 1,
+            max_queue: 2,
+            per_client: 0,
+        });
+        let ((gone, _gone_outbox), (stays, outbox)) = (client(&service), client(&service));
+        let accept = |client, seed| match service.submit(client, &quick_spec(seed)).unwrap() {
+            SubmitOutcome::Accepted { campaign, .. } => campaign,
+            other => panic!("fresh submit must be accepted, got {other:?}"),
+        };
+        accept(gone, 80);
+        accept(gone, 81);
+        let waiting = accept(stays, 82);
+        let held = lease(&service);
+        service.disconnect(gone);
+        assert_eq!(service.connected(), 1, "the outbox is dropped");
+        service.release(held);
+        assert_eq!(
+            lease(&service).campaign,
+            waiting,
+            "the active campaign ends once its lease settles, and the queued one is gone"
+        );
+        assert!(
+            result(&outbox).is_none(),
+            "the other client's campaign runs on"
         );
     }
 }

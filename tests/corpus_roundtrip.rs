@@ -3,7 +3,7 @@
 //! input digests and violation digests they were written with — the
 //! "daemon restart loses nothing" half of the `amulet serve` contract.
 
-use amulet::fuzz::proto::CampaignSpec;
+use amulet::fuzz::proto::{CampaignSpec, Msg};
 use amulet::fuzz::{run_batch, Corpus, CorpusRecord, Service, SubmitOutcome, UnitRuntime};
 use amulet::isa::parse_program;
 use std::path::PathBuf;
@@ -23,7 +23,9 @@ fn quick_records(seed: u64) -> Vec<CorpusRecord> {
         batch_programs: 3,
         cycle_skip: true,
     };
-    let SubmitOutcome::Accepted { campaign, .. } = service.submit(&spec).unwrap() else {
+    let (tx, outbox) = std::sync::mpsc::channel();
+    let client = service.connect(tx);
+    let SubmitOutcome::Accepted { .. } = service.submit(client, &spec).unwrap() else {
         panic!("a fresh service must accept the campaign")
     };
     let mut rt = UnitRuntime::new();
@@ -31,7 +33,13 @@ fn quick_records(seed: u64) -> Vec<CorpusRecord> {
         let fragment = run_batch(&lease.cfg, &lease.spec, lease.anchor, &mut rt);
         service.complete(lease, fragment);
     }
-    let result = service.take_result(campaign).expect("campaign finished");
+    let result = outbox
+        .try_iter()
+        .find_map(|msg| match msg {
+            Msg::CampaignResult(result) => Some(result),
+            _ => None,
+        })
+        .expect("campaign finished");
     let report = result.report.expect("campaign succeeded");
     assert!(
         !report.digests.is_empty(),

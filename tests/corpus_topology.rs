@@ -8,15 +8,15 @@
 //! Every failure names the topology, seed and batch size (the repro) and
 //! the first line where the corpus differs.
 
-use amulet::fuzz::proto::{CampaignSpec, FragmentReport, Msg};
+use amulet::fuzz::proto::{CampaignSpec, FragmentReport, Msg, ResultMsg};
 use amulet::fuzz::{
-    run_batch, Corpus, CrashPlan, Fragment, Service, ServiceEvent, StateDir, SubmitOutcome,
-    UnitRuntime,
+    run_batch, Corpus, CrashPlan, Fragment, Service, StateDir, SubmitOutcome, UnitRuntime,
 };
 use amulet_cli::ServiceHost;
 use std::io::BufReader;
 use std::net::TcpListener;
 use std::path::PathBuf;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -82,24 +82,31 @@ fn assert_reference(topology: &str, path: &PathBuf) {
     );
 }
 
-/// Submits the campaign and waits for its result; the corpus append
-/// happens before the `Finished` event.
-fn run_to_result(service: &Service) {
-    let (tx, events) = std::sync::mpsc::channel();
-    service.subscribe(tx);
-    let SubmitOutcome::Accepted { campaign, .. } = service.submit(&spec()).unwrap() else {
-        panic!("a fresh service must accept the campaign")
-    };
+/// A client of `service`: its id and its outbox.
+fn connect(service: &Service) -> (u64, Receiver<Msg>) {
+    let (tx, outbox) = channel();
+    (service.connect(tx), outbox)
+}
+
+/// The next campaign result in `outbox`, skipping progress.
+fn await_result(outbox: &Receiver<Msg>) -> ResultMsg {
     loop {
-        match events.recv_timeout(Duration::from_secs(120)) {
-            Ok(ServiceEvent::Finished { campaign: c }) if c == campaign => break,
+        match outbox.recv_timeout(Duration::from_secs(120)) {
+            Ok(Msg::CampaignResult(result)) => return result,
             Ok(_) => {}
-            Err(e) => panic!("campaign {campaign} never finished: {e}"),
+            Err(e) => panic!("campaign never finished: {e}"),
         }
     }
-    let result = service
-        .take_result(campaign)
-        .expect("finished campaigns have a result");
+}
+
+/// Submits the campaign and waits for its result; the corpus append
+/// happens before the result reaches the outbox.
+fn run_to_result(service: &Service) {
+    let (client, outbox) = connect(service);
+    let SubmitOutcome::Accepted { .. } = service.submit(client, &spec()).unwrap() else {
+        panic!("a fresh service must accept the campaign")
+    };
+    let result = await_result(&outbox);
     assert!(
         result.report.is_some(),
         "campaign failed: {:?}",
@@ -181,7 +188,7 @@ fn a_crashed_and_resumed_daemon_writes_the_reference_corpus() {
     let first = boot();
     first.arm_crash_plan(CrashPlan::torn(3, 17));
     assert!(matches!(
-        first.submit(&spec()).unwrap(),
+        first.submit(connect(&first).0, &spec()).unwrap(),
         SubmitOutcome::Accepted { .. }
     ));
     drive(&first, 4, |f| f);
@@ -192,19 +199,18 @@ fn a_crashed_and_resumed_daemon_writes_the_reference_corpus() {
     );
 
     let second = boot();
+    let (client, outbox) = connect(&second);
     let SubmitOutcome::Accepted {
-        campaign,
         total_batches,
         recovered,
-    } = second.submit(&spec()).unwrap()
+        ..
+    } = second.submit(client, &spec()).unwrap()
     else {
         panic!("a journaled campaign resumes, it is not cached")
     };
     assert_eq!(recovered, 3, "the three journaled batches are replayed");
     drive(&second, total_batches as usize, |f| f);
-    let result = second
-        .take_result(campaign)
-        .expect("resumed campaign finished");
+    let result = await_result(&outbox);
     assert!(result.report.is_some(), "{:?}", result.error);
     assert_reference("crash_resume", &path);
     let _ = std::fs::remove_file(&path);
@@ -218,11 +224,8 @@ fn a_crashed_and_resumed_daemon_writes_the_reference_corpus() {
 fn fragments_that_cross_the_wire_write_the_reference_corpus() {
     let path = temp_path("wire");
     let service = Service::with_corpus(Some(Corpus::open(&path)));
-    let SubmitOutcome::Accepted {
-        campaign,
-        total_batches,
-        ..
-    } = service.submit(&spec()).unwrap()
+    let (client, outbox) = connect(&service);
+    let SubmitOutcome::Accepted { total_batches, .. } = service.submit(client, &spec()).unwrap()
     else {
         panic!("a fresh service must accept the campaign")
     };
@@ -236,7 +239,7 @@ fn fragments_that_cross_the_wire_write_the_reference_corpus() {
         };
         parsed.into_fragment()
     });
-    let result = service.take_result(campaign).expect("campaign finished");
+    let result = await_result(&outbox);
     assert!(result.report.is_some(), "{:?}", result.error);
     assert_reference("wire_even_batches", &path);
     let _ = std::fs::remove_file(&path);

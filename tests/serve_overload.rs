@@ -155,6 +155,11 @@ fn strike_ladder_evicts_hostile_sessions_without_disturbing_honest_clients() {
     assert_eq!(stats.evicted, Some("strikes"));
     assert_eq!(stats.malformed, 3, "each rung of the ladder is one strike");
     assert_eq!(stats.submitted, 0);
+    assert_eq!(
+        service.connected(),
+        1,
+        "an evicted session must leave no outbox connected: only the honest one is"
+    );
 
     let result = await_result(&honest);
     assert_eq!(result.error, None);
@@ -162,11 +167,6 @@ fn strike_ladder_evicts_hostile_sessions_without_disturbing_honest_clients() {
     assert_eq!(fingerprint(&result), solo_fingerprint(501));
     drop(honest);
     host.shutdown();
-    assert_eq!(
-        service.pending_results(),
-        0,
-        "evicted sessions must not leave results pinned in memory"
-    );
 }
 
 /// A slow writer that drips partial-frame bytes but never completes a

@@ -206,6 +206,38 @@ fn cancelled_campaigns_resolve_and_resubmission_recomputes_fresh() {
     host.shutdown();
 }
 
+/// A client cannot cancel another client's campaign: campaign ids are
+/// sequential, so a `cancel_campaign` with someone else's id must be a
+/// no-op, as one with an unknown id is. B's bad submit is answered only
+/// after B's cancel was handled, so the cancel lands before any worker.
+#[test]
+fn a_client_cannot_cancel_another_clients_campaign() {
+    let service = Arc::new(Service::new());
+    let mut host = ServiceHost::start(service.clone(), 0, &[]);
+    let (owner, other) = (spawn_serve_client(&service), spawn_serve_client(&service));
+
+    owner.send(&Msg::Submit(spec(44)));
+    let id = expect_accepted(&owner, false);
+    other.send(&Msg::CancelCampaign { campaign: id });
+    let mut bad = spec(1);
+    bad.defense = "NoSuchDefense".into();
+    other.send(&Msg::Submit(bad));
+    let (_, refused) = await_result(&other);
+    assert!(refused.error.is_some(), "the bad submit is answered");
+
+    host.add_local_workers(2);
+    let (_, result) = await_result(&owner);
+    assert!(
+        !result.cancelled,
+        "another client's cancel must not reach it"
+    );
+    assert_eq!(result.executed_batches, BATCHES);
+    let report = result.report.expect("the campaign completes");
+    assert_eq!(report.fingerprint(), solo_fingerprint(44));
+    drop((owner, other));
+    host.shutdown();
+}
+
 #[test]
 fn bad_submissions_are_answered_with_errors_not_silence() {
     let service = Arc::new(Service::new());

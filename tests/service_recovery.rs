@@ -18,7 +18,7 @@
 
 mod common;
 
-use amulet::fuzz::proto::{CampaignSpec, Msg};
+use amulet::fuzz::proto::{CampaignSpec, Msg, ResultMsg};
 use amulet::fuzz::{
     run_batch, Campaign, CrashPlan, Service, ShardConfig, StateDir, SubmitOutcome, UnitRuntime,
 };
@@ -26,6 +26,7 @@ use amulet::util::Xoshiro256;
 use common::spawn_serve_client;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -88,6 +89,25 @@ fn drive(service: &Service, max: usize) -> usize {
     done
 }
 
+/// Submits `spec` as a newly connected client of `service`; the client's
+/// outbox comes back beside the outcome.
+fn submit(service: &Service, spec: &CampaignSpec) -> (SubmitOutcome, Receiver<Msg>) {
+    let (tx, outbox) = channel();
+    let client = service.connect(tx);
+    (service.submit(client, spec).unwrap(), outbox)
+}
+
+/// The terminal result of a campaign already driven to its end.
+fn result_in(outbox: &Receiver<Msg>) -> ResultMsg {
+    outbox
+        .try_iter()
+        .find_map(|msg| match msg {
+            Msg::CampaignResult(result) => Some(result),
+            _ => None,
+        })
+        .expect("campaign must finalize")
+}
+
 fn accepted(outcome: SubmitOutcome) -> (u64, u64, u64) {
     match outcome {
         SubmitOutcome::Accepted {
@@ -114,7 +134,7 @@ fn crash_point_matrix_resumes_fingerprint_identical() {
         // First daemon: K batches land in the journal, then the "crash" —
         // the service is dropped with the campaign still active.
         let first = boot(&state);
-        let (_, total, recovered) = accepted(first.submit(&spec).unwrap());
+        let (_, total, recovered) = accepted(submit(&first, &spec).0);
         let total = total as usize;
         assert_eq!(recovered, 0, "fresh dir has nothing to recover");
         assert!(k < total, "crash point {k} must interrupt, not complete");
@@ -123,10 +143,11 @@ fn crash_point_matrix_resumes_fingerprint_identical() {
 
         // Restarted daemon: the resubmit resumes the journaled prefix.
         let second = boot(&state);
-        let (id, _, recovered) = accepted(second.submit(&spec).unwrap());
+        let (outcome, outbox) = submit(&second, &spec);
+        let (_, _, recovered) = accepted(outcome);
         assert_eq!(recovered as usize, k, "exactly the journaled prefix");
         assert_eq!(drive(&second, total), total - k, "only the missing run");
-        let result = second.take_result(id).expect("campaign must finalize");
+        let result = result_in(&outbox);
         assert_eq!(
             result.executed_batches,
             (total - k) as u64,
@@ -164,7 +185,7 @@ fn torn_append_crash_points_resume_exactly() {
 
         let first = boot(&state);
         first.arm_crash_plan(CrashPlan::torn(k, torn_bytes));
-        let (_, total, _) = accepted(first.submit(&spec).unwrap());
+        let (_, total, _) = accepted(submit(&first, &spec).0);
         let total = total as usize;
         // Drive K+1: appends 0..K succeed, the (K+1)th tears the journal.
         // The campaign itself survives (persistence failures degrade to
@@ -174,13 +195,14 @@ fn torn_append_crash_points_resume_exactly() {
         drop(first);
 
         let second = boot(&state);
-        let (id, _, recovered) = accepted(second.submit(&spec).unwrap());
+        let (outcome, outbox) = submit(&second, &spec);
+        let (_, _, recovered) = accepted(outcome);
         assert_eq!(
             recovered as usize, k,
             "torn record (len {torn_bytes}) must not replay"
         );
         assert_eq!(drive(&second, total), total - k);
-        let result = second.take_result(id).expect("campaign must finalize");
+        let result = result_in(&outbox);
         assert_eq!(result.executed_batches, (total - k) as u64);
         assert_eq!(
             result.report.expect("must succeed").fingerprint(),
@@ -200,9 +222,10 @@ fn completed_campaign_replays_from_the_persisted_cache() {
     let state = state_dir("cache");
 
     let first = boot(&state);
-    let (id, total, _) = accepted(first.submit(&spec).unwrap());
+    let (outcome, outbox) = submit(&first, &spec);
+    let (_, total, _) = accepted(outcome);
     assert_eq!(drive(&first, total as usize), total as usize);
-    let original = first.take_result(id).expect("first run finalizes");
+    let original = result_in(&outbox);
     let original_report = original.report.clone().expect("first run succeeds");
     drop(first);
 
@@ -211,7 +234,7 @@ fn completed_campaign_replays_from_the_persisted_cache() {
         "write-through retires the journal"
     );
     let second = boot(&state);
-    let SubmitOutcome::Cached { result, .. } = second.submit(&spec).unwrap() else {
+    let (SubmitOutcome::Cached { result, .. }, _) = submit(&second, &spec) else {
         panic!("a persisted report must answer the resubmit from cache")
     };
     assert!(result.cached);
@@ -240,14 +263,14 @@ fn unusable_journals_recompute_cleanly() {
     let plant: [&dyn Fn(&StateDir); 2] = [
         &|state: &StateDir| {
             let first = boot(state);
-            accepted(first.submit(&other).unwrap());
+            accepted(submit(&first, &other).0);
             drive(&first, 2);
             drop(first);
             std::fs::rename(state.journal_path(&other.cache_key()), path_of(state)).unwrap();
         },
         &|state: &StateDir| {
             let first = boot(state);
-            accepted(first.submit(&spec).unwrap());
+            accepted(submit(&first, &spec).0);
             drive(&first, 2);
             drop(first);
             let mut text = std::fs::read_to_string(path_of(state)).unwrap();
@@ -261,10 +284,11 @@ fn unusable_journals_recompute_cleanly() {
         plant(&state);
 
         let service = boot(&state);
-        let (id, total, recovered) = accepted(service.submit(&spec).unwrap());
+        let (outcome, outbox) = submit(&service, &spec);
+        let (_, total, recovered) = accepted(outcome);
         assert_eq!(recovered, 0, "case {case}: bad journals replay nothing");
         assert_eq!(drive(&service, total as usize), total as usize);
-        let result = service.take_result(id).expect("campaign must finalize");
+        let result = result_in(&outbox);
         assert_eq!(result.executed_batches, total, "full recompute");
         assert_eq!(result.report.expect("must succeed").fingerprint(), solo);
         std::fs::remove_dir_all(state.path()).unwrap();
@@ -288,7 +312,7 @@ fn find_first_campaigns_resume_with_their_hit() {
     // campaign from draining — so dropping the service here is a crash
     // *after* the hit, not a completed campaign.
     let first = boot(&state);
-    accepted(first.submit(&spec).unwrap());
+    accepted(submit(&first, &spec).0);
     let mut leases = Vec::new();
     for _ in 0..3 {
         leases.push(first.try_lease().expect("expected a lease"));
@@ -303,11 +327,10 @@ fn find_first_campaigns_resume_with_their_hit() {
     // The resumed prefix contains the hit: everything else is past-hit,
     // the campaign drains at submit time and no batch ever re-executes.
     let second = boot(&state);
-    let (id, _, recovered) = accepted(second.submit(&spec).unwrap());
+    let (outcome, outbox) = submit(&second, &spec);
+    let (_, _, recovered) = accepted(outcome);
     assert_eq!(recovered, 2);
-    let result = second
-        .take_result(id)
-        .expect("finalizes straight from the journal");
+    let result = result_in(&outbox);
     assert_eq!(result.executed_batches, 0, "the hit was already on disk");
     assert_eq!(second.executed_batches_total(), 0);
     assert_eq!(
@@ -328,7 +351,7 @@ fn resumed_campaigns_announce_recovering_to_the_client() {
     let state = state_dir("announce");
 
     let first = boot(&state);
-    let (_, total, _) = accepted(first.submit(&spec).unwrap());
+    let (_, total, _) = accepted(submit(&first, &spec).0);
     assert_eq!(drive(&first, 3), 3);
     drop(first);
 
