@@ -628,7 +628,7 @@ mod tests {
         let service = Service::with_corpus(Some(Corpus::open(
             std::env::temp_dir().join(format!("amulet_fleet_records_{}", std::process::id())),
         )));
-        service.submit(0, &quick_spec(4)).unwrap();
+        service.submit(0, &quick_spec(4));
         let lease = service.try_lease().expect("expected a lease");
         assert!(
             lease.spec.records,

@@ -19,7 +19,8 @@
 //! No daemon loop polls. The accept loop blocks in `accept` (SIGTERM wakes
 //! it with a connection of its own), and each client handler blocks on one
 //! channel that carries both its client's frames and the client's outbox:
-//! the `progress`, `result` and `draining` messages the service sends it.
+//! every message the service sends it — the answer to each `submit`, then
+//! its campaigns' `progress` and `result`, and `draining`.
 //!
 //! With `--state-dir DIR`, the daemon is crash-safe: a startup recovery
 //! pass (`StateDir::recover`) reloads the persisted result cache and
@@ -50,9 +51,8 @@ use crate::net::{parse_connect_list, TcpLink};
 use crate::wire::{pump_frames, write_msg, Frame};
 use crate::{Args, JsonSink, ShapeOptions, WorkerLink};
 use amulet_core::proto::{CampaignSpec, Msg, ResultMsg};
-use amulet_core::{run_local_slot, Admission, Corpus, Service, StateDir, SubmitOutcome};
+use amulet_core::{run_local_slot, Admission, Corpus, Service, StateDir};
 use amulet_util::{events, JsonObj, Xoshiro256};
-use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,7 +72,8 @@ pub struct SessionLimits {
     /// discarded (never buffered whole) and costs one strike.
     pub max_line_bytes: usize,
     /// Evict a session this long idle with nothing in flight — a client
-    /// waiting on an owned campaign is never idle-evicted.
+    /// waiting on the answer or result of its own submit is never
+    /// idle-evicted.
     pub idle_timeout: Duration,
     /// Strikes (malformed, unexpected, oversized frames) before eviction.
     pub strike_limit: usize,
@@ -156,7 +157,8 @@ pub struct ClientStats {
     pub cache_hits: usize,
     /// Submits shed by admission control (`rejected` answers).
     pub rejected: usize,
-    /// Terminal `result` messages delivered.
+    /// Terminal `result` messages delivered: campaign results, cache hits
+    /// and the error `result` of an unresolvable spec alike.
     pub results: usize,
     /// `cancel_campaign` messages processed.
     pub cancelled: usize,
@@ -176,13 +178,17 @@ where
 }
 
 /// Serves one client conversation: reads protocol-v5 JSONL from `input`,
-/// answers each `submit` with `accepted` (plus `recovering` for a resumed
-/// campaign, or the `result` of a cache hit) or `rejected`, forwards the
-/// session's outbox — the `progress` and `result` of the client's own
-/// campaigns and every `draining` — to `out` as it arrives, and returns
-/// when the client disconnects and every campaign it owned has resolved —
-/// or earlier, when the hardening `limits` evict the session (strike
-/// ladder, idle reaping) or a service drain winds it down. A
+/// hands each `submit` to the service, and forwards the session's outbox
+/// to `out` as it arrives. The service answers every submit there: with
+/// `accepted` (plus `recovering` for a resumed campaign, or the `result`
+/// of a cache hit), with `rejected` when admission control sheds it, or
+/// with an error `result` under campaign id `u64::MAX` (no id was ever
+/// assigned) when the spec does not resolve or the service is shutting
+/// down. The outbox also carries the `progress` and `result` of the
+/// client's own campaigns and every `draining`. The session returns when
+/// the client disconnects and every submit it sent has its `rejected` or
+/// `result` — or earlier, when the hardening `limits` evict the session
+/// (strike ladder, idle reaping) or a service drain winds it down. A
 /// `cancel_campaign` reaches only the client's own campaigns.
 ///
 /// Campaigns still active when the conversation ends are cancelled when
@@ -190,11 +196,8 @@ where
 /// is not worth worker time. On a *persistent* service that cancellation
 /// is the checkpoint-drain hand-off: the write-ahead journal file
 /// survives, so the client's resubmit against a restarted daemon resumes
-/// batch-granularly. Submit errors are answered
-/// with an error `result` under campaign id `u64::MAX` (no id was ever
-/// assigned). Admission sheds are answered with `rejected`; sheds,
-/// evictions and every malformed, unexpected or oversized frame are
-/// logged as `serve` rows on the stderr event stream.
+/// batch-granularly. Sheds, evictions and every malformed, unexpected or
+/// oversized frame are logged as `serve` rows on the stderr event stream.
 pub fn serve_client_with<R, W>(
     service: &Arc<Service>,
     input: R,
@@ -207,22 +210,24 @@ where
 {
     // Client frames and the client's outbox share one channel, so the
     // session waits on one source. The outbox is connected before the
-    // first submit, so no message for an owned campaign is ever missed.
+    // first submit, so no answer or campaign message is ever missed.
     let (tx, frames) = channel();
     let client = service.connect(tx.clone());
     let max_line = limits.max_line_bytes;
     std::thread::spawn(move || pump_frames(input, max_line, tx));
 
     let mut stats = ClientStats::default();
-    let mut owned: HashSet<u64> = HashSet::new();
+    // Submits sent and not yet answered with `rejected` or a `result`:
+    // the answer travels through the outbox, so input EOF can arrive first.
+    let mut unanswered = 0usize;
     let mut open = true;
     let mut saw_drain = false;
     let mut last_frame = Instant::now();
     let result = (|| -> Result<(), String> {
-        while open || !owned.is_empty() {
+        while open || unanswered > 0 {
             // Only an open session with nothing in flight can go idle, so
             // only its wait carries a deadline: reaching it evicts.
-            let frame = if open && owned.is_empty() {
+            let frame = if open && unanswered == 0 {
                 let idle_at = last_frame + limits.idle_timeout;
                 frames.recv_timeout(idle_at.saturating_duration_since(Instant::now()))
             } else {
@@ -233,77 +238,10 @@ where
                 Ok(Frame::Line(line)) => {
                     last_frame = Instant::now();
                     match Msg::parse_line(&line) {
-                        Ok(Msg::Submit(spec)) => match service.submit(client, &spec) {
-                            Ok(SubmitOutcome::Accepted {
-                                campaign,
-                                total_batches,
-                                recovered,
-                            }) => {
-                                stats.submitted += 1;
-                                owned.insert(campaign);
-                                write_msg(
-                                    &mut out,
-                                    &Msg::Accepted {
-                                        campaign,
-                                        cached: false,
-                                    },
-                                )?;
-                                if recovered > 0 {
-                                    write_msg(
-                                        &mut out,
-                                        &Msg::Recovering {
-                                            campaign,
-                                            recovered,
-                                            total: total_batches,
-                                        },
-                                    )?;
-                                }
-                            }
-                            Ok(SubmitOutcome::Cached { campaign, result }) => {
-                                stats.submitted += 1;
-                                stats.cache_hits += 1;
-                                stats.results += 1;
-                                write_msg(
-                                    &mut out,
-                                    &Msg::Accepted {
-                                        campaign,
-                                        cached: true,
-                                    },
-                                )?;
-                                write_msg(&mut out, &Msg::CampaignResult(*result))?;
-                            }
-                            Ok(SubmitOutcome::Rejected {
-                                reason,
-                                retry_after_ms,
-                            }) => {
-                                stats.rejected += 1;
-                                events::stderr().emit("serve", "rejected", |o| {
-                                    o.int("client", client)
-                                        .str("reason", &reason)
-                                        .int("retry_after_ms", retry_after_ms)
-                                });
-                                write_msg(
-                                    &mut out,
-                                    &Msg::Rejected {
-                                        reason,
-                                        retry_after_ms,
-                                    },
-                                )?;
-                            }
-                            Err(e) => {
-                                write_msg(
-                                    &mut out,
-                                    &Msg::CampaignResult(ResultMsg {
-                                        campaign: u64::MAX,
-                                        cached: false,
-                                        cancelled: false,
-                                        executed_batches: 0,
-                                        report: None,
-                                        error: Some(e),
-                                    }),
-                                )?;
-                            }
-                        },
+                        Ok(Msg::Submit(spec)) => {
+                            unanswered += 1;
+                            service.submit(client, &spec);
+                        }
                         Ok(Msg::CancelCampaign { campaign }) => {
                             stats.cancelled += 1;
                             service.cancel(client, campaign);
@@ -338,13 +276,30 @@ where
                 // A torn final line is end of input, not a strike.
                 Ok(Frame::End(_)) => open = false,
                 Ok(Frame::Failed(e)) => return Err(format!("client read failed: {e}")),
-                // The outbox holds only this client's campaigns and the
-                // drain notice: forward each message as it is.
+                // The outbox holds the answers to this client's submits, its
+                // campaigns' messages and the drain notice: forward each
+                // message as it is.
                 Ok(Frame::Event(msg)) => {
                     match &msg {
-                        Msg::CampaignResult(result) => {
+                        Msg::Accepted { cached, .. } => {
+                            stats.submitted += 1;
+                            stats.cache_hits += usize::from(*cached);
+                        }
+                        Msg::Rejected {
+                            reason,
+                            retry_after_ms,
+                        } => {
+                            stats.rejected += 1;
+                            unanswered -= 1;
+                            events::stderr().emit("serve", "rejected", |o| {
+                                o.int("client", client)
+                                    .str("reason", reason)
+                                    .int("retry_after_ms", *retry_after_ms)
+                            });
+                        }
+                        Msg::CampaignResult(_) => {
                             stats.results += 1;
-                            owned.remove(&result.campaign);
+                            unanswered -= 1;
                         }
                         Msg::Draining { .. } => saw_drain = true,
                         _ => {}
@@ -371,7 +326,7 @@ where
             // survive for the restarted daemon to resume. An in-memory
             // service finishes owned campaigns first (their results would
             // otherwise be lost with the process).
-            if saw_drain && (service.persistent() || owned.is_empty()) {
+            if saw_drain && (service.persistent() || unanswered == 0) {
                 return Ok(());
             }
         }

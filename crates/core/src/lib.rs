@@ -85,9 +85,7 @@ pub use inputs::{
 pub use journal::{load_journal, CrashPlan, JournalHeader, JournalReplay, Recovery, StateDir};
 pub use minimize::{minimize, Minimized};
 pub use proto::{CampaignSpec, FragmentReport, Hello, Msg, ReportWire, ResultMsg, PROTO_VERSION};
-pub use service::{
-    run_local_slot, run_with_slots, Admission, Lease, LeaseWait, Service, SubmitOutcome,
-};
+pub use service::{run_local_slot, run_with_slots, Admission, Lease, LeaseWait, Service};
 pub use shard::{
     plan_batches, reduce_fragments, run_batch, verify_fragment_coverage, BatchSpec, Fragment,
     ShardConfig,

@@ -47,11 +47,12 @@
 //! # One outbox per client
 //!
 //! A client [connects](Service::connect) an outbox and gets its client id.
-//! Each campaign it [submits](Service::submit) reports `progress` and its
-//! terminal `result` as [`Msg`]s to that outbox alone; `draining` goes to
-//! every outbox. A client [cancels](Service::cancel) only its own
-//! campaigns, and [`Service::disconnect`] cancels whatever it still has in
-//! flight.
+//! Everything the service says to a client arrives there as a [`Msg`]: the
+//! answer to each [submit](Service::submit) (`accepted`, `recovering`,
+//! `rejected`, or an error `result`), then each accepted campaign's
+//! `progress` and terminal `result`, and every `draining`. A client
+//! [cancels](Service::cancel) only its own campaigns, and
+//! [`Service::disconnect`] cancels whatever it still has in flight.
 //!
 //! The service is transport-agnostic: `amulet serve` (the CLI) wires each
 //! client socket to an outbox and [`Service::submit`], and worker
@@ -104,9 +105,8 @@ type Outbox = Box<dyn Fn(Msg) -> bool + Send>;
 /// ([`max_active`](Admission::max_active)) has room, queues FIFO if the
 /// bounded admit queue ([`max_queue`](Admission::max_queue)) has room, and
 /// is rejected once both are full. Rejections are structured
-/// ([`SubmitOutcome::Rejected`]) and carry an actionable
-/// `retry_after_ms` hint; cache hits are always answered (they cost no
-/// worker time).
+/// ([`Msg::Rejected`]) and carry an actionable `retry_after_ms` hint;
+/// cache hits are always answered (they cost no worker time).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Admission {
     /// Campaigns executing concurrently (0 = unlimited).
@@ -116,41 +116,6 @@ pub struct Admission {
     pub max_queue: usize,
     /// In-flight (active + queued) campaigns per client (0 = unlimited).
     pub per_client: usize,
-}
-
-/// What [`Service::submit`] decided.
-#[derive(Debug)]
-pub enum SubmitOutcome {
-    /// A new campaign was scheduled; its `progress` and `result` messages
-    /// arrive in the submitting client's outbox.
-    Accepted {
-        /// The assigned campaign id.
-        campaign: u64,
-        /// Batches in the plan.
-        total_batches: u64,
-        /// Batches replayed from an on-disk journal instead of executed —
-        /// non-zero only when a crashed run's prefix was resumed.
-        recovered: u64,
-    },
-    /// The cache already holds this campaign's report — here it is, with a
-    /// fresh id and `executed_batches: 0`. No batch will run. Boxed: a
-    /// full report dwarfs the `Accepted` variant.
-    Cached {
-        /// The assigned (fresh) campaign id.
-        campaign: u64,
-        /// The replayed result.
-        result: Box<ResultMsg>,
-    },
-    /// Admission control shed the submit — no id was assigned, no batch
-    /// will run, and nothing about this campaign is remembered. The same
-    /// spec resubmitted after roughly `retry_after_ms` converges on the
-    /// identical deterministic result whenever it is finally admitted.
-    Rejected {
-        /// Why the submit was shed (quota, queue full, draining).
-        reason: String,
-        /// Actionable backoff hint, in milliseconds.
-        retry_after_ms: u64,
-    },
 }
 
 /// One leased batch: everything a worker needs to execute it and hand the
@@ -415,10 +380,10 @@ impl Service {
     }
 
     /// Registers a client's outbox and returns its client id: from now on
-    /// `tx` receives, converted to its message type, the `progress` and
-    /// `result` of every campaign the client submits, and every
-    /// `draining`. A session can thus wait on its input and its outbox as
-    /// one channel.
+    /// `tx` receives, converted to its message type, the answer to every
+    /// submit the client makes, the `progress` and `result` of every
+    /// campaign it has accepted, and every `draining`. A session can thus
+    /// wait on its input and its outbox as one channel.
     pub fn connect<T: From<Msg> + Send + 'static>(&self, tx: Sender<T>) -> u64 {
         let mut inner = self.inner.lock().unwrap();
         let client = inner.next_client;
@@ -441,72 +406,59 @@ impl Service {
         self.inner.lock().unwrap().outboxes.len()
     }
 
-    /// Submits a campaign on behalf of `client`: a cache hit replays the
-    /// stored result under a fresh id; a miss passes admission control
-    /// (per-client quota, active cap, bounded FIFO admit queue — see
-    /// [`Admission`]) and then plans the batches and joins the fair-share
-    /// rotation (or the admit queue). `Err` is reserved for malformed
-    /// specs and hard shutdown; overload is the structured
-    /// [`SubmitOutcome::Rejected`].
-    pub fn submit(&self, client: u64, spec: &CampaignSpec) -> Result<SubmitOutcome, String> {
-        let cfg = spec.resolve()?;
+    /// Submits a campaign on behalf of `client` and answers it in the
+    /// client's outbox, under the service lock, before any message of the
+    /// campaign itself. A cache hit is `accepted{cached:true}` followed by
+    /// the stored result under the fresh id. A miss passes admission
+    /// control (per-client quota, active cap, bounded FIFO admit queue —
+    /// see [`Admission`]): shed, it is `rejected` and takes no id;
+    /// admitted, it is `accepted` (plus `recovering` on a journal resume)
+    /// and joins the fair-share rotation or the admit queue. A malformed
+    /// spec or a shut-down service is answered with an error `result`
+    /// under campaign `u64::MAX`, since no id was assigned.
+    pub fn submit(&self, client: u64, spec: &CampaignSpec) {
+        let planned = spec
+            .resolve()
+            .map(|cfg| (self.plan(&cfg, spec.batch_programs), cfg));
         let key = spec.cache_key();
-        let batches = self.plan(&cfg, spec.batch_programs);
         let mut inner = self.inner.lock().unwrap();
-        if inner.shutdown {
-            return Err("service is shutting down".into());
-        }
-        let id = inner.next_id;
-        inner.next_id += 1;
-        if let Some(hit) = inner.cache.get(&key) {
+        let (batches, cfg) = match planned {
+            Ok(planned) if !inner.shutdown => planned,
+            failed => {
+                let error = failed
+                    .err()
+                    .unwrap_or_else(|| "service is shutting down".into());
+                let result = ResultMsg {
+                    campaign: u64::MAX,
+                    cached: false,
+                    cancelled: false,
+                    executed_batches: 0,
+                    report: None,
+                    error: Some(error),
+                };
+                return Self::tell(&mut inner, client, Msg::CampaignResult(result));
+            }
+        };
+        if let Some(hit) = inner.cache.get(&key).cloned() {
+            let id = Self::accept(&mut inner, client, true);
             let result = ResultMsg {
                 campaign: id,
                 cached: true,
                 executed_batches: 0,
-                ..hit.clone()
+                ..hit
             };
-            return Ok(SubmitOutcome::Cached {
-                campaign: id,
-                result: Box::new(result),
-            });
+            return Self::tell(&mut inner, client, Msg::CampaignResult(result));
         }
-        // Admission control. Cache hits are always answered (zero worker
-        // cost); everything below here would execute batches, so it is
-        // subject to the drain state and the configured limits. The
-        // retry hint scales with the load actually ahead of the client.
-        let load = inner.active.len() + inner.queued.len();
-        let retry_after_ms = (100 * (1 + load as u64)).min(5_000);
-        if inner.draining {
-            return Ok(SubmitOutcome::Rejected {
-                reason: "draining: not admitting new campaigns".into(),
-                retry_after_ms: 1_000,
-            });
-        }
-        let adm = inner.admission;
-        if adm.per_client > 0 {
-            let in_flight = inner.active.iter().filter(|c| c.owner == client).count()
-                + inner.queued.iter().filter(|c| c.owner == client).count();
-            if in_flight >= adm.per_client {
-                return Ok(SubmitOutcome::Rejected {
-                    reason: format!(
-                        "client quota: {in_flight} campaign(s) already in flight (limit {})",
-                        adm.per_client
-                    ),
+        let queue = match Self::admission(&inner, client) {
+            Ok(queue) => queue,
+            Err((reason, retry_after_ms)) => {
+                let rejected = Msg::Rejected {
+                    reason,
                     retry_after_ms,
-                });
+                };
+                return Self::tell(&mut inner, client, rejected);
             }
-        }
-        let active_full = adm.max_active > 0 && inner.active.len() >= adm.max_active;
-        if active_full && inner.queued.len() >= adm.max_queue {
-            return Ok(SubmitOutcome::Rejected {
-                reason: format!(
-                    "admit queue full ({} active, {} queued)",
-                    inner.active.len(),
-                    inner.queued.len()
-                ),
-                retry_after_ms,
-            });
-        }
+        };
         let total = batches.len();
         let total_batches = total as u64;
 
@@ -585,6 +537,15 @@ impl Service {
                     .min()
             })
             .flatten();
+        let id = Self::accept(&mut inner, client, false);
+        if recovered > 0 {
+            let recovering = Msg::Recovering {
+                campaign: id,
+                recovered,
+                total: total_batches,
+            };
+            Self::tell(&mut inner, client, recovering);
+        }
         let camp = ActiveCampaign {
             owner: client,
             spec: Some(Arc::new(spec.clone())),
@@ -598,8 +559,8 @@ impl Service {
             inner.journals.insert(id, j);
             inner.journaled_keys.insert(key);
         }
-        if active_full && !camp.drained() {
-            // Checked above: the queue has room. Journal resume already
+        if queue && !camp.drained() {
+            // Admission found room in the queue. Journal resume already
             // happened, so a queued campaign loses nothing by waiting.
             inner.queued.push_back(camp);
             self.enforce_floor(inner);
@@ -608,11 +569,51 @@ impl Service {
             // batches) finalizes right here, consuming no admission slot.
             self.admit(inner, camp);
         }
-        Ok(SubmitOutcome::Accepted {
-            campaign: id,
-            total_batches,
-            recovered,
-        })
+    }
+
+    /// Admission control for a submit the cache cannot answer: whether the
+    /// campaign must wait in the admit queue, or why it is shed and when to
+    /// retry, in milliseconds. Cache hits skip it (zero worker cost);
+    /// everything here would execute batches, so it is subject to the drain
+    /// state and the configured limits. The retry hint scales with the load
+    /// actually ahead of the client.
+    fn admission(inner: &Inner, client: u64) -> Result<bool, (String, u64)> {
+        let load = inner.active.len() + inner.queued.len();
+        let retry_after_ms = (100 * (1 + load as u64)).min(5_000);
+        if inner.draining {
+            return Err(("draining: not admitting new campaigns".into(), 1_000));
+        }
+        let adm = inner.admission;
+        if adm.per_client > 0 {
+            let in_flight = inner.active.iter().filter(|c| c.owner == client).count()
+                + inner.queued.iter().filter(|c| c.owner == client).count();
+            if in_flight >= adm.per_client {
+                let reason = format!(
+                    "client quota: {in_flight} campaign(s) already in flight (limit {})",
+                    adm.per_client
+                );
+                return Err((reason, retry_after_ms));
+            }
+        }
+        let active_full = adm.max_active > 0 && inner.active.len() >= adm.max_active;
+        if active_full && inner.queued.len() >= adm.max_queue {
+            let reason = format!(
+                "admit queue full ({} active, {} queued)",
+                inner.active.len(),
+                inner.queued.len()
+            );
+            return Err((reason, retry_after_ms));
+        }
+        Ok(active_full)
+    }
+
+    /// Assigns the next campaign id — only an accepted submit takes one —
+    /// and tells `client` its submit was accepted under it.
+    fn accept(inner: &mut Inner, client: u64, cached: bool) -> u64 {
+        let campaign = inner.next_id;
+        inner.next_id += 1;
+        Self::tell(inner, client, Msg::Accepted { campaign, cached });
+        campaign
     }
 
     /// Submits one campaign config — the single-campaign path
@@ -1221,6 +1222,24 @@ mod tests {
         (service.connect(tx), outbox)
     }
 
+    /// `client`'s submit of `spec`, answered in its outbox: the accepted
+    /// campaign's id, or the message that refused it.
+    fn submit(
+        service: &Service,
+        client: u64,
+        outbox: &Receiver<Msg>,
+        spec: &CampaignSpec,
+    ) -> Result<u64, Box<Msg>> {
+        service.submit(client, spec);
+        match outbox.try_recv().expect("a submit is answered at once") {
+            Msg::Accepted {
+                campaign,
+                cached: false,
+            } => Ok(campaign),
+            refused => Err(Box::new(refused)),
+        }
+    }
+
     /// The first terminal result waiting in `outbox`, if any.
     fn result(outbox: &Receiver<Msg>) -> Option<ResultMsg> {
         outbox.try_iter().find_map(|msg| match msg {
@@ -1234,17 +1253,11 @@ mod tests {
     #[test]
     fn fair_share_alternates_between_active_campaigns() {
         let service = Service::new();
-        let (c, _outbox) = client(&service);
-        let SubmitOutcome::Accepted { campaign: a, .. } =
-            service.submit(c, &quick_spec(1)).unwrap()
-        else {
-            panic!("fresh submit must not hit the cache")
-        };
-        let SubmitOutcome::Accepted { campaign: b, .. } =
-            service.submit(c, &quick_spec(2)).unwrap()
-        else {
-            panic!("fresh submit must not hit the cache")
-        };
+        let (c, outbox) = client(&service);
+        let a = submit(&service, c, &outbox, &quick_spec(1))
+            .expect("fresh submit must not hit the cache");
+        let b = submit(&service, c, &outbox, &quick_spec(2))
+            .expect("fresh submit must not hit the cache");
         let owners: Vec<u64> = (0..6).map(|_| lease(&service).campaign).collect();
         assert_eq!(owners, vec![a, b, a, b, a, b], "round-robin broke");
     }
@@ -1255,39 +1268,35 @@ mod tests {
     fn cancel_without_workers_resolves_and_does_not_cache() {
         let service = Service::new();
         let (c, outbox) = client(&service);
-        let SubmitOutcome::Accepted { campaign, .. } = service.submit(c, &quick_spec(7)).unwrap()
-        else {
-            panic!("fresh submit must not hit the cache")
-        };
+        let campaign = submit(&service, c, &outbox, &quick_spec(7))
+            .expect("fresh submit must not hit the cache");
         service.cancel(c, campaign);
         let result = result(&outbox).expect("cancel is terminal");
         assert!(result.cancelled);
         assert_eq!(result.executed_batches, 0);
         assert!(result.report.is_none());
-        assert!(matches!(
-            service.submit(c, &quick_spec(7)).unwrap(),
-            SubmitOutcome::Accepted { .. }
-        ));
+        assert!(submit(&service, c, &outbox, &quick_spec(7)).is_ok());
     }
 
-    /// Bad specs are client errors; shutdown refuses new work and turns
-    /// lease waits into [`LeaseWait::Shutdown`].
+    /// Bad specs are client errors, answered with an error result under no
+    /// campaign id; shutdown refuses new work the same way and turns lease
+    /// waits into [`LeaseWait::Shutdown`].
     #[test]
     fn bad_specs_error_and_shutdown_drains_waiters() {
         let service = Service::new();
-        let (c, _outbox) = client(&service);
-        let err = service
-            .submit(
-                c,
-                &CampaignSpec {
-                    defense: "Nope".into(),
-                    ..quick_spec(1)
-                },
-            )
-            .unwrap_err();
+        let (c, outbox) = client(&service);
+        let error = |spec: &CampaignSpec| match *submit(&service, c, &outbox, spec).unwrap_err() {
+            Msg::CampaignResult(result) if result.campaign == u64::MAX => result.error,
+            other => panic!("expected an error result, got {other:?}"),
+        };
+        let bad = CampaignSpec {
+            defense: "Nope".into(),
+            ..quick_spec(1)
+        };
+        let err = error(&bad).unwrap();
         assert!(err.contains("unknown defense"), "{err}");
         service.shutdown();
-        assert!(service.submit(c, &quick_spec(1)).is_err());
+        assert!(error(&quick_spec(1)).is_some_and(|e| e.contains("shutting down")));
         assert!(matches!(
             service.wait_lease(service.attach_slot()),
             LeaseWait::Shutdown
@@ -1306,21 +1315,13 @@ mod tests {
             per_client: 0,
         });
         let (c, outbox) = client(&service);
-        let SubmitOutcome::Accepted { campaign: a, .. } =
-            service.submit(c, &quick_spec(10)).unwrap()
-        else {
-            panic!("first submit must activate")
-        };
-        let SubmitOutcome::Accepted { campaign: b, .. } =
-            service.submit(c, &quick_spec(11)).unwrap()
-        else {
-            panic!("second submit must queue")
-        };
+        let a = submit(&service, c, &outbox, &quick_spec(10)).expect("first submit must activate");
+        let b = submit(&service, c, &outbox, &quick_spec(11)).expect("second submit must queue");
         assert!(result(&outbox).is_none(), "queued campaigns wait");
-        let SubmitOutcome::Rejected {
+        let Msg::Rejected {
             reason,
             retry_after_ms,
-        } = service.submit(c, &quick_spec(12)).unwrap()
+        } = *submit(&service, c, &outbox, &quick_spec(12)).unwrap_err()
         else {
             panic!("third submit must shed")
         };
@@ -1352,29 +1353,20 @@ mod tests {
             max_queue: 0,
             per_client: 1,
         });
-        let ((greedy, outbox), (other, _other_outbox)) = (client(&service), client(&service));
-        let SubmitOutcome::Accepted { campaign, .. } =
-            service.submit(greedy, &quick_spec(20)).unwrap()
-        else {
-            panic!("first submit must activate")
-        };
-        let SubmitOutcome::Rejected { reason, .. } =
-            service.submit(greedy, &quick_spec(21)).unwrap()
+        let ((greedy, outbox), (other, other_outbox)) = (client(&service), client(&service));
+        let campaign =
+            submit(&service, greedy, &outbox, &quick_spec(20)).expect("first submit must activate");
+        let Msg::Rejected { reason, .. } =
+            *submit(&service, greedy, &outbox, &quick_spec(21)).unwrap_err()
         else {
             panic!("over-quota submit must shed")
         };
         assert!(reason.contains("quota"), "{reason}");
-        assert!(matches!(
-            service.submit(other, &quick_spec(21)).unwrap(),
-            SubmitOutcome::Accepted { .. }
-        ));
+        assert!(submit(&service, other, &other_outbox, &quick_spec(21)).is_ok());
         service.cancel(greedy, campaign);
         let result = result(&outbox).expect("cancel is terminal");
         assert!(result.cancelled);
-        assert!(matches!(
-            service.submit(greedy, &quick_spec(22)).unwrap(),
-            SubmitOutcome::Accepted { .. }
-        ));
+        assert!(submit(&service, greedy, &outbox, &quick_spec(22)).is_ok());
     }
 
     /// Drain announces once, sheds new submits with a `draining` reason,
@@ -1384,10 +1376,8 @@ mod tests {
     fn drain_sheds_submits_but_finish_drain_keeps_leasing() {
         let service = Service::new();
         let (c, outbox) = client(&service);
-        let SubmitOutcome::Accepted { campaign, .. } = service.submit(c, &quick_spec(30)).unwrap()
-        else {
-            panic!("fresh submit must not hit the cache")
-        };
+        let campaign = submit(&service, c, &outbox, &quick_spec(30))
+            .expect("fresh submit must not hit the cache");
         assert_eq!(service.drain(), 1);
         assert!(service.is_draining());
         assert_eq!(service.drain(), 1, "drain is idempotent");
@@ -1396,10 +1386,10 @@ mod tests {
             Msg::Draining { active: 1 },
             "drain must announce to every outbox"
         );
-        let SubmitOutcome::Rejected {
+        let Msg::Rejected {
             reason,
             retry_after_ms,
-        } = service.submit(c, &quick_spec(31)).unwrap()
+        } = *submit(&service, c, &outbox, &quick_spec(31)).unwrap_err()
         else {
             panic!("submit during drain must shed")
         };
@@ -1420,9 +1410,9 @@ mod tests {
     fn degradation_floor_fails_campaigns_no_live_slot_will_serve() {
         let service = Service::new();
         let (c, outbox) = client(&service);
-        let accept = |seed| match service.submit(c, &quick_spec(seed)).unwrap() {
-            SubmitOutcome::Accepted { campaign, .. } => campaign,
-            other => panic!("fresh submit must be accepted, got {other:?}"),
+        let accept = |seed| match submit(&service, c, &outbox, &quick_spec(seed)) {
+            Ok(campaign) => campaign,
+            Err(other) => panic!("fresh submit must be accepted, got {other:?}"),
         };
         let refused = accept(40);
         assert!(result(&outbox).is_none(), "no slot yet: the campaign waits");
@@ -1446,8 +1436,10 @@ mod tests {
         assert_eq!(lease.campaign, stranded);
         service.release(*lease);
         service.retire_slot(slot);
-        for campaign in [stranded, accept(42)] {
-            let failed = result(&outbox).expect("a stranded campaign fails");
+        let stranded_result = result(&outbox);
+        let late = accept(42);
+        for (campaign, failed) in [(stranded, stranded_result), (late, result(&outbox))] {
+            let failed = failed.expect("a stranded campaign fails");
             assert_eq!(failed.campaign, campaign);
             let error = failed.error;
             assert!(
@@ -1498,19 +1490,21 @@ mod tests {
         };
 
         let plain = boot(None);
-        let (c, _outbox) = client(&plain);
-        let SubmitOutcome::Accepted { recovered, .. } = plain.submit(c, &spec).unwrap() else {
-            panic!("a journaled campaign resumes")
+        let (c, outbox) = client(&plain);
+        let resumed = |service: &Service, c, outbox: &Receiver<Msg>| {
+            submit(service, c, outbox, &spec).expect("fresh submit must not hit the cache");
+            match outbox.try_recv() {
+                Ok(Msg::Recovering { recovered, .. }) => recovered,
+                other => panic!("a journaled campaign resumes, got {other:?}"),
+            }
         };
+        let recovered = resumed(&plain, c, &outbox);
         assert_eq!(recovered, 2, "without a corpus both fragments replay");
 
         let corpus = Corpus::open(dir.join("corpus.jsonl"));
         let with_corpus = boot(Some(corpus));
-        let (c, _outbox) = client(&with_corpus);
-        let SubmitOutcome::Accepted { recovered, .. } = with_corpus.submit(c, &spec).unwrap()
-        else {
-            panic!("a journaled campaign resumes")
-        };
+        let (c, outbox) = client(&with_corpus);
+        let recovered = resumed(&with_corpus, c, &outbox);
         assert_eq!(recovered, 1, "only the clean fragment replays");
         let lease = with_corpus.try_lease().expect("expected a lease");
         assert_eq!(lease.spec.index, 0, "the violating batch re-runs first");
@@ -1640,14 +1634,9 @@ mod tests {
             other => panic!("expected a campaign end, got {other:?}"),
         };
 
-        let (c, _outbox) = client(&service);
-        let SubmitOutcome::Accepted {
-            campaign: cancelled,
-            ..
-        } = service.submit(c, &quick_spec(60)).unwrap()
-        else {
-            panic!("fresh submit must not hit the cache")
-        };
+        let (c, outbox) = client(&service);
+        let cancelled = submit(&service, c, &outbox, &quick_spec(60))
+            .expect("fresh submit must not hit the cache");
         let held = lease_for(slot);
         service.cancel(c, cancelled);
         service.release(*held);
@@ -1671,11 +1660,9 @@ mod tests {
         assert!(done.recv_timeout(Duration::from_secs(5)).unwrap().is_ok());
         assert_eq!(ended(slot), finished, "a drained campaign ends");
 
-        let SubmitOutcome::Accepted { campaign: next, .. } =
-            service.submit(c, &quick_spec(61)).unwrap()
-        else {
-            panic!("fresh submit must not hit the cache")
-        };
+        assert!(result(&outbox).is_some_and(|r| r.cancelled));
+        let next = submit(&service, c, &outbox, &quick_spec(61))
+            .expect("fresh submit must not hit the cache");
         assert_eq!(
             lease_for(bystander).campaign,
             next,
@@ -1688,11 +1675,9 @@ mod tests {
     #[test]
     fn released_leases_are_reissued_first() {
         let service = Service::new();
-        let (c, _outbox) = client(&service);
-        let SubmitOutcome::Accepted { campaign, .. } = service.submit(c, &quick_spec(3)).unwrap()
-        else {
-            panic!("fresh submit must not hit the cache")
-        };
+        let (c, outbox) = client(&service);
+        let campaign = submit(&service, c, &outbox, &quick_spec(3))
+            .expect("fresh submit must not hit the cache");
         let first = lease(&service);
         let first_index = first.spec.index;
         service.release(first);
@@ -1710,14 +1695,11 @@ mod tests {
     fn a_campaign_is_told_only_to_its_own_client() {
         let service = Service::new();
         let ((owner, outbox), (other, bystander)) = (client(&service), client(&service));
-        let SubmitOutcome::Accepted {
-            campaign,
-            total_batches,
-            ..
-        } = service.submit(owner, &quick_spec(70)).unwrap()
-        else {
-            panic!("fresh submit must not hit the cache")
-        };
+        let spec = quick_spec(70);
+        let total_batches =
+            plan_batches(&spec.resolve().unwrap(), spec.batch_programs).len() as u64;
+        let campaign =
+            submit(&service, owner, &outbox, &spec).expect("fresh submit must not hit the cache");
         service.cancel(other, campaign);
         while let Some(lease) = service.try_lease() {
             let frag = fragment(&lease, false);
@@ -1751,14 +1733,15 @@ mod tests {
             max_queue: 2,
             per_client: 0,
         });
-        let ((gone, _gone_outbox), (stays, outbox)) = (client(&service), client(&service));
-        let accept = |client, seed| match service.submit(client, &quick_spec(seed)).unwrap() {
-            SubmitOutcome::Accepted { campaign, .. } => campaign,
-            other => panic!("fresh submit must be accepted, got {other:?}"),
-        };
-        accept(gone, 80);
-        accept(gone, 81);
-        let waiting = accept(stays, 82);
+        let ((gone, gone_outbox), (stays, outbox)) = (client(&service), client(&service));
+        let accept =
+            |client, outbox, seed| match submit(&service, client, outbox, &quick_spec(seed)) {
+                Ok(campaign) => campaign,
+                Err(other) => panic!("fresh submit must be accepted, got {other:?}"),
+            };
+        accept(gone, &gone_outbox, 80);
+        accept(gone, &gone_outbox, 81);
+        let waiting = accept(stays, &outbox, 82);
         let held = lease(&service);
         service.disconnect(gone);
         assert_eq!(service.connected(), 1, "the outbox is dropped");
@@ -1772,5 +1755,26 @@ mod tests {
             result(&outbox).is_none(),
             "the other client's campaign runs on"
         );
+    }
+
+    /// Only an accepted submit takes a campaign id: a shed between two
+    /// accepted submits leaves their ids consecutive.
+    #[test]
+    fn a_shed_submit_takes_no_campaign_id() {
+        let service = Service::new();
+        service.set_admission(Admission {
+            per_client: 1,
+            ..Admission::default()
+        });
+        let (c, outbox) = client(&service);
+        let a = submit(&service, c, &outbox, &quick_spec(90)).expect("first submit must activate");
+        let Msg::Rejected { .. } = *submit(&service, c, &outbox, &quick_spec(91)).unwrap_err()
+        else {
+            panic!("over-quota submit must shed")
+        };
+        service.cancel(c, a);
+        assert!(result(&outbox).is_some_and(|r| r.cancelled));
+        let next = submit(&service, c, &outbox, &quick_spec(92)).expect("the quota is free again");
+        assert_eq!(next, a + 1, "the shed submit must not burn an id");
     }
 }

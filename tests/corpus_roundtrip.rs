@@ -4,7 +4,7 @@
 //! "daemon restart loses nothing" half of the `amulet serve` contract.
 
 use amulet::fuzz::proto::{CampaignSpec, Msg};
-use amulet::fuzz::{run_batch, Corpus, CorpusRecord, Service, SubmitOutcome, UnitRuntime};
+use amulet::fuzz::{run_batch, Corpus, CorpusRecord, Service, UnitRuntime};
 use amulet::isa::parse_program;
 use std::path::PathBuf;
 
@@ -25,7 +25,8 @@ fn quick_records(seed: u64) -> Vec<CorpusRecord> {
     };
     let (tx, outbox) = std::sync::mpsc::channel();
     let client = service.connect(tx);
-    let SubmitOutcome::Accepted { .. } = service.submit(client, &spec).unwrap() else {
+    service.submit(client, &spec);
+    let Ok(Msg::Accepted { cached: false, .. }) = outbox.try_recv() else {
         panic!("a fresh service must accept the campaign")
     };
     let mut rt = UnitRuntime::new();

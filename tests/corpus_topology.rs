@@ -10,7 +10,7 @@
 
 use amulet::fuzz::proto::{CampaignSpec, FragmentReport, Msg, ResultMsg};
 use amulet::fuzz::{
-    run_batch, Corpus, CrashPlan, Fragment, Service, StateDir, SubmitOutcome, UnitRuntime,
+    plan_batches, run_batch, Corpus, CrashPlan, Fragment, Service, StateDir, UnitRuntime,
 };
 use amulet_cli::ServiceHost;
 use std::io::BufReader;
@@ -88,6 +88,16 @@ fn connect(service: &Service) -> (u64, Receiver<Msg>) {
     (service.connect(tx), outbox)
 }
 
+/// Submits the campaign for `client` and reads the answer from its
+/// `outbox`: a fresh or journaled campaign is accepted, not cached.
+fn accept(service: &Service, client: u64, outbox: &Receiver<Msg>) {
+    service.submit(client, &spec());
+    match outbox.try_recv() {
+        Ok(Msg::Accepted { cached: false, .. }) => {}
+        other => panic!("the campaign must be accepted, not cached: {other:?}"),
+    }
+}
+
 /// The next campaign result in `outbox`, skipping progress.
 fn await_result(outbox: &Receiver<Msg>) -> ResultMsg {
     loop {
@@ -103,9 +113,7 @@ fn await_result(outbox: &Receiver<Msg>) -> ResultMsg {
 /// happens before the result reaches the outbox.
 fn run_to_result(service: &Service) {
     let (client, outbox) = connect(service);
-    let SubmitOutcome::Accepted { .. } = service.submit(client, &spec()).unwrap() else {
-        panic!("a fresh service must accept the campaign")
-    };
+    accept(service, client, &outbox);
     let result = await_result(&outbox);
     assert!(
         result.report.is_some(),
@@ -187,10 +195,8 @@ fn a_crashed_and_resumed_daemon_writes_the_reference_corpus() {
 
     let first = boot();
     first.arm_crash_plan(CrashPlan::torn(3, 17));
-    assert!(matches!(
-        first.submit(connect(&first).0, &spec()).unwrap(),
-        SubmitOutcome::Accepted { .. }
-    ));
+    let (client, outbox) = connect(&first);
+    accept(&first, client, &outbox);
     drive(&first, 4, |f| f);
     drop(first);
     assert!(
@@ -200,13 +206,14 @@ fn a_crashed_and_resumed_daemon_writes_the_reference_corpus() {
 
     let second = boot();
     let (client, outbox) = connect(&second);
-    let SubmitOutcome::Accepted {
-        total_batches,
+    accept(&second, client, &outbox);
+    let Ok(Msg::Recovering {
         recovered,
+        total: total_batches,
         ..
-    } = second.submit(client, &spec()).unwrap()
+    }) = outbox.try_recv()
     else {
-        panic!("a journaled campaign resumes, it is not cached")
+        panic!("a journaled campaign resumes")
     };
     assert_eq!(recovered, 3, "the three journaled batches are replayed");
     drive(&second, total_batches as usize, |f| f);
@@ -225,11 +232,9 @@ fn fragments_that_cross_the_wire_write_the_reference_corpus() {
     let path = temp_path("wire");
     let service = Service::with_corpus(Some(Corpus::open(&path)));
     let (client, outbox) = connect(&service);
-    let SubmitOutcome::Accepted { total_batches, .. } = service.submit(client, &spec()).unwrap()
-    else {
-        panic!("a fresh service must accept the campaign")
-    };
-    drive(&service, total_batches as usize, |fragment| {
+    accept(&service, client, &outbox);
+    let total_batches = plan_batches(&spec().resolve().unwrap(), BATCH).len();
+    drive(&service, total_batches, |fragment| {
         if fragment.index % 2 == 1 {
             return fragment;
         }

@@ -13,7 +13,7 @@ mod common;
 use amulet::contracts::ContractKind;
 use amulet::defenses::DefenseKind;
 use amulet::fuzz::proto::{CampaignSpec, Msg, ResultMsg};
-use amulet::fuzz::{Campaign, CampaignConfig, Service, ShardConfig};
+use amulet::fuzz::{Admission, Campaign, CampaignConfig, Service, ShardConfig};
 use amulet_cli::ServiceHost;
 use common::{spawn_serve_client, MemClient};
 use std::sync::Arc;
@@ -324,6 +324,73 @@ fn a_half_closed_client_gets_its_result_without_spinning() {
             "the session thread burned {cpu:.3} s of CPU over a {wall:.3} s campaign"
         );
     }
+    host.shutdown();
+}
+
+/// The session counts each answer by its tag as it forwards it: a miss,
+/// a shed second submit, the miss resubmitted once its result is in (a
+/// cache hit) and an unresolvable spec read as two accepted submits, one
+/// cache hit, one rejection and three results.
+#[test]
+fn the_session_counts_every_answer_by_its_tag() {
+    let service = Arc::new(Service::new());
+    service.set_admission(Admission {
+        per_client: 1,
+        ..Admission::default()
+    });
+    let mut host = ServiceHost::start(service.clone(), 0, &[]);
+    let (input, lines, session) =
+        common::spawn_hardened_client(&service, amulet_cli::SessionLimits::default());
+    let send = |msg: Msg| {
+        input
+            .send(format!("{}\n", msg.to_line()).into_bytes())
+            .expect("the session hung up")
+    };
+    let recv = || {
+        let line = lines
+            .recv_timeout(RESULT_TIMEOUT)
+            .expect("service went silent");
+        Msg::parse_line(&line).expect("service sent a malformed line")
+    };
+    let await_result = || loop {
+        match recv() {
+            Msg::Progress { .. } => {}
+            Msg::CampaignResult(result) => break result,
+            other => panic!("unexpected {:?} while awaiting result", other.tag()),
+        }
+    };
+
+    send(Msg::Submit(spec(120)));
+    assert!(matches!(recv(), Msg::Accepted { cached: false, .. }));
+    send(Msg::Submit(spec(121)));
+    let Msg::Rejected { reason, .. } = recv() else {
+        panic!("the second submit is over the client quota")
+    };
+    assert!(reason.contains("quota"), "{reason}");
+    host.add_local_workers(1);
+    assert!(await_result().report.is_some(), "the miss completes");
+    send(Msg::Submit(spec(120)));
+    assert!(matches!(recv(), Msg::Accepted { cached: true, .. }));
+    assert!(await_result().cached, "the resubmit is a cache hit");
+    let mut bad = spec(1);
+    bad.defense = "NoSuchDefense".into();
+    send(Msg::Submit(bad));
+    let refused = await_result();
+    assert_eq!(refused.campaign, u64::MAX, "no id for a bad spec");
+    assert!(refused.error.is_some());
+
+    drop(input);
+    let stats = session.join().unwrap().expect("the session ends cleanly");
+    assert_eq!(
+        (
+            stats.submitted,
+            stats.cache_hits,
+            stats.rejected,
+            stats.results
+        ),
+        (2, 1, 1, 3),
+        "{stats:?}"
+    );
     host.shutdown();
 }
 

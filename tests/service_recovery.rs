@@ -20,13 +20,13 @@ mod common;
 
 use amulet::fuzz::proto::{CampaignSpec, Msg, ResultMsg};
 use amulet::fuzz::{
-    run_batch, Campaign, CrashPlan, Service, ShardConfig, StateDir, SubmitOutcome, UnitRuntime,
+    plan_batches, run_batch, Campaign, CrashPlan, Service, ShardConfig, StateDir, UnitRuntime,
 };
 use amulet::util::Xoshiro256;
 use common::spawn_serve_client;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::{channel, Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -90,11 +90,13 @@ fn drive(service: &Service, max: usize) -> usize {
 }
 
 /// Submits `spec` as a newly connected client of `service`; the client's
-/// outbox comes back beside the outcome.
-fn submit(service: &Service, spec: &CampaignSpec) -> (SubmitOutcome, Receiver<Msg>) {
+/// outbox comes back beside the answer, the first message read from it.
+fn submit(service: &Service, spec: &CampaignSpec) -> (Msg, Receiver<Msg>) {
     let (tx, outbox) = channel();
     let client = service.connect(tx);
-    (service.submit(client, spec).unwrap(), outbox)
+    service.submit(client, spec);
+    let answer = outbox.try_recv().expect("a submit is answered at once");
+    (answer, outbox)
 }
 
 /// The terminal result of a campaign already driven to its end.
@@ -108,15 +110,33 @@ fn result_in(outbox: &Receiver<Msg>) -> ResultMsg {
         .expect("campaign must finalize")
 }
 
-fn accepted(outcome: SubmitOutcome) -> (u64, u64, u64) {
-    match outcome {
-        SubmitOutcome::Accepted {
-            campaign,
-            total_batches,
+/// Submits `spec` as [`submit`] does and unpacks an `accepted` answer:
+/// the campaign id, its batch total, the batches a journal resume
+/// recovered — announced by the `recovering` note that must directly
+/// follow `accepted` — and the client's outbox.
+fn accepted(service: &Service, spec: &CampaignSpec) -> (u64, u64, u64, Receiver<Msg>) {
+    let (answer, outbox) = submit(service, spec);
+    let Msg::Accepted {
+        campaign,
+        cached: false,
+    } = answer
+    else {
+        panic!("expected accepted, got {answer:?}")
+    };
+    let total = plan_batches(&spec.resolve().unwrap(), spec.batch_programs).len() as u64;
+    let recovered = match outbox.try_recv() {
+        Ok(Msg::Recovering {
+            campaign: resumed,
             recovered,
-        } => (campaign, total_batches, recovered),
-        other => panic!("expected Accepted, got {other:?}"),
-    }
+            total: announced,
+        }) => {
+            assert_eq!((resumed, announced), (campaign, total));
+            recovered
+        }
+        Err(TryRecvError::Empty) => 0,
+        other => panic!("only a recovering note may follow accepted, got {other:?}"),
+    };
+    (campaign, total, recovered, outbox)
 }
 
 /// The tentpole matrix: for every K in the plan, kill the first daemon
@@ -134,7 +154,7 @@ fn crash_point_matrix_resumes_fingerprint_identical() {
         // First daemon: K batches land in the journal, then the "crash" —
         // the service is dropped with the campaign still active.
         let first = boot(&state);
-        let (_, total, recovered) = accepted(submit(&first, &spec).0);
+        let (_, total, recovered, _) = accepted(&first, &spec);
         let total = total as usize;
         assert_eq!(recovered, 0, "fresh dir has nothing to recover");
         assert!(k < total, "crash point {k} must interrupt, not complete");
@@ -143,8 +163,7 @@ fn crash_point_matrix_resumes_fingerprint_identical() {
 
         // Restarted daemon: the resubmit resumes the journaled prefix.
         let second = boot(&state);
-        let (outcome, outbox) = submit(&second, &spec);
-        let (_, _, recovered) = accepted(outcome);
+        let (_, _, recovered, outbox) = accepted(&second, &spec);
         assert_eq!(recovered as usize, k, "exactly the journaled prefix");
         assert_eq!(drive(&second, total), total - k, "only the missing run");
         let result = result_in(&outbox);
@@ -185,7 +204,7 @@ fn torn_append_crash_points_resume_exactly() {
 
         let first = boot(&state);
         first.arm_crash_plan(CrashPlan::torn(k, torn_bytes));
-        let (_, total, _) = accepted(submit(&first, &spec).0);
+        let (_, total, _, _) = accepted(&first, &spec);
         let total = total as usize;
         // Drive K+1: appends 0..K succeed, the (K+1)th tears the journal.
         // The campaign itself survives (persistence failures degrade to
@@ -195,8 +214,7 @@ fn torn_append_crash_points_resume_exactly() {
         drop(first);
 
         let second = boot(&state);
-        let (outcome, outbox) = submit(&second, &spec);
-        let (_, _, recovered) = accepted(outcome);
+        let (_, _, recovered, outbox) = accepted(&second, &spec);
         assert_eq!(
             recovered as usize, k,
             "torn record (len {torn_bytes}) must not replay"
@@ -222,8 +240,7 @@ fn completed_campaign_replays_from_the_persisted_cache() {
     let state = state_dir("cache");
 
     let first = boot(&state);
-    let (outcome, outbox) = submit(&first, &spec);
-    let (_, total, _) = accepted(outcome);
+    let (_, total, _, outbox) = accepted(&first, &spec);
     assert_eq!(drive(&first, total as usize), total as usize);
     let original = result_in(&outbox);
     let original_report = original.report.clone().expect("first run succeeds");
@@ -234,9 +251,10 @@ fn completed_campaign_replays_from_the_persisted_cache() {
         "write-through retires the journal"
     );
     let second = boot(&state);
-    let (SubmitOutcome::Cached { result, .. }, _) = submit(&second, &spec) else {
+    let (Msg::Accepted { cached: true, .. }, outbox) = submit(&second, &spec) else {
         panic!("a persisted report must answer the resubmit from cache")
     };
+    let result = result_in(&outbox);
     assert!(result.cached);
     assert_eq!(result.executed_batches, 0);
     assert_eq!(
@@ -263,14 +281,14 @@ fn unusable_journals_recompute_cleanly() {
     let plant: [&dyn Fn(&StateDir); 2] = [
         &|state: &StateDir| {
             let first = boot(state);
-            accepted(submit(&first, &other).0);
+            accepted(&first, &other);
             drive(&first, 2);
             drop(first);
             std::fs::rename(state.journal_path(&other.cache_key()), path_of(state)).unwrap();
         },
         &|state: &StateDir| {
             let first = boot(state);
-            accepted(submit(&first, &spec).0);
+            accepted(&first, &spec);
             drive(&first, 2);
             drop(first);
             let mut text = std::fs::read_to_string(path_of(state)).unwrap();
@@ -284,8 +302,7 @@ fn unusable_journals_recompute_cleanly() {
         plant(&state);
 
         let service = boot(&state);
-        let (outcome, outbox) = submit(&service, &spec);
-        let (_, total, recovered) = accepted(outcome);
+        let (_, total, recovered, outbox) = accepted(&service, &spec);
         assert_eq!(recovered, 0, "case {case}: bad journals replay nothing");
         assert_eq!(drive(&service, total as usize), total as usize);
         let result = result_in(&outbox);
@@ -312,7 +329,7 @@ fn find_first_campaigns_resume_with_their_hit() {
     // campaign from draining — so dropping the service here is a crash
     // *after* the hit, not a completed campaign.
     let first = boot(&state);
-    accepted(submit(&first, &spec).0);
+    accepted(&first, &spec);
     let mut leases = Vec::new();
     for _ in 0..3 {
         leases.push(first.try_lease().expect("expected a lease"));
@@ -327,8 +344,7 @@ fn find_first_campaigns_resume_with_their_hit() {
     // The resumed prefix contains the hit: everything else is past-hit,
     // the campaign drains at submit time and no batch ever re-executes.
     let second = boot(&state);
-    let (outcome, outbox) = submit(&second, &spec);
-    let (_, _, recovered) = accepted(outcome);
+    let (_, _, recovered, outbox) = accepted(&second, &spec);
     assert_eq!(recovered, 2);
     let result = result_in(&outbox);
     assert_eq!(result.executed_batches, 0, "the hit was already on disk");
@@ -351,7 +367,7 @@ fn resumed_campaigns_announce_recovering_to_the_client() {
     let state = state_dir("announce");
 
     let first = boot(&state);
-    let (_, total, _) = accepted(submit(&first, &spec).0);
+    let (_, total, _, _) = accepted(&first, &spec);
     assert_eq!(drive(&first, 3), 3);
     drop(first);
 
